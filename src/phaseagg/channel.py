@@ -44,7 +44,8 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
     """Sample the reciprocal phase matrix for one iteration.
 
     Each unordered pair {i, j} gets one independent uniform grid value,
-    keyed by (seed, iteration, i, j), mirrored across the diagonal.
+    keyed by (seed, iteration, i, j), mirrored across the diagonal.  All
+    pairs are derived in one batch, each equal to its own `keyed_turn`.
     Deterministic: identical arguments give a bit-identical matrix.
     """
     if num_clients < 2:
@@ -52,11 +53,9 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
             f"need at least 2 clients to form a channel, got {num_clients}"
         )
     phases = np.zeros((num_clients, num_clients), dtype=np.uint64)
-    for i in range(num_clients):
-        for j in range(i + 1, num_clients):
-            value = rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, iteration, i, j)
-            phases[i, j] = value
-            phases[j, i] = value
+    i, j = np.triu_indices(num_clients, k=1)
+    phases[i, j] = rng.keyed_turns((seed, rng.CHANNEL_DOMAIN, iteration), i, j)
+    phases[j, i] = phases[i, j]
     return ChannelMatrix(num_clients=num_clients, iteration=iteration,
                          phases=phases, seed=seed)
 

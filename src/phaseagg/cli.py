@@ -21,6 +21,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import analysis, fl, protocol, rng
 from .codec import FecConfig, QuantizationConfig
-from .errors import ConfigValidationError, PhaseAggError
+from .errors import ConfigValidationError, PhaseAggError, TranscriptFormatError
 from .turns import MODULUS
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
@@ -473,8 +474,20 @@ def analyze_transcripts(out_dir: Path) -> tuple[int, dict]:
     path = out_dir / "transcripts.jsonl"
     if not path.is_file():
         raise ConfigValidationError([f"no transcripts found at {path}"])
-    rows = [json.loads(line) for line in path.read_text().splitlines() if line]
-    overhead = analysis.verify_overhead(rows)
+    rows = []
+    for number, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line:
+            continue
+        try:
+            rows.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise TranscriptFormatError(f"{path} line {number} is not JSON: {exc}") from None
+    try:
+        overhead = analysis.verify_overhead(rows)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TranscriptFormatError(
+            f"{path} does not hold round transcripts: {type(exc).__name__}: {exc}"
+        ) from None
     report = {
         "command": "analyze",
         "rounds": len(rows),
@@ -512,7 +525,8 @@ def main(argv=None) -> int:
         cmd.add_argument("--out", default="out", help="output directory")
         if name == "run":
             cmd.add_argument("--jobs", type=int, default=1,
-                             help="fan out this many consecutive seeds")
+                             help="fan out this many consecutive seeds "
+                                 "(at most one worker process per CPU)")
 
     args = parser.parse_args(argv)
     try:
@@ -524,7 +538,8 @@ def main(argv=None) -> int:
             else Path(config.output_dir)
         if args.command == "run" and args.jobs > 1:
             seeds = [config.seed + k for k in range(args.jobs)]
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            workers = min(args.jobs, os.cpu_count() or 1)
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 codes = list(pool.map(
                     _run_job,
                     [args.config] * len(seeds),

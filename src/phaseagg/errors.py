@@ -45,6 +45,10 @@ class UnrecoverableRoundError(PhaseAggError):
     """Dropouts left the round undecodable (or reveal-unsafe to recover)."""
 
 
+class RevealSafetyError(PhaseAggError):
+    """A recovery would reveal both a client's private phase and its whole mask."""
+
+
 class InsufficientClientsError(PhaseAggError):
     """Two-group assignment needs at least four clients."""
 
@@ -67,6 +71,10 @@ class DivergenceError(PhaseAggError):
 
 class UnderpoweredTestError(PhaseAggError):
     """Too few samples for the statistical test to be meaningful."""
+
+
+class TranscriptFormatError(PhaseAggError):
+    """A transcripts file is not one JSON round transcript per line."""
 
 
 class ConfigValidationError(PhaseAggError):

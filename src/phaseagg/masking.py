@@ -98,6 +98,32 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
                      contributing_pairs=pairs)
 
 
+def group_masks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
+                per_symbol: bool = False, length: int | None = None) -> np.ndarray:
+    """Every client's group mask at once: (N,) turns, or (N, length) per-symbol.
+
+    A scalar mask is one row-sum of the phase matrix over the client's
+    complementary set; per-symbol masks expand each client's pair streams
+    once.  Row i equals `compute_group_mask(i, ...).phase`.
+    """
+    n = assignment.num_clients
+    if per_symbol:
+        return np.stack([
+            compute_group_mask(i, assignment, channel, per_symbol=True,
+                               length=length).phase
+            for i in range(n)
+        ])
+    if channel.num_clients < n:
+        raise IndexError(
+            f"channel covers {channel.num_clients} clients, the assignment {n}"
+        )
+    phases = channel.phases[:n, :n]
+    # Each phase is < 2**32, so uint64 sums N terms exactly before reducing.
+    total = np.sum(phases, axis=1, where=assignment.complement_indicator,
+                   dtype=np.uint64)
+    return turns.reduce(total)
+
+
 def apply_mask(symbols: SymbolVector | MaskedSymbols, mask: int | np.ndarray,
                direction: str) -> MaskedSymbols:
     """Rotate every symbol by +mask or -mask on the grid.
@@ -130,6 +156,19 @@ def sample_private_phase(i: int, t: int, seed: int, *, per_symbol: bool = False,
     else:
         phase = rng.keyed_turn(seed, rng.PRIVATE_PHASE_DOMAIN, t, i)
     return PrivatePhase(owner=i, iteration=t, phase=phase)
+
+
+def sample_private_phases(clients, t: int, seed: int, *, per_symbol: bool = False,
+                          length: int | None = None) -> dict[int, PrivatePhase]:
+    """`sample_private_phase` for each client, scalar phases in one batch."""
+    clients = [int(i) for i in clients]
+    if per_symbol:
+        return {i: sample_private_phase(i, t, seed, per_symbol=True, length=length)
+                for i in clients}
+    values = rng.keyed_turns((seed, rng.PRIVATE_PHASE_DOMAIN, t),
+                             np.array(clients, dtype=np.int64))
+    return {i: PrivatePhase(owner=i, iteration=t, phase=int(v))
+            for i, v in zip(clients, values)}
 
 
 def mask_shares(dropped: int, survivors, assignment: "GroupAssignment",

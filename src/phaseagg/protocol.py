@@ -26,6 +26,7 @@ exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .errors import (
     FramingError,
     InfeasibleGroupingError,
     InsufficientClientsError,
+    RevealSafetyError,
     SecurityFloorError,
     ShapeError,
     UnrecoverableRoundError,
@@ -58,8 +60,10 @@ from .masking import (
     PrivatePhase,
     apply_mask,
     compute_group_mask,
+    group_masks,
     mask_shares,
     sample_private_phase,
+    sample_private_phases,
 )
 
 if TYPE_CHECKING:
@@ -118,6 +122,15 @@ class GroupAssignment:
         g, t = self.group_of[i], self.tag_of[i]
         other = MINUS if t == PLUS else PLUS
         return self.side(g, other)
+
+    @cached_property
+    def complement_indicator(self) -> np.ndarray:
+        """Read-only (N, N) bool matrix: [i, j] is True when j is in i's complementary set."""
+        group = np.asarray(self.group_of)
+        plus = np.asarray(self.tag_of) == PLUS
+        indicator = (group[:, None] == group[None, :]) & (plus[:, None] != plus[None, :])
+        indicator.setflags(write=False)
+        return indicator
 
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
@@ -258,22 +271,31 @@ def client_message(i: int, digits, assignment: GroupAssignment,
     side adds its mask, minus side subtracts it.  The private phase is
     always added.
     """
-    if version not in (ALG1, ALG2):
-        raise ValueError(f"unknown protocol version {version!r}")
+    _check_version(version)
     if not (0 <= i < assignment.num_clients):
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
     symbols = modulate(digits, cfg, owner=i, iteration=t)
-    current = symbols
+    private = None
     if version == ALG2:
         private = sample_private_phase(i, t, seed, per_symbol=per_symbol,
-                                       length=symbols.dimension)
-        current = apply_mask(current, private.phase, PLUS)
+                                       length=symbols.dimension).phase
     mask = compute_group_mask(i, assignment, channel, per_symbol=per_symbol,
                               length=symbols.dimension)
-    masked = apply_mask(current, mask.phase, assignment.tag_of[i])
-    return ClientMessage(owner=i, iteration=t, masked=masked,
-                         protocol_version=version)
+    return _seal(symbols, private, mask.phase, assignment.tag_of[i], version)
+
+
+def _check_version(version: str) -> None:
+    if version not in (ALG1, ALG2):
+        raise ValueError(f"unknown protocol version {version!r}")
+
+
+def _seal(symbols, private, mask, tag: str, version: str) -> ClientMessage:
+    """Add the private phase (alg2), then rotate by the group mask along `tag`."""
+    current = symbols if private is None else apply_mask(symbols, private, PLUS)
+    masked = apply_mask(current, mask, tag)
+    return ClientMessage(owner=symbols.owner, iteration=symbols.iteration,
+                         masked=masked, protocol_version=version)
 
 
 @dataclass(frozen=True)
@@ -360,7 +382,7 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
     for client in private:
         comp = set(assignment.complementary_set(client))
         if comp and comp.issubset(exposed.get(client, set())):
-            raise RuntimeError(
+            raise RevealSafetyError(
                 f"reveal-safety audit failed: client {client}'s private phase "
                 "and every share of its mask were both revealed"
             )
@@ -492,21 +514,26 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
         if not (0 <= delayed < s):
             raise IndexError(f"delayed client {delayed} out of range")
     absent = dropped | ({delayed} if delayed is not None else set())
+    _check_version(version)
+    length = dimension if per_symbol else None
+    t = channel.iteration
 
     # Phase estimation happens at round start for every cross pair, before
-    # anyone can drop; count the unordered pairs actually recorded.
-    estimated_pairs = set()
-    for i in range(s):
-        mask = compute_group_mask(i, assignment, channel,
-                                  per_symbol=per_symbol,
-                                  length=dimension if per_symbol else None)
-        for a, b in mask.contributing_pairs:
-            estimated_pairs.add((min(a, b), max(a, b)))
+    # anyone can drop: every client forms its group mask once, and the
+    # complement indicator counts the unordered pairs estimated.
+    masks = group_masks(assignment, channel, per_symbol=per_symbol, length=length)
+    estimated_pairs = int(np.count_nonzero(assignment.complement_indicator)) // 2
 
     senders = [i for i in range(s) if i not in absent]
+    private = None
+    if version == ALG2:
+        private = sample_private_phases(senders, t, seed, per_symbol=per_symbol,
+                                        length=length)
     messages = tuple(
-        client_message(i, digits_by_client[i], assignment, channel, version,
-                       seed, cfg, per_symbol=per_symbol)
+        _seal(modulate(digits_by_client[i], cfg, owner=i, iteration=t),
+              None if private is None else private[i].phase,
+              masks[i] if per_symbol else int(masks[i]),
+              assignment.tag_of[i], version)
         for i in senders
     )
 
@@ -521,15 +548,8 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
 
     delayed_discarded: bool | None = None
     if version == ALG2:
-        private = {
-            j: sample_private_phase(j, channel.iteration, seed,
-                                    per_symbol=per_symbol,
-                                    length=dimension if per_symbol else None)
-            for j in senders
-        }
         correction = dropout_correction(absent, assignment, channel, private,
-                                        per_symbol=per_symbol,
-                                        length=dimension if per_symbol else None)
+                                        per_symbol=per_symbol, length=length)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -539,8 +559,7 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
                 "recovered without exposing masks; use version 'alg2'"
             )
         correction = dropout_correction(absent, assignment, channel, None,
-                                        per_symbol=per_symbol,
-                                        length=dimension if per_symbol else None)
+                                        per_symbol=per_symbol, length=length)
         if delayed is not None:
             delayed_discarded = False
     else:
@@ -550,13 +569,13 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
                                       len(senders), cfg)
 
     counters = {
-        "phase_estimations": len(estimated_pairs),
+        "phase_estimations": estimated_pairs,
         "uplink_messages": len(messages),
         "recovery_messages": correction.recovery_messages,
         "private_phase_reveals": correction.private_phase_reveals,
     }
     return RoundTranscript(
-        iteration=channel.iteration,
+        iteration=t,
         assignment=assignment,
         messages=messages,
         dropped=tuple(sorted(dropped)),

@@ -7,6 +7,12 @@ any single value - e.g. the channel phase of one pair at one iteration -
 can be re-derived on demand without storing anything.  Dropout recovery
 and transcript replay rely on this.
 
+`keyed_turn` is the reference definition of one value.  `keyed_turns`
+derives a whole batch of keys that share a prefix (every channel pair of
+a round, every sender's private phase) in one pass of elementwise uint32
+array operations; each of its values is bit-identical to `keyed_turn` on
+the same key, so batching changes no stream.
+
 Domain tags keep the independent streams (channel phases, private phases,
 grouping, data, dropouts) from ever colliding on the same key.
 """
@@ -23,6 +29,17 @@ DROPOUT_DOMAIN = 5
 CHANNEL_STREAM_DOMAIN = 6
 PRIVATE_STREAM_DOMAIN = 7
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
 
 def _check_key(key: tuple) -> list[int]:
     parts = []
@@ -38,6 +55,78 @@ def keyed_turn(*key: int) -> int:
     """One uniform value on the 2**32 grid, derived from the key."""
     ss = np.random.SeedSequence(entropy=_check_key(key))
     return int(ss.generate_state(1, np.uint32)[0])
+
+
+def _words(part: int) -> list[int]:
+    """SeedSequence's coercion of one key part: little-endian 32-bit words."""
+    words = [part & _MASK32]
+    part >>= 32
+    while part:
+        words.append(part & _MASK32)
+        part >>= 32
+    return words
+
+
+def _column(values, name: str) -> np.ndarray:
+    """A key column as uint32, refusing anything that would need truncation."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ValueError(f"keyed_turns column {name} must be a 1-D integer array")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) > _MASK32):
+        raise ValueError(
+            f"keyed_turns column {name} holds values outside [0, 2**32); "
+            "use keyed_turn for multi-word key parts"
+        )
+    return arr.astype(np.uint32)
+
+
+def keyed_turns(prefix, *columns) -> np.ndarray:
+    """keyed_turn(*prefix, col0[k], col1[k], ...) for every row k, as uint64.
+
+    The prefix parts may be any non-negative ints; every column value must
+    lie in [0, 2**32) so that it is one entropy word.  All keys then have
+    the same word count, and SeedSequence's hash constants depend only on
+    that count, so its entropy mix and first output word run as a fixed
+    sequence of elementwise uint32 operations over the whole batch.
+    """
+    if not columns:
+        raise ValueError("keyed_turns needs at least one key column")
+    cols = [_column(c, str(k)) for k, c in enumerate(columns)]
+    rows = cols[0].shape[0]
+    if any(c.shape[0] != rows for c in cols):
+        raise ValueError("keyed_turns columns must have equal lengths")
+    entropy = [np.full(rows, w, dtype=np.uint32)
+               for part in _check_key(tuple(prefix)) for w in _words(part)]
+    entropy += cols
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: the first output word comes from pool[0] alone.
+    state = pool[0] ^ np.uint32(_INIT_B)
+    state = state * np.uint32((_INIT_B * _MULT_B) & _MASK32)
+    return (state ^ (state >> _XSHIFT)).astype(np.uint64)
 
 
 def keyed_turn_vector(length: int, *key: int) -> np.ndarray:

@@ -19,8 +19,6 @@ MODULUS = 1 << GRID_BITS
 _MASK = MODULUS - 1
 _MASK_U64 = np.uint64(_MASK)
 
-TurnLike = "int | np.ndarray"
-
 
 def reduce(value):
     """Map an int or integer array into the canonical range [0, 2**32)."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from phaseagg import cli
 from phaseagg.cli import (
     HISTORY_HEADER,
     ScenarioConfig,
@@ -11,7 +12,7 @@ from phaseagg.cli import (
     parse_config,
     run_scenario,
 )
-from phaseagg.errors import ConfigValidationError
+from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 
 
 def valid_data(**overrides):
@@ -195,6 +196,48 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "fan" / "seed-1" / "history.csv").is_file()
         assert (tmp_path / "fan" / "seed-2" / "history.csv").is_file()
+
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # A stand-in executor records the pool size and runs nothing, so
+        # no large pool is ever started.
+        seen = {}
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen["max_workers"] = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                seen["seeds"] = list(iterables[1])
+                return [0] * len(seen["seeds"])
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(valid_data()))
+        code = main(["run", "--config", str(cfg_path), "--jobs", "64",
+                     "--out", str(tmp_path / "fan")])
+        assert code == 0
+        assert seen["max_workers"] == 2
+        assert seen["seeds"] == list(range(1, 65))
+
+    def test_analyze_malformed_transcripts_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0,\n')
+        code = main(["analyze", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 1 is not JSON" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_analyze_rows_that_are_not_transcripts(self, tmp_path):
+        (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0}\n')
+        with pytest.raises(TranscriptFormatError, match="KeyError"):
+            analyze_transcripts(tmp_path)
 
     def test_unrecoverable_run_exits_nonzero(self, tmp_path):
         # drop probability 0.1 with subgroups of 2: some seeds lose a whole

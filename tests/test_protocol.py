@@ -10,17 +10,27 @@ from phaseagg.codec import QuantizationConfig, modulate
 from phaseagg.errors import (
     InfeasibleGroupingError,
     InsufficientClientsError,
+    PhaseAggError,
     ResidualMaskError,
+    RevealSafetyError,
     SecurityFloorError,
     ShapeError,
     UnrecoverableRoundError,
 )
-from phaseagg.masking import MINUS, PLUS, sample_private_phase
+from phaseagg.masking import (
+    MINUS,
+    PLUS,
+    compute_group_mask,
+    group_masks,
+    sample_private_phase,
+    sample_private_phases,
+)
 from phaseagg.protocol import (
     ALG1,
     ALG2,
     GroupAssignment,
     assign_subgroups,
+    _audit_reveal_safety,
     assign_two_groups,
     client_message,
     dropout_correction,
@@ -262,6 +272,76 @@ class TestDropoutCorrection:
                         elif r["revealer"] == client:
                             exposed.add(r["dropped"])
                 assert not comp.issubset(exposed)
+
+
+    def test_reveal_safety_audit_raises_typed_error(self):
+        # Client 0's private phase plus both shares of its mask (toward 2
+        # and 3) would expose its plaintext.
+        assignment = two_group_from_sides([0, 1], [2, 3])
+        reveals = [
+            {"kind": "private-phase", "client": 0, "phase": 1},
+            {"kind": "mask-share", "dropped": 2, "revealer": 0, "phase": 2},
+            {"kind": "mask-share", "dropped": 3, "revealer": 0, "phase": 3},
+        ]
+        with pytest.raises(RevealSafetyError) as err:
+            _audit_reveal_safety(reveals, assignment)
+        assert isinstance(err.value, PhaseAggError)
+        _audit_reveal_safety(reveals[:2], assignment)
+
+
+class TestRoundEngine:
+    """The batched round equals the per-client definitions, value for value."""
+
+    @pytest.mark.parametrize("layout", [
+        lambda: assign_two_groups(9, seed=4),
+        lambda: assign_subgroups(13, 2, 3, seed=4),
+    ])
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_group_masks_match_compute_group_mask(self, layout, per_symbol):
+        assignment = layout()
+        n = assignment.num_clients
+        chan = sample_round_channel(n, iteration=5, seed=2**33 + 1)
+        length = 3 if per_symbol else None
+        masks = group_masks(assignment, chan, per_symbol=per_symbol, length=length)
+        for i in range(n):
+            ref = compute_group_mask(i, assignment, chan, per_symbol=per_symbol,
+                                     length=length).phase
+            assert np.array_equal(masks[i], ref)
+
+    def test_complement_indicator_matches_complementary_sets(self):
+        assignment = assign_subgroups(13, 2, 3, seed=4)
+        indicator = assignment.complement_indicator
+        for i in range(13):
+            assert tuple(np.flatnonzero(indicator[i])) == assignment.complementary_set(i)
+        assert int(indicator.sum()) // 2 == assignment.cross_pair_count()
+        assert not indicator.flags.writeable
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_private_phases_match_sample_private_phase(self, per_symbol):
+        length = 4 if per_symbol else None
+        batch = sample_private_phases([0, 3, 7], 9, seed=2**40, per_symbol=per_symbol,
+                                      length=length)
+        assert sorted(batch) == [0, 3, 7]
+        for i, phase in batch.items():
+            ref = sample_private_phase(i, 9, seed=2**40, per_symbol=per_symbol,
+                                       length=length)
+            assert (phase.owner, phase.iteration) == (ref.owner, ref.iteration)
+            assert np.array_equal(phase.phase, ref.phase)
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_round_messages_match_client_message(self, per_symbol):
+        assignment = assign_subgroups(12, 2, 3, seed=8)
+        chan = sample_round_channel(12, iteration=1, seed=8)
+        cfg = small_cfg(levels=4, clients=12)
+        digits = [np.array([i % 4, (i + 1) % 4, 3]) for i in range(12)]
+        transcript = run_round(digits, assignment, chan, cfg, version=ALG2, seed=8,
+                               dropped=[2], delayed=9, per_symbol=per_symbol)
+        senders = [m.owner for m in transcript.messages]
+        assert senders == [i for i in range(12) if i not in (2, 9)]
+        for msg in transcript.messages:
+            ref = client_message(msg.owner, digits[msg.owner], assignment, chan, ALG2,
+                                 8, cfg, per_symbol=per_symbol)
+            assert msg.to_json_dict() == ref.to_json_dict()
 
 
 class TestRunRound:
