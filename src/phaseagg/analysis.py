@@ -13,6 +13,11 @@ Every test here is seeded and deterministic.  Thresholds are fixed at
 significance 0.01 and sample-size floors (100 samples per histogram cell)
 are enforced, which keeps the false-failure probability of the whole
 suite well under 1e-3.
+
+``scipy`` is loaded only by the two tests that compute a p-value: the
+chi-square test in `chi_square_uniformity` and the binomial test in the
+alg2 branch of `delayed_client_attack`.  It is imported inside those
+functions, so `import phaseagg` and a `phaseagg run` never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.stats
 
 from . import rng, turns
 from .channel import sample_round_channel
@@ -81,6 +85,8 @@ def chi_square_uniformity(samples, bins: int = 16) -> UniformityReport:
             f"need at least {MIN_SAMPLES_PER_CELL * bins} samples for {bins} bins, "
             f"got {arr.size}"
         )
+    import scipy.stats
+
     counts = np.bincount(bin_turns(arr, bins), minlength=bins)
     statistic, p_value = scipy.stats.chisquare(counts)
     return UniformityReport(sample_count=int(arr.size), bins=bins,
@@ -274,6 +280,8 @@ def delayed_client_attack(scenario: str, *, num_clients: int = 4,
         # One Bernoulli trial per round: the scalar residual shifts every
         # element of a message by the same offset, so element hits within a
         # round are perfectly correlated and only rounds count.
+        import scipy.stats
+
         outcome.binomial_p_value = float(
             scipy.stats.binomtest(full, trials, 1.0 / cfg.modulus).pvalue
         )

@@ -7,7 +7,8 @@ Subcommands:
 * ``round``   - a single aggregation round; writes transcripts.jsonl and
                 report.json
 * ``attack``  - delayed-client attack scenarios; writes report.json
-* ``analyze`` - re-run the overhead analysis on existing transcripts
+* ``analyze`` - re-run the overhead analysis on existing transcripts;
+                writes analysis.json and leaves the run's report.json alone
 
 Configs are strict JSON: unknown keys are rejected and every violated
 constraint is reported at once, because a silently ignored typo in a
@@ -493,7 +494,7 @@ def analyze_transcripts(out_dir: Path) -> tuple[int, dict]:
         "rounds": len(rows),
         "overhead": overhead.to_json_dict(),
     }
-    write_report(report, out_dir / "report.json")
+    write_report(report, out_dir / "analysis.json")
     violated = not overhead.exact_match or not overhead.recovery_messages_exact
     return (2 if violated else 0), report
 

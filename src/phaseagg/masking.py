@@ -65,7 +65,11 @@ class PrivatePhase:
 
 @dataclass(frozen=True)
 class MaskedSymbols:
-    """Symbol vector after rotation; what the aggregator actually sees."""
+    """Symbol vector after rotation; what the aggregator actually sees.
+
+    `symbols` is always a uint64 vector: `apply_mask` is the only
+    constructor, and it builds the vector with `turns` arithmetic.
+    """
 
     symbols: np.ndarray
     owner: int | None

@@ -257,7 +257,7 @@ class ClientMessage:
             "direction": self.masked.direction,
             "mask_mode": self.masked.mask_mode,
             "version": self.protocol_version,
-            "symbols": [int(s) for s in self.masked.symbols],
+            "symbols": self.masked.symbols.tolist(),
         }
 
 
@@ -585,8 +585,8 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
         revealed_shares=tuple(correction.reveals),
         counters=counters,
         num_contributors=len(senders),
-        aggregate=tuple(int(x) for x in decoded.digit_sums),
-        decoded_mean=tuple(float(x) for x in decoded.mean),
+        aggregate=tuple(decoded.digit_sums.tolist()),
+        decoded_mean=tuple(decoded.mean.tolist()),
         codec_metrics={
             "payload_bits": payload_bits,
             "redundancy_bits": redundancy,

@@ -184,9 +184,15 @@ class TestMain:
         assert line["iteration"] == 0
 
     def test_analyze_subcommand(self, tmp_path):
-        main(["run", "--config", "alg2_dropout", "--out", str(tmp_path)])
+        assert main(["run", "--config", "alg2_dropout", "--out", str(tmp_path)]) == 0
+        before = (tmp_path / "report.json").read_bytes()
         code = main(["analyze", "--out", str(tmp_path)])
         assert code == 0
+        # The analysis goes beside the run's report, never over it.
+        assert (tmp_path / "report.json").read_bytes() == before
+        analysis = json.loads((tmp_path / "analysis.json").read_text())
+        assert analysis["command"] == "analyze"
+        assert analysis["overhead"]["exact_match"] is True
 
     def test_jobs_fan_out(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

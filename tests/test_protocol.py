@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import channel_from_phases, sample_round_channel
-from phaseagg.codec import QuantizationConfig, modulate
+from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
 from phaseagg.errors import (
     InfeasibleGroupingError,
     InsufficientClientsError,
@@ -342,6 +343,43 @@ class TestRoundEngine:
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan, ALG2,
                                  8, cfg, per_symbol=per_symbol)
             assert msg.to_json_dict() == ref.to_json_dict()
+
+
+class TestTranscriptEncoding:
+    """The JSON form holds plain Python numbers, byte for byte as before."""
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_json_matches_per_element_conversion(self, per_symbol):
+        assignment = assign_subgroups(12, 2, 3, seed=8)
+        chan = sample_round_channel(12, iteration=1, seed=8)
+        cfg = small_cfg(levels=4, clients=12)
+        gen = np.random.default_rng(63)
+        digits = [gen.integers(0, 4, size=5) for _ in range(12)]
+        transcript = run_round(digits, assignment, chan, cfg, version=ALG2, seed=8,
+                               dropped=[2], per_symbol=per_symbol)
+        encoded = transcript.to_json_dict()
+        for row, msg in zip(encoded["messages"], transcript.messages):
+            assert row["mask_mode"] == ("per-symbol" if per_symbol else "scalar")
+            assert all(type(s) is int for s in row["symbols"])
+            assert np.array_equal(np.array(row["symbols"], dtype=np.uint64),
+                                  msg.masked.symbols)
+        assert all(type(x) is int for x in encoded["aggregate"])
+        assert all(type(x) is float for x in encoded["decoded_mean"])
+
+        # The element-by-element form the encoder used to write.
+        sums = np.sum([digits[i] for i in range(12) if i != 2], axis=0)
+        reference = dict(
+            encoded,
+            messages=[dict(row, symbols=[int(s) for s in msg.masked.symbols])
+                      for row, msg in zip(encoded["messages"], transcript.messages)],
+            aggregate=[int(x) for x in sums],
+            decoded_mean=[float(x) for x in dequantize_mean(sums, 11, cfg)],
+        )
+
+        def dump(d):
+            return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+        assert dump(encoded) == dump(reference)
 
 
 class TestRunRound:
