@@ -14,6 +14,12 @@ Configs are strict JSON: unknown keys are rejected and every violated
 constraint is reported at once, because a silently ignored typo in a
 security parameter is worse than a loud failure.  Identical config and
 seed always produce byte-identical artifacts.
+
+Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
+dumped with sorted keys and compact separators.  `write_transcripts` writes
+those exact bytes through `RoundTranscript.to_json_line`, which renders all
+of a round's message symbols in one numpy pass; tests/test_golden.py pins
+the bytes.
 """
 
 from __future__ import annotations
@@ -366,11 +372,16 @@ def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
 
 
 def write_transcripts(transcripts, path: Path) -> None:
-    with path.open("w") as handle:
+    """Write one compact, key-sorted JSON line per round transcript (or dict).
+
+    A `RoundTranscript` writes `to_json_line()`, the bytes of
+    `json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":"))`
+    with its symbols rendered in one vectorized pass.
+    """
+    with path.open("wb") as handle:
         for t in transcripts:
-            d = t.to_json_dict() if hasattr(t, "to_json_dict") else t
-            handle.write(json.dumps(d, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
+            line = t.to_json_line() if hasattr(t, "to_json_line") else protocol.compact_json(t)
+            handle.write(line + b"\n")
 
 
 def write_report(report: dict, path: Path) -> None:

@@ -8,7 +8,8 @@ wraparound - which is what lets the aggregator decode exactly.
 
 FEC here is structural bookkeeping: the simulated channel is noiseless,
 so the code must be a lossless inverse pair and its redundancy r only
-feeds the reported L + r bit metrics.
+feeds the reported L + r bit metrics.  A round never runs the code; it
+reports `FecConfig.redundancy_bits`, and the tests check the inverse pair.
 """
 
 from __future__ import annotations
@@ -161,6 +162,10 @@ def modulate(v: QuantizedVector, cfg: QuantizationConfig,
              owner: int | None = None, iteration: int | None = None) -> SymbolVector:
     """Map digits to constellation points: digit * (2**32 / M)."""
     digits = np.asarray(v.digits if isinstance(v, QuantizedVector) else v)
+    if digits.dtype.kind not in "iu" and not np.array_equal(digits, np.floor(digits)):
+        raise InvalidDigitError(
+            f"digits must be whole numbers, got fractional or non-finite {digits.dtype} values"
+        )
     if np.any(digits < 0) or np.any(digits >= cfg.levels):
         raise InvalidDigitError(
             f"digits must lie in [0, {cfg.levels}), got range "

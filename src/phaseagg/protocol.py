@@ -21,31 +21,26 @@ The dropout correction implemented here is
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
 exhaustively.
+
+`RoundTranscript.to_json_dict` defines the transcript's JSON schema.
+`RoundTranscript.to_json_line` writes the same document as compact,
+key-sorted JSON bytes, leaving the message symbols as arrays until
+`compact_json` renders every one of them in a single numpy pass.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import fl, rng, turns
 from .channel import ChannelMatrix, sample_round_channel
-from .codec import (
-    FecConfig,
-    QuantizationConfig,
-    bits_to_digits,
-    digits_to_bits,
-    dequantize_mean,
-    decode_sum,
-    fec_decode,
-    fec_encode,
-    modulate,
-)
+from .codec import FecConfig, QuantizationConfig, dequantize_mean, decode_sum, modulate
 from .errors import (
-    FramingError,
     InfeasibleGroupingError,
     InsufficientClientsError,
     RevealSafetyError,
@@ -251,13 +246,16 @@ class ClientMessage:
     protocol_version: str
 
     def to_json_dict(self) -> dict:
+        return self._json_dict(self.masked.symbols.tolist())
+
+    def _json_dict(self, symbols) -> dict:
         return {
             "owner": self.owner,
             "iteration": self.iteration,
             "direction": self.masked.direction,
             "mask_mode": self.masked.mask_mode,
             "version": self.protocol_version,
-            "symbols": self.masked.symbols.tolist(),
+            "symbols": symbols,
         }
 
 
@@ -364,7 +362,7 @@ def _check_recovery_feasible(dropped: frozenset[int],
 
 def _phase_json(phase) -> int | list[int]:
     if isinstance(phase, np.ndarray):
-        return [int(p) for p in phase]
+        return phase.tolist()
     return int(phase)
 
 
@@ -448,6 +446,109 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     return result
 
 
+# --- transcript encoding ----------------------------------------------------
+
+_TOP = 43  # values below 2**32 have at most two digits above the 10**8 place
+_LEAD, _LAST, _COMMA, _BRACKET = 10**4, 2 * 10**4, 3 * 10**4, 3 * 10**4 + _TOP
+
+
+@cache  # built on first use, so importing the package does not pay for it
+def _digit_words() -> np.ndarray:
+    """Read-only ASCII digit groups, one NUL-padded uint32 word (4 bytes) each.
+
+    Rows from 0: k in [0, 10**4) as four digits with leading zeros; from
+    `_LEAD`: k without leading zeros (0 as nothing); from `_LAST`: the same
+    with 0 as "0"; from `_COMMA` and `_BRACKET`: ',' or '[' followed by k in
+    [0, _TOP) without leading zeros (0 as nothing).
+    """
+    # uint8 throughout: wider temporaries here cost ~1 MB of peak RSS.
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row k: k's digits
+    full = digits + np.uint8(ord("0"))
+    lead = np.where(np.logical_or.accumulate(digits > 0, axis=1), full, np.uint8(0))
+    last = lead.copy()
+    last[0, 3] = ord("0")
+    top = lead[:_TOP].copy()  # k < 100: the digits sit in the last two bytes
+    comma, bracket = top.copy(), top.copy()
+    comma[:, 0], bracket[:, 0] = ord(","), ord("[")
+    words = np.concatenate([full, lead, last, comma, bracket]).view(np.uint32).ravel()
+    words.setflags(write=False)
+    return words
+
+
+def uint32_lists_json(rows: Sequence) -> list[bytes]:
+    """JSON text of each integer row: `json.dumps(row.tolist(), separators=(",", ":"))`.
+
+    All rows are rendered in one numpy pass.  Each value becomes three table
+    words: its separator with its digits above 10**8 (the first value of a
+    row takes '[' as separator), then two 4-digit groups; leading zeros are
+    NUL padding, deleted from the whole text at once.  A value outside
+    [0, 2**32) raises ValueError instead of being truncated.
+    """
+    rows = [np.asarray(r) for r in rows]
+    if any(r.ndim != 1 for r in rows):
+        raise ValueError("each row must be a one-dimensional array")
+    sizes = [r.size for r in rows]
+    if not any(sizes):
+        return [b"[]"] * len(rows)
+    kinds = {r.dtype.kind for r in rows if r.size}
+    if not kinds <= {"i", "u"}:
+        raise ValueError(f"cannot write values of dtype kinds {sorted(kinds)} as integers")
+    # A uint64 value of 2**63 or more wraps negative here and is refused below.
+    flat = np.concatenate([r.ravel() for r in rows if r.size], dtype=np.int64,
+                          casting="unsafe")
+    if flat.min() < 0 or flat.max() >= turns.MODULUS:
+        raise ValueError(
+            f"values must lie in [0, 2**32), got range [{flat.min()}, {flat.max()}]"
+        )
+    low = flat.astype(np.uint32)
+    del flat
+    top = low // np.uint32(10**8)
+    low -= top * np.uint32(10**8)
+    mid = low // np.uint32(10**4)
+    low -= mid * np.uint32(10**4)
+    no_top = top == 0
+    words = np.empty((low.size, 3), dtype=np.uint32)
+    words[:, 0] = top + np.uint32(_COMMA)
+    words[:, 1] = mid + no_top * np.uint32(_LEAD)
+    words[:, 2] = low + (no_top & (mid == 0)) * np.uint32(_LAST)
+    del top, mid, low, no_top
+    starts = np.cumsum([0] + [n for n in sizes if n])[:-1]
+    words[starts, 0] += np.uint32(_BRACKET - _COMMA)
+    text = np.take(_digit_words(), words).tobytes()
+    del words
+    pieces = iter(text.translate(None, b"\0").split(b"[")[1:])
+    return [b"[" + next(pieces) + b"]" if n else b"[]" for n in sizes]
+
+
+_SLOT = "\0"
+_SLOT_JSON = json.dumps(_SLOT).encode()
+
+
+def compact_json(obj) -> bytes:
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII bytes.
+
+    Integer ndarrays anywhere in `obj` are written as JSON lists of their
+    values: the dump leaves a placeholder string for each, in document
+    order, and `uint32_lists_json` renders them all at once.
+    """
+    arrays = []
+
+    def slot(value):
+        if not isinstance(value, np.ndarray):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        arrays.append(value)
+        return _SLOT
+
+    parts = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                       default=slot).encode().split(_SLOT_JSON)
+    if len(parts) != len(arrays) + 1:
+        raise ValueError("a string in the document equals the array placeholder")
+    out = [parts[0]]
+    for text, part in zip(uint32_lists_json(arrays), parts[1:]):
+        out += (text, part)
+    return b"".join(out)
+
+
 @dataclass(frozen=True)
 class RoundTranscript:
     """Everything one aggregation round produced, ready to serialize."""
@@ -467,10 +568,24 @@ class RoundTranscript:
     codec_metrics: dict
 
     def to_json_dict(self) -> dict:
+        """The transcript's JSON form, the one definition of its schema."""
+        return self._json_dict([m.to_json_dict() for m in self.messages])
+
+    def to_json_line(self) -> bytes:
+        """One `transcripts.jsonl` line without its newline.
+
+        The bytes equal `json.dumps(self.to_json_dict(), sort_keys=True,
+        separators=(",", ":"))`; the messages' symbols stay arrays until
+        `compact_json` renders them all in one pass.
+        """
+        return compact_json(self._json_dict(
+            [m._json_dict(m.masked.symbols) for m in self.messages]))
+
+    def _json_dict(self, messages: list) -> dict:
         return {
             "iteration": self.iteration,
             "assignment": self.assignment.to_json_dict(),
-            "messages": [m.to_json_dict() for m in self.messages],
+            "messages": messages,
             "dropped": list(self.dropped),
             "delayed": self.delayed,
             "delayed_discarded": self.delayed_discarded,
@@ -537,14 +652,10 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
         for i in senders
     )
 
+    # The channel is noiseless, so the FEC code only sets the reported bit
+    # counts; tests/test_codec.py checks that it is a lossless inverse pair.
     payload_bits = cfg.payload_bits(dimension)
-    fec_cfg = fec or FecConfig(scheme="none")
-    redundancy = fec_cfg.redundancy_bits(payload_bits)
-    for i in senders:
-        bits = digits_to_bits(np.atleast_1d(digits_by_client[i]), cfg)
-        recovered = bits_to_digits(fec_decode(fec_encode(bits, fec_cfg), fec_cfg), cfg)
-        if not np.array_equal(recovered, np.atleast_1d(digits_by_client[i])):
-            raise FramingError("FEC round-trip failed on a noiseless channel")
+    redundancy = (fec or FecConfig(scheme="none")).redundancy_bits(payload_bits)
 
     delayed_discarded: bool | None = None
     if version == ALG2:

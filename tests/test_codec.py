@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseagg import turns
 from phaseagg.codec import (
@@ -140,6 +142,16 @@ class TestModulateDecode:
         with pytest.raises(InvalidDigitError):
             modulate([5], cfg)
 
+    @pytest.mark.parametrize("digits", [[1.5], [np.nan], [0.0, 2.25]])
+    def test_rejects_digits_that_are_not_whole(self, digits):
+        with pytest.raises(InvalidDigitError):
+            modulate(digits, cfg_for(levels=5))
+
+    def test_accepts_whole_float_digits(self):
+        cfg = cfg_for(levels=5)
+        assert np.array_equal(modulate([0.0, 4.0], cfg).symbols,
+                              modulate([0, 4], cfg).symbols)
+
     def test_single_client_roundtrip(self):
         cfg = cfg_for(levels=5)
         gen = np.random.default_rng(5)
@@ -218,6 +230,21 @@ class TestBitsAndFec:
         assert list(encoded) == [1, 1, 1, 0, 0, 0]
         assert list(fec_decode(encoded, fec)) == [1, 0]
         assert fec.redundancy_bits(2) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(2, 2**16),
+           st.one_of(st.just(FecConfig("none")),
+                     st.builds(FecConfig, st.just("repetition"), st.integers(2, 5))))
+    def test_digits_survive_the_code(self, data, levels, fec):
+        # A round never runs the code on its noiseless channel; this is the
+        # property it would have checked, for any digit vector.
+        cfg = QuantizationConfig.with_auto_modulus(1.0, levels, max_clients=1)
+        digits = np.array(data.draw(st.lists(st.integers(0, levels - 1), max_size=64)),
+                          dtype=np.int64)
+        encoded = fec_encode(digits_to_bits(digits, cfg), fec)
+        payload = cfg.payload_bits(digits.size)
+        assert encoded.size == payload + fec.redundancy_bits(payload)
+        assert np.array_equal(bits_to_digits(fec_decode(encoded, fec), cfg), digits)
 
     def test_roundtrip_random_strings(self):
         gen = np.random.default_rng(9)

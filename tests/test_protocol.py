@@ -3,13 +3,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import channel_from_phases, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
+from phaseagg.cli import write_transcripts
 from phaseagg.errors import (
     InfeasibleGroupingError,
+    InvalidDigitError,
     InsufficientClientsError,
     PhaseAggError,
     ResidualMaskError,
@@ -34,10 +39,12 @@ from phaseagg.protocol import (
     _audit_reveal_safety,
     assign_two_groups,
     client_message,
+    compact_json,
     dropout_correction,
     ps_aggregate_and_decode,
     run_round,
     two_group_from_sides,
+    uint32_lists_json,
 )
 
 
@@ -382,6 +389,98 @@ class TestTranscriptEncoding:
         assert dump(encoded) == dump(reference)
 
 
+def dump_rows(rows) -> list[bytes]:
+    return [json.dumps(np.asarray(r).tolist(), separators=(",", ":")).encode()
+            for r in rows]
+
+
+# 0, one below, at and one above every power of ten, the 10**4 and 10**8
+# group boundaries, and the largest value below 2**32.
+EDGE_VALUES = sorted({0, 9, 99999999, 100000000, 2**32 - 1}
+                     | {10**k + e for k in range(1, 10) for e in (-1, 0, 1)})
+
+
+class TestUint32ListsJson:
+    """The row encoder writes what json.dumps writes for the same integers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.uint64,
+                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+                      elements=st.integers(0, 2**32 - 1)))
+    def test_matches_json_dumps(self, matrix):
+        assert uint32_lists_json(matrix) == dump_rows(matrix)
+        assert uint32_lists_json(list(matrix)) == dump_rows(matrix)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_value_alone(self, value):
+        matrix = np.array([[value]], dtype=np.uint64)
+        assert uint32_lists_json(matrix) == [f"[{value}]".encode()]
+
+    def test_edge_values_in_one_row(self):
+        row = np.array(EDGE_VALUES, dtype=np.uint64)
+        assert uint32_lists_json([row]) == dump_rows([row])
+        assert uint32_lists_json([row[::-1], row]) == dump_rows([row[::-1], row])
+
+    def test_signed_and_empty_rows(self):
+        rows = [np.array([], dtype=np.uint64), np.array([7, 0], dtype=np.int64),
+                np.array([], dtype=np.int64), np.array([2**32 - 1], dtype=np.uint64)]
+        assert uint32_lists_json(rows) == [b"[]", b"[7,0]", b"[]", b"[4294967295]"]
+        assert uint32_lists_json([]) == []
+
+    @pytest.mark.parametrize("row", [
+        np.array([0, 2**32], dtype=np.uint64),
+        np.array([2**64 - 1], dtype=np.uint64),
+        np.array([2**63], dtype=np.uint64),
+        np.array([-1, 5], dtype=np.int64),
+        np.array([1.0, 2.0]),
+        np.array([True]),
+    ])
+    def test_refuses_values_outside_uint32(self, row):
+        with pytest.raises(ValueError):
+            uint32_lists_json([np.array([1], dtype=np.uint64), row])
+
+    @pytest.mark.parametrize("row", [np.array(5), np.zeros((2, 2), dtype=np.uint64)])
+    def test_refuses_rows_that_are_not_one_dimensional(self, row):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            uint32_lists_json([row])
+
+    def test_compact_json_places_arrays_in_document_order(self):
+        doc = {"b": [np.array([3, 10**9], dtype=np.uint64), {"z": np.array([0])}],
+               "a": np.array([], dtype=np.uint64), "c": "text"}
+        plain = {"b": [[3, 10**9], {"z": [0]}], "a": [], "c": "text"}
+        assert compact_json(doc) == json.dumps(
+            plain, sort_keys=True, separators=(",", ":")).encode()
+
+    def test_compact_json_refuses_the_placeholder_string(self):
+        with pytest.raises(ValueError, match="placeholder"):
+            compact_json({"a": np.array([1]), "b": "\0"})
+        with pytest.raises(TypeError):
+            compact_json({"a": np.uint64(1)})
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("version", [ALG1, ALG2])
+    def test_written_line_equals_json_dumps(self, tmp_path, per_symbol, version):
+        assignment = assign_subgroups(12, 2, 3, seed=8)
+        cfg = small_cfg(levels=4, clients=12)
+        gen = np.random.default_rng(64)
+        transcripts = []
+        # A full round, then one with dropped clients and a delayed one;
+        # alg1 recovers them only through the naive remedy.
+        for t, (dropped, delayed) in enumerate([((), None), ((1, 7), 4)]):
+            digits = [gen.integers(0, 4, size=5) for _ in range(12)]
+            transcripts.append(run_round(
+                digits, assignment, sample_round_channel(12, iteration=t, seed=8), cfg,
+                version=version, seed=8, dropped=dropped, delayed=delayed,
+                per_symbol=per_symbol, naive_remedy=version == ALG1))
+        assert transcripts[1].revealed_shares
+        path = tmp_path / "transcripts.jsonl"
+        write_transcripts(transcripts, path)
+        expected = "".join(
+            json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+            for t in transcripts)
+        assert path.read_bytes() == expected.encode()
+
+
 class TestRunRound:
     def test_counters_two_group(self):
         cfg = small_cfg(levels=5, clients=8)
@@ -471,6 +570,15 @@ class TestRunRound:
         chan = sample_round_channel(4, iteration=0, seed=59)
         digits = [np.zeros(2, dtype=np.int64)] * 3 + [np.zeros(3, dtype=np.int64)]
         with pytest.raises(ShapeError):
+            run_round(digits, assignment, chan, cfg, version=ALG1, seed=59)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, -1, 5])
+    def test_digits_that_are_not_valid_integers_are_refused(self, bad):
+        cfg = small_cfg(levels=5, clients=4)
+        assignment = two_group_from_sides([0, 1], [2, 3])
+        chan = sample_round_channel(4, iteration=0, seed=59)
+        digits = [np.array([1.0, 2.0])] * 3 + [np.array([bad, 2.0])]
+        with pytest.raises(InvalidDigitError):
             run_round(digits, assignment, chan, cfg, version=ALG1, seed=59)
 
     def test_per_symbol_mode_round(self):
