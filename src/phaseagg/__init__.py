@@ -30,7 +30,15 @@ from .codec import (
     quantize,
 )
 from .errors import PhaseAggError
-from .fl import ClientDataset, ModelState, compute_gradient, run_training, sgd_update
+from .fl import (
+    ClientDataset,
+    ClientDatasets,
+    ModelState,
+    client_digits,
+    compute_gradient,
+    run_training,
+    sgd_update,
+)
 from .masking import (
     GroupMask,
     MaskedSymbols,

@@ -320,8 +320,18 @@ class OverheadReport:
         }
 
 
-def _as_transcript_dict(t) -> dict:
-    return t.to_json_dict() if isinstance(t, RoundTranscript) else dict(t)
+def _overhead_fields(t) -> dict:
+    """The fields `verify_overhead` reads, from a transcript or its JSON dict.
+
+    A `RoundTranscript`'s fields are read directly, so no message symbols
+    are rendered.
+    """
+    if isinstance(t, RoundTranscript):
+        return {name: getattr(t, name) for name in
+                ("assignment", "counters", "dropped", "delayed", "revealed_shares")}
+    row = dict(t)
+    row.setdefault("delayed", None)
+    return row
 
 
 def verify_overhead(transcripts: Sequence) -> OverheadReport:
@@ -334,8 +344,10 @@ def verify_overhead(transcripts: Sequence) -> OverheadReport:
     """
     if not transcripts:
         raise ValueError("no transcripts to verify")
-    rows = [_as_transcript_dict(t) for t in transcripts]
-    assignment = GroupAssignment.from_json_dict(rows[0]["assignment"])
+    rows = [_overhead_fields(t) for t in transcripts]
+    assignment = rows[0]["assignment"]
+    if not isinstance(assignment, GroupAssignment):
+        assignment = GroupAssignment.from_json_dict(assignment)
     n = assignment.num_clients
     if assignment.mode == TWO_GROUP:
         l = assignment.plus_size()
@@ -353,7 +365,7 @@ def verify_overhead(transcripts: Sequence) -> OverheadReport:
         if row["counters"]["phase_estimations"] != formula:
             exact = False
         dropped = set(row["dropped"])
-        if row.get("delayed") is not None:
+        if row["delayed"] is not None:
             dropped.add(row["delayed"])
         survivors = set(range(n)) - dropped
         share_counts: dict[int, int] = {}

@@ -110,7 +110,8 @@ class QuantizedVector:
 class SymbolVector:
     """Unmasked constellation points, one per gradient element.
 
-    Values are exact multiples of the constellation step.
+    Values are exact multiples of the constellation step.  `symbols` is a
+    vector, or a (clients, d) matrix when a whole round is modulated at once.
     """
 
     symbols: np.ndarray
@@ -119,7 +120,7 @@ class SymbolVector:
 
     @property
     def dimension(self) -> int:
-        return int(self.symbols.shape[0])
+        return int(self.symbols.shape[-1])
 
 
 def quantize(gradient, cfg: QuantizationConfig,
@@ -160,7 +161,12 @@ def dequantize_mean(digit_sums, num_contributors: int,
 
 def modulate(v: QuantizedVector, cfg: QuantizationConfig,
              owner: int | None = None, iteration: int | None = None) -> SymbolVector:
-    """Map digits to constellation points: digit * (2**32 / M)."""
+    """Map digits to constellation points: digit * (2**32 / M).
+
+    `v` may be one client's digit vector or a (clients, d) matrix of them;
+    every check covers the whole array, and the symbols come back as one
+    fresh uint64 array of the same shape.
+    """
     digits = np.asarray(v.digits if isinstance(v, QuantizedVector) else v)
     if digits.dtype.kind not in "iu" and not np.array_equal(digits, np.floor(digits)):
         raise InvalidDigitError(
@@ -171,7 +177,8 @@ def modulate(v: QuantizedVector, cfg: QuantizationConfig,
             f"digits must lie in [0, {cfg.levels}), got range "
             f"[{digits.min()}, {digits.max()}]"
         )
-    symbols = digits.astype(np.uint64) * np.uint64(cfg.step)
+    symbols = digits.astype(np.uint64)
+    symbols *= np.uint64(cfg.step)
     return SymbolVector(symbols=symbols, owner=owner, iteration=iteration)
 
 

@@ -6,15 +6,24 @@ parameters.  The server averages the (quantized) client gradients and
 takes one gradient step per round.  The task is linear regression with a
 known generating parameter so convergence can be asserted exactly.
 
+Every client's data is stacked once, as a `ClientDatasets` of features
+(S, n, d) and targets (S, n), and one batched least-squares gradient and
+one `quantize` call give every client's digits per round (`client_digits`).
+`compute_gradient` and `quantized_digits` stay the per-client definitions
+the batch is tested against, bit for bit.
+
 `run_training` drives the full loop in two modes: "secure" routes every
 round through the masked aggregation protocol; "plaintext" sums the same
-quantized digits directly.  Masking is information-lossless, so the two
-trajectories are bit-identical - that equivalence is itself a test target.
+quantized digits directly.  Both take their digits from `client_digits`,
+and masking is information-lossless, so the two trajectories are
+bit-identical - that equivalence is itself a test target.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,24 +64,87 @@ class ClientDataset:
         return int(self.features.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class ClientDatasets(Sequence):
+    """Every client's samples stacked: features (S, n, d), targets (S, n).
+
+    Item i is client i's `ClientDataset`, whose arrays are views into the
+    stack, so per-client code and the batched gradient read the same data.
+    """
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        if self.features.ndim != 3 or self.features.shape[1] == 0:
+            raise ShapeError("stacked features must be (clients, samples, dimension)")
+        if self.targets.shape != self.features.shape[:2]:
+            raise ShapeError("features and targets disagree on client or sample count")
+
+    @cached_property
+    def _views(self) -> tuple[ClientDataset, ...]:
+        return tuple(ClientDataset(features=x, targets=y, owner=s)
+                     for s, (x, y) in enumerate(zip(self.features, self.targets)))
+
+    def __getitem__(self, i):
+        return self._views[i]
+
+    def __len__(self) -> int:
+        return self.features.shape[0]
+
+
+def stack_datasets(datasets) -> ClientDatasets:
+    """Client datasets of one shape as a `ClientDatasets` (returned as is if one)."""
+    if isinstance(datasets, ClientDatasets):
+        return datasets
+    shapes = {ds.features.shape for ds in datasets}
+    if len(shapes) != 1:
+        raise ShapeError(f"clients' datasets differ in shape: {sorted(shapes)}")
+    return ClientDatasets(features=np.stack([ds.features for ds in datasets]),
+                          targets=np.stack([ds.targets for ds in datasets]))
+
+
 def make_synthetic_task(num_clients: int, dimension: int,
                         samples_per_client: int, seed: int,
                         noise: float = 0.0):
     """Gaussian features, targets from a hidden parameter vector.
 
-    Returns (datasets, true_theta).  With noise=0 the generating parameter
-    is the exact optimum, where every gradient vanishes.
+    Returns (datasets, true_theta), the datasets stacked once as a
+    `ClientDatasets`.  With noise=0 the generating parameter is the exact
+    optimum, where every gradient vanishes.
     """
     gen = rng.keyed_generator(seed, rng.DATA_DOMAIN)
     true_theta = gen.standard_normal(dimension)
-    datasets = []
+    features = np.empty((num_clients, samples_per_client, dimension))
+    targets = np.empty((num_clients, samples_per_client))
     for s in range(num_clients):
-        x = gen.standard_normal((samples_per_client, dimension))
-        y = x @ true_theta
+        features[s] = gen.standard_normal((samples_per_client, dimension))
+        targets[s] = features[s] @ true_theta
         if noise > 0:
-            y = y + noise * gen.standard_normal(samples_per_client)
-        datasets.append(ClientDataset(features=x, targets=y, owner=s))
-    return datasets, true_theta
+            targets[s] += noise * gen.standard_normal(samples_per_client)
+    return ClientDatasets(features=features, targets=targets), true_theta
+
+
+def client_gradients(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
+    """Every client's mean least-squares gradient at once, (S, d).
+
+    Row i equals `compute_gradient(theta, datasets[i])` bit for bit: each
+    client's products run through the same matrix-vector kernel.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (datasets.features.shape[2],):
+        raise ShapeError(
+            f"theta has shape {theta.shape}, features need ({datasets.features.shape[2]},)"
+        )
+    x = datasets.features
+    residual = x @ theta - datasets.targets
+    return (x.transpose(0, 2, 1) @ residual[..., None])[..., 0] / x.shape[1]
+
+
+def client_digits(theta: np.ndarray, datasets: ClientDatasets,
+                  cfg: QuantizationConfig) -> np.ndarray:
+    """Every client's digit vector at the current parameters, (S, d)."""
+    return quantize(client_gradients(theta, datasets), cfg).digits
 
 
 def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
@@ -182,10 +254,8 @@ def run_training(config: "ScenarioConfig", mode: str = "secure") -> TrainingHist
             if config.delayed_client is not None:
                 dropped.add(config.delayed_client)
             senders = [i for i in range(config.clients) if i not in dropped]
-            digit_sum = np.sum(
-                [quantized_digits(state.theta, datasets[i], cfg) for i in senders],
-                axis=0, dtype=np.int64,
-            )
+            digits = client_digits(state.theta, datasets, cfg)
+            digit_sum = np.sum(digits[senders], axis=0, dtype=np.int64)
             mean = dequantize_mean(digit_sum, len(senders), cfg)
             new_state = ModelState(
                 theta=sgd_update(state.theta, mean, state.learning_rate),

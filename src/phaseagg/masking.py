@@ -15,6 +15,13 @@ By default one scalar mask rotates every symbol of a message (which leaks
 pairwise symbol differences - measured, not hidden: see
 `analysis.difference_leak_probe`).  The per-symbol mode expands each
 pairwise channel key into a stream of independent per-element masks.
+
+A round works on whole arrays: `group_masks` gives every client's mask at
+once, `private_phase_array` every sender's private phase, and
+`cross_pair_streams` expands each cross pair's stream exactly once for
+both endpoints' masks and the dropout correction.  `compute_group_mask`,
+`sample_private_phase`, `mask_shares` and `apply_mask` are the per-client
+definitions those arrays are tested against.
 """
 
 from __future__ import annotations
@@ -67,8 +74,9 @@ class PrivatePhase:
 class MaskedSymbols:
     """Symbol vector after rotation; what the aggregator actually sees.
 
-    `symbols` is always a uint64 vector: `apply_mask` is the only
-    constructor, and it builds the vector with `turns` arithmetic.
+    `symbols` is always a uint64 vector of turns: `apply_mask` builds it
+    with `turns` arithmetic, and `protocol.run_round` makes it a read-only
+    view of one row of the round's symbol matrix.
     """
 
     symbols: np.ndarray
@@ -102,21 +110,49 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
                      contributing_pairs=pairs)
 
 
+def cross_pair_streams(assignment: "GroupAssignment", channel: ChannelMatrix,
+                       length: int) -> tuple[np.ndarray, ...]:
+    """Every cross pair's per-symbol stream, each expanded exactly once.
+
+    One uint32 block per group, of shape (|plus side|, |minus side|,
+    length): [a, b] is the stream of the pair (plus[a], minus[b]), sides
+    in increasing client order.  Both endpoints' masks and the dropout
+    correction index into these blocks.
+    """
+    if length is None:
+        raise ValueError("per-symbol masks need the symbol count")
+    blocks = []
+    for g in range(assignment.num_groups):
+        plus, minus = assignment.side(g, PLUS), assignment.side(g, MINUS)
+        # uint32 holds every stream value and halves the blocks' memory.
+        block = np.empty((len(plus), len(minus), length), dtype=np.uint32)
+        for a, i in enumerate(plus):
+            for b, j in enumerate(minus):
+                block[a, b] = pair_phase_stream(channel, i, j, length)
+        blocks.append(block)
+    return tuple(blocks)
+
+
 def group_masks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
-                per_symbol: bool = False, length: int | None = None) -> np.ndarray:
+                per_symbol: bool = False, length: int | None = None,
+                streams: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Every client's group mask at once: (N,) turns, or (N, length) per-symbol.
 
     A scalar mask is one row-sum of the phase matrix over the client's
-    complementary set; per-symbol masks expand each client's pair streams
-    once.  Row i equals `compute_group_mask(i, ...).phase`.
+    complementary set.  A per-symbol mask sums one axis of its group's
+    `cross_pair_streams` block (expanded here unless `streams` is given):
+    a plus-side client sums its row, a minus-side client its column.
+    Row i equals `compute_group_mask(i, ...).phase`.
     """
     n = assignment.num_clients
     if per_symbol:
-        return np.stack([
-            compute_group_mask(i, assignment, channel, per_symbol=True,
-                               length=length).phase
-            for i in range(n)
-        ])
+        if streams is None:
+            streams = cross_pair_streams(assignment, channel, length)
+        masks = np.empty((n, length), dtype=np.uint64)
+        for g, block in enumerate(streams):
+            masks[list(assignment.side(g, PLUS))] = block.sum(axis=1, dtype=np.uint64)
+            masks[list(assignment.side(g, MINUS))] = block.sum(axis=0, dtype=np.uint64)
+        return turns.reduce_in_place(masks)
     if channel.num_clients < n:
         raise IndexError(
             f"channel covers {channel.num_clients} clients, the assignment {n}"
@@ -162,17 +198,24 @@ def sample_private_phase(i: int, t: int, seed: int, *, per_symbol: bool = False,
     return PrivatePhase(owner=i, iteration=t, phase=phase)
 
 
-def sample_private_phases(clients, t: int, seed: int, *, per_symbol: bool = False,
-                          length: int | None = None) -> dict[int, PrivatePhase]:
-    """`sample_private_phase` for each client, scalar phases in one batch."""
+def private_phase_array(clients, t: int, seed: int, *, per_symbol: bool = False,
+                        length: int | None = None) -> np.ndarray:
+    """The clients' private phases stacked in their given order.
+
+    (k,) uint64 turns, scalar phases derived in one batch; (k, length) in
+    per-symbol mode.  Row r equals `sample_private_phase(clients[r], ...).phase`.
+    """
     clients = [int(i) for i in clients]
     if per_symbol:
-        return {i: sample_private_phase(i, t, seed, per_symbol=True, length=length)
-                for i in clients}
-    values = rng.keyed_turns((seed, rng.PRIVATE_PHASE_DOMAIN, t),
-                             np.array(clients, dtype=np.int64))
-    return {i: PrivatePhase(owner=i, iteration=t, phase=int(v))
-            for i, v in zip(clients, values)}
+        if length is None:
+            raise ValueError("per-symbol private phases need the symbol count")
+        phases = np.empty((len(clients), length), dtype=np.uint64)
+        for r, i in enumerate(clients):
+            phases[r] = sample_private_phase(i, t, seed, per_symbol=True,
+                                             length=length).phase
+        return phases
+    return rng.keyed_turns((seed, rng.PRIVATE_PHASE_DOMAIN, t),
+                           np.array(clients, dtype=np.int64))
 
 
 def mask_shares(dropped: int, survivors, assignment: "GroupAssignment",

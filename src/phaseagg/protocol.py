@@ -16,11 +16,22 @@ Two protocol versions exist on the wire:
   clients and private phases for survivors, never both for one client, so
   late messages stay protected.
 
+A round is one matrix sum.  `run_round` modulates every sender's digits
+in one (senders, d) uint64 matrix and adds each sender's offset to its row
+in place: its private phase (alg2) plus its group mask, negated on the
+minus side.  The offsets are an (senders, 1) column in scalar mode and an
+(senders, d) array per symbol, so broadcasting serves both.  Each
+`ClientMessage` holds a read-only view of its row, and the aggregate is
+the matrix's column sum plus the correction.  `client_message` builds one
+client's message on its own; it is the reference the rows are tested
+against.
+
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
-exhaustively.
+exhaustively.  Its shares are read from the phase matrix, or per symbol
+from the round's `masking.cross_pair_streams`, and summed with numpy.
 
 `RoundTranscript.to_json_dict` defines the transcript's JSON schema.
 `RoundTranscript.to_json_line` writes the same document as compact,
@@ -50,15 +61,17 @@ from .errors import (
 )
 from .masking import (
     MINUS,
+    PER_SYMBOL_MASKS,
     PLUS,
+    SCALAR_MASKS,
     MaskedSymbols,
     PrivatePhase,
     apply_mask,
     compute_group_mask,
+    cross_pair_streams,
     group_masks,
-    mask_shares,
+    private_phase_array,
     sample_private_phase,
-    sample_private_phases,
 )
 
 if TYPE_CHECKING:
@@ -103,20 +116,24 @@ class GroupAssignment:
     def num_clients(self) -> int:
         return len(self.group_of)
 
+    @cached_property
+    def _sides(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        """Every (group, tag) side's clients in increasing order, derived once."""
+        sides: dict[tuple[int, str], list[int]] = {}
+        for i, key in enumerate(zip(self.group_of, self.tag_of)):
+            sides.setdefault(key, []).append(i)
+        return {key: tuple(clients) for key, clients in sides.items()}
+
     def members(self, group: int) -> tuple[int, ...]:
-        return tuple(i for i, g in enumerate(self.group_of) if g == group)
+        return tuple(sorted(self.side(group, PLUS) + self.side(group, MINUS)))
 
     def side(self, group: int, tag: str) -> tuple[int, ...]:
-        return tuple(
-            i for i, (g, t) in enumerate(zip(self.group_of, self.tag_of))
-            if g == group and t == tag
-        )
+        return self._sides.get((group, tag), ())
 
     def complementary_set(self, i: int) -> tuple[int, ...]:
         """Clients whose channel phases form i's group mask."""
         g, t = self.group_of[i], self.tag_of[i]
-        other = MINUS if t == PLUS else PLUS
-        return self.side(g, other)
+        return self.side(g, MINUS if t == PLUS else PLUS)
 
     @cached_property
     def complement_indicator(self) -> np.ndarray:
@@ -129,10 +146,8 @@ class GroupAssignment:
 
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
-        return sum(
-            len(self.side(g, PLUS)) * len(self.side(g, MINUS))
-            for g in range(self.num_groups)
-        )
+        return sum(len(self.side(g, PLUS)) * len(self.side(g, MINUS))
+                   for g in range(self.num_groups))
 
     def plus_size(self) -> int:
         return sum(1 for t in self.tag_of if t == PLUS)
@@ -263,37 +278,31 @@ def client_message(i: int, digits, assignment: GroupAssignment,
                    channel: ChannelMatrix, version: str, seed: int,
                    cfg: QuantizationConfig, *,
                    per_symbol: bool = False) -> ClientMessage:
-    """Build client i's message: modulate, add private phase (alg2), rotate.
+    """Build client i's message alone: modulate, add private phase (alg2), rotate.
 
     The group-mask rotation direction follows the client's side tag: plus
     side adds its mask, minus side subtracts it.  The private phase is
-    always added.
+    always added.  `run_round` builds every sender's message at once; this
+    per-client definition is the reference its rows are tested against.
     """
     _check_version(version)
     if not (0 <= i < assignment.num_clients):
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
     symbols = modulate(digits, cfg, owner=i, iteration=t)
-    private = None
     if version == ALG2:
         private = sample_private_phase(i, t, seed, per_symbol=per_symbol,
-                                       length=symbols.dimension).phase
+                                       length=symbols.dimension)
+        symbols = apply_mask(symbols, private.phase, PLUS)
     mask = compute_group_mask(i, assignment, channel, per_symbol=per_symbol,
                               length=symbols.dimension)
-    return _seal(symbols, private, mask.phase, assignment.tag_of[i], version)
+    masked = apply_mask(symbols, mask.phase, assignment.tag_of[i])
+    return ClientMessage(owner=i, iteration=t, masked=masked, protocol_version=version)
 
 
 def _check_version(version: str) -> None:
     if version not in (ALG1, ALG2):
         raise ValueError(f"unknown protocol version {version!r}")
-
-
-def _seal(symbols, private, mask, tag: str, version: str) -> ClientMessage:
-    """Add the private phase (alg2), then rotate by the group mask along `tag`."""
-    current = symbols if private is None else apply_mask(symbols, private, PLUS)
-    masked = apply_mask(current, mask, tag)
-    return ClientMessage(owner=symbols.owner, iteration=symbols.iteration,
-                         masked=masked, protocol_version=version)
 
 
 @dataclass(frozen=True)
@@ -304,21 +313,26 @@ class DecodedAggregate:
     digit_sums: np.ndarray
 
 
-def ps_aggregate_and_decode(messages: Sequence[ClientMessage],
-                            correction, num_contributors: int,
+def ps_aggregate_and_decode(messages, correction, num_contributors: int,
                             cfg: QuantizationConfig) -> DecodedAggregate:
     """Sum received phases, apply the correction, decode, and average.
 
-    With every mask cancelled the per-element phase sum is an exact grid
-    multiple; anything else raises ResidualMaskError.
+    `messages` is a round's (senders, d) symbol matrix, or a sequence of
+    `ClientMessage`s whose symbols are stacked into one.  With every mask
+    cancelled the per-element phase sum is an exact grid multiple;
+    anything else raises ResidualMaskError.
     """
-    if not messages:
+    if not len(messages):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    dims = {m.masked.dimension for m in messages}
-    if len(dims) != 1:
-        raise ShapeError(f"messages disagree on dimension: {sorted(dims)}")
-    agg = turns.vector_total([m.masked.symbols for m in messages])
-    agg = turns.add(agg, turns.reduce(correction))
+    if isinstance(messages, np.ndarray):
+        symbols = messages
+    else:
+        dims = {m.masked.dimension for m in messages}
+        if len(dims) != 1:
+            raise ShapeError(f"messages disagree on dimension: {sorted(dims)}")
+        symbols = np.stack([m.masked.symbols for m in messages])
+    # Each symbol is < 2**32, so uint64 sums the column exactly before reducing.
+    agg = turns.add(symbols.sum(axis=0, dtype=np.uint64), turns.reduce(correction))
     sums = decode_sum(agg, cfg)
     mean = dequantize_mean(sums, num_contributors, cfg)
     return DecodedAggregate(mean=mean, digit_sums=sums)
@@ -348,22 +362,14 @@ def _check_recovery_feasible(dropped: frozenset[int],
     survivors = [i for i in range(assignment.num_clients) if i not in dropped]
     if not survivors:
         raise UnrecoverableRoundError("every client dropped out")
-    alive = set(survivors)
     for g in range(assignment.num_groups):
         for tag in (PLUS, MINUS):
-            side = assignment.side(g, tag)
-            if not alive.intersection(side):
+            if dropped.issuperset(assignment.side(g, tag)):
                 raise UnrecoverableRoundError(
                     f"the {tag!r} side of group {g} lost all its clients; "
                     "masks touching it can be neither reconstructed nor kept private"
                 )
     return survivors
-
-
-def _phase_json(phase) -> int | list[int]:
-    if isinstance(phase, np.ndarray):
-        return phase.tolist()
-    return int(phase)
 
 
 def _audit_reveal_safety(reveals: Sequence[Mapping],
@@ -377,9 +383,10 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
         # The share phi(dropped, revealer) is a component of both clients' masks.
         exposed.setdefault(r["dropped"], set()).add(r["revealer"])
         exposed.setdefault(r["revealer"], set()).add(r["dropped"])
-    for client in private:
-        comp = set(assignment.complementary_set(client))
-        if comp and comp.issubset(exposed.get(client, set())):
+    # Only a client some share exposes can have its whole mask exposed.
+    for client in sorted(private.intersection(exposed)):
+        comp = assignment.complementary_set(client)
+        if comp and exposed[client].issuperset(comp):
             raise RevealSafetyError(
                 f"reveal-safety audit failed: client {client}'s private phase "
                 "and every share of its mask were both revealed"
@@ -388,60 +395,71 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                        channel: ChannelMatrix,
-                       private_phases: Mapping[int, PrivatePhase] | None,
+                       private_phases: Mapping[int, PrivatePhase] | np.ndarray | None,
                        *, per_symbol: bool = False,
-                       length: int | None = None) -> CorrectionResult:
+                       length: int | None = None,
+                       streams: tuple[np.ndarray, ...] | None = None) -> CorrectionResult:
     """Correction the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
     minus-side ones subtracted; with `private_phases` given (alg2) the
-    survivors' private phases are subtracted as well.  The reveal log
-    records every queried share, and the never-both rule is audited.
+    survivors' private phases are subtracted as well.  `private_phases`
+    maps each survivor to its `PrivatePhase`, or is an array of their
+    phases, one row per survivor in increasing client order.  A dropped
+    client's shares are read from the phase matrix, or in per-symbol mode
+    from the round's `cross_pair_streams` (expanded here when `streams` is
+    not given).  The reveal log records every queried share, and the
+    never-both rule is audited.
     """
     dropped = frozenset(int(i) for i in dropped)
     for i in dropped:
         if not (0 <= i < assignment.num_clients):
             raise IndexError(f"dropped client {i} is not in the assignment")
     survivors = _check_recovery_feasible(dropped, assignment)
+    if per_symbol and dropped and streams is None:
+        streams = cross_pair_streams(assignment, channel, length)
 
-    correction: int | np.ndarray
-    correction = np.zeros(length, dtype=np.uint64) if per_symbol else 0
-    result = CorrectionResult(correction=correction)
-
+    # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
+    # the total is reduced once at the end; () makes a scalar total.
+    total = np.zeros(length if per_symbol else (), dtype=np.uint64)
+    result = CorrectionResult(correction=0)
     for i in sorted(dropped):
-        shares = mask_shares(i, survivors, assignment, channel,
-                             per_symbol=per_symbol, length=length)
-        result.queries.append(
-            {"kind": "mask-shares", "dropped": i, "queried": [j for j, _ in shares]}
-        )
-        for j, phase in shares:
-            result.reveals.append(
-                {"kind": "mask-share", "dropped": i, "revealer": j,
-                 "phase": _phase_json(phase)}
-            )
-        result.recovery_messages += len(shares)
+        g, tag = assignment.group_of[i], assignment.tag_of[i]
+        other = assignment.complementary_set(i)
+        keep = [k for k, j in enumerate(other) if j not in dropped]
+        revealers = [other[k] for k in keep]
         if per_symbol:
-            rebuilt = turns.vector_total([phase for _, phase in shares])
+            block = streams[g] if tag == PLUS else streams[g].swapaxes(0, 1)
+            shares = block[assignment.side(g, tag).index(i), keep]
         else:
-            rebuilt = turns.total(phase for _, phase in shares)
-        if assignment.tag_of[i] == PLUS:
-            result.correction = turns.add(result.correction, rebuilt)
+            shares = channel.phases[i, revealers]
+        result.queries.append({"kind": "mask-shares", "dropped": i, "queried": revealers})
+        result.reveals += [{"kind": "mask-share", "dropped": i, "revealer": j, "phase": phase}
+                           for j, phase in zip(revealers, shares.tolist())]
+        result.recovery_messages += len(revealers)
+        rebuilt = shares.sum(axis=0, dtype=np.uint64)
+        if tag == PLUS:
+            total += rebuilt
         else:
-            result.correction = turns.sub(result.correction, rebuilt)
+            total -= rebuilt
 
     if private_phases is not None:
-        missing = [j for j in survivors if j not in private_phases]
-        if missing:
-            raise ValueError(f"missing private phases for survivors {missing}")
+        if not isinstance(private_phases, np.ndarray):
+            missing = [j for j in survivors if j not in private_phases]
+            if missing:
+                raise ValueError(f"missing private phases for survivors {missing}")
+            private_phases = np.array([private_phases[j].phase for j in survivors],
+                                      dtype=np.uint64)
+        if len(private_phases) != len(survivors):
+            raise ValueError(f"need {len(survivors)} survivors' private phases, "
+                             f"got {len(private_phases)}")
         result.queries.append({"kind": "private-phase", "queried": list(survivors)})
-        for j in survivors:
-            phase = private_phases[j].phase
-            result.reveals.append(
-                {"kind": "private-phase", "client": j, "phase": _phase_json(phase)}
-            )
-            result.correction = turns.sub(result.correction, phase)
+        result.reveals += [{"kind": "private-phase", "client": j, "phase": phase}
+                           for j, phase in zip(survivors, private_phases.tolist())]
+        total -= private_phases.sum(axis=0, dtype=np.uint64)
         result.private_phase_reveals = len(survivors)
 
+    result.correction = turns.reduce(total if per_symbol else int(total))
     _audit_reveal_safety(result.reveals, assignment)
     return result
 
@@ -599,13 +617,20 @@ class RoundTranscript:
         }
 
 
-def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
+def run_round(digits_by_client, assignment: GroupAssignment,
               channel: ChannelMatrix, cfg: QuantizationConfig, *,
               version: str = ALG1, seed: int, dropped: Iterable[int] = (),
               delayed: int | None = None, per_symbol: bool = False,
               naive_remedy: bool = False,
               fec: FecConfig | None = None) -> RoundTranscript:
     """One full aggregation round over prepared digit vectors.
+
+    `digits_by_client` holds one digit vector per client: a (clients, d)
+    matrix or a sequence of rows.  The senders' rows are stacked into one
+    (senders, d) symbol matrix, and each sender's offset (its private
+    phase plus its group mask, signed by its side) is added to its row in
+    place: an (senders, 1) column in scalar mode, an (senders, d) array
+    per symbol.  Each message is a view of one row.
 
     Dropped clients estimate phases but never transmit.  A delayed client
     is treated as dropped at aggregation time; under alg2 its late message
@@ -617,10 +642,14 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
         raise ShapeError(
             f"need digits for all {s} clients, got {len(digits_by_client)}"
         )
-    dims = {len(np.atleast_1d(d)) for d in digits_by_client}
-    if len(dims) != 1:
-        raise ShapeError(f"clients disagree on dimension: {sorted(dims)}")
-    dimension = dims.pop()
+    digits = digits_by_client
+    if not (isinstance(digits, np.ndarray) and digits.ndim == 2):
+        rows = [np.atleast_1d(d) for d in digits]
+        dims = {len(r) for r in rows}
+        if len(dims) != 1:
+            raise ShapeError(f"clients disagree on dimension: {sorted(dims)}")
+        digits = np.stack(rows)
+    dimension = digits.shape[1]
 
     dropped = frozenset(int(i) for i in dropped)
     if delayed is not None:
@@ -634,22 +663,33 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
     t = channel.iteration
 
     # Phase estimation happens at round start for every cross pair, before
-    # anyone can drop: every client forms its group mask once, and the
-    # complement indicator counts the unordered pairs estimated.
-    masks = group_masks(assignment, channel, per_symbol=per_symbol, length=length)
-    estimated_pairs = int(np.count_nonzero(assignment.complement_indicator)) // 2
+    # anyone can drop: every client forms its group mask once, and each
+    # per-symbol pair stream is expanded once for the masks and the
+    # correction alike.
+    streams = cross_pair_streams(assignment, channel, length) if per_symbol else None
+    masks = group_masks(assignment, channel, per_symbol=per_symbol, length=length,
+                        streams=streams).reshape(s, -1)
 
     senders = [i for i in range(s) if i not in absent]
+    symbols = modulate(digits[senders] if absent else digits, cfg).symbols
+    offsets = masks[senders]
+    minus = np.array([assignment.tag_of[i] == MINUS for i in senders], dtype=bool)
+    np.negative(offsets, out=offsets, where=minus[:, None])
     private = None
     if version == ALG2:
-        private = sample_private_phases(senders, t, seed, per_symbol=per_symbol,
-                                        length=length)
+        private = private_phase_array(senders, t, seed, per_symbol=per_symbol,
+                                      length=length)
+        offsets += private.reshape(offsets.shape)
+    symbols += offsets
+    turns.reduce_in_place(symbols)
+    symbols.setflags(write=False)
+    mode = PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS
     messages = tuple(
-        _seal(modulate(digits_by_client[i], cfg, owner=i, iteration=t),
-              None if private is None else private[i].phase,
-              masks[i] if per_symbol else int(masks[i]),
-              assignment.tag_of[i], version)
-        for i in senders
+        ClientMessage(owner=i, iteration=t, protocol_version=version,
+                      masked=MaskedSymbols(symbols=row, owner=i, iteration=t,
+                                           direction=assignment.tag_of[i],
+                                           mask_mode=mode))
+        for i, row in zip(senders, symbols)
     )
 
     # The channel is noiseless, so the FEC code only sets the reported bit
@@ -660,7 +700,8 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
     delayed_discarded: bool | None = None
     if version == ALG2:
         correction = dropout_correction(absent, assignment, channel, private,
-                                        per_symbol=per_symbol, length=length)
+                                        per_symbol=per_symbol, length=length,
+                                        streams=streams)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -670,17 +711,18 @@ def run_round(digits_by_client: Sequence, assignment: GroupAssignment,
                 "recovered without exposing masks; use version 'alg2'"
             )
         correction = dropout_correction(absent, assignment, channel, None,
-                                        per_symbol=per_symbol, length=length)
+                                        per_symbol=per_symbol, length=length,
+                                        streams=streams)
         if delayed is not None:
             delayed_discarded = False
     else:
         correction = CorrectionResult(correction=0)
 
-    decoded = ps_aggregate_and_decode(messages, correction.correction,
+    decoded = ps_aggregate_and_decode(symbols, correction.correction,
                                       len(senders), cfg)
 
     counters = {
-        "phase_estimations": estimated_pairs,
+        "phase_estimations": assignment.cross_pair_count(),
         "uplink_messages": len(messages),
         "recovery_messages": correction.recovery_messages,
         "private_phase_reveals": correction.private_phase_reveals,
@@ -712,7 +754,10 @@ def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
 
     Returns (transcript, updated state).  `datasets` and `assignment` may
     be passed in to avoid rebuilding them every round; both are derived
-    deterministically from the config when omitted.
+    deterministically from the config when omitted.  Every client's digits
+    come from one batched gradient over the stacked client data, so pass
+    the `fl.ClientDatasets` that `fl.make_synthetic_task` returns: a list
+    of datasets is stacked again on every call.
     """
     if datasets is None:
         datasets, _ = fl.make_synthetic_task(
@@ -723,10 +768,7 @@ def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
     cfg = config.quantization()
     t = state.iteration
     chan = sample_round_channel(config.clients, t, config.seed)
-    digits = [
-        np.asarray(fl.quantized_digits(state.theta, datasets[i], cfg), dtype=np.int64)
-        for i in range(config.clients)
-    ]
+    digits = fl.client_digits(state.theta, fl.stack_datasets(datasets), cfg)
     transcript = run_round(
         digits, assignment, chan, cfg,
         version=config.protocol_version,

@@ -27,6 +27,12 @@ def reduce(value):
     return int(value) & _MASK
 
 
+def reduce_in_place(values: np.ndarray) -> np.ndarray:
+    """Reduce a uint64 array into [0, 2**32) without a temporary; returns it."""
+    values &= _MASK_U64
+    return values
+
+
 def as_vector(values) -> np.ndarray:
     """Canonical uint64 vector of turns."""
     arr = np.asarray(values)

@@ -173,6 +173,25 @@ class TestOverhead:
         report = verify_overhead([t])
         assert report.recovery_messages_exact
 
+    def test_reads_transcripts_without_rendering_symbols(self, monkeypatch):
+        from phaseagg.protocol import RoundTranscript
+
+        cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=8)
+        assignment = assign_subgroups(8, 2, 2, seed=118)
+        chan = sample_round_channel(8, iteration=0, seed=118)
+        t = run_round([np.zeros(2, dtype=np.int64)] * 8, assignment, chan, cfg,
+                      version=ALG2, seed=118, dropped=[assignment.side(0, "-")[0]],
+                      delayed=assignment.side(1, "+")[0])
+        expected = verify_overhead([t.to_json_dict()])
+
+        def refuse(self):
+            raise AssertionError("verify_overhead rendered a transcript's symbols")
+
+        monkeypatch.setattr(RoundTranscript, "to_json_dict", refuse)
+        monkeypatch.setattr(RoundTranscript, "to_json_line", refuse)
+        assert verify_overhead([t]) == expected
+        assert expected.recovery_messages_exact
+
     def test_works_from_serialized_dicts(self):
         cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=8)
         assignment = two_group_from_sides([0, 1, 2], [3, 4, 5, 6, 7])

@@ -147,6 +147,25 @@ class TestModulateDecode:
         with pytest.raises(InvalidDigitError):
             modulate(digits, cfg_for(levels=5))
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, -1, 5])
+    def test_rejects_one_bad_digit_in_a_matrix(self, bad):
+        digits = np.full((4, 3), 2.0)
+        digits[2, 1] = bad
+        with pytest.raises(InvalidDigitError):
+            modulate(digits, cfg_for(levels=5))
+
+    def test_matrix_rows_equal_row_by_row_modulation(self):
+        cfg = cfg_for(levels=5)
+        digits = np.random.default_rng(4).integers(0, 5, size=(6, 7))
+        symbols = modulate(digits, cfg)
+        assert symbols.dimension == 7
+        assert symbols.symbols.dtype == np.uint64
+        for row, d in zip(symbols.symbols, digits):
+            assert np.array_equal(row, modulate(d, cfg).symbols)
+        before = symbols.symbols.copy()
+        digits[0, 0] = (digits[0, 0] + 1) % 5  # the symbols do not view the digits
+        assert np.array_equal(symbols.symbols, before)
+
     def test_accepts_whole_float_digits(self):
         cfg = cfg_for(levels=5)
         assert np.array_equal(modulate([0.0, 4.0], cfg).symbols,

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phaseagg import fl
+from phaseagg import fl, rng
+from phaseagg.codec import QuantizationConfig
 from phaseagg.cli import parse_config
 from phaseagg.errors import DivergenceError, ShapeError
 
@@ -70,6 +73,66 @@ class TestGradient:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ShapeError):
             fl.ClientDataset(features=np.ones((0, 3)), targets=np.zeros(0), owner=0)
+
+
+class TestBatchedGradients:
+    """One batched gradient over the stacked data equals the per-client path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clients=st.integers(1, 6), samples=st.integers(1, 24),
+           dimension=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-300, 1e-9, 1.0, 1e3, 1e12]),
+           levels=st.sampled_from([2, 16, 65536]), noise=st.sampled_from([0.0, 0.5]))
+    def test_digits_equal_per_client_digits(self, clients, samples, dimension, seed,
+                                            scale, levels, noise):
+        datasets, _ = fl.make_synthetic_task(clients, dimension, samples, seed, noise)
+        theta = scale * np.random.default_rng(seed).standard_normal(dimension)
+        cfg = QuantizationConfig.with_auto_modulus(1.0, levels, max_clients=clients)
+        # The per-client oracle reads its own copies, allocated apart from the stack.
+        copies = [fl.ClientDataset(features=ds.features.copy(), targets=ds.targets.copy(),
+                                   owner=ds.owner) for ds in datasets]
+        grads = fl.client_gradients(theta, datasets)
+        assert np.array_equal(grads, np.stack([fl.compute_gradient(theta, ds)
+                                               for ds in copies]))
+        digits = fl.client_digits(theta, datasets, cfg)
+        expected = np.stack([fl.quantized_digits(theta, ds, cfg) for ds in copies])
+        assert digits.dtype == expected.dtype
+        assert np.array_equal(digits, expected)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_stacked_task_keeps_the_per_client_stream(self, noise):
+        datasets, true_theta = fl.make_synthetic_task(3, 4, 5, seed=11, noise=noise)
+        gen = rng.keyed_generator(11, rng.DATA_DOMAIN)
+        assert np.array_equal(true_theta, gen.standard_normal(4))
+        for ds in datasets:
+            x = gen.standard_normal((5, 4))
+            y = x @ true_theta
+            if noise > 0:
+                y = y + noise * gen.standard_normal(5)
+            assert np.array_equal(ds.features, x)
+            assert np.array_equal(ds.targets, y)
+
+    def test_stack_datasets(self):
+        datasets, _ = fl.make_synthetic_task(3, 4, 5, seed=1)
+        assert fl.stack_datasets(datasets) is datasets
+        restacked = fl.stack_datasets(list(datasets))
+        assert np.array_equal(restacked.features, datasets.features)
+        assert [ds.owner for ds in restacked] == [0, 1, 2]
+        odd = fl.ClientDataset(features=np.ones((2, 4)), targets=np.zeros(2), owner=3)
+        with pytest.raises(ShapeError):
+            fl.stack_datasets(list(datasets) + [odd])
+        with pytest.raises(ShapeError):
+            fl.client_gradients(np.zeros(3), datasets)
+
+    def test_run_iteration_accepts_a_list_of_datasets(self):
+        from phaseagg import protocol
+
+        config = scenario(rounds=1)
+        datasets, _ = fl.make_synthetic_task(8, 8, 32, seed=3)
+        state = fl.ModelState(theta=np.full(8, 0.25), iteration=0, learning_rate=0.1)
+        stacked, _ = protocol.run_iteration(state, config, datasets=datasets)
+        listed, _ = protocol.run_iteration(state, config, datasets=list(datasets))
+        assert stacked.to_json_line() == listed.to_json_line()
 
 
 class TestSgdUpdate:

@@ -28,8 +28,8 @@ from phaseagg.masking import (
     PLUS,
     compute_group_mask,
     group_masks,
+    private_phase_array,
     sample_private_phase,
-    sample_private_phases,
 )
 from phaseagg.protocol import (
     ALG1,
@@ -327,14 +327,16 @@ class TestRoundEngine:
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_private_phases_match_sample_private_phase(self, per_symbol):
         length = 4 if per_symbol else None
-        batch = sample_private_phases([0, 3, 7], 9, seed=2**40, per_symbol=per_symbol,
-                                      length=length)
-        assert sorted(batch) == [0, 3, 7]
-        for i, phase in batch.items():
+        batch = private_phase_array([7, 0, 3], 9, seed=2**40, per_symbol=per_symbol,
+                                    length=length)
+        assert batch.shape == ((3, 4) if per_symbol else (3,))
+        assert batch.dtype == np.uint64
+        for i, phase in zip([7, 0, 3], batch):
             ref = sample_private_phase(i, 9, seed=2**40, per_symbol=per_symbol,
                                        length=length)
-            assert (phase.owner, phase.iteration) == (ref.owner, ref.iteration)
-            assert np.array_equal(phase.phase, ref.phase)
+            assert np.array_equal(phase, ref.phase)
+        assert private_phase_array([], 9, seed=1, per_symbol=per_symbol,
+                                   length=length).shape == ((0, 4) if per_symbol else (0,))
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_messages_match_client_message(self, per_symbol):
@@ -634,3 +636,136 @@ class TestExhaustiveDropPatterns:
                 with pytest.raises(UnrecoverableRoundError):
                     run_round(digits, assignment, chan, cfg, version=ALG2,
                               seed=63, dropped=dropped)
+
+
+@st.composite
+def round_cases(draw):
+    """A random layout, dimension, mode, version, drop set and delayed client."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        clients = draw(st.integers(4, 10))
+        assignment = assign_two_groups(clients, seed=seed)
+    else:
+        size = draw(st.integers(2, 3))
+        groups = draw(st.integers(1, 3))
+        clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
+        assignment = assign_subgroups(clients, groups, size, seed=seed)
+    absent = draw(st.lists(st.integers(0, clients - 1), unique=True,
+                           max_size=clients - 1))
+    delayed = None
+    if absent and draw(st.booleans()):
+        delayed = absent.pop()
+    return {
+        "assignment": assignment,
+        "dimension": draw(st.integers(1, 5)),
+        "per_symbol": draw(st.booleans()),
+        "version": draw(st.sampled_from([ALG1, ALG2])),
+        "dropped": absent,
+        "delayed": delayed,
+        "seed": seed,
+        "iteration": draw(st.integers(0, 50)),
+    }
+
+
+def _recoverable(assignment, absent) -> bool:
+    return all(set(assignment.side(g, tag)) - set(absent)
+               for g in range(assignment.num_groups) for tag in (PLUS, MINUS))
+
+
+class TestMatrixRoundProperty:
+    """The (senders, d) matrix round equals the per-client definitions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(round_cases(), st.data())
+    def test_rows_equal_client_message(self, case, data):
+        assignment = case["assignment"]
+        n, d = assignment.num_clients, case["dimension"]
+        cfg = small_cfg(levels=4, clients=n)
+        digits = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3)))
+        chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
+        absent = case["dropped"] + ([case["delayed"]] if case["delayed"] is not None else [])
+        kwargs = dict(version=case["version"], seed=case["seed"], dropped=case["dropped"],
+                      delayed=case["delayed"], per_symbol=case["per_symbol"],
+                      naive_remedy=case["version"] == ALG1)
+        if not _recoverable(assignment, absent):
+            with pytest.raises(UnrecoverableRoundError):
+                run_round(digits, assignment, chan, cfg, **kwargs)
+            return
+        transcript = run_round(digits, assignment, chan, cfg, **kwargs)
+        senders = [i for i in range(n) if i not in absent]
+        assert [m.owner for m in transcript.messages] == senders
+        for msg in transcript.messages:
+            ref = client_message(msg.owner, digits[msg.owner], assignment, chan,
+                                 case["version"], case["seed"], cfg,
+                                 per_symbol=case["per_symbol"])
+            assert msg.to_json_dict() == ref.to_json_dict()
+            assert np.array_equal(msg.masked.symbols, ref.masked.symbols)
+            assert msg.masked.symbols.dtype == ref.masked.symbols.dtype
+            assert not msg.masked.symbols.flags.writeable
+        rows = [m.masked.symbols for m in transcript.messages]
+        assert all(r.base is rows[0].base for r in rows)
+        assert list(transcript.aggregate) == digits[senders].sum(axis=0).tolist()
+        assert transcript.to_json_line() == json.dumps(
+            transcript.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
+        # A sequence of rows gives the same round as the matrix.
+        again = run_round(list(digits), assignment, chan, cfg, **kwargs)
+        assert again.to_json_line() == transcript.to_json_line()
+
+    @settings(max_examples=40, deadline=None)
+    @given(round_cases())
+    def test_assignment_sides_match_a_scan(self, case):
+        a = case["assignment"]
+        labels = list(zip(a.group_of, a.tag_of))
+        for g in range(a.num_groups):
+            for tag in (PLUS, MINUS):
+                assert a.side(g, tag) == tuple(
+                    i for i, key in enumerate(labels) if key == (g, tag))
+            assert a.members(g) == tuple(i for i, gi in enumerate(a.group_of) if gi == g)
+        for i in range(a.num_clients):
+            assert a.complementary_set(i) == tuple(np.flatnonzero(a.complement_indicator[i]))
+        assert a.cross_pair_count() == int(a.complement_indicator.sum()) // 2
+
+    def test_each_cross_pair_stream_is_expanded_once(self, monkeypatch):
+        from phaseagg import masking
+
+        assignment = assign_subgroups(14, 2, 3, seed=5)
+        chan = sample_round_channel(14, iteration=2, seed=5)
+        cfg = small_cfg(levels=4, clients=14)
+        calls = []
+        original = masking.pair_phase_stream
+
+        def counted(channel, i, j, length):
+            calls.append((min(i, j), max(i, j)))
+            return original(channel, i, j, length)
+
+        monkeypatch.setattr(masking, "pair_phase_stream", counted)
+        digits = np.ones((14, 3), dtype=np.int64)
+        transcript = run_round(digits, assignment, chan, cfg, version=ALG2, seed=5,
+                               dropped=[assignment.side(0, PLUS)[0]],
+                               delayed=assignment.side(1, MINUS)[0], per_symbol=True)
+        assert len(calls) == len(set(calls)) == assignment.cross_pair_count()
+        assert transcript.counters["recovery_messages"] > 0
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, -1, 4])
+    def test_one_bad_digit_in_the_matrix_is_refused(self, bad):
+        assignment = assign_subgroups(8, 2, 2, seed=3)
+        chan = sample_round_channel(8, iteration=0, seed=3)
+        digits = np.ones((8, 3))
+        digits[5, 1] = bad
+        with pytest.raises(InvalidDigitError):
+            run_round(digits, assignment, chan, small_cfg(levels=4, clients=8),
+                      version=ALG2, seed=3)
+
+    def test_correction_from_an_array_equals_the_mapping(self):
+        assignment = assign_subgroups(8, 2, 2, seed=9)
+        chan = sample_round_channel(8, iteration=1, seed=9)
+        dropped = [assignment.side(1, MINUS)[0]]
+        survivors = [i for i in range(8) if i not in dropped]
+        mapping = {i: sample_private_phase(i, 1, seed=9) for i in survivors}
+        array = np.array([mapping[i].phase for i in survivors], dtype=np.uint64)
+        by_map = dropout_correction(dropped, assignment, chan, mapping)
+        by_array = dropout_correction(dropped, assignment, chan, array)
+        assert by_map == by_array
+        assert type(by_array.correction) is int
+        with pytest.raises(ValueError):
+            dropout_correction(dropped, assignment, chan, array[:-1])
