@@ -1,15 +1,22 @@
-"""Reciprocal wireless channel phases, one matrix per training iteration.
+"""Reciprocal wireless channel phases, one channel per training iteration.
 
 The channel between clients i and j imposes the same phase shift in both
 directions, so both endpoints observe an identical value nobody else can
 see.  Phases are i.i.d. uniform on the 2**32 grid, constant within an
 iteration and freshly sampled across iterations.  Path loss, noise and
 geometry are out of scope: independence between pairs is modeled directly.
+
+A seeded channel stores no phases.  `ChannelMatrix.pair_phases` derives
+the phases of exactly the pairs it is asked for, in one batch, so a round
+hashes only the cross pairs its layout uses.  The dense N x N table
+`ChannelMatrix.phases` is built on first use, for `get_phase`, tests and
+demos; the round path never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,49 +26,77 @@ from .errors import InvalidTopologyError, NoSelfChannelError
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Symmetric per-iteration table of pairwise channel phases.
+    """Symmetric per-iteration pairwise channel phases.
 
-    The diagonal is unused (a client has no channel to itself).  `seed` is
-    the key the matrix was derived from; it is retained so that any entry,
-    or a per-symbol phase stream for a pair, can be re-derived without the
-    matrix itself (dropout recovery depends on this).  Instances are
-    immutable and safe to share across concurrent simulations.
+    A seeded channel derives any pair's phase from (seed, iteration, pair)
+    on demand, so dropout recovery needs nothing stored.  An explicit
+    channel (`channel_from_phases`) holds a `table` instead.  The diagonal
+    is unused: a client has no channel to itself.  Instances are immutable
+    and safe to share across concurrent simulations.
     """
 
     num_clients: int
     iteration: int
-    phases: np.ndarray
     seed: int | None = None
+    table: np.ndarray | None = None
 
     def __post_init__(self):
-        self.phases.setflags(write=False)
+        if (self.seed is None) == (self.table is None):
+            raise InvalidTopologyError("a channel needs either a seed or a phase table")
+        if self.table is not None:
+            self.table.setflags(write=False)
+
+    def pair_phases(self, a, b) -> np.ndarray:
+        """Phases of the pairs (a[k], b[k]) as uint64 turns, in one batch.
+
+        A seeded channel hashes each pair's key (seed, iteration, min, max),
+        equal to its own `rng.keyed_turn`; an explicit one reads its table.
+        """
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if lo.size:
+            if np.any(lo == hi):
+                raise NoSelfChannelError("a client has no channel to itself")
+            if lo.min() < 0 or hi.max() >= self.num_clients:
+                raise IndexError(f"client ids out of range for {self.num_clients} clients")
+        if self.table is not None:
+            return self.table[lo, hi]
+        return rng.keyed_turns((self.seed, rng.CHANNEL_DOMAIN, self.iteration), lo, hi)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """Read-only dense (N, N) phase table, built on first use."""
+        if self.table is not None:
+            return self.table
+        n = self.num_clients
+        table = np.zeros((n, n), dtype=np.uint64)
+        i, j = np.triu_indices(n, k=1)
+        table[i, j] = table[j, i] = self.pair_phases(i, j)
+        table.setflags(write=False)
+        return table
 
     def phase(self, i: int, j: int) -> int:
         return get_phase(self, i, j)
 
 
 def sample_round_channel(num_clients: int, iteration: int, seed: int) -> ChannelMatrix:
-    """Sample the reciprocal phase matrix for one iteration.
+    """The reciprocal channel of one iteration, keyed by (seed, iteration).
 
     Each unordered pair {i, j} gets one independent uniform grid value,
-    keyed by (seed, iteration, i, j), mirrored across the diagonal.  All
-    pairs are derived in one batch, each equal to its own `keyed_turn`.
-    Deterministic: identical arguments give a bit-identical matrix.
+    `keyed_turn(seed, CHANNEL_DOMAIN, iteration, min, max)`.  Nothing is
+    hashed here: `ChannelMatrix.pair_phases` derives the pairs a round
+    uses.  Deterministic: identical arguments give identical phases.
     """
     if num_clients < 2:
         raise InvalidTopologyError(
             f"need at least 2 clients to form a channel, got {num_clients}"
         )
-    phases = np.zeros((num_clients, num_clients), dtype=np.uint64)
-    i, j = np.triu_indices(num_clients, k=1)
-    phases[i, j] = rng.keyed_turns((seed, rng.CHANNEL_DOMAIN, iteration), i, j)
-    phases[j, i] = phases[i, j]
-    return ChannelMatrix(num_clients=num_clients, iteration=iteration,
-                         phases=phases, seed=seed)
+    if seed < 0 or iteration < 0:
+        raise ValueError(f"seed and iteration must be non-negative, got {seed}, {iteration}")
+    return ChannelMatrix(num_clients=num_clients, iteration=iteration, seed=seed)
 
 
 def channel_from_phases(phases, iteration: int = 0) -> ChannelMatrix:
-    """Build a matrix from explicit phases (tests, degenerate channels).
+    """Build a channel from an explicit phase table (tests, degenerate channels).
 
     The table must be square and symmetric off the diagonal.
     """
@@ -73,7 +108,7 @@ def channel_from_phases(phases, iteration: int = 0) -> ChannelMatrix:
     if not np.array_equal(table, table.T):
         raise InvalidTopologyError("phase table must be symmetric (reciprocity)")
     return ChannelMatrix(num_clients=table.shape[0], iteration=iteration,
-                         phases=table, seed=None)
+                         table=table)
 
 
 def get_phase(channel: ChannelMatrix, i: int, j: int) -> int:
@@ -91,7 +126,7 @@ def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np
 
     Used by the per-symbol masking mode: both endpoints expand the pairwise
     randomness into `length` independent grid values.  Requires a seeded
-    matrix (an explicit-phase matrix has no key to expand).
+    channel (an explicit table has no key to expand).
     """
     if i == j:
         raise NoSelfChannelError(f"client {i} has no channel to itself")
@@ -100,7 +135,7 @@ def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np
         raise IndexError(f"client ids ({i}, {j}) out of range for {s} clients")
     if channel.seed is None:
         raise InvalidTopologyError(
-            "per-symbol streams need a seeded channel matrix"
+            "per-symbol streams need a seeded channel"
         )
     lo, hi = (i, j) if i < j else (j, i)
     return rng.keyed_turn_vector(

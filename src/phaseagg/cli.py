@@ -380,8 +380,9 @@ def write_transcripts(transcripts, path: Path) -> None:
     """
     with path.open("wb") as handle:
         for t in transcripts:
-            line = t.to_json_line() if hasattr(t, "to_json_line") else protocol.compact_json(t)
-            handle.write(line + b"\n")
+            handle.write(t.to_json_line() if hasattr(t, "to_json_line")
+                         else protocol.compact_json(t))
+            handle.write(b"\n")
 
 
 def write_report(report: dict, path: Path) -> None:

@@ -8,7 +8,8 @@ known generating parameter so convergence can be asserted exactly.
 
 Every client's data is stacked once, as a `ClientDatasets` of features
 (S, n, d) and targets (S, n), and one batched least-squares gradient and
-one `quantize` call give every client's digits per round (`client_digits`).
+one `quantize` call give every client's digits per round (`client_digits`);
+one batched residual gives the round's loss (`sample_loss`).
 `compute_gradient` and `quantized_digits` stay the per-client definitions
 the batch is tested against, bit for bit.
 
@@ -159,14 +160,17 @@ def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
 
 
 def sample_loss(theta: np.ndarray, datasets) -> float:
-    """Mean of (x.theta - y)^2 / 2 over every sample of every client."""
-    total = 0.0
-    count = 0
-    for ds in datasets:
-        residual = ds.features @ theta - ds.targets
-        total += float(residual @ residual) / 2.0
-        count += ds.num_samples
-    return total / count
+    """Mean of (x.theta - y)^2 / 2 over every sample of every client.
+
+    One batched residual over the stacked data (`stack_datasets`); each
+    client's squared residual norm runs through the dot kernel of
+    `residual @ residual`, and the halves are summed in client order, so
+    the result equals a per-client loop bit for bit.
+    """
+    datasets = stack_datasets(datasets)
+    residual = datasets.features @ theta - datasets.targets
+    halves = (residual[:, None, :] @ residual[:, :, None]).ravel() / 2.0
+    return sum(halves.tolist()) / residual.size
 
 
 def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,

@@ -16,12 +16,16 @@ pairwise symbol differences - measured, not hidden: see
 `analysis.difference_leak_probe`).  The per-symbol mode expands each
 pairwise channel key into a stream of independent per-element masks.
 
-A round works on whole arrays: `group_masks` gives every client's mask at
-once, `private_phase_array` every sender's private phase, and
-`cross_pair_streams` expands each cross pair's stream exactly once for
-both endpoints' masks and the dropout correction.  `compute_group_mask`,
-`sample_private_phase`, `mask_shares` and `apply_mask` are the per-client
-definitions those arrays are tested against.
+A round works on whole arrays.  Each cross pair's value is derived once,
+into one (|plus side|, |minus side|) block per group, in the order of
+`GroupAssignment.cross_pair_index`: `cross_pair_phases` hashes every
+scalar phase in one batch, and its per-symbol twin `cross_pair_streams`
+expands every pair's stream.  `group_masks` sums a block axis for every
+client's mask in both modes, the dropout correction reads its shares
+from the same blocks, and `private_phase_array` gives every sender's
+private phase.  `compute_group_mask`, `sample_private_phase`,
+`mask_shares` and `apply_mask` are the per-client definitions those
+arrays are tested against.
 """
 
 from __future__ import annotations
@@ -110,58 +114,82 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
                      contributing_pairs=pairs)
 
 
+def _group_blocks(assignment: "GroupAssignment", pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Split (P, ...) values over the cross-pair index into per-group views.
+
+    Block g has shape (|plus side|, |minus side|, ...): [a, b] belongs to the
+    pair (plus[a], minus[b]), sides in increasing client order.
+    """
+    blocks, start = [], 0
+    for g in range(assignment.num_groups):
+        plus, minus = len(assignment.side(g, PLUS)), len(assignment.side(g, MINUS))
+        stop = start + plus * minus
+        blocks.append(pairs[start:stop].reshape(plus, minus, *pairs.shape[1:]))
+        start = stop
+    return tuple(blocks)
+
+
+def cross_pair_phases(assignment: "GroupAssignment",
+                      channel: ChannelMatrix) -> tuple[np.ndarray, ...]:
+    """Every cross pair's scalar phase, all hashed in one batch.
+
+    One uint64 block per group, of shape (|plus side|, |minus side|): [a, b]
+    is the phase of the pair (plus[a], minus[b]).  The scalar twin of
+    `cross_pair_streams`.
+    """
+    plus, minus = assignment.cross_pair_index
+    return _group_blocks(assignment, channel.pair_phases(plus, minus))
+
+
 def cross_pair_streams(assignment: "GroupAssignment", channel: ChannelMatrix,
                        length: int) -> tuple[np.ndarray, ...]:
     """Every cross pair's per-symbol stream, each expanded exactly once.
 
     One uint32 block per group, of shape (|plus side|, |minus side|,
-    length): [a, b] is the stream of the pair (plus[a], minus[b]), sides
-    in increasing client order.  Both endpoints' masks and the dropout
-    correction index into these blocks.
+    length): [a, b] is the stream of the pair (plus[a], minus[b]).
     """
     if length is None:
         raise ValueError("per-symbol masks need the symbol count")
-    blocks = []
-    for g in range(assignment.num_groups):
-        plus, minus = assignment.side(g, PLUS), assignment.side(g, MINUS)
-        # uint32 holds every stream value and halves the blocks' memory.
-        block = np.empty((len(plus), len(minus), length), dtype=np.uint32)
-        for a, i in enumerate(plus):
-            for b, j in enumerate(minus):
-                block[a, b] = pair_phase_stream(channel, i, j, length)
-        blocks.append(block)
-    return tuple(blocks)
+    plus, minus = assignment.cross_pair_index
+    # uint32 holds every stream value and halves the blocks' memory.
+    streams = np.empty((len(plus), length), dtype=np.uint32)
+    for k, (i, j) in enumerate(zip(plus.tolist(), minus.tolist())):
+        streams[k] = pair_phase_stream(channel, i, j, length)
+    return _group_blocks(assignment, streams)
+
+
+def cross_pair_blocks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
+                      per_symbol: bool = False,
+                      length: int | None = None) -> tuple[np.ndarray, ...]:
+    """A round's cross-pair blocks, per symbol or scalar.
+
+    `cross_pair_streams` in per-symbol mode, else `cross_pair_phases`.
+    Both endpoints' masks and the dropout correction index into them.
+    """
+    if per_symbol:
+        return cross_pair_streams(assignment, channel, length)
+    return cross_pair_phases(assignment, channel)
 
 
 def group_masks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
                 per_symbol: bool = False, length: int | None = None,
-                streams: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+                blocks: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Every client's group mask at once: (N,) turns, or (N, length) per-symbol.
 
-    A scalar mask is one row-sum of the phase matrix over the client's
-    complementary set.  A per-symbol mask sums one axis of its group's
-    `cross_pair_streams` block (expanded here unless `streams` is given):
-    a plus-side client sums its row, a minus-side client its column.
-    Row i equals `compute_group_mask(i, ...).phase`.
+    A mask sums one axis of its group's cross-pair block (`blocks`, or
+    `cross_pair_blocks` when not given): a plus-side client sums its row,
+    a minus-side client its column.  Row i equals
+    `compute_group_mask(i, ...).phase`.
     """
-    n = assignment.num_clients
-    if per_symbol:
-        if streams is None:
-            streams = cross_pair_streams(assignment, channel, length)
-        masks = np.empty((n, length), dtype=np.uint64)
-        for g, block in enumerate(streams):
-            masks[list(assignment.side(g, PLUS))] = block.sum(axis=1, dtype=np.uint64)
-            masks[list(assignment.side(g, MINUS))] = block.sum(axis=0, dtype=np.uint64)
-        return turns.reduce_in_place(masks)
-    if channel.num_clients < n:
-        raise IndexError(
-            f"channel covers {channel.num_clients} clients, the assignment {n}"
-        )
-    phases = channel.phases[:n, :n]
+    if blocks is None:
+        blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol,
+                                   length=length)
+    masks = np.empty((assignment.num_clients, *blocks[0].shape[2:]), dtype=np.uint64)
     # Each phase is < 2**32, so uint64 sums N terms exactly before reducing.
-    total = np.sum(phases, axis=1, where=assignment.complement_indicator,
-                   dtype=np.uint64)
-    return turns.reduce(total)
+    for g, block in enumerate(blocks):
+        masks[list(assignment.side(g, PLUS))] = block.sum(axis=1, dtype=np.uint64)
+        masks[list(assignment.side(g, MINUS))] = block.sum(axis=0, dtype=np.uint64)
+    return turns.reduce_in_place(masks)
 
 
 def apply_mask(symbols: SymbolVector | MaskedSymbols, mask: int | np.ndarray,

@@ -30,13 +30,14 @@ The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
-exhaustively.  Its shares are read from the phase matrix, or per symbol
-from the round's `masking.cross_pair_streams`, and summed with numpy.
+exhaustively.  Its shares are read from the round's cross-pair blocks
+(`masking.cross_pair_blocks`, scalar or per symbol) and summed with numpy.
 
 `RoundTranscript.to_json_dict` defines the transcript's JSON schema.
 `RoundTranscript.to_json_line` writes the same document as compact,
 key-sorted JSON bytes, leaving the message symbols as arrays until
-`compact_json` renders every one of them in a single numpy pass.
+`compact_json` renders every one of them in a single numpy pass, and the
+decoded mean as an array whose distinct values are each rendered once.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .masking import (
     PrivatePhase,
     apply_mask,
     compute_group_mask,
-    cross_pair_streams,
+    cross_pair_blocks,
     group_masks,
     private_phase_array,
     sample_private_phase,
@@ -136,13 +137,22 @@ class GroupAssignment:
         return self.side(g, MINUS if t == PLUS else PLUS)
 
     @cached_property
-    def complement_indicator(self) -> np.ndarray:
-        """Read-only (N, N) bool matrix: [i, j] is True when j is in i's complementary set."""
-        group = np.asarray(self.group_of)
-        plus = np.asarray(self.tag_of) == PLUS
-        indicator = (group[:, None] == group[None, :]) & (plus[:, None] != plus[None, :])
-        indicator.setflags(write=False)
-        return indicator
+    def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cross pair as read-only (P,) arrays of its plus and minus client.
+
+        Pairs run group by group, each group plus-major with both sides in
+        increasing client order, so group g's stretch, reshaped to
+        (|plus|, |minus|), is its block in `masking.cross_pair_phases`.
+        """
+        plus, minus = [], []
+        for g in range(self.num_groups):
+            p, m = self.side(g, PLUS), self.side(g, MINUS)
+            plus.append(np.repeat(np.array(p, dtype=np.int64), len(m)))
+            minus.append(np.tile(np.array(m, dtype=np.int64), len(p)))
+        index = np.concatenate(plus), np.concatenate(minus)
+        for arr in index:
+            arr.setflags(write=False)
+        return index
 
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
@@ -398,7 +408,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                        private_phases: Mapping[int, PrivatePhase] | np.ndarray | None,
                        *, per_symbol: bool = False,
                        length: int | None = None,
-                       streams: tuple[np.ndarray, ...] | None = None) -> CorrectionResult:
+                       blocks: tuple[np.ndarray, ...] | None = None) -> CorrectionResult:
     """Correction the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
@@ -406,8 +416,8 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     survivors' private phases are subtracted as well.  `private_phases`
     maps each survivor to its `PrivatePhase`, or is an array of their
     phases, one row per survivor in increasing client order.  A dropped
-    client's shares are read from the phase matrix, or in per-symbol mode
-    from the round's `cross_pair_streams` (expanded here when `streams` is
+    client's shares are read from the round's cross-pair blocks (scalar or
+    per-symbol; built here by `masking.cross_pair_blocks` when `blocks` is
     not given).  The reveal log records every queried share, and the
     never-both rule is audited.
     """
@@ -416,8 +426,9 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         if not (0 <= i < assignment.num_clients):
             raise IndexError(f"dropped client {i} is not in the assignment")
     survivors = _check_recovery_feasible(dropped, assignment)
-    if per_symbol and dropped and streams is None:
-        streams = cross_pair_streams(assignment, channel, length)
+    if dropped and blocks is None:
+        blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol,
+                                   length=length)
 
     # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
     # the total is reduced once at the end; () makes a scalar total.
@@ -428,11 +439,8 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         other = assignment.complementary_set(i)
         keep = [k for k, j in enumerate(other) if j not in dropped]
         revealers = [other[k] for k in keep]
-        if per_symbol:
-            block = streams[g] if tag == PLUS else streams[g].swapaxes(0, 1)
-            shares = block[assignment.side(g, tag).index(i), keep]
-        else:
-            shares = channel.phases[i, revealers]
+        block = blocks[g] if tag == PLUS else blocks[g].swapaxes(0, 1)
+        shares = block[assignment.side(g, tag).index(i), keep]
         result.queries.append({"kind": "mask-shares", "dropped": i, "queried": revealers})
         result.reveals += [{"kind": "mask-share", "dropped": i, "revealer": j, "phase": phase}
                            for j, phase in zip(revealers, shares.tolist())]
@@ -496,18 +504,27 @@ def _digit_words() -> np.ndarray:
 def uint32_lists_json(rows: Sequence) -> list[bytes]:
     """JSON text of each integer row: `json.dumps(row.tolist(), separators=(",", ":"))`.
 
-    All rows are rendered in one numpy pass.  Each value becomes three table
-    words: its separator with its digits above 10**8 (the first value of a
-    row takes '[' as separator), then two 4-digit groups; leading zeros are
-    NUL padding, deleted from the whole text at once.  A value outside
-    [0, 2**32) raises ValueError instead of being truncated.
+    All rows are rendered in one numpy pass (`_uint32_row_texts`).  A value
+    outside [0, 2**32) raises ValueError instead of being truncated.
+    """
+    return [b"".join((text, b"]")) for text in _uint32_row_texts(rows)]
+
+
+def _uint32_row_texts(rows: Sequence) -> list:
+    """Each integer row's JSON text without its closing bracket.
+
+    Each value becomes three table words: its separator with its digits
+    above 10**8 (the first value of a row takes '[' as separator), then two
+    4-digit groups; leading zeros are NUL padding, deleted from the whole
+    text at once.  Row texts are memoryview slices of that one buffer, so
+    no row is copied again before the caller joins them.
     """
     rows = [np.asarray(r) for r in rows]
     if any(r.ndim != 1 for r in rows):
         raise ValueError("each row must be a one-dimensional array")
     sizes = [r.size for r in rows]
     if not any(sizes):
-        return [b"[]"] * len(rows)
+        return [b"["] * len(rows)
     kinds = {r.dtype.kind for r in rows if r.size}
     if not kinds <= {"i", "u"}:
         raise ValueError(f"cannot write values of dtype kinds {sorted(kinds)} as integers")
@@ -534,8 +551,42 @@ def uint32_lists_json(rows: Sequence) -> list[bytes]:
     words[starts, 0] += np.uint32(_BRACKET - _COMMA)
     text = np.take(_digit_words(), words).tobytes()
     del words
-    pieces = iter(text.translate(None, b"\0").split(b"[")[1:])
-    return [b"[" + next(pieces) + b"]" if n else b"[]" for n in sizes]
+    text = text.translate(None, b"\0")
+    # Digits and commas hold no '[', so each one opens the next row.
+    opens = []
+    at = text.find(b"[")
+    while at != -1:
+        opens.append(at)
+        at = text.find(b"[", at + 1)
+    view, spans = memoryview(text), iter(zip(opens, opens[1:] + [len(text)]))
+    texts = []
+    for n in sizes:
+        if n:
+            begin, end = next(spans)
+            texts.append(view[begin:end])
+        else:
+            texts.append(b"[")
+    return texts
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def float_list_json(values) -> bytes:
+    """JSON text of a float vector: `json.dumps(values.tolist(), separators=(",", ":"))`.
+
+    Each distinct float64 bit pattern is rendered once, by `json` itself,
+    and the texts are gathered by index.  A decoded mean is a function of
+    an integer digit sum, so a round's vector holds few distinct values.
+    The key is the bit pattern, never the value, so 0.0 and -0.0 stay apart.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError("a float list must be a one-dimensional array")
+    distinct, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = _COMPACT.encode(distinct.view(np.float64).tolist())
+    texts = np.array(texts[1:-1].encode().split(b","), dtype=object)
+    return b"[" + b",".join(texts[index].tolist()) + b"]"
 
 
 _SLOT = "\0"
@@ -545,9 +596,10 @@ _SLOT_JSON = json.dumps(_SLOT).encode()
 def compact_json(obj) -> bytes:
     """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII bytes.
 
-    Integer ndarrays anywhere in `obj` are written as JSON lists of their
-    values: the dump leaves a placeholder string for each, in document
-    order, and `uint32_lists_json` renders them all at once.
+    ndarrays anywhere in `obj` are written as JSON lists of their values:
+    the dump leaves a placeholder string for each, in document order.
+    `uint32_lists_json` renders all integer arrays at once, and
+    `float_list_json` each float array.
     """
     arrays = []
 
@@ -561,9 +613,13 @@ def compact_json(obj) -> bytes:
                        default=slot).encode().split(_SLOT_JSON)
     if len(parts) != len(arrays) + 1:
         raise ValueError("a string in the document equals the array placeholder")
+    integers = iter(_uint32_row_texts([a for a in arrays if a.dtype.kind != "f"]))
     out = [parts[0]]
-    for text, part in zip(uint32_lists_json(arrays), parts[1:]):
-        out += (text, part)
+    for array, part in zip(arrays, parts[1:]):
+        if array.dtype.kind == "f":
+            out += (float_list_json(array), part)
+        else:
+            out += (next(integers), b"]", part)
     return b"".join(out)
 
 
@@ -587,19 +643,21 @@ class RoundTranscript:
 
     def to_json_dict(self) -> dict:
         """The transcript's JSON form, the one definition of its schema."""
-        return self._json_dict([m.to_json_dict() for m in self.messages])
+        return self._json_dict([m.to_json_dict() for m in self.messages],
+                               list(self.decoded_mean))
 
     def to_json_line(self) -> bytes:
         """One `transcripts.jsonl` line without its newline.
 
         The bytes equal `json.dumps(self.to_json_dict(), sort_keys=True,
-        separators=(",", ":"))`; the messages' symbols stay arrays until
-        `compact_json` renders them all in one pass.
+        separators=(",", ":"))`; the messages' symbols and the decoded mean
+        stay arrays until `compact_json` renders them.
         """
         return compact_json(self._json_dict(
-            [m._json_dict(m.masked.symbols) for m in self.messages]))
+            [m._json_dict(m.masked.symbols) for m in self.messages],
+            np.array(self.decoded_mean, dtype=np.float64)))
 
-    def _json_dict(self, messages: list) -> dict:
+    def _json_dict(self, messages: list, decoded_mean) -> dict:
         return {
             "iteration": self.iteration,
             "assignment": self.assignment.to_json_dict(),
@@ -612,7 +670,7 @@ class RoundTranscript:
             "counters": dict(self.counters),
             "num_contributors": self.num_contributors,
             "aggregate": list(self.aggregate),
-            "decoded_mean": list(self.decoded_mean),
+            "decoded_mean": decoded_mean,
             "codec_metrics": dict(self.codec_metrics),
         }
 
@@ -663,12 +721,10 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     t = channel.iteration
 
     # Phase estimation happens at round start for every cross pair, before
-    # anyone can drop: every client forms its group mask once, and each
-    # per-symbol pair stream is expanded once for the masks and the
-    # correction alike.
-    streams = cross_pair_streams(assignment, channel, length) if per_symbol else None
-    masks = group_masks(assignment, channel, per_symbol=per_symbol, length=length,
-                        streams=streams).reshape(s, -1)
+    # anyone can drop: each cross pair's phase (or per-symbol stream) is
+    # derived once, for both endpoints' masks and the correction alike.
+    blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol, length=length)
+    masks = group_masks(assignment, channel, blocks=blocks).reshape(s, -1)
 
     senders = [i for i in range(s) if i not in absent]
     symbols = modulate(digits[senders] if absent else digits, cfg).symbols
@@ -701,7 +757,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     if version == ALG2:
         correction = dropout_correction(absent, assignment, channel, private,
                                         per_symbol=per_symbol, length=length,
-                                        streams=streams)
+                                        blocks=blocks)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -712,7 +768,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
             )
         correction = dropout_correction(absent, assignment, channel, None,
                                         per_symbol=per_symbol, length=length,
-                                        streams=streams)
+                                        blocks=blocks)
         if delayed is not None:
             delayed_discarded = False
     else:

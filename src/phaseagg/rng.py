@@ -8,10 +8,12 @@ can be re-derived on demand without storing anything.  Dropout recovery
 and transcript replay rely on this.
 
 `keyed_turn` is the reference definition of one value.  `keyed_turns`
-derives a whole batch of keys that share a prefix (every channel pair of
-a round, every sender's private phase) in one pass of elementwise uint32
-array operations; each of its values is bit-identical to `keyed_turn` on
-the same key, so batching changes no stream.
+derives a whole batch of keys that share a prefix (every cross pair a
+round uses, every sender's private phase) in a few dozen elementwise
+uint32 array operations; each of its values is bit-identical to
+`keyed_turn` on the same key, so batching changes no stream.  The shared
+prefix is hashed once as Python ints, and hash steps whose result never
+reaches the first output word are skipped.
 
 Domain tags keep the independent streams (channel phases, private phases,
 grouping, data, dropouts) from ever colliding on the same key.
@@ -36,9 +38,21 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_consts(steps: int) -> tuple[int, ...]:
+    """hashmix's running constant before each of `steps` steps and after the last."""
+    consts = [_INIT_A]
+    for _ in range(steps):
+        consts.append((consts[-1] * _MULT_A) & _MASK32)
+    return tuple(consts)
+
+
+# A key of w words takes 4 * max(w, 4) hashmix steps; this covers 32 words.
+_HASH_CONSTS = _hash_consts(_POOL_SIZE * 32)
 
 
 def _check_key(key: tuple) -> list[int]:
@@ -80,6 +94,33 @@ def _column(values, name: str) -> np.ndarray:
     return arr.astype(np.uint32)
 
 
+def _hashmix(value, step: int, consts: tuple[int, ...]):
+    """SeedSequence's hashmix at hash step `step`, of an int or a uint32 array."""
+    if isinstance(value, int):
+        value = ((value ^ consts[step]) * consts[step + 1]) & _MASK32
+        return value ^ (value >> _XSHIFT)
+    value = value ^ np.uint32(consts[step])
+    value *= np.uint32(consts[step + 1])
+    value ^= value >> np.uint32(_XSHIFT)
+    return value
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words, each an int or a uint32 array."""
+    if isinstance(x, int) and isinstance(y, int):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ (value >> _XSHIFT)
+    if isinstance(x, int):
+        value = y * np.uint32(_MIX_MULT_R)
+        np.subtract(np.uint32((_MIX_MULT_L * x) & _MASK32), value, out=value)
+    else:
+        value = x * np.uint32(_MIX_MULT_L)
+        value -= (np.uint32((_MIX_MULT_R * y) & _MASK32) if isinstance(y, int)
+                  else y * np.uint32(_MIX_MULT_R))
+    value ^= value >> np.uint32(_XSHIFT)
+    return value
+
+
 def keyed_turns(prefix, *columns) -> np.ndarray:
     """keyed_turn(*prefix, col0[k], col1[k], ...) for every row k, as uint64.
 
@@ -87,7 +128,15 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
     lie in [0, 2**32) so that it is one entropy word.  All keys then have
     the same word count, and SeedSequence's hash constants depend only on
     that count, so its entropy mix and first output word run as a fixed
-    sequence of elementwise uint32 operations over the whole batch.
+    sequence of elementwise operations over the whole batch.
+
+    Only what reaches the output is computed.  The prefix words are the
+    same in every row, so they are hashed and mixed as Python ints, and a
+    pool word becomes an array only once a column word reaches it.  The
+    first output word reads pool word 0 alone, and after the all-pairs mix
+    every word is updated from itself, so an update is skipped unless it
+    writes word 0 or a word that a later pass reads as its source; the hash
+    constant still advances for every skipped step.
     """
     if not columns:
         raise ValueError("keyed_turns needs at least one key column")
@@ -95,38 +144,31 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
     rows = cols[0].shape[0]
     if any(c.shape[0] != rows for c in cols):
         raise ValueError("keyed_turns columns must have equal lengths")
-    entropy = [np.full(rows, w, dtype=np.uint32)
-               for part in _check_key(tuple(prefix)) for w in _words(part)]
-    entropy += cols
+    entropy = [w for part in _check_key(tuple(prefix)) for w in _words(part)] + cols
+    steps = _POOL_SIZE * max(len(entropy), _POOL_SIZE)
+    consts = _HASH_CONSTS if steps < len(_HASH_CONSTS) else _hash_consts(steps)
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    zero = np.zeros(rows, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+    # Words past the key's end are hashed zeros.
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, i, consts)
             for i in range(_POOL_SIZE)]
+    step = _POOL_SIZE
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+            if src == dst:
+                continue
+            # Word 0 reaches the output; a word above `src` is a later source.
+            if dst == 0 or dst > src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], step, consts))
+            step += 1
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
+        pool[0] = _mix(pool[0], _hashmix(word, step, consts))
+        step += _POOL_SIZE
 
     # generate_state: the first output word comes from pool[0] alone.
     state = pool[0] ^ np.uint32(_INIT_B)
-    state = state * np.uint32((_INIT_B * _MULT_B) & _MASK32)
-    return (state ^ (state >> _XSHIFT)).astype(np.uint64)
+    state *= np.uint32((_INIT_B * _MULT_B) & _MASK32)
+    state ^= state >> np.uint32(_XSHIFT)
+    return state.astype(np.uint64)
 
 
 def keyed_turn_vector(length: int, *key: int) -> np.ndarray:

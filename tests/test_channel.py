@@ -4,6 +4,7 @@ import scipy.stats
 
 from phaseagg import rng, turns
 from phaseagg.channel import (
+    ChannelMatrix,
     channel_from_phases,
     get_phase,
     pair_phase_stream,
@@ -74,6 +75,56 @@ def test_matrix_is_immutable():
     chan = sample_round_channel(3, iteration=0, seed=0)
     with pytest.raises(ValueError):
         chan.phases[0, 1] = 0
+
+
+def test_lazy_table_equals_keyed_turn_per_pair():
+    chan = sample_round_channel(7, iteration=4, seed=2**33 + 5)
+    assert "phases" not in chan.__dict__
+    table = chan.phases
+    assert chan.phases is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[2, 5] = 0
+    for i in range(7):
+        assert table[i, i] == 0
+        for j in range(i + 1, 7):
+            expected = rng.keyed_turn(2**33 + 5, rng.CHANNEL_DOMAIN, 4, i, j)
+            assert table[i, j] == table[j, i] == expected
+
+
+def test_pair_phases_in_either_order():
+    chan = sample_round_channel(6, iteration=1, seed=3)
+    a, b = np.array([0, 5, 2]), np.array([4, 1, 3])
+    got = chan.pair_phases(a, b)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [get_phase(chan, i, j) for i, j in zip(a, b)]
+    assert np.array_equal(chan.pair_phases(b, a), got)
+    explicit = channel_from_phases(chan.phases, iteration=1)
+    assert np.array_equal(explicit.pair_phases(a, b), got)
+    assert chan.pair_phases(np.array([], dtype=np.int64),
+                            np.array([], dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_pair_phases_refuses_bad_pairs(explicit):
+    chan = sample_round_channel(4, iteration=0, seed=1)
+    if explicit:
+        chan = channel_from_phases(chan.phases)
+    with pytest.raises(NoSelfChannelError):
+        chan.pair_phases(np.array([0, 2]), np.array([1, 2]))
+    with pytest.raises(IndexError):
+        chan.pair_phases(np.array([0]), np.array([4]))
+    with pytest.raises(IndexError):
+        chan.pair_phases(np.array([-1]), np.array([2]))
+
+
+def test_channel_needs_a_seed_or_a_table():
+    with pytest.raises(InvalidTopologyError):
+        ChannelMatrix(num_clients=3, iteration=0)
+    with pytest.raises(InvalidTopologyError):
+        ChannelMatrix(num_clients=2, iteration=0, seed=1, table=np.zeros((2, 2), np.uint64))
+    with pytest.raises(ValueError):
+        sample_round_channel(3, iteration=0, seed=-1)
 
 
 def test_entry_uniformity_chi_square():

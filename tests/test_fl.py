@@ -99,6 +99,23 @@ class TestBatchedGradients:
         assert digits.dtype == expected.dtype
         assert np.array_equal(digits, expected)
 
+    @settings(max_examples=60, deadline=None)
+    @given(clients=st.integers(1, 40), samples=st.integers(1, 40),
+           dimension=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-9, 1.0, 1e3]), noise=st.sampled_from([0.0, 0.5]))
+    def test_sample_loss_equals_a_per_client_loop(self, clients, samples, dimension,
+                                                  seed, scale, noise):
+        datasets, _ = fl.make_synthetic_task(clients, dimension, samples, seed, noise)
+        theta = scale * np.random.default_rng(seed).standard_normal(dimension)
+        total = 0.0
+        for ds in datasets:
+            residual = ds.features.copy() @ theta - ds.targets.copy()
+            total += float(residual @ residual) / 2.0
+        expected = total / (clients * samples)
+        # Bit for bit: the losses reach history.csv and its golden digest.
+        assert fl.sample_loss(theta, datasets) == expected
+        assert fl.sample_loss(theta, list(datasets)) == expected
+
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_stacked_task_keeps_the_per_client_stream(self, noise):
         datasets, true_theta = fl.make_synthetic_task(3, 4, 5, seed=11, noise=noise)

@@ -41,11 +41,18 @@ from phaseagg.protocol import (
     client_message,
     compact_json,
     dropout_correction,
+    float_list_json,
     ps_aggregate_and_decode,
     run_round,
     two_group_from_sides,
     uint32_lists_json,
 )
+
+
+def pair_partners(assignment, i) -> tuple:
+    """Client i's partners in the assignment's cross-pair index, ascending."""
+    plus, minus = assignment.cross_pair_index
+    return tuple(sorted(minus[plus == i].tolist() + plus[minus == i].tolist()))
 
 
 def small_cfg(levels=5, clients=8):
@@ -316,13 +323,13 @@ class TestRoundEngine:
                                      length=length).phase
             assert np.array_equal(masks[i], ref)
 
-    def test_complement_indicator_matches_complementary_sets(self):
+    def test_cross_pair_index_matches_complementary_sets(self):
         assignment = assign_subgroups(13, 2, 3, seed=4)
-        indicator = assignment.complement_indicator
+        plus, minus = assignment.cross_pair_index
         for i in range(13):
-            assert tuple(np.flatnonzero(indicator[i])) == assignment.complementary_set(i)
-        assert int(indicator.sum()) // 2 == assignment.cross_pair_count()
-        assert not indicator.flags.writeable
+            assert pair_partners(assignment, i) == assignment.complementary_set(i)
+        assert len(plus) == len(minus) == assignment.cross_pair_count()
+        assert not plus.flags.writeable and not minus.flags.writeable
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_private_phases_match_sample_private_phase(self, per_symbol):
@@ -452,6 +459,23 @@ class TestUint32ListsJson:
         plain = {"b": [[3, 10**9], {"z": [0]}], "a": [], "c": "text"}
         assert compact_json(doc) == json.dumps(
             plain, sort_keys=True, separators=(",", ":")).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, 1 / 3]))))
+    def test_float_lists_match_json_dumps(self, values):
+        expected = json.dumps(values, separators=(",", ":")).encode()
+        assert float_list_json(np.array(values, dtype=np.float64)) == expected
+        doc = {"m": np.array(values, dtype=np.float64), "s": np.array([1, 2])}
+        assert compact_json(doc) == json.dumps(
+            {"m": values, "s": [1, 2]}, sort_keys=True, separators=(",", ":")).encode()
+
+    def test_zero_and_negative_zero_stay_apart(self):
+        values = [0.0, -0.0, 0.0, -0.0]
+        assert float_list_json(np.array(values)) == b"[0.0,-0.0,0.0,-0.0]"
+        with pytest.raises(ValueError, match="one-dimensional"):
+            float_list_json(np.zeros((2, 2)))
 
     def test_compact_json_refuses_the_placeholder_string(self):
         with pytest.raises(ValueError, match="placeholder"):
@@ -722,8 +746,8 @@ class TestMatrixRoundProperty:
                     i for i, key in enumerate(labels) if key == (g, tag))
             assert a.members(g) == tuple(i for i, gi in enumerate(a.group_of) if gi == g)
         for i in range(a.num_clients):
-            assert a.complementary_set(i) == tuple(np.flatnonzero(a.complement_indicator[i]))
-        assert a.cross_pair_count() == int(a.complement_indicator.sum()) // 2
+            assert a.complementary_set(i) == pair_partners(a, i)
+        assert a.cross_pair_count() == len(a.cross_pair_index[0])
 
     def test_each_cross_pair_stream_is_expanded_once(self, monkeypatch):
         from phaseagg import masking
@@ -755,6 +779,52 @@ class TestMatrixRoundProperty:
         with pytest.raises(InvalidDigitError):
             run_round(digits, assignment, chan, small_cfg(levels=4, clients=8),
                       version=ALG2, seed=3)
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_round_never_builds_the_dense_table(self, per_symbol):
+        assignment = assign_subgroups(14, 2, 3, seed=5)
+        chan = sample_round_channel(14, iteration=2, seed=5)
+        transcript = run_round(np.ones((14, 3), dtype=np.int64), assignment, chan,
+                               small_cfg(levels=4, clients=14), version=ALG2, seed=5,
+                               dropped=[assignment.side(0, PLUS)[0]],
+                               delayed=assignment.side(1, MINUS)[0], per_symbol=per_symbol)
+        assert transcript.counters["recovery_messages"] > 0
+        assert "phases" not in chan.__dict__
+
+    def test_scalar_round_hashes_only_cross_pairs_and_senders(self, monkeypatch):
+        from phaseagg import rng
+
+        assignment = assign_subgroups(20, 2, 4, seed=6)
+        chan = sample_round_channel(20, iteration=3, seed=6)
+        rows = {}
+        original = rng.keyed_turns
+
+        def counted(prefix, *columns):
+            result = original(prefix, *columns)
+            rows[prefix[1]] = rows.get(prefix[1], 0) + len(result)
+            return result
+
+        monkeypatch.setattr(rng, "keyed_turns", counted)
+        dropped = [assignment.side(0, MINUS)[0], assignment.side(1, PLUS)[1]]
+        run_round(np.ones((20, 4), dtype=np.int64), assignment, chan,
+                  small_cfg(levels=4, clients=20), version=ALG2, seed=6, dropped=dropped)
+        assert rows == {rng.CHANNEL_DOMAIN: assignment.cross_pair_count(),
+                        rng.PRIVATE_PHASE_DOMAIN: 20 - len(dropped)}
+        assert assignment.cross_pair_count() < 20 * 19 // 2
+
+    @pytest.mark.parametrize("absent", [((), None), ((1, 7), 4)])
+    def test_explicit_table_round_equals_the_seeded_round(self, absent):
+        assignment = assign_subgroups(12, 2, 3, seed=8)
+        seeded = sample_round_channel(12, iteration=4, seed=8)
+        explicit = channel_from_phases(sample_round_channel(12, iteration=4, seed=8).phases,
+                                       iteration=4)
+        digits = np.random.default_rng(65).integers(0, 4, size=(12, 5))
+        dropped, delayed = absent
+        lines = [run_round(digits, assignment, chan, small_cfg(levels=4, clients=12),
+                           version=ALG2, seed=8, dropped=dropped,
+                           delayed=delayed).to_json_line()
+                 for chan in (seeded, explicit)]
+        assert lines[0] == lines[1]
 
     def test_correction_from_an_array_equals_the_mapping(self):
         assignment = assign_subgroups(8, 2, 2, seed=9)
