@@ -164,13 +164,18 @@ def sample_loss(theta: np.ndarray, datasets) -> float:
 
     One batched residual over the stacked data (`stack_datasets`); each
     client's squared residual norm runs through the dot kernel of
-    `residual @ residual`, and the halves are summed in client order, so
-    the result equals a per-client loop bit for bit.
+    `residual @ residual`, and the halves are added strictly left to
+    right in client order, so the result equals a per-client loop bit for
+    bit.  (Built-in `sum` of floats is compensated from Python 3.12 on,
+    which could move the last bit.)
     """
     datasets = stack_datasets(datasets)
     residual = datasets.features @ theta - datasets.targets
     halves = (residual[:, None, :] @ residual[:, :, None]).ravel() / 2.0
-    return sum(halves.tolist()) / residual.size
+    total = 0.0
+    for half in halves.tolist():
+        total += half
+    return total / residual.size
 
 
 def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,

@@ -501,18 +501,11 @@ def _digit_words() -> np.ndarray:
     return words
 
 
-def uint32_lists_json(rows: Sequence) -> list[bytes]:
-    """JSON text of each integer row: `json.dumps(row.tolist(), separators=(",", ":"))`.
-
-    All rows are rendered in one numpy pass (`_uint32_row_texts`).  A value
-    outside [0, 2**32) raises ValueError instead of being truncated.
-    """
-    return [b"".join((text, b"]")) for text in _uint32_row_texts(rows)]
-
-
 def _uint32_row_texts(rows: Sequence) -> list:
     """Each integer row's JSON text without its closing bracket.
 
+    The text plus "]" is `json.dumps(row.tolist(), separators=(",", ":"))`;
+    a value outside [0, 2**32) raises ValueError instead of being truncated.
     Each value becomes three table words: its separator with its digits
     above 10**8 (the first value of a row takes '[' as separator), then two
     4-digit groups; leading zeros are NUL padding, deleted from the whole
@@ -598,7 +591,7 @@ def compact_json(obj) -> bytes:
 
     ndarrays anywhere in `obj` are written as JSON lists of their values:
     the dump leaves a placeholder string for each, in document order.
-    `uint32_lists_json` renders all integer arrays at once, and
+    `_uint32_row_texts` renders all integer arrays at once, and
     `float_list_json` each float array.
     """
     arrays = []

@@ -21,6 +21,8 @@ grouping, data, dropouts) from ever colliding on the same key.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 CHANNEL_DOMAIN = 1
@@ -43,16 +45,16 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
+@functools.lru_cache(maxsize=None)
 def _hash_consts(steps: int) -> tuple[int, ...]:
-    """hashmix's running constant before each of `steps` steps and after the last."""
+    """hashmix's running constant before each of `steps` steps and after the last.
+
+    A key of w words takes 4 * max(w, 4) steps; each word count is built once.
+    """
     consts = [_INIT_A]
     for _ in range(steps):
         consts.append((consts[-1] * _MULT_A) & _MASK32)
     return tuple(consts)
-
-
-# A key of w words takes 4 * max(w, 4) hashmix steps; this covers 32 words.
-_HASH_CONSTS = _hash_consts(_POOL_SIZE * 32)
 
 
 def _check_key(key: tuple) -> list[int]:
@@ -146,7 +148,7 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
         raise ValueError("keyed_turns columns must have equal lengths")
     entropy = [w for part in _check_key(tuple(prefix)) for w in _words(part)] + cols
     steps = _POOL_SIZE * max(len(entropy), _POOL_SIZE)
-    consts = _HASH_CONSTS if steps < len(_HASH_CONSTS) else _hash_consts(steps)
+    consts = _hash_consts(steps)
 
     # Words past the key's end are hashed zeros.
     pool = [_hashmix(entropy[i] if i < len(entropy) else 0, i, consts)

@@ -37,6 +37,7 @@ from phaseagg.protocol import (
     GroupAssignment,
     assign_subgroups,
     _audit_reveal_safety,
+    _uint32_row_texts,
     assign_two_groups,
     client_message,
     compact_json,
@@ -45,7 +46,6 @@ from phaseagg.protocol import (
     ps_aggregate_and_decode,
     run_round,
     two_group_from_sides,
-    uint32_lists_json,
 )
 
 
@@ -398,6 +398,11 @@ class TestTranscriptEncoding:
         assert dump(encoded) == dump(reference)
 
 
+def closed_row_texts(rows) -> list[bytes]:
+    """`_uint32_row_texts` of each row, closed with "]" as `compact_json` closes it."""
+    return [bytes(text) + b"]" for text in _uint32_row_texts(rows)]
+
+
 def dump_rows(rows) -> list[bytes]:
     return [json.dumps(np.asarray(r).tolist(), separators=(",", ":")).encode()
             for r in rows]
@@ -417,24 +422,24 @@ class TestUint32ListsJson:
                       hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
                       elements=st.integers(0, 2**32 - 1)))
     def test_matches_json_dumps(self, matrix):
-        assert uint32_lists_json(matrix) == dump_rows(matrix)
-        assert uint32_lists_json(list(matrix)) == dump_rows(matrix)
+        assert closed_row_texts(matrix) == dump_rows(matrix)
+        assert closed_row_texts(list(matrix)) == dump_rows(matrix)
 
     @pytest.mark.parametrize("value", EDGE_VALUES)
     def test_edge_value_alone(self, value):
         matrix = np.array([[value]], dtype=np.uint64)
-        assert uint32_lists_json(matrix) == [f"[{value}]".encode()]
+        assert closed_row_texts(matrix) == [f"[{value}]".encode()]
 
     def test_edge_values_in_one_row(self):
         row = np.array(EDGE_VALUES, dtype=np.uint64)
-        assert uint32_lists_json([row]) == dump_rows([row])
-        assert uint32_lists_json([row[::-1], row]) == dump_rows([row[::-1], row])
+        assert closed_row_texts([row]) == dump_rows([row])
+        assert closed_row_texts([row[::-1], row]) == dump_rows([row[::-1], row])
 
     def test_signed_and_empty_rows(self):
         rows = [np.array([], dtype=np.uint64), np.array([7, 0], dtype=np.int64),
                 np.array([], dtype=np.int64), np.array([2**32 - 1], dtype=np.uint64)]
-        assert uint32_lists_json(rows) == [b"[]", b"[7,0]", b"[]", b"[4294967295]"]
-        assert uint32_lists_json([]) == []
+        assert closed_row_texts(rows) == [b"[]", b"[7,0]", b"[]", b"[4294967295]"]
+        assert closed_row_texts([]) == []
 
     @pytest.mark.parametrize("row", [
         np.array([0, 2**32], dtype=np.uint64),
@@ -446,12 +451,12 @@ class TestUint32ListsJson:
     ])
     def test_refuses_values_outside_uint32(self, row):
         with pytest.raises(ValueError):
-            uint32_lists_json([np.array([1], dtype=np.uint64), row])
+            closed_row_texts([np.array([1], dtype=np.uint64), row])
 
     @pytest.mark.parametrize("row", [np.array(5), np.zeros((2, 2), dtype=np.uint64)])
     def test_refuses_rows_that_are_not_one_dimensional(self, row):
         with pytest.raises(ValueError, match="one-dimensional"):
-            uint32_lists_json([row])
+            closed_row_texts([row])
 
     def test_compact_json_places_arrays_in_document_order(self):
         doc = {"b": [np.array([3, 10**9], dtype=np.uint64), {"z": np.array([0])}],

@@ -42,7 +42,8 @@ def test_channel_keys_at_word_boundaries(seed, iteration):
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("prefix", [(), (5,), (5, 6), (5, 6, 7), (5, 6, 7, 8), (1,) * 9])
+@pytest.mark.parametrize("prefix", [(), (5,), (5, 6), (5, 6, 7), (5, 6, 7, 8), (1,) * 9,
+                                    (1,) * 40])
 def test_key_lengths_below_and_above_the_pool(prefix):
     # The entropy pool holds four words: shorter keys pad it with hashed
     # zeros, longer ones mix their extra words into every pool word.
