@@ -44,10 +44,10 @@ for msg in transcript.messages:
           f"{[int(s) for s in msg.masked.symbols]}")
 
 print("\nServer-side decode after summing all messages:")
-print(f"  decoded digit sums: {list(transcript.aggregate)}")
-print(f"  plaintext digit sums: {list(np.sum(digits, axis=0))}")
+print(f"  decoded digit sums: {transcript.aggregate.tolist()}")
+print(f"  plaintext digit sums: {np.sum(digits, axis=0).tolist()}")
 print(f"  decoded mean gradient: "
-      f"{[round(v, 4) for v in transcript.decoded_mean]}")
+      f"{[round(v, 4) for v in transcript.decoded_mean.tolist()]}")
 print(f"  true quantized mean:   "
       f"{[round(float(v), 4) for v in np.mean([(d * 2 / 15) - 1 for d in digits], axis=0)]}")
 print(f"\nphase estimations this round: "

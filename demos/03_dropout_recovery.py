@@ -42,8 +42,8 @@ print("\nProtocol recovery:")
 transcript = run_round(digits, assignment, channel, cfg, version=ALG2,
                        seed=9, dropped=[4])
 survivor_sum = np.sum([digits[i] for i in range(6) if i != 4], axis=0)
-print(f"  decoded digit sums: {list(transcript.aggregate)}")
-print(f"  survivor plaintext sums: {list(survivor_sum)}")
+print(f"  decoded digit sums: {transcript.aggregate.tolist()}")
+print(f"  survivor plaintext sums: {survivor_sum.tolist()}")
 print(f"  recovery messages: {transcript.counters['recovery_messages']} "
       f"(one share per surviving counterpart of client 4)")
 print(f"  private phases revealed: "

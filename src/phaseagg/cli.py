@@ -16,10 +16,10 @@ security parameter is worse than a loud failure.  Identical config and
 seed always produce byte-identical artifacts.
 
 Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
-dumped with sorted keys and compact separators.  `write_transcripts` writes
-those exact bytes through `RoundTranscript.to_json_line`, which renders all
-of a round's message symbols in one numpy pass; tests/test_golden.py pins
-the bytes.
+dumped with sorted keys and compact separators.  `write_transcripts` streams
+those exact bytes to the file as `RoundTranscript.to_json_parts` renders
+them, a block of integers at a time, and never joins the line;
+tests/test_golden.py pins the bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -79,6 +79,15 @@ class ScenarioConfig:
     loss_threshold: float | None
     compare_baseline: bool
     output_dir: str | None
+    # dropout_fixed as round -> dropped ids, built once so a round's lookup
+    # does not scan every entry.
+    _fixed_by_round: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_round: dict[int, set[int]] = {}
+        for round_index, ids in self.dropout_fixed:
+            by_round.setdefault(round_index, set()).update(ids)
+        object.__setattr__(self, "_fixed_by_round", by_round)
 
     def quantization(self) -> QuantizationConfig:
         if self.modulation == "auto":
@@ -100,10 +109,7 @@ class ScenarioConfig:
                                          self.subgroup_size, self.seed)
 
     def dropouts_for_round(self, t: int) -> tuple[int, ...]:
-        dropped = set()
-        for round_index, ids in self.dropout_fixed:
-            if round_index == t:
-                dropped.update(ids)
+        dropped = set(self._fixed_by_round.get(t, ()))
         if self.dropout_probability > 0:
             draws = rng.keyed_generator(self.seed, rng.DROPOUT_DOMAIN, t).random(
                 self.clients
@@ -374,14 +380,21 @@ def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
 def write_transcripts(transcripts, path: Path) -> None:
     """Write one compact, key-sorted JSON line per round transcript (or dict).
 
-    A `RoundTranscript` writes `to_json_line()`, the bytes of
-    `json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":"))`
-    with its symbols rendered in one vectorized pass.
+    A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
+    separators=(",", ":"))`, passed to the file part by part as
+    `RoundTranscript.to_json_parts` (or `protocol.compact_json_parts` for a
+    dict) renders it, so the whole line is never held in memory.  A line
+    refused partway is cut off again, so the file holds only whole lines.
     """
     with path.open("wb") as handle:
         for t in transcripts:
-            handle.write(t.to_json_line() if hasattr(t, "to_json_line")
-                         else protocol.compact_json(t))
+            start = handle.tell()
+            try:
+                handle.writelines(t.to_json_parts() if isinstance(t, protocol.RoundTranscript)
+                                  else protocol.compact_json_parts(t))
+            except BaseException:
+                handle.truncate(start)
+                raise
             handle.write(b"\n")
 
 
@@ -449,8 +462,8 @@ def _command_round(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
         "scenario": config.name,
         "seed": config.seed,
         "counters": transcript.counters,
-        "aggregate": list(transcript.aggregate),
-        "decoded_mean": list(transcript.decoded_mean),
+        "aggregate": transcript.aggregate.tolist(),
+        "decoded_mean": transcript.decoded_mean.tolist(),
         "overhead": overhead.to_json_dict(),
         "difference_leak": leak.to_json_dict(),
     }

@@ -34,10 +34,12 @@ exhaustively.  Its shares are read from the round's cross-pair blocks
 (`masking.cross_pair_blocks`, scalar or per symbol) and summed with numpy.
 
 `RoundTranscript.to_json_dict` defines the transcript's JSON schema.
-`RoundTranscript.to_json_line` writes the same document as compact,
-key-sorted JSON bytes, leaving the message symbols as arrays until
-`compact_json` renders every one of them in a single numpy pass, and the
-decoded mean as an array whose distinct values are each rendered once.
+`RoundTranscript.to_json_parts` yields the same document as compact,
+key-sorted JSON byte parts, leaving the message symbols, the aggregate and
+the decoded mean as arrays until `compact_json_parts` renders them:
+integers in blocks of `_BLOCK` values, each block in one table-and-translate
+numpy pass, and floats with each distinct value rendered once.  A writer
+streams the parts; `to_json_line` joins them.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -475,6 +477,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
 # --- transcript encoding ----------------------------------------------------
 
 _TOP = 43  # values below 2**32 have at most two digits above the 10**8 place
+_BLOCK = 2**15  # values rendered per pass: caps its temporaries at ~1.5 MB
 _LEAD, _LAST, _COMMA, _BRACKET = 10**4, 2 * 10**4, 3 * 10**4, 3 * 10**4 + _TOP
 
 
@@ -501,65 +504,99 @@ def _digit_words() -> np.ndarray:
     return words
 
 
-def _uint32_row_texts(rows: Sequence) -> list:
-    """Each integer row's JSON text without its closing bracket.
+def _uint32_row_texts(rows: Sequence, after: Sequence[bytes]) -> Iterator:
+    """Each integer row's JSON text without its closing bracket, then `after[k]`.
 
-    The text plus "]" is `json.dumps(row.tolist(), separators=(",", ":"))`;
-    a value outside [0, 2**32) raises ValueError instead of being truncated.
-    Each value becomes three table words: its separator with its digits
-    above 10**8 (the first value of a row takes '[' as separator), then two
-    4-digit groups; leading zeros are NUL padding, deleted from the whole
-    text at once.  Row texts are memoryview slices of that one buffer, so
-    no row is copied again before the caller joins them.
+    The parts come in order: row 0's text, after[0], row 1's text, and so
+    on.  A row's text plus "]" is `json.dumps(row.tolist(),
+    separators=(",", ":"))`.  The rows' values are rendered `_BLOCK` at a
+    time, so a round's temporaries stay about a megabyte however long it
+    is; a block may start or end inside a row.  A row that is not
+    one-dimensional or not integer raises ValueError before any part is
+    yielded; a value outside [0, 2**32) raises ValueError when its block is
+    reached, instead of being truncated.
     """
     rows = [np.asarray(r) for r in rows]
     if any(r.ndim != 1 for r in rows):
         raise ValueError("each row must be a one-dimensional array")
-    sizes = [r.size for r in rows]
-    if not any(sizes):
-        return [b"["] * len(rows)
     kinds = {r.dtype.kind for r in rows if r.size}
     if not kinds <= {"i", "u"}:
         raise ValueError(f"cannot write values of dtype kinds {sorted(kinds)} as integers")
-    # A uint64 value of 2**63 or more wraps negative here and is refused below.
-    flat = np.concatenate([r.ravel() for r in rows if r.size], dtype=np.int64,
-                          casting="unsafe")
-    if flat.min() < 0 or flat.max() >= turns.MODULUS:
-        raise ValueError(
-            f"values must lie in [0, 2**32), got range [{flat.min()}, {flat.max()}]"
-        )
-    low = flat.astype(np.uint32)
-    del flat
-    top = low // np.uint32(10**8)
-    low -= top * np.uint32(10**8)
-    mid = low // np.uint32(10**4)
-    low -= mid * np.uint32(10**4)
-    no_top = top == 0
-    words = np.empty((low.size, 3), dtype=np.uint32)
-    words[:, 0] = top + np.uint32(_COMMA)
-    words[:, 1] = mid + no_top * np.uint32(_LEAD)
-    words[:, 2] = low + (no_top & (mid == 0)) * np.uint32(_LAST)
-    del top, mid, low, no_top
-    starts = np.cumsum([0] + [n for n in sizes if n])[:-1]
-    words[starts, 0] += np.uint32(_BRACKET - _COMMA)
-    text = np.take(_digit_words(), words).tobytes()
-    del words
-    text = text.translate(None, b"\0")
-    # Digits and commas hold no '[', so each one opens the next row.
-    opens = []
-    at = text.find(b"[")
-    while at != -1:
-        opens.append(at)
-        at = text.find(b"[", at + 1)
-    view, spans = memoryview(text), iter(zip(opens, opens[1:] + [len(text)]))
-    texts = []
-    for n in sizes:
-        if n:
+    # Segments of the current block: (values, opens a row, bytes after the
+    # row if the segment closes it, else None).  `room` stays positive.
+    block, room = [], _BLOCK
+    for row, tail in zip(rows, after, strict=True):
+        at = 0
+        while row.size - at > room:  # the row runs past this block
+            block.append((row[at:at + room], at == 0, None))
+            yield from _block_texts(block)
+            at, block, room = at + room, [], _BLOCK
+        block.append((row[at:] if at else row, at == 0, tail))
+        room -= row.size - at
+        if not room:
+            yield from _block_texts(block)
+            block, room = [], _BLOCK
+    yield from _block_texts(block)
+
+
+def _block_texts(segments: list) -> Iterator:
+    """Render one block's segments in one table-and-translate pass.
+
+    Each value becomes three table words: its separator with its digits
+    above 10**8 (a value that opens a row takes '[' as separator), then two
+    4-digit groups; leading zeros are NUL padding, deleted from the whole
+    text at once.  Segment texts are memoryview slices of that one buffer,
+    yielded in order; a segment that closes its row is followed by the
+    bytes after that row.  An empty row is a segment of its own, whose text
+    is "[".
+    """
+    filled = [(part, opens) for part, opens, _ in segments if part.size]
+    if filled:
+        # A uint64 value of 2**63 or more wraps negative here and is refused below.
+        values = np.concatenate([part for part, _ in filled], dtype=np.int64,
+                                casting="unsafe")
+        if values.min() < 0 or values.max() >= turns.MODULUS:
+            raise ValueError(
+                f"values must lie in [0, 2**32), got range [{values.min()}, {values.max()}]"
+            )
+        low = values.astype(np.uint32)
+        del values
+        top = low // np.uint32(10**8)
+        low -= top * np.uint32(10**8)
+        mid = low // np.uint32(10**4)
+        low -= mid * np.uint32(10**4)
+        no_top = top == 0
+        words = np.empty((low.size, 3), dtype=np.uint32)
+        words[:, 0] = top + np.uint32(_COMMA)
+        words[:, 1] = mid + no_top * np.uint32(_LEAD)
+        words[:, 2] = low + (no_top & (mid == 0)) * np.uint32(_LAST)
+        del top, mid, low, no_top
+        opening, offset = [], 0
+        for part, opens in filled:
+            if opens:
+                opening.append(offset)
+            offset += part.size
+        words[opening, 0] += np.uint32(_BRACKET - _COMMA)
+        text = np.take(_digit_words(), words).tobytes()
+        del words
+        text = text.translate(None, b"\0")
+        # Digits and commas hold no '[', so each one opens the next row; a
+        # block that starts inside a row gives that row the text before it.
+        marks = [] if filled[0][1] else [0]
+        at = text.find(b"[")
+        while at != -1:
+            marks.append(at)
+            at = text.find(b"[", at + 1)
+        marks.append(len(text))
+        view, spans = memoryview(text), zip(marks, marks[1:])
+    for part, _, tail in segments:
+        if part.size:
             begin, end = next(spans)
-            texts.append(view[begin:end])
+            yield view[begin:end]
         else:
-            texts.append(b"[")
-    return texts
+            yield b"["
+        if tail is not None:
+            yield tail
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
@@ -586,13 +623,16 @@ _SLOT = "\0"
 _SLOT_JSON = json.dumps(_SLOT).encode()
 
 
-def compact_json(obj) -> bytes:
-    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII bytes.
+def compact_json_parts(obj) -> Iterator:
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII byte parts.
 
+    The parts come in document order; joined, they are the dump's bytes.
     ndarrays anywhere in `obj` are written as JSON lists of their values:
     the dump leaves a placeholder string for each, in document order.
-    `_uint32_row_texts` renders all integer arrays at once, and
-    `float_list_json` each float array.
+    `float_list_json` renders each float array first, into the text between
+    two integer arrays, and `_uint32_row_texts` renders the integer arrays
+    block by block.  Every refusal raises while the parts are iterated, so
+    a writer may already hold the earlier parts.
     """
     arrays = []
 
@@ -606,19 +646,30 @@ def compact_json(obj) -> bytes:
                        default=slot).encode().split(_SLOT_JSON)
     if len(parts) != len(arrays) + 1:
         raise ValueError("a string in the document equals the array placeholder")
-    integers = iter(_uint32_row_texts([a for a in arrays if a.dtype.kind != "f"]))
-    out = [parts[0]]
+    # glue[k] is the text after the k-th integer array, up to the next one.
+    integers, glue = [], [parts[0]]
     for array, part in zip(arrays, parts[1:]):
         if array.dtype.kind == "f":
-            out += (float_list_json(array), part)
+            glue[-1] += float_list_json(array) + part
         else:
-            out += (next(integers), b"]", part)
-    return b"".join(out)
+            integers.append(array)
+            glue.append(b"]" + part)
+    yield glue[0]
+    yield from _uint32_row_texts(integers, glue[1:])
 
 
-@dataclass(frozen=True)
+def compact_json(obj) -> bytes:
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII bytes."""
+    return b"".join(compact_json_parts(obj))
+
+
+@dataclass(frozen=True, eq=False)
 class RoundTranscript:
-    """Everything one aggregation round produced, ready to serialize."""
+    """Everything one aggregation round produced, ready to serialize.
+
+    `aggregate` (int64) and `decoded_mean` (float64) are read-only arrays.
+    Instances compare by identity: their fields hold arrays.
+    """
 
     iteration: int
     assignment: GroupAssignment
@@ -630,27 +681,32 @@ class RoundTranscript:
     revealed_shares: tuple
     counters: dict
     num_contributors: int
-    aggregate: tuple[int, ...]
-    decoded_mean: tuple[float, ...]
+    aggregate: np.ndarray
+    decoded_mean: np.ndarray
     codec_metrics: dict
 
     def to_json_dict(self) -> dict:
         """The transcript's JSON form, the one definition of its schema."""
         return self._json_dict([m.to_json_dict() for m in self.messages],
-                               list(self.decoded_mean))
+                               self.aggregate.tolist(), self.decoded_mean.tolist())
+
+    def to_json_parts(self) -> Iterator:
+        """One `transcripts.jsonl` line without its newline, as byte parts.
+
+        Joined, the parts equal `json.dumps(self.to_json_dict(),
+        sort_keys=True, separators=(",", ":"))`; the messages' symbols, the
+        aggregate and the decoded mean stay arrays until `compact_json_parts`
+        renders them.
+        """
+        return compact_json_parts(self._json_dict(
+            [m._json_dict(m.masked.symbols) for m in self.messages],
+            self.aggregate, self.decoded_mean))
 
     def to_json_line(self) -> bytes:
-        """One `transcripts.jsonl` line without its newline.
+        """`to_json_parts()` joined into one line."""
+        return b"".join(self.to_json_parts())
 
-        The bytes equal `json.dumps(self.to_json_dict(), sort_keys=True,
-        separators=(",", ":"))`; the messages' symbols and the decoded mean
-        stay arrays until `compact_json` renders them.
-        """
-        return compact_json(self._json_dict(
-            [m._json_dict(m.masked.symbols) for m in self.messages],
-            np.array(self.decoded_mean, dtype=np.float64)))
-
-    def _json_dict(self, messages: list, decoded_mean) -> dict:
+    def _json_dict(self, messages: list, aggregate, decoded_mean) -> dict:
         return {
             "iteration": self.iteration,
             "assignment": self.assignment.to_json_dict(),
@@ -662,7 +718,7 @@ class RoundTranscript:
             "revealed_shares": list(self.revealed_shares),
             "counters": dict(self.counters),
             "num_contributors": self.num_contributors,
-            "aggregate": list(self.aggregate),
+            "aggregate": aggregate,
             "decoded_mean": decoded_mean,
             "codec_metrics": dict(self.codec_metrics),
         }
@@ -769,6 +825,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
     decoded = ps_aggregate_and_decode(symbols, correction.correction,
                                       len(senders), cfg)
+    for vector in (decoded.digit_sums, decoded.mean):
+        vector.setflags(write=False)
 
     counters = {
         "phase_estimations": assignment.cross_pair_count(),
@@ -787,8 +845,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         revealed_shares=tuple(correction.reveals),
         counters=counters,
         num_contributors=len(senders),
-        aggregate=tuple(decoded.digit_sums.tolist()),
-        decoded_mean=tuple(decoded.mean.tolist()),
+        aggregate=decoded.digit_sums,
+        decoded_mean=decoded.mean,
         codec_metrics={
             "payload_bits": payload_bits,
             "redundancy_bits": redundancy,
@@ -827,8 +885,7 @@ def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
         per_symbol=config.per_symbol_masks,
         fec=config.fec_config(),
     )
-    mean = np.asarray(transcript.decoded_mean, dtype=np.float64)
-    theta = fl.sgd_update(state.theta, mean, state.learning_rate)
+    theta = fl.sgd_update(state.theta, transcript.decoded_mean, state.learning_rate)
     new_state = fl.ModelState(theta=theta, iteration=t + 1,
                               learning_rate=state.learning_rate)
     return transcript, new_state

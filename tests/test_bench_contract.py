@@ -11,7 +11,10 @@ any of them makes the benchmark print no result at all:
 * `messages[].symbols` in `transcripts.jsonl`, read back as integer lists.
 
 Each test runs one gated workload of `BENCHMARK.json` for one second
-(about 1 to 3 s of wall time with its worker processes).
+(about 1 to 3 s of wall time with its worker processes), untraced for the
+end-to-end metrics and traced for the per-layer ones.  The traced run wraps
+`cli.write_transcripts`, so the writer's time, spent while it streams each
+line's parts to the file, must show there.
 """
 
 import json
@@ -25,16 +28,32 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in BENCHMARK["workloads"]])
-def test_benchmark_prints_every_metric(workload):
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+def run_benchmark(workload: str, trace: int) -> dict:
+    """One second of `workload`; its last stdout line, a correct result."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stdout
     assert result["failed"] == 0
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_prints_every_metric(workload):
+    result = run_benchmark(workload, trace=0)
     missing = {m["name"] for m in BENCHMARK["end_to_end"]} - set(result["metrics"])
     assert not missing
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_benchmark_times_the_transcript_writer(workload):
+    metrics = run_benchmark(workload, trace=1)["metrics"]
+    assert metrics["cli.write_transcripts.self_ms"]["value"] > 0
+    assert metrics["cli.write_transcripts.bytes_per_round"]["value"] > 0

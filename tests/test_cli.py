@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from phaseagg import cli
+from phaseagg import cli, fl, protocol, rng
 from phaseagg.cli import (
     HISTORY_HEADER,
     ScenarioConfig,
@@ -98,6 +100,68 @@ class TestValidation:
     def test_missing_config(self):
         with pytest.raises(ConfigValidationError):
             load_config("no_such_scenario")
+
+
+def scanned_dropouts(config: ScenarioConfig, t: int) -> tuple[int, ...]:
+    """A round's dropouts found by scanning every fixed entry (the reference)."""
+    dropped = set()
+    for round_index, ids in config.dropout_fixed:
+        if round_index == t:
+            dropped.update(ids)
+    if config.dropout_probability > 0:
+        draws = rng.keyed_generator(config.seed, rng.DROPOUT_DOMAIN, t).random(config.clients)
+        dropped.update(np.nonzero(draws < config.dropout_probability)[0].tolist())
+    dropped.discard(config.delayed_client)
+    return tuple(sorted(int(i) for i in dropped))
+
+
+class TestDropoutLookup:
+    @pytest.mark.parametrize("probability", [0.0, 0.3])
+    def test_lookup_equals_a_scan_of_every_entry(self, probability):
+        # "1" and "01" name the same round, and the delayed client 2 is
+        # listed as dropped in round 3: both stay as the scan has them.
+        config = parse_config(valid_data(
+            clients=8, protocol_version="alg2", delayed_client=2, rounds=6,
+            dropout={"probability": probability,
+                     "fixed": {"1": [5], "01": [0, 5], "3": [2, 7], "4": []}}))
+        for t in range(8):
+            got = config.dropouts_for_round(t)
+            assert got == scanned_dropouts(config, t)
+            assert all(type(i) is int for i in got)
+        assert {0, 5} <= set(config.dropouts_for_round(1))
+        assert 7 in config.dropouts_for_round(3) and 2 not in config.dropouts_for_round(3)
+
+    def test_replace_rebuilds_the_lookup(self):
+        config = parse_config(valid_data(clients=8, protocol_version="alg2",
+                                         dropout={"fixed": {"0": [1]}}))
+        changed = dataclasses.replace(config, dropout_fixed=((0, (3,)), (2, (4, 6))))
+        assert changed.dropouts_for_round(0) == (3,)
+        assert changed.dropouts_for_round(2) == (4, 6)
+        assert changed == dataclasses.replace(changed)
+
+
+class TestRoundVectors:
+    def test_the_decoded_mean_reaches_sgd_update_as_the_transcript_array(self, monkeypatch):
+        config = parse_config(valid_data(dimension=5))
+        seen, update = [], fl.sgd_update
+
+        def spy(theta, mean_gradient, eta):
+            seen.append(mean_gradient)
+            return update(theta, mean_gradient, eta)
+
+        monkeypatch.setattr(fl, "sgd_update", spy)
+        state = fl.ModelState(theta=np.zeros(5), iteration=0, learning_rate=0.1)
+        transcript, _ = protocol.run_iteration(state, config)
+        assert len(seen) == 1 and seen[0] is transcript.decoded_mean
+        for vector, dtype in ((transcript.aggregate, np.int64),
+                              (transcript.decoded_mean, np.float64)):
+            assert isinstance(vector, np.ndarray) and vector.dtype == dtype
+            assert vector.shape == (5,) and not vector.flags.writeable
+
+    def test_round_report_holds_plain_numbers(self, tmp_path):
+        _, report = run_scenario(parse_config(valid_data()), tmp_path, "round")
+        assert all(type(x) is int for x in report["aggregate"])
+        assert all(type(x) is float for x in report["decoded_mean"])
 
 
 class TestRunScenario:

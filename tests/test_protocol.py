@@ -1,5 +1,7 @@
 import itertools
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaseagg import turns
+from phaseagg import protocol, turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import channel_from_phases, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
@@ -400,7 +402,8 @@ class TestTranscriptEncoding:
 
 def closed_row_texts(rows) -> list[bytes]:
     """`_uint32_row_texts` of each row, closed with "]" as `compact_json` closes it."""
-    return [bytes(text) + b"]" for text in _uint32_row_texts(rows)]
+    text = b"".join(_uint32_row_texts(rows, [b"]\n"] * len(rows)))
+    return [row + b"]" for row in text.split(b"]\n")[:-1]]
 
 
 def dump_rows(rows) -> list[bytes]:
@@ -510,6 +513,131 @@ class TestUint32ListsJson:
             json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
             for t in transcripts)
         assert path.read_bytes() == expected.encode()
+
+
+def blocks_of(block: int):
+    """Render integer rows `block` values at a time for the length of a `with`."""
+    return mock.patch.object(protocol, "_BLOCK", block)
+
+
+# Values that stress the digit groups, each as likely as a uniform draw.
+uint32_values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
+
+
+class TestBlockedRowTexts:
+    """Rows rendered a block at a time read as one pass would write them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9),
+           st.lists(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
+                               st.integers(0, 14), elements=uint32_values),
+                    max_size=8))
+    def test_matches_json_dumps_across_block_boundaries(self, block, rows):
+        with blocks_of(block):
+            assert closed_row_texts(rows) == dump_rows(rows)
+
+    def test_one_row_longer_than_a_block(self):
+        row = np.random.default_rng(5).integers(0, 2**32, size=2 * protocol._BLOCK + 3,
+                                                dtype=np.uint64)
+        assert closed_row_texts([row]) == dump_rows([row])
+
+    def test_many_short_rows_with_empty_rows_between(self):
+        gen = np.random.default_rng(6)
+        rows = [gen.integers(0, 2**32, size=gen.integers(0, 13), dtype=np.uint64)
+                for _ in range(3 * protocol._BLOCK // 6)]
+        rows[::7] = [np.array([], dtype=np.uint64)] * len(rows[::7])
+        assert sum(r.size for r in rows) > 2 * protocol._BLOCK
+        assert closed_row_texts(rows) == dump_rows(rows)
+
+    @pytest.mark.parametrize("block", [2, 3, 5])
+    def test_edge_values_in_the_first_and_last_slot_of_a_block(self, block):
+        flat = np.array([x for v in EDGE_VALUES for x in [v] + [12345] * (block - 2) + [v]],
+                        dtype=np.uint64)
+        firsts, lasts = set(flat[::block].tolist()), set(flat[block - 1::block].tolist())
+        assert firsts == lasts == set(EDGE_VALUES)
+        # One row; rows that end one value before, at and one after each
+        # block boundary (the cuts at 0 add an empty first row).
+        layouts = [[flat]] + [np.split(flat, list(range(shift, flat.size, block)))
+                              for shift in (block - 1, 0, 1)]
+        with blocks_of(block):
+            for rows in layouts:
+                assert closed_row_texts(rows) == dump_rows(rows)
+
+    @pytest.mark.parametrize("bad", [
+        np.array([2**32], dtype=np.uint64),
+        np.array([2**63], dtype=np.uint64),
+        np.array([-1], dtype=np.int64),
+    ])
+    def test_a_value_out_of_range_in_a_later_block_is_refused(self, bad):
+        rows = [np.arange(10, dtype=np.uint64)] * 3 + [np.concatenate([
+            np.zeros(4, dtype=bad.dtype), bad])]
+        with blocks_of(4), pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            closed_row_texts(rows)
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.array([1.0, 2.0]), "dtype kinds"),
+        (np.array([True]), "dtype kinds"),
+        (np.zeros((2, 2), dtype=np.uint64), "one-dimensional"),
+    ])
+    def test_a_bad_row_after_several_blocks_is_refused(self, bad, match):
+        rows = [np.arange(10, dtype=np.uint64)] * 3 + [bad]
+        with blocks_of(4), pytest.raises(ValueError, match=match):
+            closed_row_texts(rows)
+
+    def test_the_placeholder_after_several_blocks_is_refused(self):
+        doc = {"a": [np.arange(10, dtype=np.uint64)] * 3, "z": "\0"}
+        with blocks_of(4), pytest.raises(ValueError, match="placeholder"):
+            compact_json(doc)
+
+    def test_a_refused_line_leaves_only_whole_lines(self, tmp_path):
+        good = {"a": [np.arange(10, dtype=np.uint64)] * 3}
+        bad = {"a": [np.arange(10, dtype=np.uint64)] * 3 + [np.array([2**32])]}
+        path = tmp_path / "transcripts.jsonl"
+        with blocks_of(4), pytest.raises(ValueError):
+            write_transcripts([good, bad], path)
+        assert path.read_bytes() == compact_json(good) + b"\n"
+
+    @pytest.mark.parametrize("block", [7, protocol._BLOCK])
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("version", [ALG1, ALG2])
+    def test_written_file_equals_the_joined_lines(self, tmp_path, block, per_symbol,
+                                                  version):
+        assignment = assign_subgroups(12, 2, 3, seed=8)
+        cfg = small_cfg(levels=4, clients=12)
+        gen = np.random.default_rng(65)
+        transcripts = [
+            run_round(gen.integers(0, 4, size=(12, 9)), assignment,
+                      sample_round_channel(12, iteration=t, seed=8), cfg, version=version,
+                      seed=8, dropped=dropped, delayed=delayed, per_symbol=per_symbol,
+                      naive_remedy=version == ALG1)
+            for t, (dropped, delayed) in enumerate([((), None), ((1, 7), 4)])]
+        path = tmp_path / "transcripts.jsonl"
+        with blocks_of(block):
+            write_transcripts(transcripts, path)
+            lines = [t.to_json_line() + b"\n" for t in transcripts]
+        assert path.read_bytes() == b"".join(lines)
+        assert lines == [json.dumps(t.to_json_dict(), sort_keys=True,
+                                    separators=(",", ":")).encode() + b"\n"
+                         for t in transcripts]
+
+    def test_writing_a_wide_round_stays_within_a_few_blocks_of_memory(self, tmp_path):
+        n, d = 64, 4096
+        cfg = small_cfg(levels=16, clients=n)
+        digits = np.random.default_rng(66).integers(0, 16, size=(n, d))
+        transcript = run_round(digits, assign_two_groups(n, seed=9),
+                               sample_round_channel(n, iteration=0, seed=9), cfg,
+                               version=ALG1, seed=9)
+        path = tmp_path / "transcripts.jsonl"
+        write_transcripts([transcript], path)  # builds the digit table once
+        tracemalloc.start()
+        try:
+            write_transcripts([transcript], path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One pass over the whole round peaked at ~12 MB; a block needs ~1.5 MB.
+        assert path.stat().st_size > 2_500_000
+        assert peak <= 3 * 2**20
 
 
 class TestRunRound:
