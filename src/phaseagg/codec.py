@@ -25,6 +25,7 @@ from .errors import (
     InvalidDigitError,
     InvalidGradientError,
     ResidualMaskError,
+    ShapeError,
 )
 
 
@@ -163,23 +164,42 @@ def modulate(v: QuantizedVector, cfg: QuantizationConfig,
              owner: int | None = None, iteration: int | None = None) -> SymbolVector:
     """Map digits to constellation points: digit * (2**32 / M).
 
-    `v` may be one client's digit vector or a (clients, d) matrix of them;
-    every check covers the whole array, and the symbols come back as one
-    fresh uint64 array of the same shape.
+    `v` may be one client's digit vector, a (clients, d) matrix of them, or
+    a sequence of rows; every check covers the whole input, and the symbols
+    come back as one fresh uint64 array of the stacked shape.  A sequence of
+    integer arrays is stacked straight into that array; rows of unequal
+    length raise ShapeError.
     """
-    digits = np.asarray(v.digits if isinstance(v, QuantizedVector) else v)
-    if digits.dtype.kind not in "iu" and not np.array_equal(digits, np.floor(digits)):
-        raise InvalidDigitError(
-            f"digits must be whole numbers, got fractional or non-finite {digits.dtype} values"
-        )
-    if np.any(digits < 0) or np.any(digits >= cfg.levels):
-        raise InvalidDigitError(
-            f"digits must lie in [0, {cfg.levels}), got range "
-            f"[{digits.min()}, {digits.max()}]"
-        )
-    symbols = digits.astype(np.uint64)
+    digits = v.digits if isinstance(v, QuantizedVector) else v
+    if (isinstance(digits, (list, tuple)) and digits
+            and all(isinstance(r, np.ndarray) and r.dtype.kind in "iu" for r in digits)):
+        try:
+            symbols = np.stack(digits, dtype=np.uint64, casting="unsafe")
+        except ValueError as exc:
+            raise ShapeError(f"digit rows disagree on shape: {exc}") from None
+    else:
+        digits = np.asarray(digits)
+        if digits.dtype.kind not in "iu":
+            if not np.array_equal(digits, np.floor(digits)):
+                raise InvalidDigitError(
+                    f"digits must be whole numbers, got fractional or non-finite "
+                    f"{digits.dtype} values"
+                )
+            if np.any(digits < 0) or np.any(digits >= cfg.levels):
+                raise _range_error(digits, cfg)
+        symbols = digits.astype(np.uint64)
+    # uint64 wraps a negative integer digit to 2**64 - |digit|, above any
+    # level count, so one max finds a digit outside [0, levels) at either end.
+    if symbols.size and symbols.max() >= cfg.levels:
+        raise _range_error(np.asarray(digits), cfg)
     symbols *= np.uint64(cfg.step)
     return SymbolVector(symbols=symbols, owner=owner, iteration=iteration)
+
+
+def _range_error(digits: np.ndarray, cfg: QuantizationConfig) -> InvalidDigitError:
+    return InvalidDigitError(
+        f"digits must lie in [0, {cfg.levels}), got range [{digits.min()}, {digits.max()}]"
+    )
 
 
 def decode_sum(aggregate, cfg: QuantizationConfig) -> np.ndarray:

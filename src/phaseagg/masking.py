@@ -21,11 +21,14 @@ into one (|plus side|, |minus side|) block per group, in the order of
 `GroupAssignment.cross_pair_index`: `cross_pair_phases` hashes every
 scalar phase in one batch, and its per-symbol twin `cross_pair_streams`
 expands every pair's stream.  `group_masks` sums a block axis for every
-client's mask in both modes, the dropout correction reads its shares
-from the same blocks, and `private_phase_array` gives every sender's
-private phase.  `compute_group_mask`, `sample_private_phase`,
-`mask_shares` and `apply_mask` are the per-client definitions those
-arrays are tested against.
+client's mask in both modes, writing each side through the assignment's
+cached `side_index` arrays; the dropout correction reads its shares from
+the same blocks, and `private_phase_array` gives every sender's private
+phase.  The round keeps the masked symbols as one matrix; a
+`MaskedSymbols` is built only when `RoundTranscript.messages` is read.
+`compute_group_mask`, `sample_private_phase`, `mask_shares` and
+`apply_mask` are the per-client definitions those arrays are tested
+against.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class MaskedSymbols:
     """Symbol vector after rotation; what the aggregator actually sees.
 
     `symbols` is always a uint64 vector of turns: `apply_mask` builds it
-    with `turns` arithmetic, and `protocol.run_round` makes it a read-only
-    view of one row of the round's symbol matrix.
+    with `turns` arithmetic, and `protocol.RoundTranscript.messages` makes
+    it a read-only view of one row of the round's symbol matrix.
     """
 
     symbols: np.ndarray
@@ -121,10 +124,9 @@ def _group_blocks(assignment: "GroupAssignment", pairs: np.ndarray) -> tuple[np.
     pair (plus[a], minus[b]), sides in increasing client order.
     """
     blocks, start = [], 0
-    for g in range(assignment.num_groups):
-        plus, minus = len(assignment.side(g, PLUS)), len(assignment.side(g, MINUS))
-        stop = start + plus * minus
-        blocks.append(pairs[start:stop].reshape(plus, minus, *pairs.shape[1:]))
+    for plus, minus in assignment.side_index:
+        stop = start + plus.size * minus.size
+        blocks.append(pairs[start:stop].reshape(plus.size, minus.size, *pairs.shape[1:]))
         start = stop
     return tuple(blocks)
 
@@ -186,9 +188,9 @@ def group_masks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
                                    length=length)
     masks = np.empty((assignment.num_clients, *blocks[0].shape[2:]), dtype=np.uint64)
     # Each phase is < 2**32, so uint64 sums N terms exactly before reducing.
-    for g, block in enumerate(blocks):
-        masks[list(assignment.side(g, PLUS))] = block.sum(axis=1, dtype=np.uint64)
-        masks[list(assignment.side(g, MINUS))] = block.sum(axis=0, dtype=np.uint64)
+    for (plus, minus), block in zip(assignment.side_index, blocks):
+        masks[plus] = block.sum(axis=1, dtype=np.uint64)
+        masks[minus] = block.sum(axis=0, dtype=np.uint64)
     return turns.reduce_in_place(masks)
 
 

@@ -20,11 +20,12 @@ A round is one matrix sum.  `run_round` modulates every sender's digits
 in one (senders, d) uint64 matrix and adds each sender's offset to its row
 in place: its private phase (alg2) plus its group mask, negated on the
 minus side.  The offsets are an (senders, 1) column in scalar mode and an
-(senders, d) array per symbol, so broadcasting serves both.  Each
-`ClientMessage` holds a read-only view of its row, and the aggregate is
-the matrix's column sum plus the correction.  `client_message` builds one
-client's message on its own; it is the reference the rows are tested
-against.
+(senders, d) array per symbol, so broadcasting serves both.  The aggregate
+is the matrix's column sum plus the correction.  The transcript keeps the
+read-only matrix and the sender ids; `RoundTranscript.messages` builds the
+`ClientMessage` tuple, each holding a read-only view of its row, only when
+first read.  `client_message` builds one client's message on its own; it
+is the reference the rows are tested against.
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
@@ -33,9 +34,10 @@ excluded; they cancel pairwise by reciprocity, which the test suite checks
 exhaustively.  Its shares are read from the round's cross-pair blocks
 (`masking.cross_pair_blocks`, scalar or per symbol) and summed with numpy.
 
-`RoundTranscript.to_json_dict` defines the transcript's JSON schema.
+`RoundTranscript.to_json_dict` defines the transcript's JSON schema, and
+`_message_json_dict` that of each message in it.
 `RoundTranscript.to_json_parts` yields the same document as compact,
-key-sorted JSON byte parts, leaving the message symbols, the aggregate and
+key-sorted JSON byte parts, leaving the symbol rows, the aggregate and
 the decoded mean as arrays until `compact_json_parts` renders them:
 integers in blocks of `_BLOCK` values, each block in one table-and-translate
 numpy pass, and floats with each distinct value rendered once.  A writer
@@ -139,6 +141,27 @@ class GroupAssignment:
         return self.side(g, MINUS if t == PLUS else PLUS)
 
     @cached_property
+    def side_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per group, its plus and its minus side as read-only int64 client arrays.
+
+        Each side is in increasing client order, as `side` gives it.
+        """
+        index = []
+        for g in range(self.num_groups):
+            sides = tuple(np.array(self.side(g, tag), dtype=np.int64) for tag in (PLUS, MINUS))
+            for arr in sides:
+                arr.setflags(write=False)
+            index.append(sides)
+        return tuple(index)
+
+    @cached_property
+    def minus_mask(self) -> np.ndarray:
+        """Read-only (N,) bool array, True for every minus-side client."""
+        mask = np.array([tag == MINUS for tag in self.tag_of], dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
     def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cross pair as read-only (P,) arrays of its plus and minus client.
 
@@ -146,20 +169,15 @@ class GroupAssignment:
         increasing client order, so group g's stretch, reshaped to
         (|plus|, |minus|), is its block in `masking.cross_pair_phases`.
         """
-        plus, minus = [], []
-        for g in range(self.num_groups):
-            p, m = self.side(g, PLUS), self.side(g, MINUS)
-            plus.append(np.repeat(np.array(p, dtype=np.int64), len(m)))
-            minus.append(np.tile(np.array(m, dtype=np.int64), len(p)))
-        index = np.concatenate(plus), np.concatenate(minus)
+        index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
+                 np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
         for arr in index:
             arr.setflags(write=False)
         return index
 
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
-        return sum(len(self.side(g, PLUS)) * len(self.side(g, MINUS))
-                   for g in range(self.num_groups))
+        return self.cross_pair_index[0].size
 
     def plus_size(self) -> int:
         return sum(1 for t in self.tag_of if t == PLUS)
@@ -273,17 +291,26 @@ class ClientMessage:
     protocol_version: str
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(self.masked.symbols.tolist())
+        return _message_json_dict(self.owner, self.iteration, self.masked.direction,
+                                  self.masked.mask_mode, self.protocol_version,
+                                  self.masked.symbols.tolist())
 
-    def _json_dict(self, symbols) -> dict:
-        return {
-            "owner": self.owner,
-            "iteration": self.iteration,
-            "direction": self.masked.direction,
-            "mask_mode": self.masked.mask_mode,
-            "version": self.protocol_version,
-            "symbols": symbols,
-        }
+
+def _message_json_dict(owner: int, iteration: int, direction: str, mask_mode: str,
+                       version: str, symbols) -> dict:
+    """One uplink message's JSON form, the one definition of its schema.
+
+    `ClientMessage.to_json_dict` and both of `RoundTranscript`'s JSON forms
+    build their message dicts here.
+    """
+    return {
+        "owner": owner,
+        "iteration": iteration,
+        "direction": direction,
+        "mask_mode": mask_mode,
+        "version": version,
+        "symbols": symbols,
+    }
 
 
 def client_message(i: int, digits, assignment: GroupAssignment,
@@ -667,13 +694,18 @@ def compact_json(obj) -> bytes:
 class RoundTranscript:
     """Everything one aggregation round produced, ready to serialize.
 
-    `aggregate` (int64) and `decoded_mean` (float64) are read-only arrays.
-    Instances compare by identity: their fields hold arrays.
+    `symbols` is the round's read-only (senders, d) uint64 matrix of masked
+    symbols, row k sent by client `senders[k]`; `aggregate` (int64) and
+    `decoded_mean` (float64) are read-only arrays.  `messages` is built on
+    first access.  Instances compare by identity: their fields hold arrays.
     """
 
     iteration: int
     assignment: GroupAssignment
-    messages: tuple[ClientMessage, ...]
+    symbols: np.ndarray
+    senders: tuple[int, ...]
+    version: str
+    mask_mode: str
     dropped: tuple[int, ...]
     delayed: int | None
     delayed_discarded: bool | None
@@ -685,26 +717,45 @@ class RoundTranscript:
     decoded_mean: np.ndarray
     codec_metrics: dict
 
+    @cached_property
+    def messages(self) -> tuple[ClientMessage, ...]:
+        """Every sender's `ClientMessage`, in sender order.
+
+        Each message's symbols are a read-only view of its row of `symbols`.
+        """
+        t, tags = self.iteration, self.assignment.tag_of
+        return tuple(
+            ClientMessage(owner=i, iteration=t, protocol_version=self.version,
+                          masked=MaskedSymbols(symbols=row, owner=i, iteration=t,
+                                               direction=tags[i], mask_mode=self.mask_mode))
+            for i, row in zip(self.senders, self.symbols)
+        )
+
     def to_json_dict(self) -> dict:
         """The transcript's JSON form, the one definition of its schema."""
-        return self._json_dict([m.to_json_dict() for m in self.messages],
+        return self._json_dict(self._message_dicts(self.symbols.tolist()),
                                self.aggregate.tolist(), self.decoded_mean.tolist())
 
     def to_json_parts(self) -> Iterator:
         """One `transcripts.jsonl` line without its newline, as byte parts.
 
         Joined, the parts equal `json.dumps(self.to_json_dict(),
-        sort_keys=True, separators=(",", ":"))`; the messages' symbols, the
+        sort_keys=True, separators=(",", ":"))`; the symbol rows, the
         aggregate and the decoded mean stay arrays until `compact_json_parts`
         renders them.
         """
         return compact_json_parts(self._json_dict(
-            [m._json_dict(m.masked.symbols) for m in self.messages],
-            self.aggregate, self.decoded_mean))
+            self._message_dicts(self.symbols), self.aggregate, self.decoded_mean))
 
     def to_json_line(self) -> bytes:
         """`to_json_parts()` joined into one line."""
         return b"".join(self.to_json_parts())
+
+    def _message_dicts(self, rows) -> list:
+        """Each sender's message dict, with its symbols taken from `rows`."""
+        t, tags = self.iteration, self.assignment.tag_of
+        return [_message_json_dict(i, t, tags[i], self.mask_mode, self.version, row)
+                for i, row in zip(self.senders, rows)]
 
     def _json_dict(self, messages: list, aggregate, decoded_mean) -> dict:
         return {
@@ -733,11 +784,12 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     """One full aggregation round over prepared digit vectors.
 
     `digits_by_client` holds one digit vector per client: a (clients, d)
-    matrix or a sequence of rows.  The senders' rows are stacked into one
+    matrix or a sequence of rows.  The senders' rows are modulated into one
     (senders, d) symbol matrix, and each sender's offset (its private
     phase plus its group mask, signed by its side) is added to its row in
     place: an (senders, 1) column in scalar mode, an (senders, d) array
-    per symbol.  Each message is a view of one row.
+    per symbol.  The transcript keeps the matrix; its `messages` are views
+    of the rows, built when first read.
 
     Dropped clients estimate phases but never transmit.  A delayed client
     is treated as dropped at aggregation time; under alg2 its late message
@@ -750,13 +802,14 @@ def run_round(digits_by_client, assignment: GroupAssignment,
             f"need digits for all {s} clients, got {len(digits_by_client)}"
         )
     digits = digits_by_client
-    if not (isinstance(digits, np.ndarray) and digits.ndim == 2):
-        rows = [np.atleast_1d(d) for d in digits]
-        dims = {len(r) for r in rows}
+    if isinstance(digits, np.ndarray) and digits.ndim == 2:
+        dimension = digits.shape[1]
+    else:
+        digits = [np.atleast_1d(d) for d in digits]
+        dims = {len(r) for r in digits}
         if len(dims) != 1:
             raise ShapeError(f"clients disagree on dimension: {sorted(dims)}")
-        digits = np.stack(rows)
-    dimension = digits.shape[1]
+        (dimension,) = dims
 
     dropped = frozenset(int(i) for i in dropped)
     if delayed is not None:
@@ -773,13 +826,17 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     # anyone can drop: each cross pair's phase (or per-symbol stream) is
     # derived once, for both endpoints' masks and the correction alike.
     blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol, length=length)
-    masks = group_masks(assignment, channel, blocks=blocks).reshape(s, -1)
+    offsets = group_masks(assignment, channel, blocks=blocks).reshape(s, -1)
+    np.negative(offsets, out=offsets, where=assignment.minus_mask[:, None])
 
     senders = [i for i in range(s) if i not in absent]
-    symbols = modulate(digits[senders] if absent else digits, cfg).symbols
-    offsets = masks[senders]
-    minus = np.array([assignment.tag_of[i] == MINUS for i in senders], dtype=bool)
-    np.negative(offsets, out=offsets, where=minus[:, None])
+    if absent:
+        # `take` with a list of ids is several times faster than fancy indexing.
+        offsets = offsets.take(senders, axis=0)
+        digits = (digits.take(senders, axis=0) if isinstance(digits, np.ndarray)
+                  else [digits[i] for i in senders])
+    # With no sender left, modulate gets an empty sequence and returns shape (0,).
+    symbols = modulate(digits, cfg).symbols.reshape(len(senders), dimension)
     private = None
     if version == ALG2:
         private = private_phase_array(senders, t, seed, per_symbol=per_symbol,
@@ -788,14 +845,6 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     symbols += offsets
     turns.reduce_in_place(symbols)
     symbols.setflags(write=False)
-    mode = PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS
-    messages = tuple(
-        ClientMessage(owner=i, iteration=t, protocol_version=version,
-                      masked=MaskedSymbols(symbols=row, owner=i, iteration=t,
-                                           direction=assignment.tag_of[i],
-                                           mask_mode=mode))
-        for i, row in zip(senders, symbols)
-    )
 
     # The channel is noiseless, so the FEC code only sets the reported bit
     # counts; tests/test_codec.py checks that it is a lossless inverse pair.
@@ -830,14 +879,17 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
     counters = {
         "phase_estimations": assignment.cross_pair_count(),
-        "uplink_messages": len(messages),
+        "uplink_messages": len(senders),
         "recovery_messages": correction.recovery_messages,
         "private_phase_reveals": correction.private_phase_reveals,
     }
     return RoundTranscript(
         iteration=t,
         assignment=assignment,
-        messages=messages,
+        symbols=symbols,
+        senders=tuple(senders),
+        version=version,
+        mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
         delayed_discarded=delayed_discarded,

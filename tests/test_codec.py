@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phaseagg import turns
 from phaseagg.codec import (
@@ -23,6 +24,7 @@ from phaseagg.errors import (
     InvalidDigitError,
     InvalidGradientError,
     ResidualMaskError,
+    ShapeError,
 )
 
 
@@ -165,6 +167,60 @@ class TestModulateDecode:
         before = symbols.symbols.copy()
         digits[0, 0] = (digits[0, 0] + 1) % 5  # the symbols do not view the digits
         assert np.array_equal(symbols.symbols, before)
+
+    def test_integer_rows_stack_into_one_fresh_matrix(self):
+        cfg = cfg_for(levels=5)
+        digits = np.random.default_rng(9).integers(0, 5, size=(6, 7))
+        rows = list(digits)
+        rows[2] = rows[2].astype(np.uint8)
+        symbols = modulate(rows, cfg).symbols
+        assert symbols.dtype == np.uint64 and symbols.shape == (6, 7)
+        assert np.array_equal(symbols, modulate(digits, cfg).symbols)
+        assert np.array_equal(modulate(tuple(rows), cfg).symbols, symbols)
+        assert not any(np.shares_memory(symbols, row) for row in rows)
+
+    @pytest.mark.parametrize("bad, dtype", [
+        (-1, np.int64),           # wraps above `levels` in the uint64 matrix
+        (5, np.int64),            # equal to `levels`
+        (2**63, np.uint64),       # a uint64 row holding 2**63
+        (1.5, np.float64),        # fractional float rows keep the checked path
+    ])
+    @pytest.mark.parametrize("others", [np.int64, np.uint64])
+    def test_rows_are_refused_with_the_matrix_message(self, bad, dtype, others):
+        cfg = cfg_for(levels=5)
+        rows = [np.array([1, 2, 3], dtype=others) for _ in range(3)]
+        rows.append(np.array([0, bad, 4], dtype=dtype))
+        with pytest.raises(InvalidDigitError) as by_matrix:
+            modulate(np.stack(rows), cfg)
+        with pytest.raises(InvalidDigitError) as by_rows:
+            modulate(rows, cfg)
+        assert str(by_rows.value) == str(by_matrix.value)
+
+    def test_rows_of_unequal_length_are_refused(self):
+        with pytest.raises(ShapeError):
+            modulate([np.array([1, 2]), np.array([1])], cfg_for(levels=5))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 4), st.data())
+    def test_rows_equal_the_stacked_matrix(self, count, d, data):
+        cfg = cfg_for(levels=5)
+        rows = []
+        for _ in range(count):
+            dtype = data.draw(st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]))
+            low = -2 if np.issubdtype(dtype, np.signedinteger) else 0
+            high = 2**63 if dtype == np.uint64 else 6
+            values = st.one_of(st.integers(low, 6), st.sampled_from([low, high]))
+            rows.append(data.draw(hnp.arrays(dtype, d, elements=values)))
+        try:
+            expected = modulate(np.stack(rows), cfg).symbols
+        except InvalidDigitError as exc:
+            with pytest.raises(InvalidDigitError) as err:
+                modulate(rows, cfg)
+            assert str(err.value) == str(exc)
+            return
+        symbols = modulate(rows, cfg).symbols
+        assert symbols.dtype == np.uint64
+        assert np.array_equal(symbols, expected)
 
     def test_accepts_whole_float_digits(self):
         cfg = cfg_for(levels=5)

@@ -834,7 +834,7 @@ class TestMatrixRoundProperty:
 
     @settings(max_examples=80, deadline=None)
     @given(round_cases(), st.data())
-    def test_rows_equal_client_message(self, case, data):
+    def test_rows_equal_client_message(self, tmp_path_factory, case, data):
         assignment = case["assignment"]
         n, d = assignment.num_clients, case["dimension"]
         cfg = small_cfg(levels=4, clients=n)
@@ -849,24 +849,39 @@ class TestMatrixRoundProperty:
                 run_round(digits, assignment, chan, cfg, **kwargs)
             return
         transcript = run_round(digits, assignment, chan, cfg, **kwargs)
+        # Neither a written line nor the JSON dict builds the messages.
+        path = tmp_path_factory.mktemp("round") / "transcripts.jsonl"
+        write_transcripts([transcript], path)
+        line = transcript.to_json_line()
+        assert path.read_bytes() == line + b"\n"
+        assert line == json.dumps(
+            transcript.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
+        assert "messages" not in vars(transcript)
+
         senders = [i for i in range(n) if i not in absent]
+        assert transcript.senders == tuple(senders)
+        assert transcript.symbols.shape == (len(senders), d)
+        assert not transcript.symbols.flags.writeable
         assert [m.owner for m in transcript.messages] == senders
-        for msg in transcript.messages:
+        for k, msg in enumerate(transcript.messages):
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan,
                                  case["version"], case["seed"], cfg,
                                  per_symbol=case["per_symbol"])
+            # owner, iteration, direction, mask mode, version and symbols
             assert msg.to_json_dict() == ref.to_json_dict()
+            assert (msg.masked.owner, msg.masked.iteration) == (msg.owner, msg.iteration)
             assert np.array_equal(msg.masked.symbols, ref.masked.symbols)
             assert msg.masked.symbols.dtype == ref.masked.symbols.dtype
             assert not msg.masked.symbols.flags.writeable
-        rows = [m.masked.symbols for m in transcript.messages]
-        assert all(r.base is rows[0].base for r in rows)
+            assert np.shares_memory(msg.masked.symbols, transcript.symbols)
+            assert np.array_equal(msg.masked.symbols, transcript.symbols[k])
+        assert transcript.messages is transcript.messages
+        assert [m.to_json_dict() for m in transcript.messages] == \
+            transcript.to_json_dict()["messages"]
         assert list(transcript.aggregate) == digits[senders].sum(axis=0).tolist()
-        assert transcript.to_json_line() == json.dumps(
-            transcript.to_json_dict(), sort_keys=True, separators=(",", ":")).encode()
         # A sequence of rows gives the same round as the matrix.
         again = run_round(list(digits), assignment, chan, cfg, **kwargs)
-        assert again.to_json_line() == transcript.to_json_line()
+        assert again.to_json_line() == line
 
     @settings(max_examples=40, deadline=None)
     @given(round_cases())
@@ -912,6 +927,17 @@ class TestMatrixRoundProperty:
         with pytest.raises(InvalidDigitError):
             run_round(digits, assignment, chan, small_cfg(levels=4, clients=8),
                       version=ALG2, seed=3)
+
+    @pytest.mark.parametrize("version", [ALG1, ALG2])
+    @pytest.mark.parametrize("as_rows", [False, True])
+    def test_a_round_with_every_client_absent_is_unrecoverable(self, version, as_rows):
+        assignment = assign_subgroups(8, 2, 2, seed=3)
+        chan = sample_round_channel(8, iteration=0, seed=3)
+        digits = np.ones((8, 3), dtype=np.int64)
+        with pytest.raises(UnrecoverableRoundError):
+            run_round(list(digits) if as_rows else digits, assignment, chan,
+                      small_cfg(levels=4, clients=8), version=version, seed=3,
+                      dropped=range(7), delayed=7, naive_remedy=version == ALG1)
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_never_builds_the_dense_table(self, per_symbol):
@@ -972,3 +998,37 @@ class TestMatrixRoundProperty:
         assert type(by_array.correction) is int
         with pytest.raises(ValueError):
             dropout_correction(dropped, assignment, chan, array[:-1])
+
+
+def layouts():
+    """Two-group and subgroup layouts, the last group with any remainder."""
+    return round_cases().map(lambda case: case["assignment"])
+
+
+class TestLayoutArrays:
+    """GroupAssignment's arrays are derived once and read-only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(layouts())
+    def test_arrays_agree_with_the_labels(self, a):
+        assert a.minus_mask.dtype == bool
+        assert a.minus_mask.tolist() == [tag == MINUS for tag in a.tag_of]
+        assert len(a.side_index) == a.num_groups
+        for g, sides in enumerate(a.side_index):
+            for tag, side in zip((PLUS, MINUS), sides):
+                assert side.dtype == np.int64
+                assert side.tolist() == list(a.side(g, tag))
+        assert a.cross_pair_count() == sum(
+            len(a.side(g, PLUS)) * len(a.side(g, MINUS)) for g in range(a.num_groups))
+        arrays = [a.minus_mask, *(side for sides in a.side_index for side in sides)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert a.minus_mask is a.minus_mask and a.side_index is a.side_index
+
+    def test_remainder_joins_the_last_group(self):
+        a = assign_subgroups(11, 2, 2, seed=5)
+        sizes = [(plus.size, minus.size) for plus, minus in a.side_index]
+        assert sizes == [(2, 2), (4, 3)]
+        assert a.cross_pair_count() == 2 * 2 + 4 * 3
