@@ -49,14 +49,13 @@ print(f"  recovery messages: {transcript.counters['recovery_messages']} "
 print(f"  private phases revealed: "
       f"{transcript.counters['private_phase_reveals']} (one per survivor)")
 
-print("\nReveal log:")
-for entry in transcript.revealed_shares:
-    if entry["kind"] == "mask-share":
-        print(f"  client {entry['revealer']} reveals its shared phase with "
-              f"dropped client {entry['dropped']}")
-for entry in transcript.revealed_shares:
-    if entry["kind"] == "private-phase":
-        print(f"  client {entry['client']} reveals its private phase")
+print("\nReveal log (one record per query):")
+for record in transcript.reveals:
+    if record["kind"] == "mask-shares":
+        print(f"  clients {record['revealers']} each reveal their shared phase "
+              f"with dropped client {record['dropped']}")
+    else:
+        print(f"  clients {record['clients']} each reveal their private phase")
 
 print("\nIf a whole subgroup vanishes, the round is refused instead of "
       "decoded unsafely:")

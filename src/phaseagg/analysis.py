@@ -30,11 +30,12 @@ import numpy as np
 from . import rng, turns
 from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
-from .errors import UnderpoweredTestError
+from .errors import TranscriptFormatError, UnderpoweredTestError
 from .masking import PLUS, reconstruct_dropped_mask
 from .protocol import (
     ALG1,
     ALG2,
+    TRANSCRIPT_FORMAT,
     TWO_GROUP,
     GroupAssignment,
     RoundTranscript,
@@ -324,13 +325,33 @@ def _overhead_fields(t) -> dict:
     """The fields `verify_overhead` reads, from a transcript or its JSON dict.
 
     A `RoundTranscript`'s fields are read directly, so no message symbols
-    are rendered.
+    are rendered.  A dict is a `transcripts.jsonl` line of format
+    `TRANSCRIPT_FORMAT`, or a legacy line (no `transcript_format`) whose
+    `revealed_shares` holds one entry per revealed share.  `shares` maps
+    each dropped client to the number of mask shares revealed for it.
     """
     if isinstance(t, RoundTranscript):
-        return {name: getattr(t, name) for name in
-                ("assignment", "counters", "dropped", "delayed", "revealed_shares")}
-    row = dict(t)
-    row.setdefault("delayed", None)
+        row = {name: getattr(t, name) for name in
+               ("assignment", "counters", "dropped", "delayed", "reveals")}
+        row["transcript_format"] = TRANSCRIPT_FORMAT
+    else:
+        row = dict(t)
+        row.setdefault("delayed", None)
+    shares: dict[int, int] = {}
+    fmt = row.get("transcript_format")
+    if fmt is None:
+        for reveal in row["revealed_shares"]:
+            if reveal["kind"] == "mask-share":
+                shares[reveal["dropped"]] = shares.get(reveal["dropped"], 0) + 1
+    elif fmt == TRANSCRIPT_FORMAT:
+        for record in row["reveals"]:
+            if record["kind"] == "mask-shares":
+                shares[record["dropped"]] = (shares.get(record["dropped"], 0)
+                                             + len(record["revealers"]))
+    else:
+        raise TranscriptFormatError(f"unknown transcript_format {fmt!r}; "
+                                    f"this version reads {TRANSCRIPT_FORMAT} and legacy lines")
+    row["shares"] = shares
     return row
 
 
@@ -368,13 +389,9 @@ def verify_overhead(transcripts: Sequence) -> OverheadReport:
         if row["delayed"] is not None:
             dropped.add(row["delayed"])
         survivors = set(range(n)) - dropped
-        share_counts: dict[int, int] = {}
-        for reveal in row["revealed_shares"]:
-            if reveal["kind"] == "mask-share":
-                share_counts[reveal["dropped"]] = share_counts.get(reveal["dropped"], 0) + 1
         for i in dropped:
             expected = len(survivors.intersection(assignment.complementary_set(i)))
-            if share_counts.get(i, 0) != expected:
+            if row["shares"].get(i, 0) != expected:
                 recovery_exact = False
 
     return OverheadReport(

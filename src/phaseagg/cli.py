@@ -16,10 +16,15 @@ security parameter is worse than a loud failure.  Identical config and
 seed always produce byte-identical artifacts.
 
 Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
-dumped with sorted keys and compact separators.  `write_transcripts` streams
-those exact bytes to the file as `RoundTranscript.to_json_parts` renders
-them, a block of integers at a time, and never joins the line;
-tests/test_golden.py pins the bytes.
+dumped with sorted keys and compact separators (transcript format
+`protocol.TRANSCRIPT_FORMAT`; `analyze` also reads legacy lines, which
+carry no `transcript_format`).  `write_transcripts` streams those exact
+bytes to the file as `RoundTranscript.to_json_parts` renders them, a block
+of integers at a time, and never joins the line; tests/test_golden.py pins
+the bytes.
+
+Every artifact is written to a new file: `_create` removes what the path
+held before.
 """
 
 from __future__ import annotations
@@ -366,8 +371,20 @@ def _float_text(value: float) -> str:
     return repr(float(value))
 
 
+def _create(path: Path, mode: str, **kwargs):
+    """Open `path` for writing as a new file, removing any file there first.
+
+    Truncating a large file and writing it again can stall the writes on
+    file systems that flush a truncated file's data before reusing its
+    blocks (ext4's replace-via-truncate heuristic); a new file has no old
+    blocks to flush.
+    """
+    path.unlink(missing_ok=True)
+    return path.open(mode, **kwargs)
+
+
 def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
-    with path.open("w", newline="") as handle:
+    with _create(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(HISTORY_HEADER)
         for row in history.rows:
@@ -386,7 +403,7 @@ def write_transcripts(transcripts, path: Path) -> None:
     dict) renders it, so the whole line is never held in memory.  A line
     refused partway is cut off again, so the file holds only whole lines.
     """
-    with path.open("wb") as handle:
+    with _create(path, "wb") as handle:
         for t in transcripts:
             start = handle.tell()
             try:
@@ -399,7 +416,8 @@ def write_transcripts(transcripts, path: Path) -> None:
 
 
 def write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with _create(path, "w") as handle:
+        handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path, command: str = "run") -> tuple[int, dict]:

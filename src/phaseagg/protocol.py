@@ -33,12 +33,22 @@ The dropout correction implemented here is
 excluded; they cancel pairwise by reciprocity, which the test suite checks
 exhaustively.  Its shares are read from the round's cross-pair blocks
 (`masking.cross_pair_blocks`, scalar or per symbol) and summed with numpy.
+The reveal log holds one record per query, each naming the clients it
+asked and holding their answers as one read-only uint64 array:
+``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
+per dropped client, then ``{"kind": "private-phases", "clients": [...],
+"phases": ...}`` once under alg2.  The phases are (k,) scalars or (k, d)
+per-symbol streams, row r answered by the r-th listed client.
 
-`RoundTranscript.to_json_dict` defines the transcript's JSON schema, and
-`_message_json_dict` that of each message in it.
+`RoundTranscript.to_json_dict` defines the transcript's JSON schema,
+format `TRANSCRIPT_FORMAT`, and `_message_json_dict` that of each message
+in it.  A message is its owner and symbols; the iteration, protocol
+version and mask mode are written once per line, and a message's
+direction is its owner's side tag in the line's assignment.
 `RoundTranscript.to_json_parts` yields the same document as compact,
-key-sorted JSON byte parts, leaving the symbol rows, the aggregate and
-the decoded mean as arrays until `compact_json_parts` renders them:
+key-sorted JSON byte parts, leaving the symbol rows, the revealed phases,
+the aggregate and the decoded mean as arrays until `compact_json_parts`
+renders them:
 integers in blocks of `_BLOCK` values, each block in one table-and-translate
 numpy pass, and floats with each distinct value rendered once.  A writer
 streams the parts; `to_json_line` joins them.
@@ -87,6 +97,8 @@ ALG2 = "alg2"
 
 TWO_GROUP = "two-group"
 SUBGROUP = "subgroup"
+
+TRANSCRIPT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -291,26 +303,18 @@ class ClientMessage:
     protocol_version: str
 
     def to_json_dict(self) -> dict:
-        return _message_json_dict(self.owner, self.iteration, self.masked.direction,
-                                  self.masked.mask_mode, self.protocol_version,
-                                  self.masked.symbols.tolist())
+        return _message_json_dict(self.owner, self.masked.symbols.tolist())
 
 
-def _message_json_dict(owner: int, iteration: int, direction: str, mask_mode: str,
-                       version: str, symbols) -> dict:
+def _message_json_dict(owner: int, symbols) -> dict:
     """One uplink message's JSON form, the one definition of its schema.
 
     `ClientMessage.to_json_dict` and both of `RoundTranscript`'s JSON forms
-    build their message dicts here.
+    build their message dicts here.  The round-level facts (iteration,
+    version, mask mode) sit once in the transcript, and the direction is
+    the owner's tag in its assignment.
     """
-    return {
-        "owner": owner,
-        "iteration": iteration,
-        "direction": direction,
-        "mask_mode": mask_mode,
-        "version": version,
-        "symbols": symbols,
-    }
+    return {"owner": owner, "symbols": symbols}
 
 
 def client_message(i: int, digits, assignment: GroupAssignment,
@@ -377,15 +381,26 @@ def ps_aggregate_and_decode(messages, correction, num_contributors: int,
     return DecodedAggregate(mean=mean, digit_sums=sums)
 
 
-@dataclass
+@dataclass(eq=False)
 class CorrectionResult:
-    """Correction phase plus the queries and reveals that produced it."""
+    """Correction phase plus the reveal records that produced it.
+
+    Each record in `reveals` is one query with its answers (see the module
+    docstring).  Instances compare by identity: the records hold arrays.
+    """
 
     correction: int | np.ndarray
-    queries: list = field(default_factory=list)
     reveals: list = field(default_factory=list)
-    recovery_messages: int = 0
-    private_phase_reveals: int = 0
+
+    @property
+    def recovery_messages(self) -> int:
+        """Mask shares revealed, one message per revealer."""
+        return sum(len(r["revealers"]) for r in self.reveals if r["kind"] == "mask-shares")
+
+    @property
+    def private_phase_reveals(self) -> int:
+        """Private phases revealed, one per survivor queried."""
+        return sum(len(r["clients"]) for r in self.reveals if r["kind"] == "private-phases")
 
 
 def _check_recovery_feasible(dropped: frozenset[int],
@@ -413,15 +428,21 @@ def _check_recovery_feasible(dropped: frozenset[int],
 
 def _audit_reveal_safety(reveals: Sequence[Mapping],
                          assignment: GroupAssignment) -> None:
-    """Check no client has both its private phase and its full mask revealed."""
-    private = {r["client"] for r in reveals if r["kind"] == "private-phase"}
+    """Check no client has both its private phase and its full mask revealed.
+
+    `reveals` holds the round's reveal records, one per query.
+    """
+    private: set[int] = set()
     exposed: dict[int, set[int]] = {}
     for r in reveals:
-        if r["kind"] != "mask-share":
+        if r["kind"] == "private-phases":
+            private.update(r["clients"])
             continue
         # The share phi(dropped, revealer) is a component of both clients' masks.
-        exposed.setdefault(r["dropped"], set()).add(r["revealer"])
-        exposed.setdefault(r["revealer"], set()).add(r["dropped"])
+        dropped = r["dropped"]
+        for j in r["revealers"]:
+            exposed.setdefault(dropped, set()).add(j)
+            exposed.setdefault(j, set()).add(dropped)
     # Only a client some share exposes can have its whole mask exposed.
     for client in sorted(private.intersection(exposed)):
         comp = assignment.complementary_set(client)
@@ -447,8 +468,10 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     phases, one row per survivor in increasing client order.  A dropped
     client's shares are read from the round's cross-pair blocks (scalar or
     per-symbol; built here by `masking.cross_pair_blocks` when `blocks` is
-    not given).  The reveal log records every queried share, and the
-    never-both rule is audited.
+    not given).  The reveal log records each query once: the revealers of
+    one dropped client's shares, or the survivors whose private phases are
+    asked, with the revealed phases as one read-only uint64 array.  The
+    never-both rule is audited on those records.
     """
     dropped = frozenset(int(i) for i in dropped)
     for i in dropped:
@@ -469,11 +492,11 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         keep = [k for k, j in enumerate(other) if j not in dropped]
         revealers = [other[k] for k in keep]
         block = blocks[g] if tag == PLUS else blocks[g].swapaxes(0, 1)
-        shares = block[assignment.side(g, tag).index(i), keep]
-        result.queries.append({"kind": "mask-shares", "dropped": i, "queried": revealers})
-        result.reveals += [{"kind": "mask-share", "dropped": i, "revealer": j, "phase": phase}
-                           for j, phase in zip(revealers, shares.tolist())]
-        result.recovery_messages += len(revealers)
+        # Fancy indexing copies; per-symbol blocks are uint32.
+        shares = block[assignment.side(g, tag).index(i), keep].astype(np.uint64, copy=False)
+        shares.setflags(write=False)
+        result.reveals.append({"kind": "mask-shares", "dropped": i,
+                               "revealers": revealers, "phases": shares})
         rebuilt = shares.sum(axis=0, dtype=np.uint64)
         if tag == PLUS:
             total += rebuilt
@@ -490,11 +513,11 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         if len(private_phases) != len(survivors):
             raise ValueError(f"need {len(survivors)} survivors' private phases, "
                              f"got {len(private_phases)}")
-        result.queries.append({"kind": "private-phase", "queried": list(survivors)})
-        result.reveals += [{"kind": "private-phase", "client": j, "phase": phase}
-                           for j, phase in zip(survivors, private_phases.tolist())]
-        total -= private_phases.sum(axis=0, dtype=np.uint64)
-        result.private_phase_reveals = len(survivors)
+        phases = private_phases.astype(np.uint64, copy=False).view()
+        phases.setflags(write=False)  # on the view: the caller's array stays writable
+        result.reveals.append({"kind": "private-phases", "clients": survivors,
+                               "phases": phases})
+        total -= phases.sum(axis=0, dtype=np.uint64)
 
     result.correction = turns.reduce(total if per_symbol else int(total))
     _audit_reveal_safety(result.reveals, assignment)
@@ -654,8 +677,9 @@ def compact_json_parts(obj) -> Iterator:
     """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII byte parts.
 
     The parts come in document order; joined, they are the dump's bytes.
-    ndarrays anywhere in `obj` are written as JSON lists of their values:
-    the dump leaves a placeholder string for each, in document order.
+    ndarrays anywhere in `obj` are written as JSON lists of their values,
+    a two-dimensional one as a list of its rows: the dump leaves a
+    placeholder string for each one-dimensional array, in document order.
     `float_list_json` renders each float array first, into the text between
     two integer arrays, and `_uint32_row_texts` renders the integer arrays
     block by block.  Every refusal raises while the parts are iterated, so
@@ -666,6 +690,8 @@ def compact_json_parts(obj) -> Iterator:
     def slot(value):
         if not isinstance(value, np.ndarray):
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if value.ndim > 1:
+            return list(value)  # the dump passes each row back to this hook
         arrays.append(value)
         return _SLOT
 
@@ -696,8 +722,10 @@ class RoundTranscript:
 
     `symbols` is the round's read-only (senders, d) uint64 matrix of masked
     symbols, row k sent by client `senders[k]`; `aggregate` (int64) and
-    `decoded_mean` (float64) are read-only arrays.  `messages` is built on
-    first access.  Instances compare by identity: their fields hold arrays.
+    `decoded_mean` (float64) are read-only arrays.  `reveals` holds the
+    dropout correction's reveal records, one per query.  `messages` is
+    built on first access.  Instances compare by identity: their fields
+    hold arrays.
     """
 
     iteration: int
@@ -709,8 +737,7 @@ class RoundTranscript:
     dropped: tuple[int, ...]
     delayed: int | None
     delayed_discarded: bool | None
-    correction_queries: tuple
-    revealed_shares: tuple
+    reveals: tuple
     counters: dict
     num_contributors: int
     aggregate: np.ndarray
@@ -732,45 +759,44 @@ class RoundTranscript:
         )
 
     def to_json_dict(self) -> dict:
-        """The transcript's JSON form, the one definition of its schema."""
-        return self._json_dict(self._message_dicts(self.symbols.tolist()),
-                               self.aggregate.tolist(), self.decoded_mean.tolist())
+        """The transcript's JSON form, the one definition of its schema.
+
+        Every array becomes a (nested) list of Python numbers.
+        """
+        return self._json_dict(np.ndarray.tolist)
 
     def to_json_parts(self) -> Iterator:
         """One `transcripts.jsonl` line without its newline, as byte parts.
 
         Joined, the parts equal `json.dumps(self.to_json_dict(),
         sort_keys=True, separators=(",", ":"))`; the symbol rows, the
-        aggregate and the decoded mean stay arrays until `compact_json_parts`
-        renders them.
+        revealed phases, the aggregate and the decoded mean stay arrays
+        until `compact_json_parts` renders them.
         """
-        return compact_json_parts(self._json_dict(
-            self._message_dicts(self.symbols), self.aggregate, self.decoded_mean))
+        return compact_json_parts(self._json_dict(np.asarray))
 
     def to_json_line(self) -> bytes:
         """`to_json_parts()` joined into one line."""
         return b"".join(self.to_json_parts())
 
-    def _message_dicts(self, rows) -> list:
-        """Each sender's message dict, with its symbols taken from `rows`."""
-        t, tags = self.iteration, self.assignment.tag_of
-        return [_message_json_dict(i, t, tags[i], self.mask_mode, self.version, row)
-                for i, row in zip(self.senders, rows)]
-
-    def _json_dict(self, messages: list, aggregate, decoded_mean) -> dict:
+    def _json_dict(self, array) -> dict:
+        """The schema, with every array field passed through `array`."""
         return {
+            "transcript_format": TRANSCRIPT_FORMAT,
             "iteration": self.iteration,
+            "version": self.version,
+            "mask_mode": self.mask_mode,
             "assignment": self.assignment.to_json_dict(),
-            "messages": messages,
+            "messages": [_message_json_dict(i, row)
+                         for i, row in zip(self.senders, array(self.symbols))],
             "dropped": list(self.dropped),
             "delayed": self.delayed,
             "delayed_discarded": self.delayed_discarded,
-            "correction_queries": list(self.correction_queries),
-            "revealed_shares": list(self.revealed_shares),
+            "reveals": [dict(r, phases=array(r["phases"])) for r in self.reveals],
             "counters": dict(self.counters),
             "num_contributors": self.num_contributors,
-            "aggregate": aggregate,
-            "decoded_mean": decoded_mean,
+            "aggregate": array(self.aggregate),
+            "decoded_mean": array(self.decoded_mean),
             "codec_metrics": dict(self.codec_metrics),
         }
 
@@ -893,8 +919,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
         delayed_discarded=delayed_discarded,
-        correction_queries=tuple(correction.queries),
-        revealed_shares=tuple(correction.reveals),
+        reveals=tuple(correction.reveals),
         counters=counters,
         num_contributors=len(senders),
         aggregate=decoded.digit_sums,

@@ -217,6 +217,18 @@ class TestRunScenario:
         assert report["attack"]["scenario"] == "alg1_naive_remedy"
         assert report["attack"]["succeeded"] is True
 
+    def test_rewriting_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
+        config = parse_config(valid_data(rounds=3))
+        run_scenario(config, tmp_path / "fresh", "run")
+        names = ("history.csv", "transcripts.jsonl", "report.json")
+        again = tmp_path / "again"
+        again.mkdir()
+        for name in names:
+            (again / name).write_bytes((tmp_path / "fresh" / name).read_bytes() * 2 + b"old")
+        run_scenario(config, again, "run")
+        for name in names:
+            assert (again / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
     def test_analyze_roundtrip(self, tmp_path):
         config = parse_config(valid_data(rounds=3))
         run_scenario(config, tmp_path, "run")
@@ -308,6 +320,19 @@ class TestMain:
         (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0}\n')
         with pytest.raises(TranscriptFormatError, match="KeyError"):
             analyze_transcripts(tmp_path)
+
+    @pytest.mark.parametrize("fmt", [1, 3, "2"])
+    def test_analyze_refuses_an_unknown_transcript_format(self, tmp_path, capsys, fmt):
+        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "transcripts.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[-1]["transcript_format"] = fmt
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(TranscriptFormatError, match="transcript_format"):
+            analyze_transcripts(tmp_path)
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        assert "transcript_format" in capsys.readouterr().err
 
     def test_unrecoverable_run_exits_nonzero(self, tmp_path):
         # drop probability 0.1 with subgroups of 2: some seeds lose a whole

@@ -30,12 +30,14 @@ from phaseagg.masking import (
     PLUS,
     compute_group_mask,
     group_masks,
+    mask_shares,
     private_phase_array,
     sample_private_phase,
 )
 from phaseagg.protocol import (
     ALG1,
     ALG2,
+    TRANSCRIPT_FORMAT,
     GroupAssignment,
     assign_subgroups,
     _audit_reveal_safety,
@@ -49,6 +51,7 @@ from phaseagg.protocol import (
     run_round,
     two_group_from_sides,
 )
+from test_golden import legacy_reveals
 
 
 def pair_partners(assignment, i) -> tuple:
@@ -59,6 +62,12 @@ def pair_partners(assignment, i) -> tuple:
 
 def small_cfg(levels=5, clients=8):
     return QuantizationConfig.with_auto_modulus(1.0, levels, max_clients=clients)
+
+
+def message_fields(msg) -> tuple:
+    """A message's owner, iteration, direction, mask mode, version and symbols."""
+    return (msg.owner, msg.iteration, msg.masked.direction, msg.masked.mask_mode,
+            msg.protocol_version, msg.masked.symbols.tolist())
 
 
 class TestTwoGroupAssignment:
@@ -277,12 +286,12 @@ class TestDropoutCorrection:
                                        version=ALG2, seed=45, dropped=dropped)
             except UnrecoverableRoundError:
                 continue
-            private = {r["client"] for r in transcript.revealed_shares
-                       if r["kind"] == "private-phase"}
+            log = legacy_reveals(transcript.reveals)
+            private = {r["client"] for r in log if r["kind"] == "private-phase"}
             for client in private:
                 comp = set(assignment.complementary_set(client))
                 exposed = set()
-                for r in transcript.revealed_shares:
+                for r in log:
                     if r["kind"] == "mask-share":
                         if r["dropped"] == client:
                             exposed.add(r["revealer"])
@@ -296,9 +305,11 @@ class TestDropoutCorrection:
         # and 3) would expose its plaintext.
         assignment = two_group_from_sides([0, 1], [2, 3])
         reveals = [
-            {"kind": "private-phase", "client": 0, "phase": 1},
-            {"kind": "mask-share", "dropped": 2, "revealer": 0, "phase": 2},
-            {"kind": "mask-share", "dropped": 3, "revealer": 0, "phase": 3},
+            {"kind": "private-phases", "clients": [0], "phases": np.array([1], np.uint64)},
+            {"kind": "mask-shares", "dropped": 2, "revealers": [0],
+             "phases": np.array([2], np.uint64)},
+            {"kind": "mask-shares", "dropped": 3, "revealers": [0],
+             "phases": np.array([3], np.uint64)},
         ]
         with pytest.raises(RevealSafetyError) as err:
             _audit_reveal_safety(reveals, assignment)
@@ -360,6 +371,7 @@ class TestRoundEngine:
         for msg in transcript.messages:
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan, ALG2,
                                  8, cfg, per_symbol=per_symbol)
+            assert message_fields(msg) == message_fields(ref)
             assert msg.to_json_dict() == ref.to_json_dict()
 
 
@@ -376,13 +388,23 @@ class TestTranscriptEncoding:
         transcript = run_round(digits, assignment, chan, cfg, version=ALG2, seed=8,
                                dropped=[2], per_symbol=per_symbol)
         encoded = transcript.to_json_dict()
+        assert encoded["transcript_format"] == TRANSCRIPT_FORMAT
+        assert encoded["mask_mode"] == ("per-symbol" if per_symbol else "scalar")
+        assert encoded["version"] == ALG2
         for row, msg in zip(encoded["messages"], transcript.messages):
-            assert row["mask_mode"] == ("per-symbol" if per_symbol else "scalar")
+            assert set(row) == {"owner", "symbols"}
             assert all(type(s) is int for s in row["symbols"])
             assert np.array_equal(np.array(row["symbols"], dtype=np.uint64),
                                   msg.masked.symbols)
         assert all(type(x) is int for x in encoded["aggregate"])
         assert all(type(x) is float for x in encoded["decoded_mean"])
+        shares, private = encoded["reveals"]
+        assert (shares["kind"], shares["dropped"]) == ("mask-shares", 2)
+        assert (private["kind"], private["clients"]) == (
+            "private-phases", [i for i in range(12) if i != 2])
+        for record, kept in zip(encoded["reveals"], transcript.reveals):
+            assert np.array(record["phases"]).shape == kept["phases"].shape
+            assert all(type(x) is int for x in np.ravel(record["phases"]).tolist())
 
         # The element-by-element form the encoder used to write.
         sums = np.sum([digits[i] for i in range(12) if i != 2], axis=0)
@@ -390,6 +412,9 @@ class TestTranscriptEncoding:
             encoded,
             messages=[dict(row, symbols=[int(s) for s in msg.masked.symbols])
                       for row, msg in zip(encoded["messages"], transcript.messages)],
+            reveals=[dict(r, phases=[[int(x) for x in p] if per_symbol else int(p)
+                                     for p in r["phases"]])
+                     for r in transcript.reveals],
             aggregate=[int(x) for x in sums],
             decoded_mean=[float(x) for x in dequantize_mean(sums, 11, cfg)],
         )
@@ -463,8 +488,11 @@ class TestUint32ListsJson:
 
     def test_compact_json_places_arrays_in_document_order(self):
         doc = {"b": [np.array([3, 10**9], dtype=np.uint64), {"z": np.array([0])}],
-               "a": np.array([], dtype=np.uint64), "c": "text"}
-        plain = {"b": [[3, 10**9], {"z": [0]}], "a": [], "c": "text"}
+               "a": np.array([], dtype=np.uint64), "c": "text",
+               "d": np.array([[1, 2], [3, 4]], dtype=np.uint64),
+               "e": np.zeros((0, 3), dtype=np.uint64), "f": np.array([[0.5], [-1.5]])}
+        plain = {"b": [[3, 10**9], {"z": [0]}], "a": [], "c": "text",
+                 "d": [[1, 2], [3, 4]], "e": [], "f": [[0.5], [-1.5]]}
         assert compact_json(doc) == json.dumps(
             plain, sort_keys=True, separators=(",", ":")).encode()
 
@@ -506,7 +534,7 @@ class TestUint32ListsJson:
                 digits, assignment, sample_round_channel(12, iteration=t, seed=8), cfg,
                 version=version, seed=8, dropped=dropped, delayed=delayed,
                 per_symbol=per_symbol, naive_remedy=version == ALG1))
-        assert transcripts[1].revealed_shares
+        assert transcripts[1].reveals
         path = tmp_path / "transcripts.jsonl"
         write_transcripts(transcripts, path)
         expected = "".join(
@@ -593,6 +621,8 @@ class TestBlockedRowTexts:
         good = {"a": [np.arange(10, dtype=np.uint64)] * 3}
         bad = {"a": [np.arange(10, dtype=np.uint64)] * 3 + [np.array([2**32])]}
         path = tmp_path / "transcripts.jsonl"
+        # The path already holds a longer file, which must leave no trace.
+        path.write_bytes(compact_json(good) * 4 + b"\nold\n")
         with blocks_of(4), pytest.raises(ValueError):
             write_transcripts([good, bad], path)
         assert path.read_bytes() == compact_json(good) + b"\n"
@@ -829,6 +859,65 @@ def _recoverable(assignment, absent) -> bool:
                for g in range(assignment.num_groups) for tag in (PLUS, MINUS))
 
 
+def per_share_audit(log, assignment) -> int | None:
+    """The reveal audit as it ran on the legacy per-share log.
+
+    Returns the client it would refuse (the smallest one whose private phase
+    and every mask share are revealed), or None.
+    """
+    private = {r["client"] for r in log if r["kind"] == "private-phase"}
+    exposed: dict[int, set[int]] = {}
+    for r in log:
+        if r["kind"] != "mask-share":
+            continue
+        exposed.setdefault(r["dropped"], set()).add(r["revealer"])
+        exposed.setdefault(r["revealer"], set()).add(r["dropped"])
+    for client in sorted(private.intersection(exposed)):
+        comp = assignment.complementary_set(client)
+        if comp and exposed[client].issuperset(comp):
+            return client
+    return None
+
+
+class TestRevealAuditProperty:
+    """The audit on reveal records agrees with the per-share audit on their expansion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(round_cases(), st.data())
+    def test_fires_exactly_when_the_per_share_audit_does(self, case, data):
+        assignment = case["assignment"]
+        n = assignment.num_clients
+        absent = case["dropped"] + ([case["delayed"]] if case["delayed"] is not None else [])
+        records = []
+        if _recoverable(assignment, absent):
+            chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
+            transcript = run_round(
+                np.zeros((n, case["dimension"]), dtype=np.int64), assignment, chan,
+                small_cfg(levels=4, clients=n), version=case["version"], seed=case["seed"],
+                dropped=case["dropped"], delayed=case["delayed"],
+                per_symbol=case["per_symbol"], naive_remedy=case["version"] == ALG1)
+            records = list(transcript.reveals)
+            assert per_share_audit(legacy_reveals(records), assignment) is None
+        # A server that asks for more than the protocol does: private phases
+        # of any clients, and any shares of any client's mask.
+        extra = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        if extra:
+            records.append({"kind": "private-phases", "clients": extra,
+                            "phases": np.zeros(len(extra), dtype=np.uint64)})
+        for i in data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=3)):
+            revealers = data.draw(st.lists(st.sampled_from(assignment.complementary_set(i)),
+                                           unique=True))
+            records.append({"kind": "mask-shares", "dropped": i, "revealers": revealers,
+                            "phases": np.zeros(len(revealers), dtype=np.uint64)})
+        records = data.draw(st.permutations(records))
+        refused = per_share_audit(legacy_reveals(records), assignment)
+        if refused is None:
+            _audit_reveal_safety(records, assignment)
+        else:
+            with pytest.raises(RevealSafetyError, match=f"client {refused}'s private phase"):
+                _audit_reveal_safety(records, assignment)
+
+
 class TestMatrixRoundProperty:
     """The (senders, d) matrix round equals the per-client definitions."""
 
@@ -867,7 +956,7 @@ class TestMatrixRoundProperty:
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan,
                                  case["version"], case["seed"], cfg,
                                  per_symbol=case["per_symbol"])
-            # owner, iteration, direction, mask mode, version and symbols
+            assert message_fields(msg) == message_fields(ref)
             assert msg.to_json_dict() == ref.to_json_dict()
             assert (msg.masked.owner, msg.masked.iteration) == (msg.owner, msg.iteration)
             assert np.array_equal(msg.masked.symbols, ref.masked.symbols)
@@ -879,6 +968,27 @@ class TestMatrixRoundProperty:
         assert [m.to_json_dict() for m in transcript.messages] == \
             transcript.to_json_dict()["messages"]
         assert list(transcript.aggregate) == digits[senders].sum(axis=0).tolist()
+        # One reveal record per query, equal to the per-client shares and phases.
+        length = d if case["per_symbol"] else None
+        shares = [r for r in transcript.reveals if r["kind"] == "mask-shares"]
+        assert [r["dropped"] for r in shares] == sorted(absent)
+        for record in transcript.reveals:
+            assert record["phases"].dtype == np.uint64
+            assert not record["phases"].flags.writeable
+            if record["kind"] == "mask-shares":
+                ref = mask_shares(record["dropped"], senders, assignment, chan,
+                                  per_symbol=case["per_symbol"], length=length)
+                assert record["revealers"] == [j for j, _ in ref]
+                assert [np.asarray(p).tolist() for _, p in ref] == record["phases"].tolist()
+            else:
+                assert record["kind"] == "private-phases"
+                assert record["clients"] == senders
+                assert record["phases"].tolist() == [
+                    np.asarray(sample_private_phase(i, case["iteration"], case["seed"],
+                                                    per_symbol=case["per_symbol"],
+                                                    length=length).phase).tolist()
+                    for i in senders]
+        assert len(transcript.reveals) == len(shares) + (case["version"] == ALG2)
         # A sequence of rows gives the same round as the matrix.
         again = run_round(list(digits), assignment, chan, cfg, **kwargs)
         assert again.to_json_line() == line
@@ -994,8 +1104,12 @@ class TestMatrixRoundProperty:
         array = np.array([mapping[i].phase for i in survivors], dtype=np.uint64)
         by_map = dropout_correction(dropped, assignment, chan, mapping)
         by_array = dropout_correction(dropped, assignment, chan, array)
-        assert by_map == by_array
+        assert by_map.correction == by_array.correction
+        assert legacy_reveals(by_map.reveals) == legacy_reveals(by_array.reveals)
         assert type(by_array.correction) is int
+        # The records hold read-only views; the caller's array stays writable.
+        assert not by_array.reveals[-1]["phases"].flags.writeable
+        assert array.flags.writeable
         with pytest.raises(ValueError):
             dropout_correction(dropped, assignment, chan, array[:-1])
 
