@@ -19,9 +19,9 @@ Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
 dumped with sorted keys and compact separators (transcript format
 `protocol.TRANSCRIPT_FORMAT`; `analyze` also reads legacy lines, which
 carry no `transcript_format`).  `write_transcripts` streams those exact
-bytes to the file as `RoundTranscript.to_json_parts` renders them, a block
-of integers at a time, and never joins the line; tests/test_golden.py pins
-the bytes.
+bytes to the file as `RoundTranscript.to_json_parts` renders them, an
+array at a time, and never joins the line; tests/test_golden.py pins the
+bytes.
 
 Every artifact is written to a new file: `_create` removes what the path
 held before.

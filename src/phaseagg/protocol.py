@@ -48,17 +48,17 @@ direction is its owner's side tag in the line's assignment.
 `RoundTranscript.to_json_parts` yields the same document as compact,
 key-sorted JSON byte parts, leaving the symbol rows, the revealed phases,
 the aggregate and the decoded mean as arrays until `compact_json_parts`
-renders them:
-integers in blocks of `_BLOCK` values, each block in one table-and-translate
-numpy pass, and floats with each distinct value rendered once.  A writer
-streams the parts; `to_json_line` joins them.
+renders them: each integer array with orjson's numpy encoder, imported on
+first use, and each float array with `json`, each distinct value rendered
+once (orjson writes some floats differently, 1e-05 as 0.00001).  A writer
+streams the parts, one per array; `to_json_line` joins them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -526,127 +526,33 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
 
 # --- transcript encoding ----------------------------------------------------
 
-_TOP = 43  # values below 2**32 have at most two digits above the 10**8 place
-_BLOCK = 2**15  # values rendered per pass: caps its temporaries at ~1.5 MB
-_LEAD, _LAST, _COMMA, _BRACKET = 10**4, 2 * 10**4, 3 * 10**4, 3 * 10**4 + _TOP
+def _integer_list_parts(arrays: Sequence, after: Sequence[bytes]) -> Iterator:
+    """Each integer array's JSON list text, then `after[k]`, in order.
 
-
-@cache  # built on first use, so importing the package does not pay for it
-def _digit_words() -> np.ndarray:
-    """Read-only ASCII digit groups, one NUL-padded uint32 word (4 bytes) each.
-
-    Rows from 0: k in [0, 10**4) as four digits with leading zeros; from
-    `_LEAD`: k without leading zeros (0 as nothing); from `_LAST`: the same
-    with 0 as "0"; from `_COMMA` and `_BRACKET`: ',' or '[' followed by k in
-    [0, _TOP) without leading zeros (0 as nothing).
-    """
-    # uint8 throughout: wider temporaries here cost ~1 MB of peak RSS.
-    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T  # row k: k's digits
-    full = digits + np.uint8(ord("0"))
-    lead = np.where(np.logical_or.accumulate(digits > 0, axis=1), full, np.uint8(0))
-    last = lead.copy()
-    last[0, 3] = ord("0")
-    top = lead[:_TOP].copy()  # k < 100: the digits sit in the last two bytes
-    comma, bracket = top.copy(), top.copy()
-    comma[:, 0], bracket[:, 0] = ord(","), ord("[")
-    words = np.concatenate([full, lead, last, comma, bracket]).view(np.uint32).ravel()
-    words.setflags(write=False)
-    return words
-
-
-def _uint32_row_texts(rows: Sequence, after: Sequence[bytes]) -> Iterator:
-    """Each integer row's JSON text without its closing bracket, then `after[k]`.
-
-    The parts come in order: row 0's text, after[0], row 1's text, and so
-    on.  A row's text plus "]" is `json.dumps(row.tolist(),
-    separators=(",", ":"))`.  The rows' values are rendered `_BLOCK` at a
-    time, so a round's temporaries stay about a megabyte however long it
-    is; a block may start or end inside a row.  A row that is not
+    An array's text is `json.dumps(array.tolist(), separators=(",", ":"))`,
+    written by orjson's numpy encoder.  An array that is not
     one-dimensional or not integer raises ValueError before any part is
-    yielded; a value outside [0, 2**32) raises ValueError when its block is
-    reached, instead of being truncated.
+    yielded; a value outside [0, 2**32) raises ValueError when its array
+    is reached, instead of being truncated.
     """
-    rows = [np.asarray(r) for r in rows]
-    if any(r.ndim != 1 for r in rows):
+    arrays = [np.asarray(a) for a in arrays]
+    if any(a.ndim != 1 for a in arrays):
         raise ValueError("each row must be a one-dimensional array")
-    kinds = {r.dtype.kind for r in rows if r.size}
+    kinds = {a.dtype.kind for a in arrays if a.size}
     if not kinds <= {"i", "u"}:
         raise ValueError(f"cannot write values of dtype kinds {sorted(kinds)} as integers")
-    # Segments of the current block: (values, opens a row, bytes after the
-    # row if the segment closes it, else None).  `room` stays positive.
-    block, room = [], _BLOCK
-    for row, tail in zip(rows, after, strict=True):
-        at = 0
-        while row.size - at > room:  # the row runs past this block
-            block.append((row[at:at + room], at == 0, None))
-            yield from _block_texts(block)
-            at, block, room = at + room, [], _BLOCK
-        block.append((row[at:] if at else row, at == 0, tail))
-        room -= row.size - at
-        if not room:
-            yield from _block_texts(block)
-            block, room = [], _BLOCK
-    yield from _block_texts(block)
+    import orjson
 
-
-def _block_texts(segments: list) -> Iterator:
-    """Render one block's segments in one table-and-translate pass.
-
-    Each value becomes three table words: its separator with its digits
-    above 10**8 (a value that opens a row takes '[' as separator), then two
-    4-digit groups; leading zeros are NUL padding, deleted from the whole
-    text at once.  Segment texts are memoryview slices of that one buffer,
-    yielded in order; a segment that closes its row is followed by the
-    bytes after that row.  An empty row is a segment of its own, whose text
-    is "[".
-    """
-    filled = [(part, opens) for part, opens, _ in segments if part.size]
-    if filled:
-        # A uint64 value of 2**63 or more wraps negative here and is refused below.
-        values = np.concatenate([part for part, _ in filled], dtype=np.int64,
-                                casting="unsafe")
-        if values.min() < 0 or values.max() >= turns.MODULUS:
+    for array, tail in zip(arrays, after, strict=True):
+        # Native order and C layout: orjson reads the raw buffer as it finds
+        # it.  A negative value wraps to 2**63 or more here.
+        values = np.ascontiguousarray(array, dtype=np.uint64)
+        if values.size and values.max() >= turns.MODULUS:
             raise ValueError(
-                f"values must lie in [0, 2**32), got range [{values.min()}, {values.max()}]"
+                f"values must lie in [0, 2**32), got range [{array.min()}, {array.max()}]"
             )
-        low = values.astype(np.uint32)
-        del values
-        top = low // np.uint32(10**8)
-        low -= top * np.uint32(10**8)
-        mid = low // np.uint32(10**4)
-        low -= mid * np.uint32(10**4)
-        no_top = top == 0
-        words = np.empty((low.size, 3), dtype=np.uint32)
-        words[:, 0] = top + np.uint32(_COMMA)
-        words[:, 1] = mid + no_top * np.uint32(_LEAD)
-        words[:, 2] = low + (no_top & (mid == 0)) * np.uint32(_LAST)
-        del top, mid, low, no_top
-        opening, offset = [], 0
-        for part, opens in filled:
-            if opens:
-                opening.append(offset)
-            offset += part.size
-        words[opening, 0] += np.uint32(_BRACKET - _COMMA)
-        text = np.take(_digit_words(), words).tobytes()
-        del words
-        text = text.translate(None, b"\0")
-        # Digits and commas hold no '[', so each one opens the next row; a
-        # block that starts inside a row gives that row the text before it.
-        marks = [] if filled[0][1] else [0]
-        at = text.find(b"[")
-        while at != -1:
-            marks.append(at)
-            at = text.find(b"[", at + 1)
-        marks.append(len(text))
-        view, spans = memoryview(text), zip(marks, marks[1:])
-    for part, _, tail in segments:
-        if part.size:
-            begin, end = next(spans)
-            yield view[begin:end]
-        else:
-            yield b"["
-        if tail is not None:
-            yield tail
+        yield orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        yield tail
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
@@ -681,9 +587,9 @@ def compact_json_parts(obj) -> Iterator:
     a two-dimensional one as a list of its rows: the dump leaves a
     placeholder string for each one-dimensional array, in document order.
     `float_list_json` renders each float array first, into the text between
-    two integer arrays, and `_uint32_row_texts` renders the integer arrays
-    block by block.  Every refusal raises while the parts are iterated, so
-    a writer may already hold the earlier parts.
+    two integer arrays, and `_integer_list_parts` renders each integer
+    array as one part.  Every refusal raises while the parts are iterated,
+    so a writer may already hold the earlier parts.
     """
     arrays = []
 
@@ -706,9 +612,9 @@ def compact_json_parts(obj) -> Iterator:
             glue[-1] += float_list_json(array) + part
         else:
             integers.append(array)
-            glue.append(b"]" + part)
+            glue.append(part)
     yield glue[0]
-    yield from _uint32_row_texts(integers, glue[1:])
+    yield from _integer_list_parts(integers, glue[1:])
 
 
 def compact_json(obj) -> bytes:

@@ -1,8 +1,10 @@
-"""`scipy` stays off the import path: only a computed p-value loads it.
+"""`scipy` and `orjson` stay off the import path until a command needs them.
 
-Each test drives `cli.main` in a fresh interpreter, because the test
-process itself has long since imported scipy.  The script reports, after
-the imports and after each command, whether "scipy" is in `sys.modules`.
+Only a computed p-value loads scipy, and only a written transcript loads
+orjson.  Each test drives `cli.main` in a fresh interpreter, because the
+test process itself has long since imported both.  The script reports,
+after the imports and after each command, whether "scipy" and "orjson"
+are in `sys.modules`.
 """
 
 import json
@@ -22,16 +24,18 @@ PROBE = """
 import json, sys
 import phaseagg, phaseagg.cli
 from phaseagg import cli
-steps = [[None, "scipy" in sys.modules]]
+def loaded():
+    return ["scipy" in sys.modules, "orjson" in sys.modules]
+steps = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    steps.append([code, "scipy" in sys.modules])
+    steps.append([code, *loaded()])
 print(json.dumps(steps))
 """
 
 
 def probe(commands, cwd) -> list:
-    """[[exit code, scipy loaded]] after the imports, then after each command."""
+    """[[exit code, scipy loaded, orjson loaded]] after the imports, then after each command."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
                           cwd=cwd, env=env, capture_output=True, text=True,
@@ -51,7 +55,8 @@ def test_import_run_and_scalar_round_leave_scipy_unloaded(tmp_path):
         ["round", "--config", "alg2_dropout", "--out", str(tmp_path / "round")],
         ["attack", "--config", "attack_naive", "--out", str(tmp_path / "attack")],
     ], tmp_path)
-    assert steps == [[None, False], [0, False], [0, False], [0, False]]
+    assert steps == [[None, False, False], [0, False, True], [0, False, True],
+                     [0, False, True]]
 
 
 def test_per_symbol_round_loads_scipy_for_its_chi_square(tmp_path):
@@ -61,7 +66,7 @@ def test_per_symbol_round_loads_scipy_for_its_chi_square(tmp_path):
     config = write_config(tmp_path / "round.json", dict(PER_SYMBOL_ROUND, dimension=200))
     out = tmp_path / "out"
     steps = probe([["round", "--config", config, "--out", str(out)]], tmp_path)
-    assert steps == [[None, False], [0, True]]
+    assert steps == [[None, False, False], [0, True, True]]
 
     uniformity = json.loads((out / "report.json").read_text())["difference_leak"]["uniformity"]
     assert uniformity is not None
@@ -80,7 +85,7 @@ def test_alg2_attack_loads_scipy_for_its_binomial_test(tmp_path):
     config = write_config(tmp_path / "attack.json", dict(data, rounds=200))
     out = tmp_path / "out"
     steps = probe([["attack", "--config", config, "--out", str(out)]], tmp_path)
-    assert steps == [[None, False], [0, True]]
+    assert steps == [[None, False, False], [0, True, False]]
 
     attack = json.loads((out / "report.json").read_text())["attack"]
     assert attack["trials"] == 200

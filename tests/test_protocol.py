@@ -1,7 +1,6 @@
 import itertools
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from phaseagg import protocol, turns
+from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import channel_from_phases, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
@@ -41,7 +40,7 @@ from phaseagg.protocol import (
     GroupAssignment,
     assign_subgroups,
     _audit_reveal_safety,
-    _uint32_row_texts,
+    _integer_list_parts,
     assign_two_groups,
     client_message,
     compact_json,
@@ -426,9 +425,9 @@ class TestTranscriptEncoding:
 
 
 def closed_row_texts(rows) -> list[bytes]:
-    """`_uint32_row_texts` of each row, closed with "]" as `compact_json` closes it."""
-    text = b"".join(_uint32_row_texts(rows, [b"]\n"] * len(rows)))
-    return [row + b"]" for row in text.split(b"]\n")[:-1]]
+    """`_integer_list_parts` of the rows: each row's JSON list text."""
+    text = b"".join(_integer_list_parts(rows, [b"\n"] * len(rows)))
+    return text.split(b"\n")[:-1]
 
 
 def dump_rows(rows) -> list[bytes]:
@@ -442,8 +441,38 @@ EDGE_VALUES = sorted({0, 9, 99999999, 100000000, 2**32 - 1}
                      | {10**k + e for k in range(1, 10) for e in (-1, 0, 1)})
 
 
+@st.composite
+def integer_arrays(draw):
+    """An integer array in [0, 2**32) of any width and either byte order, laid
+    out contiguous, strided, reversed, transposed or in Fortran order, and
+    maybe read-only; one- or two-dimensional, possibly empty."""
+    dtype = draw(st.one_of(hnp.integer_dtypes(endianness="?"),
+                           hnp.unsigned_integer_dtypes(endianness="?")))
+    top = min(int(np.iinfo(dtype).max), 2**32 - 1)
+    matrix = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                     max_side=6),
+                             elements=st.integers(0, top)))
+    array = draw(st.sampled_from([
+        matrix, matrix.ravel(), matrix.ravel()[::2], matrix.ravel()[::-1],
+        matrix[:, ::2], matrix.T, np.asfortranarray(matrix)]))
+    if draw(st.booleans()):
+        array = array.view()
+        array.setflags(write=False)
+    return array
+
+
 class TestUint32ListsJson:
     """The row encoder writes what json.dumps writes for the same integers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(integer_arrays(), max_size=4))
+    def test_any_width_byte_order_and_layout_matches_json_dumps(self, arrays):
+        def doc(array):
+            return {"rows": [{"k": k, "v": array(a)} for k, a in enumerate(arrays)],
+                    "first": [array(a) for a in arrays[:1]]}
+
+        assert compact_json(doc(lambda a: a)) == json.dumps(
+            doc(np.ndarray.tolist), sort_keys=True, separators=(",", ":")).encode()
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.uint64,
@@ -543,53 +572,30 @@ class TestUint32ListsJson:
         assert path.read_bytes() == expected.encode()
 
 
-def blocks_of(block: int):
-    """Render integer rows `block` values at a time for the length of a `with`."""
-    return mock.patch.object(protocol, "_BLOCK", block)
-
-
-# Values that stress the digit groups, each as likely as a uniform draw.
+# Edge values (every decimal length's bounds), each as likely as a uniform draw.
 uint32_values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
 
 
 class TestBlockedRowTexts:
-    """Rows rendered a block at a time read as one pass would write them."""
+    """Lines streamed one part per array read as one dump would write them."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 9),
-           st.lists(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
+    @given(st.lists(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
                                st.integers(0, 14), elements=uint32_values),
                     max_size=8))
-    def test_matches_json_dumps_across_block_boundaries(self, block, rows):
-        with blocks_of(block):
-            assert closed_row_texts(rows) == dump_rows(rows)
+    def test_matches_json_dumps_across_block_boundaries(self, rows):
+        assert closed_row_texts(rows) == dump_rows(rows)
 
     def test_one_row_longer_than_a_block(self):
-        row = np.random.default_rng(5).integers(0, 2**32, size=2 * protocol._BLOCK + 3,
-                                                dtype=np.uint64)
+        row = np.random.default_rng(5).integers(0, 2**32, size=2**16 + 3, dtype=np.uint64)
         assert closed_row_texts([row]) == dump_rows([row])
 
     def test_many_short_rows_with_empty_rows_between(self):
         gen = np.random.default_rng(6)
         rows = [gen.integers(0, 2**32, size=gen.integers(0, 13), dtype=np.uint64)
-                for _ in range(3 * protocol._BLOCK // 6)]
+                for _ in range(2**14)]
         rows[::7] = [np.array([], dtype=np.uint64)] * len(rows[::7])
-        assert sum(r.size for r in rows) > 2 * protocol._BLOCK
         assert closed_row_texts(rows) == dump_rows(rows)
-
-    @pytest.mark.parametrize("block", [2, 3, 5])
-    def test_edge_values_in_the_first_and_last_slot_of_a_block(self, block):
-        flat = np.array([x for v in EDGE_VALUES for x in [v] + [12345] * (block - 2) + [v]],
-                        dtype=np.uint64)
-        firsts, lasts = set(flat[::block].tolist()), set(flat[block - 1::block].tolist())
-        assert firsts == lasts == set(EDGE_VALUES)
-        # One row; rows that end one value before, at and one after each
-        # block boundary (the cuts at 0 add an empty first row).
-        layouts = [[flat]] + [np.split(flat, list(range(shift, flat.size, block)))
-                              for shift in (block - 1, 0, 1)]
-        with blocks_of(block):
-            for rows in layouts:
-                assert closed_row_texts(rows) == dump_rows(rows)
 
     @pytest.mark.parametrize("bad", [
         np.array([2**32], dtype=np.uint64),
@@ -599,7 +605,7 @@ class TestBlockedRowTexts:
     def test_a_value_out_of_range_in_a_later_block_is_refused(self, bad):
         rows = [np.arange(10, dtype=np.uint64)] * 3 + [np.concatenate([
             np.zeros(4, dtype=bad.dtype), bad])]
-        with blocks_of(4), pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
             closed_row_texts(rows)
 
     @pytest.mark.parametrize("bad, match", [
@@ -609,12 +615,12 @@ class TestBlockedRowTexts:
     ])
     def test_a_bad_row_after_several_blocks_is_refused(self, bad, match):
         rows = [np.arange(10, dtype=np.uint64)] * 3 + [bad]
-        with blocks_of(4), pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match):
             closed_row_texts(rows)
 
     def test_the_placeholder_after_several_blocks_is_refused(self):
         doc = {"a": [np.arange(10, dtype=np.uint64)] * 3, "z": "\0"}
-        with blocks_of(4), pytest.raises(ValueError, match="placeholder"):
+        with pytest.raises(ValueError, match="placeholder"):
             compact_json(doc)
 
     def test_a_refused_line_leaves_only_whole_lines(self, tmp_path):
@@ -623,15 +629,13 @@ class TestBlockedRowTexts:
         path = tmp_path / "transcripts.jsonl"
         # The path already holds a longer file, which must leave no trace.
         path.write_bytes(compact_json(good) * 4 + b"\nold\n")
-        with blocks_of(4), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             write_transcripts([good, bad], path)
         assert path.read_bytes() == compact_json(good) + b"\n"
 
-    @pytest.mark.parametrize("block", [7, protocol._BLOCK])
     @pytest.mark.parametrize("per_symbol", [False, True])
     @pytest.mark.parametrize("version", [ALG1, ALG2])
-    def test_written_file_equals_the_joined_lines(self, tmp_path, block, per_symbol,
-                                                  version):
+    def test_written_file_equals_the_joined_lines(self, tmp_path, per_symbol, version):
         assignment = assign_subgroups(12, 2, 3, seed=8)
         cfg = small_cfg(levels=4, clients=12)
         gen = np.random.default_rng(65)
@@ -642,9 +646,8 @@ class TestBlockedRowTexts:
                       naive_remedy=version == ALG1)
             for t, (dropped, delayed) in enumerate([((), None), ((1, 7), 4)])]
         path = tmp_path / "transcripts.jsonl"
-        with blocks_of(block):
-            write_transcripts(transcripts, path)
-            lines = [t.to_json_line() + b"\n" for t in transcripts]
+        write_transcripts(transcripts, path)
+        lines = [t.to_json_line() + b"\n" for t in transcripts]
         assert path.read_bytes() == b"".join(lines)
         assert lines == [json.dumps(t.to_json_dict(), sort_keys=True,
                                     separators=(",", ":")).encode() + b"\n"
@@ -658,14 +661,14 @@ class TestBlockedRowTexts:
                                sample_round_channel(n, iteration=0, seed=9), cfg,
                                version=ALG1, seed=9)
         path = tmp_path / "transcripts.jsonl"
-        write_transcripts([transcript], path)  # builds the digit table once
+        write_transcripts([transcript], path)  # imports orjson once
         tracemalloc.start()
         try:
             write_transcripts([transcript], path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One pass over the whole round peaked at ~12 MB; a block needs ~1.5 MB.
+        # One pass over the whole round peaked at ~12 MB; a row needs ~50 kB.
         assert path.stat().st_size > 2_500_000
         assert peak <= 3 * 2**20
 
