@@ -633,14 +633,17 @@ class TestBlockedRowTexts:
             write_transcripts([good, bad], path)
         assert path.read_bytes() == compact_json(good) + b"\n"
 
+    # Short rows, and rows of 2**15 symbols each.
+    @pytest.mark.parametrize("width", [7, 2**15])
     @pytest.mark.parametrize("per_symbol", [False, True])
     @pytest.mark.parametrize("version", [ALG1, ALG2])
-    def test_written_file_equals_the_joined_lines(self, tmp_path, per_symbol, version):
+    def test_written_file_equals_the_joined_lines(self, tmp_path, width, per_symbol,
+                                                  version):
         assignment = assign_subgroups(12, 2, 3, seed=8)
         cfg = small_cfg(levels=4, clients=12)
         gen = np.random.default_rng(65)
         transcripts = [
-            run_round(gen.integers(0, 4, size=(12, 9)), assignment,
+            run_round(gen.integers(0, 4, size=(12, width)), assignment,
                       sample_round_channel(12, iteration=t, seed=8), cfg, version=version,
                       seed=8, dropped=dropped, delayed=delayed, per_symbol=per_symbol,
                       naive_remedy=version == ALG1)
