@@ -10,10 +10,12 @@ Subcommands:
 * ``analyze`` - re-run the overhead analysis on existing transcripts;
                 writes analysis.json and leaves the run's report.json alone
 
-Configs are strict JSON: unknown keys are rejected and every violated
-constraint is reported at once, because a silently ignored typo in a
-security parameter is worse than a loud failure.  Identical config and
-seed always produce byte-identical artifacts.
+Configs are strict JSON, and every violated constraint is reported at
+once (exit 1), because a silently ignored typo in a security parameter is
+worse than a loud failure.  `parse_config` checks only the JSON's shape;
+each value rule has one owner (`ScenarioConfig`, `protocol.check_layout`,
+`QuantizationConfig`, `FecConfig`), and the config collects what they
+refuse.  Identical config and seed always produce byte-identical artifacts.
 
 Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
 dumped with sorted keys and compact separators (transcript format
@@ -44,7 +46,6 @@ import numpy as np
 from . import analysis, fl, protocol, rng
 from .codec import FecConfig, QuantizationConfig
 from .errors import ConfigValidationError, PhaseAggError, TranscriptFormatError
-from .turns import MODULUS
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
                   "recoveries"]
@@ -59,7 +60,17 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated, fully-resolved scenario parameters."""
+    """Fully-resolved scenario parameters, valid by construction.
+
+    Construction, `dataclasses.replace` included, raises one
+    ConfigValidationError listing every violation.  The rules no domain
+    object holds are checked here: `dimension`, `samples_per_client` and
+    `rounds` >= 1, `seed` >= 0, `learning_rate` > 0, a dropout probability
+    in [0, 1], fixed dropout rounds and ids in range, `delayed_client` in
+    range, and dropouts only under alg2.  Every other rule is collected from
+    its owner: `protocol.check_layout` (grouping), `quantization()` (clip,
+    levels, PSK order), `fec_config()` and `protocol.check_version`.
+    """
 
     name: str
     clients: int
@@ -89,9 +100,39 @@ class ScenarioConfig:
     _fixed_by_round: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        bad = [f"{key!r} must be >= {low}, got {getattr(self, key)}"
+               for key, low in (("dimension", 1), ("samples_per_client", 1),
+                                ("rounds", 1), ("seed", 0))
+               if getattr(self, key) < low]
+        if not self.learning_rate > 0:
+            bad.append(f"'learning_rate' must be positive, got {self.learning_rate}")
+        if not 0 <= self.dropout_probability <= 1:
+            bad.append(f"dropout probability must be in [0, 1], got {self.dropout_probability}")
         by_round: dict[int, set[int]] = {}
         for round_index, ids in self.dropout_fixed:
+            if round_index < 0:
+                bad.append(f"dropout round {round_index} is negative")
+            out_of_range = [i for i in ids if not 0 <= i < self.clients]
+            if out_of_range:
+                bad.append(f"dropout ids {out_of_range} out of range for {self.clients} clients")
             by_round.setdefault(round_index, set()).update(ids)
+        if self.delayed_client is not None and not 0 <= self.delayed_client < self.clients:
+            bad.append(f"delayed_client {self.delayed_client} out of range for "
+                       f"{self.clients} clients")
+        has_dropouts = self.dropout_probability > 0 or any(ids for _, ids in self.dropout_fixed)
+        if has_dropouts and self.protocol_version == protocol.ALG1:
+            bad.append("a dropout model requires protocol_version 'alg2'; the group-mask-only "
+                       "protocol cannot recover dropped clients without exposing masks")
+        for owner in (lambda: protocol.check_layout(self.grouping_mode, self.clients,
+                                                    self.groups, self.subgroup_size),
+                      self.quantization, self.fec_config,
+                      lambda: protocol.check_version(self.protocol_version)):
+            try:
+                owner()
+            except (ValueError, PhaseAggError) as exc:
+                bad.append(str(exc))
+        if bad:
+            raise ConfigValidationError(bad)
         object.__setattr__(self, "_fixed_by_round", by_round)
 
     def quantization(self) -> QuantizationConfig:
@@ -128,239 +169,138 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_KINDS = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+}
+_SECTION_KEYS = {
+    "grouping": {"mode", "groups", "subgroup_size"},
+    "quantization": {"clip", "levels"},
+    "fec": {"scheme", "repeat"},
+    "dropout": {"probability", "fixed"},
+}
+_REQUIRED = object()
+
+
 def parse_config(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig, collecting every violation before failing."""
-    bad: list[str] = []
+    """Read a config's JSON into a ScenarioConfig, reporting every violation at once.
+
+    The parser checks only the JSON's shape: a root object, no unknown key
+    at any level, each value's type, the defaults, and `fec.repeat` only
+    under the 'repetition' scheme.  Every value rule is checked where it
+    lives, by `ScenarioConfig` and the objects it builds; a mistyped value
+    gets a placeholder so those rules still run, and their violations join
+    the parser's in one ConfigValidationError.
+    """
     if not isinstance(data, dict):
         raise ConfigValidationError(["config root must be a JSON object"])
-    for key in sorted(set(data) - _TOP_KEYS):
-        bad.append(f"unknown key {key!r}")
+    bad = [f"unknown key {key!r}" for key in sorted(set(data) - _TOP_KEYS)]
 
-    def get_int(key, default=None, minimum=None):
-        value = data.get(key, default)
-        if value is None:
-            bad.append(f"{key!r} is required")
-            return default if _is_int(default) else 0
-        if not _is_int(value):
-            bad.append(f"{key!r} must be an integer, got {value!r}")
-            return 0
-        if minimum is not None and value < minimum:
-            bad.append(f"{key!r} must be >= {minimum}, got {value}")
+    def section(key):
+        value = data.get(key, {})
+        if not isinstance(value, dict):
+            bad.append(f"{key!r} must be an object")
+            return {}
+        bad.extend(f"unknown {key} key {k!r}" for k in sorted(set(value) - _SECTION_KEYS[key]))
         return value
 
-    def get_number(key, default=None, positive=True):
-        value = data.get(key, default)
-        if value is None:
-            bad.append(f"{key!r} is required")
-            return 1.0
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            bad.append(f"{key!r} must be a number, got {value!r}")
-            return 1.0
-        if positive and not value > 0:
-            bad.append(f"{key!r} must be positive, got {value}")
-        return float(value)
+    def read(where, label, kind, default=_REQUIRED, placeholder=None):
+        """`where`'s value for `label`'s last part, or a placeholder if misshapen.
 
-    name = data.get("name", "scenario")
-    if not isinstance(name, str):
-        bad.append(f"'name' must be a string, got {name!r}")
-        name = "scenario"
-
-    clients = get_int("clients", minimum=2)
-    dimension = get_int("dimension", minimum=1)
-    samples = get_int("samples_per_client", minimum=1)
-    rounds = get_int("rounds", minimum=1)
-    seed = get_int("seed", minimum=0)
-    learning_rate = get_number("learning_rate")
-
-    grouping = data.get("grouping", {"mode": "two-group"})
-    mode, groups, subgroup_size = "two-group", None, None
-    if not isinstance(grouping, dict):
-        bad.append("'grouping' must be an object")
-    else:
-        for key in sorted(set(grouping) - {"mode", "groups", "subgroup_size"}):
-            bad.append(f"unknown grouping key {key!r}")
-        mode = grouping.get("mode", "two-group")
-        if mode not in (protocol.TWO_GROUP, protocol.SUBGROUP):
-            bad.append(f"grouping mode must be 'two-group' or 'subgroup', got {mode!r}")
-        elif mode == protocol.TWO_GROUP:
-            if clients < 4:
-                bad.append("two-group mode needs at least 4 clients")
+        The placeholder is the default, if any.  A default of None allows null.
+        """
+        value = where.get(label.rpartition(".")[2], default)
+        if value is _REQUIRED:
+            bad.append(f"{label!r} is required")
+        elif value is None and default is None:
+            return None
+        elif not _KINDS[kind](value):
+            bad.append(f"{label!r} must be {kind}, got {value!r}")
+        elif kind != "a number":
+            return value
         else:
-            groups = grouping.get("groups")
-            subgroup_size = grouping.get("subgroup_size")
-            if not _is_int(groups) or groups < 1:
-                bad.append("subgroup mode needs integer 'groups' >= 1")
-            if not _is_int(subgroup_size):
-                bad.append("subgroup mode needs integer 'subgroup_size'")
-            elif subgroup_size < 2:
-                bad.append(
-                    "'subgroup_size' must be at least 2: with a lone counterpart, "
-                    "one dropout leaves a single revealed share exposing a "
-                    "client's whole mask (the security floor)"
-                )
-            if _is_int(groups) and _is_int(subgroup_size) and subgroup_size >= 2:
-                per_group = 2 * subgroup_size
-                if clients < groups * per_group:
-                    bad.append(
-                        f"{clients} clients cannot fill {groups} group(s) of {per_group}"
-                    )
-                elif clients - groups * per_group >= per_group:
-                    bad.append(
-                        f"'groups' must equal clients // (2 * subgroup_size) = "
-                        f"{clients // per_group}, got {groups}"
-                    )
+            try:
+                return float(value)
+            except OverflowError:
+                bad.append(f"{label!r} is too large for a float")
+        return default if placeholder is None else placeholder
 
-    version = data.get("protocol_version", "alg1")
-    if version not in (protocol.ALG1, protocol.ALG2):
-        bad.append(f"protocol_version must be 'alg1' or 'alg2', got {version!r}")
-
-    quant = data.get("quantization", {})
-    clip, levels = 1.0, 2
-    if not isinstance(quant, dict):
-        bad.append("'quantization' must be an object")
-    else:
-        for key in sorted(set(quant) - {"clip", "levels"}):
-            bad.append(f"unknown quantization key {key!r}")
-        clip_raw = quant.get("clip", 1.0)
-        if isinstance(clip_raw, bool) or not isinstance(clip_raw, (int, float)) or not clip_raw > 0:
-            bad.append(f"quantization clip must be a positive number, got {clip_raw!r}")
-        else:
-            clip = float(clip_raw)
-        levels_raw = quant.get("levels", 16)
-        if not _is_int(levels_raw) or levels_raw < 2:
-            bad.append(f"quantization levels must be an integer >= 2, got {levels_raw!r}")
-        else:
-            levels = levels_raw
-
+    grouping, quant, fec, dropout = (section(key) for key in _SECTION_KEYS)
+    mode = read(grouping, "grouping.mode", "a string", protocol.TWO_GROUP)
+    groups = subgroup_size = None
+    if mode == protocol.SUBGROUP:
+        groups = read(grouping, "grouping.groups", "an integer", placeholder=1)
+        subgroup_size = read(grouping, "grouping.subgroup_size", "an integer", placeholder=2)
     modulation = data.get("modulation", "auto")
-    if modulation != "auto":
-        if not _is_int(modulation):
-            bad.append(f"modulation must be 'auto' or an integer, got {modulation!r}")
-        elif modulation < 2 or modulation & (modulation - 1) or modulation > MODULUS:
-            bad.append(f"modulation must be a power of two dividing 2**32, got {modulation}")
-        elif _is_int(clients) and modulation < clients * (levels - 1) + 1:
-            bad.append(
-                f"modulation {modulation} can wrap: {clients} clients at {levels} "
-                f"levels need at least {clients * (levels - 1) + 1}"
-            )
-    elif _is_int(clients) and clients * (levels - 1) + 1 > MODULUS:
-        bad.append(f"{clients} clients at {levels} levels exceed the 2**32 grid")
+    if modulation != "auto" and not _is_int(modulation):
+        bad.append(f"'modulation' must be 'auto' or an integer, got {modulation!r}")
+        modulation = "auto"
+    fec_scheme = read(fec, "fec.scheme", "a string", "none")
+    fec_repeat = 1
+    if fec_scheme == "repetition":
+        fec_repeat = read(fec, "fec.repeat", "an integer", 3)
+    elif "repeat" in fec:
+        bad.append("'fec.repeat' is allowed only under the 'repetition' scheme")
+    fixed = []
+    fixed_raw = dropout.get("fixed", {})
+    if not isinstance(fixed_raw, dict):
+        bad.append("'dropout.fixed' must map round index to client ids")
+        fixed_raw = {}
+    for round_key, ids in sorted(fixed_raw.items()):
+        try:
+            round_index = int(round_key)
+        except (TypeError, ValueError):
+            bad.append(f"dropout round key {round_key!r} is not an integer")
+            continue
+        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
+            bad.append(f"dropout ids for round {round_index} must be a list of ints")
+            continue
+        fixed.append((round_index, tuple(sorted(set(ids)))))
 
-    fec = data.get("fec", {"scheme": "none"})
-    fec_scheme, fec_repeat = "none", 1
-    if not isinstance(fec, dict):
-        bad.append("'fec' must be an object")
-    else:
-        for key in sorted(set(fec) - {"scheme", "repeat"}):
-            bad.append(f"unknown fec key {key!r}")
-        fec_scheme = fec.get("scheme", "none")
-        if fec_scheme not in ("none", "repetition"):
-            bad.append(f"fec scheme must be 'none' or 'repetition', got {fec_scheme!r}")
-        elif fec_scheme == "repetition":
-            fec_repeat = fec.get("repeat", 3)
-            if not _is_int(fec_repeat) or fec_repeat < 2:
-                bad.append(f"repetition fec needs integer repeat >= 2, got {fec_repeat!r}")
-        elif "repeat" in fec:
-            bad.append("fec scheme 'none' takes no repeat factor")
-
-    dropout = data.get("dropout", {"probability": 0.0})
-    probability = 0.0
-    fixed: list[tuple[int, tuple[int, ...]]] = []
-    if not isinstance(dropout, dict):
-        bad.append("'dropout' must be an object")
-    else:
-        for key in sorted(set(dropout) - {"probability", "fixed"}):
-            bad.append(f"unknown dropout key {key!r}")
-        prob_raw = dropout.get("probability", 0.0)
-        if isinstance(prob_raw, bool) or not isinstance(prob_raw, (int, float)) or not 0 <= prob_raw <= 1:
-            bad.append(f"dropout probability must be in [0, 1], got {prob_raw!r}")
-        else:
-            probability = float(prob_raw)
-        fixed_raw = dropout.get("fixed", {})
-        if not isinstance(fixed_raw, dict):
-            bad.append("dropout 'fixed' must map round index to client ids")
-        else:
-            for round_key, ids in sorted(fixed_raw.items()):
-                try:
-                    round_index = int(round_key)
-                except (TypeError, ValueError):
-                    bad.append(f"dropout round key {round_key!r} is not an integer")
-                    continue
-                if round_index < 0:
-                    bad.append(f"dropout round {round_index} is negative")
-                    continue
-                if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
-                    bad.append(f"dropout ids for round {round_index} must be a list of ints")
-                    continue
-                out_of_range = [i for i in ids if not 0 <= i < clients]
-                if out_of_range:
-                    bad.append(
-                        f"dropout ids {out_of_range} out of range for {clients} clients"
-                    )
-                fixed.append((round_index, tuple(sorted(set(int(i) for i in ids)))))
-    has_dropouts = probability > 0 or any(ids for _, ids in fixed)
-    if has_dropouts and version == protocol.ALG1:
-        bad.append(
-            "a dropout model requires protocol_version 'alg2'; the group-mask-only "
-            "protocol cannot recover dropped clients without exposing masks"
+    try:
+        config = ScenarioConfig(
+            name=read(data, "name", "a string", "scenario"),
+            clients=read(data, "clients", "an integer", placeholder=4),
+            dimension=read(data, "dimension", "an integer", placeholder=1),
+            samples_per_client=read(data, "samples_per_client", "an integer", placeholder=1),
+            grouping_mode=mode, groups=groups, subgroup_size=subgroup_size,
+            protocol_version=read(data, "protocol_version", "a string", protocol.ALG1),
+            clip=read(quant, "quantization.clip", "a number", 1.0),
+            levels=read(quant, "quantization.levels", "an integer", 16),
+            modulation=modulation, fec_scheme=fec_scheme, fec_repeat=fec_repeat,
+            dropout_probability=read(dropout, "dropout.probability", "a number", 0.0),
+            dropout_fixed=tuple(fixed),
+            delayed_client=read(data, "delayed_client", "an integer", None),
+            rounds=read(data, "rounds", "an integer", placeholder=1),
+            learning_rate=read(data, "learning_rate", "a number", placeholder=1.0),
+            seed=read(data, "seed", "an integer", placeholder=0),
+            per_symbol_masks=read(data, "per_symbol_masks", "a boolean", False),
+            loss_threshold=read(data, "loss_threshold", "a number", None),
+            compare_baseline=read(data, "compare_baseline", "a boolean", False),
+            output_dir=read(data, "output_dir", "a string", None),
         )
-
-    delayed = data.get("delayed_client")
-    if delayed is not None:
-        if not _is_int(delayed):
-            bad.append(f"delayed_client must be an integer or null, got {delayed!r}")
-            delayed = None
-        elif not 0 <= delayed < clients:
-            bad.append(f"delayed_client {delayed} out of range for {clients} clients")
-
-    per_symbol = data.get("per_symbol_masks", False)
-    if not isinstance(per_symbol, bool):
-        bad.append(f"per_symbol_masks must be a boolean, got {per_symbol!r}")
-        per_symbol = False
-    compare_baseline = data.get("compare_baseline", False)
-    if not isinstance(compare_baseline, bool):
-        bad.append(f"compare_baseline must be a boolean, got {compare_baseline!r}")
-        compare_baseline = False
-
-    threshold = data.get("loss_threshold")
-    if threshold is not None and (
-        isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-    ):
-        bad.append(f"loss_threshold must be a number or null, got {threshold!r}")
-        threshold = None
-
-    output_dir = data.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        bad.append(f"output_dir must be a string or null, got {output_dir!r}")
-        output_dir = None
-
+    except ConfigValidationError as exc:
+        bad.extend(exc.violations)
     if bad:
         raise ConfigValidationError(bad)
-    return ScenarioConfig(
-        name=name, clients=clients, dimension=dimension,
-        samples_per_client=samples, grouping_mode=mode, groups=groups,
-        subgroup_size=subgroup_size, protocol_version=version, clip=clip,
-        levels=levels, modulation=modulation, fec_scheme=fec_scheme,
-        fec_repeat=fec_repeat, dropout_probability=probability,
-        dropout_fixed=tuple(fixed), delayed_client=delayed, rounds=rounds,
-        learning_rate=learning_rate, seed=seed, per_symbol_masks=per_symbol,
-        loss_threshold=None if threshold is None else float(threshold),
-        compare_baseline=compare_baseline, output_dir=output_dir,
-    )
+    return config
 
 
 def load_config(spec: str, seed_override: int | None = None) -> ScenarioConfig:
     """Load a config from a path or a bundled name (e.g. 'alg1_baseline')."""
     path = Path(spec)
-    if path.is_file():
-        data = json.loads(path.read_text())
-    else:
-        bundled = resources.files("phaseagg").joinpath(f"configs/{spec}.json")
-        if not bundled.is_file():
+    if not path.is_file():
+        path = resources.files("phaseagg").joinpath(f"configs/{spec}.json")
+        if not path.is_file():
             raise ConfigValidationError(
                 [f"config {spec!r} is neither a file nor a bundled scenario"]
             )
-        data = json.loads(bundled.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigValidationError([f"config {spec!r} is not JSON: {exc}"]) from None
     if seed_override is not None:
         data = dict(data)
         data["seed"] = seed_override

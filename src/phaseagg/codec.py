@@ -71,10 +71,6 @@ class QuantizationConfig:
         """L: bits to represent one quantized gradient vector."""
         return dimension * self.bits_per_digit
 
-    def max_clients(self) -> int:
-        """Largest client count whose digit sums cannot wrap."""
-        return (self.modulus - 1) // (self.levels - 1)
-
     def require_headroom(self, num_clients: int) -> None:
         if self.modulus < num_clients * (self.levels - 1) + 1:
             raise ValueError(

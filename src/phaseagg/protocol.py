@@ -214,16 +214,43 @@ class GroupAssignment:
         )
 
 
+def check_layout(mode: str, num_clients: int, num_groups: int | None = None,
+                 subgroup_size: int | None = None) -> None:
+    """Refuse a grouping that `assign_two_groups`/`assign_subgroups` cannot build.
+
+    Both call it first; a scenario config calls it to check its grouping
+    without building one, so it must allocate nothing.
+    """
+    if mode == TWO_GROUP:
+        if num_clients < 4:
+            raise InsufficientClientsError(
+                f"two-group aggregation needs at least 4 clients, got {num_clients}"
+            )
+        return
+    if mode != SUBGROUP:
+        raise ValueError(f"grouping mode must be 'two-group' or 'subgroup', got {mode!r}")
+    if subgroup_size < 2:
+        raise SecurityFloorError(
+            f"subgroup size must be at least 2, got {subgroup_size}: with a single "
+            "counterpart, one revealed share exposes a client's whole mask "
+            "(the security floor)"
+        )
+    if num_groups < 1:
+        raise InfeasibleGroupingError(f"need at least one group, got {num_groups}")
+    if num_groups != num_clients // (2 * subgroup_size):
+        raise InfeasibleGroupingError(
+            f"{num_clients} clients at subgroup size {subgroup_size} need "
+            f"{num_clients // (2 * subgroup_size)} groups, not {num_groups}"
+        )
+
+
 def assign_two_groups(num_clients: int, seed: int) -> GroupAssignment:
     """Random two-group split with at least two clients on each side.
 
     Splits violating the minimum are redrawn, so the result is
     deterministic for a given seed.
     """
-    if num_clients < 4:
-        raise InsufficientClientsError(
-            f"two-group aggregation needs at least 4 clients, got {num_clients}"
-        )
+    check_layout(TWO_GROUP, num_clients)
     gen = rng.keyed_generator(seed, rng.GROUPING_DOMAIN)
     while True:
         sides = gen.integers(0, 2, size=num_clients)
@@ -258,24 +285,9 @@ def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
     remainder joins the last group, split as evenly as possible between
     its sides (both stay >= subgroup_size).
     """
-    if subgroup_size < 2:
-        raise SecurityFloorError(
-            "subgroup size must be at least 2: with a single counterpart, one "
-            "revealed share exposes a client's whole mask"
-        )
-    if num_groups < 1:
-        raise InfeasibleGroupingError(f"need at least one group, got {num_groups}")
+    check_layout(SUBGROUP, num_clients, num_groups, subgroup_size)
     per_group = 2 * subgroup_size
-    if num_clients < num_groups * per_group:
-        raise InfeasibleGroupingError(
-            f"{num_clients} clients cannot fill {num_groups} group(s) of {per_group}"
-        )
     remainder = num_clients - num_groups * per_group
-    if remainder >= per_group:
-        raise InfeasibleGroupingError(
-            f"{num_clients} clients at subgroup size {subgroup_size} need "
-            f"{num_clients // per_group} groups, not {num_groups}"
-        )
     order = rng.keyed_generator(seed, rng.GROUPING_DOMAIN).permutation(num_clients)
     group_of = [0] * num_clients
     tag_of = [PLUS] * num_clients
@@ -328,7 +340,7 @@ def client_message(i: int, digits, assignment: GroupAssignment,
     always added.  `run_round` builds every sender's message at once; this
     per-client definition is the reference its rows are tested against.
     """
-    _check_version(version)
+    check_version(version)
     if not (0 <= i < assignment.num_clients):
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
@@ -343,7 +355,7 @@ def client_message(i: int, digits, assignment: GroupAssignment,
     return ClientMessage(owner=i, iteration=t, masked=masked, protocol_version=version)
 
 
-def _check_version(version: str) -> None:
+def check_version(version: str) -> None:
     if version not in (ALG1, ALG2):
         raise ValueError(f"unknown protocol version {version!r}")
 
@@ -750,7 +762,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         if not (0 <= delayed < s):
             raise IndexError(f"delayed client {delayed} out of range")
     absent = dropped | ({delayed} if delayed is not None else set())
-    _check_version(version)
+    check_version(version)
     length = dimension if per_symbol else None
     t = channel.iteration
 

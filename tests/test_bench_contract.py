@@ -12,9 +12,13 @@ any of them makes the benchmark print no result at all:
 
 Each test runs one gated workload of `BENCHMARK.json` for one second
 (about 1 to 3 s of wall time with its worker processes), untraced for the
-end-to-end metrics and traced for the per-layer ones.  The traced run wraps
-`cli.write_transcripts`, so the writer's time, spent while it streams each
-line's parts to the file, must show there.
+end-to-end metrics and traced for the per-layer ones.  The last line must
+parse as strict JSON, with no NaN or Infinity, and the traced run must list
+every `per_layer` metric: the tracer drops the metrics of a function it
+cannot find.  The traced run wraps `cli.write_transcripts`, so the writer's
+time, spent while it streams each line's parts to the file, must show
+there, and `cli.parse_config`, which `small_training` calls to load its
+config.
 """
 
 import json
@@ -31,6 +35,10 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
+def refuse_constant(name: str):
+    raise ValueError(f"the result holds {name}, which is not a measurement")
+
+
 def run_benchmark(workload: str, trace: int) -> dict:
     """One second of `workload`; its last stdout line, a correct result."""
     done = subprocess.run(
@@ -38,7 +46,7 @@ def run_benchmark(workload: str, trace: int) -> dict:
          "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1], parse_constant=refuse_constant)
     assert result["correct"] is True, done.stdout
     assert result["failed"] == 0
     assert result["attempted"] > 0
@@ -55,5 +63,9 @@ def test_benchmark_prints_every_metric(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_benchmark_times_the_transcript_writer(workload):
     metrics = run_benchmark(workload, trace=1)["metrics"]
+    missing = {m["name"] for m in BENCHMARK["per_layer"]} - set(metrics)
+    assert not missing
     assert metrics["cli.write_transcripts.self_ms"]["value"] > 0
     assert metrics["cli.write_transcripts.bytes_per_round"]["value"] > 0
+    if workload == "small_training":
+        assert metrics["cli.parse_config.ms"]["value"] > 0

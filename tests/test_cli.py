@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseagg import cli, fl, protocol, rng
 from phaseagg.cli import (
@@ -100,6 +104,181 @@ class TestValidation:
     def test_missing_config(self):
         with pytest.raises(ConfigValidationError):
             load_config("no_such_scenario")
+
+
+MISSING = object()
+
+
+def mutated(data: dict, mutations) -> dict:
+    """A copy of `data` with each (dotted path, value) set, or removed for MISSING."""
+    data = copy.deepcopy(data)
+    for path, value in mutations:
+        *parents, key = path.split(".")
+        where = data
+        for parent in parents:
+            where = where.get(parent) if isinstance(where, dict) else None
+        if not isinstance(where, dict):
+            continue
+        if value is MISSING:
+            where.pop(key, None)
+        else:
+            where[key] = copy.deepcopy(value)
+    return data
+
+
+def config_text(*path_value_pairs) -> str:
+    """valid_data() as JSON, with each (dotted path, value) pair set as `mutated` sets it."""
+    return json.dumps(mutated(valid_data(), path_value_pairs))
+
+
+SUBGROUPS = ("grouping", {"mode": "subgroup", "groups": 2, "subgroup_size": 2})
+ALG2 = ("protocol_version", "alg2")
+INFINITE_CLIP = [
+    ("clip-1e999", config_text(("quantization.clip", 1e999), ("delayed_client", 0))
+     .replace("Infinity", "1e999"), "clip"),
+    ("clip-Infinity", config_text(("quantization.clip", math.inf), ("delayed_client", 0)),
+     "clip"),
+]
+# One row per rule the parser used to check itself, plus the two non-finite
+# clips it let through: (id, config file text, a word the message must hold).
+INVALID_CONFIGS = [
+    ("root-not-an-object", "[1, 2]", "JSON object"),
+    ("not-json", "{", "not JSON"),
+    ("unknown-key", config_text(("surprise", 1)), "surprise"),
+    ("clients-missing", config_text(("clients", MISSING)), "clients"),
+    ("clients-one", config_text(("clients", 1)), "clients"),
+    ("dimension-zero", config_text(("dimension", 0)), "dimension"),
+    ("samples-zero", config_text(("samples_per_client", 0)), "samples_per_client"),
+    ("rounds-zero", config_text(("rounds", 0)), "rounds"),
+    ("seed-negative", config_text(("seed", -1)), "seed"),
+    ("learning-rate-zero", config_text(("learning_rate", 0)), "learning_rate"),
+    ("name-not-a-string", config_text(("name", 5)), "name"),
+    ("grouping-not-an-object", config_text(("grouping", [])), "grouping"),
+    ("grouping-unknown-key", config_text(("grouping.ring", 1)), "ring"),
+    ("grouping-mode-unknown", config_text(("grouping.mode", "ring")), "ring"),
+    ("two-group-three-clients", config_text(("clients", 3)), "4 clients"),
+    ("subgroup-groups-missing", config_text(("grouping", {"mode": "subgroup", "subgroup_size": 2})),
+     "groups"),
+    ("subgroup-groups-zero", config_text(SUBGROUPS, ("grouping.groups", 0)), "group"),
+    ("subgroup-size-not-an-int", config_text(SUBGROUPS, ("grouping.subgroup_size", "2")),
+     "subgroup_size"),
+    ("subgroup-size-one", config_text(SUBGROUPS, ("grouping.subgroup_size", 1)),
+     "security floor"),
+    ("subgroup-cannot-fill", config_text(SUBGROUPS, ("clients", 7)), "groups"),
+    ("subgroup-group-count", config_text(SUBGROUPS, ("clients", 8), ("grouping.groups", 1)),
+     "groups"),
+    ("protocol-version-unknown", config_text(("protocol_version", "alg3")), "alg3"),
+    ("quantization-unknown-key", config_text(("quantization.depth", 2)), "depth"),
+    ("clip-negative", config_text(("quantization.clip", -1.0)), "clip"),
+    ("levels-one", config_text(("quantization.levels", 1)), "levels"),
+    ("modulation-not-an-int", config_text(("modulation", "fast")), "modulation"),
+    ("modulation-not-a-power-of-two", config_text(("modulation", 48)), "power of two"),
+    ("modulation-wraps", config_text(("modulation", 8)), "wrap"),
+    ("grid-exceeded", config_text(("clients", 2**31)), "2**32"),
+    ("fec-scheme-unknown", config_text(("fec.scheme", "turbo")), "turbo"),
+    ("fec-repeat-one", config_text(("fec", {"scheme": "repetition", "repeat": 1})), "repeat"),
+    ("fec-none-with-repeat", config_text(("fec.repeat", 1)), "repeat"),
+    ("dropout-probability-above-one", config_text(ALG2, ("dropout.probability", 1.5)),
+     "probability"),
+    ("dropout-fixed-not-a-map", config_text(ALG2, ("dropout.fixed", [1])), "fixed"),
+    ("dropout-round-not-an-int", config_text(ALG2, ("dropout.fixed", {"a": [1]})), "round"),
+    ("dropout-round-negative", config_text(ALG2, ("dropout.fixed", {"-1": [1]})), "negative"),
+    ("dropout-ids-not-ints", config_text(ALG2, ("dropout.fixed", {"0": ["1"]})), "ids"),
+    ("dropout-ids-out-of-range", config_text(ALG2, ("dropout.fixed", {"0": [4]})), "range"),
+    ("dropouts-under-alg1", config_text(("dropout.probability", 0.2)), "alg2"),
+    ("delayed-client-not-an-int", config_text(("delayed_client", "0")), "delayed_client"),
+    ("delayed-client-out-of-range", config_text(("delayed_client", 4)), "delayed_client"),
+    ("per-symbol-not-a-bool", config_text(("per_symbol_masks", 1)), "per_symbol_masks"),
+    ("compare-baseline-not-a-bool", config_text(("compare_baseline", "yes")), "compare_baseline"),
+    ("loss-threshold-not-a-number", config_text(("loss_threshold", "low")), "loss_threshold"),
+    ("output-dir-not-a-string", config_text(("output_dir", 1)), "output_dir"),
+] + INFINITE_CLIP
+
+
+class TestInvalidConfigExitsOne:
+    """Every refused config exits 1 with the violation list and writes nothing."""
+
+    def refused(self, command, text, word, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("invalid scenario configuration")
+        assert "Traceback" not in err
+        assert word in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text, word", [row[1:] for row in INVALID_CONFIGS],
+                             ids=[row[0] for row in INVALID_CONFIGS])
+    def test_run(self, text, word, tmp_path, capsys):
+        self.refused("run", text, word, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["round", "attack"])
+    @pytest.mark.parametrize("text, word", [row[1:] for row in INFINITE_CLIP],
+                             ids=[row[0] for row in INFINITE_CLIP])
+    def test_round_and_attack_refuse_an_infinite_clip(self, command, text, word, tmp_path,
+                                                      capsys):
+        self.refused(command, text, word, tmp_path, capsys)
+
+
+FIELD_PATHS = [
+    "name", "clients", "dimension", "samples_per_client", "grouping", "grouping.mode",
+    "grouping.groups", "grouping.subgroup_size", "protocol_version", "quantization",
+    "quantization.clip", "quantization.levels", "modulation", "fec", "fec.scheme",
+    "fec.repeat", "dropout", "dropout.probability", "dropout.fixed", "delayed_client",
+    "rounds", "learning_rate", "seed", "per_symbol_masks", "loss_threshold",
+    "compare_baseline", "output_dir",
+]
+VALUE_POOL = [
+    MISSING, None, True, False, -1, 0, 1, 2, 3, 4, 8, 16, 2**32, 2**33, 0.5, 1.5,
+    math.nan, math.inf, -math.inf, "x", "auto", "alg2", "subgroup", "repetition",
+    [], [1], {}, {"0": [1]},
+]
+BASES = [
+    valid_data(),
+    valid_data(clients=8, grouping={"mode": "subgroup", "groups": 2, "subgroup_size": 2}),
+    valid_data(clients=8, protocol_version="alg2", delayed_client=3, modulation=64,
+               fec={"scheme": "repetition", "repeat": 3},
+               dropout={"probability": 0.2, "fixed": {"1": [0, 5]}}),
+]
+
+
+def parses_to_a_buildable_config(data: dict) -> None:
+    """parse_config refuses `data` with a violation list, or everything it names builds."""
+    try:
+        config = parse_config(data)
+    except ConfigValidationError as exc:
+        assert exc.violations
+        return
+    config.build_assignment()
+    config.quantization()
+    config.fec_config()
+
+
+class TestParsedConfigsBuild:
+    def test_every_single_field_mutation(self):
+        for base in BASES:
+            for path in FIELD_PATHS:
+                for value in VALUE_POOL:
+                    parses_to_a_buildable_config(mutated(base, [(path, value)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(BASES),
+           st.lists(st.tuples(st.sampled_from(FIELD_PATHS), st.sampled_from(VALUE_POOL)),
+                    min_size=2, max_size=4))
+    def test_mutations_of_several_fields(self, base, mutations):
+        parses_to_a_buildable_config(mutated(base, mutations))
+
+    def test_replace_cannot_make_an_invalid_config(self):
+        config = parse_config(valid_data())
+        with pytest.raises(ConfigValidationError, match="clip"):
+            dataclasses.replace(config, clip=float("inf"))
+        with pytest.raises(ConfigValidationError, match="security floor"):
+            dataclasses.replace(config, clients=8, grouping_mode="subgroup", groups=2,
+                                subgroup_size=1)
 
 
 def scanned_dropouts(config: ScenarioConfig, t: int) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,7 @@ from phaseagg.protocol import (
     _audit_reveal_safety,
     _integer_list_parts,
     assign_two_groups,
+    check_layout,
     client_message,
     compact_json,
     dropout_correction,
@@ -117,7 +119,7 @@ class TestSubgroupAssignment:
         assert a.num_groups == 2
 
     def test_security_floor(self):
-        with pytest.raises(SecurityFloorError):
+        with pytest.raises(SecurityFloorError, match="security floor"):
             assign_subgroups(8, 2, 1, seed=0)
 
     def test_too_few_clients(self):
@@ -127,6 +129,43 @@ class TestSubgroupAssignment:
     def test_assignment_roundtrips_through_json(self):
         a = assign_subgroups(16, 4, 2, seed=2)
         assert GroupAssignment.from_json_dict(a.to_json_dict()) == a
+
+
+class TestCheckLayout:
+    @pytest.mark.parametrize("args, error", [
+        (("two-group", 3), InsufficientClientsError),
+        (("subgroup", 8, 2, 1), SecurityFloorError),
+        (("subgroup", 8, 0, 2), InfeasibleGroupingError),
+        (("subgroup", 7, 2, 2), InfeasibleGroupingError),
+        (("subgroup", 8, 1, 2), InfeasibleGroupingError),
+        (("ring", 8), ValueError),
+    ])
+    def test_refuses_what_the_constructors_refuse(self, args, error):
+        with pytest.raises(error):
+            check_layout(*args)
+
+    def test_accepts_what_the_constructors_build(self):
+        check_layout("two-group", 4)
+        check_layout("subgroup", 17, 4, 2)
+
+    def test_refuses_a_huge_layout_without_allocating(self):
+        # Building 2**33 clients' labels would need tens of GB; the layout
+        # check must refuse the group count from the numbers alone.
+        tracemalloc.start()
+        try:
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                with pytest.raises(InfeasibleGroupingError):
+                    assign_subgroups(2**33, 1, 2, seed=0)
+                with pytest.raises(InfeasibleGroupingError):
+                    check_layout("subgroup", 2**33, 1, 2)
+                best = min(best, time.perf_counter() - start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert best < 0.010
+        assert peak < 1 << 20
 
 
 class TestClientMessage:
