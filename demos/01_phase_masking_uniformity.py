@@ -18,13 +18,13 @@ cfg = QuantizationConfig(clip=1.0, levels=4, modulus=16)
 
 print("A digit is carried as one of M=16 constellation points:")
 for digit in range(4):
-    point = modulate([digit], cfg).symbols[0]
+    point = modulate([digit], cfg)[0]
     print(f"  digit {digit} -> grid value {int(point):>10d} "
           f"({turns.to_radians(point):.4f} rad)")
 
 print("\nMask the SAME digit (3) with a fresh uniform phase 16000 times:")
-symbol = modulate([3], cfg).symbols[0]
-masks = np.array([sample_private_phase(0, t, seed=1).phase for t in range(16_000)],
+symbol = modulate([3], cfg)[0]
+masks = np.array([sample_private_phase(0, t, seed=1) for t in range(16_000)],
                  dtype=np.uint64)
 masked = turns.add(np.full(16_000, symbol, dtype=np.uint64), masks)
 report = chi_square_uniformity(masked, bins=16)

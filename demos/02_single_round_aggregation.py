@@ -30,7 +30,7 @@ for i in range(4):
         print(f"  phase({i},{j}) = {get_phase(channel, i, j):>10d} "
               f"= phase({j},{i}) = {get_phase(channel, j, i):>10d}")
 
-digits = [quantize(g, cfg).digits for g in gradients]
+digits = [quantize(g, cfg) for g in gradients]
 print("\nQuantized digits per client:")
 for i, d in enumerate(digits):
     side = "plus" if assignment.tag_of[i] == "+" else "minus"

@@ -16,7 +16,6 @@ from phaseagg.codec import QuantizationConfig
 from phaseagg.errors import ResidualMaskError, UnrecoverableRoundError
 from phaseagg.protocol import (
     ALG2,
-    client_message,
     ps_aggregate_and_decode,
     run_round,
     two_group_from_sides,
@@ -29,18 +28,16 @@ rng = np.random.default_rng(9)
 digits = [rng.integers(0, 8, size=4) for _ in range(6)]
 
 print("Client 4 drops out mid-round.\n")
+transcript = run_round(digits, assignment, channel, cfg, version=ALG2,
+                       seed=9, dropped=[4])
 
 print("Naive attempt: sum the five arriving messages with no correction:")
-messages = [client_message(i, digits[i], assignment, channel, ALG2, 9, cfg)
-            for i in range(6) if i != 4]
 try:
-    ps_aggregate_and_decode(messages, 0, 5, cfg)
+    ps_aggregate_and_decode(transcript.symbols, 0, 5, cfg)
 except ResidualMaskError as err:
     print(f"  ResidualMaskError: {err}")
 
 print("\nProtocol recovery:")
-transcript = run_round(digits, assignment, channel, cfg, version=ALG2,
-                       seed=9, dropped=[4])
 survivor_sum = np.sum([digits[i] for i in range(6) if i != 4], axis=0)
 print(f"  decoded digit sums: {transcript.aggregate.tolist()}")
 print(f"  survivor plaintext sums: {survivor_sum.tolist()}")

@@ -20,8 +20,6 @@ from .channel import ChannelMatrix, channel_from_phases, get_phase, sample_round
 from .codec import (
     FecConfig,
     QuantizationConfig,
-    QuantizedVector,
-    SymbolVector,
     decode_sum,
     dequantize_mean,
     fec_decode,
@@ -39,15 +37,7 @@ from .fl import (
     run_training,
     sgd_update,
 )
-from .masking import (
-    GroupMask,
-    MaskedSymbols,
-    PrivatePhase,
-    apply_mask,
-    compute_group_mask,
-    reconstruct_dropped_mask,
-    sample_private_phase,
-)
+from .masking import MaskedSymbols, apply_mask, compute_group_mask, sample_private_phase
 from .protocol import (
     ALG1,
     ALG2,

@@ -31,7 +31,7 @@ from . import rng, turns
 from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
 from .errors import TranscriptFormatError, UnderpoweredTestError
-from .masking import PLUS, reconstruct_dropped_mask
+from .masking import PLUS
 from .protocol import (
     ALG1,
     ALG2,
@@ -214,31 +214,41 @@ NAIVE_REMEDY_SCENARIO = "alg1_naive_remedy"
 PRIVATE_PHASE_SCENARIO = "alg2"
 
 
-def delayed_client_attack(scenario: str, *, num_clients: int = 4,
-                          dimension: int = 8, levels: int = 4,
-                          clip: float = 1.0, trials: int = 400,
+def delayed_client_attack(scenario: str, *,
+                          assignment: GroupAssignment | None = None,
+                          cfg: QuantizationConfig | None = None,
+                          dimension: int = 8, trials: int = 400,
                           seed: int = 2024, delayed: int = 0,
                           delayed_sends: bool = True) -> AttackOutcome:
     """Replay the delayed-message attack through the real decoding path.
 
     The aggregator presumes the delayed client dropped, runs the normal
-    recovery (reconstructing that client's group mask from survivor
-    shares), then receives the late message and de-rotates it by the
-    reconstructed mask.  Under the naive group-mask-only recovery the
-    digits come back exactly; under the private-phase protocol a uniform
-    residual remains and recovery collapses to 1-in-M guessing.
+    recovery (revealing the survivor shares of that client's group mask),
+    then receives the late message and de-rotates it by the mask it
+    rebuilds from the round's own `mask-shares` record.  Under the naive
+    group-mask-only recovery the digits come back exactly; under the
+    private-phase protocol a uniform residual remains and recovery
+    collapses to 1-in-M guessing.  Masks are scalar.
+
+    `assignment` defaults to `assign_two_groups(4, seed)`, and `cfg` to
+    the auto modulus for 4 levels and clip 1.0 at the assignment's client
+    count.
     """
     if scenario not in (NAIVE_REMEDY_SCENARIO, PRIVATE_PHASE_SCENARIO):
         raise ValueError(f"unknown attack scenario {scenario!r}")
     if not delayed_sends:
         return AttackOutcome(scenario=scenario, status="no-op")
+    if assignment is None:
+        assignment = assign_two_groups(4, seed)
+    num_clients = assignment.num_clients
     if not (0 <= delayed < num_clients):
         raise IndexError(f"delayed client {delayed} out of range")
 
     version = ALG1 if scenario == NAIVE_REMEDY_SCENARIO else ALG2
-    cfg = QuantizationConfig.with_auto_modulus(clip=clip, levels=levels,
-                                               max_clients=num_clients)
-    assignment = assign_two_groups(num_clients, seed)
+    if cfg is None:
+        cfg = QuantizationConfig.with_auto_modulus(clip=1.0, levels=4,
+                                                   max_clients=num_clients)
+    levels = cfg.levels
     digit_gen = rng.keyed_generator(seed, rng.DATA_DOMAIN)
 
     full = 0
@@ -251,10 +261,11 @@ def delayed_client_attack(scenario: str, *, num_clients: int = 4,
                   for _ in range(num_clients)]
         # The aggregator's normal round without the delayed client, which
         # triggers the recovery queries (and their reveal log).
-        run_round(digits, assignment, chan, cfg, version=version, seed=seed,
-                  delayed=delayed, naive_remedy=(version == ALG1))
-        survivors = [i for i in range(num_clients) if i != delayed]
-        rebuilt = reconstruct_dropped_mask(delayed, survivors, assignment, chan)
+        transcript = run_round(digits, assignment, chan, cfg, version=version, seed=seed,
+                               delayed=delayed, naive_remedy=(version == ALG1))
+        shares = next(r["phases"] for r in transcript.reveals
+                      if r["kind"] == "mask-shares" and r["dropped"] == delayed)
+        rebuilt = turns.total(shares.tolist())
         late = client_message(delayed, digits[delayed], assignment, chan,
                               version, seed, cfg)
         if assignment.tag_of[delayed] == PLUS:
@@ -431,23 +442,22 @@ class LeakReport:
         }
 
 
-def difference_leak_probe(messages: Sequence, cfg: QuantizationConfig) -> LeakReport:
-    """Probe consecutive-symbol differences of uplink messages for leakage."""
-    masked = [m.masked if hasattr(m, "masked") else m for m in messages]
-    if not masked:
-        raise ValueError("no messages to probe")
-    mode = masked[0].mask_mode
-    diffs = []
-    for m in masked:
-        sym = turns.as_vector(m.symbols)
-        if sym.size >= 2:
-            diffs.append(turns.sub(sym[1:], sym[:-1]))
-    if not diffs:
-        return LeakReport(mask_mode=mode, num_messages=len(masked),
+def difference_leak_probe(symbols, mask_mode: str, cfg: QuantizationConfig) -> LeakReport:
+    """Probe consecutive-symbol differences of uplink messages for leakage.
+
+    `symbols` is a (messages, d) matrix of masked symbols, one row per
+    message, as `RoundTranscript.symbols` holds them; `mask_mode` is the
+    mode they were masked in.
+    """
+    sym = turns.as_vector(symbols)
+    if sym.ndim != 2 or not len(sym):
+        raise ValueError("need a (messages, d) matrix of at least one message")
+    flat = turns.sub(sym[:, 1:], sym[:, :-1]).reshape(-1)
+    if not flat.size:
+        return LeakReport(mask_mode=mask_mode, num_messages=len(sym),
                           num_differences=0, on_grid_fraction=0.0,
                           digit_differences_recovered=False,
                           recovered_sample=(), uniformity=None)
-    flat = np.concatenate(diffs)
     step = np.uint64(cfg.step)
     on_grid = int(np.sum(flat % step == 0))
     all_on_grid = on_grid == flat.size
@@ -461,7 +471,7 @@ def difference_leak_probe(messages: Sequence, cfg: QuantizationConfig) -> LeakRe
         except UnderpoweredTestError:
             uniformity = None
     return LeakReport(
-        mask_mode=mode, num_messages=len(masked), num_differences=int(flat.size),
+        mask_mode=mask_mode, num_messages=len(sym), num_differences=int(flat.size),
         on_grid_fraction=on_grid / flat.size,
         digit_differences_recovered=all_on_grid,
         recovered_sample=sample, uniformity=uniformity,

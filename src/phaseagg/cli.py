@@ -335,20 +335,19 @@ def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
 
 
 def write_transcripts(transcripts, path: Path) -> None:
-    """Write one compact, key-sorted JSON line per round transcript (or dict).
+    """Write one compact, key-sorted JSON line per `RoundTranscript`.
 
     A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
     separators=(",", ":"))`, passed to the file part by part as
-    `RoundTranscript.to_json_parts` (or `protocol.compact_json_parts` for a
-    dict) renders it, so the whole line is never held in memory.  A line
-    refused partway is cut off again, so the file holds only whole lines.
+    `RoundTranscript.to_json_parts` renders it, so the whole line is never
+    held in memory.  A line refused partway is cut off again, so the file
+    holds only whole lines.
     """
     with _create(path, "wb") as handle:
         for t in transcripts:
             start = handle.tell()
             try:
-                handle.writelines(t.to_json_parts() if isinstance(t, protocol.RoundTranscript)
-                                  else protocol.compact_json_parts(t))
+                handle.writelines(t.to_json_parts())
             except BaseException:
                 handle.truncate(start)
                 raise
@@ -414,7 +413,8 @@ def _command_round(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
     transcript, _ = protocol.run_iteration(state, config)
     write_transcripts([transcript], out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead([transcript])
-    leak = analysis.difference_leak_probe(transcript.messages, config.quantization())
+    leak = analysis.difference_leak_probe(transcript.symbols, transcript.mask_mode,
+                                          config.quantization())
     report = {
         "command": "round",
         "scenario": config.name,
@@ -435,18 +435,21 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
         raise ConfigValidationError(
             ["attack scenarios need 'delayed_client' set in the config"]
         )
+    if config.per_symbol_masks:
+        raise ConfigValidationError(
+            ["the attack models scalar masks only; set 'per_symbol_masks' to false"]
+        )
     scenario = (analysis.NAIVE_REMEDY_SCENARIO
                 if config.protocol_version == protocol.ALG1
                 else analysis.PRIVATE_PHASE_SCENARIO)
     outcome = analysis.delayed_client_attack(
         scenario,
-        num_clients=config.clients,
         dimension=config.dimension,
-        levels=config.levels,
-        clip=config.clip,
         trials=config.rounds,
         seed=config.seed,
         delayed=config.delayed_client,
+        assignment=config.build_assignment(),
+        cfg=config.quantization(),
     )
     report = {"command": "attack", "scenario": config.name,
               "seed": config.seed, "attack": outcome.to_json_dict()}

@@ -6,6 +6,10 @@ the 2**32 grid.  M is chosen with enough headroom that a modulo-2**32 sum
 of every client's symbols equals the plain integer digit sum - no
 wraparound - which is what lets the aggregator decode exactly.
 
+Digits and symbols are plain arrays: `quantize` returns the int64 digits,
+and `modulate` the uint64 constellation points of a vector or a whole
+(clients, d) matrix.
+
 FEC here is structural bookkeeping: the simulated channel is noiseless,
 so the code must be a lossless inverse pair and its redundancy r only
 feeds the reported L + r bit metrics.  A round never runs the code; it
@@ -83,6 +87,8 @@ class QuantizationConfig:
     def with_auto_modulus(cls, clip: float, levels: int, max_clients: int,
                           stochastic: bool = False) -> "QuantizationConfig":
         """Smallest power-of-two modulus that cannot wrap for max_clients."""
+        if max_clients < 1:
+            raise ValueError(f"an auto modulus needs at least 1 client, got {max_clients}")
         needed = max_clients * (levels - 1) + 1
         if needed > turns.MODULUS:
             raise ValueError(
@@ -92,37 +98,9 @@ class QuantizationConfig:
         return cls(clip=clip, levels=levels, modulus=modulus, stochastic=stochastic)
 
 
-@dataclass(frozen=True)
-class QuantizedVector:
-    """Integer digits of one gradient vector, each in [0, levels)."""
-
-    digits: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return int(self.digits.shape[0])
-
-
-@dataclass(frozen=True)
-class SymbolVector:
-    """Unmasked constellation points, one per gradient element.
-
-    Values are exact multiples of the constellation step.  `symbols` is a
-    vector, or a (clients, d) matrix when a whole round is modulated at once.
-    """
-
-    symbols: np.ndarray
-    owner: int | None = None
-    iteration: int | None = None
-
-    @property
-    def dimension(self) -> int:
-        return int(self.symbols.shape[-1])
-
-
 def quantize(gradient, cfg: QuantizationConfig,
-             rng: np.random.Generator | None = None) -> QuantizedVector:
-    """Clip to [-clip, clip] and map to integer digits in [0, levels).
+             rng: np.random.Generator | None = None) -> np.ndarray:
+    """Clip to [-clip, clip] and map to int64 digits in [0, levels).
 
     Deterministic rounding by default (round-half-even), so the secure and
     plaintext paths stay bit-identical.  With cfg.stochastic, rounds up
@@ -139,7 +117,7 @@ def quantize(gradient, cfg: QuantizationConfig,
         digits = floor + (rng.random(scaled.shape) < (scaled - floor))
     else:
         digits = np.rint(scaled)
-    return QuantizedVector(digits=digits.astype(np.int64))
+    return digits.astype(np.int64)
 
 
 def dequantize_mean(digit_sums, num_contributors: int,
@@ -156,17 +134,15 @@ def dequantize_mean(digit_sums, num_contributors: int,
     return (sums / num_contributors) * (2 * cfg.clip / (cfg.levels - 1)) - cfg.clip
 
 
-def modulate(v: QuantizedVector, cfg: QuantizationConfig,
-             owner: int | None = None, iteration: int | None = None) -> SymbolVector:
+def modulate(digits, cfg: QuantizationConfig) -> np.ndarray:
     """Map digits to constellation points: digit * (2**32 / M).
 
-    `v` may be one client's digit vector, a (clients, d) matrix of them, or
-    a sequence of rows; every check covers the whole input, and the symbols
-    come back as one fresh uint64 array of the stacked shape.  A sequence of
-    integer arrays is stacked straight into that array; rows of unequal
-    length raise ShapeError.
+    `digits` may be one client's digit vector, a (clients, d) matrix of
+    them, or a sequence of rows; every check covers the whole input, and the
+    symbols come back as one fresh uint64 array of the stacked shape.  A
+    sequence of integer arrays is stacked straight into that array; rows of
+    unequal length raise ShapeError.
     """
-    digits = v.digits if isinstance(v, QuantizedVector) else v
     if (isinstance(digits, (list, tuple)) and digits
             and all(isinstance(r, np.ndarray) and r.dtype.kind in "iu" for r in digits)):
         try:
@@ -189,7 +165,7 @@ def modulate(v: QuantizedVector, cfg: QuantizationConfig,
     if symbols.size and symbols.max() >= cfg.levels:
         raise _range_error(np.asarray(digits), cfg)
     symbols *= np.uint64(cfg.step)
-    return SymbolVector(symbols=symbols, owner=owner, iteration=iteration)
+    return symbols
 
 
 def _range_error(digits: np.ndarray, cfg: QuantizationConfig) -> InvalidDigitError:

@@ -145,7 +145,7 @@ def client_gradients(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
 def client_digits(theta: np.ndarray, datasets: ClientDatasets,
                   cfg: QuantizationConfig) -> np.ndarray:
     """Every client's digit vector at the current parameters, (S, d)."""
-    return quantize(client_gradients(theta, datasets), cfg).digits
+    return quantize(client_gradients(theta, datasets), cfg)
 
 
 def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
@@ -194,7 +194,7 @@ def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,
 def quantized_digits(theta: np.ndarray, dataset: ClientDataset,
                      cfg: QuantizationConfig) -> np.ndarray:
     """The digit vector a client would transmit at the current parameters."""
-    return quantize(compute_gradient(theta, dataset), cfg).digits
+    return quantize(compute_gradient(theta, dataset), cfg)
 
 
 @dataclass

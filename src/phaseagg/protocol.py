@@ -21,18 +21,22 @@ in one (senders, d) uint64 matrix and adds each sender's offset to its row
 in place: its private phase (alg2) plus its group mask, negated on the
 minus side.  The offsets are an (senders, 1) column in scalar mode and an
 (senders, d) array per symbol, so broadcasting serves both.  The aggregate
-is the matrix's column sum plus the correction.  The transcript keeps the
-read-only matrix and the sender ids; `RoundTranscript.messages` builds the
-`ClientMessage` tuple, each holding a read-only view of its row, only when
-first read.  `client_message` builds one client's message on its own; it
-is the reference the rows are tested against.
+is the matrix's column sum plus the correction.  Below `run_round`, the
+mask mode is only the `length` of a phase (None for a scalar, d per
+symbol), and every phase, mask, symbol row and correction is an int or a
+uint64 array; `per_symbol` is set only by `run_round`'s and
+`client_message`'s callers.  The transcript keeps the read-only matrix
+and the sender ids; `RoundTranscript.messages` builds the `ClientMessage`
+tuple, each holding a read-only view of its row, only when first read.
+`client_message` builds one client's message on its own; it is the
+reference the rows are tested against.
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
 exhaustively.  Its shares are read from the round's cross-pair blocks
-(`masking.cross_pair_blocks`, scalar or per symbol) and summed with numpy.
+(`masking.cross_pair_blocks`) and summed with numpy.
 The reveal log holds one record per query, each naming the clients it
 asked and holding their answers as one read-only uint64 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
@@ -80,7 +84,6 @@ from .masking import (
     PLUS,
     SCALAR_MASKS,
     MaskedSymbols,
-    PrivatePhase,
     apply_mask,
     compute_group_mask,
     cross_pair_blocks,
@@ -179,7 +182,7 @@ class GroupAssignment:
 
         Pairs run group by group, each group plus-major with both sides in
         increasing client order, so group g's stretch, reshaped to
-        (|plus|, |minus|), is its block in `masking.cross_pair_phases`.
+        (|plus|, |minus|), is its block in `masking.cross_pair_blocks`.
         """
         index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
                  np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
@@ -344,14 +347,15 @@ def client_message(i: int, digits, assignment: GroupAssignment,
     if not (0 <= i < assignment.num_clients):
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
-    symbols = modulate(digits, cfg, owner=i, iteration=t)
+    symbols = modulate(digits, cfg)
+    length = symbols.shape[-1] if per_symbol else None
     if version == ALG2:
-        private = sample_private_phase(i, t, seed, per_symbol=per_symbol,
-                                       length=symbols.dimension)
-        symbols = apply_mask(symbols, private.phase, PLUS)
-    mask = compute_group_mask(i, assignment, channel, per_symbol=per_symbol,
-                              length=symbols.dimension)
-    masked = apply_mask(symbols, mask.phase, assignment.tag_of[i])
+        symbols = apply_mask(symbols, sample_private_phase(i, t, seed, length=length), PLUS)
+    tag = assignment.tag_of[i]
+    mask = compute_group_mask(i, assignment, channel, length=length)
+    masked = MaskedSymbols(symbols=apply_mask(symbols, mask, tag), owner=i, iteration=t,
+                           direction=tag,
+                           mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS)
     return ClientMessage(owner=i, iteration=t, masked=masked, protocol_version=version)
 
 
@@ -368,24 +372,16 @@ class DecodedAggregate:
     digit_sums: np.ndarray
 
 
-def ps_aggregate_and_decode(messages, correction, num_contributors: int,
+def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: int,
                             cfg: QuantizationConfig) -> DecodedAggregate:
     """Sum received phases, apply the correction, decode, and average.
 
-    `messages` is a round's (senders, d) symbol matrix, or a sequence of
-    `ClientMessage`s whose symbols are stacked into one.  With every mask
-    cancelled the per-element phase sum is an exact grid multiple;
+    `symbols` is a round's (senders, d) uint64 symbol matrix.  With every
+    mask cancelled the per-element phase sum is an exact grid multiple;
     anything else raises ResidualMaskError.
     """
-    if not len(messages):
+    if not len(symbols):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    if isinstance(messages, np.ndarray):
-        symbols = messages
-    else:
-        dims = {m.masked.dimension for m in messages}
-        if len(dims) != 1:
-            raise ShapeError(f"messages disagree on dimension: {sorted(dims)}")
-        symbols = np.stack([m.masked.symbols for m in messages])
     # Each symbol is < 2**32, so uint64 sums the column exactly before reducing.
     agg = turns.add(symbols.sum(axis=0, dtype=np.uint64), turns.reduce(correction))
     sums = decode_sum(agg, cfg)
@@ -467,20 +463,20 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                        channel: ChannelMatrix,
-                       private_phases: Mapping[int, PrivatePhase] | np.ndarray | None,
-                       *, per_symbol: bool = False,
+                       private_phases: np.ndarray | None, *,
                        length: int | None = None,
                        blocks: tuple[np.ndarray, ...] | None = None) -> CorrectionResult:
     """Correction the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
     minus-side ones subtracted; with `private_phases` given (alg2) the
-    survivors' private phases are subtracted as well.  `private_phases`
-    maps each survivor to its `PrivatePhase`, or is an array of their
-    phases, one row per survivor in increasing client order.  A dropped
-    client's shares are read from the round's cross-pair blocks (scalar or
-    per-symbol; built here by `masking.cross_pair_blocks` when `blocks` is
-    not given).  The reveal log records each query once: the revealers of
+    survivors' private phases are subtracted as well.  `private_phases` is
+    an array of their phases, one row per survivor in increasing client
+    order.  `length` is None for scalar phases, or the per-symbol stream
+    length; the correction is then an int, or a (length,) array.  A
+    dropped client's shares are read from the round's cross-pair blocks
+    (built here by `masking.cross_pair_blocks` when `blocks` is not
+    given).  The reveal log records each query once: the revealers of
     one dropped client's shares, or the survivors whose private phases are
     asked, with the revealed phases as one read-only uint64 array.  The
     never-both rule is audited on those records.
@@ -491,12 +487,11 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
             raise IndexError(f"dropped client {i} is not in the assignment")
     survivors = _check_recovery_feasible(dropped, assignment)
     if dropped and blocks is None:
-        blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol,
-                                   length=length)
+        blocks = cross_pair_blocks(assignment, channel, length=length)
 
     # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
     # the total is reduced once at the end; () makes a scalar total.
-    total = np.zeros(length if per_symbol else (), dtype=np.uint64)
+    total = np.zeros(() if length is None else length, dtype=np.uint64)
     result = CorrectionResult(correction=0)
     for i in sorted(dropped):
         g, tag = assignment.group_of[i], assignment.tag_of[i]
@@ -516,12 +511,6 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
             total -= rebuilt
 
     if private_phases is not None:
-        if not isinstance(private_phases, np.ndarray):
-            missing = [j for j in survivors if j not in private_phases]
-            if missing:
-                raise ValueError(f"missing private phases for survivors {missing}")
-            private_phases = np.array([private_phases[j].phase for j in survivors],
-                                      dtype=np.uint64)
         if len(private_phases) != len(survivors):
             raise ValueError(f"need {len(survivors)} survivors' private phases, "
                              f"got {len(private_phases)}")
@@ -531,7 +520,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                                "phases": phases})
         total -= phases.sum(axis=0, dtype=np.uint64)
 
-    result.correction = turns.reduce(total if per_symbol else int(total))
+    result.correction = turns.reduce(int(total) if length is None else total)
     _audit_reveal_safety(result.reveals, assignment)
     return result
 
@@ -769,8 +758,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     # Phase estimation happens at round start for every cross pair, before
     # anyone can drop: each cross pair's phase (or per-symbol stream) is
     # derived once, for both endpoints' masks and the correction alike.
-    blocks = cross_pair_blocks(assignment, channel, per_symbol=per_symbol, length=length)
-    offsets = group_masks(assignment, channel, blocks=blocks).reshape(s, -1)
+    blocks = cross_pair_blocks(assignment, channel, length=length)
+    offsets = group_masks(assignment, blocks).reshape(s, -1)
     np.negative(offsets, out=offsets, where=assignment.minus_mask[:, None])
 
     senders = [i for i in range(s) if i not in absent]
@@ -780,11 +769,10 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         digits = (digits.take(senders, axis=0) if isinstance(digits, np.ndarray)
                   else [digits[i] for i in senders])
     # With no sender left, modulate gets an empty sequence and returns shape (0,).
-    symbols = modulate(digits, cfg).symbols.reshape(len(senders), dimension)
+    symbols = modulate(digits, cfg).reshape(len(senders), dimension)
     private = None
     if version == ALG2:
-        private = private_phase_array(senders, t, seed, per_symbol=per_symbol,
-                                      length=length)
+        private = private_phase_array(senders, t, seed, length=length)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     turns.reduce_in_place(symbols)
@@ -798,8 +786,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     delayed_discarded: bool | None = None
     if version == ALG2:
         correction = dropout_correction(absent, assignment, channel, private,
-                                        per_symbol=per_symbol, length=length,
-                                        blocks=blocks)
+                                        length=length, blocks=blocks)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -809,8 +796,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                 "recovered without exposing masks; use version 'alg2'"
             )
         correction = dropout_correction(absent, assignment, channel, None,
-                                        per_symbol=per_symbol, length=length,
-                                        blocks=blocks)
+                                        length=length, blocks=blocks)
         if delayed is not None:
             delayed_discarded = False
     else:

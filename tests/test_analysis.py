@@ -50,7 +50,7 @@ class TestChiSquare:
         cfg = QuantizationConfig(clip=1.0, levels=4, modulus=16)
         symbol = np.uint64(0)  # constant all-zero digit
         masks = np.array(
-            [sample_private_phase(0, t, seed=103).phase for t in range(10_000)],
+            [sample_private_phase(0, t, seed=103) for t in range(10_000)],
             dtype=np.uint64,
         )
         masked = turns.add(np.full(10_000, symbol, dtype=np.uint64), masks)
@@ -210,7 +210,7 @@ class TestDifferenceLeak:
         chan = sample_round_channel(4, iteration=0, seed=121)
         digits = np.array([0, 3, 1, 2])
         msg = client_message(0, digits, assignment, chan, ALG2, seed=121, cfg=cfg)
-        report = difference_leak_probe([msg], cfg)
+        report = difference_leak_probe(msg.masked.symbols[None], "scalar", cfg)
         assert report.mask_mode == "scalar"
         assert report.digit_differences_recovered
         assert report.on_grid_fraction == 1.0
@@ -230,7 +230,8 @@ class TestDifferenceLeak:
                 client_message(0, digits, assignment, chan, ALG2, seed=123,
                                cfg=cfg, per_symbol=True)
             )
-        report = difference_leak_probe(messages, cfg)
+        symbols = np.stack([m.masked.symbols for m in messages])
+        report = difference_leak_probe(symbols, "per-symbol", cfg)
         assert report.mask_mode == "per-symbol"
         assert not report.digit_differences_recovered
         assert report.uniformity is not None
@@ -241,6 +242,6 @@ class TestDifferenceLeak:
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=125)
         msg = client_message(0, [2], assignment, chan, ALG1, seed=125, cfg=cfg)
-        report = difference_leak_probe([msg], cfg)
+        report = difference_leak_probe(msg.masked.symbols[None], "scalar", cfg)
         assert report.num_differences == 0
         assert not report.digit_differences_recovered

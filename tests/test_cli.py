@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import cli, fl, protocol, rng
+from phaseagg import analysis, cli, fl, protocol, rng
 from phaseagg.cli import (
     HISTORY_HEADER,
     ScenarioConfig,
@@ -18,6 +18,7 @@ from phaseagg.cli import (
     parse_config,
     run_scenario,
 )
+from phaseagg.codec import QuantizationConfig
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 
 
@@ -210,6 +211,7 @@ class TestInvalidConfigExitsOne:
         assert "Traceback" not in err
         assert word in err
         assert list(out.iterdir()) == []
+        return err
 
     @pytest.mark.parametrize("text, word", [row[1:] for row in INVALID_CONFIGS],
                              ids=[row[0] for row in INVALID_CONFIGS])
@@ -222,6 +224,11 @@ class TestInvalidConfigExitsOne:
     def test_round_and_attack_refuse_an_infinite_clip(self, command, text, word, tmp_path,
                                                       capsys):
         self.refused(command, text, word, tmp_path, capsys)
+
+    def test_zero_clients_name_the_count_not_a_modulus(self, tmp_path, capsys):
+        err = self.refused("run", config_text(("clients", 0)), "at least 1 client, got 0",
+                           tmp_path, capsys)
+        assert "got 1" not in err
 
 
 FIELD_PATHS = [
@@ -395,6 +402,37 @@ class TestRunScenario:
         assert code == 0
         assert report["attack"]["scenario"] == "alg1_naive_remedy"
         assert report["attack"]["succeeded"] is True
+
+    def test_attack_runs_on_the_configured_layout_and_modulation(self, tmp_path):
+        # The alg2 residual is the delayed client's private phase whatever the
+        # layout, so only the modulus moves the recovery rates.
+        config = parse_config(valid_data(
+            clients=8, protocol_version="alg2", delayed_client=3, rounds=300,
+            modulation=128, grouping={"mode": "subgroup", "groups": 2, "subgroup_size": 2}))
+        code, report = run_scenario(config, tmp_path, "attack")
+        assert code == 0
+        common = {"dimension": config.dimension, "trials": config.rounds,
+                  "seed": config.seed, "delayed": 3}
+        direct = analysis.delayed_client_attack(
+            analysis.PRIVATE_PHASE_SCENARIO, assignment=config.build_assignment(),
+            cfg=config.quantization(), **common)
+        assert report["attack"] == direct.to_json_dict()
+        assert direct.modulus == 128
+        two_groups = analysis.delayed_client_attack(
+            analysis.PRIVATE_PHASE_SCENARIO,
+            assignment=protocol.assign_two_groups(8, config.seed),
+            cfg=QuantizationConfig.with_auto_modulus(config.clip, config.levels, 8),
+            **common)
+        assert two_groups.modulus == 32
+        assert two_groups.element_accuracy != direct.element_accuracy
+
+    def test_attack_refuses_per_symbol_masks(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(valid_data(delayed_client=0, per_symbol_masks=True)))
+        code = main(["attack", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "scalar masks only" in err and "Traceback" not in err
 
     def test_rewriting_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
         config = parse_config(valid_data(rounds=3))

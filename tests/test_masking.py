@@ -4,7 +4,7 @@ import pytest
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import get_phase, sample_round_channel
-from phaseagg.codec import QuantizationConfig, SymbolVector, modulate
+from phaseagg.codec import QuantizationConfig, modulate
 from phaseagg.errors import DegenerateGroupError, UnrecoverableRoundError
 from phaseagg.masking import (
     MINUS,
@@ -12,18 +12,15 @@ from phaseagg.masking import (
     apply_mask,
     compute_group_mask,
     mask_shares,
-    reconstruct_dropped_mask,
     sample_private_phase,
 )
-from phaseagg.protocol import assign_subgroups, two_group_from_sides
+from phaseagg.protocol import assign_subgroups, dropout_correction, two_group_from_sides
 
 
 def test_single_counterpart_mask_is_that_phase():
     assignment = two_group_from_sides([0], [1])
     chan = sample_round_channel(2, iteration=0, seed=1)
-    mask = compute_group_mask(0, assignment, chan)
-    assert mask.phase == get_phase(chan, 0, 1)
-    assert mask.contributing_pairs == ((0, 1),)
+    assert compute_group_mask(0, assignment, chan) == get_phase(chan, 0, 1)
 
 
 def test_two_counterpart_mask_is_modular_sum():
@@ -31,7 +28,7 @@ def test_two_counterpart_mask_is_modular_sum():
     chan = sample_round_channel(3, iteration=0, seed=2)
     mask = compute_group_mask(0, assignment, chan)
     a, b = get_phase(chan, 0, 1), get_phase(chan, 0, 2)
-    assert mask.phase == (a + b) % turns.MODULUS
+    assert mask == (a + b) % turns.MODULUS
 
 
 def test_mask_pair_cancellation_identity():
@@ -42,10 +39,10 @@ def test_mask_pair_cancellation_identity():
     for seed in range(20):
         chan = sample_round_channel(8, iteration=seed, seed=seed)
         plus = turns.total(
-            compute_group_mask(i, assignment, chan).phase for i in [0, 1, 2, 3]
+            compute_group_mask(i, assignment, chan) for i in [0, 1, 2, 3]
         )
         minus = turns.total(
-            compute_group_mask(i, assignment, chan).phase for i in [4, 5, 6, 7]
+            compute_group_mask(i, assignment, chan) for i in [4, 5, 6, 7]
         )
         brute = turns.total(
             get_phase(chan, i, j) for i in [0, 1, 2, 3] for j in [4, 5, 6, 7]
@@ -60,7 +57,7 @@ def test_subgroup_mask_stays_inside_own_group():
         mask = compute_group_mask(i, assignment, chan)
         comp = assignment.complementary_set(i)
         assert all(assignment.group_of[j] == assignment.group_of[i] for j in comp)
-        assert mask.phase == turns.total(get_phase(chan, i, j) for j in comp)
+        assert mask == turns.total(get_phase(chan, i, j) for j in comp)
 
 
 def test_degenerate_complementary_set():
@@ -80,66 +77,54 @@ def test_degenerate_complementary_set():
 
 class TestApplyMask:
     def test_zero_mask_is_identity(self):
-        sym = SymbolVector(symbols=np.array([1, 2, 3], dtype=np.uint64), owner=0)
-        out = apply_mask(sym, 0, PLUS)
-        assert np.array_equal(out.symbols, sym.symbols)
+        sym = np.array([1, 2, 3], dtype=np.uint64)
+        assert np.array_equal(apply_mask(sym, 0, PLUS), sym)
 
     def test_grid_addition(self):
-        sym = SymbolVector(symbols=np.array([2**30], dtype=np.uint64), owner=0)
-        out = apply_mask(sym, 2**31, PLUS)
-        assert out.symbols[0] == 2**30 + 2**31
+        out = apply_mask(np.array([2**30], dtype=np.uint64), 2**31, PLUS)
+        assert out[0] == 2**30 + 2**31
 
     def test_plus_then_minus_restores(self):
         gen = np.random.default_rng(11)
         for _ in range(1000):
-            sym = SymbolVector(
-                symbols=gen.integers(0, turns.MODULUS, size=4, dtype=np.uint64),
-                owner=0,
-            )
+            sym = gen.integers(0, turns.MODULUS, size=4, dtype=np.uint64)
             mask = int(gen.integers(0, turns.MODULUS))
             back = apply_mask(apply_mask(sym, mask, PLUS), mask, MINUS)
-            assert np.array_equal(back.symbols, sym.symbols)
+            assert np.array_equal(back, sym)
 
     def test_direction_validation(self):
-        sym = SymbolVector(symbols=np.zeros(1, dtype=np.uint64), owner=0)
         with pytest.raises(ValueError):
-            apply_mask(sym, 1, "x")
+            apply_mask(np.zeros(1, dtype=np.uint64), 1, "x")
 
-    def test_vector_mask_marks_per_symbol_mode(self):
-        sym = SymbolVector(symbols=np.zeros(3, dtype=np.uint64), owner=0)
-        out = apply_mask(sym, np.array([1, 2, 3], dtype=np.uint64), PLUS)
-        assert out.mask_mode == "per-symbol"
-        assert list(out.symbols) == [1, 2, 3]
+    def test_vector_mask_rotates_each_symbol(self):
+        sym = np.array([0, 5, 2**32 - 1], dtype=np.uint64)
+        mask = np.array([1, 2, 3], dtype=np.uint64)
+        assert list(apply_mask(sym, mask, PLUS)) == [1, 7, 2]
+        assert list(apply_mask(sym, mask, MINUS)) == [2**32 - 1, 3, 2**32 - 4]
 
 
 class TestPrivatePhase:
     def test_deterministic(self):
-        a = sample_private_phase(3, 7, seed=5)
-        b = sample_private_phase(3, 7, seed=5)
-        assert a.phase == b.phase
+        assert sample_private_phase(3, 7, seed=5) == sample_private_phase(3, 7, seed=5)
 
     def test_distinct_streams(self):
-        phases = {sample_private_phase(i, 0, seed=5).phase for i in range(64)}
+        phases = {sample_private_phase(i, 0, seed=5) for i in range(64)}
         assert len(phases) == 64
 
     def test_changes_per_iteration(self):
-        assert (sample_private_phase(0, 0, seed=5).phase
-                != sample_private_phase(0, 1, seed=5).phase)
+        assert sample_private_phase(0, 0, seed=5) != sample_private_phase(0, 1, seed=5)
 
     def test_uniformity(self):
         samples = np.array(
-            [sample_private_phase(0, t, seed=5).phase for t in range(10_000)],
+            [sample_private_phase(0, t, seed=5) for t in range(10_000)],
             dtype=np.uint64,
         )
         assert chi_square_uniformity(samples, bins=16).passed
 
     def test_per_symbol_vector(self):
-        p = sample_private_phase(1, 2, seed=5, per_symbol=True, length=8)
-        assert p.phase.shape == (8,)
-        assert np.array_equal(
-            p.phase,
-            sample_private_phase(1, 2, seed=5, per_symbol=True, length=8).phase,
-        )
+        p = sample_private_phase(1, 2, seed=5, length=8)
+        assert p.shape == (8,)
+        assert np.array_equal(p, sample_private_phase(1, 2, seed=5, length=8))
 
 
 class TestMaskedUniformity:
@@ -155,9 +140,9 @@ class TestMaskedUniformity:
             digits = np.tile([0, 3], 8_000).astype(np.int64)
         else:
             digits = gen.integers(0, 4, size=16_000)
-        symbols = modulate(digits, cfg).symbols
+        symbols = modulate(digits, cfg)
         masks = np.array(
-            [sample_private_phase(0, t, seed=19).phase for t in range(16_000)],
+            [sample_private_phase(0, t, seed=19) for t in range(16_000)],
             dtype=np.uint64,
         )
         masked = turns.add(symbols, masks)
@@ -165,25 +150,30 @@ class TestMaskedUniformity:
 
 
 class TestReconstruction:
+    """A dropped client's shares sum to the part of its mask survivors hold."""
+
     def test_full_survivors_rebuild_exactly(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=23)
-        true_mask = compute_group_mask(1, assignment, chan).phase
-        rebuilt = reconstruct_dropped_mask(1, [0, 2, 3], assignment, chan)
-        assert rebuilt == true_mask
+        shares = mask_shares(1, [0, 2, 3], assignment, chan)
+        assert turns.total(p for _, p in shares) == compute_group_mask(1, assignment, chan)
+        streams = mask_shares(1, [0, 2, 3], assignment, chan, length=5)
+        assert np.array_equal(turns.vector_total([p for _, p in streams]),
+                              compute_group_mask(1, assignment, chan, length=5))
 
     def test_missing_counterpart_share(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=23)
-        true_mask = compute_group_mask(1, assignment, chan).phase
-        rebuilt = reconstruct_dropped_mask(1, [0, 3], assignment, chan)
+        true_mask = compute_group_mask(1, assignment, chan)
+        rebuilt = turns.total(p for _, p in mask_shares(1, [0, 3], assignment, chan))
         assert rebuilt == turns.sub(true_mask, get_phase(chan, 1, 2))
 
     def test_no_survivor_counterparts(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=23)
+        assert mask_shares(1, [0], assignment, chan) == []
         with pytest.raises(UnrecoverableRoundError):
-            reconstruct_dropped_mask(1, [0], assignment, chan)
+            dropout_correction([1, 2, 3], assignment, chan, None)
 
     def test_dropped_cannot_survive(self):
         assignment = two_group_from_sides([0, 1], [2, 3])

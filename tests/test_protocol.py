@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import time
@@ -29,6 +30,7 @@ from phaseagg.masking import (
     MINUS,
     PLUS,
     compute_group_mask,
+    cross_pair_blocks,
     group_masks,
     mask_shares,
     private_phase_array,
@@ -175,7 +177,7 @@ class TestClientMessage:
         cfg = small_cfg(clients=4)
         digits = np.array([0, 1, 2, 3])
         msg = client_message(0, digits, assignment, chan, ALG1, seed=3, cfg=cfg)
-        assert np.array_equal(msg.masked.symbols, modulate(digits, cfg).symbols)
+        assert np.array_equal(msg.masked.symbols, modulate(digits, cfg))
 
     def test_private_phase_is_the_only_alg2_difference(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -186,7 +188,7 @@ class TestClientMessage:
             plain = client_message(i, digits, assignment, chan, ALG1, seed=3, cfg=cfg)
             private = client_message(i, digits, assignment, chan, ALG2, seed=3, cfg=cfg)
             delta = turns.sub(private.masked.symbols, plain.masked.symbols)
-            u = sample_private_phase(i, 6, seed=3).phase
+            u = sample_private_phase(i, 6, seed=3)
             assert np.all(delta == u)
 
     def test_direction_follows_side_tag(self):
@@ -227,7 +229,8 @@ class TestAggregateAndDecode:
                 client_message(i, digits[i], assignment, chan, ALG1, 31, cfg)
                 for i in range(4)
             ]
-            decoded = ps_aggregate_and_decode(messages, 0, 4, cfg)
+            symbols = np.stack([m.masked.symbols for m in messages])
+            decoded = ps_aggregate_and_decode(symbols, 0, 4, cfg)
             oracle_sums = np.sum(digits, axis=0)
             assert np.array_equal(decoded.digit_sums, oracle_sums)
             oracle_mean = (np.array(digits) * (2 / 4) - 1).mean(axis=0)
@@ -242,7 +245,8 @@ class TestAggregateAndDecode:
                            ALG1, 33, cfg)
             for i in range(4)
         ]
-        decoded = ps_aggregate_and_decode(messages, 0, 4, cfg)
+        symbols = np.stack([m.masked.symbols for m in messages])
+        decoded = ps_aggregate_and_decode(symbols, 0, 4, cfg)
         assert np.array_equal(decoded.digit_sums, np.zeros(3, dtype=np.int64))
         assert np.all(decoded.mean == -1.0)
 
@@ -255,20 +259,21 @@ class TestAggregateAndDecode:
             for i in range(3)  # client 3 omitted, no correction
         ]
         with pytest.raises(ResidualMaskError):
-            ps_aggregate_and_decode(messages, 0, 3, cfg)
+            ps_aggregate_and_decode(np.stack([m.masked.symbols for m in messages]), 0, 3, cfg)
 
     def test_empty_round_unrecoverable(self):
         with pytest.raises(UnrecoverableRoundError):
-            ps_aggregate_and_decode([], 0, 1, small_cfg())
+            ps_aggregate_and_decode(np.empty((0, 3), dtype=np.uint64), 0, 1, small_cfg())
 
 
 class TestDropoutCorrection:
     def test_no_dropouts_correction_is_private_phase_sum(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=2, seed=37)
-        private = {i: sample_private_phase(i, 2, seed=37) for i in range(4)}
+        private = private_phase_array(range(4), 2, seed=37)
         result = dropout_correction((), assignment, chan, private)
-        expected = turns.negate(turns.total(p.phase for p in private.values()))
+        expected = turns.negate(turns.total(sample_private_phase(i, 2, seed=37)
+                                            for i in range(4)))
         assert result.correction == expected
         assert result.recovery_messages == 0
         assert result.private_phase_reveals == 4
@@ -301,7 +306,7 @@ class TestDropoutCorrection:
     def test_fully_dropped_side_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
-        private = {i: sample_private_phase(i, 0, seed=43) for i in (0, 1)}
+        private = private_phase_array((0, 1), 0, seed=43)
         with pytest.raises(UnrecoverableRoundError):
             dropout_correction([2, 3], assignment, chan, private)
 
@@ -309,7 +314,7 @@ class TestDropoutCorrection:
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([0, 1, 2, 3], assignment, chan, {})
+            dropout_correction([0, 1, 2, 3], assignment, chan, np.empty(0, np.uint64))
 
     def test_reveal_log_never_pairs_mask_and_private_phase(self):
         assignment = assign_subgroups(8, 2, 2, seed=45)
@@ -368,10 +373,9 @@ class TestRoundEngine:
         n = assignment.num_clients
         chan = sample_round_channel(n, iteration=5, seed=2**33 + 1)
         length = 3 if per_symbol else None
-        masks = group_masks(assignment, chan, per_symbol=per_symbol, length=length)
+        masks = group_masks(assignment, cross_pair_blocks(assignment, chan, length=length))
         for i in range(n):
-            ref = compute_group_mask(i, assignment, chan, per_symbol=per_symbol,
-                                     length=length).phase
+            ref = compute_group_mask(i, assignment, chan, length=length)
             assert np.array_equal(masks[i], ref)
 
     def test_cross_pair_index_matches_complementary_sets(self):
@@ -385,16 +389,13 @@ class TestRoundEngine:
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_private_phases_match_sample_private_phase(self, per_symbol):
         length = 4 if per_symbol else None
-        batch = private_phase_array([7, 0, 3], 9, seed=2**40, per_symbol=per_symbol,
-                                    length=length)
+        batch = private_phase_array([7, 0, 3], 9, seed=2**40, length=length)
         assert batch.shape == ((3, 4) if per_symbol else (3,))
         assert batch.dtype == np.uint64
         for i, phase in zip([7, 0, 3], batch):
-            ref = sample_private_phase(i, 9, seed=2**40, per_symbol=per_symbol,
-                                       length=length)
-            assert np.array_equal(phase, ref.phase)
-        assert private_phase_array([], 9, seed=1, per_symbol=per_symbol,
-                                   length=length).shape == ((0, 4) if per_symbol else (0,))
+            assert np.array_equal(phase, sample_private_phase(i, 9, seed=2**40, length=length))
+        assert private_phase_array([], 9, seed=1, length=length).shape == (
+            (0, 4) if per_symbol else (0,))
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_messages_match_client_message(self, per_symbol):
@@ -663,14 +664,19 @@ class TestBlockedRowTexts:
             compact_json(doc)
 
     def test_a_refused_line_leaves_only_whole_lines(self, tmp_path):
-        good = {"a": [np.arange(10, dtype=np.uint64)] * 3}
-        bad = {"a": [np.arange(10, dtype=np.uint64)] * 3 + [np.array([2**32])]}
+        good = run_round(np.ones((8, 10), dtype=np.int64), assign_subgroups(8, 2, 2, seed=3),
+                         sample_round_channel(8, iteration=0, seed=3),
+                         small_cfg(levels=4, clients=8), version=ALG2, seed=3, dropped=[5])
+        # A revealed phase off the grid is refused after the symbol rows.
+        shares, private = good.reveals
+        bad = dataclasses.replace(good, reveals=(
+            dict(shares, phases=np.array([1, 2**32], dtype=np.uint64)), private))
         path = tmp_path / "transcripts.jsonl"
         # The path already holds a longer file, which must leave no trace.
-        path.write_bytes(compact_json(good) * 4 + b"\nold\n")
+        path.write_bytes(good.to_json_line() * 4 + b"\nold\n")
         with pytest.raises(ValueError):
             write_transcripts([good, bad], path)
-        assert path.read_bytes() == compact_json(good) + b"\n"
+        assert path.read_bytes() == good.to_json_line() + b"\n"
 
     # Short rows, and rows of 2**15 symbols each.
     @pytest.mark.parametrize("width", [7, 2**15])
@@ -794,7 +800,7 @@ class TestRunRound:
             ]
             masked_sum = turns.vector_total([m.masked.symbols for m in messages])
             unmasked_sum = turns.vector_total(
-                [modulate(d, cfg).symbols for d in digits]
+                [modulate(d, cfg) for d in digits]
             )
             assert np.array_equal(masked_sum, unmasked_sum)
 
@@ -1022,7 +1028,7 @@ class TestMatrixRoundProperty:
             assert not record["phases"].flags.writeable
             if record["kind"] == "mask-shares":
                 ref = mask_shares(record["dropped"], senders, assignment, chan,
-                                  per_symbol=case["per_symbol"], length=length)
+                                  length=length)
                 assert record["revealers"] == [j for j, _ in ref]
                 assert [np.asarray(p).tolist() for _, p in ref] == record["phases"].tolist()
             else:
@@ -1030,8 +1036,7 @@ class TestMatrixRoundProperty:
                 assert record["clients"] == senders
                 assert record["phases"].tolist() == [
                     np.asarray(sample_private_phase(i, case["iteration"], case["seed"],
-                                                    per_symbol=case["per_symbol"],
-                                                    length=length).phase).tolist()
+                                                    length=length)).tolist()
                     for i in senders]
         assert len(transcript.reveals) == len(shares) + (case["version"] == ALG2)
         # A sequence of rows gives the same round as the matrix.
@@ -1140,17 +1145,19 @@ class TestMatrixRoundProperty:
                  for chan in (seeded, explicit)]
         assert lines[0] == lines[1]
 
-    def test_correction_from_an_array_equals_the_mapping(self):
+    def test_correction_subtracts_the_survivors_phase_array(self):
         assignment = assign_subgroups(8, 2, 2, seed=9)
         chan = sample_round_channel(8, iteration=1, seed=9)
         dropped = [assignment.side(1, MINUS)[0]]
         survivors = [i for i in range(8) if i not in dropped]
-        mapping = {i: sample_private_phase(i, 1, seed=9) for i in survivors}
-        array = np.array([mapping[i].phase for i in survivors], dtype=np.uint64)
-        by_map = dropout_correction(dropped, assignment, chan, mapping)
+        array = private_phase_array(survivors, 1, seed=9)
         by_array = dropout_correction(dropped, assignment, chan, array)
-        assert by_map.correction == by_array.correction
-        assert legacy_reveals(by_map.reveals) == legacy_reveals(by_array.reveals)
+        masks_only = dropout_correction(dropped, assignment, chan, None)
+        phases = [sample_private_phase(i, 1, seed=9) for i in survivors]
+        assert by_array.correction == turns.sub(masks_only.correction, turns.total(phases))
+        assert legacy_reveals(by_array.reveals)[-len(survivors):] == [
+            {"kind": "private-phase", "client": i, "phase": p}
+            for i, p in zip(survivors, phases)]
         assert type(by_array.correction) is int
         # The records hold read-only views; the caller's array stays writable.
         assert not by_array.reveals[-1]["phases"].flags.writeable
