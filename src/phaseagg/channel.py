@@ -6,9 +6,13 @@ see.  Phases are i.i.d. uniform on the 2**32 grid, constant within an
 iteration and freshly sampled across iterations.  Path loss, noise and
 geometry are out of scope: independence between pairs is modeled directly.
 
-A seeded channel stores no phases.  `ChannelMatrix.pair_phases` derives
-the phases of exactly the pairs it is asked for, in one batch, so a round
-hashes only the cross pairs its layout uses.  The dense N x N table
+A seeded channel stores no phases.  `pair_phase_window` derives the
+phases of exactly the pairs it is asked for over a window of consecutive
+iterations, in one batch: a training run derives its cross pairs' phases
+for many rounds at once, and `ChannelMatrix.pair_phases` is the one-round
+case, so a round on its own hashes only the cross pairs its layout uses.
+When a phase is derived does not change it: each is the same keyed
+function of (seed, iteration, pair).  The dense N x N table
 `ChannelMatrix.phases` is built on first use, for `get_phase`, tests and
 demos; the round path never builds it.
 """
@@ -49,18 +53,13 @@ class ChannelMatrix:
     def pair_phases(self, a, b) -> np.ndarray:
         """Phases of the pairs (a[k], b[k]) as uint64 turns, in one batch.
 
-        A seeded channel hashes each pair's key (seed, iteration, min, max),
-        equal to its own `rng.keyed_turn`; an explicit one reads its table.
+        A seeded channel derives them as the one-round `pair_phase_window`;
+        an explicit one reads its table.
         """
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        if lo.size:
-            if np.any(lo == hi):
-                raise NoSelfChannelError("a client has no channel to itself")
-            if lo.min() < 0 or hi.max() >= self.num_clients:
-                raise IndexError(f"client ids out of range for {self.num_clients} clients")
-        if self.table is not None:
-            return self.table[lo, hi]
-        return rng.keyed_turns((self.seed, rng.CHANNEL_DOMAIN, self.iteration), lo, hi)
+        if self.table is None:
+            return pair_phase_window(self.num_clients, self.seed, self.iteration, 1, a, b)[0]
+        lo, hi = _ordered_pairs(self.num_clients, a, b)
+        return self.table[lo, hi]
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -76,6 +75,29 @@ class ChannelMatrix:
 
     def phase(self, i: int, j: int) -> int:
         return get_phase(self, i, j)
+
+
+def _ordered_pairs(num_clients: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a[k], b[k]) as (min, max) arrays, refusing self and out-of-range pairs."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if lo.size:
+        if np.any(lo == hi):
+            raise NoSelfChannelError("a client has no channel to itself")
+        if lo.min() < 0 or hi.max() >= num_clients:
+            raise IndexError(f"client ids out of range for {num_clients} clients")
+    return lo, hi
+
+
+def pair_phase_window(num_clients: int, seed: int, start: int, rounds: int,
+                      a, b) -> np.ndarray:
+    """Phases of the pairs (a[k], b[k]) at `rounds` iterations from `start`.
+
+    A (rounds, pairs) uint64 array in one batch: entry [r, k] is
+    `keyed_turn(seed, CHANNEL_DOMAIN, start + r, min, max)` of pair k.
+    Iterations must lie in [0, 2**32).
+    """
+    lo, hi = _ordered_pairs(num_clients, a, b)
+    return rng.keyed_turns_window((seed, rng.CHANNEL_DOMAIN), start, rounds, lo, hi)
 
 
 def sample_round_channel(num_clients: int, iteration: int, seed: int) -> ChannelMatrix:

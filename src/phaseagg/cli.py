@@ -32,7 +32,6 @@ held before.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -524,6 +523,8 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out != "out" or config.output_dir is None \
             else Path(config.output_dir)
         if args.command == "run" and args.jobs > 1:
+            import concurrent.futures  # only here: it loads logging too
+
             seeds = [config.seed + k for k in range(args.jobs)]
             workers = min(args.jobs, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,6 +18,14 @@ round through the masked aggregation protocol; "plaintext" sums the same
 quantized digits directly.  Both take their digits from `client_digits`,
 and masking is information-lossless, so the two trajectories are
 bit-identical - that equivalence is itself a test target.
+
+A secure run with scalar masks derives its rounds' keyed phases a window
+at a time (`masking.phase_window`): one batch of cross-pair phases and,
+under alg2, one of every client's private phases, for as many rounds as
+fit in `WINDOW_KEYS` keys, at least one.  Each round then takes its row.
+The derivation order is a simulation detail: every phase is the same
+keyed function of (seed, round, ids), so the artifacts do not depend on
+the window.
 """
 
 from __future__ import annotations
@@ -32,9 +40,14 @@ import numpy as np
 from . import rng
 from .codec import QuantizationConfig, dequantize_mean, quantize
 from .errors import DivergenceError, ShapeError
+from .masking import phase_window
 
 if TYPE_CHECKING:
     from .cli import ScenarioConfig
+
+# Keys one window of rounds derives in one batch; a round with more keys
+# than this is a window on its own.
+WINDOW_KEYS = 2**16
 
 
 @dataclass(frozen=True)
@@ -243,12 +256,22 @@ def run_training(config: "ScenarioConfig", mode: str = "secure") -> TrainingHist
     state = ModelState(theta=np.zeros(config.dimension), iteration=0,
                        learning_rate=config.learning_rate)
     history = TrainingHistory()
+    windowed = mode == "secure" and not config.per_symbol_masks
+    private = config.protocol_version == protocol.ALG2
+    window = max(1, WINDOW_KEYS // (assignment.cross_pair_count()
+                                    + (config.clients if private else 0)))
+    phases = None
 
     for t in range(config.rounds):
         loss = sample_loss(state.theta, datasets)
         if mode == "secure":
+            if windowed:
+                if t % window == 0:
+                    rows = phase_window(assignment, config.seed, t,
+                                        min(window, config.rounds - t), private=private)
+                phases = rows[t % window]
             transcript, new_state = protocol.run_iteration(
-                state, config, datasets=datasets, assignment=assignment
+                state, config, datasets=datasets, assignment=assignment, phases=phases
             )
             history.transcripts.append(transcript)
             counters = transcript.counters

@@ -30,17 +30,25 @@ shares from the same blocks, and `private_phase_array` gives every
 sender's private phase.  `compute_group_mask`, `sample_private_phase`,
 `mask_shares` and `apply_mask` are the per-client definitions those arrays
 are tested against.
+
+Scalar phases may also be derived ahead of their rounds: `phase_window`
+hashes a window of rounds' cross-pair phases in one batch and, for alg2,
+every client's private phases in one more, one `RoundPhases` row per
+round, which `cross_pair_blocks` and `protocol.run_round` take in place of
+their own derivation.  When a phase is derived is a simulation detail:
+every value is the same keyed function of (seed, round, ids).
+Per-symbol streams are always expanded in their own round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import rng, turns
-from .channel import ChannelMatrix, get_phase, pair_phase_stream
+from .channel import ChannelMatrix, get_phase, pair_phase_stream, pair_phase_window
 from .errors import DegenerateGroupError
 
 if TYPE_CHECKING:
@@ -84,17 +92,25 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
 
 
 def cross_pair_blocks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
-                      length: int | None = None) -> tuple[np.ndarray, ...]:
+                      length: int | None = None,
+                      phases: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Every cross pair's phase, or with `length` its stream, derived once.
 
     Block g has shape (|plus side|, |minus side|) of uint64 phases, all
     hashed in one batch, or (|plus side|, |minus side|, length) of uint32
     streams: [a, b] belongs to the pair (plus[a], minus[b]), sides in
     increasing client order.  Both endpoints' masks and the dropout
-    correction index into the blocks.
+    correction index into the blocks.  `phases`, a `RoundPhases.pairs`
+    row derived ahead of the round, is split into the blocks in place of
+    the channel's phases; the blocks are then views of it.
     """
     plus, minus = assignment.cross_pair_index
-    if length is None:
+    if phases is not None:
+        if length is not None or phases.shape != plus.shape:
+            raise ValueError(f"derived phases must be {plus.size} scalar cross-pair "
+                             f"phases, got shape {phases.shape} with length {length}")
+        pairs = phases
+    elif length is None:
         pairs = channel.pair_phases(plus, minus)
     else:
         # uint32 holds every stream value and halves the blocks' memory.
@@ -147,21 +163,59 @@ def sample_private_phase(i: int, t: int, seed: int, *, length: int | None = None
     return rng.keyed_turn_vector(length, seed, rng.PRIVATE_STREAM_DOMAIN, t, i)
 
 
+def private_phase_window(clients, start: int, rounds: int, seed: int) -> np.ndarray:
+    """The clients' scalar private phases at `rounds` iterations from `start`.
+
+    A (rounds, k) uint64 array in one batch: entry [r, c] equals
+    `sample_private_phase(clients[c], start + r, seed)`.  Iterations must
+    lie in [0, 2**32).
+    """
+    return rng.keyed_turns_window((seed, rng.PRIVATE_PHASE_DOMAIN), start, rounds,
+                                  np.array([int(i) for i in clients], dtype=np.int64))
+
+
 def private_phase_array(clients, t: int, seed: int, *,
                         length: int | None = None) -> np.ndarray:
     """The clients' private phases stacked in their given order.
 
-    (k,) uint64 turns, scalar phases derived in one batch; (k, length) with
-    `length`.  Row r equals `sample_private_phase(clients[r], ...)`.
+    (k,) uint64 turns, scalar phases derived as the one-round
+    `private_phase_window`; (k, length) with `length`.  Row r equals
+    `sample_private_phase(clients[r], ...)`.
     """
     clients = [int(i) for i in clients]
     if length is None:
-        return rng.keyed_turns((seed, rng.PRIVATE_PHASE_DOMAIN, t),
-                               np.array(clients, dtype=np.int64))
+        return private_phase_window(clients, t, 1, seed)[0]
     phases = np.empty((len(clients), length), dtype=np.uint64)
     for r, i in enumerate(clients):
         phases[r] = sample_private_phase(i, t, seed, length=length)
     return phases
+
+
+class RoundPhases(NamedTuple):
+    """One round's scalar keyed phases, derived ahead of the round.
+
+    `pairs` holds every cross pair's channel phase in `cross_pair_index`
+    order.  `private` holds every client's private phase indexed by client
+    id, or is None when the round needs none (alg1).
+    """
+
+    pairs: np.ndarray
+    private: np.ndarray | None
+
+
+def phase_window(assignment: "GroupAssignment", seed: int, start: int, rounds: int, *,
+                 private: bool) -> list[RoundPhases]:
+    """The scalar phases of `rounds` consecutive rounds from `start`, one row per round.
+
+    One batch derives every cross pair's channel phase in the window and,
+    with `private`, one more every client's private phase.  Row r holds
+    the values round `start + r` derives on its own.
+    """
+    plus, minus = assignment.cross_pair_index
+    pairs = pair_phase_window(assignment.num_clients, seed, start, rounds, plus, minus)
+    privates = (private_phase_window(range(assignment.num_clients), start, rounds, seed)
+                if private else (None,) * rounds)
+    return [RoundPhases(p, q) for p, q in zip(pairs, privates)]
 
 
 def mask_shares(dropped: int, survivors, assignment: "GroupAssignment",

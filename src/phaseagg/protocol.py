@@ -84,6 +84,7 @@ from .masking import (
     PLUS,
     SCALAR_MASKS,
     MaskedSymbols,
+    RoundPhases,
     apply_mask,
     compute_group_mask,
     cross_pair_blocks,
@@ -713,7 +714,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
               version: str = ALG1, seed: int, dropped: Iterable[int] = (),
               delayed: int | None = None, per_symbol: bool = False,
               naive_remedy: bool = False,
-              fec: FecConfig | None = None) -> RoundTranscript:
+              fec: FecConfig | None = None,
+              phases: RoundPhases | None = None) -> RoundTranscript:
     """One full aggregation round over prepared digit vectors.
 
     `digits_by_client` holds one digit vector per client: a (clients, d)
@@ -728,6 +730,11 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     is treated as dropped at aggregation time; under alg2 its late message
     is logged and discarded, while `naive_remedy` (the deliberately unsafe
     alg1 recovery used by the attack oracle) leaves it for the caller.
+
+    A scalar round derives its cross-pair and private phases here, unless
+    `phases` holds this round's row of a `masking.phase_window`: the
+    blocks are then split from its cross-pair phases, and each sender's
+    private phase is read from it by client id.  The values are the same.
     """
     s = assignment.num_clients
     if len(digits_by_client) != s:
@@ -758,7 +765,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     # Phase estimation happens at round start for every cross pair, before
     # anyone can drop: each cross pair's phase (or per-symbol stream) is
     # derived once, for both endpoints' masks and the correction alike.
-    blocks = cross_pair_blocks(assignment, channel, length=length)
+    blocks = cross_pair_blocks(assignment, channel, length=length,
+                               phases=None if phases is None else phases.pairs)
     offsets = group_masks(assignment, blocks).reshape(s, -1)
     np.negative(offsets, out=offsets, where=assignment.minus_mask[:, None])
 
@@ -772,7 +780,12 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     symbols = modulate(digits, cfg).reshape(len(senders), dimension)
     private = None
     if version == ALG2:
-        private = private_phase_array(senders, t, seed, length=length)
+        if phases is None:
+            private = private_phase_array(senders, t, seed, length=length)
+        elif phases.private is None:
+            raise ValueError("an alg2 round's derived phases must hold private phases")
+        else:
+            private = phases.private.take(senders)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     turns.reduce_in_place(symbols)
@@ -837,7 +850,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
 
 def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
-                  datasets=None, assignment: GroupAssignment | None = None):
+                  datasets=None, assignment: GroupAssignment | None = None,
+                  phases: RoundPhases | None = None):
     """One federated round: gradients, masked aggregation, SGD step.
 
     Returns (transcript, updated state).  `datasets` and `assignment` may
@@ -845,7 +859,8 @@ def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
     deterministically from the config when omitted.  Every client's digits
     come from one batched gradient over the stacked client data, so pass
     the `fl.ClientDatasets` that `fl.make_synthetic_task` returns: a list
-    of datasets is stacked again on every call.
+    of datasets is stacked again on every call.  `phases`, this round's
+    row of a `masking.phase_window`, is handed to `run_round`.
     """
     if datasets is None:
         datasets, _ = fl.make_synthetic_task(
@@ -865,6 +880,7 @@ def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
         delayed=config.delayed_client,
         per_symbol=config.per_symbol_masks,
         fec=config.fec_config(),
+        phases=phases,
     )
     theta = fl.sgd_update(state.theta, transcript.decoded_mean, state.learning_rate)
     new_state = fl.ModelState(theta=theta, iteration=t + 1,

@@ -13,7 +13,11 @@ round uses, every sender's private phase) in a few dozen elementwise
 uint32 array operations; each of its values is bit-identical to
 `keyed_turn` on the same key, so batching changes no stream.  The shared
 prefix is hashed once as Python ints, and hash steps whose result never
-reaches the first output word are skipped.
+reaches the first output word are skipped.  `keyed_turns_window` batches
+the same keys over a window of consecutive iterations, the iteration
+becoming a key column, so a training run can derive many rounds' values
+in one call.  The order in which values are derived is a simulation
+detail: each is the same keyed function of its key, however it is batched.
 
 Domain tags keep the independent streams (channel phases, private phases,
 grouping, data, dropouts) from ever colliding on the same key.
@@ -171,6 +175,29 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
     state *= np.uint32((_INIT_B * _MULT_B) & _MASK32)
     state ^= state >> np.uint32(_XSHIFT)
     return state.astype(np.uint64)
+
+
+def keyed_turns_window(prefix, start: int, rounds: int, *columns) -> np.ndarray:
+    """keyed_turns over `rounds` consecutive iterations, as a (rounds, rows) array.
+
+    Entry [r, k] is keyed_turn(*prefix, start + r, col0[k], col1[k], ...):
+    the iteration is the first key column, so every value is hashed from
+    the same words as a `keyed_turns` call with the iteration ending its
+    prefix.  Every iteration must be one entropy word, in [0, 2**32).
+    """
+    start, rounds = int(start), int(rounds)
+    if rounds < 1:
+        raise ValueError(f"a window needs at least one round, got {rounds}")
+    if start < 0 or start + rounds - 1 > _MASK32:
+        raise ValueError(f"window iterations {start}..{start + rounds - 1} "
+                         "must lie in [0, 2**32)")
+    if not columns:
+        raise ValueError("keyed_turns_window needs at least one key column")
+    cols = [_column(c, str(k + 1)) for k, c in enumerate(columns)]
+    rows = cols[0].shape[0]
+    iterations = np.repeat(np.arange(start, start + rounds, dtype=np.int64), rows)
+    flat = keyed_turns(prefix, iterations, *(np.tile(c, rounds) for c in cols))
+    return flat.reshape(rounds, rows)
 
 
 def keyed_turn_vector(length: int, *key: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import json
@@ -515,7 +516,9 @@ class TestMain:
                 seen["seeds"] = list(iterables[1])
                 return [0] * len(seen["seeds"])
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # `main` imports concurrent.futures in its --jobs branch and reads
+        # the executor from the module there.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(valid_data()))

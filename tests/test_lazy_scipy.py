@@ -1,9 +1,11 @@
-"""`scipy` and `orjson` stay off the import path until a command needs them.
+"""`scipy`, `orjson` and `concurrent.futures` load only when a command needs them.
 
-Only a computed p-value loads scipy, and only a written transcript loads
-orjson.  Each test drives `cli.main` in a fresh interpreter, because the
-test process itself has long since imported both.  The script reports,
-after the imports and after each command, whether "scipy" and "orjson"
+Only a computed p-value loads scipy, only a written transcript loads
+orjson, and only `run --jobs` with more than one job loads
+concurrent.futures (and the logging package with it).  Each test drives
+`cli.main` in a fresh interpreter, because the test process itself has
+long since imported them.  The script reports, after the imports and
+after each command, whether "scipy", "orjson" and "concurrent.futures"
 are in `sys.modules`.
 """
 
@@ -25,7 +27,7 @@ import json, sys
 import phaseagg, phaseagg.cli
 from phaseagg import cli
 def loaded():
-    return ["scipy" in sys.modules, "orjson" in sys.modules]
+    return [name in sys.modules for name in ("scipy", "orjson", "concurrent.futures")]
 steps = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
@@ -35,7 +37,7 @@ print(json.dumps(steps))
 
 
 def probe(commands, cwd) -> list:
-    """[[exit code, scipy loaded, orjson loaded]] after the imports, then after each command."""
+    """[[exit code, scipy, orjson, concurrent.futures loaded]] after the imports, then each command."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(commands)],
                           cwd=cwd, env=env, capture_output=True, text=True,
@@ -55,8 +57,8 @@ def test_import_run_and_scalar_round_leave_scipy_unloaded(tmp_path):
         ["round", "--config", "alg2_dropout", "--out", str(tmp_path / "round")],
         ["attack", "--config", "attack_naive", "--out", str(tmp_path / "attack")],
     ], tmp_path)
-    assert steps == [[None, False, False], [0, False, True], [0, False, True],
-                     [0, False, True]]
+    assert steps == [[None, False, False, False], [0, False, True, False],
+                     [0, False, True, False], [0, False, True, False]]
 
 
 def test_per_symbol_round_loads_scipy_for_its_chi_square(tmp_path):
@@ -66,7 +68,8 @@ def test_per_symbol_round_loads_scipy_for_its_chi_square(tmp_path):
     config = write_config(tmp_path / "round.json", dict(PER_SYMBOL_ROUND, dimension=200))
     out = tmp_path / "out"
     steps = probe([["round", "--config", config, "--out", str(out)]], tmp_path)
-    assert steps == [[None, False, False], [0, True, True]]
+    # scipy.stats itself imports concurrent.futures.
+    assert steps == [[None, False, False, False], [0, True, True, True]]
 
     uniformity = json.loads((out / "report.json").read_text())["difference_leak"]["uniformity"]
     assert uniformity is not None
@@ -85,7 +88,7 @@ def test_alg2_attack_loads_scipy_for_its_binomial_test(tmp_path):
     config = write_config(tmp_path / "attack.json", dict(data, rounds=200))
     out = tmp_path / "out"
     steps = probe([["attack", "--config", config, "--out", str(out)]], tmp_path)
-    assert steps == [[None, False, False], [0, True, False]]
+    assert steps == [[None, False, False, False], [0, True, False, True]]
 
     attack = json.loads((out / "report.json").read_text())["attack"]
     assert attack["trials"] == 200

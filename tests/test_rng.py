@@ -82,3 +82,29 @@ def test_needs_a_column():
 def test_negative_prefix_refused():
     with pytest.raises(ValueError, match="non-negative"):
         rng.keyed_turns((-1,), np.arange(2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(batches(), st.integers(1, 3), st.one_of(st.integers(0, 9), WORDS))
+def test_keyed_turns_window_keys_the_iteration_as_a_column(batch, rounds, start):
+    prefix, columns = batch
+    start = min(start, 2**32 - rounds)
+    got = rng.keyed_turns_window(prefix, start, rounds,
+                                 *[np.array(c, dtype=np.uint64) for c in columns])
+    assert got.shape == (rounds, len(columns[0]))
+    want = [[seed_sequence_turn(list(prefix) + [start + r] + list(row))
+             for row in zip(*columns)] for r in range(rounds)]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("start, rounds, columns, match", [
+    (0, 1, (), "at least one key column"),
+    (0, 0, (np.arange(2),), "at least one round"),
+    (-1, 1, (np.arange(2),), r"\[0, 2\*\*32\)"),
+    (2**32 - 1, 2, (np.arange(2),), r"\[0, 2\*\*32\)"),
+    (0, 2, (np.array([2**32], dtype=np.uint64),), "column 1"),
+    (0, 2, (np.arange(2), np.arange(3)), "equal lengths"),
+])
+def test_keyed_turns_window_refusals(start, rounds, columns, match):
+    with pytest.raises(ValueError, match=match):
+        rng.keyed_turns_window((1,), start, rounds, *columns)

@@ -1,0 +1,256 @@
+"""A training run's keyed phases, derived a window of rounds at a time.
+
+`masking.phase_window` derives many rounds' cross-pair and private phases
+in one batch each.  Every value must equal the per-round definition
+(`rng.keyed_turn` of the pair's key, `sample_private_phase`), and a run's
+artifacts must not depend on the window size: the reference run below
+makes every round derive its own phases, as a direct `run_round` call does.
+"""
+
+import dataclasses
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from phaseagg import cli, fl, masking, protocol, rng
+from phaseagg.channel import pair_phase_window, sample_round_channel
+from phaseagg.masking import (
+    RoundPhases,
+    phase_window,
+    private_phase_window,
+    sample_private_phase,
+)
+from phaseagg.protocol import ALG1, ALG2, assign_subgroups, assign_two_groups, run_round
+
+from test_protocol import small_cfg
+
+MAX_ITERATION = 2**32 - 1
+
+
+@st.composite
+def layouts(draw):
+    """A two-group or subgroup layout, the last group with any remainder."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return assign_two_groups(draw(st.integers(4, 10)), seed=seed)
+    size = draw(st.integers(2, 3))
+    groups = draw(st.integers(1, 2))
+    clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
+    return assign_subgroups(clients, groups, size, seed=seed)
+
+
+# Seeds of two words make the prefix two words long.
+seeds = st.one_of(st.integers(0, MAX_ITERATION), st.integers(2**32, 2**70))
+
+
+@st.composite
+def windows(draw):
+    """(start, rounds) of a window that lies inside [0, 2**32)."""
+    rounds = draw(st.integers(1, 4))
+    start = draw(st.one_of(st.integers(0, 40), st.integers(0, MAX_ITERATION),
+                           st.just(2**32 - rounds)))
+    return min(start, 2**32 - rounds), rounds
+
+
+class TestWindowValues:
+    @settings(max_examples=40, deadline=None)
+    @given(assignment=layouts(), seed=seeds, window=windows(), private=st.booleans())
+    def test_every_value_equals_its_per_round_definition(self, assignment, seed, window,
+                                                         private):
+        start, rounds = window
+        rows = phase_window(assignment, seed, start, rounds, private=private)
+        assert len(rows) == rounds
+        plus, minus = assignment.cross_pair_index
+        for r, row in enumerate(rows):
+            t = start + r
+            assert row.pairs.dtype == np.uint64
+            assert row.pairs.tolist() == [
+                rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
+                for a, b in zip(plus.tolist(), minus.tolist())]
+            if not private:
+                assert row.private is None
+                continue
+            assert row.private.tolist() == [sample_private_phase(i, t, seed)
+                                            for i in range(assignment.num_clients)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(assignment=layouts(), seed=seeds, rounds=st.integers(1, 4),
+           start=st.integers(0, 2**40))
+    def test_an_iteration_past_one_word_is_refused(self, assignment, seed, rounds, start):
+        # The window's last iteration lies at or past 2**32.
+        start = max(start, 2**32 - rounds + 1)
+        plus, minus = assignment.cross_pair_index
+        clients = range(assignment.num_clients)
+        for derive in (
+            lambda: phase_window(assignment, seed, start, rounds, private=False),
+            lambda: phase_window(assignment, seed, start, rounds, private=True),
+            lambda: pair_phase_window(assignment.num_clients, seed, start, rounds,
+                                      plus, minus),
+            lambda: private_phase_window(clients, start, rounds, seed),
+        ):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+                derive()
+
+    def test_one_round_calls_refuse_what_the_window_refuses(self):
+        chan = sample_round_channel(6, iteration=2**32, seed=3)
+        with pytest.raises(ValueError):
+            chan.pair_phases(np.array([0]), np.array([1]))
+        with pytest.raises(ValueError):
+            masking.private_phase_array([0, 1], 2**32, seed=3)
+        with pytest.raises(ValueError, match="at least one round"):
+            private_phase_window([0], 5, 0, seed=3)
+
+    def test_round_refuses_a_row_it_cannot_use(self):
+        assignment = assign_two_groups(6, seed=2)
+        chan = sample_round_channel(6, iteration=1, seed=2)
+        (row,) = phase_window(assignment, 2, 1, 1, private=False)
+        digits = np.ones((6, 3), dtype=np.int64)
+        cfg = small_cfg(levels=4, clients=6)
+        with pytest.raises(ValueError, match="private phases"):
+            run_round(digits, assignment, chan, cfg, version=ALG2, seed=2, phases=row)
+        with pytest.raises(ValueError, match="scalar cross-pair"):
+            run_round(digits, assignment, chan, cfg, seed=2, per_symbol=True, phases=row)
+        with pytest.raises(ValueError, match="scalar cross-pair"):
+            run_round(digits, assignment, chan, cfg, seed=2,
+                      phases=RoundPhases(row.pairs[:-1], None))
+
+
+def artifacts(history) -> tuple:
+    """A run's history rows, parameters and transcript lines, as bytes."""
+    return ([dataclasses.astuple(r) for r in history.rows],
+            [theta.tobytes() for theta in history.thetas],
+            [t.to_json_line() for t in history.transcripts])
+
+
+def keys_per_round(config) -> int:
+    return (config.build_assignment().cross_pair_count()
+            + (config.clients if config.protocol_version == ALG2 else 0))
+
+
+def replaced(name: str, **changes):
+    return dataclasses.replace(cli.load_config(name), **changes)
+
+
+def threshold_config():
+    """alg2_dropout with a loss threshold that stops it after round 4 of 8."""
+    config = replaced("alg2_dropout")
+    losses = [row.loss for row in fl.run_training(config).rows]
+    assert min(losses[:4]) > losses[4]
+    return dataclasses.replace(config, loss_threshold=(min(losses[:4]) + losses[4]) / 2)
+
+
+CONFIGS = {
+    "alg2_dropout": lambda: replaced("alg2_dropout"),
+    "delayed": lambda: replaced("attack_private_phase", rounds=10),
+    "loss_threshold": threshold_config,
+    "alg1_baseline": lambda: replaced("alg1_baseline", rounds=10),
+    "per_symbol": lambda: replaced("alg2_dropout", per_symbol_masks=True),
+}
+
+
+class TestRunArtifactsDoNotDependOnTheWindow:
+    @pytest.fixture(scope="class", params=sorted(CONFIGS))
+    def case(self, request):
+        config = CONFIGS[request.param]()
+        original = protocol.run_iteration
+
+        def per_round(*args, phases=None, **kwargs):
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "run_iteration", per_round)
+            reference = artifacts(fl.run_training(config))
+        return config, reference
+
+    @pytest.mark.parametrize("window", ["one round", "three rounds", "default"])
+    def test_equal_to_per_round_derivation(self, case, window, monkeypatch):
+        config, reference = case
+        if window == "one round":
+            monkeypatch.setattr(fl, "WINDOW_KEYS", 1)
+        elif window == "three rounds":
+            monkeypatch.setattr(fl, "WINDOW_KEYS", 3 * keys_per_round(config))
+        assert artifacts(fl.run_training(config)) == reference
+
+    def test_cases_cover_what_they_name(self, case):
+        config, (rows, _, lines) = case
+        if config.loss_threshold is not None:
+            # Stops at round 4, inside a three-round window (3..5).
+            assert len(rows) == 5 < config.rounds
+        else:
+            assert len(rows) == config.rounds
+        if config.name == "alg2_dropout" and not config.per_symbol_masks:
+            assert any(json.loads(line)["dropped"] for line in lines)
+        if config.delayed_client is not None:
+            assert all(json.loads(line)["delayed"] == config.delayed_client
+                       for line in lines)
+
+
+@pytest.mark.parametrize("name, version, domains", [
+    ("alg2_dropout", ALG2, [rng.CHANNEL_DOMAIN, rng.PRIVATE_PHASE_DOMAIN]),
+    ("alg1_baseline", ALG1, [rng.CHANNEL_DOMAIN]),
+])
+def test_each_window_is_one_batch_per_domain(name, version, domains, monkeypatch):
+    config = replaced(name, rounds=8)
+    assert config.protocol_version == version
+    monkeypatch.setattr(fl, "WINDOW_KEYS", 3 * keys_per_round(config))
+    calls = []
+    original = rng.keyed_turns
+
+    def recorded(prefix, *columns):
+        calls.append((prefix[1], len(columns[0])))
+        return original(prefix, *columns)
+
+    monkeypatch.setattr(rng, "keyed_turns", recorded)
+    fl.run_training(config)
+    pairs = config.build_assignment().cross_pair_count()
+    sizes = {rng.CHANNEL_DOMAIN: pairs, rng.PRIVATE_PHASE_DOMAIN: config.clients}
+    # Windows of 3, 3 and 2 rounds; the rounds derive nothing themselves.
+    assert calls == [(domain, rounds * sizes[domain])
+                     for rounds in (3, 3, 2) for domain in domains]
+
+
+def test_per_symbol_run_derives_no_window(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fl, "phase_window", lambda *a, **k: calls.append(a))
+    fl.run_training(replaced("alg2_dropout", per_symbol_masks=True, rounds=3))
+    assert calls == []
+
+
+def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
+    # One group of two 257-client sides: 66,049 cross pairs, more than one
+    # window's keys, so every round is a window of its own.
+    config = cli.parse_config({
+        "name": "wide", "clients": 514, "dimension": 1, "samples_per_client": 1,
+        "grouping": {"mode": "subgroup", "groups": 1, "subgroup_size": 257},
+        "protocol_version": "alg1", "quantization": {"clip": 1.0, "levels": 4},
+        "rounds": 1, "learning_rate": 0.1, "seed": 3,
+    })
+    assert keys_per_round(config) == 257 * 257 > fl.WINDOW_KEYS
+    rows = []
+    original = rng.keyed_turns
+
+    def recorded(prefix, *columns):
+        rows.append(len(columns[0]))
+        return original(prefix, *columns)
+
+    monkeypatch.setattr(rng, "keyed_turns", recorded)
+
+    def traced_peak(rounds: int) -> int:
+        fl.run_training(config)  # warm the caches outside the trace
+        tracemalloc.start()
+        try:
+            fl.run_training(dataclasses.replace(config, rounds=rounds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = traced_peak(1)
+    rows.clear()
+    three = traced_peak(3)
+    assert rows == [257 * 257] * 4
+    # A window of three rounds would hold three rounds' keys (~3x the peak).
+    assert three < 1.3 * one
