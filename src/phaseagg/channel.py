@@ -11,6 +11,8 @@ phases of exactly the pairs it is asked for over a window of consecutive
 iterations, in one batch: a training run derives its cross pairs' phases
 for many rounds at once, and `ChannelMatrix.pair_phases` is the one-round
 case, so a round on its own hashes only the cross pairs its layout uses.
+Per symbol, `pair_phase_stream` expands one pair's key into its stream;
+a round's row (`masking.RoundPhases`) expands each cross pair's once.
 When a phase is derived does not change it: each is the same keyed
 function of (seed, iteration, pair).  The dense N x N table
 `ChannelMatrix.phases` is built on first use, for `get_phase`, tests and
@@ -72,9 +74,6 @@ class ChannelMatrix:
         table[i, j] = table[j, i] = self.pair_phases(i, j)
         table.setflags(write=False)
         return table
-
-    def phase(self, i: int, j: int) -> int:
-        return get_phase(self, i, j)
 
 
 def _ordered_pairs(num_clients: int, a, b) -> tuple[np.ndarray, np.ndarray]:

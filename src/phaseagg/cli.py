@@ -147,6 +147,11 @@ class ScenarioConfig:
     def fec_config(self) -> FecConfig:
         return FecConfig(scheme=self.fec_scheme, repeat=self.fec_repeat)
 
+    @property
+    def phase_length(self) -> int | None:
+        """A round's phase length: None for scalar masks, `dimension` per symbol."""
+        return self.dimension if self.per_symbol_masks else None
+
     def build_assignment(self) -> protocol.GroupAssignment:
         if self.grouping_mode == protocol.TWO_GROUP:
             return protocol.assign_two_groups(self.clients, self.seed)

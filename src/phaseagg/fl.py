@@ -19,13 +19,13 @@ quantized digits directly.  Both take their digits from `client_digits`,
 and masking is information-lossless, so the two trajectories are
 bit-identical - that equivalence is itself a test target.
 
-A secure run with scalar masks derives its rounds' keyed phases a window
-at a time (`masking.phase_window`): one batch of cross-pair phases and,
-under alg2, one of every client's private phases, for as many rounds as
-fit in `WINDOW_KEYS` keys, at least one.  Each round then takes its row.
-The derivation order is a simulation detail: every phase is the same
-keyed function of (seed, round, ids), so the artifacts do not depend on
-the window.
+A secure run derives its rounds' keyed phases a window at a time
+(`masking.phase_window`): every cross pair's phase and, under alg2, every
+client's private phase, scalar or per symbol, for as many rounds as fit
+in `WINDOW_WORDS` words, at least one.  A round holds its keys times the
+phase length in words.  Each round then takes its row.  The derivation
+order is a simulation detail: every phase is the same keyed function of
+(seed, round, ids), so the artifacts do not depend on the window.
 """
 
 from __future__ import annotations
@@ -45,9 +45,9 @@ from .masking import phase_window
 if TYPE_CHECKING:
     from .cli import ScenarioConfig
 
-# Keys one window of rounds derives in one batch; a round with more keys
+# Words one window of rounds derives at once; a round with more words
 # than this is a window on its own.
-WINDOW_KEYS = 2**16
+WINDOW_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -256,22 +256,20 @@ def run_training(config: "ScenarioConfig", mode: str = "secure") -> TrainingHist
     state = ModelState(theta=np.zeros(config.dimension), iteration=0,
                        learning_rate=config.learning_rate)
     history = TrainingHistory()
-    windowed = mode == "secure" and not config.per_symbol_masks
     private = config.protocol_version == protocol.ALG2
-    window = max(1, WINDOW_KEYS // (assignment.cross_pair_count()
-                                    + (config.clients if private else 0)))
-    phases = None
+    length = config.phase_length
+    keys = assignment.cross_pair_count() + (config.clients if private else 0)
+    window = max(1, WINDOW_WORDS // (keys * (length or 1)))
 
     for t in range(config.rounds):
         loss = sample_loss(state.theta, datasets)
         if mode == "secure":
-            if windowed:
-                if t % window == 0:
-                    rows = phase_window(assignment, config.seed, t,
-                                        min(window, config.rounds - t), private=private)
-                phases = rows[t % window]
+            if t % window == 0:
+                rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
+                                    private=private, length=length)
             transcript, new_state = protocol.run_iteration(
-                state, config, datasets=datasets, assignment=assignment, phases=phases
+                state, config, datasets=datasets, assignment=assignment,
+                phases=rows[t % window]
             )
             history.transcripts.append(transcript)
             counters = transcript.counters

@@ -20,24 +20,23 @@ Every phase and mask is a plain value: an int turn, or a uint64 vector of
 `length` turns in per-symbol mode.  Each function takes `length=None` for
 the scalar mode and the symbol count for the per-symbol one.
 
-A round works on whole arrays.  `cross_pair_blocks` derives each cross
-pair's value once, into one (|plus side|, |minus side|) block per group,
-in the order of `GroupAssignment.cross_pair_index`: scalar phases hashed
-in one batch, or each pair's stream expanded once.  `group_masks` sums a
-block axis for every client's mask, writing each side through the
-assignment's cached `side_index` arrays; the dropout correction reads its
-shares from the same blocks, and `private_phase_array` gives every
-sender's private phase.  `compute_group_mask`, `sample_private_phase`,
-`mask_shares` and `apply_mask` are the per-client definitions those arrays
-are tested against.
+A round reads every keyed phase from one `RoundPhases` row: each cross
+pair's channel phase, or per symbol its stream, in the order of
+`GroupAssignment.cross_pair_index`, and every client's private phase
+(alg2) by client id.  `phase_window` derives the rows of a window of
+rounds: scalar phases hashed in one batch per domain, streams expanded
+once each by `pair_phase_stream` and `sample_private_phase`.
+`round_phases` derives one round's row from its channel, as a direct
+`protocol.run_round` call does.  When a phase is derived is a simulation
+detail: every value is the same keyed function of (seed, round, ids).
 
-Scalar phases may also be derived ahead of their rounds: `phase_window`
-hashes a window of rounds' cross-pair phases in one batch and, for alg2,
-every client's private phases in one more, one `RoundPhases` row per
-round, which `cross_pair_blocks` and `protocol.run_round` take in place of
-their own derivation.  When a phase is derived is a simulation detail:
-every value is the same keyed function of (seed, round, ids).
-Per-symbol streams are always expanded in their own round.
+`cross_pair_blocks` splits a row's pairs into one (|plus side|, |minus
+side|) block per group, and `group_masks` sums a block axis for every
+client's mask, writing each side through the assignment's cached
+`side_index` arrays; the dropout correction reads its shares from the
+same blocks.  `compute_group_mask`, `sample_private_phase`, `mask_shares`
+and `apply_mask` are the per-client definitions those arrays are tested
+against.
 """
 
 from __future__ import annotations
@@ -48,7 +47,13 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import rng, turns
-from .channel import ChannelMatrix, get_phase, pair_phase_stream, pair_phase_window
+from .channel import (
+    ChannelMatrix,
+    get_phase,
+    pair_phase_stream,
+    pair_phase_window,
+    sample_round_channel,
+)
 from .errors import DegenerateGroupError
 
 if TYPE_CHECKING:
@@ -91,32 +96,18 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
     return turns.vector_total([pair_phase_stream(channel, i, j, length) for j in others])
 
 
-def cross_pair_blocks(assignment: "GroupAssignment", channel: ChannelMatrix, *,
-                      length: int | None = None,
-                      phases: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Every cross pair's phase, or with `length` its stream, derived once.
+def cross_pair_blocks(assignment: "GroupAssignment", pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A row's cross-pair values (`RoundPhases.pairs`) split into one block per group.
 
-    Block g has shape (|plus side|, |minus side|) of uint64 phases, all
-    hashed in one batch, or (|plus side|, |minus side|, length) of uint32
-    streams: [a, b] belongs to the pair (plus[a], minus[b]), sides in
-    increasing client order.  Both endpoints' masks and the dropout
-    correction index into the blocks.  `phases`, a `RoundPhases.pairs`
-    row derived ahead of the round, is split into the blocks in place of
-    the channel's phases; the blocks are then views of it.
+    Block g is a view of shape (|plus side|, |minus side|) of scalar
+    phases, or (|plus side|, |minus side|, length) of streams: [a, b]
+    belongs to the pair (plus[a], minus[b]), sides in increasing client
+    order.  Both endpoints' masks and the dropout correction index into
+    the blocks.
     """
-    plus, minus = assignment.cross_pair_index
-    if phases is not None:
-        if length is not None or phases.shape != plus.shape:
-            raise ValueError(f"derived phases must be {plus.size} scalar cross-pair "
-                             f"phases, got shape {phases.shape} with length {length}")
-        pairs = phases
-    elif length is None:
-        pairs = channel.pair_phases(plus, minus)
-    else:
-        # uint32 holds every stream value and halves the blocks' memory.
-        pairs = np.empty((len(plus), length), dtype=np.uint32)
-        for k, (i, j) in enumerate(zip(plus.tolist(), minus.tolist())):
-            pairs[k] = pair_phase_stream(channel, i, j, length)
+    if len(pairs) != assignment.cross_pair_count():
+        raise ValueError(f"need {assignment.cross_pair_count()} cross-pair phases, "
+                         f"got shape {pairs.shape}")
     blocks, start = [], 0
     for p, m in assignment.side_index:
         stop = start + p.size * m.size
@@ -174,48 +165,67 @@ def private_phase_window(clients, start: int, rounds: int, seed: int) -> np.ndar
                                   np.array([int(i) for i in clients], dtype=np.int64))
 
 
-def private_phase_array(clients, t: int, seed: int, *,
-                        length: int | None = None) -> np.ndarray:
-    """The clients' private phases stacked in their given order.
-
-    (k,) uint64 turns, scalar phases derived as the one-round
-    `private_phase_window`; (k, length) with `length`.  Row r equals
-    `sample_private_phase(clients[r], ...)`.
-    """
-    clients = [int(i) for i in clients]
-    if length is None:
-        return private_phase_window(clients, t, 1, seed)[0]
-    phases = np.empty((len(clients), length), dtype=np.uint64)
-    for r, i in enumerate(clients):
-        phases[r] = sample_private_phase(i, t, seed, length=length)
-    return phases
-
-
 class RoundPhases(NamedTuple):
-    """One round's scalar keyed phases, derived ahead of the round.
+    """One round's keyed phases, read by every mask, share and correction of it.
 
     `pairs` holds every cross pair's channel phase in `cross_pair_index`
-    order.  `private` holds every client's private phase indexed by client
-    id, or is None when the round needs none (alg1).
+    order: (P,) uint64 turns, or (P, length) uint32 streams per symbol.
+    `private` holds every client's private phase indexed by client id,
+    (N,) uint64 or (N, length) uint32, or is None when the round needs
+    none (alg1).
     """
 
+    iteration: int
     pairs: np.ndarray
     private: np.ndarray | None
 
+    @property
+    def length(self) -> int | None:
+        """None for scalar phases, or the per-symbol stream length."""
+        return self.pairs.shape[1] if self.pairs.ndim == 2 else None
+
+
+def round_phases(assignment: "GroupAssignment", channel: ChannelMatrix, seed: int, *,
+                 private: bool, length: int | None = None) -> RoundPhases:
+    """One round's row: its channel's cross-pair values and, with `private`, `seed`'s.
+
+    Scalar phases are the one-round case of the window functions (an
+    explicit channel reads its table); with `length` each stream is
+    expanded once, by `pair_phase_stream` and `sample_private_phase`.
+    """
+    t, clients = channel.iteration, range(assignment.num_clients)
+    plus, minus = assignment.cross_pair_index
+    if length is None:
+        return RoundPhases(t, channel.pair_phases(plus, minus),
+                           private_phase_window(clients, t, 1, seed)[0] if private else None)
+    # uint32 holds every stream value and halves the row's memory.
+    streams = np.dtype((np.uint32, length))
+    pairs = np.fromiter((pair_phase_stream(channel, i, j, length)
+                         for i, j in zip(plus.tolist(), minus.tolist())), streams, plus.size)
+    phases = (np.fromiter((sample_private_phase(i, t, seed, length=length) for i in clients),
+                          streams, len(clients)) if private else None)
+    return RoundPhases(t, pairs, phases)
+
 
 def phase_window(assignment: "GroupAssignment", seed: int, start: int, rounds: int, *,
-                 private: bool) -> list[RoundPhases]:
-    """The scalar phases of `rounds` consecutive rounds from `start`, one row per round.
+                 private: bool, length: int | None = None) -> list[RoundPhases]:
+    """The rows of `rounds` consecutive rounds from `start`, row r that of round start + r.
 
-    One batch derives every cross pair's channel phase in the window and,
-    with `private`, one more every client's private phase.  Row r holds
-    the values round `start + r` derives on its own.
+    Scalar phases take one batch for every cross pair's channel phase in
+    the window and, with `private`, one more for every client's private
+    phase.  Streams are expanded round by round, as `round_phases` does
+    on the round's seeded channel.
     """
+    n = assignment.num_clients
+    if length is not None:
+        return [round_phases(assignment, sample_round_channel(n, t, seed), seed,
+                             private=private, length=length)
+                for t in range(start, start + rounds)]
     plus, minus = assignment.cross_pair_index
-    pairs = pair_phase_window(assignment.num_clients, seed, start, rounds, plus, minus)
-    privates = (private_phase_window(range(assignment.num_clients), start, rounds, seed)
+    pairs = pair_phase_window(n, seed, start, rounds, plus, minus)
+    privates = (private_phase_window(range(n), start, rounds, seed)
                 if private else (None,) * rounds)
-    return [RoundPhases(p, q) for p, q in zip(pairs, privates)]
+    return [RoundPhases(start + r, p, q) for r, (p, q) in enumerate(zip(pairs, privates))]
 
 
 def mask_shares(dropped: int, survivors, assignment: "GroupAssignment",

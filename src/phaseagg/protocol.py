@@ -21,15 +21,18 @@ in one (senders, d) uint64 matrix and adds each sender's offset to its row
 in place: its private phase (alg2) plus its group mask, negated on the
 minus side.  The offsets are an (senders, 1) column in scalar mode and an
 (senders, d) array per symbol, so broadcasting serves both.  The aggregate
-is the matrix's column sum plus the correction.  Below `run_round`, the
-mask mode is only the `length` of a phase (None for a scalar, d per
-symbol), and every phase, mask, symbol row and correction is an int or a
-uint64 array; `per_symbol` is set only by `run_round`'s and
-`client_message`'s callers.  The transcript keeps the read-only matrix
-and the sender ids; `RoundTranscript.messages` builds the `ClientMessage`
-tuple, each holding a read-only view of its row, only when first read.
-`client_message` builds one client's message on its own; it is the
-reference the rows are tested against.
+is the matrix's column sum plus the correction.  Every phase of a round
+comes from one `masking.RoundPhases` row: a training run hands each round
+its row of a `masking.phase_window`, and a direct call derives its own
+(`masking.round_phases`).  Below `run_round`, the mask mode is only the
+`length` of the row's phases (None for a scalar, d per symbol), and every
+phase, mask, symbol row and correction is an int or an integer array;
+`per_symbol` is set only by `run_round`'s and `client_message`'s callers.
+The transcript keeps the read-only matrix and the sender ids;
+`RoundTranscript.messages` builds the `ClientMessage` tuple, each holding
+a read-only view of its row, only when first read.  `client_message`
+builds one client's message on its own; it is the reference the rows are
+tested against.
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
@@ -89,7 +92,7 @@ from .masking import (
     compute_group_mask,
     cross_pair_blocks,
     group_masks,
-    private_phase_array,
+    round_phases,
     sample_private_phase,
 )
 
@@ -463,36 +466,31 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
-                       channel: ChannelMatrix,
-                       private_phases: np.ndarray | None, *,
-                       length: int | None = None,
-                       blocks: tuple[np.ndarray, ...] | None = None) -> CorrectionResult:
+                       blocks: tuple[np.ndarray, ...],
+                       private_phases: np.ndarray | None) -> CorrectionResult:
     """Correction the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
     minus-side ones subtracted; with `private_phases` given (alg2) the
     survivors' private phases are subtracted as well.  `private_phases` is
     an array of their phases, one row per survivor in increasing client
-    order.  `length` is None for scalar phases, or the per-symbol stream
-    length; the correction is then an int, or a (length,) array.  A
-    dropped client's shares are read from the round's cross-pair blocks
-    (built here by `masking.cross_pair_blocks` when `blocks` is not
-    given).  The reveal log records each query once: the revealers of
-    one dropped client's shares, or the survivors whose private phases are
-    asked, with the revealed phases as one read-only uint64 array.  The
-    never-both rule is audited on those records.
+    order.  A dropped client's shares are read from the round's cross-pair
+    blocks (`masking.cross_pair_blocks`), whose phase width sets the
+    correction's: an int for scalar phases, a (length,) array for
+    per-symbol streams.  The reveal log records each query once: the
+    revealers of one dropped client's shares, or the survivors whose
+    private phases are asked, with the revealed phases as one read-only
+    uint64 array.  The never-both rule is audited on those records.
     """
     dropped = frozenset(int(i) for i in dropped)
     for i in dropped:
         if not (0 <= i < assignment.num_clients):
             raise IndexError(f"dropped client {i} is not in the assignment")
     survivors = _check_recovery_feasible(dropped, assignment)
-    if dropped and blocks is None:
-        blocks = cross_pair_blocks(assignment, channel, length=length)
 
     # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
     # the total is reduced once at the end; () makes a scalar total.
-    total = np.zeros(() if length is None else length, dtype=np.uint64)
+    total = np.zeros(blocks[0].shape[2:], dtype=np.uint64)
     result = CorrectionResult(correction=0)
     for i in sorted(dropped):
         g, tag = assignment.group_of[i], assignment.tag_of[i]
@@ -521,7 +519,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                                "phases": phases})
         total -= phases.sum(axis=0, dtype=np.uint64)
 
-    result.correction = turns.reduce(int(total) if length is None else total)
+    result.correction = turns.reduce(int(total) if total.ndim == 0 else total)
     _audit_reveal_safety(result.reveals, assignment)
     return result
 
@@ -731,10 +729,13 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     is logged and discarded, while `naive_remedy` (the deliberately unsafe
     alg1 recovery used by the attack oracle) leaves it for the caller.
 
-    A scalar round derives its cross-pair and private phases here, unless
-    `phases` holds this round's row of a `masking.phase_window`: the
-    blocks are then split from its cross-pair phases, and each sender's
-    private phase is read from it by client id.  The values are the same.
+    Every phase comes from `phases`, this round's `masking.RoundPhases`
+    row: the cross-pair blocks are split from its pairs, and each sender's
+    private phase is read from it by client id.  Without a row the round
+    derives its own (`masking.round_phases`): the pairs from `channel`, an
+    explicit channel's from its table, and the private phases from
+    `seed`.  A row from another round, or of the other mask mode, is
+    refused with ValueError.
     """
     s = assignment.num_clients
     if len(digits_by_client) != s:
@@ -765,8 +766,15 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     # Phase estimation happens at round start for every cross pair, before
     # anyone can drop: each cross pair's phase (or per-symbol stream) is
     # derived once, for both endpoints' masks and the correction alike.
-    blocks = cross_pair_blocks(assignment, channel, length=length,
-                               phases=None if phases is None else phases.pairs)
+    if phases is None:
+        phases = round_phases(assignment, channel, seed, private=version == ALG2,
+                              length=length)
+    elif (phases.iteration, phases.length) != (t, length):
+        raise ValueError(f"phases of round {phases.iteration}, length {phases.length} "
+                         f"cannot serve round {t}, length {length}")
+    elif version == ALG2 and phases.private is None:
+        raise ValueError("an alg2 round's derived phases must hold private phases")
+    blocks = cross_pair_blocks(assignment, phases.pairs)
     offsets = group_masks(assignment, blocks).reshape(s, -1)
     np.negative(offsets, out=offsets, where=assignment.minus_mask[:, None])
 
@@ -780,12 +788,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     symbols = modulate(digits, cfg).reshape(len(senders), dimension)
     private = None
     if version == ALG2:
-        if phases is None:
-            private = private_phase_array(senders, t, seed, length=length)
-        elif phases.private is None:
-            raise ValueError("an alg2 round's derived phases must hold private phases")
-        else:
-            private = phases.private.take(senders)
+        private = phases.private.take(senders, axis=0)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     turns.reduce_in_place(symbols)
@@ -798,8 +801,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
     delayed_discarded: bool | None = None
     if version == ALG2:
-        correction = dropout_correction(absent, assignment, channel, private,
-                                        length=length, blocks=blocks)
+        correction = dropout_correction(absent, assignment, blocks, private)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -808,8 +810,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                 "dropouts under the group-mask-only protocol cannot be "
                 "recovered without exposing masks; use version 'alg2'"
             )
-        correction = dropout_correction(absent, assignment, channel, None,
-                                        length=length, blocks=blocks)
+        correction = dropout_correction(absent, assignment, blocks, None)
         if delayed is not None:
             delayed_discarded = False
     else:

@@ -57,11 +57,6 @@ def sub(a, b):
     return (int(a) - int(b)) & _MASK
 
 
-def negate(a):
-    """Additive inverse on the grid."""
-    return sub(0, a)
-
-
 def total(values) -> int:
     """Mod-2**32 sum of an iterable of scalar turns."""
     acc = 0
@@ -83,14 +78,3 @@ def to_radians(value):
         return value.astype(np.float64) * (2.0 * np.pi / MODULUS)
     return (int(value) & _MASK) * (2.0 * np.pi / MODULUS)
 
-
-def from_radians(theta: float) -> int:
-    """Nearest grid point to an angle given in radians."""
-    return round(theta / (2.0 * np.pi) * MODULUS) & _MASK
-
-
-def is_on_grid(value, step: int) -> bool:
-    """True when value (or every element) is an exact multiple of step."""
-    if isinstance(value, np.ndarray):
-        return bool(np.all(value % np.uint64(step) == 0))
-    return int(value) % step == 0

@@ -16,6 +16,8 @@ from phaseagg.masking import (
 )
 from phaseagg.protocol import assign_subgroups, dropout_correction, two_group_from_sides
 
+from test_protocol import channel_blocks
+
 
 def test_single_counterpart_mask_is_that_phase():
     assignment = two_group_from_sides([0], [1])
@@ -173,7 +175,7 @@ class TestReconstruction:
         chan = sample_round_channel(4, iteration=0, seed=23)
         assert mask_shares(1, [0], assignment, chan) == []
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([1, 2, 3], assignment, chan, None)
+            dropout_correction([1, 2, 3], assignment, channel_blocks(assignment, chan), None)
 
     def test_dropped_cannot_survive(self):
         assignment = two_group_from_sides([0, 1], [2, 3])

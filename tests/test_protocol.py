@@ -33,7 +33,8 @@ from phaseagg.masking import (
     cross_pair_blocks,
     group_masks,
     mask_shares,
-    private_phase_array,
+    private_phase_window,
+    round_phases,
     sample_private_phase,
 )
 from phaseagg.protocol import (
@@ -61,6 +62,12 @@ def pair_partners(assignment, i) -> tuple:
     """Client i's partners in the assignment's cross-pair index, ascending."""
     plus, minus = assignment.cross_pair_index
     return tuple(sorted(minus[plus == i].tolist() + plus[minus == i].tolist()))
+
+
+def channel_blocks(assignment, chan, length=None) -> tuple:
+    """The cross-pair blocks a round on `chan` builds, per symbol with `length`."""
+    row = round_phases(assignment, chan, 0, private=False, length=length)
+    return cross_pair_blocks(assignment, row.pairs)
 
 
 def small_cfg(levels=5, clients=8):
@@ -270,9 +277,9 @@ class TestDropoutCorrection:
     def test_no_dropouts_correction_is_private_phase_sum(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=2, seed=37)
-        private = private_phase_array(range(4), 2, seed=37)
-        result = dropout_correction((), assignment, chan, private)
-        expected = turns.negate(turns.total(sample_private_phase(i, 2, seed=37)
+        private = private_phase_window(range(4), 2, 1, seed=37)[0]
+        result = dropout_correction((), assignment, channel_blocks(assignment, chan), private)
+        expected = turns.sub(0, turns.total(sample_private_phase(i, 2, seed=37)
                                             for i in range(4)))
         assert result.correction == expected
         assert result.recovery_messages == 0
@@ -306,15 +313,16 @@ class TestDropoutCorrection:
     def test_fully_dropped_side_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
-        private = private_phase_array((0, 1), 0, seed=43)
+        private = private_phase_window((0, 1), 0, 1, seed=43)[0]
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([2, 3], assignment, chan, private)
+            dropout_correction([2, 3], assignment, channel_blocks(assignment, chan), private)
 
     def test_all_dropped_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([0, 1, 2, 3], assignment, chan, np.empty(0, np.uint64))
+            dropout_correction([0, 1, 2, 3], assignment, channel_blocks(assignment, chan),
+                               np.empty(0, np.uint64))
 
     def test_reveal_log_never_pairs_mask_and_private_phase(self):
         assignment = assign_subgroups(8, 2, 2, seed=45)
@@ -373,7 +381,7 @@ class TestRoundEngine:
         n = assignment.num_clients
         chan = sample_round_channel(n, iteration=5, seed=2**33 + 1)
         length = 3 if per_symbol else None
-        masks = group_masks(assignment, cross_pair_blocks(assignment, chan, length=length))
+        masks = group_masks(assignment, channel_blocks(assignment, chan, length))
         for i in range(n):
             ref = compute_group_mask(i, assignment, chan, length=length)
             assert np.array_equal(masks[i], ref)
@@ -389,13 +397,14 @@ class TestRoundEngine:
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_private_phases_match_sample_private_phase(self, per_symbol):
         length = 4 if per_symbol else None
-        batch = private_phase_array([7, 0, 3], 9, seed=2**40, length=length)
-        assert batch.shape == ((3, 4) if per_symbol else (3,))
-        assert batch.dtype == np.uint64
-        for i, phase in zip([7, 0, 3], batch):
+        assignment = assign_two_groups(8, seed=1)
+        chan = sample_round_channel(8, iteration=9, seed=1)
+        batch = round_phases(assignment, chan, 2**40, private=True, length=length).private
+        assert batch.shape == ((8, 4) if per_symbol else (8,))
+        assert batch.dtype == (np.uint32 if per_symbol else np.uint64)
+        for i, phase in enumerate(batch):
             assert np.array_equal(phase, sample_private_phase(i, 9, seed=2**40, length=length))
-        assert private_phase_array([], 9, seed=1, length=length).shape == (
-            (0, 4) if per_symbol else (0,))
+        assert round_phases(assignment, chan, 1, private=False, length=length).private is None
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_messages_match_client_message(self, per_symbol):
@@ -1110,25 +1119,26 @@ class TestMatrixRoundProperty:
         assert transcript.counters["recovery_messages"] > 0
         assert "phases" not in chan.__dict__
 
-    def test_scalar_round_hashes_only_cross_pairs_and_senders(self, monkeypatch):
+    def test_scalar_round_hashes_only_cross_pairs_and_every_client_once(self, monkeypatch):
         from phaseagg import rng
 
         assignment = assign_subgroups(20, 2, 4, seed=6)
         chan = sample_round_channel(20, iteration=3, seed=6)
-        rows = {}
+        calls = []
         original = rng.keyed_turns
 
         def counted(prefix, *columns):
             result = original(prefix, *columns)
-            rows[prefix[1]] = rows.get(prefix[1], 0) + len(result)
+            calls.append((prefix[1], len(result)))
             return result
 
         monkeypatch.setattr(rng, "keyed_turns", counted)
         dropped = [assignment.side(0, MINUS)[0], assignment.side(1, PLUS)[1]]
         run_round(np.ones((20, 4), dtype=np.int64), assignment, chan,
                   small_cfg(levels=4, clients=20), version=ALG2, seed=6, dropped=dropped)
-        assert rows == {rng.CHANNEL_DOMAIN: assignment.cross_pair_count(),
-                        rng.PRIVATE_PHASE_DOMAIN: 20 - len(dropped)}
+        # The round's row holds every client's private phase, dropped or not.
+        assert calls == [(rng.CHANNEL_DOMAIN, assignment.cross_pair_count()),
+                         (rng.PRIVATE_PHASE_DOMAIN, 20)]
         assert assignment.cross_pair_count() < 20 * 19 // 2
 
     @pytest.mark.parametrize("absent", [((), None), ((1, 7), 4)])
@@ -1150,9 +1160,10 @@ class TestMatrixRoundProperty:
         chan = sample_round_channel(8, iteration=1, seed=9)
         dropped = [assignment.side(1, MINUS)[0]]
         survivors = [i for i in range(8) if i not in dropped]
-        array = private_phase_array(survivors, 1, seed=9)
-        by_array = dropout_correction(dropped, assignment, chan, array)
-        masks_only = dropout_correction(dropped, assignment, chan, None)
+        blocks = channel_blocks(assignment, chan)
+        array = private_phase_window(survivors, 1, 1, seed=9)[0]
+        by_array = dropout_correction(dropped, assignment, blocks, array)
+        masks_only = dropout_correction(dropped, assignment, blocks, None)
         phases = [sample_private_phase(i, 1, seed=9) for i in survivors]
         assert by_array.correction == turns.sub(masks_only.correction, turns.total(phases))
         assert legacy_reveals(by_array.reveals)[-len(survivors):] == [
@@ -1163,7 +1174,7 @@ class TestMatrixRoundProperty:
         assert not by_array.reveals[-1]["phases"].flags.writeable
         assert array.flags.writeable
         with pytest.raises(ValueError):
-            dropout_correction(dropped, assignment, chan, array[:-1])
+            dropout_correction(dropped, assignment, blocks, array[:-1])
 
 
 def layouts():

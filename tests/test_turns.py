@@ -27,12 +27,6 @@ def test_sub_then_add_roundtrips():
         assert turns.add(turns.sub(a, b), b) == a
 
 
-def test_negate():
-    assert turns.negate(0) == 0
-    assert turns.negate(5) == turns.MODULUS - 5
-    assert turns.add(12345, turns.negate(12345)) == 0
-
-
 def test_vector_ops_match_scalar():
     gen = np.random.default_rng(1)
     a = gen.integers(0, turns.MODULUS, size=50, dtype=np.uint64)
@@ -57,23 +51,8 @@ def test_vector_total():
     assert list(out) == [1, 0]
 
 
-def test_radians_roundtrip_on_grid():
-    for v in [0, 1, 2**30, 2**31, turns.MODULUS - 1]:
-        assert turns.from_radians(turns.to_radians(v)) == v
-
-
 def test_quarter_turn_is_half_pi():
     assert turns.to_radians(2**30) == pytest.approx(np.pi / 2)
-
-
-def test_is_on_grid():
-    step = turns.MODULUS // 4
-    assert turns.is_on_grid(0, step)
-    assert turns.is_on_grid(3 * step, step)
-    assert not turns.is_on_grid(step + 1, step)
-    arr = np.array([0, step, 2 * step], dtype=np.uint64)
-    assert turns.is_on_grid(arr, step)
-    assert not turns.is_on_grid(arr + np.uint64(1), step)
 
 
 def test_as_vector_rejects_floats():

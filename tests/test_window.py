@@ -1,10 +1,11 @@
 """A training run's keyed phases, derived a window of rounds at a time.
 
-`masking.phase_window` derives many rounds' cross-pair and private phases
-in one batch each.  Every value must equal the per-round definition
-(`rng.keyed_turn` of the pair's key, `sample_private_phase`), and a run's
-artifacts must not depend on the window size: the reference run below
-makes every round derive its own phases, as a direct `run_round` call does.
+`masking.phase_window` derives many rounds' rows: scalar cross-pair and
+private phases in one batch each, per-symbol streams once each.  Every
+value must equal its per-key definition (`rng.keyed_turn` of the pair's
+key, `pair_phase_stream`, `sample_private_phase`), and a run's artifacts
+must not depend on the window size: the reference run below makes every
+round derive its own row, as a direct `run_round` call does.
 """
 
 import dataclasses
@@ -16,12 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import cli, fl, masking, protocol, rng
-from phaseagg.channel import pair_phase_window, sample_round_channel
+from phaseagg import cli, fl, protocol, rng
+from phaseagg.channel import (
+    channel_from_phases,
+    pair_phase_stream,
+    pair_phase_window,
+    sample_round_channel,
+)
 from phaseagg.masking import (
-    RoundPhases,
     phase_window,
     private_phase_window,
+    round_phases,
     sample_private_phase,
 )
 from phaseagg.protocol import ALG1, ALG2, assign_subgroups, assign_two_groups, run_round
@@ -58,24 +64,35 @@ def windows(draw):
 
 class TestWindowValues:
     @settings(max_examples=40, deadline=None)
-    @given(assignment=layouts(), seed=seeds, window=windows(), private=st.booleans())
+    @given(assignment=layouts(), seed=seeds, window=windows(), private=st.booleans(),
+           length=st.one_of(st.none(), st.integers(1, 5)))
     def test_every_value_equals_its_per_round_definition(self, assignment, seed, window,
-                                                         private):
+                                                         private, length):
         start, rounds = window
-        rows = phase_window(assignment, seed, start, rounds, private=private)
+        rows = phase_window(assignment, seed, start, rounds, private=private, length=length)
         assert len(rows) == rounds
         plus, minus = assignment.cross_pair_index
+        pairs = list(zip(plus.tolist(), minus.tolist()))
         for r, row in enumerate(rows):
             t = start + r
-            assert row.pairs.dtype == np.uint64
-            assert row.pairs.tolist() == [
-                rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
-                for a, b in zip(plus.tolist(), minus.tolist())]
+            assert (row.iteration, row.length) == (t, length)
+            if length is None:
+                assert row.pairs.dtype == np.uint64
+                assert row.pairs.tolist() == [
+                    rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
+                    for a, b in pairs]
+            else:
+                chan = sample_round_channel(assignment.num_clients, t, seed)
+                assert row.pairs.dtype == np.uint32
+                assert row.pairs.tolist() == [pair_phase_stream(chan, a, b, length).tolist()
+                                              for a, b in pairs]
             if not private:
                 assert row.private is None
                 continue
-            assert row.private.tolist() == [sample_private_phase(i, t, seed)
-                                            for i in range(assignment.num_clients)]
+            assert row.private.dtype == (np.uint64 if length is None else np.uint32)
+            assert row.private.tolist() == [
+                np.asarray(sample_private_phase(i, t, seed, length=length)).tolist()
+                for i in range(assignment.num_clients)]
 
     @settings(max_examples=40, deadline=None)
     @given(assignment=layouts(), seed=seeds, rounds=st.integers(1, 4),
@@ -99,10 +116,13 @@ class TestWindowValues:
         chan = sample_round_channel(6, iteration=2**32, seed=3)
         with pytest.raises(ValueError):
             chan.pair_phases(np.array([0]), np.array([1]))
-        with pytest.raises(ValueError):
-            masking.private_phase_array([0, 1], 2**32, seed=3)
+        # An explicit channel's pairs come from its table; the private phases refuse.
+        explicit = channel_from_phases(sample_round_channel(6, 0, seed=3).phases, 2**32)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            round_phases(assign_two_groups(6, seed=3), explicit, 3, private=True)
         with pytest.raises(ValueError, match="at least one round"):
             private_phase_window([0], 5, 0, seed=3)
+
 
     def test_round_refuses_a_row_it_cannot_use(self):
         assignment = assign_two_groups(6, seed=2)
@@ -112,11 +132,33 @@ class TestWindowValues:
         cfg = small_cfg(levels=4, clients=6)
         with pytest.raises(ValueError, match="private phases"):
             run_round(digits, assignment, chan, cfg, version=ALG2, seed=2, phases=row)
-        with pytest.raises(ValueError, match="scalar cross-pair"):
+        with pytest.raises(ValueError, match="length None cannot serve round 1, length 3"):
             run_round(digits, assignment, chan, cfg, seed=2, per_symbol=True, phases=row)
-        with pytest.raises(ValueError, match="scalar cross-pair"):
+        with pytest.raises(ValueError, match="cross-pair phases"):
             run_round(digits, assignment, chan, cfg, seed=2,
-                      phases=RoundPhases(row.pairs[:-1], None))
+                      phases=row._replace(pairs=row.pairs[:-1]))
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_round_refuses_the_next_rounds_row(self, per_symbol):
+        assignment = assign_two_groups(6, seed=2)
+        chan = sample_round_channel(6, iteration=1, seed=2)
+        kwargs = dict(version=ALG2, seed=2, per_symbol=per_symbol)
+        this, after = phase_window(assignment, 2, 1, 2, private=True,
+                                   length=3 if per_symbol else None)
+        digits = np.ones((6, 3), dtype=np.int64)
+        cfg = small_cfg(levels=4, clients=6)
+        assert run_round(digits, assignment, chan, cfg, phases=this, **kwargs).to_json_line() \
+            == run_round(digits, assignment, chan, cfg, **kwargs).to_json_line()
+        with pytest.raises(ValueError, match="phases of round 2, length .* cannot serve round 1,"):
+            run_round(digits, assignment, chan, cfg, phases=after, **kwargs)
+
+    def test_round_refuses_a_stream_row_under_scalar_masks(self):
+        assignment = assign_two_groups(6, seed=2)
+        chan = sample_round_channel(6, iteration=1, seed=2)
+        (row,) = phase_window(assignment, 2, 1, 1, private=True, length=3)
+        with pytest.raises(ValueError, match="length 3 cannot serve round 1, length None"):
+            run_round(np.ones((6, 3), dtype=np.int64), assignment, chan,
+                      small_cfg(levels=4, clients=6), version=ALG2, seed=2, phases=row)
 
 
 def artifacts(history) -> tuple:
@@ -126,9 +168,11 @@ def artifacts(history) -> tuple:
             [t.to_json_line() for t in history.transcripts])
 
 
-def keys_per_round(config) -> int:
-    return (config.build_assignment().cross_pair_count()
+def words_per_round(config) -> int:
+    """The words of one round's row: its keys times the phase length."""
+    keys = (config.build_assignment().cross_pair_count()
             + (config.clients if config.protocol_version == ALG2 else 0))
+    return keys * (config.dimension if config.per_symbol_masks else 1)
 
 
 def replaced(name: str, **changes):
@@ -170,9 +214,9 @@ class TestRunArtifactsDoNotDependOnTheWindow:
     def test_equal_to_per_round_derivation(self, case, window, monkeypatch):
         config, reference = case
         if window == "one round":
-            monkeypatch.setattr(fl, "WINDOW_KEYS", 1)
+            monkeypatch.setattr(fl, "WINDOW_WORDS", 1)
         elif window == "three rounds":
-            monkeypatch.setattr(fl, "WINDOW_KEYS", 3 * keys_per_round(config))
+            monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
         assert artifacts(fl.run_training(config)) == reference
 
     def test_cases_cover_what_they_name(self, case):
@@ -196,7 +240,7 @@ class TestRunArtifactsDoNotDependOnTheWindow:
 def test_each_window_is_one_batch_per_domain(name, version, domains, monkeypatch):
     config = replaced(name, rounds=8)
     assert config.protocol_version == version
-    monkeypatch.setattr(fl, "WINDOW_KEYS", 3 * keys_per_round(config))
+    monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
     calls = []
     original = rng.keyed_turns
 
@@ -213,11 +257,22 @@ def test_each_window_is_one_batch_per_domain(name, version, domains, monkeypatch
                      for rounds in (3, 3, 2) for domain in domains]
 
 
-def test_per_symbol_run_derives_no_window(monkeypatch):
-    calls = []
-    monkeypatch.setattr(fl, "phase_window", lambda *a, **k: calls.append(a))
-    fl.run_training(replaced("alg2_dropout", per_symbol_masks=True, rounds=3))
-    assert calls == []
+@pytest.mark.parametrize("window", [1, 3])
+def test_a_per_symbol_run_expands_each_stream_once_per_round(window, monkeypatch):
+    config = replaced("alg2_dropout", per_symbol_masks=True, rounds=4)
+    monkeypatch.setattr(fl, "WINDOW_WORDS", window * words_per_round(config))
+    keys = []
+    original = rng.keyed_turn_vector
+
+    def recorded(length, *key):
+        assert length == config.dimension
+        keys.append(key)
+        return original(length, *key)
+
+    monkeypatch.setattr(rng, "keyed_turn_vector", recorded)
+    fl.run_training(config)
+    pairs = config.build_assignment().cross_pair_count()
+    assert len(keys) == len(set(keys)) == config.rounds * (pairs + config.clients)
 
 
 def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
@@ -229,7 +284,7 @@ def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
         "protocol_version": "alg1", "quantization": {"clip": 1.0, "levels": 4},
         "rounds": 1, "learning_rate": 0.1, "seed": 3,
     })
-    assert keys_per_round(config) == 257 * 257 > fl.WINDOW_KEYS
+    assert words_per_round(config) == 257 * 257 > fl.WINDOW_WORDS
     rows = []
     original = rng.keyed_turns
 
