@@ -30,12 +30,11 @@ import numpy as np
 from . import rng, turns
 from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
-from .errors import TranscriptFormatError, UnderpoweredTestError
+from .errors import UnderpoweredTestError
 from .masking import PLUS
 from .protocol import (
     ALG1,
     ALG2,
-    TRANSCRIPT_FORMAT,
     TWO_GROUP,
     GroupAssignment,
     RoundTranscript,
@@ -332,54 +331,19 @@ class OverheadReport:
         }
 
 
-def _overhead_fields(t) -> dict:
-    """The fields `verify_overhead` reads, from a transcript or its JSON dict.
+def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
+    """Check the phase-estimation and recovery counts of transcripts as exact integers.
 
-    A `RoundTranscript`'s fields are read directly, so no message symbols
-    are rendered.  A dict is a `transcripts.jsonl` line of format
-    `TRANSCRIPT_FORMAT`, or a legacy line (no `transcript_format`) whose
-    `revealed_shares` holds one entry per revealed share.  `shares` maps
-    each dropped client to the number of mask shares revealed for it.
-    """
-    if isinstance(t, RoundTranscript):
-        row = {name: getattr(t, name) for name in
-               ("assignment", "counters", "dropped", "delayed", "reveals")}
-        row["transcript_format"] = TRANSCRIPT_FORMAT
-    else:
-        row = dict(t)
-        row.setdefault("delayed", None)
-    shares: dict[int, int] = {}
-    fmt = row.get("transcript_format")
-    if fmt is None:
-        for reveal in row["revealed_shares"]:
-            if reveal["kind"] == "mask-share":
-                shares[reveal["dropped"]] = shares.get(reveal["dropped"], 0) + 1
-    elif fmt == TRANSCRIPT_FORMAT:
-        for record in row["reveals"]:
-            if record["kind"] == "mask-shares":
-                shares[record["dropped"]] = (shares.get(record["dropped"], 0)
-                                             + len(record["revealers"]))
-    else:
-        raise TranscriptFormatError(f"unknown transcript_format {fmt!r}; "
-                                    f"this version reads {TRANSCRIPT_FORMAT} and legacy lines")
-    row["shares"] = shares
-    return row
-
-
-def verify_overhead(transcripts: Sequence) -> OverheadReport:
-    """Check phase-estimation and recovery counts as exact integers.
-
-    Two-group mode must measure l*(N-l) estimations per round (the (N/2)^2
-    of an even split); subgroup mode must measure K*L^2 = N*L/2.  Each
-    dropped client must cost exactly one recovery message per surviving
-    member of its complementary subgroup.
+    Each is a `RoundTranscript`, from `run_round` or read back from its line
+    by `protocol.read_transcript_line`.  Two-group mode must measure
+    l*(N-l) estimations per round (the (N/2)^2 of an even split); subgroup
+    mode must measure K*L^2 = N*L/2, both from the first transcript's
+    assignment.  Each dropped client must cost exactly one recovery message
+    per surviving member of its complementary subgroup in its own round.
     """
     if not transcripts:
         raise ValueError("no transcripts to verify")
-    rows = [_overhead_fields(t) for t in transcripts]
-    assignment = rows[0]["assignment"]
-    if not isinstance(assignment, GroupAssignment):
-        assignment = GroupAssignment.from_json_dict(assignment)
+    assignment = transcripts[0].assignment
     n = assignment.num_clients
     if assignment.mode == TWO_GROUP:
         l = assignment.plus_size()
@@ -393,21 +357,24 @@ def verify_overhead(transcripts: Sequence) -> OverheadReport:
 
     exact = True
     recovery_exact = True
-    for row in rows:
-        if row["counters"]["phase_estimations"] != formula:
+    for t in transcripts:
+        if t.counters["phase_estimations"] != formula:
             exact = False
-        dropped = set(row["dropped"])
-        if row["delayed"] is not None:
-            dropped.add(row["delayed"])
-        survivors = set(range(n)) - dropped
+        dropped = set(t.dropped)
+        if t.delayed is not None:
+            dropped.add(t.delayed)
+        survivors = set(range(t.assignment.num_clients)) - dropped
         for i in dropped:
-            expected = len(survivors.intersection(assignment.complementary_set(i)))
-            if row["shares"].get(i, 0) != expected:
+            expected = len(survivors.intersection(t.assignment.complementary_set(i)))
+            shares = sum(len(r["revealers"]) for r in t.reveals
+                         if r["kind"] == "mask-shares" and r["dropped"] == i)
+            if shares != expected:
                 recovery_exact = False
 
     return OverheadReport(
-        mode=assignment.mode, num_clients=n, rounds=len(rows),
-        group_parameters=params, measured_per_round=rows[0]["counters"]["phase_estimations"],
+        mode=assignment.mode, num_clients=n, rounds=len(transcripts),
+        group_parameters=params,
+        measured_per_round=transcripts[0].counters["phase_estimations"],
         formula_per_round=formula, exact_match=exact,
         recovery_messages_exact=recovery_exact,
     )

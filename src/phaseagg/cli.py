@@ -17,13 +17,12 @@ each value rule has one owner (`ScenarioConfig`, `protocol.check_layout`,
 `QuantizationConfig`, `FecConfig`), and the config collects what they
 refuse.  Identical config and seed always produce byte-identical artifacts.
 
-Each line of transcripts.jsonl is one round's `RoundTranscript.to_json_dict()`
-dumped with sorted keys and compact separators (transcript format
-`protocol.TRANSCRIPT_FORMAT`; `analyze` also reads legacy lines, which
-carry no `transcript_format`).  `write_transcripts` streams those exact
-bytes to the file as `RoundTranscript.to_json_parts` renders them, an
-array at a time, and never joins the line; tests/test_golden.py pins the
-bytes.
+Each line of transcripts.jsonl holds one round in transcript format
+`protocol.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
+which `write_transcripts` streams to the file an array at a time
+(tests/test_golden.py pins the bytes).  `analyze` reads each line back
+through `protocol.read_transcript_line`, the inverse of `to_json_parts`,
+which also upgrades legacy lines.
 
 Every artifact is written to a new file: `_create` removes what the path
 held before.
@@ -465,20 +464,12 @@ def analyze_transcripts(out_dir: Path) -> tuple[int, dict]:
     path = out_dir / "transcripts.jsonl"
     if not path.is_file():
         raise ConfigValidationError([f"no transcripts found at {path}"])
-    rows = []
-    for number, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line:
-            continue
-        try:
-            rows.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TranscriptFormatError(f"{path} line {number} is not JSON: {exc}") from None
-    try:
-        overhead = analysis.verify_overhead(rows)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TranscriptFormatError(
-            f"{path} does not hold round transcripts: {type(exc).__name__}: {exc}"
-        ) from None
+    with path.open("rb") as lines:
+        rows = [protocol.read_transcript_line(line, number)
+                for number, line in enumerate(lines, start=1) if line.strip()]
+    if not rows:
+        raise TranscriptFormatError(f"{path} holds no round transcripts")
+    overhead = analysis.verify_overhead(rows)
     report = {
         "command": "analyze",
         "rounds": len(rows),

@@ -48,17 +48,14 @@ per dropped client, then ``{"kind": "private-phases", "clients": [...],
 per-symbol streams, row r answered by the r-th listed client.
 
 `RoundTranscript.to_json_dict` defines the transcript's JSON schema,
-format `TRANSCRIPT_FORMAT`, and `_message_json_dict` that of each message
-in it.  A message is its owner and symbols; the iteration, protocol
-version and mask mode are written once per line, and a message's
-direction is its owner's side tag in the line's assignment.
+format `TRANSCRIPT_FORMAT`.  A message is its owner and symbols; the
+iteration, version and mask mode are written once per line, and a
+message's direction is its owner's side tag in the line's assignment.
 `RoundTranscript.to_json_parts` yields the same document as compact,
-key-sorted JSON byte parts, leaving the symbol rows, the revealed phases,
-the aggregate and the decoded mean as arrays until `compact_json_parts`
-renders them: each integer array with orjson's numpy encoder, imported on
-first use, and each float array with `json`, each distinct value rendered
-once (orjson writes some floats differently, 1e-05 as 0.00001).  A writer
-streams the parts, one per array; `to_json_line` joins them.
+key-sorted JSON byte parts, one per array, which `compact_json_parts`
+renders: integer arrays with orjson's numpy encoder, imported on first
+use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
+`read_transcript_line`, the one reader of a written line, is its inverse.
 """
 
 from __future__ import annotations
@@ -79,6 +76,7 @@ from .errors import (
     RevealSafetyError,
     SecurityFloorError,
     ShapeError,
+    TranscriptFormatError,
     UnrecoverableRoundError,
 )
 from .masking import (
@@ -210,16 +208,6 @@ class GroupAssignment:
             "subgroup_size": self.subgroup_size,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "GroupAssignment":
-        return cls(
-            mode=d["mode"],
-            group_of=tuple(int(g) for g in d["group_of"]),
-            tag_of=tuple(str(t) for t in d["tag_of"]),
-            num_groups=int(d["num_groups"]),
-            subgroup_size=None if d.get("subgroup_size") is None else int(d["subgroup_size"]),
-        )
-
 
 def check_layout(mode: str, num_clients: int, num_groups: int | None = None,
                  subgroup_size: int | None = None) -> None:
@@ -320,20 +308,6 @@ class ClientMessage:
     iteration: int
     masked: MaskedSymbols
     protocol_version: str
-
-    def to_json_dict(self) -> dict:
-        return _message_json_dict(self.owner, self.masked.symbols.tolist())
-
-
-def _message_json_dict(owner: int, symbols) -> dict:
-    """One uplink message's JSON form, the one definition of its schema.
-
-    `ClientMessage.to_json_dict` and both of `RoundTranscript`'s JSON forms
-    build their message dicts here.  The round-level facts (iteration,
-    version, mask mode) sit once in the transcript, and the direction is
-    the owner's tag in its assignment.
-    """
-    return {"owner": owner, "symbols": symbols}
 
 
 def client_message(i: int, digits, assignment: GroupAssignment,
@@ -617,11 +591,6 @@ def compact_json_parts(obj) -> Iterator:
     yield from _integer_list_parts(integers, glue[1:])
 
 
-def compact_json(obj) -> bytes:
-    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII bytes."""
-    return b"".join(compact_json_parts(obj))
-
-
 @dataclass(frozen=True, eq=False)
 class RoundTranscript:
     """Everything one aggregation round produced, ready to serialize.
@@ -693,7 +662,7 @@ class RoundTranscript:
             "version": self.version,
             "mask_mode": self.mask_mode,
             "assignment": self.assignment.to_json_dict(),
-            "messages": [_message_json_dict(i, row)
+            "messages": [{"owner": i, "symbols": row}
                          for i, row in zip(self.senders, array(self.symbols))],
             "dropped": list(self.dropped),
             "delayed": self.delayed,
@@ -705,6 +674,120 @@ class RoundTranscript:
             "decoded_mean": array(self.decoded_mean),
             "codec_metrics": dict(self.codec_metrics),
         }
+
+
+# A format-2 line's schema: a tuple holds the JSON types or values a value
+# may have (`_CLIENT`: a client id of the line's assignment), a dict an
+# object's fields, and a one-item list a list's items.
+_CLIENT = object()
+_LINE_SCHEMA = {
+    "transcript_format": (TRANSCRIPT_FORMAT,), "iteration": (int,),
+    "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": [(str,)],
+                   "num_groups": (int,), "subgroup_size": (int, type(None))},
+    "version": (ALG1, ALG2), "mask_mode": (SCALAR_MASKS, PER_SYMBOL_MASKS),
+    "messages": [{"owner": (_CLIENT,), "symbols": (list,)}], "dropped": [(_CLIENT,)],
+    "delayed": (_CLIENT, type(None)), "delayed_discarded": (bool, type(None)),
+    "reveals": [{"kind": ("mask-shares", "private-phases"), "phases": (list,)}],
+    "counters": dict.fromkeys(("phase_estimations", "uplink_messages", "recovery_messages",
+                               "private_phase_reveals"), (int,)),
+    "num_contributors": (int,), "aggregate": (list,), "decoded_mean": [(float,)],
+    "codec_metrics": (dict,)}
+_REVEAL_SCHEMA = {"mask-shares": {"dropped": (_CLIENT,), "revealers": [(_CLIENT,)]},
+                  "private-phases": {"clients": [(_CLIENT,)]}}
+_LEGACY_SCHEMA = {"messages": [{"version": (str,), "mask_mode": (str,)}],
+                  "correction_queries": [{"kind": ("mask-shares", "private-phase"),
+                                          "queried": [(int,)]}],
+                  "revealed_shares": [{"phase": (int, list)}]}
+
+
+def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
+    """One `transcripts.jsonl` line read back: the inverse of `RoundTranscript.to_json_parts`.
+
+    A legacy line (no `transcript_format`; each message repeats the version
+    and mask mode, and `revealed_shares` holds one entry per phase, in query
+    order) is upgraded here and nowhere else.  The arrays are read-only:
+    (senders, d) uint64 `symbols`, uint64 reveal phases, int64 `aggregate`
+    and float64 `decoded_mean`.  Any other line raises TranscriptFormatError
+    naming line `number` and the field.
+    """
+    where = "transcript line" if number is None else f"line {number}"
+    clients = 0  # the assignment's client count, once it is read
+
+    def fail(name, problem):
+        return TranscriptFormatError(f"{where}: {name!r} {problem}")
+
+    def check(value, schema, name):
+        if isinstance(schema, dict):
+            check(value, (dict,), name)
+            for key, inner in schema.items():
+                path = f"{name}.{key}" if name else key
+                if key not in value:
+                    raise fail(path, "is missing")
+                check(value[key], inner, path)
+        elif isinstance(schema, list):
+            check(value, (list,), name)
+            for k, item in enumerate(value):
+                check(item, schema[0], f"{name}[{k}]")
+        elif type(value) not in schema and value not in schema and not (
+                _CLIENT in schema and type(value) is int and 0 <= value < clients):
+            kinds = [f"a client id below {clients}" if t is _CLIENT
+                     else getattr(t, "__name__", repr(t)) for t in schema]
+            raise fail(name, f"must be {' or '.join(kinds)}, got {value!r:.40}")
+
+    def array(value, name, dtype, ndim):
+        try:
+            arr = np.array(value)
+        except ValueError:  # a ragged list
+            arr = np.array(None)
+        # The schema has checked that a float array holds floats only.
+        if arr.ndim != ndim or dtype is not np.float64 and not (arr.dtype.kind in "iu" and (
+                not arr.size or 0 <= arr.min() <= arr.max() < turns.MODULUS)):
+            raise fail(name, f"must be a {ndim}-deep rectangular list of integers in [0, 2**32)")
+        arr = arr.astype(dtype)
+        arr.setflags(write=False)
+        return arr
+
+    try:
+        row = json.loads(line)
+    except ValueError as exc:
+        raise TranscriptFormatError(f"{where} is not JSON: {exc}") from None
+    check(row, (dict,), "line")
+    if "transcript_format" not in row:  # a legacy line
+        check(row, _LEGACY_SCHEMA, "")
+        first = row["messages"][0] if row["messages"] else {}
+        row.update(transcript_format=TRANSCRIPT_FORMAT, version=first.get("version"),
+                   mask_mode=first.get("mask_mode"), reveals=[])
+        phases = iter([entry["phase"] for entry in row.pop("revealed_shares")])
+        for query in row.pop("correction_queries"):
+            asked = query["queried"]
+            record = {"kind": "private-phases", "clients": asked}
+            if query["kind"] == "mask-shares":
+                record = {"kind": "mask-shares", "dropped": query.get("dropped"),
+                          "revealers": asked}
+            row["reveals"].append(dict(record, phases=[next(phases, None) for _ in asked]))
+    check(row, {key: _LINE_SCHEMA[key] for key in ("transcript_format", "assignment")}, "")
+    fields = row["assignment"]
+    try:
+        assignment = GroupAssignment(**dict(fields, group_of=tuple(fields["group_of"]),
+                                            tag_of=tuple(fields["tag_of"])))
+    except (TypeError, ValueError) as exc:  # an unknown field, or a refused layout
+        raise fail("assignment", f"is not a group assignment: {exc}") from None
+    clients = assignment.num_clients
+    check(row, _LINE_SCHEMA, "")
+    for k, record in enumerate(row["reveals"]):
+        check(record, _REVEAL_SCHEMA[record["kind"]], f"reveals[{k}]")
+    ndim = 1 if row["mask_mode"] == SCALAR_MASKS else 2
+    reveals = tuple(dict(r, phases=array(r["phases"], f"reveals[{k}].phases", np.uint64, ndim))
+                    for k, r in enumerate(row["reveals"]))
+    return RoundTranscript(
+        iteration=row["iteration"], assignment=assignment, version=row["version"],
+        mask_mode=row["mask_mode"], senders=tuple(m["owner"] for m in row["messages"]),
+        symbols=array([m["symbols"] for m in row["messages"]], "messages[].symbols", np.uint64, 2),
+        dropped=tuple(row["dropped"]), delayed=row["delayed"],
+        delayed_discarded=row["delayed_discarded"], reveals=reveals, counters=row["counters"],
+        num_contributors=row["num_contributors"], codec_metrics=row["codec_metrics"],
+        aggregate=array(row["aggregate"], "aggregate", np.int64, 1),
+        decoded_mean=array(row["decoded_mean"], "decoded_mean", np.float64, 1))
 
 
 def run_round(digits_by_client, assignment: GroupAssignment,

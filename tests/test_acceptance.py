@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from phaseagg import fl
+from phaseagg import fl, turns
 from phaseagg.analysis import (
     NAIVE_REMEDY_SCENARIO,
     PRIVATE_PHASE_SCENARIO,
@@ -25,9 +25,9 @@ from phaseagg.analysis import (
     mutual_information_estimate,
     verify_overhead,
 )
-from phaseagg.channel import sample_round_channel
+from phaseagg.channel import pair_phase_window, sample_round_channel
 from phaseagg.cli import load_config, run_scenario
-from phaseagg.codec import QuantizationConfig
+from phaseagg.codec import QuantizationConfig, modulate
 from phaseagg.errors import UnrecoverableRoundError
 from phaseagg.masking import MINUS, PLUS
 from phaseagg.protocol import (
@@ -115,13 +115,17 @@ def test_criterion_3_masking_uniformity():
         "two-point": lambda: 3 if gen.integers(0, 2) else 0,
         "uniform": lambda: int(gen.integers(0, 4)),
     }
+    # Client 0 is on the plus side: its symbol is its digit's point plus the
+    # sum of its channel phases to the minus side, at every round at once.
+    others = list(assignment.complementary_set(0))
+    masks = pair_phase_window(4, 3003, 0, 16_000, [0] * len(others), others).sum(axis=1)
     for name, draw in distributions.items():
-        samples = np.empty(16_000, dtype=np.uint64)
-        for t in range(16_000):
+        digits = np.array([[draw()] for _ in range(16_000)])
+        samples = turns.reduce(modulate(digits, cfg)[:, 0] + masks)
+        for t in range(500):
             chan = sample_round_channel(4, iteration=t, seed=3003)
-            msg = client_message(0, [draw()], assignment, chan, ALG1,
-                                 seed=3003, cfg=cfg)
-            samples[t] = msg.masked.symbols[0]
+            msg = client_message(0, digits[t], assignment, chan, ALG1, seed=3003, cfg=cfg)
+            assert samples[t] == msg.masked.symbols[0]
         report = chi_square_uniformity(samples, bins=16)
         assert report.passed, f"{name}: p={report.p_value}"
 

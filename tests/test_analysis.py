@@ -21,6 +21,7 @@ from phaseagg.protocol import (
     ALG2,
     assign_subgroups,
     client_message,
+    read_transcript_line,
     run_round,
     two_group_from_sides,
 )
@@ -182,7 +183,7 @@ class TestOverhead:
         t = run_round([np.zeros(2, dtype=np.int64)] * 8, assignment, chan, cfg,
                       version=ALG2, seed=118, dropped=[assignment.side(0, "-")[0]],
                       delayed=assignment.side(1, "+")[0])
-        expected = verify_overhead([t.to_json_dict()])
+        expected = verify_overhead([read_transcript_line(t.to_json_line())])
 
         def refuse(self):
             raise AssertionError("verify_overhead rendered a transcript's symbols")
@@ -192,13 +193,27 @@ class TestOverhead:
         assert verify_overhead([t]) == expected
         assert expected.recovery_messages_exact
 
-    def test_works_from_serialized_dicts(self):
+    def test_rounds_of_another_layout_are_counted_against_their_own(self):
+        cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=16)
+        small = run_round([np.zeros(2, dtype=np.int64)] * 4, two_group_from_sides([0, 1], [2, 3]),
+                          sample_round_channel(4, iteration=0, seed=120), cfg, version=ALG2,
+                          seed=120)
+        assignment = assign_subgroups(16, 2, 4, seed=120)
+        large = run_round([np.zeros(2, dtype=np.int64)] * 16, assignment,
+                          sample_round_channel(16, iteration=1, seed=120), cfg, version=ALG2,
+                          seed=120, dropped=[12])
+        # Client 12 is beyond the first round's four clients.
+        report = verify_overhead([small, large])
+        assert report.recovery_messages_exact
+        assert not report.exact_match
+
+    def test_works_from_transcripts_read_from_their_lines(self):
         cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=8)
         assignment = two_group_from_sides([0, 1, 2], [3, 4, 5, 6, 7])
         chan = sample_round_channel(8, iteration=0, seed=119)
         digits = [np.zeros(2, dtype=np.int64)] * 8
         t = run_round(digits, assignment, chan, cfg, version=ALG1, seed=119)
-        report = verify_overhead([t.to_json_dict()])
+        report = verify_overhead([read_transcript_line(t.to_json_line())])
         assert report.measured_per_round == 3 * 5
         assert report.exact_match
 

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,11 @@ from phaseagg.cli import (
 )
 from phaseagg.codec import QuantizationConfig
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
+
+
+def first_symbol(row, value):
+    """Set the first symbol of a transcript row's first message to `value`."""
+    row["messages"][0]["symbols"][0] = value
 
 
 def valid_data(**overrides):
@@ -537,8 +543,9 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
 
     def test_analyze_rows_that_are_not_transcripts(self, tmp_path):
+        # No `transcript_format`, so the line is read as a legacy line.
         (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0}\n')
-        with pytest.raises(TranscriptFormatError, match="KeyError"):
+        with pytest.raises(TranscriptFormatError, match="^line 1: 'messages' is missing$"):
             analyze_transcripts(tmp_path)
 
     @pytest.mark.parametrize("fmt", [1, 3, "2"])
@@ -553,6 +560,45 @@ class TestMain:
             analyze_transcripts(tmp_path)
         assert main(["analyze", "--out", str(tmp_path)]) == 2
         assert "transcript_format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, change", [
+        ("counters", lambda row: row.pop("counters")),
+        ("messages[].symbols", lambda row: row["messages"][1]["symbols"].pop()),
+        ("messages[].symbols", lambda row: first_symbol(row, 2**32)),
+        ("messages[].symbols", lambda row: first_symbol(row, -1)),
+        ("messages[].symbols", lambda row: first_symbol(row, 1.5)),
+        ("transcript_format", lambda row: row.update(transcript_format=3)),
+        ("dropped[0]", lambda row: row.update(dropped=[len(row["assignment"]["group_of"])])),
+        ("line", None),
+    ])
+    def test_analyze_names_the_line_and_field_it_refuses(self, tmp_path, capsys, field,
+                                                          change):
+        """Line 3 of a run's transcripts, with a missing key, a ragged symbol
+        matrix, a symbol out of [0, 2**32) or not an integer, an unknown
+        format, a client id equal to the client count, or a JSON value that
+        is not an object."""
+        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "transcripts.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        if change is None:
+            row = list(row)
+        else:
+            change(row)
+        lines[2] = json.dumps(row)
+        with pytest.raises(TranscriptFormatError, match=rf"^line 3: '{re.escape(field)}' "):
+            protocol.read_transcript_line(lines[2], 3)
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 3: '{field}' ") and len(err.splitlines()) == 1
+
+    def test_analyze_an_empty_file_exits_two(self, tmp_path, capsys):
+        (tmp_path / "transcripts.jsonl").write_text("\n")
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        assert "holds no round transcripts" in capsys.readouterr().err
 
     def test_unrecoverable_run_exits_nonzero(self, tmp_path):
         # drop probability 0.1 with subgroups of 2: some seeds lose a whole
