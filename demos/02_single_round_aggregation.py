@@ -11,7 +11,9 @@ import numpy as np
 
 from phaseagg.channel import get_phase, sample_round_channel
 from phaseagg.codec import QuantizationConfig, quantize
-from phaseagg.protocol import ALG1, run_round, two_group_from_sides
+from phaseagg.config import ALG1
+from phaseagg.masking import two_group_from_sides
+from phaseagg.protocol import run_round
 
 gradients = [
     np.array([0.8, -0.3, 0.1]),

@@ -14,12 +14,9 @@ import numpy as np
 from phaseagg.channel import sample_round_channel
 from phaseagg.codec import QuantizationConfig
 from phaseagg.errors import ResidualMaskError, UnrecoverableRoundError
-from phaseagg.protocol import (
-    ALG2,
-    ps_aggregate_and_decode,
-    run_round,
-    two_group_from_sides,
-)
+from phaseagg.config import ALG2
+from phaseagg.masking import two_group_from_sides
+from phaseagg.protocol import ps_aggregate_and_decode, run_round
 
 cfg = QuantizationConfig.with_auto_modulus(clip=1.0, levels=8, max_clients=6)
 assignment = two_group_from_sides([0, 1, 2], [3, 4, 5])

@@ -12,7 +12,9 @@ import numpy as np
 from phaseagg.analysis import verify_overhead
 from phaseagg.channel import sample_round_channel
 from phaseagg.codec import QuantizationConfig
-from phaseagg.protocol import ALG1, assign_subgroups, run_round, two_group_from_sides
+from phaseagg.config import ALG1
+from phaseagg.masking import assign_subgroups, two_group_from_sides
+from phaseagg.protocol import run_round
 
 print(f"{'N':>4} {'layout':>22} {'measured':>9} {'formula':>18}")
 for n in [8, 16, 32, 64]:

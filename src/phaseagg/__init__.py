@@ -7,7 +7,7 @@ in the aggregate, dropped clients can be corrected for, and the privacy
 and overhead claims are checked statistically and by exact counting.
 """
 
-from . import analysis, channel, codec, fl, masking, protocol, rng, turns
+from . import analysis, channel, codec, config, fl, masking, protocol, rng, turns
 from .analysis import (
     chi_square_uniformity,
     delayed_client_attack,
@@ -16,7 +16,7 @@ from .analysis import (
     mutual_information_estimate,
     verify_overhead,
 )
-from .channel import ChannelMatrix, channel_from_phases, get_phase, sample_round_channel
+from .channel import ChannelMatrix, get_phase, sample_round_channel
 from .codec import (
     FecConfig,
     QuantizationConfig,
@@ -27,6 +27,7 @@ from .codec import (
     modulate,
     quantize,
 )
+from .config import ALG1, ALG2
 from .errors import PhaseAggError
 from .fl import (
     ClientDataset,
@@ -37,21 +38,24 @@ from .fl import (
     run_training,
     sgd_update,
 )
-from .masking import MaskedSymbols, apply_mask, compute_group_mask, sample_private_phase
-from .protocol import (
-    ALG1,
-    ALG2,
-    ClientMessage,
+from .masking import (
     GroupAssignment,
-    RoundTranscript,
+    MaskedSymbols,
+    apply_mask,
     assign_subgroups,
     assign_two_groups,
+    compute_group_mask,
+    sample_private_phase,
+    two_group_from_sides,
+)
+from .protocol import (
+    ClientMessage,
+    RoundTranscript,
     client_message,
     dropout_correction,
     ps_aggregate_and_decode,
     run_iteration,
     run_round,
-    two_group_from_sides,
 )
 
 __version__ = "0.1.0"

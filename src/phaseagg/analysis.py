@@ -30,18 +30,10 @@ import numpy as np
 from . import rng, turns
 from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
+from .config import ALG1, ALG2
 from .errors import UnderpoweredTestError
-from .masking import PLUS
-from .protocol import (
-    ALG1,
-    ALG2,
-    TWO_GROUP,
-    GroupAssignment,
-    RoundTranscript,
-    assign_two_groups,
-    client_message,
-    run_round,
-)
+from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
+from .protocol import RoundTranscript, client_message, run_round
 
 ALPHA = 0.01
 MIN_SAMPLES_PER_CELL = 100

@@ -6,11 +6,12 @@ see.  Phases are i.i.d. uniform on the 2**32 grid, constant within an
 iteration and freshly sampled across iterations.  Path loss, noise and
 geometry are out of scope: independence between pairs is modeled directly.
 
-A seeded channel stores no phases.  `pair_phase_window` derives the
-phases of exactly the pairs it is asked for over a window of consecutive
-iterations, in one batch: a training run derives its cross pairs' phases
-for many rounds at once, and `ChannelMatrix.pair_phases` is the one-round
-case, so a round on its own hashes only the cross pairs its layout uses.
+A channel is keyed by (seed, iteration) and stores no phases.
+`pair_phase_window` derives the phases of exactly the pairs it is asked
+for over a window of consecutive iterations, in one batch: a training run
+derives its cross pairs' phases for many rounds at once, and
+`ChannelMatrix.pair_phases` is the one-round case, so a round on its own
+hashes only the cross pairs its layout uses.
 Per symbol, `pair_phase_stream` expands one pair's key into its stream;
 a round's row (`masking.RoundPhases`) expands each cross pair's once.
 When a phase is derived does not change it: each is the same keyed
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import rng, turns
+from . import rng
 from .errors import InvalidTopologyError, NoSelfChannelError
 
 
@@ -34,40 +35,23 @@ from .errors import InvalidTopologyError, NoSelfChannelError
 class ChannelMatrix:
     """Symmetric per-iteration pairwise channel phases.
 
-    A seeded channel derives any pair's phase from (seed, iteration, pair)
-    on demand, so dropout recovery needs nothing stored.  An explicit
-    channel (`channel_from_phases`) holds a `table` instead.  The diagonal
-    is unused: a client has no channel to itself.  Instances are immutable
+    The channel derives any pair's phase from (seed, iteration, pair) on
+    demand, so dropout recovery needs nothing stored.  The diagonal is
+    unused: a client has no channel to itself.  Instances are immutable
     and safe to share across concurrent simulations.
     """
 
     num_clients: int
     iteration: int
-    seed: int | None = None
-    table: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.seed is None) == (self.table is None):
-            raise InvalidTopologyError("a channel needs either a seed or a phase table")
-        if self.table is not None:
-            self.table.setflags(write=False)
+    seed: int
 
     def pair_phases(self, a, b) -> np.ndarray:
-        """Phases of the pairs (a[k], b[k]) as uint64 turns, in one batch.
-
-        A seeded channel derives them as the one-round `pair_phase_window`;
-        an explicit one reads its table.
-        """
-        if self.table is None:
-            return pair_phase_window(self.num_clients, self.seed, self.iteration, 1, a, b)[0]
-        lo, hi = _ordered_pairs(self.num_clients, a, b)
-        return self.table[lo, hi]
+        """Phases of the pairs (a[k], b[k]) as uint64 turns: the one-round `pair_phase_window`."""
+        return pair_phase_window(self.num_clients, self.seed, self.iteration, 1, a, b)[0]
 
     @cached_property
     def phases(self) -> np.ndarray:
         """Read-only dense (N, N) phase table, built on first use."""
-        if self.table is not None:
-            return self.table
         n = self.num_clients
         table = np.zeros((n, n), dtype=np.uint64)
         i, j = np.triu_indices(n, k=1)
@@ -116,22 +100,6 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
     return ChannelMatrix(num_clients=num_clients, iteration=iteration, seed=seed)
 
 
-def channel_from_phases(phases, iteration: int = 0) -> ChannelMatrix:
-    """Build a channel from an explicit phase table (tests, degenerate channels).
-
-    The table must be square and symmetric off the diagonal.
-    """
-    table = turns.as_vector(np.asarray(phases)).reshape(np.shape(phases))
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise InvalidTopologyError(f"phase table must be square, got {table.shape}")
-    if table.shape[0] < 2:
-        raise InvalidTopologyError("need at least 2 clients to form a channel")
-    if not np.array_equal(table, table.T):
-        raise InvalidTopologyError("phase table must be symmetric (reciprocity)")
-    return ChannelMatrix(num_clients=table.shape[0], iteration=iteration,
-                         table=table)
-
-
 def get_phase(channel: ChannelMatrix, i: int, j: int) -> int:
     """Phase of the link between i and j; reciprocal by construction."""
     if i == j:
@@ -146,18 +114,13 @@ def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np
     """Per-symbol phase stream a pair derives from its shared channel key.
 
     Used by the per-symbol masking mode: both endpoints expand the pairwise
-    randomness into `length` independent grid values.  Requires a seeded
-    channel (an explicit table has no key to expand).
+    randomness into `length` independent grid values.
     """
     if i == j:
         raise NoSelfChannelError(f"client {i} has no channel to itself")
     s = channel.num_clients
     if not (0 <= i < s and 0 <= j < s):
         raise IndexError(f"client ids ({i}, {j}) out of range for {s} clients")
-    if channel.seed is None:
-        raise InvalidTopologyError(
-            "per-symbol streams need a seeded channel"
-        )
     lo, hi = (i, j) if i < j else (j, i)
     return rng.keyed_turn_vector(
         length, channel.seed, rng.CHANNEL_STREAM_DOMAIN, channel.iteration, lo, hi

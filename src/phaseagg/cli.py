@@ -12,10 +12,12 @@ Subcommands:
 
 Configs are strict JSON, and every violated constraint is reported at
 once (exit 1), because a silently ignored typo in a security parameter is
-worse than a loud failure.  `parse_config` checks only the JSON's shape;
-each value rule has one owner (`ScenarioConfig`, `protocol.check_layout`,
-`QuantizationConfig`, `FecConfig`), and the config collects what they
-refuse.  Identical config and seed always produce byte-identical artifacts.
+worse than a loud failure.  `parse_config` checks only the JSON's shape
+and builds a `config.ScenarioConfig`; each value rule has one owner
+(`ScenarioConfig`, `masking.check_layout`, `QuantizationConfig`,
+`FecConfig`, `config.check_version`), and the config collects what they
+refuse.  `run --jobs` below 1 exits 1 before any work.  Identical config
+and seed always produce byte-identical artifacts.
 
 Each line of transcripts.jsonl holds one round in transcript format
 `protocol.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
@@ -35,15 +37,15 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fl, protocol, rng
-from .codec import FecConfig, QuantizationConfig
+from . import analysis, fl, protocol
+from .config import ALG1, ScenarioConfig
 from .errors import ConfigValidationError, PhaseAggError, TranscriptFormatError
+from .masking import SUBGROUP, TWO_GROUP
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
                   "recoveries"]
@@ -54,118 +56,6 @@ _TOP_KEYS = {
     "delayed_client", "rounds", "learning_rate", "seed", "per_symbol_masks",
     "loss_threshold", "compare_baseline", "output_dir",
 }
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Fully-resolved scenario parameters, valid by construction.
-
-    Construction, `dataclasses.replace` included, raises one
-    ConfigValidationError listing every violation.  The rules no domain
-    object holds are checked here: `dimension`, `samples_per_client` and
-    `rounds` >= 1, `seed` >= 0, `learning_rate` > 0, a dropout probability
-    in [0, 1], fixed dropout rounds and ids in range, `delayed_client` in
-    range, and dropouts only under alg2.  Every other rule is collected from
-    its owner: `protocol.check_layout` (grouping), `quantization()` (clip,
-    levels, PSK order), `fec_config()` and `protocol.check_version`.
-    """
-
-    name: str
-    clients: int
-    dimension: int
-    samples_per_client: int
-    grouping_mode: str
-    groups: int | None
-    subgroup_size: int | None
-    protocol_version: str
-    clip: float
-    levels: int
-    modulation: int | str
-    fec_scheme: str
-    fec_repeat: int
-    dropout_probability: float
-    dropout_fixed: tuple[tuple[int, tuple[int, ...]], ...]
-    delayed_client: int | None
-    rounds: int
-    learning_rate: float
-    seed: int
-    per_symbol_masks: bool
-    loss_threshold: float | None
-    compare_baseline: bool
-    output_dir: str | None
-    # dropout_fixed as round -> dropped ids, built once so a round's lookup
-    # does not scan every entry.
-    _fixed_by_round: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bad = [f"{key!r} must be >= {low}, got {getattr(self, key)}"
-               for key, low in (("dimension", 1), ("samples_per_client", 1),
-                                ("rounds", 1), ("seed", 0))
-               if getattr(self, key) < low]
-        if not self.learning_rate > 0:
-            bad.append(f"'learning_rate' must be positive, got {self.learning_rate}")
-        if not 0 <= self.dropout_probability <= 1:
-            bad.append(f"dropout probability must be in [0, 1], got {self.dropout_probability}")
-        by_round: dict[int, set[int]] = {}
-        for round_index, ids in self.dropout_fixed:
-            if round_index < 0:
-                bad.append(f"dropout round {round_index} is negative")
-            out_of_range = [i for i in ids if not 0 <= i < self.clients]
-            if out_of_range:
-                bad.append(f"dropout ids {out_of_range} out of range for {self.clients} clients")
-            by_round.setdefault(round_index, set()).update(ids)
-        if self.delayed_client is not None and not 0 <= self.delayed_client < self.clients:
-            bad.append(f"delayed_client {self.delayed_client} out of range for "
-                       f"{self.clients} clients")
-        has_dropouts = self.dropout_probability > 0 or any(ids for _, ids in self.dropout_fixed)
-        if has_dropouts and self.protocol_version == protocol.ALG1:
-            bad.append("a dropout model requires protocol_version 'alg2'; the group-mask-only "
-                       "protocol cannot recover dropped clients without exposing masks")
-        for owner in (lambda: protocol.check_layout(self.grouping_mode, self.clients,
-                                                    self.groups, self.subgroup_size),
-                      self.quantization, self.fec_config,
-                      lambda: protocol.check_version(self.protocol_version)):
-            try:
-                owner()
-            except (ValueError, PhaseAggError) as exc:
-                bad.append(str(exc))
-        if bad:
-            raise ConfigValidationError(bad)
-        object.__setattr__(self, "_fixed_by_round", by_round)
-
-    def quantization(self) -> QuantizationConfig:
-        if self.modulation == "auto":
-            return QuantizationConfig.with_auto_modulus(
-                clip=self.clip, levels=self.levels, max_clients=self.clients
-            )
-        cfg = QuantizationConfig(clip=self.clip, levels=self.levels,
-                                 modulus=int(self.modulation))
-        cfg.require_headroom(self.clients)
-        return cfg
-
-    def fec_config(self) -> FecConfig:
-        return FecConfig(scheme=self.fec_scheme, repeat=self.fec_repeat)
-
-    @property
-    def phase_length(self) -> int | None:
-        """A round's phase length: None for scalar masks, `dimension` per symbol."""
-        return self.dimension if self.per_symbol_masks else None
-
-    def build_assignment(self) -> protocol.GroupAssignment:
-        if self.grouping_mode == protocol.TWO_GROUP:
-            return protocol.assign_two_groups(self.clients, self.seed)
-        return protocol.assign_subgroups(self.clients, self.groups,
-                                         self.subgroup_size, self.seed)
-
-    def dropouts_for_round(self, t: int) -> tuple[int, ...]:
-        dropped = set(self._fixed_by_round.get(t, ()))
-        if self.dropout_probability > 0:
-            draws = rng.keyed_generator(self.seed, rng.DROPOUT_DOMAIN, t).random(
-                self.clients
-            )
-            dropped.update(np.nonzero(draws < self.dropout_probability)[0].tolist())
-        dropped.discard(self.delayed_client)
-        return tuple(sorted(int(i) for i in dropped))
 
 
 def _is_int(value) -> bool:
@@ -231,9 +121,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         return default if placeholder is None else placeholder
 
     grouping, quant, fec, dropout = (section(key) for key in _SECTION_KEYS)
-    mode = read(grouping, "grouping.mode", "a string", protocol.TWO_GROUP)
+    mode = read(grouping, "grouping.mode", "a string", TWO_GROUP)
     groups = subgroup_size = None
-    if mode == protocol.SUBGROUP:
+    if mode == SUBGROUP:
         groups = read(grouping, "grouping.groups", "an integer", placeholder=1)
         subgroup_size = read(grouping, "grouping.subgroup_size", "an integer", placeholder=2)
     modulation = data.get("modulation", "auto")
@@ -269,7 +159,7 @@ def parse_config(data: dict) -> ScenarioConfig:
             dimension=read(data, "dimension", "an integer", placeholder=1),
             samples_per_client=read(data, "samples_per_client", "an integer", placeholder=1),
             grouping_mode=mode, groups=groups, subgroup_size=subgroup_size,
-            protocol_version=read(data, "protocol_version", "a string", protocol.ALG1),
+            protocol_version=read(data, "protocol_version", "a string", ALG1),
             clip=read(quant, "quantization.clip", "a number", 1.0),
             levels=read(quant, "quantization.levels", "an integer", 16),
             modulation=modulation, fec_scheme=fec_scheme, fec_repeat=fec_repeat,
@@ -443,7 +333,7 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
             ["the attack models scalar masks only; set 'per_symbol_masks' to false"]
         )
     scenario = (analysis.NAIVE_REMEDY_SCENARIO
-                if config.protocol_version == protocol.ALG1
+                if config.protocol_version == ALG1
                 else analysis.PRIVATE_PHASE_SCENARIO)
     outcome = analysis.delayed_client_attack(
         scenario,
@@ -511,6 +401,9 @@ def main(argv=None) -> int:
                                  "(at most one worker process per CPU)")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 1
     try:
         if args.command == "analyze":
             code, _ = analyze_transcripts(Path(args.out))

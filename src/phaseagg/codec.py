@@ -45,7 +45,6 @@ class QuantizationConfig:
     clip: float
     levels: int
     modulus: int
-    stochastic: bool = False
 
     def __post_init__(self):
         if not np.isfinite(self.clip) or self.clip <= 0:
@@ -84,8 +83,8 @@ class QuantizationConfig:
             )
 
     @classmethod
-    def with_auto_modulus(cls, clip: float, levels: int, max_clients: int,
-                          stochastic: bool = False) -> "QuantizationConfig":
+    def with_auto_modulus(cls, clip: float, levels: int,
+                          max_clients: int) -> "QuantizationConfig":
         """Smallest power-of-two modulus that cannot wrap for max_clients."""
         if max_clients < 1:
             raise ValueError(f"an auto modulus needs at least 1 client, got {max_clients}")
@@ -95,29 +94,20 @@ class QuantizationConfig:
                 f"{max_clients} clients at {levels} levels exceed the 2**32 grid"
             )
         modulus = 1 << (needed - 1).bit_length()
-        return cls(clip=clip, levels=levels, modulus=modulus, stochastic=stochastic)
+        return cls(clip=clip, levels=levels, modulus=modulus)
 
 
-def quantize(gradient, cfg: QuantizationConfig,
-             rng: np.random.Generator | None = None) -> np.ndarray:
+def quantize(gradient, cfg: QuantizationConfig) -> np.ndarray:
     """Clip to [-clip, clip] and map to int64 digits in [0, levels).
 
-    Deterministic rounding by default (round-half-even), so the secure and
-    plaintext paths stay bit-identical.  With cfg.stochastic, rounds up
-    with probability equal to the fractional part; `rng` is then required.
+    Rounding is deterministic (round-half-even), so the secure and
+    plaintext paths stay bit-identical.
     """
     g = np.asarray(gradient, dtype=np.float64)
     if not np.all(np.isfinite(g)):
         raise InvalidGradientError("gradient contains non-finite elements")
     scaled = (np.clip(g, -cfg.clip, cfg.clip) + cfg.clip) * (cfg.levels - 1) / (2 * cfg.clip)
-    if cfg.stochastic:
-        if rng is None:
-            raise ValueError("stochastic rounding requires a Generator")
-        floor = np.floor(scaled)
-        digits = floor + (rng.random(scaled.shape) < (scaled - floor))
-    else:
-        digits = np.rint(scaled)
-    return digits.astype(np.int64)
+    return np.rint(scaled).astype(np.int64)
 
 
 def dequantize_mean(digit_sums, num_contributors: int,

@@ -1,0 +1,146 @@
+"""A scenario's parameters, checked once: `ScenarioConfig`.
+
+A config is valid by construction.  `ScenarioConfig` checks the rules no
+domain object holds and collects every other refusal from the rule's
+owner: `masking.check_layout` for the grouping, `QuantizationConfig` and
+`FecConfig` for the codec, and `check_version` here for the protocol
+version, whose names (`ALG1`, `ALG2`) live here too.  `cli.parse_config`
+reads a config's JSON into one; `protocol.run_iteration` and
+`fl.run_training` read it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import rng
+from .codec import FecConfig, QuantizationConfig
+from .errors import ConfigValidationError, PhaseAggError
+from .masking import (
+    TWO_GROUP,
+    GroupAssignment,
+    assign_subgroups,
+    assign_two_groups,
+    check_layout,
+)
+
+ALG1 = "alg1"
+ALG2 = "alg2"
+
+
+def check_version(version: str) -> None:
+    if version not in (ALG1, ALG2):
+        raise ValueError(f"unknown protocol version {version!r}")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Fully-resolved scenario parameters, valid by construction.
+
+    Construction, `dataclasses.replace` included, raises one
+    ConfigValidationError listing every violation.  The rules no domain
+    object holds are checked here: `dimension`, `samples_per_client` and
+    `rounds` >= 1, `seed` >= 0, `learning_rate` > 0, a dropout probability
+    in [0, 1], fixed dropout rounds and ids in range, `delayed_client` in
+    range, and dropouts only under alg2.  Every other rule is collected from
+    its owner: `masking.check_layout` (grouping), `quantization()` (clip,
+    levels, PSK order), `fec_config()` and `check_version`.
+    """
+
+    name: str
+    clients: int
+    dimension: int
+    samples_per_client: int
+    grouping_mode: str
+    groups: int | None
+    subgroup_size: int | None
+    protocol_version: str
+    clip: float
+    levels: int
+    modulation: int | str
+    fec_scheme: str
+    fec_repeat: int
+    dropout_probability: float
+    dropout_fixed: tuple[tuple[int, tuple[int, ...]], ...]
+    delayed_client: int | None
+    rounds: int
+    learning_rate: float
+    seed: int
+    per_symbol_masks: bool
+    loss_threshold: float | None
+    compare_baseline: bool
+    output_dir: str | None
+    # dropout_fixed as round -> dropped ids, built once so a round's lookup
+    # does not scan every entry.
+    _fixed_by_round: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bad = [f"{key!r} must be >= {low}, got {getattr(self, key)}"
+               for key, low in (("dimension", 1), ("samples_per_client", 1),
+                                ("rounds", 1), ("seed", 0))
+               if getattr(self, key) < low]
+        if not self.learning_rate > 0:
+            bad.append(f"'learning_rate' must be positive, got {self.learning_rate}")
+        if not 0 <= self.dropout_probability <= 1:
+            bad.append(f"dropout probability must be in [0, 1], got {self.dropout_probability}")
+        by_round: dict[int, set[int]] = {}
+        for round_index, ids in self.dropout_fixed:
+            if round_index < 0:
+                bad.append(f"dropout round {round_index} is negative")
+            out_of_range = [i for i in ids if not 0 <= i < self.clients]
+            if out_of_range:
+                bad.append(f"dropout ids {out_of_range} out of range for {self.clients} clients")
+            by_round.setdefault(round_index, set()).update(ids)
+        if self.delayed_client is not None and not 0 <= self.delayed_client < self.clients:
+            bad.append(f"delayed_client {self.delayed_client} out of range for "
+                       f"{self.clients} clients")
+        has_dropouts = self.dropout_probability > 0 or any(ids for _, ids in self.dropout_fixed)
+        if has_dropouts and self.protocol_version == ALG1:
+            bad.append("a dropout model requires protocol_version 'alg2'; the group-mask-only "
+                       "protocol cannot recover dropped clients without exposing masks")
+        for owner in (lambda: check_layout(self.grouping_mode, self.clients,
+                                           self.groups, self.subgroup_size),
+                      self.quantization, self.fec_config,
+                      lambda: check_version(self.protocol_version)):
+            try:
+                owner()
+            except (ValueError, PhaseAggError) as exc:
+                bad.append(str(exc))
+        if bad:
+            raise ConfigValidationError(bad)
+        object.__setattr__(self, "_fixed_by_round", by_round)
+
+    def quantization(self) -> QuantizationConfig:
+        if self.modulation == "auto":
+            return QuantizationConfig.with_auto_modulus(
+                clip=self.clip, levels=self.levels, max_clients=self.clients
+            )
+        cfg = QuantizationConfig(clip=self.clip, levels=self.levels,
+                                 modulus=int(self.modulation))
+        cfg.require_headroom(self.clients)
+        return cfg
+
+    def fec_config(self) -> FecConfig:
+        return FecConfig(scheme=self.fec_scheme, repeat=self.fec_repeat)
+
+    @property
+    def phase_length(self) -> int | None:
+        """A round's phase length: None for scalar masks, `dimension` per symbol."""
+        return self.dimension if self.per_symbol_masks else None
+
+    def build_assignment(self) -> GroupAssignment:
+        if self.grouping_mode == TWO_GROUP:
+            return assign_two_groups(self.clients, self.seed)
+        return assign_subgroups(self.clients, self.groups, self.subgroup_size, self.seed)
+
+    def dropouts_for_round(self, t: int) -> tuple[int, ...]:
+        dropped = set(self._fixed_by_round.get(t, ()))
+        if self.dropout_probability > 0:
+            draws = rng.keyed_generator(self.seed, rng.DROPOUT_DOMAIN, t).random(
+                self.clients
+            )
+            dropped.update(np.nonzero(draws < self.dropout_probability)[0].tolist())
+        dropped.discard(self.delayed_client)
+        return tuple(sorted(int(i) for i in dropped))

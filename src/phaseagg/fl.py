@@ -33,17 +33,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rng
 from .codec import QuantizationConfig, dequantize_mean, quantize
+from .config import ALG2, ScenarioConfig
 from .errors import DivergenceError, ShapeError
 from .masking import phase_window
-
-if TYPE_CHECKING:
-    from .cli import ScenarioConfig
 
 # Words one window of rounds derives at once; a round with more words
 # than this is a window on its own.
@@ -237,7 +234,7 @@ class TrainingHistory:
         return self.rows[-1].loss
 
 
-def run_training(config: "ScenarioConfig", mode: str = "secure") -> TrainingHistory:
+def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistory:
     """Run the full DSGD loop and record per-round metrics.
 
     mode "secure" uses the masked aggregation protocol; "plaintext" is the
@@ -256,7 +253,7 @@ def run_training(config: "ScenarioConfig", mode: str = "secure") -> TrainingHist
     state = ModelState(theta=np.zeros(config.dimension), iteration=0,
                        learning_rate=config.learning_rate)
     history = TrainingHistory()
-    private = config.protocol_version == protocol.ALG2
+    private = config.protocol_version == ALG2
     length = config.phase_length
     keys = assignment.cross_pair_count() + (config.clients if private else 0)
     window = max(1, WINDOW_WORDS // (keys * (length or 1)))

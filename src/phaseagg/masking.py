@@ -1,4 +1,11 @@
-"""Phase masks: group masks, private phases, and their application.
+"""Group layouts and phase masks: who masks against whom, and with what.
+
+A `GroupAssignment` labels each client with a group and a side, `PLUS` or
+`MINUS`.  `assign_two_groups` and `assign_subgroups` draw a layout from a
+seed, `two_group_from_sides` states one, and `check_layout` refuses a
+grouping neither can build (a scenario config asks it without building
+one).  The assignment derives its sides, its cross pairs and its
+minus-side flags once, as read-only arrays.
 
 A client's group mask is the mod-2**32 sum of its channel phases to every
 client in the complementary set (the other group, or the other subgroup of
@@ -41,8 +48,10 @@ against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +63,213 @@ from .channel import (
     pair_phase_window,
     sample_round_channel,
 )
-from .errors import DegenerateGroupError
-
-if TYPE_CHECKING:
-    from .protocol import GroupAssignment
+from .errors import (
+    DegenerateGroupError,
+    InfeasibleGroupingError,
+    InsufficientClientsError,
+    SecurityFloorError,
+)
 
 PLUS = "+"
 MINUS = "-"
 
 SCALAR_MASKS = "scalar"
 PER_SYMBOL_MASKS = "per-symbol"
+
+TWO_GROUP = "two-group"
+SUBGROUP = "subgroup"
+
+
+@dataclass(frozen=True)
+class GroupAssignment:
+    """Per-client (group id, side tag) labels.
+
+    Two-group mode is a single exchange group whose plus side and minus
+    side are the two client groups; subgroup mode has `num_groups` groups
+    whose sides are the two subgroups of size `subgroup_size` (the last
+    group absorbs any remainder, split as evenly as possible).
+    """
+
+    mode: str
+    group_of: tuple[int, ...]
+    tag_of: tuple[str, ...]
+    num_groups: int
+    subgroup_size: int | None = None
+
+    def __post_init__(self):
+        if self.mode not in (TWO_GROUP, SUBGROUP):
+            raise ValueError(f"unknown assignment mode {self.mode!r}")
+        if len(self.group_of) != len(self.tag_of):
+            raise ValueError("group and tag labels must cover the same clients")
+        if any(tag not in (PLUS, MINUS) for tag in self.tag_of):
+            raise ValueError("tags must be '+' or '-'")
+        for g in range(self.num_groups):
+            for tag in (PLUS, MINUS):
+                if not self.side(g, tag):
+                    raise ValueError(f"group {g} has an empty {tag!r} side")
+
+    @property
+    def num_clients(self) -> int:
+        return len(self.group_of)
+
+    @cached_property
+    def _sides(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        """Every (group, tag) side's clients in increasing order, derived once."""
+        sides: dict[tuple[int, str], list[int]] = {}
+        for i, key in enumerate(zip(self.group_of, self.tag_of)):
+            sides.setdefault(key, []).append(i)
+        return {key: tuple(clients) for key, clients in sides.items()}
+
+    def side(self, group: int, tag: str) -> tuple[int, ...]:
+        return self._sides.get((group, tag), ())
+
+    def complementary_set(self, i: int) -> tuple[int, ...]:
+        """Clients whose channel phases form i's group mask."""
+        g, t = self.group_of[i], self.tag_of[i]
+        return self.side(g, MINUS if t == PLUS else PLUS)
+
+    @cached_property
+    def side_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per group, its plus and its minus side as read-only int64 client arrays.
+
+        Each side is in increasing client order, as `side` gives it.
+        """
+        index = []
+        for g in range(self.num_groups):
+            sides = tuple(np.array(self.side(g, tag), dtype=np.int64) for tag in (PLUS, MINUS))
+            for arr in sides:
+                arr.setflags(write=False)
+            index.append(sides)
+        return tuple(index)
+
+    @cached_property
+    def minus_mask(self) -> np.ndarray:
+        """Read-only (N,) bool array, True for every minus-side client."""
+        mask = np.array([tag == MINUS for tag in self.tag_of], dtype=bool)
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every cross pair as read-only (P,) arrays of its plus and minus client.
+
+        Pairs run group by group, each group plus-major with both sides in
+        increasing client order, so group g's stretch, reshaped to
+        (|plus|, |minus|), is its block in `cross_pair_blocks`.
+        """
+        index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
+                 np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
+        for arr in index:
+            arr.setflags(write=False)
+        return index
+
+    def cross_pair_count(self) -> int:
+        """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
+        return self.cross_pair_index[0].size
+
+    def plus_size(self) -> int:
+        return sum(1 for t in self.tag_of if t == PLUS)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "mode": self.mode,
+            "group_of": list(self.group_of),
+            "tag_of": list(self.tag_of),
+            "num_groups": self.num_groups,
+            "subgroup_size": self.subgroup_size,
+        }
+
+
+def check_layout(mode: str, num_clients: int, num_groups: int | None = None,
+                 subgroup_size: int | None = None) -> None:
+    """Refuse a grouping that `assign_two_groups`/`assign_subgroups` cannot build.
+
+    Both call it first; a scenario config calls it to check its grouping
+    without building one, so it must allocate nothing.
+    """
+    if mode == TWO_GROUP:
+        if num_clients < 4:
+            raise InsufficientClientsError(
+                f"two-group aggregation needs at least 4 clients, got {num_clients}"
+            )
+        return
+    if mode != SUBGROUP:
+        raise ValueError(f"grouping mode must be 'two-group' or 'subgroup', got {mode!r}")
+    if subgroup_size < 2:
+        raise SecurityFloorError(
+            f"subgroup size must be at least 2, got {subgroup_size}: with a single "
+            "counterpart, one revealed share exposes a client's whole mask "
+            "(the security floor)"
+        )
+    if num_groups < 1:
+        raise InfeasibleGroupingError(f"need at least one group, got {num_groups}")
+    if num_groups != num_clients // (2 * subgroup_size):
+        raise InfeasibleGroupingError(
+            f"{num_clients} clients at subgroup size {subgroup_size} need "
+            f"{num_clients // (2 * subgroup_size)} groups, not {num_groups}"
+        )
+
+
+def assign_two_groups(num_clients: int, seed: int) -> GroupAssignment:
+    """Random two-group split with at least two clients on each side.
+
+    Splits violating the minimum are redrawn, so the result is
+    deterministic for a given seed.
+    """
+    check_layout(TWO_GROUP, num_clients)
+    gen = rng.keyed_generator(seed, rng.GROUPING_DOMAIN)
+    while True:
+        sides = gen.integers(0, 2, size=num_clients)
+        plus = int(np.sum(sides == 0))
+        if 2 <= plus <= num_clients - 2:
+            break
+    tags = tuple(PLUS if s == 0 else MINUS for s in sides)
+    return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * num_clients,
+                           tag_of=tags, num_groups=1, subgroup_size=None)
+
+
+def two_group_from_sides(plus_side: Iterable[int],
+                         minus_side: Iterable[int]) -> GroupAssignment:
+    """Explicit two-group layout (tests and demos)."""
+    plus = tuple(plus_side)
+    minus = tuple(minus_side)
+    size = len(plus) + len(minus)
+    if sorted(plus + minus) != list(range(size)):
+        raise ValueError("sides must partition clients 0..S-1")
+    tags = [MINUS] * size
+    for i in plus:
+        tags[i] = PLUS
+    return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * size,
+                           tag_of=tuple(tags), num_groups=1, subgroup_size=None)
+
+
+def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
+                     seed: int) -> GroupAssignment:
+    """Random split into `num_groups` groups of two subgroups of `subgroup_size`.
+
+    Requires num_groups == num_clients // (2 * subgroup_size); the
+    remainder joins the last group, split as evenly as possible between
+    its sides (both stay >= subgroup_size).
+    """
+    check_layout(SUBGROUP, num_clients, num_groups, subgroup_size)
+    per_group = 2 * subgroup_size
+    remainder = num_clients - num_groups * per_group
+    order = rng.keyed_generator(seed, rng.GROUPING_DOMAIN).permutation(num_clients)
+    group_of = [0] * num_clients
+    tag_of = [PLUS] * num_clients
+    start = 0
+    for g in range(num_groups):
+        size = per_group + (remainder if g == num_groups - 1 else 0)
+        chunk = order[start:start + size]
+        start += size
+        plus_count = (size + 1) // 2
+        for pos, client in enumerate(chunk):
+            group_of[int(client)] = g
+            tag_of[int(client)] = PLUS if pos < plus_count else MINUS
+    return GroupAssignment(mode=SUBGROUP, group_of=tuple(group_of),
+                           tag_of=tuple(tag_of), num_groups=num_groups,
+                           subgroup_size=subgroup_size)
+
 
 
 @dataclass(frozen=True)
@@ -82,7 +288,7 @@ class MaskedSymbols:
     mask_mode: str = SCALAR_MASKS
 
 
-def compute_group_mask(i: int, assignment: "GroupAssignment",
+def compute_group_mask(i: int, assignment: GroupAssignment,
                        channel: ChannelMatrix, *, length: int | None = None):
     """Sum the phases between client i and its complementary set.
 
@@ -96,7 +302,7 @@ def compute_group_mask(i: int, assignment: "GroupAssignment",
     return turns.vector_total([pair_phase_stream(channel, i, j, length) for j in others])
 
 
-def cross_pair_blocks(assignment: "GroupAssignment", pairs: np.ndarray) -> tuple[np.ndarray, ...]:
+def cross_pair_blocks(assignment: GroupAssignment, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
     """A row's cross-pair values (`RoundPhases.pairs`) split into one block per group.
 
     Block g is a view of shape (|plus side|, |minus side|) of scalar
@@ -116,7 +322,7 @@ def cross_pair_blocks(assignment: "GroupAssignment", pairs: np.ndarray) -> tuple
     return tuple(blocks)
 
 
-def group_masks(assignment: "GroupAssignment", blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+def group_masks(assignment: GroupAssignment, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Every client's group mask at once: (N,) turns, or (N, length) per symbol.
 
     A mask sums one axis of its group's block from `cross_pair_blocks`: a
@@ -185,13 +391,13 @@ class RoundPhases(NamedTuple):
         return self.pairs.shape[1] if self.pairs.ndim == 2 else None
 
 
-def round_phases(assignment: "GroupAssignment", channel: ChannelMatrix, seed: int, *,
+def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int, *,
                  private: bool, length: int | None = None) -> RoundPhases:
     """One round's row: its channel's cross-pair values and, with `private`, `seed`'s.
 
-    Scalar phases are the one-round case of the window functions (an
-    explicit channel reads its table); with `length` each stream is
-    expanded once, by `pair_phase_stream` and `sample_private_phase`.
+    Scalar phases are the one-round case of the window functions; with
+    `length` each stream is expanded once, by `pair_phase_stream` and
+    `sample_private_phase`.
     """
     t, clients = channel.iteration, range(assignment.num_clients)
     plus, minus = assignment.cross_pair_index
@@ -207,7 +413,7 @@ def round_phases(assignment: "GroupAssignment", channel: ChannelMatrix, seed: in
     return RoundPhases(t, pairs, phases)
 
 
-def phase_window(assignment: "GroupAssignment", seed: int, start: int, rounds: int, *,
+def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int, *,
                  private: bool, length: int | None = None) -> list[RoundPhases]:
     """The rows of `rounds` consecutive rounds from `start`, row r that of round start + r.
 
@@ -228,7 +434,7 @@ def phase_window(assignment: "GroupAssignment", seed: int, start: int, rounds: i
     return [RoundPhases(start + r, p, q) for r, (p, q) in enumerate(zip(pairs, privates))]
 
 
-def mask_shares(dropped: int, survivors, assignment: "GroupAssignment",
+def mask_shares(dropped: int, survivors, assignment: GroupAssignment,
                 channel: ChannelMatrix, *, length: int | None = None):
     """The (revealer, phase) shares surviving counterparts hold for a dropped client.
 

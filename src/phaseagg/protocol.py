@@ -1,12 +1,13 @@
-"""Aggregation round orchestration: grouping, messages, decoding, recovery.
+"""Aggregation round orchestration: messages, decoding, recovery.
 
-Clients are integers 0..S-1.  An assignment splits them into mask-exchange
-groups, each with a plus side and a minus side; every client rotates its
-symbols by the summed channel phases to the opposite side, plus side
-adding, minus side subtracting.  Summing all received messages cancels
-every mask pairwise and leaves the exact digit sum.
+Clients are integers 0..S-1.  A `masking.GroupAssignment` splits them into
+mask-exchange groups, each with a plus side and a minus side; every client
+rotates its symbols by the summed channel phases to the opposite side,
+plus side adding, minus side subtracting.  Summing all received messages
+cancels every mask pairwise and leaves the exact digit sum.
 
-Two protocol versions exist on the wire:
+Two protocol versions exist on the wire, named in `config` (`ALG1`,
+`ALG2`):
 
 * ``alg1`` - group mask only.  Exact and minimal, but once a client is
   presumed dropped and its mask reconstructed, a late message from it can
@@ -56,6 +57,10 @@ key-sorted JSON byte parts, one per array, which `compact_json_parts`
 renders: integer arrays with orjson's numpy encoder, imported on first
 use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
 `read_transcript_line`, the one reader of a written line, is its inverse.
+
+`run_iteration` composes one training round from `fl`'s steps around
+`run_round`; it is the one import of a higher layer in the package, and
+`fl.run_training` calls it through this module.
 """
 
 from __future__ import annotations
@@ -63,18 +68,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import fl, rng, turns
+from . import fl, turns
 from .channel import ChannelMatrix, sample_round_channel
 from .codec import FecConfig, QuantizationConfig, dequantize_mean, decode_sum, modulate
+from .config import ALG1, ALG2, ScenarioConfig, check_version
 from .errors import (
-    InfeasibleGroupingError,
-    InsufficientClientsError,
     RevealSafetyError,
-    SecurityFloorError,
     ShapeError,
     TranscriptFormatError,
     UnrecoverableRoundError,
@@ -84,9 +87,13 @@ from .masking import (
     PER_SYMBOL_MASKS,
     PLUS,
     SCALAR_MASKS,
+    GroupAssignment,
     MaskedSymbols,
     RoundPhases,
     apply_mask,
+    # perfbench builds its layouts as `protocol.assign_*`.
+    assign_subgroups,  # noqa: F401
+    assign_two_groups,  # noqa: F401
     compute_group_mask,
     cross_pair_blocks,
     group_masks,
@@ -94,210 +101,7 @@ from .masking import (
     sample_private_phase,
 )
 
-if TYPE_CHECKING:
-    from .cli import ScenarioConfig
-
-ALG1 = "alg1"
-ALG2 = "alg2"
-
-TWO_GROUP = "two-group"
-SUBGROUP = "subgroup"
-
 TRANSCRIPT_FORMAT = 2
-
-
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Per-client (group id, side tag) labels.
-
-    Two-group mode is a single exchange group whose plus side and minus
-    side are the two client groups; subgroup mode has `num_groups` groups
-    whose sides are the two subgroups of size `subgroup_size` (the last
-    group absorbs any remainder, split as evenly as possible).
-    """
-
-    mode: str
-    group_of: tuple[int, ...]
-    tag_of: tuple[str, ...]
-    num_groups: int
-    subgroup_size: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in (TWO_GROUP, SUBGROUP):
-            raise ValueError(f"unknown assignment mode {self.mode!r}")
-        if len(self.group_of) != len(self.tag_of):
-            raise ValueError("group and tag labels must cover the same clients")
-        if any(tag not in (PLUS, MINUS) for tag in self.tag_of):
-            raise ValueError("tags must be '+' or '-'")
-        for g in range(self.num_groups):
-            for tag in (PLUS, MINUS):
-                if not self.side(g, tag):
-                    raise ValueError(f"group {g} has an empty {tag!r} side")
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.group_of)
-
-    @cached_property
-    def _sides(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """Every (group, tag) side's clients in increasing order, derived once."""
-        sides: dict[tuple[int, str], list[int]] = {}
-        for i, key in enumerate(zip(self.group_of, self.tag_of)):
-            sides.setdefault(key, []).append(i)
-        return {key: tuple(clients) for key, clients in sides.items()}
-
-    def members(self, group: int) -> tuple[int, ...]:
-        return tuple(sorted(self.side(group, PLUS) + self.side(group, MINUS)))
-
-    def side(self, group: int, tag: str) -> tuple[int, ...]:
-        return self._sides.get((group, tag), ())
-
-    def complementary_set(self, i: int) -> tuple[int, ...]:
-        """Clients whose channel phases form i's group mask."""
-        g, t = self.group_of[i], self.tag_of[i]
-        return self.side(g, MINUS if t == PLUS else PLUS)
-
-    @cached_property
-    def side_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per group, its plus and its minus side as read-only int64 client arrays.
-
-        Each side is in increasing client order, as `side` gives it.
-        """
-        index = []
-        for g in range(self.num_groups):
-            sides = tuple(np.array(self.side(g, tag), dtype=np.int64) for tag in (PLUS, MINUS))
-            for arr in sides:
-                arr.setflags(write=False)
-            index.append(sides)
-        return tuple(index)
-
-    @cached_property
-    def minus_mask(self) -> np.ndarray:
-        """Read-only (N,) bool array, True for every minus-side client."""
-        mask = np.array([tag == MINUS for tag in self.tag_of], dtype=bool)
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every cross pair as read-only (P,) arrays of its plus and minus client.
-
-        Pairs run group by group, each group plus-major with both sides in
-        increasing client order, so group g's stretch, reshaped to
-        (|plus|, |minus|), is its block in `masking.cross_pair_blocks`.
-        """
-        index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
-                 np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
-        for arr in index:
-            arr.setflags(write=False)
-        return index
-
-    def cross_pair_count(self) -> int:
-        """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
-        return self.cross_pair_index[0].size
-
-    def plus_size(self) -> int:
-        return sum(1 for t in self.tag_of if t == PLUS)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "group_of": list(self.group_of),
-            "tag_of": list(self.tag_of),
-            "num_groups": self.num_groups,
-            "subgroup_size": self.subgroup_size,
-        }
-
-
-def check_layout(mode: str, num_clients: int, num_groups: int | None = None,
-                 subgroup_size: int | None = None) -> None:
-    """Refuse a grouping that `assign_two_groups`/`assign_subgroups` cannot build.
-
-    Both call it first; a scenario config calls it to check its grouping
-    without building one, so it must allocate nothing.
-    """
-    if mode == TWO_GROUP:
-        if num_clients < 4:
-            raise InsufficientClientsError(
-                f"two-group aggregation needs at least 4 clients, got {num_clients}"
-            )
-        return
-    if mode != SUBGROUP:
-        raise ValueError(f"grouping mode must be 'two-group' or 'subgroup', got {mode!r}")
-    if subgroup_size < 2:
-        raise SecurityFloorError(
-            f"subgroup size must be at least 2, got {subgroup_size}: with a single "
-            "counterpart, one revealed share exposes a client's whole mask "
-            "(the security floor)"
-        )
-    if num_groups < 1:
-        raise InfeasibleGroupingError(f"need at least one group, got {num_groups}")
-    if num_groups != num_clients // (2 * subgroup_size):
-        raise InfeasibleGroupingError(
-            f"{num_clients} clients at subgroup size {subgroup_size} need "
-            f"{num_clients // (2 * subgroup_size)} groups, not {num_groups}"
-        )
-
-
-def assign_two_groups(num_clients: int, seed: int) -> GroupAssignment:
-    """Random two-group split with at least two clients on each side.
-
-    Splits violating the minimum are redrawn, so the result is
-    deterministic for a given seed.
-    """
-    check_layout(TWO_GROUP, num_clients)
-    gen = rng.keyed_generator(seed, rng.GROUPING_DOMAIN)
-    while True:
-        sides = gen.integers(0, 2, size=num_clients)
-        plus = int(np.sum(sides == 0))
-        if 2 <= plus <= num_clients - 2:
-            break
-    tags = tuple(PLUS if s == 0 else MINUS for s in sides)
-    return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * num_clients,
-                           tag_of=tags, num_groups=1, subgroup_size=None)
-
-
-def two_group_from_sides(plus_side: Iterable[int],
-                         minus_side: Iterable[int]) -> GroupAssignment:
-    """Explicit two-group layout (tests and demos)."""
-    plus = tuple(plus_side)
-    minus = tuple(minus_side)
-    size = len(plus) + len(minus)
-    if sorted(plus + minus) != list(range(size)):
-        raise ValueError("sides must partition clients 0..S-1")
-    tags = [MINUS] * size
-    for i in plus:
-        tags[i] = PLUS
-    return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * size,
-                           tag_of=tuple(tags), num_groups=1, subgroup_size=None)
-
-
-def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
-                     seed: int) -> GroupAssignment:
-    """Random split into `num_groups` groups of two subgroups of `subgroup_size`.
-
-    Requires num_groups == num_clients // (2 * subgroup_size); the
-    remainder joins the last group, split as evenly as possible between
-    its sides (both stay >= subgroup_size).
-    """
-    check_layout(SUBGROUP, num_clients, num_groups, subgroup_size)
-    per_group = 2 * subgroup_size
-    remainder = num_clients - num_groups * per_group
-    order = rng.keyed_generator(seed, rng.GROUPING_DOMAIN).permutation(num_clients)
-    group_of = [0] * num_clients
-    tag_of = [PLUS] * num_clients
-    start = 0
-    for g in range(num_groups):
-        size = per_group + (remainder if g == num_groups - 1 else 0)
-        chunk = order[start:start + size]
-        start += size
-        plus_count = (size + 1) // 2
-        for pos, client in enumerate(chunk):
-            group_of[int(client)] = g
-            tag_of[int(client)] = PLUS if pos < plus_count else MINUS
-    return GroupAssignment(mode=SUBGROUP, group_of=tuple(group_of),
-                           tag_of=tuple(tag_of), num_groups=num_groups,
-                           subgroup_size=subgroup_size)
 
 
 @dataclass(frozen=True)
@@ -335,11 +139,6 @@ def client_message(i: int, digits, assignment: GroupAssignment,
                            direction=tag,
                            mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS)
     return ClientMessage(owner=i, iteration=t, masked=masked, protocol_version=version)
-
-
-def check_version(version: str) -> None:
-    if version not in (ALG1, ALG2):
-        raise ValueError(f"unknown protocol version {version!r}")
 
 
 @dataclass(frozen=True)
@@ -815,10 +614,9 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     Every phase comes from `phases`, this round's `masking.RoundPhases`
     row: the cross-pair blocks are split from its pairs, and each sender's
     private phase is read from it by client id.  Without a row the round
-    derives its own (`masking.round_phases`): the pairs from `channel`, an
-    explicit channel's from its table, and the private phases from
-    `seed`.  A row from another round, or of the other mask mode, is
-    refused with ValueError.
+    derives its own (`masking.round_phases`): the pairs from `channel` and
+    the private phases from `seed`.  A row from another round, or of the
+    other mask mode, is refused with ValueError.
     """
     s = assignment.num_clients
     if len(digits_by_client) != s:
@@ -933,7 +731,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     )
 
 
-def run_iteration(state: "fl.ModelState", config: "ScenarioConfig", *,
+def run_iteration(state: fl.ModelState, config: ScenarioConfig, *,
                   datasets=None, assignment: GroupAssignment | None = None,
                   phases: RoundPhases | None = None):
     """One federated round: gradients, masked aggregation, SGD step.

@@ -28,17 +28,16 @@ from phaseagg.analysis import (
 from phaseagg.channel import pair_phase_window, sample_round_channel
 from phaseagg.cli import load_config, run_scenario
 from phaseagg.codec import QuantizationConfig, modulate
+from phaseagg.config import ALG1, ALG2
 from phaseagg.errors import UnrecoverableRoundError
-from phaseagg.masking import MINUS, PLUS
-from phaseagg.protocol import (
-    ALG1,
-    ALG2,
+from phaseagg.masking import (
+    MINUS,
+    PLUS,
     assign_subgroups,
     assign_two_groups,
-    client_message,
-    run_round,
     two_group_from_sides,
 )
+from phaseagg.protocol import client_message, run_round
 
 
 def test_criterion_1_exact_aggregation():

@@ -14,17 +14,10 @@ from phaseagg.analysis import (
 )
 from phaseagg.channel import sample_round_channel
 from phaseagg.codec import QuantizationConfig
+from phaseagg.config import ALG1, ALG2
 from phaseagg.errors import UnderpoweredTestError
-from phaseagg.masking import sample_private_phase
-from phaseagg.protocol import (
-    ALG1,
-    ALG2,
-    assign_subgroups,
-    client_message,
-    read_transcript_line,
-    run_round,
-    two_group_from_sides,
-)
+from phaseagg.masking import assign_subgroups, sample_private_phase, two_group_from_sides
+from phaseagg.protocol import client_message, read_transcript_line, run_round
 
 
 class TestChiSquare:

@@ -5,9 +5,9 @@ import scipy.stats
 from phaseagg import rng, turns
 from phaseagg.channel import (
     ChannelMatrix,
-    channel_from_phases,
     get_phase,
     pair_phase_stream,
+    pair_phase_window,
     sample_round_channel,
 )
 from phaseagg.errors import InvalidTopologyError, NoSelfChannelError
@@ -99,17 +99,12 @@ def test_pair_phases_in_either_order():
     assert got.dtype == np.uint64
     assert got.tolist() == [get_phase(chan, i, j) for i, j in zip(a, b)]
     assert np.array_equal(chan.pair_phases(b, a), got)
-    explicit = channel_from_phases(chan.phases, iteration=1)
-    assert np.array_equal(explicit.pair_phases(a, b), got)
     assert chan.pair_phases(np.array([], dtype=np.int64),
                             np.array([], dtype=np.int64)).shape == (0,)
 
 
-@pytest.mark.parametrize("explicit", [False, True])
-def test_pair_phases_refuses_bad_pairs(explicit):
+def test_pair_phases_refuses_bad_pairs():
     chan = sample_round_channel(4, iteration=0, seed=1)
-    if explicit:
-        chan = channel_from_phases(chan.phases)
     with pytest.raises(NoSelfChannelError):
         chan.pair_phases(np.array([0, 2]), np.array([1, 2]))
     with pytest.raises(IndexError):
@@ -118,22 +113,35 @@ def test_pair_phases_refuses_bad_pairs(explicit):
         chan.pair_phases(np.array([-1]), np.array([2]))
 
 
-def test_channel_needs_a_seed_or_a_table():
-    with pytest.raises(InvalidTopologyError):
-        ChannelMatrix(num_clients=3, iteration=0)
-    with pytest.raises(InvalidTopologyError):
-        ChannelMatrix(num_clients=2, iteration=0, seed=1, table=np.zeros((2, 2), np.uint64))
+def test_channel_refuses_a_negative_seed():
     with pytest.raises(ValueError):
         sample_round_channel(3, iteration=0, seed=-1)
 
 
+def test_channel_needs_a_seed():
+    # A channel's phases come from its seed alone: no table can stand in.
+    with pytest.raises(TypeError):
+        ChannelMatrix(3, 0)
+    assert ChannelMatrix(3, 0, 5).phases.tolist() == sample_round_channel(3, 0, 5).phases.tolist()
+
+
+def window_samples(seed, pairs, rounds=10_000):
+    """Each pair's phase at iterations 0..rounds-1 of a 4-client channel, (rounds, pairs).
+
+    Its first 500 rows must equal the per-round path, `get_phase` on each
+    iteration's channel.
+    """
+    a, b = (np.array(side) for side in zip(*pairs))
+    samples = pair_phase_window(4, seed, 0, rounds, a, b)
+    per_round = [[get_phase(sample_round_channel(4, iteration=t, seed=seed), *pair)
+                  for pair in pairs] for t in range(500)]
+    assert samples[:500].tolist() == per_round
+    return samples
+
+
 def test_entry_uniformity_chi_square():
     # 10^4 resampled matrices; fixed entry binned into 16 equal arcs.
-    samples = np.array(
-        [get_phase(sample_round_channel(4, iteration=t, seed=77), 0, 1)
-         for t in range(10_000)],
-        dtype=np.uint64,
-    )
+    samples = window_samples(77, [(0, 1)])[:, 0]
     counts = np.bincount(((samples * np.uint64(16)) >> np.uint64(32)).astype(int),
                          minlength=16)
     _, p = scipy.stats.chisquare(counts)
@@ -142,22 +150,9 @@ def test_entry_uniformity_chi_square():
 
 @pytest.mark.parametrize("pair_a,pair_b", [((0, 1), (2, 3)), ((0, 1), (0, 2))])
 def test_entry_independence_proxy(pair_a, pair_b):
-    a = np.empty(10_000)
-    b = np.empty(10_000)
-    for t in range(10_000):
-        chan = sample_round_channel(4, iteration=t, seed=123)
-        a[t] = get_phase(chan, *pair_a)
-        b[t] = get_phase(chan, *pair_b)
+    a, b = window_samples(123, [pair_a, pair_b]).astype(np.float64).T
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.05
-
-
-def test_explicit_phase_matrix():
-    table = [[0, 5, 7], [5, 0, 9], [7, 9, 0]]
-    chan = channel_from_phases(table, iteration=2)
-    assert get_phase(chan, 1, 2) == 9
-    with pytest.raises(InvalidTopologyError):
-        channel_from_phases([[0, 1], [2, 0]])
 
 
 def test_pair_stream_symmetric_and_deterministic():
@@ -167,9 +162,3 @@ def test_pair_stream_symmetric_and_deterministic():
     assert np.array_equal(s_ij, s_ji)
     assert np.array_equal(s_ij, pair_phase_stream(chan, 1, 3, 16))
     assert np.all(s_ij < turns.MODULUS)
-
-
-def test_pair_stream_requires_seeded_channel():
-    chan = channel_from_phases([[0, 1], [1, 0]])
-    with pytest.raises(InvalidTopologyError):
-        pair_phase_stream(chan, 0, 1, 4)

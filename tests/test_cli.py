@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import analysis, cli, fl, protocol, rng
+from phaseagg import analysis, cli, fl, masking, protocol, rng
 from phaseagg.cli import (
     HISTORY_HEADER,
-    ScenarioConfig,
     analyze_transcripts,
     load_config,
     main,
@@ -21,6 +20,7 @@ from phaseagg.cli import (
     run_scenario,
 )
 from phaseagg.codec import QuantizationConfig
+from phaseagg.config import ScenarioConfig
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 
 
@@ -427,7 +427,7 @@ class TestRunScenario:
         assert direct.modulus == 128
         two_groups = analysis.delayed_client_attack(
             analysis.PRIVATE_PHASE_SCENARIO,
-            assignment=protocol.assign_two_groups(8, config.seed),
+            assignment=masking.assign_two_groups(8, config.seed),
             cfg=QuantizationConfig.with_auto_modulus(config.clip, config.levels, 8),
             **common)
         assert two_groups.modulus == 32
@@ -502,6 +502,22 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "fan" / "seed-1" / "history.csv").is_file()
         assert (tmp_path / "fan" / "seed-2" / "history.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_refused(self, tmp_path, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(valid_data()))
+        out = tmp_path / "fan"
+        code = main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--jobs" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
         # A stand-in executor records the pool size and runs nothing, so

@@ -10,11 +10,13 @@ from phaseagg.masking import (
     MINUS,
     PLUS,
     apply_mask,
+    assign_subgroups,
     compute_group_mask,
     mask_shares,
     sample_private_phase,
+    two_group_from_sides,
 )
-from phaseagg.protocol import assign_subgroups, dropout_correction, two_group_from_sides
+from phaseagg.protocol import dropout_correction
 
 from test_protocol import channel_blocks
 

@@ -12,9 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
-from phaseagg.channel import channel_from_phases, sample_round_channel
+from phaseagg.channel import pair_phase_window, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
 from phaseagg.cli import write_transcripts
+from phaseagg.config import ALG1, ALG2, check_version
 from phaseagg.errors import (
     InfeasibleGroupingError,
     InvalidDigitError,
@@ -29,6 +30,9 @@ from phaseagg.errors import (
 from phaseagg.masking import (
     MINUS,
     PLUS,
+    assign_subgroups,
+    assign_two_groups,
+    check_layout,
     compute_group_mask,
     cross_pair_blocks,
     group_masks,
@@ -36,16 +40,12 @@ from phaseagg.masking import (
     private_phase_window,
     round_phases,
     sample_private_phase,
+    two_group_from_sides,
 )
 from phaseagg.protocol import (
-    ALG1,
-    ALG2,
     TRANSCRIPT_FORMAT,
-    assign_subgroups,
     _audit_reveal_safety,
     _integer_list_parts,
-    assign_two_groups,
-    check_layout,
     client_message,
     compact_json_parts,
     dropout_correction,
@@ -53,7 +53,6 @@ from phaseagg.protocol import (
     ps_aggregate_and_decode,
     read_transcript_line,
     run_round,
-    two_group_from_sides,
 )
 from test_golden import legacy_reveals, run_golden, write_legacy
 
@@ -110,13 +109,13 @@ class TestSubgroupAssignment:
         a = assign_subgroups(16, 4, 2, seed=2)
         assert a.num_groups == 4
         for g in range(4):
-            assert len(a.members(g)) == 4
+            assert a.group_of.count(g) == 4
             assert len(a.side(g, PLUS)) == 2
             assert len(a.side(g, MINUS)) == 2
 
     def test_remainder_goes_to_last_group(self):
         a = assign_subgroups(17, 4, 2, seed=2)
-        sizes = [len(a.members(g)) for g in range(4)]
+        sizes = [a.group_of.count(g) for g in range(4)]
         assert sorted(sizes[:-1]) == [4, 4, 4]
         assert sizes[-1] == 5
         assert len(a.side(3, PLUS)) >= 2 and len(a.side(3, MINUS)) >= 2
@@ -179,14 +178,26 @@ class TestCheckLayout:
         assert peak < 1 << 20
 
 
+def test_check_version_knows_the_two_algorithms_only():
+    check_version(ALG1)
+    check_version(ALG2)
+    with pytest.raises(ValueError, match="'alg3'"):
+        check_version("alg3")
+    with pytest.raises(ValueError, match="unknown protocol version"):
+        run_round(np.zeros((4, 2), dtype=np.int64), assign_two_groups(4, 0),
+                  sample_round_channel(4, 0, 0), small_cfg(clients=4),
+                  version="alg3", seed=0)
+
+
 class TestClientMessage:
     def test_degenerate_channel_equals_plain_modulation(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
-        chan = channel_from_phases(np.zeros((4, 4), dtype=np.uint64))
+        chan = sample_round_channel(4, iteration=0, seed=3)
         cfg = small_cfg(clients=4)
         digits = np.array([0, 1, 2, 3])
         msg = client_message(0, digits, assignment, chan, ALG1, seed=3, cfg=cfg)
-        assert np.array_equal(msg.masked.symbols, modulate(digits, cfg))
+        mask = compute_group_mask(0, assignment, chan)
+        assert np.array_equal(turns.sub(msg.masked.symbols, mask), modulate(digits, cfg))
 
     def test_private_phase_is_the_only_alg2_difference(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -212,11 +223,13 @@ class TestClientMessage:
         assignment = two_group_from_sides([0, 1], [2, 3])
         cfg = small_cfg(clients=4)
         digits = np.array([3])  # constant plaintext
-        samples = np.empty(10_000, dtype=np.uint64)
-        for t in range(10_000):
-            chan = sample_round_channel(4, iteration=t, seed=29)
-            msg = client_message(0, digits, assignment, chan, ALG1, seed=29, cfg=cfg)
-            samples[t] = msg.masked.symbols[0]
+        # Client 0's mask sums its pairs (0, 2) and (0, 3); one window holds every round.
+        pairs = pair_phase_window(4, 29, 0, 10_000, np.array([0, 0]), np.array([2, 3]))
+        samples = turns.add(modulate(digits, cfg), pairs.sum(axis=1, dtype=np.uint64))
+        per_round = [client_message(0, digits, assignment,
+                                    sample_round_channel(4, iteration=t, seed=29), ALG1,
+                                    seed=29, cfg=cfg).masked.symbols[0] for t in range(500)]
+        assert samples[:500].tolist() == per_round
         assert chi_square_uniformity(samples, bins=16).passed
 
     def test_unknown_version_rejected(self):
@@ -1076,7 +1089,6 @@ class TestMatrixRoundProperty:
             for tag in (PLUS, MINUS):
                 assert a.side(g, tag) == tuple(
                     i for i, key in enumerate(labels) if key == (g, tag))
-            assert a.members(g) == tuple(i for i, gi in enumerate(a.group_of) if gi == g)
         for i in range(a.num_clients):
             assert a.complementary_set(i) == pair_partners(a, i)
         assert a.cross_pair_count() == len(a.cross_pair_index[0])
@@ -1155,20 +1167,6 @@ class TestMatrixRoundProperty:
         assert calls == [(rng.CHANNEL_DOMAIN, assignment.cross_pair_count()),
                          (rng.PRIVATE_PHASE_DOMAIN, 20)]
         assert assignment.cross_pair_count() < 20 * 19 // 2
-
-    @pytest.mark.parametrize("absent", [((), None), ((1, 7), 4)])
-    def test_explicit_table_round_equals_the_seeded_round(self, absent):
-        assignment = assign_subgroups(12, 2, 3, seed=8)
-        seeded = sample_round_channel(12, iteration=4, seed=8)
-        explicit = channel_from_phases(sample_round_channel(12, iteration=4, seed=8).phases,
-                                       iteration=4)
-        digits = np.random.default_rng(65).integers(0, 4, size=(12, 5))
-        dropped, delayed = absent
-        lines = [run_round(digits, assignment, chan, small_cfg(levels=4, clients=12),
-                           version=ALG2, seed=8, dropped=dropped,
-                           delayed=delayed).to_json_line()
-                 for chan in (seeded, explicit)]
-        assert lines[0] == lines[1]
 
     def test_correction_subtracts_the_survivors_phase_array(self):
         assignment = assign_subgroups(8, 2, 2, seed=9)

@@ -19,18 +19,20 @@ from hypothesis import strategies as st
 
 from phaseagg import cli, fl, protocol, rng
 from phaseagg.channel import (
-    channel_from_phases,
     pair_phase_stream,
     pair_phase_window,
     sample_round_channel,
 )
+from phaseagg.config import ALG1, ALG2
 from phaseagg.masking import (
+    assign_subgroups,
+    assign_two_groups,
     phase_window,
     private_phase_window,
     round_phases,
     sample_private_phase,
 )
-from phaseagg.protocol import ALG1, ALG2, assign_subgroups, assign_two_groups, run_round
+from phaseagg.protocol import run_round
 
 from test_protocol import small_cfg
 
@@ -116,10 +118,6 @@ class TestWindowValues:
         chan = sample_round_channel(6, iteration=2**32, seed=3)
         with pytest.raises(ValueError):
             chan.pair_phases(np.array([0]), np.array([1]))
-        # An explicit channel's pairs come from its table; the private phases refuse.
-        explicit = channel_from_phases(sample_round_channel(6, 0, seed=3).phases, 2**32)
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            round_phases(assign_two_groups(6, seed=3), explicit, 3, private=True)
         with pytest.raises(ValueError, match="at least one round"):
             private_phase_window([0], 5, 0, seed=3)
 
