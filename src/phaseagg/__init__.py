@@ -32,7 +32,6 @@ from .errors import PhaseAggError
 from .fl import (
     ClientDataset,
     ClientDatasets,
-    ModelState,
     client_digits,
     compute_gradient,
     run_training,

@@ -172,7 +172,6 @@ class AttackOutcome:
     """What an honest-but-curious aggregator extracts from a delayed message."""
 
     scenario: str
-    status: str
     trials: int = 0
     modulus: int = 0
     guessing_baseline: float = 0.0
@@ -187,7 +186,7 @@ class AttackOutcome:
     def to_json_dict(self) -> dict:
         return {
             "scenario": self.scenario,
-            "status": self.status,
+            "status": "completed",
             "trials": self.trials,
             "modulus": self.modulus,
             "guessing_baseline": self.guessing_baseline,
@@ -209,8 +208,7 @@ def delayed_client_attack(scenario: str, *,
                           assignment: GroupAssignment | None = None,
                           cfg: QuantizationConfig | None = None,
                           dimension: int = 8, trials: int = 400,
-                          seed: int = 2024, delayed: int = 0,
-                          delayed_sends: bool = True) -> AttackOutcome:
+                          seed: int = 2024, delayed: int = 0) -> AttackOutcome:
     """Replay the delayed-message attack through the real decoding path.
 
     The aggregator presumes the delayed client dropped, runs the normal
@@ -227,8 +225,6 @@ def delayed_client_attack(scenario: str, *,
     """
     if scenario not in (NAIVE_REMEDY_SCENARIO, PRIVATE_PHASE_SCENARIO):
         raise ValueError(f"unknown attack scenario {scenario!r}")
-    if not delayed_sends:
-        return AttackOutcome(scenario=scenario, status="no-op")
     if assignment is None:
         assignment = assign_two_groups(4, seed)
     num_clients = assignment.num_clients
@@ -272,7 +268,7 @@ def delayed_client_attack(scenario: str, *,
 
     elements = trials * dimension
     outcome = AttackOutcome(
-        scenario=scenario, status="completed", trials=trials,
+        scenario=scenario, trials=trials,
         modulus=cfg.modulus, guessing_baseline=1.0 / cfg.modulus,
         full_recoveries=full, full_recovery_rate=full / trials,
         element_accuracy=element_hits / elements,
@@ -309,6 +305,8 @@ class OverheadReport:
     formula_per_round: int
     exact_match: bool
     recovery_messages_exact: bool
+    # The first failed count as one sentence, or None; not part of the JSON.
+    failure: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,10 +326,15 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
 
     Each is a `RoundTranscript`, from `run_round` or read back from its line
     by `protocol.read_transcript_line`.  Two-group mode must measure
-    l*(N-l) estimations per round (the (N/2)^2 of an even split); subgroup
-    mode must measure K*L^2 = N*L/2, both from the first transcript's
-    assignment.  Each dropped client must cost exactly one recovery message
-    per surviving member of its complementary subgroup in its own round.
+    l*(N-l) estimations per round (the (N/2)^2 of an even split).  Subgroup
+    mode must measure (K-1)*L^2 + ceil(m/2)*floor(m/2), where m = N -
+    2(K-1)L is the last group's size: `masking.assign_subgroups` adds the
+    remainder N - 2KL to the last group and splits it as evenly as
+    possible, so with no remainder this is K*L^2 = N*L/2.  Both formulas
+    read the first transcript's assignment.  Each dropped client must cost
+    exactly one recovery message per surviving member of its complementary
+    subgroup in its own round.  `failure` names the first round that
+    misses either count.
     """
     if not transcripts:
         raise ValueError("no transcripts to verify")
@@ -344,24 +347,31 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
     else:
         k = assignment.num_groups
         sub = assignment.subgroup_size
-        formula = k * sub * sub
+        last = n - 2 * (k - 1) * sub
+        formula = (k - 1) * sub * sub + (last // 2) * ((last + 1) // 2)
         params = {"K": k, "L": sub}
 
     exact = True
     recovery_exact = True
+    failures = []
     for t in transcripts:
-        if t.counters["phase_estimations"] != formula:
+        measured = t.counters["phase_estimations"]
+        if measured != formula:
             exact = False
+            failures.append(f"overhead check failed: round {t.iteration} measured {measured} "
+                            f"phase estimations, the formula gives {formula}")
         dropped = set(t.dropped)
         if t.delayed is not None:
             dropped.add(t.delayed)
         survivors = set(range(t.assignment.num_clients)) - dropped
-        for i in dropped:
+        for i in sorted(dropped):
             expected = len(survivors.intersection(t.assignment.complementary_set(i)))
             shares = sum(len(r["revealers"]) for r in t.reveals
                          if r["kind"] == "mask-shares" and r["dropped"] == i)
             if shares != expected:
                 recovery_exact = False
+                failures.append(f"recovery check failed: round {t.iteration} revealed {shares} "
+                                f"mask shares of client {i}, {expected} expected")
 
     return OverheadReport(
         mode=assignment.mode, num_clients=n, rounds=len(transcripts),
@@ -369,6 +379,7 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
         measured_per_round=transcripts[0].counters["phase_estimations"],
         formula_per_round=formula, exact_match=exact,
         recovery_messages_exact=recovery_exact,
+        failure=failures[0] if failures else None,
     )
 
 

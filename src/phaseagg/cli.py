@@ -4,8 +4,8 @@ Subcommands:
 
 * ``run``     - full training loop; writes history.csv, transcripts.jsonl,
                 report.json
-* ``round``   - a single aggregation round; writes transcripts.jsonl and
-                report.json
+* ``round``   - round 0 of ``run``: `fl.run_training` for one round;
+                writes transcripts.jsonl and report.json
 * ``attack``  - delayed-client attack scenarios; writes report.json
 * ``analyze`` - re-run the overhead analysis on existing transcripts;
                 writes analysis.json and leaves the run's report.json alone
@@ -27,13 +27,17 @@ through `protocol.read_transcript_line`, the inverse of `to_json_parts`,
 which also upgrades legacy lines.
 
 Every artifact is written to a new file: `_create` removes what the path
-held before.
+held before.  A command whose artifacts fail a check (`_check`: the
+overhead or recovery counts, or the plaintext baseline) raises
+`CheckFailedError` after writing them, and `main` prints its one
+``error:`` line and exits 2, as for every other runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import analysis, fl, protocol
 from .config import ALG1, ScenarioConfig
-from .errors import ConfigValidationError, PhaseAggError, TranscriptFormatError
+from .errors import CheckFailedError, ConfigValidationError, PhaseAggError, TranscriptFormatError
 from .masking import SUBGROUP, TWO_GROUP
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
@@ -252,8 +256,8 @@ def write_report(report: dict, path: Path) -> None:
         handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def run_scenario(config: ScenarioConfig, out_dir: Path, command: str = "run") -> tuple[int, dict]:
-    """Execute one scenario and write its artifacts; returns (exit code, report)."""
+def run_scenario(config: ScenarioConfig, out_dir: Path, command: str = "run") -> dict:
+    """Execute one scenario, write its artifacts and return its report."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "run":
         return _command_run(config, out_dir)
@@ -264,14 +268,28 @@ def run_scenario(config: ScenarioConfig, out_dir: Path, command: str = "run") ->
     raise ValueError(f"unknown command {command!r}")
 
 
-def _command_run(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
+def _check(overhead: analysis.OverheadReport, diverged: int | None = None) -> None:
+    """Raise CheckFailedError naming the first failed check of written artifacts.
+
+    `diverged` is the first round whose updated parameters differ from the
+    plaintext baseline's, if one does.
+    """
+    if overhead.failure is not None:
+        raise CheckFailedError(overhead.failure)
+    if diverged is not None:
+        raise CheckFailedError(f"baseline check failed: the secure parameters differ from "
+                               f"the plaintext baseline's after round {diverged}")
+
+
+def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
     history = fl.run_training(config, "secure")
-    baseline_match = None
+    baseline_match = diverged = None
     if config.compare_baseline:
-        baseline = fl.run_training(config, "plaintext")
-        baseline_match = len(history.thetas) == len(baseline.thetas) and all(
-            np.array_equal(a, b) for a, b in zip(history.thetas, baseline.thetas)
-        )
+        # Equal parameters give equal losses, so both runs stop after the same round.
+        plain = fl.run_training(config, "plaintext").thetas
+        diverged = next((t for t, (a, b) in enumerate(zip(history.thetas, plain))
+                         if not np.array_equal(a, b)), None)
+        baseline_match = diverged is None
     write_history_csv(history, out_dir / "history.csv")
     write_transcripts(history.transcripts, out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead(history.transcripts)
@@ -295,15 +313,12 @@ def _command_run(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
         "baseline_match": baseline_match,
     }
     write_report(report, out_dir / "report.json")
-    violated = (not overhead.exact_match or not overhead.recovery_messages_exact
-                or baseline_match is False)
-    return (2 if violated else 0), report
+    _check(overhead, diverged)
+    return report
 
 
-def _command_round(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
-    state = fl.ModelState(theta=np.zeros(config.dimension), iteration=0,
-                          learning_rate=config.learning_rate)
-    transcript, _ = protocol.run_iteration(state, config)
+def _command_round(config: ScenarioConfig, out_dir: Path) -> dict:
+    (transcript,) = fl.run_training(dataclasses.replace(config, rounds=1)).transcripts
     write_transcripts([transcript], out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead([transcript])
     leak = analysis.difference_leak_probe(transcript.symbols, transcript.mask_mode,
@@ -319,11 +334,11 @@ def _command_round(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
         "difference_leak": leak.to_json_dict(),
     }
     write_report(report, out_dir / "report.json")
-    violated = not overhead.exact_match or not overhead.recovery_messages_exact
-    return (2 if violated else 0), report
+    _check(overhead)
+    return report
 
 
-def _command_attack(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
+def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
     if config.delayed_client is None:
         raise ConfigValidationError(
             ["attack scenarios need 'delayed_client' set in the config"]
@@ -347,10 +362,10 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> tuple[int, dict]:
     report = {"command": "attack", "scenario": config.name,
               "seed": config.seed, "attack": outcome.to_json_dict()}
     write_report(report, out_dir / "report.json")
-    return 0, report
+    return report
 
 
-def analyze_transcripts(out_dir: Path) -> tuple[int, dict]:
+def analyze_transcripts(out_dir: Path) -> dict:
     path = out_dir / "transcripts.jsonl"
     if not path.is_file():
         raise ConfigValidationError([f"no transcripts found at {path}"])
@@ -366,14 +381,12 @@ def analyze_transcripts(out_dir: Path) -> tuple[int, dict]:
         "overhead": overhead.to_json_dict(),
     }
     write_report(report, out_dir / "analysis.json")
-    violated = not overhead.exact_match or not overhead.recovery_messages_exact
-    return (2 if violated else 0), report
+    _check(overhead)
+    return report
 
 
-def _run_job(config_spec: str, seed: int, out_dir: str) -> int:
-    config = load_config(config_spec, seed_override=seed)
-    code, _ = run_scenario(config, Path(out_dir), "run")
-    return code
+def _run_job(config_spec: str, seed: int, out_dir: str) -> None:
+    run_scenario(load_config(config_spec, seed_override=seed), Path(out_dir), "run")
 
 
 def main(argv=None) -> int:
@@ -406,8 +419,8 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.command == "analyze":
-            code, _ = analyze_transcripts(Path(args.out))
-            return code
+            analyze_transcripts(Path(args.out))
+            return 0
         config = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out) if args.out != "out" or config.output_dir is None \
             else Path(config.output_dir)
@@ -417,15 +430,16 @@ def main(argv=None) -> int:
             seeds = [config.seed + k for k in range(args.jobs)]
             workers = min(args.jobs, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                codes = list(pool.map(
+                # The first failed job's error surfaces here, after every job ran.
+                list(pool.map(
                     _run_job,
                     [args.config] * len(seeds),
                     seeds,
                     [str(out_dir / f"seed-{s}") for s in seeds],
                 ))
-            return max(codes)
-        code, _ = run_scenario(config, out_dir, args.command)
-        return code
+            return 0
+        run_scenario(config, out_dir, args.command)
+        return 0
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
         return 1

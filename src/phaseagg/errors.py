@@ -73,6 +73,10 @@ class UnderpoweredTestError(PhaseAggError):
     """Too few samples for the statistical test to be meaningful."""
 
 
+class CheckFailedError(PhaseAggError):
+    """A finished command's artifacts fail a check: an overhead, recovery or baseline count."""
+
+
 class TranscriptFormatError(PhaseAggError):
     """A transcripts file is not one JSON round transcript per line."""
 

@@ -14,10 +14,12 @@ one batched residual gives the round's loss (`sample_loss`).
 the batch is tested against, bit for bit.
 
 `run_training` drives the full loop in two modes: "secure" routes every
-round through the masked aggregation protocol; "plaintext" sums the same
-quantized digits directly.  Both take their digits from `client_digits`,
-and masking is information-lossless, so the two trajectories are
-bit-identical - that equivalence is itself a test target.
+round through the masked aggregation protocol (`protocol.run_iteration`);
+"plaintext" sums the same quantized digits directly.  Both take their
+digits from `client_digits`, and masking is information-lossless, so the
+two trajectories are bit-identical - that equivalence is itself a test
+target.  The loop's only state is the parameter vector theta: the round
+is the loop counter and the learning rate the config's.
 
 A secure run derives its rounds' keyed phases a window at a time
 (`masking.phase_window`): every cross pair's phase and, under alg2, every
@@ -45,15 +47,6 @@ from .masking import phase_window
 # Words one window of rounds derives at once; a round with more words
 # than this is a window on its own.
 WINDOW_WORDS = 2**16
-
-
-@dataclass(frozen=True)
-class ModelState:
-    """Global parameter vector at one iteration."""
-
-    theta: np.ndarray
-    iteration: int
-    learning_rate: float
 
 
 @dataclass(frozen=True)
@@ -102,17 +95,6 @@ class ClientDatasets(Sequence):
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-
-def stack_datasets(datasets) -> ClientDatasets:
-    """Client datasets of one shape as a `ClientDatasets` (returned as is if one)."""
-    if isinstance(datasets, ClientDatasets):
-        return datasets
-    shapes = {ds.features.shape for ds in datasets}
-    if len(shapes) != 1:
-        raise ShapeError(f"clients' datasets differ in shape: {sorted(shapes)}")
-    return ClientDatasets(features=np.stack([ds.features for ds in datasets]),
-                          targets=np.stack([ds.targets for ds in datasets]))
 
 
 def make_synthetic_task(num_clients: int, dimension: int,
@@ -169,17 +151,16 @@ def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
     return dataset.features.T @ residual / dataset.num_samples
 
 
-def sample_loss(theta: np.ndarray, datasets) -> float:
+def sample_loss(theta: np.ndarray, datasets: ClientDatasets) -> float:
     """Mean of (x.theta - y)^2 / 2 over every sample of every client.
 
-    One batched residual over the stacked data (`stack_datasets`); each
-    client's squared residual norm runs through the dot kernel of
-    `residual @ residual`, and the halves are added strictly left to
-    right in client order, so the result equals a per-client loop bit for
-    bit.  (Built-in `sum` of floats is compensated from Python 3.12 on,
-    which could move the last bit.)
+    One batched residual over the stacked data; each client's squared
+    residual norm runs through the dot kernel of `residual @ residual`,
+    and the halves are added strictly left to right in client order, so
+    the result equals a per-client loop bit for bit.  (Built-in `sum` of
+    floats is compensated from Python 3.12 on, which could move the last
+    bit.)
     """
-    datasets = stack_datasets(datasets)
     residual = datasets.features @ theta - datasets.targets
     halves = (residual[:, None, :] @ residual[:, :, None]).ravel() / 2.0
     total = 0.0
@@ -238,8 +219,9 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
     """Run the full DSGD loop and record per-round metrics.
 
     mode "secure" uses the masked aggregation protocol; "plaintext" is the
-    insecure baseline summing quantized digits directly.  Stops after
-    config.rounds, or earlier once loss falls below config.loss_threshold.
+    insecure baseline summing quantized digits directly.  Both start at
+    theta = 0, the loop's only state.  Stops after config.rounds, or
+    earlier once loss falls below config.loss_threshold.
     """
     if mode not in ("secure", "plaintext"):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -250,8 +232,7 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
     )
     assignment = config.build_assignment()
     cfg = config.quantization()
-    state = ModelState(theta=np.zeros(config.dimension), iteration=0,
-                       learning_rate=config.learning_rate)
+    theta = np.zeros(config.dimension)
     history = TrainingHistory()
     private = config.protocol_version == ALG2
     length = config.phase_length
@@ -259,19 +240,18 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
     window = max(1, WINDOW_WORDS // (keys * (length or 1)))
 
     for t in range(config.rounds):
-        loss = sample_loss(state.theta, datasets)
+        loss = sample_loss(theta, datasets)
         if mode == "secure":
             if t % window == 0:
                 rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
                                     private=private, length=length)
-            transcript, new_state = protocol.run_iteration(
-                state, config, datasets=datasets, assignment=assignment,
-                phases=rows[t % window]
+            transcript, new_theta = protocol.run_iteration(
+                theta, config, datasets, assignment, rows[t % window]
             )
             history.transcripts.append(transcript)
             counters = transcript.counters
             row = HistoryRow(
-                round=t, loss=loss, theta_norm=float(np.linalg.norm(state.theta)),
+                round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
                 phase_estimations=counters["phase_estimations"],
                 uplink=counters["uplink_messages"],
                 recoveries=counters["recovery_messages"],
@@ -281,19 +261,15 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
             if config.delayed_client is not None:
                 dropped.add(config.delayed_client)
             senders = [i for i in range(config.clients) if i not in dropped]
-            digits = client_digits(state.theta, datasets, cfg)
+            digits = client_digits(theta, datasets, cfg)
             digit_sum = np.sum(digits[senders], axis=0, dtype=np.int64)
             mean = dequantize_mean(digit_sum, len(senders), cfg)
-            new_state = ModelState(
-                theta=sgd_update(state.theta, mean, state.learning_rate),
-                iteration=t + 1, learning_rate=state.learning_rate,
-            )
-            row = HistoryRow(round=t, loss=loss,
-                             theta_norm=float(np.linalg.norm(state.theta)),
+            new_theta = sgd_update(theta, mean, config.learning_rate)
+            row = HistoryRow(round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
                              phase_estimations=0, uplink=len(senders), recoveries=0)
         history.rows.append(row)
-        history.thetas.append(new_state.theta.copy())
-        state = new_state
+        history.thetas.append(new_theta)
+        theta = new_theta
         if config.loss_threshold is not None and loss < config.loss_threshold:
             break
     return history

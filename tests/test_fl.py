@@ -114,7 +114,6 @@ class TestBatchedGradients:
         expected = total / (clients * samples)
         # Bit for bit: the losses reach history.csv and its golden digest.
         assert fl.sample_loss(theta, datasets) == expected
-        assert fl.sample_loss(theta, list(datasets)) == expected
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_stacked_task_keeps_the_per_client_stream(self, noise):
@@ -129,27 +128,10 @@ class TestBatchedGradients:
             assert np.array_equal(ds.features, x)
             assert np.array_equal(ds.targets, y)
 
-    def test_stack_datasets(self):
+    def test_client_gradients_refuse_a_theta_of_another_dimension(self):
         datasets, _ = fl.make_synthetic_task(3, 4, 5, seed=1)
-        assert fl.stack_datasets(datasets) is datasets
-        restacked = fl.stack_datasets(list(datasets))
-        assert np.array_equal(restacked.features, datasets.features)
-        assert [ds.owner for ds in restacked] == [0, 1, 2]
-        odd = fl.ClientDataset(features=np.ones((2, 4)), targets=np.zeros(2), owner=3)
-        with pytest.raises(ShapeError):
-            fl.stack_datasets(list(datasets) + [odd])
         with pytest.raises(ShapeError):
             fl.client_gradients(np.zeros(3), datasets)
-
-    def test_run_iteration_accepts_a_list_of_datasets(self):
-        from phaseagg import protocol
-
-        config = scenario(rounds=1)
-        datasets, _ = fl.make_synthetic_task(8, 8, 32, seed=3)
-        state = fl.ModelState(theta=np.full(8, 0.25), iteration=0, learning_rate=0.1)
-        stacked, _ = protocol.run_iteration(state, config, datasets=datasets)
-        listed, _ = protocol.run_iteration(state, config, datasets=list(datasets))
-        assert stacked.to_json_line() == listed.to_json_line()
 
 
 class TestSgdUpdate:

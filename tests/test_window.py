@@ -200,8 +200,12 @@ class TestRunArtifactsDoNotDependOnTheWindow:
         config = CONFIGS[request.param]()
         original = protocol.run_iteration
 
-        def per_round(*args, phases=None, **kwargs):
-            return original(*args, **kwargs)
+        def per_round(theta, config, datasets, assignment, phases):
+            channel = sample_round_channel(config.clients, phases.iteration, config.seed)
+            own = round_phases(assignment, channel, config.seed,
+                               private=config.protocol_version == ALG2,
+                               length=config.phase_length)
+            return original(theta, config, datasets, assignment, own)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "run_iteration", per_round)
