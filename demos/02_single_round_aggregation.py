@@ -42,7 +42,7 @@ transcript = run_round(digits, assignment, channel, cfg, version=ALG1, seed=42)
 
 print("\nWhat the server sees (masked symbols, one row per client):")
 for msg in transcript.messages:
-    print(f"  client {msg.owner} [{msg.masked.direction}]: "
+    print(f"  client {msg.owner} [{assignment.tag_of[msg.owner]}]: "
           f"{[int(s) for s in msg.masked.symbols]}")
 
 print("\nServer-side decode after summing all messages:")

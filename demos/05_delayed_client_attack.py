@@ -8,14 +8,11 @@ private phase known only to its sender, the de-rotated message still
 hides behind that phase and recovery collapses to 1-in-M guessing.
 """
 
-from phaseagg.analysis import (
-    NAIVE_REMEDY_SCENARIO,
-    PRIVATE_PHASE_SCENARIO,
-    delayed_client_attack,
-)
+from phaseagg.analysis import delayed_client_attack
+from phaseagg.config import ALG1, ALG2
 
 print("Scenario 1: group-mask-only protocol, naive dropout remedy")
-naive = delayed_client_attack(NAIVE_REMEDY_SCENARIO, trials=200, seed=6)
+naive = delayed_client_attack(ALG1, trials=200, seed=6)
 print(f"  trials: {naive.trials}")
 print(f"  full-message recoveries: {naive.full_recoveries} "
       f"({naive.full_recovery_rate:.0%})")
@@ -23,7 +20,7 @@ print(f"  per-element accuracy: {naive.element_accuracy:.0%}")
 print(f"  attack succeeded: {naive.succeeded}\n")
 
 print("Scenario 2: private-phase protocol, same attack")
-guarded = delayed_client_attack(PRIVATE_PHASE_SCENARIO, trials=2000, seed=6)
+guarded = delayed_client_attack(ALG2, trials=2000, seed=6)
 print(f"  trials: {guarded.trials}")
 print(f"  full-message recoveries: {guarded.full_recoveries} "
       f"({guarded.full_recovery_rate:.2%})")

@@ -22,7 +22,7 @@ functions, so `import phaseagg` and a `phaseagg run` never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from . import rng, turns
 from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
-from .config import ALG1, ALG2
+from .config import ALG1, ALG2, check_version
 from .errors import UnderpoweredTestError
 from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
 from .protocol import RoundTranscript, client_message, run_round
@@ -49,16 +49,6 @@ class UniformityReport:
     p_value: float
     passed: bool
     alpha: float = ALPHA
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "bins": self.bins,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "passed": self.passed,
-            "alpha": self.alpha,
-        }
 
 
 def bin_turns(samples, bins: int) -> np.ndarray:
@@ -135,14 +125,6 @@ class SmallGridReport:
     conditionals_uniform: bool
     mutual_information_bits: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "grid_size": self.grid_size,
-            "plaintexts": list(self.plaintexts),
-            "conditionals_uniform": self.conditionals_uniform,
-            "mutual_information_bits": self.mutual_information_bits,
-        }
-
 
 def exact_masking_information(plaintexts: Sequence[int],
                               grid_bits: int = 4) -> SmallGridReport:
@@ -184,27 +166,11 @@ class AttackOutcome:
     succeeded: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "status": "completed",
-            "trials": self.trials,
-            "modulus": self.modulus,
-            "guessing_baseline": self.guessing_baseline,
-            "full_recoveries": self.full_recoveries,
-            "full_recovery_rate": self.full_recovery_rate,
-            "element_accuracy": self.element_accuracy,
-            "element_mismatch_rate": self.element_mismatch_rate,
-            "binomial_p_value": self.binomial_p_value,
-            "mutual_information_bits": self.mutual_information_bits,
-            "succeeded": self.succeeded,
-        }
+        # Every attack that returns has run all its trials.
+        return dict(asdict(self), status="completed")
 
 
-NAIVE_REMEDY_SCENARIO = "alg1_naive_remedy"
-PRIVATE_PHASE_SCENARIO = "alg2"
-
-
-def delayed_client_attack(scenario: str, *,
+def delayed_client_attack(version: str, *,
                           assignment: GroupAssignment | None = None,
                           cfg: QuantizationConfig | None = None,
                           dimension: int = 8, trials: int = 400,
@@ -219,19 +185,20 @@ def delayed_client_attack(scenario: str, *,
     private-phase protocol a uniform residual remains and recovery
     collapses to 1-in-M guessing.  Masks are scalar.
 
+    `version` picks the protocol: `ALG1` with the naive recovery (the
+    outcome's scenario is "alg1_naive_remedy") or `ALG2` (scenario "alg2").
+
     `assignment` defaults to `assign_two_groups(4, seed)`, and `cfg` to
     the auto modulus for 4 levels and clip 1.0 at the assignment's client
     count.
     """
-    if scenario not in (NAIVE_REMEDY_SCENARIO, PRIVATE_PHASE_SCENARIO):
-        raise ValueError(f"unknown attack scenario {scenario!r}")
+    check_version(version)
     if assignment is None:
         assignment = assign_two_groups(4, seed)
     num_clients = assignment.num_clients
     if not (0 <= delayed < num_clients):
         raise IndexError(f"delayed client {delayed} out of range")
 
-    version = ALG1 if scenario == NAIVE_REMEDY_SCENARIO else ALG2
     if cfg is None:
         cfg = QuantizationConfig.with_auto_modulus(clip=1.0, levels=4,
                                                    max_clients=num_clients)
@@ -268,7 +235,7 @@ def delayed_client_attack(scenario: str, *,
 
     elements = trials * dimension
     outcome = AttackOutcome(
-        scenario=scenario, trials=trials,
+        scenario="alg1_naive_remedy" if version == ALG1 else ALG2, trials=trials,
         modulus=cfg.modulus, guessing_baseline=1.0 / cfg.modulus,
         full_recoveries=full, full_recovery_rate=full / trials,
         element_accuracy=element_hits / elements,
@@ -399,17 +366,6 @@ class LeakReport:
     digit_differences_recovered: bool
     recovered_sample: tuple[int, ...]
     uniformity: UniformityReport | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mask_mode": self.mask_mode,
-            "num_messages": self.num_messages,
-            "num_differences": self.num_differences,
-            "on_grid_fraction": self.on_grid_fraction,
-            "digit_differences_recovered": self.digit_differences_recovered,
-            "recovered_sample": list(self.recovered_sample),
-            "uniformity": None if self.uniformity is None else self.uniformity.to_json_dict(),
-        }
 
 
 def difference_leak_probe(symbols, mask_mode: str, cfg: QuantizationConfig) -> LeakReport:

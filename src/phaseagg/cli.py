@@ -16,8 +16,12 @@ worse than a loud failure.  `parse_config` checks only the JSON's shape
 and builds a `config.ScenarioConfig`; each value rule has one owner
 (`ScenarioConfig`, `masking.check_layout`, `QuantizationConfig`,
 `FecConfig`, `config.check_version`), and the config collects what they
-refuse.  `run --jobs` below 1 exits 1 before any work.  Identical config
-and seed always produce byte-identical artifacts.
+refuse.  `run --jobs` below 1 exits 1 before any work; above 1, every
+seed runs, each failed one prints one ``error: seed <s> (<dir>): ...``
+line in seed order, and any failure exits 2.  An explicit `--out` picks
+the output directory; without one, the config's `output_dir` does, else
+``out``.  Identical config and seed always produce byte-identical
+artifacts.
 
 Each line of transcripts.jsonl holds one round in transcript format
 `protocol.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
@@ -331,7 +335,7 @@ def _command_round(config: ScenarioConfig, out_dir: Path) -> dict:
         "aggregate": transcript.aggregate.tolist(),
         "decoded_mean": transcript.decoded_mean.tolist(),
         "overhead": overhead.to_json_dict(),
-        "difference_leak": leak.to_json_dict(),
+        "difference_leak": dataclasses.asdict(leak),
     }
     write_report(report, out_dir / "report.json")
     _check(overhead)
@@ -347,11 +351,8 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
         raise ConfigValidationError(
             ["the attack models scalar masks only; set 'per_symbol_masks' to false"]
         )
-    scenario = (analysis.NAIVE_REMEDY_SCENARIO
-                if config.protocol_version == ALG1
-                else analysis.PRIVATE_PHASE_SCENARIO)
     outcome = analysis.delayed_client_attack(
-        scenario,
+        config.protocol_version,
         dimension=config.dimension,
         trials=config.rounds,
         seed=config.seed,
@@ -385,8 +386,13 @@ def analyze_transcripts(out_dir: Path) -> dict:
     return report
 
 
-def _run_job(config_spec: str, seed: int, out_dir: str) -> None:
-    run_scenario(load_config(config_spec, seed_override=seed), Path(out_dir), "run")
+def _run_job(config_spec: str, seed: int, out_dir: str) -> str | None:
+    """Run one seed of `run --jobs`: None when it passes, else its error message."""
+    try:
+        run_scenario(load_config(config_spec, seed_override=seed), Path(out_dir), "run")
+    except PhaseAggError as exc:
+        return str(exc)
+    return None
 
 
 def main(argv=None) -> int:
@@ -402,12 +408,15 @@ def main(argv=None) -> int:
         ("analyze", "re-run analysis on existing transcripts"),
     ]:
         cmd = sub.add_parser(name, help=text)
-        if name != "analyze":
+        if name == "analyze":
+            cmd.add_argument("--out", default="out", help="output directory")
+        else:
             cmd.add_argument("--config", required=True,
                              help="config path or bundled name")
             cmd.add_argument("--seed", type=int, default=None,
                              help="override the config seed")
-        cmd.add_argument("--out", default="out", help="output directory")
+            cmd.add_argument("--out", help="output directory "
+                                           "(default: the config's output_dir, else out)")
         if name == "run":
             cmd.add_argument("--jobs", type=int, default=1,
                              help="fan out this many consecutive seeds "
@@ -422,22 +431,19 @@ def main(argv=None) -> int:
             analyze_transcripts(Path(args.out))
             return 0
         config = load_config(args.config, seed_override=args.seed)
-        out_dir = Path(args.out) if args.out != "out" or config.output_dir is None \
-            else Path(config.output_dir)
+        out_dir = Path(args.out if args.out is not None else config.output_dir or "out")
         if args.command == "run" and args.jobs > 1:
             import concurrent.futures  # only here: it loads logging too
 
             seeds = [config.seed + k for k in range(args.jobs)]
+            dirs = [str(out_dir / f"seed-{s}") for s in seeds]
             workers = min(args.jobs, os.cpu_count() or 1)
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                # The first failed job's error surfaces here, after every job ran.
-                list(pool.map(
-                    _run_job,
-                    [args.config] * len(seeds),
-                    seeds,
-                    [str(out_dir / f"seed-{s}") for s in seeds],
-                ))
-            return 0
+                errors = list(pool.map(_run_job, [args.config] * len(seeds), seeds, dirs))
+            for seed, directory, error in zip(seeds, dirs, errors):
+                if error is not None:
+                    print(f"error: seed {seed} ({directory}): {error}", file=sys.stderr)
+            return 2 if any(e is not None for e in errors) else 0
         run_scenario(config, out_dir, args.command)
         return 0
     except ConfigValidationError as exc:

@@ -279,13 +279,12 @@ class MaskedSymbols:
     `symbols` is always a uint64 vector of turns: `protocol.client_message`
     builds it with `apply_mask`, and `protocol.RoundTranscript.messages`
     makes it a read-only view of one row of the round's symbol matrix.
+    The round, protocol version and mask mode belong to the round's
+    transcript, and the rotation direction is the owner's side tag in the
+    round's `GroupAssignment`.
     """
 
     symbols: np.ndarray
-    owner: int
-    iteration: int
-    direction: str
-    mask_mode: str = SCALAR_MASKS
 
 
 def compute_group_mask(i: int, assignment: GroupAssignment,

@@ -28,19 +28,22 @@ its row of a `masking.phase_window`, and a direct call derives its own
 (`masking.round_phases`).  Below `run_round`, the mask mode is only the
 `length` of the row's phases (None for a scalar, d per symbol), and every
 phase, mask, symbol row and correction is an int or an integer array;
-`per_symbol` is set only by `run_round`'s and `client_message`'s callers.
-The transcript keeps the read-only matrix and the sender ids;
-`RoundTranscript.messages` builds the `ClientMessage` tuple, each holding
-a read-only view of its row, only when first read.  `client_message`
-builds one client's message on its own; it is the reference the rows are
-tested against.
+`per_symbol` is set only by `run_round`'s callers.  `client_message`
+builds one client's message on its own, taking the same `length`; it is
+the reference the rows are tested against.  The transcript keeps the
+read-only matrix and the sender ids; `RoundTranscript.messages` builds
+the `ClientMessage` tuple only when first read, each message its owner
+and a read-only view of its row.
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
 exhaustively.  Its shares are read from the round's cross-pair blocks
-(`masking.cross_pair_blocks`) and summed with numpy.
+(`masking.cross_pair_blocks`) and summed with numpy.  `dropout_correction`
+returns the correction and its reveal records, and `ps_aggregate_and_decode`
+the decoded digit sums and their mean; `run_round` counts the recovery
+messages and private-phase reveals from the records.
 The reveal log holds one record per query, each naming the clients it
 asked and holding their answers as one read-only uint64 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
@@ -49,9 +52,10 @@ per dropped client, then ``{"kind": "private-phases", "clients": [...],
 per-symbol streams, row r answered by the r-th listed client.
 
 `RoundTranscript.to_json_dict` defines the transcript's JSON schema,
-format `TRANSCRIPT_FORMAT`.  A message is its owner and symbols; the
-iteration, version and mask mode are written once per line, and a
-message's direction is its owner's side tag in the line's assignment.
+format `TRANSCRIPT_FORMAT`.  A message is its owner and symbols, in
+memory as on a line; the iteration, version and mask mode are the
+transcript's, written once per line, and a message's direction is its
+owner's side tag in the transcript's assignment.
 `RoundTranscript.to_json_parts` yields the same document as compact,
 key-sorted JSON byte parts, one per array, which `compact_json_parts`
 renders: integer arrays with orjson's numpy encoder, imported on first
@@ -70,7 +74,7 @@ module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -110,23 +114,22 @@ TRANSCRIPT_FORMAT = 2
 
 @dataclass(frozen=True)
 class ClientMessage:
-    """One client's uplink message for one iteration."""
+    """One client's uplink message: its owner and its masked symbols."""
 
     owner: int
-    iteration: int
     masked: MaskedSymbols
-    protocol_version: str
 
 
 def client_message(i: int, digits, assignment: GroupAssignment,
                    channel: ChannelMatrix, version: str, seed: int,
                    cfg: QuantizationConfig, *,
-                   per_symbol: bool = False) -> ClientMessage:
+                   length: int | None = None) -> ClientMessage:
     """Build client i's message alone: modulate, add private phase (alg2), rotate.
 
     The group-mask rotation direction follows the client's side tag: plus
     side adds its mask, minus side subtracts it.  The private phase is
-    always added.  `run_round` builds every sender's message at once; this
+    always added.  Masks are scalar, or with `length` (the symbol count)
+    per symbol.  `run_round` builds every sender's message at once; this
     per-client definition is the reference its rows are tested against.
     """
     check_version(version)
@@ -134,62 +137,28 @@ def client_message(i: int, digits, assignment: GroupAssignment,
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
     symbols = modulate(digits, cfg)
-    length = symbols.shape[-1] if per_symbol else None
     if version == ALG2:
         symbols = apply_mask(symbols, sample_private_phase(i, t, seed, length=length), PLUS)
-    tag = assignment.tag_of[i]
     mask = compute_group_mask(i, assignment, channel, length=length)
-    masked = MaskedSymbols(symbols=apply_mask(symbols, mask, tag), owner=i, iteration=t,
-                           direction=tag,
-                           mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS)
-    return ClientMessage(owner=i, iteration=t, masked=masked, protocol_version=version)
-
-
-@dataclass(frozen=True)
-class DecodedAggregate:
-    """Mean gradient plus the exact integer digit sums it came from."""
-
-    mean: np.ndarray
-    digit_sums: np.ndarray
+    return ClientMessage(owner=i, masked=MaskedSymbols(
+        symbols=apply_mask(symbols, mask, assignment.tag_of[i])))
 
 
 def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: int,
-                            cfg: QuantizationConfig) -> DecodedAggregate:
-    """Sum received phases, apply the correction, decode, and average.
+                            cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sum received phases, apply the correction, decode: (digit sums, mean).
 
     `symbols` is a round's (senders, d) uint64 symbol matrix.  With every
     mask cancelled the per-element phase sum is an exact grid multiple;
-    anything else raises ResidualMaskError.
+    anything else raises ResidualMaskError.  The mean averages the exact
+    integer digit sums over `num_contributors`.
     """
     if not len(symbols):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
     # Each symbol is < 2**32, so uint64 sums the column exactly before reducing.
     agg = turns.add(symbols.sum(axis=0, dtype=np.uint64), turns.reduce(correction))
     sums = decode_sum(agg, cfg)
-    mean = dequantize_mean(sums, num_contributors, cfg)
-    return DecodedAggregate(mean=mean, digit_sums=sums)
-
-
-@dataclass(eq=False)
-class CorrectionResult:
-    """Correction phase plus the reveal records that produced it.
-
-    Each record in `reveals` is one query with its answers (see the module
-    docstring).  Instances compare by identity: the records hold arrays.
-    """
-
-    correction: int | np.ndarray
-    reveals: list = field(default_factory=list)
-
-    @property
-    def recovery_messages(self) -> int:
-        """Mask shares revealed, one message per revealer."""
-        return sum(len(r["revealers"]) for r in self.reveals if r["kind"] == "mask-shares")
-
-    @property
-    def private_phase_reveals(self) -> int:
-        """Private phases revealed, one per survivor queried."""
-        return sum(len(r["clients"]) for r in self.reveals if r["kind"] == "private-phases")
+    return sums, dequantize_mean(sums, num_contributors, cfg)
 
 
 def _check_recovery_feasible(dropped: frozenset[int],
@@ -244,8 +213,8 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                        blocks: tuple[np.ndarray, ...],
-                       private_phases: np.ndarray | None) -> CorrectionResult:
-    """Correction the aggregator adds so survivors' sums decode exactly.
+                       private_phases: np.ndarray | None) -> tuple[int | np.ndarray, tuple]:
+    """(correction, reveals): what the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
     minus-side ones subtracted; with `private_phases` given (alg2) the
@@ -254,10 +223,11 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     order.  A dropped client's shares are read from the round's cross-pair
     blocks (`masking.cross_pair_blocks`), whose phase width sets the
     correction's: an int for scalar phases, a (length,) array for
-    per-symbol streams.  The reveal log records each query once: the
-    revealers of one dropped client's shares, or the survivors whose
-    private phases are asked, with the revealed phases as one read-only
-    uint64 array.  The never-both rule is audited on those records.
+    per-symbol streams.  The reveals are a tuple of records, one per
+    query: the revealers of one dropped client's shares, or the survivors
+    whose private phases are asked, with the revealed phases as one
+    read-only uint64 array.  The never-both rule is audited on those
+    records.
     """
     dropped = frozenset(int(i) for i in dropped)
     for i in dropped:
@@ -268,7 +238,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
     # the total is reduced once at the end; () makes a scalar total.
     total = np.zeros(blocks[0].shape[2:], dtype=np.uint64)
-    result = CorrectionResult(correction=0)
+    reveals = []
     for i in sorted(dropped):
         g, tag = assignment.group_of[i], assignment.tag_of[i]
         other = assignment.complementary_set(i)
@@ -278,8 +248,8 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         # Fancy indexing copies; per-symbol blocks are uint32.
         shares = block[assignment.side(g, tag).index(i), keep].astype(np.uint64, copy=False)
         shares.setflags(write=False)
-        result.reveals.append({"kind": "mask-shares", "dropped": i,
-                               "revealers": revealers, "phases": shares})
+        reveals.append({"kind": "mask-shares", "dropped": i,
+                        "revealers": revealers, "phases": shares})
         rebuilt = shares.sum(axis=0, dtype=np.uint64)
         if tag == PLUS:
             total += rebuilt
@@ -292,13 +262,11 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                              f"got {len(private_phases)}")
         phases = private_phases.astype(np.uint64, copy=False).view()
         phases.setflags(write=False)  # on the view: the caller's array stays writable
-        result.reveals.append({"kind": "private-phases", "clients": survivors,
-                               "phases": phases})
+        reveals.append({"kind": "private-phases", "clients": survivors, "phases": phases})
         total -= phases.sum(axis=0, dtype=np.uint64)
 
-    result.correction = turns.reduce(int(total) if total.ndim == 0 else total)
-    _audit_reveal_safety(result.reveals, assignment)
-    return result
+    _audit_reveal_safety(reveals, assignment)
+    return turns.reduce(int(total) if total.ndim == 0 else total), tuple(reveals)
 
 
 # --- transcript encoding ----------------------------------------------------
@@ -428,13 +396,8 @@ class RoundTranscript:
 
         Each message's symbols are a read-only view of its row of `symbols`.
         """
-        t, tags = self.iteration, self.assignment.tag_of
-        return tuple(
-            ClientMessage(owner=i, iteration=t, protocol_version=self.version,
-                          masked=MaskedSymbols(symbols=row, owner=i, iteration=t,
-                                               direction=tags[i], mask_mode=self.mask_mode))
-            for i, row in zip(self.senders, self.symbols)
-        )
+        return tuple(ClientMessage(owner=i, masked=MaskedSymbols(symbols=row))
+                     for i, row in zip(self.senders, self.symbols))
 
     def to_json_dict(self) -> dict:
         """The transcript's JSON form, the one definition of its schema.
@@ -685,8 +648,9 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     redundancy = (fec or FecConfig(scheme="none")).redundancy_bits(payload_bits)
 
     delayed_discarded: bool | None = None
+    correction, reveals = 0, ()
     if version == ALG2:
-        correction = dropout_correction(absent, assignment, blocks, private)
+        correction, reveals = dropout_correction(absent, assignment, blocks, private)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -695,22 +659,22 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                 "dropouts under the group-mask-only protocol cannot be "
                 "recovered without exposing masks; use version 'alg2'"
             )
-        correction = dropout_correction(absent, assignment, blocks, None)
+        correction, reveals = dropout_correction(absent, assignment, blocks, None)
         if delayed is not None:
             delayed_discarded = False
-    else:
-        correction = CorrectionResult(correction=0)
 
-    decoded = ps_aggregate_and_decode(symbols, correction.correction,
-                                      len(senders), cfg)
-    for vector in (decoded.digit_sums, decoded.mean):
+    digit_sums, mean = ps_aggregate_and_decode(symbols, correction, len(senders), cfg)
+    for vector in (digit_sums, mean):
         vector.setflags(write=False)
 
+    # One message per revealed phase: a revealer's mask share or a survivor's private phase.
     counters = {
         "phase_estimations": assignment.cross_pair_count(),
         "uplink_messages": len(senders),
-        "recovery_messages": correction.recovery_messages,
-        "private_phase_reveals": correction.private_phase_reveals,
+        "recovery_messages": sum(len(r["phases"]) for r in reveals
+                                 if r["kind"] == "mask-shares"),
+        "private_phase_reveals": sum(len(r["phases"]) for r in reveals
+                                     if r["kind"] == "private-phases"),
     }
     return RoundTranscript(
         iteration=t,
@@ -722,11 +686,11 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
         delayed_discarded=delayed_discarded,
-        reveals=tuple(correction.reveals),
+        reveals=reveals,
         counters=counters,
         num_contributors=len(senders),
-        aggregate=decoded.digit_sums,
-        decoded_mean=decoded.mean,
+        aggregate=digit_sums,
+        decoded_mean=mean,
         codec_metrics={
             "payload_bits": payload_bits,
             "redundancy_bits": redundancy,

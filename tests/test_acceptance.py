@@ -17,8 +17,6 @@ import scipy.stats
 
 from phaseagg import fl, turns
 from phaseagg.analysis import (
-    NAIVE_REMEDY_SCENARIO,
-    PRIVATE_PHASE_SCENARIO,
     chi_square_uniformity,
     delayed_client_attack,
     exact_masking_information,
@@ -198,12 +196,12 @@ def test_criterion_5_overhead_formulas():
 
 def test_criterion_6_delayed_client_attack():
     """Naive recovery unmasks 100%; private phases reduce it to 1/M guessing."""
-    naive = delayed_client_attack(NAIVE_REMEDY_SCENARIO, trials=200, seed=6006)
+    naive = delayed_client_attack(ALG1, trials=200, seed=6006)
     assert naive.succeeded
     assert naive.full_recovery_rate == 1.0
     assert naive.element_accuracy == 1.0
 
-    guarded = delayed_client_attack(PRIVATE_PHASE_SCENARIO, trials=2000, seed=6006)
+    guarded = delayed_client_attack(ALG2, trials=2000, seed=6006)
     assert not guarded.succeeded
     assert guarded.binomial_p_value is not None
     assert guarded.binomial_p_value >= 0.01, (

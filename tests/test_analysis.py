@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from phaseagg import turns
 from phaseagg.analysis import (
-    NAIVE_REMEDY_SCENARIO,
-    PRIVATE_PHASE_SCENARIO,
     chi_square_uniformity,
     delayed_client_attack,
     difference_leak_probe,
@@ -118,13 +116,13 @@ class TestExactSmallGrid:
 
 class TestDelayedClientAttack:
     def test_naive_remedy_recovers_everything(self):
-        outcome = delayed_client_attack(NAIVE_REMEDY_SCENARIO, trials=50, seed=111)
+        outcome = delayed_client_attack(ALG1, trials=50, seed=111)
         assert outcome.succeeded
         assert outcome.full_recovery_rate == 1.0
         assert outcome.element_accuracy == 1.0
 
     def test_private_phase_defeats_attack(self):
-        outcome = delayed_client_attack(PRIVATE_PHASE_SCENARIO, trials=2000,
+        outcome = delayed_client_attack(ALG2, trials=2000,
                                         seed=111, dimension=8)
         assert not outcome.succeeded
         assert outcome.binomial_p_value >= 0.01
@@ -132,7 +130,7 @@ class TestDelayedClientAttack:
         assert outcome.mutual_information_bits is not None
         assert outcome.mutual_information_bits < 0.01
 
-    def test_unknown_scenario(self):
+    def test_unknown_version(self):
         with pytest.raises(ValueError):
             delayed_client_attack("alg3")
 
@@ -268,7 +266,7 @@ class TestDifferenceLeak:
             digits = gen.integers(0, 4, size=64)
             messages.append(
                 client_message(0, digits, assignment, chan, ALG2, seed=123,
-                               cfg=cfg, per_symbol=True)
+                               cfg=cfg, length=64)
             )
         symbols = np.stack([m.masked.symbols for m in messages])
         report = difference_leak_probe(symbols, "per-symbol", cfg)

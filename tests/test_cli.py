@@ -356,6 +356,20 @@ class TestRoundVectors:
         assert all(type(x) is int for x in report["aggregate"])
         assert all(type(x) is float for x in report["decoded_mean"])
 
+    def test_round_report_writes_every_leak_and_uniformity_field(self, tmp_path):
+        # 9 senders of 200 symbols give 1,791 differences, enough for the
+        # chi-square test; its p-value comes from scipy, so keys are pinned, not bytes.
+        path = tmp_path / "per_symbol.json"
+        path.write_text(json.dumps(dict(PER_SYMBOL_ROUND, dimension=200)))
+        assert main(["round", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        leak = json.loads((tmp_path / "out" / "report.json").read_text())["difference_leak"]
+        assert leak["num_differences"] >= 1600
+        assert sorted(leak) == ["digit_differences_recovered", "mask_mode", "num_differences",
+                                "num_messages", "on_grid_fraction", "recovered_sample",
+                                "uniformity"]
+        assert sorted(leak["uniformity"]) == ["alpha", "bins", "p_value", "passed",
+                                              "sample_count", "statistic"]
+
 
 class TestRunScenario:
     def test_run_writes_artifacts(self, tmp_path):
@@ -416,12 +430,12 @@ class TestRunScenario:
         common = {"dimension": config.dimension, "trials": config.rounds,
                   "seed": config.seed, "delayed": 3}
         direct = analysis.delayed_client_attack(
-            analysis.PRIVATE_PHASE_SCENARIO, assignment=config.build_assignment(),
+            config.protocol_version, assignment=config.build_assignment(),
             cfg=config.quantization(), **common)
         assert report["attack"] == direct.to_json_dict()
         assert direct.modulus == 128
         two_groups = analysis.delayed_client_attack(
-            analysis.PRIVATE_PHASE_SCENARIO,
+            config.protocol_version,
             assignment=masking.assign_two_groups(8, config.seed),
             cfg=QuantizationConfig.with_auto_modulus(config.clip, config.levels, 8),
             **common)
@@ -623,7 +637,7 @@ class TestMain:
 
             def map(self, fn, *iterables):
                 seen["seeds"] = list(iterables[1])
-                return [0] * len(seen["seeds"])
+                return [None] * len(seen["seeds"])
 
         # `main` imports concurrent.futures in its --jobs branch and reads
         # the executor from the module there.
@@ -636,6 +650,52 @@ class TestMain:
         assert code == 0
         assert seen["max_workers"] == 2
         assert seen["seeds"] == list(range(1, 65))
+
+    def test_jobs_report_every_failed_seed_in_seed_order(self, tmp_path, monkeypatch, capsys):
+        # A stand-in executor runs the jobs in this process, the last seed
+        # first, and returns their outcomes in seed order, as `map` does.
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs = list(zip(*iterables))
+                done = {job: fn(*job) for job in reversed(jobs)}
+                return [done[job] for job in jobs]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        out = tmp_path / "fan"
+        # alg2_dropout refuses a round at seeds 1, 2 and 4, and passes at seed 3.
+        code = main(["run", "--config", "alg2_dropout", "--seed", "1", "--jobs", "4",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        for line, seed in zip(err, (1, 2, 4)):
+            assert line.startswith(f"error: seed {seed} ({out / f'seed-{seed}'}): the ")
+            assert "lost all its clients" in line
+        assert (out / "seed-3" / "report.json").is_file()
+
+    def test_an_explicit_out_wins_over_the_config_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(valid_data(output_dir="cfgdir")))
+        assert main(["round", "--config", str(path), "--out", "out"]) == 0
+        assert (tmp_path / "out" / "report.json").is_file()
+        assert not (tmp_path / "cfgdir").exists()
+        # Without --out the config's directory is used, and without either, out.
+        assert main(["round", "--config", str(path)]) == 0
+        assert (tmp_path / "cfgdir" / "report.json").is_file()
+        (tmp_path / "out" / "report.json").unlink()
+        path.write_text(json.dumps(valid_data()))
+        assert main(["round", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "report.json").is_file()
 
     def test_analyze_malformed_transcripts_one_line_error(self, tmp_path, capsys):
         (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0,\n')

@@ -49,6 +49,10 @@ GOLDEN = {
         "transcripts.jsonl": "b2b0d67eb4b6418182c4aaad8f56a40cdf971736f7962c5b599b20eb3f287fa5",
         "report.json": "97a8e2b5f0c8ead42587bbffe443a67b29ce89e1fa6b9ce93f2d08f49e6d5321",
     },
+    # alg1, so the report holds no scipy p-value.
+    "attack_naive": {
+        "report.json": "2ccecfc092c14e4bc5dd1ec0176ef9e9121027d606bf669839ba37a17c36db09",
+    },
 }
 
 LEGACY_TRANSCRIPTS = {
@@ -126,6 +130,11 @@ def run_golden(config, tmp_path):
 
 def test_per_symbol_round_digests(tmp_path):
     assert digests(run_golden("per_symbol_round", tmp_path)) == GOLDEN["per_symbol_round"]
+
+
+def test_attack_naive_report_digest(tmp_path):
+    assert main(["attack", "--config", "attack_naive", "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == GOLDEN["attack_naive"]
 
 
 @pytest.mark.parametrize("config", sorted(LEGACY_TRANSCRIPTS))

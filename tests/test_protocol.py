@@ -30,6 +30,7 @@ from phaseagg.errors import (
 from phaseagg.masking import (
     MINUS,
     PLUS,
+    MaskedSymbols,
     assign_subgroups,
     assign_two_groups,
     check_layout,
@@ -46,6 +47,7 @@ from phaseagg.protocol import (
     TRANSCRIPT_FORMAT,
     _audit_reveal_safety,
     _integer_list_parts,
+    ClientMessage,
     client_message,
     compact_json_parts,
     dropout_correction,
@@ -74,9 +76,8 @@ def small_cfg(levels=5, clients=8):
 
 
 def message_fields(msg) -> tuple:
-    """A message's owner, iteration, direction, mask mode, version and symbols."""
-    return (msg.owner, msg.iteration, msg.masked.direction, msg.masked.mask_mode,
-            msg.protocol_version, msg.masked.symbols.tolist())
+    """A message's owner and symbols."""
+    return msg.owner, msg.masked.symbols.tolist()
 
 
 class TestTwoGroupAssignment:
@@ -215,9 +216,16 @@ class TestClientMessage:
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=3)
         cfg = small_cfg(clients=4)
-        digits = np.zeros(2, dtype=np.int64)
-        assert client_message(0, digits, assignment, chan, ALG1, 3, cfg).masked.direction == PLUS
-        assert client_message(2, digits, assignment, chan, ALG1, 3, cfg).masked.direction == MINUS
+        digits = np.array([1, 2])
+        # Client 0 is on the plus side and adds its mask; client 2 subtracts it.
+        for i, rotate in ((0, turns.add), (2, turns.sub)):
+            msg = client_message(i, digits, assignment, chan, ALG1, 3, cfg)
+            mask = compute_group_mask(i, assignment, chan)
+            assert np.array_equal(msg.masked.symbols, rotate(modulate(digits, cfg), mask))
+
+    def test_a_message_is_its_owner_and_symbols(self):
+        assert [f.name for f in dataclasses.fields(ClientMessage)] == ["owner", "masked"]
+        assert [f.name for f in dataclasses.fields(MaskedSymbols)] == ["symbols"]
 
     def test_message_symbols_look_uniform_over_rounds(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -252,11 +260,11 @@ class TestAggregateAndDecode:
                 for i in range(4)
             ]
             symbols = np.stack([m.masked.symbols for m in messages])
-            decoded = ps_aggregate_and_decode(symbols, 0, 4, cfg)
+            digit_sums, mean = ps_aggregate_and_decode(symbols, 0, 4, cfg)
             oracle_sums = np.sum(digits, axis=0)
-            assert np.array_equal(decoded.digit_sums, oracle_sums)
+            assert np.array_equal(digit_sums, oracle_sums)
             oracle_mean = (np.array(digits) * (2 / 4) - 1).mean(axis=0)
-            assert np.allclose(decoded.mean, oracle_mean, atol=1e-12)
+            assert np.allclose(mean, oracle_mean, atol=1e-12)
 
     def test_all_zero_digits(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -268,9 +276,9 @@ class TestAggregateAndDecode:
             for i in range(4)
         ]
         symbols = np.stack([m.masked.symbols for m in messages])
-        decoded = ps_aggregate_and_decode(symbols, 0, 4, cfg)
-        assert np.array_equal(decoded.digit_sums, np.zeros(3, dtype=np.int64))
-        assert np.all(decoded.mean == -1.0)
+        digit_sums, mean = ps_aggregate_and_decode(symbols, 0, 4, cfg)
+        assert np.array_equal(digit_sums, np.zeros(3, dtype=np.int64))
+        assert np.all(mean == -1.0)
 
     def test_missing_message_breaks_cancellation(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -293,12 +301,16 @@ class TestDropoutCorrection:
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=2, seed=37)
         private = private_phase_window(range(4), 2, 1, seed=37)[0]
-        result = dropout_correction((), assignment, channel_blocks(assignment, chan), private)
+        correction, reveals = dropout_correction((), assignment,
+                                                 channel_blocks(assignment, chan), private)
         expected = turns.sub(0, turns.total(sample_private_phase(i, 2, seed=37)
                                             for i in range(4)))
-        assert result.correction == expected
-        assert result.recovery_messages == 0
-        assert result.private_phase_reveals == 4
+        assert correction == expected
+        assert [(r["kind"], r["clients"]) for r in reveals] == [("private-phases", [0, 1, 2, 3])]
+        transcript = run_round(np.zeros((4, 2), dtype=np.int64), assignment, chan,
+                               small_cfg(clients=4), version=ALG2, seed=37)
+        assert transcript.counters["recovery_messages"] == 0
+        assert transcript.counters["private_phase_reveals"] == 4
 
     def test_single_dropout_all_choices(self):
         cfg = small_cfg(levels=5, clients=4)
@@ -433,7 +445,7 @@ class TestRoundEngine:
         assert senders == [i for i in range(12) if i not in (2, 9)]
         for msg in transcript.messages:
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan, ALG2,
-                                 8, cfg, per_symbol=per_symbol)
+                                 8, cfg, length=3 if per_symbol else None)
             assert message_fields(msg) == message_fields(ref)
 
 
@@ -524,8 +536,27 @@ def integer_arrays(draw):
     return array
 
 
-class TestUint32ListsJson:
-    """The row encoder writes what json.dumps writes for the same integers."""
+# Rows the encoder refuses, with the message each is refused with.
+OUT_OF_RANGE_ROWS = [
+    (np.array([0, 2**32], dtype=np.uint64), r"\[0, 2\*\*32\)"),
+    (np.array([2**64 - 1], dtype=np.uint64), r"\[0, 2\*\*32\)"),
+    (np.array([2**63], dtype=np.uint64), r"\[0, 2\*\*32\)"),
+    (np.array([0, 0, 0, 0, -1], dtype=np.int64), r"\[0, 2\*\*32\)"),
+]
+MALFORMED_ROWS = [
+    (np.array([1.0, 2.0]), "dtype kinds"),
+    (np.array([True]), "dtype kinds"),
+    (np.array(5), "one-dimensional"),
+    (np.zeros((2, 2), dtype=np.uint64), "one-dimensional"),
+]
+
+# Edge values (every decimal length's bounds), each as likely as a uniform draw.
+uint32_values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
+
+
+class TestIntegerListParts:
+    """The row encoder `_integer_list_parts`, and the streamed lines around it,
+    write what json.dumps writes for the same values."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(integer_arrays(), max_size=4))
@@ -538,10 +569,10 @@ class TestUint32ListsJson:
             doc(np.ndarray.tolist), sort_keys=True, separators=(",", ":")).encode()
 
     @settings(max_examples=200, deadline=None)
-    @given(hnp.arrays(np.uint64,
-                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
-                      elements=st.integers(0, 2**32 - 1)))
-    def test_matches_json_dumps(self, matrix):
+    @given(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
+                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40),
+                      elements=uint32_values))
+    def test_rows_match_json_dumps(self, matrix):
         assert closed_row_texts(matrix) == dump_rows(matrix)
         assert closed_row_texts(list(matrix)) == dump_rows(matrix)
 
@@ -561,22 +592,39 @@ class TestUint32ListsJson:
         assert closed_row_texts(rows) == [b"[]", b"[7,0]", b"[]", b"[4294967295]"]
         assert closed_row_texts([]) == []
 
-    @pytest.mark.parametrize("row", [
-        np.array([0, 2**32], dtype=np.uint64),
-        np.array([2**64 - 1], dtype=np.uint64),
-        np.array([2**63], dtype=np.uint64),
-        np.array([-1, 5], dtype=np.int64),
-        np.array([1.0, 2.0]),
-        np.array([True]),
-    ])
-    def test_refuses_values_outside_uint32(self, row):
-        with pytest.raises(ValueError):
-            closed_row_texts([np.array([1], dtype=np.uint64), row])
+    def test_one_long_row(self):
+        row = np.random.default_rng(5).integers(0, 2**32, size=2**16 + 3, dtype=np.uint64)
+        assert closed_row_texts([row]) == dump_rows([row])
 
-    @pytest.mark.parametrize("row", [np.array(5), np.zeros((2, 2), dtype=np.uint64)])
-    def test_refuses_rows_that_are_not_one_dimensional(self, row):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            closed_row_texts([row])
+    def test_many_short_rows_with_empty_rows_between(self):
+        gen = np.random.default_rng(6)
+        rows = [gen.integers(0, 2**32, size=gen.integers(0, 13), dtype=np.uint64)
+                for _ in range(2**14)]
+        rows[::7] = [np.array([], dtype=np.uint64)] * len(rows[::7])
+        assert closed_row_texts(rows) == dump_rows(rows)
+
+    @pytest.mark.parametrize("bad, match", OUT_OF_RANGE_ROWS + MALFORMED_ROWS,
+                             ids=["2**32", "2**64-1", "2**63", "negative",
+                                  "float", "bool", "0-d", "2-d"])
+    def test_a_bad_row_after_good_ones_is_refused(self, bad, match):
+        rows = [np.arange(10, dtype=np.uint64)] * 3 + [bad]
+        with pytest.raises(ValueError, match=match):
+            closed_row_texts(rows)
+
+    @pytest.mark.parametrize("bad, match", MALFORMED_ROWS,
+                             ids=["float", "bool", "0-d", "2-d"])
+    def test_a_malformed_row_is_refused_before_any_part(self, bad, match):
+        parts = _integer_list_parts([np.array([1], dtype=np.uint64), bad], [b"\n"] * 2)
+        with pytest.raises(ValueError, match=match):
+            next(parts)
+
+    @pytest.mark.parametrize("bad, match", OUT_OF_RANGE_ROWS,
+                             ids=["2**32", "2**64-1", "2**63", "negative"])
+    def test_an_out_of_range_row_is_refused_when_it_is_reached(self, bad, match):
+        parts = _integer_list_parts([np.array([1], dtype=np.uint64), bad], [b"\n"] * 2)
+        assert [next(parts), next(parts)] == [b"[1]", b"\n"]
+        with pytest.raises(ValueError, match=match):
+            next(parts)
 
     def test_compact_json_places_arrays_in_document_order(self):
         doc = {"b": [np.array([3, 10**9], dtype=np.uint64), {"z": np.array([0])}],
@@ -611,80 +659,11 @@ class TestUint32ListsJson:
         with pytest.raises(TypeError):
             b"".join(compact_json_parts({"a": np.uint64(1)}))
 
-    @pytest.mark.parametrize("per_symbol", [False, True])
-    @pytest.mark.parametrize("version", [ALG1, ALG2])
-    def test_written_line_equals_json_dumps(self, tmp_path, per_symbol, version):
-        assignment = assign_subgroups(12, 2, 3, seed=8)
-        cfg = small_cfg(levels=4, clients=12)
-        gen = np.random.default_rng(64)
-        transcripts = []
-        # A full round, then one with dropped clients and a delayed one;
-        # alg1 recovers them only through the naive remedy.
-        for t, (dropped, delayed) in enumerate([((), None), ((1, 7), 4)]):
-            digits = [gen.integers(0, 4, size=5) for _ in range(12)]
-            transcripts.append(run_round(
-                digits, assignment, sample_round_channel(12, iteration=t, seed=8), cfg,
-                version=version, seed=8, dropped=dropped, delayed=delayed,
-                per_symbol=per_symbol, naive_remedy=version == ALG1))
-        assert transcripts[1].reveals
-        path = tmp_path / "transcripts.jsonl"
-        write_transcripts(transcripts, path)
-        expected = "".join(
-            json.dumps(t.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-            for t in transcripts)
-        assert path.read_bytes() == expected.encode()
-
-
-# Edge values (every decimal length's bounds), each as likely as a uniform draw.
-uint32_values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
-
-
-class TestBlockedRowTexts:
-    """Lines streamed one part per array read as one dump would write them."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
-                               st.integers(0, 14), elements=uint32_values),
-                    max_size=8))
-    def test_matches_json_dumps_across_block_boundaries(self, rows):
-        assert closed_row_texts(rows) == dump_rows(rows)
-
-    def test_one_row_longer_than_a_block(self):
-        row = np.random.default_rng(5).integers(0, 2**32, size=2**16 + 3, dtype=np.uint64)
-        assert closed_row_texts([row]) == dump_rows([row])
-
-    def test_many_short_rows_with_empty_rows_between(self):
-        gen = np.random.default_rng(6)
-        rows = [gen.integers(0, 2**32, size=gen.integers(0, 13), dtype=np.uint64)
-                for _ in range(2**14)]
-        rows[::7] = [np.array([], dtype=np.uint64)] * len(rows[::7])
-        assert closed_row_texts(rows) == dump_rows(rows)
-
-    @pytest.mark.parametrize("bad", [
-        np.array([2**32], dtype=np.uint64),
-        np.array([2**63], dtype=np.uint64),
-        np.array([-1], dtype=np.int64),
-    ])
-    def test_a_value_out_of_range_in_a_later_block_is_refused(self, bad):
-        rows = [np.arange(10, dtype=np.uint64)] * 3 + [np.concatenate([
-            np.zeros(4, dtype=bad.dtype), bad])]
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            closed_row_texts(rows)
-
-    @pytest.mark.parametrize("bad, match", [
-        (np.array([1.0, 2.0]), "dtype kinds"),
-        (np.array([True]), "dtype kinds"),
-        (np.zeros((2, 2), dtype=np.uint64), "one-dimensional"),
-    ])
-    def test_a_bad_row_after_several_blocks_is_refused(self, bad, match):
-        rows = [np.arange(10, dtype=np.uint64)] * 3 + [bad]
-        with pytest.raises(ValueError, match=match):
-            closed_row_texts(rows)
-
     def test_the_placeholder_after_several_blocks_is_refused(self):
         doc = {"a": [np.arange(10, dtype=np.uint64)] * 3, "z": "\0"}
         with pytest.raises(ValueError, match="placeholder"):
             b"".join(compact_json_parts(doc))
+
 
     def test_a_refused_line_leaves_only_whole_lines(self, tmp_path):
         good = run_round(np.ones((8, 10), dtype=np.int64), assign_subgroups(8, 2, 2, seed=3),
@@ -854,7 +833,7 @@ class TestRunRound:
                                seed=61, dropped=[3], per_symbol=True)
         survivor_sum = np.sum([digits[i] for i in (0, 1, 2)], axis=0)
         assert np.array_equal(np.array(transcript.aggregate), survivor_sum)
-        assert transcript.messages[0].masked.mask_mode == "per-symbol"
+        assert transcript.mask_mode == "per-symbol"
 
 
 class TestExhaustiveDropPatterns:
@@ -1041,12 +1020,11 @@ class TestMatrixRoundProperty:
         assert transcript.symbols.shape == (len(senders), d)
         assert not transcript.symbols.flags.writeable
         assert [m.owner for m in transcript.messages] == senders
+        length = d if case["per_symbol"] else None
         for k, msg in enumerate(transcript.messages):
             ref = client_message(msg.owner, digits[msg.owner], assignment, chan,
-                                 case["version"], case["seed"], cfg,
-                                 per_symbol=case["per_symbol"])
+                                 case["version"], case["seed"], cfg, length=length)
             assert message_fields(msg) == message_fields(ref)
-            assert (msg.masked.owner, msg.masked.iteration) == (msg.owner, msg.iteration)
             assert np.array_equal(msg.masked.symbols, ref.masked.symbols)
             assert msg.masked.symbols.dtype == ref.masked.symbols.dtype
             assert not msg.masked.symbols.flags.writeable
@@ -1057,7 +1035,6 @@ class TestMatrixRoundProperty:
             (row["owner"], row["symbols"]) for row in transcript.to_json_dict()["messages"]]
         assert list(transcript.aggregate) == digits[senders].sum(axis=0).tolist()
         # One reveal record per query, equal to the per-client shares and phases.
-        length = d if case["per_symbol"] else None
         shares = [r for r in transcript.reveals if r["kind"] == "mask-shares"]
         assert [r["dropped"] for r in shares] == sorted(absent)
         for record in transcript.reveals:
@@ -1175,16 +1152,16 @@ class TestMatrixRoundProperty:
         survivors = [i for i in range(8) if i not in dropped]
         blocks = channel_blocks(assignment, chan)
         array = private_phase_window(survivors, 1, 1, seed=9)[0]
-        by_array = dropout_correction(dropped, assignment, blocks, array)
-        masks_only = dropout_correction(dropped, assignment, blocks, None)
+        correction, reveals = dropout_correction(dropped, assignment, blocks, array)
+        masks_only, _ = dropout_correction(dropped, assignment, blocks, None)
         phases = [sample_private_phase(i, 1, seed=9) for i in survivors]
-        assert by_array.correction == turns.sub(masks_only.correction, turns.total(phases))
-        assert legacy_reveals(by_array.reveals)[-len(survivors):] == [
+        assert correction == turns.sub(masks_only, turns.total(phases))
+        assert legacy_reveals(reveals)[-len(survivors):] == [
             {"kind": "private-phase", "client": i, "phase": p}
             for i, p in zip(survivors, phases)]
-        assert type(by_array.correction) is int
+        assert type(correction) is int
         # The records hold read-only views; the caller's array stays writable.
-        assert not by_array.reveals[-1]["phases"].flags.writeable
+        assert not reveals[-1]["phases"].flags.writeable
         assert array.flags.writeable
         with pytest.raises(ValueError):
             dropout_correction(dropped, assignment, blocks, array[:-1])
