@@ -104,9 +104,14 @@ def quantize(gradient, cfg: QuantizationConfig) -> np.ndarray:
     plaintext paths stay bit-identical.
     """
     g = np.asarray(gradient, dtype=np.float64)
-    if not np.all(np.isfinite(g)):
+    if np.count_nonzero(np.isfinite(g)) < g.size:
         raise InvalidGradientError("gradient contains non-finite elements")
-    scaled = (np.clip(g, -cfg.clip, cfg.clip) + cfg.clip) * (cfg.levels - 1) / (2 * cfg.clip)
+    # (clip(g) + clip) * (levels - 1) / (2 * clip), one operation at a time
+    # in the clipped copy, so every value rounds exactly as the expression.
+    scaled = np.minimum(np.maximum(g, -cfg.clip), cfg.clip)
+    scaled += cfg.clip
+    scaled *= cfg.levels - 1
+    scaled /= 2 * cfg.clip
     return np.rint(scaled).astype(np.int64)
 
 
@@ -117,11 +122,17 @@ def dequantize_mean(digit_sums, num_contributors: int,
         raise ValueError("need at least one contributor to form a mean")
     sums = np.asarray(digit_sums, dtype=np.int64)
     hi = num_contributors * (cfg.levels - 1)
-    if np.any(sums < 0) or np.any(sums > hi):
+    # A negative sum reads as 2**63 or more in uint64, above any bound below
+    # 2**63, so one comparison finds a sum outside [0, hi] at either end.
+    if np.count_nonzero(sums.view(np.uint64) > min(hi, 2**63 - 1)):
         raise CorruptedAggregateError(
             f"digit sums outside [0, {hi}] for {num_contributors} contributors"
         )
-    return (sums / num_contributors) * (2 * cfg.clip / (cfg.levels - 1)) - cfg.clip
+    # (sums / n) * (2 * clip / (levels - 1)) - clip, in place in the quotient.
+    mean = sums / num_contributors
+    mean *= 2 * cfg.clip / (cfg.levels - 1)
+    mean -= cfg.clip
+    return mean
 
 
 def modulate(digits, cfg: QuantizationConfig) -> np.ndarray:
@@ -172,14 +183,15 @@ def decode_sum(aggregate, cfg: QuantizationConfig) -> np.ndarray:
     example an uncorrected dropout) and raises ResidualMaskError.
     """
     agg = turns.as_vector(aggregate)
-    step = np.uint64(cfg.step)
-    if np.any(agg % step != 0):
-        off = int(np.count_nonzero(agg % step))
+    # The step is a power of two: its low bits are the offset from the grid.
+    off = np.count_nonzero(agg & np.uint64(cfg.step - 1))
+    if off:
         raise ResidualMaskError(
             f"{off} aggregate element(s) off the constellation grid; "
             "a mask did not cancel"
         )
-    return (agg // step).astype(np.int64)
+    # Every sum is below 2**32, so its uint64 bits are the same int64.
+    return (agg >> np.uint64(cfg.step.bit_length() - 1)).view(np.int64)
 
 
 def demodulate_nearest(symbols, cfg: QuantizationConfig) -> np.ndarray:

@@ -45,8 +45,10 @@ class ScenarioConfig:
     `rounds` >= 1, `seed` >= 0, `learning_rate` > 0, a dropout probability
     in [0, 1], fixed dropout rounds and ids in range, `delayed_client` in
     range, and dropouts only under alg2.  Every other rule is collected from
-    its owner: `masking.check_layout` (grouping), `quantization()` (clip,
-    levels, PSK order), `fec_config()` and `check_version`.
+    its owner: `masking.check_layout` (grouping), `QuantizationConfig`
+    (clip, levels, PSK order), `FecConfig` and `check_version`.  The codec
+    configs are built once, here, and `quantization()` and `fec_config()`
+    return them, so a run's rounds share them.
     """
 
     name: str
@@ -73,8 +75,10 @@ class ScenarioConfig:
     compare_baseline: bool
     output_dir: str | None
     # dropout_fixed as round -> dropped ids, built once so a round's lookup
-    # does not scan every entry.
+    # does not scan every entry; the codec configs, built once per config.
     _fixed_by_round: dict = field(init=False, repr=False, compare=False)
+    _quantization: QuantizationConfig = field(init=False, repr=False, compare=False)
+    _fec: FecConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = [f"{key!r} must be >= {low}, got {getattr(self, key)}"
@@ -100,9 +104,15 @@ class ScenarioConfig:
         if has_dropouts and self.protocol_version == ALG1:
             bad.append("a dropout model requires protocol_version 'alg2'; the group-mask-only "
                        "protocol cannot recover dropped clients without exposing masks")
+
+        def keep(name, value):
+            object.__setattr__(self, name, value)
+
         for owner in (lambda: check_layout(self.grouping_mode, self.clients,
                                            self.groups, self.subgroup_size),
-                      self.quantization, self.fec_config,
+                      lambda: keep("_quantization", self._build_quantization()),
+                      lambda: keep("_fec", FecConfig(scheme=self.fec_scheme,
+                                                     repeat=self.fec_repeat)),
                       lambda: check_version(self.protocol_version)):
             try:
                 owner()
@@ -110,9 +120,9 @@ class ScenarioConfig:
                 bad.append(str(exc))
         if bad:
             raise ConfigValidationError(bad)
-        object.__setattr__(self, "_fixed_by_round", by_round)
+        keep("_fixed_by_round", by_round)
 
-    def quantization(self) -> QuantizationConfig:
+    def _build_quantization(self) -> QuantizationConfig:
         if self.modulation == "auto":
             return QuantizationConfig.with_auto_modulus(
                 clip=self.clip, levels=self.levels, max_clients=self.clients
@@ -122,8 +132,13 @@ class ScenarioConfig:
         cfg.require_headroom(self.clients)
         return cfg
 
+    def quantization(self) -> QuantizationConfig:
+        """The config's codec, built once, when the config is."""
+        return self._quantization
+
     def fec_config(self) -> FecConfig:
-        return FecConfig(scheme=self.fec_scheme, repeat=self.fec_repeat)
+        """The config's channel code, built once, when the config is."""
+        return self._fec
 
     @property
     def phase_length(self) -> int | None:

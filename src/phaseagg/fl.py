@@ -177,7 +177,7 @@ def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,
     if theta.shape != g.shape:
         raise ShapeError(f"theta {theta.shape} and gradient {g.shape} disagree")
     updated = theta - eta * g
-    if not np.all(np.isfinite(updated)):
+    if np.count_nonzero(np.isfinite(updated)) < updated.size:
         raise DivergenceError("model update produced non-finite parameters")
     return updated
 

@@ -37,13 +37,14 @@ once each by `pair_phase_stream` and `sample_private_phase`.
 `protocol.run_round` call does.  When a phase is derived is a simulation
 detail: every value is the same keyed function of (seed, round, ids).
 
-`cross_pair_blocks` splits a row's pairs into one (|plus side|, |minus
-side|) block per group, and `group_masks` sums a block axis for every
-client's mask, writing each side through the assignment's cached
-`side_index` arrays; the dropout correction reads its shares from the
-same blocks.  `compute_group_mask`, `sample_private_phase`, `mask_shares`
-and `apply_mask` are the per-client definitions those arrays are tested
-against.
+`signed_masks` gives every client its group mask, negated on the minus
+side, from a row's pairs in a fixed number of array calls: two
+scatter-adds over `cross_pair_index` for scalar phases, one sum per side
+of each group's (|plus|, |minus|, length) block for streams.  The dropout
+correction reads a dropped client's shares from the same row, at the
+positions `GroupAssignment.pair_positions` caches.  `compute_group_mask`,
+`sample_private_phase`, `mask_shares` and `apply_mask` are the per-client
+definitions those arrays are tested against.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .errors import (
     InfeasibleGroupingError,
     InsufficientClientsError,
     SecurityFloorError,
+    ShapeError,
 )
 
 PLUS = "+"
@@ -123,10 +125,15 @@ class GroupAssignment:
     def side(self, group: int, tag: str) -> tuple[int, ...]:
         return self._sides.get((group, tag), ())
 
+    @cached_property
+    def _complements(self) -> tuple[tuple[int, ...], ...]:
+        """Every client's complementary set, in client order."""
+        return tuple(self.side(g, MINUS if t == PLUS else PLUS)
+                     for g, t in zip(self.group_of, self.tag_of))
+
     def complementary_set(self, i: int) -> tuple[int, ...]:
-        """Clients whose channel phases form i's group mask."""
-        g, t = self.group_of[i], self.tag_of[i]
-        return self.side(g, MINUS if t == PLUS else PLUS)
+        """Clients whose channel phases form i's group mask, derived once per layout."""
+        return self._complements[i]
 
     @cached_property
     def side_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -155,13 +162,33 @@ class GroupAssignment:
 
         Pairs run group by group, each group plus-major with both sides in
         increasing client order, so group g's stretch, reshaped to
-        (|plus|, |minus|), is its block in `cross_pair_blocks`.
+        (|plus|, |minus|), is its block of pairs.
         """
         index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
                  np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
         for arr in index:
             arr.setflags(write=False)
         return index
+
+    @cached_property
+    def pair_positions(self) -> tuple[np.ndarray, ...]:
+        """Per client, the read-only int64 positions of its pairs in `cross_pair_index`.
+
+        Entry k of client i's array is its pair with `complementary_set(i)[k]`:
+        a row of its group's (|plus|, |minus|) grid of positions on the plus
+        side, a column on the minus side.
+        """
+        positions: list = [None] * self.num_clients
+        start = 0
+        for plus, minus in self.side_index:
+            grid = np.arange(start, start + plus.size * minus.size).reshape(plus.size, minus.size)
+            grid.setflags(write=False)
+            for i, row in zip(plus.tolist(), grid):
+                positions[i] = row
+            for j, column in zip(minus.tolist(), grid.T):
+                positions[j] = column
+            start += grid.size
+        return tuple(positions)
 
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
@@ -301,50 +328,57 @@ def compute_group_mask(i: int, assignment: GroupAssignment,
     return turns.vector_total([pair_phase_stream(channel, i, j, length) for j in others])
 
 
-def cross_pair_blocks(assignment: GroupAssignment, pairs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A row's cross-pair values (`RoundPhases.pairs`) split into one block per group.
-
-    Block g is a view of shape (|plus side|, |minus side|) of scalar
-    phases, or (|plus side|, |minus side|, length) of streams: [a, b]
-    belongs to the pair (plus[a], minus[b]), sides in increasing client
-    order.  Both endpoints' masks and the dropout correction index into
-    the blocks.
-    """
+def check_pair_row(assignment: GroupAssignment, pairs: np.ndarray) -> None:
+    """Refuse, with ValueError, a row of cross-pair values not one per pair of `assignment`."""
     if len(pairs) != assignment.cross_pair_count():
         raise ValueError(f"need {assignment.cross_pair_count()} cross-pair phases, "
                          f"got shape {pairs.shape}")
-    blocks, start = [], 0
-    for p, m in assignment.side_index:
-        stop = start + p.size * m.size
-        blocks.append(pairs[start:stop].reshape(p.size, m.size, *pairs.shape[1:]))
-        start = stop
-    return tuple(blocks)
 
 
-def group_masks(assignment: GroupAssignment, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Every client's group mask at once: (N,) turns, or (N, length) per symbol.
+def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
+    """Every client's group mask signed by its side: (N,) turns, or (N, length) per symbol.
 
-    A mask sums one axis of its group's block from `cross_pair_blocks`: a
-    plus-side client sums its row, a minus-side client its column.  Row i
-    equals `compute_group_mask(i, ...)`.
+    `pairs` is a row's cross-pair values (`RoundPhases.pairs`).  Row i is
+    `compute_group_mask(i, ...)` for a plus-side client and its negation mod
+    2**32 for a minus-side one: the offset client i adds to its symbols.
+    Scalar phases are scattered onto both endpoints of every pair, plus
+    added and minus subtracted.  Streams are summed per group instead, a
+    plus-side client over its row of the group's (|plus|, |minus|, length)
+    block and a minus-side client over its column, because a scatter of
+    whole streams is many times slower than those sums.
     """
-    masks = np.empty((assignment.num_clients, *blocks[0].shape[2:]), dtype=np.uint64)
-    # Each phase is < 2**32, so uint64 sums N terms exactly before reducing.
-    for (plus, minus), block in zip(assignment.side_index, blocks):
+    check_pair_row(assignment, pairs)
+    # uint64 wraps mod 2**64, which 2**32 divides, so the masks reduce once at the end.
+    masks = np.zeros((assignment.num_clients, *pairs.shape[1:]), dtype=np.uint64)
+    if pairs.ndim == 1:
+        plus, minus = assignment.cross_pair_index
+        np.add.at(masks, plus, pairs)
+        np.subtract.at(masks, minus, pairs)
+        return turns.reduce_in_place(masks)
+    start = 0
+    for plus, minus in assignment.side_index:
+        stop = start + plus.size * minus.size
+        block = pairs[start:stop].reshape(plus.size, minus.size, -1)
         masks[plus] = block.sum(axis=1, dtype=np.uint64)
         masks[minus] = block.sum(axis=0, dtype=np.uint64)
+        start = stop
+    np.negative(masks, out=masks, where=assignment.minus_mask[:, None])
     return turns.reduce_in_place(masks)
 
 
 def apply_mask(symbols, mask, direction: str) -> np.ndarray:
     """Rotate every symbol by +mask or -mask on the grid.
 
-    `mask` is an int or a vector as long as `symbols`.  Applying the same
-    mask with "+" then "-" restores the input exactly.
+    `mask` is an int or a vector as long as `symbols`; a vector of any
+    other shape raises ShapeError.  Applying the same mask with "+" then
+    "-" restores the input exactly.
     """
     if direction not in (PLUS, MINUS):
         raise ValueError(f"direction must be '+' or '-', got {direction!r}")
     base = turns.as_vector(symbols)
+    if np.ndim(mask) and np.shape(mask) != base.shape:
+        raise ShapeError(f"a mask of shape {np.shape(mask)} cannot rotate "
+                         f"symbols of shape {base.shape}")
     return turns.add(base, mask) if direction == PLUS else turns.sub(base, mask)
 
 

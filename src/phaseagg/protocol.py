@@ -20,9 +20,12 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
 A round is one matrix sum.  `run_round` modulates every sender's digits
 in one (senders, d) uint64 matrix and adds each sender's offset to its row
 in place: its private phase (alg2) plus its group mask, negated on the
-minus side.  The offsets are an (senders, 1) column in scalar mode and an
-(senders, d) array per symbol, so broadcasting serves both.  The aggregate
-is the matrix's column sum plus the correction.  Every phase of a round
+minus side (`masking.signed_masks`).  The offsets are an (senders, 1)
+column in scalar mode and an (senders, d) array per symbol, so
+broadcasting serves both.  Neither the masks nor the recovery check nor
+the decode loops over groups: a scalar round takes a fixed number of
+array calls whatever its group count.  The aggregate is the matrix's
+column sum plus the correction.  Every phase of a round
 comes from one `masking.RoundPhases` row: a training run hands each round
 its row of a `masking.phase_window`, and a direct call derives its own
 (`masking.round_phases`).  Below `run_round`, the mask mode is only the
@@ -39,11 +42,14 @@ The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
-exhaustively.  Its shares are read from the round's cross-pair blocks
-(`masking.cross_pair_blocks`) and summed with numpy.  `dropout_correction`
-returns the correction and its reveal records, and `ps_aggregate_and_decode`
-the decoded digit sums and their mean; `run_round` counts the recovery
-messages and private-phase reveals from the records.
+exhaustively.  A dropped client's shares are read from the round's row of
+cross-pair values at the positions its layout caches
+(`GroupAssignment.pair_positions`) and summed with numpy.  The recovery
+check looks only at the sides that hold a dropped client.
+`dropout_correction` returns the correction and its reveal records, and
+`ps_aggregate_and_decode` the decoded digit sums and their mean;
+`run_round` counts the recovery messages and private-phase reveals from
+the records.
 The reveal log holds one record per query, each naming the clients it
 asked and holding their answers as one read-only uint64 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
@@ -66,7 +72,8 @@ use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
 derives nothing: `fl.run_training` hands it theta, the stacked datasets,
 the layout and the round's phase row, and it reads the round from that
-row and the learning rate from the config.  It is the one import of a
+row and the learning rate and codec from the config, which builds its
+`QuantizationConfig` and `FecConfig` once.  It is the one import of a
 higher layer in the package, and `fl.run_training` calls it through this
 module.
 """
@@ -91,7 +98,6 @@ from .errors import (
     UnrecoverableRoundError,
 )
 from .masking import (
-    MINUS,
     PER_SYMBOL_MASKS,
     PLUS,
     SCALAR_MASKS,
@@ -99,14 +105,14 @@ from .masking import (
     MaskedSymbols,
     RoundPhases,
     apply_mask,
+    check_pair_row,
     # perfbench builds its layouts as `protocol.assign_*`.
     assign_subgroups,  # noqa: F401
     assign_two_groups,  # noqa: F401
     compute_group_mask,
-    cross_pair_blocks,
-    group_masks,
     round_phases,
     sample_private_phase,
+    signed_masks,
 )
 
 TRANSCRIPT_FORMAT = 2
@@ -131,12 +137,16 @@ def client_message(i: int, digits, assignment: GroupAssignment,
     always added.  Masks are scalar, or with `length` (the symbol count)
     per symbol.  `run_round` builds every sender's message at once; this
     per-client definition is the reference its rows are tested against.
+    A `length` other than the digit count raises ShapeError.
     """
     check_version(version)
     if not (0 <= i < assignment.num_clients):
         raise IndexError(f"client {i} is not covered by the assignment")
     t = channel.iteration
     symbols = modulate(digits, cfg)
+    if length is not None and symbols.shape != (length,):
+        raise ShapeError(f"client {i}'s {symbols.size} symbols cannot take masks "
+                         f"of length {length}")
     if version == ALG2:
         symbols = apply_mask(symbols, sample_private_phase(i, t, seed, length=length), PLUS)
     mask = compute_group_mask(i, assignment, channel, length=length)
@@ -155,8 +165,9 @@ def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: i
     """
     if not len(symbols):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    # Each symbol is < 2**32, so uint64 sums the column exactly before reducing.
-    agg = turns.add(symbols.sum(axis=0, dtype=np.uint64), turns.reduce(correction))
+    # uint64 wraps mod 2**64, which 2**32 divides; `decode_sum` reduces the sum.
+    agg = symbols.sum(axis=0, dtype=np.uint64)
+    agg += turns.reduce(correction)
     sums = decode_sum(agg, cfg)
     return sums, dequantize_mean(sums, num_contributors, cfg)
 
@@ -174,13 +185,14 @@ def _check_recovery_feasible(dropped: frozenset[int],
     survivors = [i for i in range(assignment.num_clients) if i not in dropped]
     if not survivors:
         raise UnrecoverableRoundError("every client dropped out")
-    for g in range(assignment.num_groups):
-        for tag in (PLUS, MINUS):
-            if dropped.issuperset(assignment.side(g, tag)):
-                raise UnrecoverableRoundError(
-                    f"the {tag!r} side of group {g} lost all its clients; "
-                    "masks touching it can be neither reconstructed nor kept private"
-                )
+    # Only a side holding a dropped client can have lost them all.  The
+    # error names the first such side in (group, tag) order, '+' < '-'.
+    for g, tag in sorted({(assignment.group_of[i], assignment.tag_of[i]) for i in dropped}):
+        if dropped.issuperset(assignment.side(g, tag)):
+            raise UnrecoverableRoundError(
+                f"the {tag!r} side of group {g} lost all its clients; "
+                "masks touching it can be neither reconstructed nor kept private"
+            )
     return survivors
 
 
@@ -198,8 +210,8 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
             continue
         # The share phi(dropped, revealer) is a component of both clients' masks.
         dropped = r["dropped"]
+        exposed.setdefault(dropped, set()).update(r["revealers"])
         for j in r["revealers"]:
-            exposed.setdefault(dropped, set()).add(j)
             exposed.setdefault(j, set()).add(dropped)
     # Only a client some share exposes can have its whole mask exposed.
     for client in sorted(private.intersection(exposed)):
@@ -212,7 +224,7 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
-                       blocks: tuple[np.ndarray, ...],
+                       pairs: np.ndarray,
                        private_phases: np.ndarray | None) -> tuple[int | np.ndarray, tuple]:
     """(correction, reveals): what the aggregator adds so survivors' sums decode exactly.
 
@@ -220,9 +232,10 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     minus-side ones subtracted; with `private_phases` given (alg2) the
     survivors' private phases are subtracted as well.  `private_phases` is
     an array of their phases, one row per survivor in increasing client
-    order.  A dropped client's shares are read from the round's cross-pair
-    blocks (`masking.cross_pair_blocks`), whose phase width sets the
-    correction's: an int for scalar phases, a (length,) array for
+    order.  `pairs` is the round's row of cross-pair values
+    (`RoundPhases.pairs`); a dropped client's shares are read from it at the
+    positions `GroupAssignment.pair_positions` caches, and its phase width
+    sets the correction's: an int for scalar phases, a (length,) array for
     per-symbol streams.  The reveals are a tuple of records, one per
     query: the revealers of one dropped client's shares, or the survivors
     whose private phases are asked, with the revealed phases as one
@@ -233,25 +246,26 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     for i in dropped:
         if not (0 <= i < assignment.num_clients):
             raise IndexError(f"dropped client {i} is not in the assignment")
+    check_pair_row(assignment, pairs)
     survivors = _check_recovery_feasible(dropped, assignment)
 
     # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
     # the total is reduced once at the end; () makes a scalar total.
-    total = np.zeros(blocks[0].shape[2:], dtype=np.uint64)
+    total = np.zeros(pairs.shape[1:], dtype=np.uint64)
     reveals = []
     for i in sorted(dropped):
-        g, tag = assignment.group_of[i], assignment.tag_of[i]
         other = assignment.complementary_set(i)
-        keep = [k for k, j in enumerate(other) if j not in dropped]
-        revealers = [other[k] for k in keep]
-        block = blocks[g] if tag == PLUS else blocks[g].swapaxes(0, 1)
-        # Fancy indexing copies; per-symbol blocks are uint32.
-        shares = block[assignment.side(g, tag).index(i), keep].astype(np.uint64, copy=False)
+        positions = assignment.pair_positions[i]
+        revealers = [j for j in other if j not in dropped]
+        if len(revealers) < len(other):
+            positions = positions[[k for k, j in enumerate(other) if j not in dropped]]
+        # `take` copies; per-symbol streams are uint32.
+        shares = pairs.take(positions, axis=0).astype(np.uint64, copy=False)
         shares.setflags(write=False)
         reveals.append({"kind": "mask-shares", "dropped": i,
                         "revealers": revealers, "phases": shares})
         rebuilt = shares.sum(axis=0, dtype=np.uint64)
-        if tag == PLUS:
+        if assignment.tag_of[i] == PLUS:
             total += rebuilt
         else:
             total -= rebuilt
@@ -579,9 +593,9 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     alg1 recovery used by the attack oracle) leaves it for the caller.
 
     Every phase comes from `phases`, this round's `masking.RoundPhases`
-    row: the cross-pair blocks are split from its pairs, and each sender's
-    private phase is read from it by client id.  Without a row the round
-    derives its own (`masking.round_phases`): the pairs from `channel` and
+    row: the masks and the dropout correction read its pairs, and each
+    sender's private phase is read from it by client id.  Without a row the
+    round derives its own (`masking.round_phases`): the pairs from `channel` and
     the private phases from `seed`.  A row from another round, or of the
     other mask mode, is refused with ValueError.
     """
@@ -622,9 +636,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                          f"cannot serve round {t}, length {length}")
     elif version == ALG2 and phases.private is None:
         raise ValueError("an alg2 round's derived phases must hold private phases")
-    blocks = cross_pair_blocks(assignment, phases.pairs)
-    offsets = group_masks(assignment, blocks).reshape(s, -1)
-    np.negative(offsets, out=offsets, where=assignment.minus_mask[:, None])
+    offsets = signed_masks(assignment, phases.pairs).reshape(s, -1)
 
     senders = [i for i in range(s) if i not in absent]
     if absent:
@@ -650,7 +662,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     delayed_discarded: bool | None = None
     correction, reveals = 0, ()
     if version == ALG2:
-        correction, reveals = dropout_correction(absent, assignment, blocks, private)
+        correction, reveals = dropout_correction(absent, assignment, phases.pairs, private)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -659,7 +671,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                 "dropouts under the group-mask-only protocol cannot be "
                 "recovered without exposing masks; use version 'alg2'"
             )
-        correction, reveals = dropout_correction(absent, assignment, blocks, None)
+        correction, reveals = dropout_correction(absent, assignment, phases.pairs, None)
         if delayed is not None:
             delayed_discarded = False
 

@@ -38,7 +38,7 @@ def as_vector(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         raise TypeError(f"turn vectors must be integral, got dtype {arr.dtype}")
-    return arr.astype(np.uint64) & _MASK_U64
+    return arr.astype(np.uint64, copy=False) & _MASK_U64
 
 
 def add(a, b):

@@ -5,7 +5,7 @@ from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import get_phase, sample_round_channel
 from phaseagg.codec import QuantizationConfig, modulate
-from phaseagg.errors import DegenerateGroupError, UnrecoverableRoundError
+from phaseagg.errors import DegenerateGroupError, ShapeError, UnrecoverableRoundError
 from phaseagg.masking import (
     MINUS,
     PLUS,
@@ -18,7 +18,7 @@ from phaseagg.masking import (
 )
 from phaseagg.protocol import dropout_correction
 
-from test_protocol import channel_blocks
+from test_protocol import channel_pairs
 
 
 def test_single_counterpart_mask_is_that_phase():
@@ -106,6 +106,17 @@ class TestApplyMask:
         assert list(apply_mask(sym, mask, PLUS)) == [1, 7, 2]
         assert list(apply_mask(sym, mask, MINUS)) == [2**32 - 1, 3, 2**32 - 4]
 
+    @pytest.mark.parametrize("symbols, mask", [
+        ([5], np.arange(3)),
+        (np.arange(3), np.arange(2)),
+        (np.arange(2), np.zeros((2, 1), dtype=np.uint64)),
+    ])
+    def test_a_mask_of_another_shape_is_refused(self, symbols, mask):
+        # Broadcasting would silently make a message of another length.
+        for direction in (PLUS, MINUS):
+            with pytest.raises(ShapeError, match="cannot rotate"):
+                apply_mask(symbols, mask, direction)
+
 
 class TestPrivatePhase:
     def test_deterministic(self):
@@ -177,7 +188,7 @@ class TestReconstruction:
         chan = sample_round_channel(4, iteration=0, seed=23)
         assert mask_shares(1, [0], assignment, chan) == []
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([1, 2, 3], assignment, channel_blocks(assignment, chan), None)
+            dropout_correction([1, 2, 3], assignment, channel_pairs(assignment, chan), None)
 
     def test_dropped_cannot_survive(self):
         assignment = two_group_from_sides([0, 1], [2, 3])

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,12 +35,11 @@ from phaseagg.masking import (
     assign_two_groups,
     check_layout,
     compute_group_mask,
-    cross_pair_blocks,
-    group_masks,
     mask_shares,
     private_phase_window,
     round_phases,
     sample_private_phase,
+    signed_masks,
     two_group_from_sides,
 )
 from phaseagg.protocol import (
@@ -65,10 +64,9 @@ def pair_partners(assignment, i) -> tuple:
     return tuple(sorted(minus[plus == i].tolist() + plus[minus == i].tolist()))
 
 
-def channel_blocks(assignment, chan, length=None) -> tuple:
-    """The cross-pair blocks a round on `chan` builds, per symbol with `length`."""
-    row = round_phases(assignment, chan, 0, private=False, length=length)
-    return cross_pair_blocks(assignment, row.pairs)
+def channel_pairs(assignment, chan, length=None) -> np.ndarray:
+    """The cross-pair values a round on `chan` reads, per symbol with `length`."""
+    return round_phases(assignment, chan, 0, private=False, length=length).pairs
 
 
 def small_cfg(levels=5, clients=8):
@@ -78,6 +76,35 @@ def small_cfg(levels=5, clients=8):
 def message_fields(msg) -> tuple:
     """A message's owner and symbols."""
     return msg.owner, msg.masked.symbols.tolist()
+
+
+@st.composite
+def round_cases(draw):
+    """A random layout, dimension, mode, version, drop set and delayed client."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        clients = draw(st.integers(4, 10))
+        assignment = assign_two_groups(clients, seed=seed)
+    else:
+        size = draw(st.integers(2, 3))
+        groups = draw(st.integers(1, 3))
+        clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
+        assignment = assign_subgroups(clients, groups, size, seed=seed)
+    absent = draw(st.lists(st.integers(0, clients - 1), unique=True,
+                           max_size=clients - 1))
+    delayed = None
+    if absent and draw(st.booleans()):
+        delayed = absent.pop()
+    return {
+        "assignment": assignment,
+        "dimension": draw(st.integers(1, 5)),
+        "per_symbol": draw(st.booleans()),
+        "version": draw(st.sampled_from([ALG1, ALG2])),
+        "dropped": absent,
+        "delayed": delayed,
+        "seed": seed,
+        "iteration": draw(st.integers(0, 50)),
+    }
 
 
 class TestTwoGroupAssignment:
@@ -223,6 +250,18 @@ class TestClientMessage:
             mask = compute_group_mask(i, assignment, chan)
             assert np.array_equal(msg.masked.symbols, rotate(modulate(digits, cfg), mask))
 
+    @pytest.mark.parametrize("digits", [[1], [1, 2]])
+    @pytest.mark.parametrize("version", [ALG1, ALG2])
+    def test_a_length_other_than_the_digit_count_is_refused(self, digits, version):
+        assignment = two_group_from_sides([0, 1], [2, 3])
+        chan = sample_round_channel(4, iteration=0, seed=3)
+        with pytest.raises(ShapeError, match="length 5"):
+            client_message(0, digits, assignment, chan, version, 3, small_cfg(clients=4),
+                           length=5)
+        msg = client_message(0, digits, assignment, chan, version, 3, small_cfg(clients=4),
+                             length=len(digits))
+        assert msg.masked.symbols.shape == (len(digits),)
+
     def test_a_message_is_its_owner_and_symbols(self):
         assert [f.name for f in dataclasses.fields(ClientMessage)] == ["owner", "masked"]
         assert [f.name for f in dataclasses.fields(MaskedSymbols)] == ["symbols"]
@@ -302,7 +341,7 @@ class TestDropoutCorrection:
         chan = sample_round_channel(4, iteration=2, seed=37)
         private = private_phase_window(range(4), 2, 1, seed=37)[0]
         correction, reveals = dropout_correction((), assignment,
-                                                 channel_blocks(assignment, chan), private)
+                                                 channel_pairs(assignment, chan), private)
         expected = turns.sub(0, turns.total(sample_private_phase(i, 2, seed=37)
                                             for i in range(4)))
         assert correction == expected
@@ -342,13 +381,13 @@ class TestDropoutCorrection:
         chan = sample_round_channel(4, iteration=0, seed=43)
         private = private_phase_window((0, 1), 0, 1, seed=43)[0]
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([2, 3], assignment, channel_blocks(assignment, chan), private)
+            dropout_correction([2, 3], assignment, channel_pairs(assignment, chan), private)
 
     def test_all_dropped_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([0, 1, 2, 3], assignment, channel_blocks(assignment, chan),
+            dropout_correction([0, 1, 2, 3], assignment, channel_pairs(assignment, chan),
                                np.empty(0, np.uint64))
 
     def test_reveal_log_never_pairs_mask_and_private_phase(self):
@@ -398,20 +437,30 @@ class TestDropoutCorrection:
 class TestRoundEngine:
     """The batched round equals the per-client definitions, value for value."""
 
-    @pytest.mark.parametrize("layout", [
-        lambda: assign_two_groups(9, seed=4),
-        lambda: assign_subgroups(13, 2, 3, seed=4),
-    ])
-    @pytest.mark.parametrize("per_symbol", [False, True])
-    def test_group_masks_match_compute_group_mask(self, layout, per_symbol):
-        assignment = layout()
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases())
+    def test_signed_masks_match_compute_group_mask(self, case):
+        assignment = case["assignment"]
         n = assignment.num_clients
-        chan = sample_round_channel(n, iteration=5, seed=2**33 + 1)
-        length = 3 if per_symbol else None
-        masks = group_masks(assignment, channel_blocks(assignment, chan, length))
+        chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
+        length = case["dimension"] if case["per_symbol"] else None
+        masks = signed_masks(assignment, channel_pairs(assignment, chan, length))
+        assert masks.dtype == np.uint64
+        assert masks.shape == ((n, length) if case["per_symbol"] else (n,))
         for i in range(n):
             ref = compute_group_mask(i, assignment, chan, length=length)
+            if assignment.tag_of[i] == MINUS:
+                ref = turns.sub(0, ref)
             assert np.array_equal(masks[i], ref)
+
+    @pytest.mark.parametrize("length", [None, 2])
+    def test_signed_masks_refuse_a_row_of_another_layout(self, length):
+        assignment = assign_subgroups(8, 2, 2, seed=3)
+        pairs = channel_pairs(assignment, sample_round_channel(8, 0, 3), length)
+        with pytest.raises(ValueError, match="need 8 cross-pair phases"):
+            signed_masks(assignment, pairs[:-1])
+        with pytest.raises(ValueError, match="need 8 cross-pair phases"):
+            dropout_correction([0], assignment, pairs[:-1], None)
 
     def test_cross_pair_index_matches_complementary_sets(self):
         assignment = assign_subgroups(13, 2, 3, seed=4)
@@ -878,38 +927,17 @@ class TestExhaustiveDropPatterns:
                               seed=63, dropped=dropped)
 
 
-@st.composite
-def round_cases(draw):
-    """A random layout, dimension, mode, version, drop set and delayed client."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.booleans()):
-        clients = draw(st.integers(4, 10))
-        assignment = assign_two_groups(clients, seed=seed)
-    else:
-        size = draw(st.integers(2, 3))
-        groups = draw(st.integers(1, 3))
-        clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
-        assignment = assign_subgroups(clients, groups, size, seed=seed)
-    absent = draw(st.lists(st.integers(0, clients - 1), unique=True,
-                           max_size=clients - 1))
-    delayed = None
-    if absent and draw(st.booleans()):
-        delayed = absent.pop()
-    return {
-        "assignment": assignment,
-        "dimension": draw(st.integers(1, 5)),
-        "per_symbol": draw(st.booleans()),
-        "version": draw(st.sampled_from([ALG1, ALG2])),
-        "dropped": absent,
-        "delayed": delayed,
-        "seed": seed,
-        "iteration": draw(st.integers(0, 50)),
-    }
-
-
 def _recoverable(assignment, absent) -> bool:
     return all(set(assignment.side(g, tag)) - set(absent)
                for g in range(assignment.num_groups) for tag in (PLUS, MINUS))
+
+
+def first_lost_side(assignment, absent) -> str:
+    """The refusal naming the first side, scanning every (group, tag), that lost every client."""
+    lost = [(g, tag) for g in range(assignment.num_groups) for tag in (PLUS, MINUS)
+            if set(assignment.side(g, tag)) <= set(absent)]
+    g, tag = lost[0]
+    return f"the {tag!r} side of group {g} lost all its clients"
 
 
 def per_share_audit(log, assignment) -> int | None:
@@ -987,8 +1015,9 @@ class TestMatrixRoundProperty:
                       delayed=case["delayed"], per_symbol=case["per_symbol"],
                       naive_remedy=case["version"] == ALG1)
         if not _recoverable(assignment, absent):
-            with pytest.raises(UnrecoverableRoundError):
+            with pytest.raises(UnrecoverableRoundError) as refused:
                 run_round(digits, assignment, chan, cfg, **kwargs)
+            assert str(refused.value).startswith(first_lost_side(assignment, absent))
             return
         transcript = run_round(digits, assignment, chan, cfg, **kwargs)
         # Neither a written line nor the JSON dict builds the messages.
@@ -1044,7 +1073,9 @@ class TestMatrixRoundProperty:
                 ref = mask_shares(record["dropped"], senders, assignment, chan,
                                   length=length)
                 assert record["revealers"] == [j for j, _ in ref]
-                assert [np.asarray(p).tolist() for _, p in ref] == record["phases"].tolist()
+                phases = np.array([p for _, p in ref], dtype=np.uint64)
+                assert record["phases"].shape == phases.shape
+                assert np.array_equal(record["phases"], phases)
             else:
                 assert record["kind"] == "private-phases"
                 assert record["clients"] == senders
@@ -1056,6 +1087,27 @@ class TestMatrixRoundProperty:
         # A sequence of rows gives the same round as the matrix.
         again = run_round(list(digits), assignment, chan, cfg, **kwargs)
         assert again.to_json_line() == line
+
+    @settings(max_examples=80, deadline=None)
+    @given(round_cases(), st.data())
+    def test_a_refusal_names_the_first_lost_side(self, case, data):
+        # Wipe out a drawn set of sides, keeping one client alive, so rounds
+        # that lose sides in several groups, or both sides of one, are common.
+        assignment = case["assignment"]
+        n = assignment.num_clients
+        sides = [(g, tag) for g in range(assignment.num_groups) for tag in (PLUS, MINUS)]
+        wiped = data.draw(st.lists(st.sampled_from(sides), min_size=1, unique=True))
+        absent = {i for g, tag in wiped for i in assignment.side(g, tag)}
+        absent |= set(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+        alive = data.draw(st.sampled_from(range(n)))
+        absent.discard(alive)
+        assume(not _recoverable(assignment, absent))
+        chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
+        with pytest.raises(UnrecoverableRoundError) as refused:
+            run_round(np.zeros((n, 2), dtype=np.int64), assignment, chan,
+                      small_cfg(levels=4, clients=n), version=ALG2, seed=case["seed"],
+                      dropped=sorted(absent))
+        assert str(refused.value).startswith(first_lost_side(assignment, absent))
 
     @settings(max_examples=40, deadline=None)
     @given(round_cases())
@@ -1069,6 +1121,16 @@ class TestMatrixRoundProperty:
         for i in range(a.num_clients):
             assert a.complementary_set(i) == pair_partners(a, i)
         assert a.cross_pair_count() == len(a.cross_pair_index[0])
+        # Client i's k-th pair position joins it to its k-th counterpart.
+        plus, minus = a.cross_pair_index
+        for i in range(a.num_clients):
+            positions = a.pair_positions[i]
+            assert positions.dtype == np.int64 and not positions.flags.writeable
+            ends = [(int(plus[k]), int(minus[k])) for k in positions]
+            assert ends == [(i, j) if a.tag_of[i] == PLUS else (j, i)
+                            for j in a.complementary_set(i)]
+        assert sorted(np.concatenate(a.pair_positions).tolist()) == sorted(
+            2 * list(range(a.cross_pair_count())))
 
     def test_each_cross_pair_stream_is_expanded_once(self, monkeypatch):
         from phaseagg import masking
@@ -1150,10 +1212,10 @@ class TestMatrixRoundProperty:
         chan = sample_round_channel(8, iteration=1, seed=9)
         dropped = [assignment.side(1, MINUS)[0]]
         survivors = [i for i in range(8) if i not in dropped]
-        blocks = channel_blocks(assignment, chan)
+        pairs = channel_pairs(assignment, chan)
         array = private_phase_window(survivors, 1, 1, seed=9)[0]
-        correction, reveals = dropout_correction(dropped, assignment, blocks, array)
-        masks_only, _ = dropout_correction(dropped, assignment, blocks, None)
+        correction, reveals = dropout_correction(dropped, assignment, pairs, array)
+        masks_only, _ = dropout_correction(dropped, assignment, pairs, None)
         phases = [sample_private_phase(i, 1, seed=9) for i in survivors]
         assert correction == turns.sub(masks_only, turns.total(phases))
         assert legacy_reveals(reveals)[-len(survivors):] == [
@@ -1164,7 +1226,7 @@ class TestMatrixRoundProperty:
         assert not reveals[-1]["phases"].flags.writeable
         assert array.flags.writeable
         with pytest.raises(ValueError):
-            dropout_correction(dropped, assignment, blocks, array[:-1])
+            dropout_correction(dropped, assignment, pairs, array[:-1])
 
 
 def layouts():

@@ -108,3 +108,51 @@ def test_keyed_turns_window_keys_the_iteration_as_a_column(batch, rounds, start)
 def test_keyed_turns_window_refusals(start, rounds, columns, match):
     with pytest.raises(ValueError, match=match):
         rng.keyed_turns_window((1,), start, rounds, *columns)
+
+
+# Known answers.  Every keyed stream is pinned by literal values, so a
+# change to any stream fails here, whatever derives it: the batched
+# functions are checked against `keyed_turn` above, and `keyed_turn` itself,
+# the per-symbol vectors and the generators are checked only here.
+KNOWN_TURNS = [
+    ((0,), 2968811710),
+    ((7, rng.CHANNEL_DOMAIN, 3, 1, 2), 164147919),
+    ((2**40 + 5, rng.PRIVATE_PHASE_DOMAIN, 9, 31), 2364834083),
+]
+
+
+@pytest.mark.parametrize("key, value", KNOWN_TURNS)
+def test_keyed_turn_known_answers(key, value):
+    assert rng.keyed_turn(*key) == value
+
+
+def test_keyed_turns_and_window_known_answers():
+    i, j = np.array([1, 0, 5]), np.array([2, 3, 6])
+    round_3 = [164147919, 3230837730, 2326691543]
+    assert rng.keyed_turns((7, rng.CHANNEL_DOMAIN, 3), i, j).tolist() == round_3
+    window = rng.keyed_turns_window((7, rng.CHANNEL_DOMAIN), 3, 2, i, j)
+    assert window.dtype == np.uint64
+    assert window.tolist() == [round_3, [447938741, 1536407448, 190745167]]
+
+
+@pytest.mark.parametrize("length, key, values", [
+    (6, (7, rng.CHANNEL_STREAM_DOMAIN, 3, 1, 2),
+     [4112932561, 4146609385, 2432552511, 3910551256, 1526406572, 2297685234]),
+    (5, (11, rng.PRIVATE_STREAM_DOMAIN, 0, 4),
+     [2455187384, 952717730, 3902938844, 274814494, 3024062576]),
+])
+def test_keyed_turn_vector_known_answers(length, key, values):
+    stream = rng.keyed_turn_vector(length, *key)
+    assert stream.dtype == np.uint64
+    assert stream.tolist() == values
+
+
+def test_keyed_generator_known_answers():
+    assert rng.keyed_generator(7, rng.GROUPING_DOMAIN).integers(0, 2**32, size=4).tolist() == [
+        3126384070, 4187737225, 2311545377, 3799187354]
+    assert rng.keyed_generator(5, rng.GROUPING_DOMAIN).permutation(8).tolist() == [
+        7, 1, 0, 3, 4, 2, 6, 5]
+    assert rng.keyed_generator(3, rng.DATA_DOMAIN).standard_normal(3).tolist() == [
+        -0.3366458403000541, 1.359267952661854, 2.5156727903302447]
+    assert rng.keyed_generator(5, rng.DROPOUT_DOMAIN, 2).random(3).tolist() == [
+        0.558524693217189, 0.7188475982300009, 0.23002977794923563]
