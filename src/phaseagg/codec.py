@@ -182,16 +182,24 @@ def decode_sum(aggregate, cfg: QuantizationConfig) -> np.ndarray:
     every element; anything else means mask cancellation failed (for
     example an uncorrected dropout) and raises ResidualMaskError.
     """
-    agg = turns.as_vector(aggregate)
-    # The step is a power of two: its low bits are the offset from the grid.
-    off = np.count_nonzero(agg & np.uint64(cfg.step - 1))
+    agg = np.asarray(aggregate)
+    if agg.dtype.kind not in "iu":
+        raise TypeError(f"turn vectors must be integral, got dtype {agg.dtype}")
+    agg = agg.astype(np.uint64, copy=False)
+    # The step is a power of two dividing 2**32: its low bits are the
+    # offset from the grid, before or after the sum is reduced mod 2**32.
+    off = np.count_nonzero(agg & (cfg.step - 1))
     if off:
         raise ResidualMaskError(
             f"{off} aggregate element(s) off the constellation grid; "
             "a mask did not cancel"
         )
-    # Every sum is below 2**32, so its uint64 bits are the same int64.
-    return (agg >> np.uint64(cfg.step.bit_length() - 1)).view(np.int64)
+    # The one reduction, after the shift and in place: every sum is below
+    # 2**32, so its uint64 bits are the same int64.
+    shift = cfg.step.bit_length() - 1
+    sums = agg >> shift
+    sums &= turns.MODULUS - 1 >> shift
+    return sums.view(np.int64)
 
 
 def demodulate_nearest(symbols, cfg: QuantizationConfig) -> np.ndarray:

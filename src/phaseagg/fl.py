@@ -7,11 +7,12 @@ takes one gradient step per round.  The task is linear regression with a
 known generating parameter so convergence can be asserted exactly.
 
 Every client's data is stacked once, as a `ClientDatasets` of features
-(S, n, d) and targets (S, n), and one batched least-squares gradient and
-one `quantize` call give every client's digits per round (`client_digits`);
-one batched residual gives the round's loss (`sample_loss`).
-`compute_gradient` and `quantized_digits` stay the per-client definitions
-the batch is tested against, bit for bit.
+(S, n, d) and targets (S, n).  Each round computes one batched residual
+(`client_residuals`), which gives both the round's loss (`sample_loss`)
+and, through one batched least-squares gradient and one `quantize` call,
+every client's digits (`client_digits`).  `compute_gradient` and
+`quantized_digits` stay the per-client definitions the batch is tested
+against, bit for bit.
 
 `run_training` drives the full loop in two modes: "secure" routes every
 round through the masked aggregation protocol (`protocol.run_iteration`);
@@ -22,9 +23,10 @@ target.  The loop's only state is the parameter vector theta: the round
 is the loop counter and the learning rate the config's.
 
 A secure run derives its rounds' keyed phases a window at a time
-(`masking.phase_window`): every cross pair's phase and, under alg2, every
-client's private phase, scalar or per symbol, for as many rounds as fit
-in `WINDOW_WORDS` words, at least one.  A round holds its keys times the
+(`masking.phase_window`): every cross pair's phase, every client's
+signed group mask and, under alg2, every client's private phase, scalar
+or per symbol, for as many rounds as fit in `WINDOW_WORDS` words, at
+least one.  A round holds its pairs, masks and private phases times the
 phase length in words.  Each round then takes its row.  The derivation
 order is a simulation detail: every phase is the same keyed function of
 (seed, round, ids), so the artifacts do not depend on the window.
@@ -118,26 +120,42 @@ def make_synthetic_task(num_clients: int, dimension: int,
     return ClientDatasets(features=features, targets=targets), true_theta
 
 
-def client_gradients(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
-    """Every client's mean least-squares gradient at once, (S, d).
+def client_residuals(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
+    """Every client's residuals x.theta - y at once, (S, n).
 
-    Row i equals `compute_gradient(theta, datasets[i])` bit for bit: each
-    client's products run through the same matrix-vector kernel.
+    The one residual a round computes: `sample_loss` and `client_digits`
+    both take it.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (datasets.features.shape[2],):
         raise ShapeError(
             f"theta has shape {theta.shape}, features need ({datasets.features.shape[2]},)"
         )
+    return datasets.features @ theta - datasets.targets
+
+
+def client_gradients(theta: np.ndarray, datasets: ClientDatasets, *,
+                     residual: np.ndarray | None = None) -> np.ndarray:
+    """Every client's mean least-squares gradient at once, (S, d).
+
+    Row i equals `compute_gradient(theta, datasets[i])` bit for bit: each
+    client's products run through the same matrix-vector kernel.
+    `residual`, when given, is `client_residuals(theta, datasets)`.
+    """
+    if residual is None:
+        residual = client_residuals(theta, datasets)
     x = datasets.features
-    residual = x @ theta - datasets.targets
     return (x.transpose(0, 2, 1) @ residual[..., None])[..., 0] / x.shape[1]
 
 
 def client_digits(theta: np.ndarray, datasets: ClientDatasets,
-                  cfg: QuantizationConfig) -> np.ndarray:
-    """Every client's digit vector at the current parameters, (S, d)."""
-    return quantize(client_gradients(theta, datasets), cfg)
+                  cfg: QuantizationConfig, *,
+                  residual: np.ndarray | None = None) -> np.ndarray:
+    """Every client's digit vector at the current parameters, (S, d).
+
+    `residual`, when given, is `client_residuals(theta, datasets)`.
+    """
+    return quantize(client_gradients(theta, datasets, residual=residual), cfg)
 
 
 def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
@@ -151,17 +169,20 @@ def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
     return dataset.features.T @ residual / dataset.num_samples
 
 
-def sample_loss(theta: np.ndarray, datasets: ClientDatasets) -> float:
+def sample_loss(theta: np.ndarray, datasets: ClientDatasets, *,
+                residual: np.ndarray | None = None) -> float:
     """Mean of (x.theta - y)^2 / 2 over every sample of every client.
 
-    One batched residual over the stacked data; each client's squared
-    residual norm runs through the dot kernel of `residual @ residual`,
-    and the halves are added strictly left to right in client order, so
-    the result equals a per-client loop bit for bit.  (Built-in `sum` of
+    One batched residual over the stacked data, or `residual` when given
+    (`client_residuals(theta, datasets)`); each client's squared residual
+    norm runs through the dot kernel of `residual @ residual`, and the
+    halves are added strictly left to right in client order, so the
+    result equals a per-client loop bit for bit.  (Built-in `sum` of
     floats is compensated from Python 3.12 on, which could move the last
     bit.)
     """
-    residual = datasets.features @ theta - datasets.targets
+    if residual is None:
+        residual = client_residuals(theta, datasets)
     halves = (residual[:, None, :] @ residual[:, :, None]).ravel() / 2.0
     total = 0.0
     for half in halves.tolist():
@@ -220,8 +241,10 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
 
     mode "secure" uses the masked aggregation protocol; "plaintext" is the
     insecure baseline summing quantized digits directly.  Both start at
-    theta = 0, the loop's only state.  Stops after config.rounds, or
-    earlier once loss falls below config.loss_threshold.
+    theta = 0, the loop's only state.  Each round computes its residual
+    once (`client_residuals`) and hands it to `sample_loss` and to the
+    digits, in either mode.  Stops after config.rounds, or earlier once
+    loss falls below config.loss_threshold.
     """
     if mode not in ("secure", "plaintext"):
         raise ValueError(f"unknown training mode {mode!r}")
@@ -236,17 +259,20 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
     history = TrainingHistory()
     private = config.protocol_version == ALG2
     length = config.phase_length
-    keys = assignment.cross_pair_count() + (config.clients if private else 0)
+    # A row holds its cross pairs, every client's mask and, under alg2,
+    # every client's private phase.
+    keys = assignment.cross_pair_count() + config.clients * (2 if private else 1)
     window = max(1, WINDOW_WORDS // (keys * (length or 1)))
 
     for t in range(config.rounds):
-        loss = sample_loss(theta, datasets)
+        residual = client_residuals(theta, datasets)
+        loss = sample_loss(theta, datasets, residual=residual)
         if mode == "secure":
             if t % window == 0:
                 rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
                                     private=private, length=length)
             transcript, new_theta = protocol.run_iteration(
-                theta, config, datasets, assignment, rows[t % window]
+                theta, config, datasets, assignment, rows[t % window], residual
             )
             history.transcripts.append(transcript)
             counters = transcript.counters
@@ -261,7 +287,7 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
             if config.delayed_client is not None:
                 dropped.add(config.delayed_client)
             senders = [i for i in range(config.clients) if i not in dropped]
-            digits = client_digits(theta, datasets, cfg)
+            digits = client_digits(theta, datasets, cfg, residual=residual)
             digit_sum = np.sum(digits[senders], axis=0, dtype=np.int64)
             mean = dequantize_mean(digit_sum, len(senders), cfg)
             new_theta = sgd_update(theta, mean, config.learning_rate)

@@ -29,20 +29,24 @@ the scalar mode and the symbol count for the per-symbol one.
 
 A round reads every keyed phase from one `RoundPhases` row: each cross
 pair's channel phase, or per symbol its stream, in the order of
-`GroupAssignment.cross_pair_index`, and every client's private phase
-(alg2) by client id.  `phase_window` derives the rows of a window of
-rounds: scalar phases hashed in one batch per domain, streams expanded
-once each by `pair_phase_stream` and `sample_private_phase`.
-`round_phases` derives one round's row from its channel, as a direct
-`protocol.run_round` call does.  When a phase is derived is a simulation
-detail: every value is the same keyed function of (seed, round, ids).
+`GroupAssignment.cross_pair_index`, every client's private phase (alg2)
+by client id, and every client's signed group mask, derived from the
+pairs.  `phase_window` derives the rows of a window of rounds: scalar
+phases hashed in one batch per domain and every round's masks in one
+pair of scatters, streams expanded once each by `pair_phase_stream` and
+`sample_private_phase`.  `round_phases` derives one round's row from its
+channel, as a direct `protocol.run_round` call does.  When a phase is
+derived is a simulation detail: every value is the same keyed function
+of (seed, round, ids).
 
 `signed_masks` gives every client its group mask, negated on the minus
 side, from a row's pairs in a fixed number of array calls: two
 scatter-adds over `cross_pair_index` for scalar phases, one sum per side
-of each group's (|plus|, |minus|, length) block for streams.  The dropout
-correction reads a dropped client's shares from the same row, at the
-positions `GroupAssignment.pair_positions` caches.  `compute_group_mask`,
+of each group's (|plus|, |minus|, length) block for streams.  A window
+scatters all its rounds' scalar phases at once, over the flattened
+(rounds, N) grid.  The dropout correction reads a dropped client's
+shares from the row's pairs, never its masks, at the positions
+`GroupAssignment.pair_positions` caches.  `compute_group_mask`,
 `sample_private_phase`, `mask_shares` and `apply_mask` are the per-client
 definitions those arrays are tested against.
 """
@@ -342,19 +346,17 @@ def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
     `compute_group_mask(i, ...)` for a plus-side client and its negation mod
     2**32 for a minus-side one: the offset client i adds to its symbols.
     Scalar phases are scattered onto both endpoints of every pair, plus
-    added and minus subtracted.  Streams are summed per group instead, a
-    plus-side client over its row of the group's (|plus|, |minus|, length)
-    block and a minus-side client over its column, because a scatter of
-    whole streams is many times slower than those sums.
+    added and minus subtracted (`_scatter_masks`, one round of it).
+    Streams are summed per group instead, a plus-side client over its row
+    of the group's (|plus|, |minus|, length) block and a minus-side client
+    over its column, because a scatter of whole streams is many times
+    slower than those sums.
     """
     check_pair_row(assignment, pairs)
+    if pairs.ndim == 1:
+        return _scatter_masks(assignment, pairs[None])[0]
     # uint64 wraps mod 2**64, which 2**32 divides, so the masks reduce once at the end.
     masks = np.zeros((assignment.num_clients, *pairs.shape[1:]), dtype=np.uint64)
-    if pairs.ndim == 1:
-        plus, minus = assignment.cross_pair_index
-        np.add.at(masks, plus, pairs)
-        np.subtract.at(masks, minus, pairs)
-        return turns.reduce_in_place(masks)
     start = 0
     for plus, minus in assignment.side_index:
         stop = start + plus.size * minus.size
@@ -364,6 +366,24 @@ def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
         start = stop
     np.negative(masks, out=masks, where=assignment.minus_mask[:, None])
     return turns.reduce_in_place(masks)
+
+
+def _scatter_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
+    """Signed scalar masks of a (rounds, P) block of rows: (rounds, N) turns.
+
+    Row r is `signed_masks(assignment, pairs[r])`.  Client i of round r is
+    entry r * N + i of the flattened (rounds, N) grid, so every round's
+    pairs scatter onto it with one add and one subtract.
+    """
+    n = assignment.num_clients
+    plus, minus = assignment.cross_pair_index
+    rows = np.arange(0, len(pairs) * n, n)[:, None]
+    values = pairs.ravel()
+    # uint64 wraps mod 2**64, which 2**32 divides, so the masks reduce once at the end.
+    masks = np.zeros(rows.size * n, dtype=np.uint64)
+    np.add.at(masks, (rows + plus).ravel(), values)
+    np.subtract.at(masks, (rows + minus).ravel(), values)
+    return turns.reduce_in_place(masks).reshape(rows.size, n)
 
 
 def apply_mask(symbols, mask, direction: str) -> np.ndarray:
@@ -411,12 +431,17 @@ class RoundPhases(NamedTuple):
     order: (P,) uint64 turns, or (P, length) uint32 streams per symbol.
     `private` holds every client's private phase indexed by client id,
     (N,) uint64 or (N, length) uint32, or is None when the round needs
-    none (alg1).
+    none (alg1).  `masks` holds every client's signed group mask, derived
+    from `pairs` and indexed by client id: row i is
+    `signed_masks(assignment, pairs)[i]`, (N,) or (N, length) uint64.  A
+    round adds its senders' masks to their symbols; the dropout correction
+    reads the pairs, never the masks.
     """
 
     iteration: int
     pairs: np.ndarray
     private: np.ndarray | None
+    masks: np.ndarray
 
     @property
     def length(self) -> int | None:
@@ -426,24 +451,26 @@ class RoundPhases(NamedTuple):
 
 def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int, *,
                  private: bool, length: int | None = None) -> RoundPhases:
-    """One round's row: its channel's cross-pair values and, with `private`, `seed`'s.
+    """One round's row: its channel's cross-pair values, their masks and, with `private`, `seed`'s.
 
     Scalar phases are the one-round case of the window functions; with
     `length` each stream is expanded once, by `pair_phase_stream` and
-    `sample_private_phase`.
+    `sample_private_phase`.  The masks are `signed_masks` of the pairs.
     """
     t, clients = channel.iteration, range(assignment.num_clients)
     plus, minus = assignment.cross_pair_index
     if length is None:
-        return RoundPhases(t, channel.pair_phases(plus, minus),
-                           private_phase_window(clients, t, 1, seed)[0] if private else None)
+        pairs = channel.pair_phases(plus, minus)
+        return RoundPhases(t, pairs,
+                           private_phase_window(clients, t, 1, seed)[0] if private else None,
+                           signed_masks(assignment, pairs))
     # uint32 holds every stream value and halves the row's memory.
     streams = np.dtype((np.uint32, length))
     pairs = np.fromiter((pair_phase_stream(channel, i, j, length)
                          for i, j in zip(plus.tolist(), minus.tolist())), streams, plus.size)
     phases = (np.fromiter((sample_private_phase(i, t, seed, length=length) for i in clients),
                           streams, len(clients)) if private else None)
-    return RoundPhases(t, pairs, phases)
+    return RoundPhases(t, pairs, phases, signed_masks(assignment, pairs))
 
 
 def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int, *,
@@ -451,9 +478,11 @@ def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int
     """The rows of `rounds` consecutive rounds from `start`, row r that of round start + r.
 
     Scalar phases take one batch for every cross pair's channel phase in
-    the window and, with `private`, one more for every client's private
-    phase.  Streams are expanded round by round, as `round_phases` does
-    on the round's seeded channel.
+    the window, one pair of scatters for every round's masks
+    (`_scatter_masks` over the flattened (rounds, N) grid) and, with
+    `private`, one more batch for every client's private phase.  Streams
+    are expanded round by round, as `round_phases` does on the round's
+    seeded channel, and so are their masks.
     """
     n = assignment.num_clients
     if length is not None:
@@ -464,7 +493,9 @@ def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int
     pairs = pair_phase_window(n, seed, start, rounds, plus, minus)
     privates = (private_phase_window(range(n), start, rounds, seed)
                 if private else (None,) * rounds)
-    return [RoundPhases(start + r, p, q) for r, (p, q) in enumerate(zip(pairs, privates))]
+    masks = _scatter_masks(assignment, pairs)
+    return [RoundPhases(start + r, p, q, m)
+            for r, (p, q, m) in enumerate(zip(pairs, privates, masks))]
 
 
 def mask_shares(dropped: int, survivors, assignment: GroupAssignment,

@@ -17,17 +17,18 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
   clients and private phases for survivors, never both for one client, so
   late messages stay protected.
 
-A round is one matrix sum.  `run_round` modulates every sender's digits
-in one (senders, d) uint64 matrix and adds each sender's offset to its row
-in place: its private phase (alg2) plus its group mask, negated on the
-minus side (`masking.signed_masks`).  The offsets are an (senders, 1)
-column in scalar mode and an (senders, d) array per symbol, so
-broadcasting serves both.  Neither the masks nor the recovery check nor
-the decode loops over groups: a scalar round takes a fixed number of
+A round is one matrix sum.  `run_round` checks the drop set and lists
+the senders once, modulates every sender's digits in one (senders, d)
+uint64 matrix and adds each sender's offset to its row in place: its
+private phase (alg2) plus its group mask, negated on the minus side,
+which it reads from the round's row with one `take`.  The offsets are an
+(senders, 1) column in scalar mode and an (senders, d) array per symbol,
+so broadcasting serves both.  Neither the masks nor the recovery check
+nor the decode loops over groups: a scalar round takes a fixed number of
 array calls whatever its group count.  The aggregate is the matrix's
-column sum plus the correction.  Every phase of a round
-comes from one `masking.RoundPhases` row: a training run hands each round
-its row of a `masking.phase_window`, and a direct call derives its own
+column sum plus the correction.  Every phase and mask of a round comes
+from one `masking.RoundPhases` row: a training run hands each round its
+row of a `masking.phase_window`, and a direct call derives its own
 (`masking.round_phases`).  Below `run_round`, the mask mode is only the
 `length` of the row's phases (None for a scalar, d per symbol), and every
 phase, mask, symbol row and correction is an int or an integer array;
@@ -42,10 +43,12 @@ The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
 - sum(private phases of survivors)`` with dropped-to-dropped channel terms
 excluded; they cancel pairwise by reciprocity, which the test suite checks
-exhaustively.  A dropped client's shares are read from the round's row of
-cross-pair values at the positions its layout caches
-(`GroupAssignment.pair_positions`) and summed with numpy.  The recovery
-check looks only at the sides that hold a dropped client.
+exhaustively.  Every dropped client's shares are read from the round's
+row of cross-pair values, never from its masks, at the positions its
+layout caches (`GroupAssignment.pair_positions`): one `take` for all of
+them, signed and summed by one product.  The recovery check looks only
+at the sides that hold a dropped client.  `run_round` hands the
+correction the drop set and survivors it has checked and listed.
 `dropout_correction` returns the correction and its reveal records, and
 `ps_aggregate_and_decode` the decoded digit sums and their mean;
 `run_round` counts the recovery messages and private-phase reveals from
@@ -71,7 +74,8 @@ use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
 derives nothing: `fl.run_training` hands it theta, the stacked datasets,
-the layout and the round's phase row, and it reads the round from that
+the layout, the round's phase row and the round's residual, which the
+loss has read too, and it reads the round from that
 row and the learning rate and codec from the config, which builds its
 `QuantizationConfig` and `FecConfig` once.  It is the one import of a
 higher layer in the package, and `fl.run_training` calls it through this
@@ -112,7 +116,6 @@ from .masking import (
     compute_group_mask,
     round_phases,
     sample_private_phase,
-    signed_masks,
 )
 
 TRANSCRIPT_FORMAT = 2
@@ -158,23 +161,35 @@ def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: i
                             cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sum received phases, apply the correction, decode: (digit sums, mean).
 
-    `symbols` is a round's (senders, d) uint64 symbol matrix.  With every
-    mask cancelled the per-element phase sum is an exact grid multiple;
-    anything else raises ResidualMaskError.  The mean averages the exact
-    integer digit sums over `num_contributors`.
+    `symbols` is a round's (senders, d) uint64 symbol matrix, and
+    `correction` an int or uint64 array in [0, 2**32), as
+    `dropout_correction` returns it.  With every mask cancelled the
+    per-element phase sum is an exact grid multiple; anything else raises
+    ResidualMaskError.  The mean averages the exact integer digit sums over
+    `num_contributors`.
     """
     if not len(symbols):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    # uint64 wraps mod 2**64, which 2**32 divides; `decode_sum` reduces the sum.
+    # uint64 wraps mod 2**64, which 2**32 divides; `decode_sum` reduces the
+    # sum, once.
     agg = symbols.sum(axis=0, dtype=np.uint64)
-    agg += turns.reduce(correction)
+    agg += correction
     sums = decode_sum(agg, cfg)
     return sums, dequantize_mean(sums, num_contributors, cfg)
 
 
-def _check_recovery_feasible(dropped: frozenset[int],
-                             assignment: GroupAssignment) -> list[int]:
-    """Survivor list, or UnrecoverableRoundError when recovery cannot proceed.
+def _drop_set(ids: Iterable[int], assignment: GroupAssignment) -> frozenset[int]:
+    """`ids` as a frozenset of ints, or IndexError naming the first not in `assignment`."""
+    ids = frozenset(map(int, ids))
+    if ids and (min(ids) < 0 or max(ids) >= assignment.num_clients):
+        bad = min(i for i in ids if not 0 <= i < assignment.num_clients)
+        raise IndexError(f"dropped client {bad} is not in the assignment")
+    return ids
+
+
+def _check_recovery_feasible(dropped: frozenset[int], survivors: Sequence[int],
+                             assignment: GroupAssignment) -> None:
+    """Raise UnrecoverableRoundError when recovery cannot proceed.
 
     Every side of every group must keep at least one survivor: a dropped
     client with a fully-dropped complementary side has nobody left to
@@ -182,7 +197,6 @@ def _check_recovery_feasible(dropped: frozenset[int],
     complementary side would have its whole mask exposed by those same
     reveals on top of its private phase.
     """
-    survivors = [i for i in range(assignment.num_clients) if i not in dropped]
     if not survivors:
         raise UnrecoverableRoundError("every client dropped out")
     # Only a side holding a dropped client can have lost them all.  The
@@ -193,39 +207,51 @@ def _check_recovery_feasible(dropped: frozenset[int],
                 f"the {tag!r} side of group {g} lost all its clients; "
                 "masks touching it can be neither reconstructed nor kept private"
             )
-    return survivors
 
 
 def _audit_reveal_safety(reveals: Sequence[Mapping],
                          assignment: GroupAssignment) -> None:
     """Check no client has both its private phase and its full mask revealed.
 
-    `reveals` holds the round's reveal records, one per query.
+    `reveals` holds the round's reveal records, one per query.  The share
+    phi(dropped, revealer) is a component of both clients' masks.  A
+    client dropped in no record is touched by at most one share per
+    record, so only one whose mask has no more shares than there are
+    records is checked share by share, beside every record's dropped client.
     """
     private: set[int] = set()
-    exposed: dict[int, set[int]] = {}
+    shares = []
     for r in reveals:
         if r["kind"] == "private-phases":
             private.update(r["clients"])
-            continue
-        # The share phi(dropped, revealer) is a component of both clients' masks.
-        dropped = r["dropped"]
-        exposed.setdefault(dropped, set()).update(r["revealers"])
-        for j in r["revealers"]:
-            exposed.setdefault(j, set()).add(dropped)
-    # Only a client some share exposes can have its whole mask exposed.
-    for client in sorted(private.intersection(exposed)):
+        else:
+            shares.append(r)
+    suspects = {r["dropped"] for r in shares}
+    suspects.update(j for r in shares for j in r["revealers"]
+                    if len(assignment.complementary_set(j)) <= len(shares))
+    for client in sorted(private.intersection(suspects)):
+        exposed = set()
+        for r in shares:
+            if r["dropped"] == client:
+                exposed.update(r["revealers"])
+            elif client in r["revealers"]:
+                exposed.add(r["dropped"])
         comp = assignment.complementary_set(client)
-        if comp and exposed[client].issuperset(comp):
+        if comp and exposed.issuperset(comp):
             raise RevealSafetyError(
                 f"reveal-safety audit failed: client {client}'s private phase "
                 "and every share of its mask were both revealed"
             )
 
 
+# A minus side's shares enter the correction's signed sum with this sign:
+# -1 mod 2**64, and so mod 2**32.
+_MINUS_ONE = 2**64 - 1
+
+
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
-                       pairs: np.ndarray,
-                       private_phases: np.ndarray | None) -> tuple[int | np.ndarray, tuple]:
+                       pairs: np.ndarray, private_phases: np.ndarray | None, *,
+                       survivors: Sequence[int] | None = None) -> tuple[int | np.ndarray, tuple]:
     """(correction, reveals): what the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
@@ -236,39 +262,46 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     (`RoundPhases.pairs`); a dropped client's shares are read from it at the
     positions `GroupAssignment.pair_positions` caches, and its phase width
     sets the correction's: an int for scalar phases, a (length,) array for
-    per-symbol streams.  The reveals are a tuple of records, one per
-    query: the revealers of one dropped client's shares, or the survivors
-    whose private phases are asked, with the revealed phases as one
-    read-only uint64 array.  The never-both rule is audited on those
-    records.
-    """
-    dropped = frozenset(int(i) for i in dropped)
-    for i in dropped:
-        if not (0 <= i < assignment.num_clients):
-            raise IndexError(f"dropped client {i} is not in the assignment")
-    check_pair_row(assignment, pairs)
-    survivors = _check_recovery_feasible(dropped, assignment)
+    per-symbol streams.  Every dropped client's shares are gathered with
+    one `take` and signed and summed with one product.  The reveals are a
+    tuple of records, one per query: the revealers of one dropped client's
+    shares, or the survivors whose private phases are asked, with the
+    revealed phases as one read-only uint64 array.  The never-both rule is
+    audited on those records.
 
-    # In-place uint64 arithmetic wraps mod 2**64, which 2**32 divides, so
-    # the total is reduced once at the end; () makes a scalar total.
-    total = np.zeros(pairs.shape[1:], dtype=np.uint64)
-    reveals = []
+    Called on its own, the function range-checks `dropped` (IndexError
+    for an id outside the assignment), checks the row and lists the
+    survivors.  `run_round` has done all three and passes its `survivors`,
+    the clients not in `dropped` in increasing order, with `dropped` as
+    the frozenset it checked; neither is derived again.
+    """
+    if survivors is None:
+        dropped = _drop_set(dropped, assignment)
+        check_pair_row(assignment, pairs)
+        survivors = [i for i in range(assignment.num_clients) if i not in dropped]
+    _check_recovery_feasible(dropped, survivors, assignment)
+
+    reveals, positions, signs = [], [], []
     for i in sorted(dropped):
-        other = assignment.complementary_set(i)
-        positions = assignment.pair_positions[i]
-        revealers = [j for j in other if j not in dropped]
-        if len(revealers) < len(other):
-            positions = positions[[k for k, j in enumerate(other) if j not in dropped]]
-        # `take` copies; per-symbol streams are uint32.
-        shares = pairs.take(positions, axis=0).astype(np.uint64, copy=False)
-        shares.setflags(write=False)
-        reveals.append({"kind": "mask-shares", "dropped": i,
-                        "revealers": revealers, "phases": shares})
-        rebuilt = shares.sum(axis=0, dtype=np.uint64)
-        if assignment.tag_of[i] == PLUS:
-            total += rebuilt
-        else:
-            total -= rebuilt
+        revealers = []
+        for j, k in zip(assignment.complementary_set(i), assignment.pair_positions[i].tolist()):
+            if j not in dropped:
+                revealers.append(j)
+                positions.append(k)
+        signs += [1 if assignment.tag_of[i] == PLUS else _MINUS_ONE] * len(revealers)
+        reveals.append({"kind": "mask-shares", "dropped": i, "revealers": revealers})
+    # `take` copies; per-symbol streams are uint32.  Each record's phases
+    # are a view of its stretch of the gathered rows.
+    shares = pairs.take(positions, axis=0).astype(np.uint64, copy=False)
+    shares.setflags(write=False)
+    start = 0
+    for record in reveals:
+        record["phases"] = shares[start:start + len(record["revealers"])]
+        start += len(record["revealers"])
+    # uint64 products and sums wrap mod 2**64, which 2**32 divides, so the
+    # total is reduced once at the end; () makes a scalar total.
+    total = np.matmul(np.array(signs, dtype=np.uint64), shares,
+                      out=np.empty(pairs.shape[1:], dtype=np.uint64))
 
     if private_phases is not None:
         if len(private_phases) != len(survivors):
@@ -280,7 +313,8 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         total -= phases.sum(axis=0, dtype=np.uint64)
 
     _audit_reveal_safety(reveals, assignment)
-    return turns.reduce(int(total) if total.ndim == 0 else total), tuple(reveals)
+    correction = turns.reduce(int(total)) if total.ndim == 0 else turns.reduce_in_place(total)
+    return correction, tuple(reveals)
 
 
 # --- transcript encoding ----------------------------------------------------
@@ -593,11 +627,16 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     alg1 recovery used by the attack oracle) leaves it for the caller.
 
     Every phase comes from `phases`, this round's `masking.RoundPhases`
-    row: the masks and the dropout correction read its pairs, and each
-    sender's private phase is read from it by client id.  Without a row the
-    round derives its own (`masking.round_phases`): the pairs from `channel` and
-    the private phases from `seed`.  A row from another round, or of the
-    other mask mode, is refused with ValueError.
+    row: the senders' masks and private phases are read from it by client
+    id, each with one `take`, and the dropout correction reads its pairs.
+    Without a row the round derives its own (`masking.round_phases`): the
+    pairs from `channel` and the private phases from `seed`.  A row from
+    another round, of the other mask mode or of another layout is refused
+    with ValueError.
+
+    The drop set is range-checked first, under every version: an id
+    outside the assignment raises IndexError.  The senders are listed
+    once, and the dropout correction reads the checked set and that list.
     """
     s = assignment.num_clients
     if len(digits_by_client) != s:
@@ -614,13 +653,13 @@ def run_round(digits_by_client, assignment: GroupAssignment,
             raise ShapeError(f"clients disagree on dimension: {sorted(dims)}")
         (dimension,) = dims
 
-    dropped = frozenset(int(i) for i in dropped)
+    dropped = _drop_set(dropped, assignment)
     if delayed is not None:
         if delayed in dropped:
             raise ValueError(f"client {delayed} cannot be both dropped and delayed")
         if not (0 <= delayed < s):
             raise IndexError(f"delayed client {delayed} out of range")
-    absent = dropped | ({delayed} if delayed is not None else set())
+    absent = dropped | {delayed} if delayed is not None else dropped
     check_version(version)
     length = dimension if per_symbol else None
     t = channel.iteration
@@ -636,19 +675,25 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                          f"cannot serve round {t}, length {length}")
     elif version == ALG2 and phases.private is None:
         raise ValueError("an alg2 round's derived phases must hold private phases")
-    offsets = signed_masks(assignment, phases.pairs).reshape(s, -1)
+    else:
+        check_pair_row(assignment, phases.pairs)
+        if len(phases.masks) != s:
+            raise ValueError(f"need {s} clients' masks, got shape {phases.masks.shape}")
 
     senders = [i for i in range(s) if i not in absent]
+    # `take` copies, so the row's masks stay as they are.  It is several
+    # times faster than fancy indexing, and faster still given the ids as
+    # one array, made once.
+    index = np.array(senders, dtype=np.intp)
+    offsets = phases.masks.reshape(s, -1).take(index, axis=0)
     if absent:
-        # `take` with a list of ids is several times faster than fancy indexing.
-        offsets = offsets.take(senders, axis=0)
-        digits = (digits.take(senders, axis=0) if isinstance(digits, np.ndarray)
+        digits = (digits.take(index, axis=0) if isinstance(digits, np.ndarray)
                   else [digits[i] for i in senders])
     # With no sender left, modulate gets an empty sequence and returns shape (0,).
     symbols = modulate(digits, cfg).reshape(len(senders), dimension)
     private = None
     if version == ALG2:
-        private = phases.private.take(senders, axis=0)
+        private = phases.private.take(index, axis=0)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     turns.reduce_in_place(symbols)
@@ -662,7 +707,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     delayed_discarded: bool | None = None
     correction, reveals = 0, ()
     if version == ALG2:
-        correction, reveals = dropout_correction(absent, assignment, phases.pairs, private)
+        correction, reveals = dropout_correction(absent, assignment, phases.pairs, private,
+                                                 survivors=senders)
         if delayed is not None:
             delayed_discarded = True
     elif absent:
@@ -671,7 +717,8 @@ def run_round(digits_by_client, assignment: GroupAssignment,
                 "dropouts under the group-mask-only protocol cannot be "
                 "recovered without exposing masks; use version 'alg2'"
             )
-        correction, reveals = dropout_correction(absent, assignment, phases.pairs, None)
+        correction, reveals = dropout_correction(absent, assignment, phases.pairs, None,
+                                                 survivors=senders)
         if delayed is not None:
             delayed_discarded = False
 
@@ -712,19 +759,20 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
 
 def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.ClientDatasets,
-                  assignment: GroupAssignment, phases: RoundPhases):
+                  assignment: GroupAssignment, phases: RoundPhases, residual: np.ndarray):
     """One federated round at parameters `theta`: gradients, masked aggregation, SGD step.
 
     The round is `phases.iteration`, and `phases` is its row of a
     `masking.phase_window`.  Every client's digits come from one batched
-    gradient over `datasets`, as `fl.make_synthetic_task` stacks them, and
-    the decoded mean takes one step at the config's learning rate.
-    Returns (transcript, updated theta).
+    gradient over `datasets`, as `fl.make_synthetic_task` stacks them, at
+    `residual`, the round's `fl.client_residuals(theta, datasets)` that
+    the loss has read too.  The decoded mean takes one step at the
+    config's learning rate.  Returns (transcript, updated theta).
     """
     cfg = config.quantization()
     t = phases.iteration
     transcript = run_round(
-        fl.client_digits(theta, datasets, cfg), assignment,
+        fl.client_digits(theta, datasets, cfg, residual=residual), assignment,
         sample_round_channel(config.clients, t, config.seed), cfg,
         version=config.protocol_version,
         seed=config.seed,

@@ -100,6 +100,24 @@ class TestBatchedGradients:
         assert np.array_equal(digits, expected)
 
     @settings(max_examples=60, deadline=None)
+    @given(clients=st.integers(1, 6), samples=st.integers(1, 24),
+           dimension=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([0.0, 1e-300, 1e-9, 1.0, 1e3, 1e12]),
+           levels=st.sampled_from([2, 16, 65536]), noise=st.sampled_from([0.0, 0.5]))
+    def test_one_residual_gives_the_loss_and_the_digits(self, clients, samples, dimension,
+                                                        seed, scale, levels, noise):
+        datasets, _ = fl.make_synthetic_task(clients, dimension, samples, seed, noise)
+        theta = scale * np.random.default_rng(seed).standard_normal(dimension)
+        cfg = QuantizationConfig.with_auto_modulus(1.0, levels, max_clients=clients)
+        residual = fl.client_residuals(theta, datasets)
+        loss = fl.sample_loss(theta, datasets, residual=residual)
+        assert loss.hex() == fl.sample_loss(theta, datasets).hex()
+        digits = fl.client_digits(theta, datasets, cfg, residual=residual)
+        expected = fl.client_digits(theta, datasets, cfg)
+        assert digits.dtype == expected.dtype
+        assert np.array_equal(digits, expected)
+
+    @settings(max_examples=60, deadline=None)
     @given(clients=st.integers(1, 40), samples=st.integers(1, 40),
            dimension=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from([0.0, 1e-9, 1.0, 1e3]), noise=st.sampled_from([0.0, 0.5]))
@@ -187,6 +205,24 @@ class TestTraining:
         plain = fl.run_training(config, "plaintext")
         for a, b in zip(secure.thetas, plain.thetas):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["secure", "plaintext"])
+    def test_each_round_computes_one_residual_at_its_parameters(self, mode, monkeypatch):
+        config = scenario(protocol_version="alg2", rounds=5, dropout={"fixed": {"2": [1]}})
+        seen = []
+        original = fl.client_residuals
+
+        def recorded(theta, datasets):
+            seen.append(theta.copy())
+            return original(theta, datasets)
+
+        monkeypatch.setattr(fl, "client_residuals", recorded)
+        history = fl.run_training(config, mode)
+        # The loss and the digits share the round's residual: one per round,
+        # at the parameters the round starts from.
+        assert len(seen) == len(history.rows) == 5
+        for theta, start in zip(seen, [np.zeros(8)] + history.thetas):
+            assert np.array_equal(theta, start)
 
     def test_quantized_mean_close_to_unquantized_at_high_levels(self):
         config = scenario(rounds=1)

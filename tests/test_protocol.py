@@ -390,6 +390,23 @@ class TestDropoutCorrection:
             dropout_correction([0, 1, 2, 3], assignment, channel_pairs(assignment, chan),
                                np.empty(0, np.uint64))
 
+    @pytest.mark.parametrize("version, naive_remedy",
+                             [(ALG1, False), (ALG2, False), (ALG1, True)])
+    @pytest.mark.parametrize("dropped, named", [([8], 8), ([-1], -1), ([1, 9], 9)])
+    def test_a_drop_id_outside_the_layout_is_an_index_error(self, version, naive_remedy,
+                                                            dropped, named):
+        # The drop set is checked before anything else: under alg1 too, where
+        # any dropout would otherwise refuse the round as unrecoverable.
+        assignment = assign_subgroups(8, 2, 2, seed=1)
+        chan = sample_round_channel(8, iteration=0, seed=1)
+        with pytest.raises(IndexError, match=f"dropped client {named} is not in"):
+            run_round(np.ones((8, 3), dtype=np.int64), assignment, chan,
+                      small_cfg(levels=4, clients=8), version=version, seed=1,
+                      dropped=dropped, naive_remedy=naive_remedy)
+        private = None if version == ALG1 else private_phase_window(range(7), 0, 1, seed=1)[0]
+        with pytest.raises(IndexError, match=f"dropped client {named} is not in"):
+            dropout_correction(dropped, assignment, channel_pairs(assignment, chan), private)
+
     def test_reveal_log_never_pairs_mask_and_private_phase(self):
         assignment = assign_subgroups(8, 2, 2, seed=45)
         cfg = small_cfg(levels=5, clients=8)

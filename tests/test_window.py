@@ -24,6 +24,7 @@ from phaseagg.channel import (
     sample_round_channel,
 )
 from phaseagg.config import ALG1, ALG2
+from phaseagg.errors import ResidualMaskError
 from phaseagg.masking import (
     assign_subgroups,
     assign_two_groups,
@@ -31,10 +32,11 @@ from phaseagg.masking import (
     private_phase_window,
     round_phases,
     sample_private_phase,
+    signed_masks,
 )
 from phaseagg.protocol import run_round
 
-from test_protocol import small_cfg
+from test_protocol import round_cases, small_cfg
 
 MAX_ITERATION = 2**32 - 1
 
@@ -96,6 +98,40 @@ class TestWindowValues:
                 np.asarray(sample_private_phase(i, t, seed, length=length)).tolist()
                 for i in range(assignment.num_clients)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=round_cases(), rounds=st.integers(1, 5))
+    def test_every_rows_masks_are_the_signed_masks_of_its_pairs(self, case, rounds):
+        assignment = case["assignment"]
+        length = case["dimension"] if case["per_symbol"] else None
+        rows = phase_window(assignment, case["seed"], case["iteration"], rounds,
+                            private=case["version"] == ALG2, length=length)
+        for row in rows:
+            expected = signed_masks(assignment, row.pairs)
+            assert row.masks.dtype == expected.dtype == np.uint64
+            assert np.array_equal(row.masks, expected)
+        chan = sample_round_channel(assignment.num_clients, case["iteration"], case["seed"])
+        own = round_phases(assignment, chan, case["seed"], private=case["version"] == ALG2,
+                           length=length)
+        assert np.array_equal(own.masks, rows[0].masks)
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("version, dropped", [(ALG1, []), (ALG2, [1, 4])])
+    def test_a_row_with_one_mask_off_by_one_is_refused(self, per_symbol, version, dropped):
+        # The correction comes from the revealed pairs, never from the masks,
+        # so a mask the pairs do not sum to leaves the aggregate off the grid.
+        assignment = assign_subgroups(8, 2, 2, seed=2)
+        chan = sample_round_channel(8, iteration=1, seed=2)
+        kwargs = dict(version=version, seed=2, dropped=dropped, per_symbol=per_symbol)
+        (row,) = phase_window(assignment, 2, 1, 1, private=version == ALG2,
+                              length=3 if per_symbol else None)
+        digits = np.ones((8, 3), dtype=np.int64)
+        cfg = small_cfg(levels=4, clients=8)
+        run_round(digits, assignment, chan, cfg, phases=row, **kwargs)
+        masks = row.masks.copy()
+        masks[5] = (masks[5] + 1) % 2**32
+        with pytest.raises(ResidualMaskError):
+            run_round(digits, assignment, chan, cfg, phases=row._replace(masks=masks), **kwargs)
+
     @settings(max_examples=40, deadline=None)
     @given(assignment=layouts(), seed=seeds, rounds=st.integers(1, 4),
            start=st.integers(0, 2**40))
@@ -135,6 +171,9 @@ class TestWindowValues:
         with pytest.raises(ValueError, match="cross-pair phases"):
             run_round(digits, assignment, chan, cfg, seed=2,
                       phases=row._replace(pairs=row.pairs[:-1]))
+        with pytest.raises(ValueError, match="need 6 clients' masks"):
+            run_round(digits, assignment, chan, cfg, seed=2,
+                      phases=row._replace(masks=row.masks[:-1]))
 
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_refuses_the_next_rounds_row(self, per_symbol):
@@ -167,8 +206,8 @@ def artifacts(history) -> tuple:
 
 
 def words_per_round(config) -> int:
-    """The words of one round's row: its keys times the phase length."""
-    keys = (config.build_assignment().cross_pair_count()
+    """The words of one round's row: its pairs, masks and private phases times the phase length."""
+    keys = (config.build_assignment().cross_pair_count() + config.clients
             + (config.clients if config.protocol_version == ALG2 else 0))
     return keys * (config.dimension if config.per_symbol_masks else 1)
 
@@ -200,12 +239,12 @@ class TestRunArtifactsDoNotDependOnTheWindow:
         config = CONFIGS[request.param]()
         original = protocol.run_iteration
 
-        def per_round(theta, config, datasets, assignment, phases):
+        def per_round(theta, config, datasets, assignment, phases, residual):
             channel = sample_round_channel(config.clients, phases.iteration, config.seed)
             own = round_phases(assignment, channel, config.seed,
                                private=config.protocol_version == ALG2,
                                length=config.phase_length)
-            return original(theta, config, datasets, assignment, own)
+            return original(theta, config, datasets, assignment, own, residual)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "run_iteration", per_round)
@@ -286,7 +325,7 @@ def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
         "protocol_version": "alg1", "quantization": {"clip": 1.0, "levels": 4},
         "rounds": 1, "learning_rate": 0.1, "seed": 3,
     })
-    assert words_per_round(config) == 257 * 257 > fl.WINDOW_WORDS
+    assert words_per_round(config) == 257 * 257 + 514 > fl.WINDOW_WORDS
     rows = []
     original = rng.keyed_turns
 
