@@ -7,7 +7,7 @@ in the aggregate, dropped clients can be corrected for, and the privacy
 and overhead claims are checked statistically and by exact counting.
 """
 
-from . import analysis, channel, codec, config, fl, masking, protocol, rng, turns
+from . import analysis, channel, codec, config, fl, masking, protocol, rng, transcript, turns
 from .analysis import (
     chi_square_uniformity,
     delayed_client_attack,
@@ -48,13 +48,12 @@ from .masking import (
     two_group_from_sides,
 )
 from .protocol import (
-    ClientMessage,
-    RoundTranscript,
     client_message,
     dropout_correction,
     ps_aggregate_and_decode,
     run_iteration,
     run_round,
 )
+from .transcript import ClientMessage, RoundTranscript
 
 __version__ = "0.1.0"

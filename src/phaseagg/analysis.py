@@ -33,7 +33,8 @@ from .codec import QuantizationConfig, demodulate_nearest
 from .config import ALG1, ALG2, check_version
 from .errors import UnderpoweredTestError
 from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
-from .protocol import RoundTranscript, client_message, run_round
+from .protocol import client_message, run_round
+from .transcript import RoundTranscript
 
 ALPHA = 0.01
 MIN_SAMPLES_PER_CELL = 100
@@ -292,7 +293,7 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
     """Check the phase-estimation and recovery counts of transcripts as exact integers.
 
     Each is a `RoundTranscript`, from `run_round` or read back from its line
-    by `protocol.read_transcript_line`.  Two-group mode must measure
+    by `transcript.read_transcript_line`.  Two-group mode must measure
     l*(N-l) estimations per round (the (N/2)^2 of an even split).  Subgroup
     mode must measure (K-1)*L^2 + ceil(m/2)*floor(m/2), where m = N -
     2(K-1)L is the last group's size: `masking.assign_subgroups` adds the

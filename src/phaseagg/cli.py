@@ -24,11 +24,11 @@ the output directory; without one, the config's `output_dir` does, else
 artifacts.
 
 Each line of transcripts.jsonl holds one round in transcript format
-`protocol.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
-which `write_transcripts` streams to the file an array at a time
-(tests/test_golden.py pins the bytes).  `analyze` reads each line back
-through `protocol.read_transcript_line`, the inverse of `to_json_parts`,
-which also upgrades legacy lines.
+`transcript.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
+which `write_transcripts` passes to the file (tests/test_golden.py pins
+the bytes).  `analyze` reads each line back through
+`transcript.read_transcript_line`, the inverse of `to_json_parts`, which
+also upgrades legacy lines.
 
 Every artifact is written to a new file: `_create` removes what the path
 held before.  A command whose artifacts fail a check (`_check`: the
@@ -50,10 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, fl, protocol
+from . import analysis, fl
 from .config import ALG1, ScenarioConfig
 from .errors import CheckFailedError, ConfigValidationError, PhaseAggError, TranscriptFormatError
 from .masking import SUBGROUP, TWO_GROUP
+from .transcript import read_transcript_line
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
                   "recoveries"]
@@ -239,10 +240,10 @@ def write_transcripts(transcripts, path: Path) -> None:
     """Write one compact, key-sorted JSON line per `RoundTranscript`.
 
     A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
-    separators=(",", ":"))`, passed to the file part by part as
-    `RoundTranscript.to_json_parts` renders it, so the whole line is never
-    held in memory.  A line refused partway is cut off again, so the file
-    holds only whole lines.
+    separators=(",", ":"))`, passed to the file as the three parts of
+    `RoundTranscript.to_json_parts`.  A transcript it refuses raises
+    before any byte of its line is made, and a line whose write fails
+    partway is cut off again, so the file holds only whole lines.
     """
     with _create(path, "wb") as handle:
         for t in transcripts:
@@ -371,7 +372,7 @@ def analyze_transcripts(out_dir: Path) -> dict:
     if not path.is_file():
         raise ConfigValidationError([f"no transcripts found at {path}"])
     with path.open("rb") as lines:
-        rows = [protocol.read_transcript_line(line, number)
+        rows = [read_transcript_line(line, number)
                 for number, line in enumerate(lines, start=1) if line.strip()]
     if not rows:
         raise TranscriptFormatError(f"{path} holds no round transcripts")

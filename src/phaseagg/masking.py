@@ -308,7 +308,7 @@ class MaskedSymbols:
     """Symbol vector after rotation; what the aggregator actually sees.
 
     `symbols` is always a uint64 vector of turns: `protocol.client_message`
-    builds it with `apply_mask`, and `protocol.RoundTranscript.messages`
+    builds it with `apply_mask`, and `transcript.RoundTranscript.messages`
     makes it a read-only view of one row of the round's symbol matrix.
     The round, protocol version and mask mode belong to the round's
     transcript, and the rotation direction is the owner's side tag in the

@@ -34,10 +34,10 @@ row of a `masking.phase_window`, and a direct call derives its own
 phase, mask, symbol row and correction is an int or an integer array;
 `per_symbol` is set only by `run_round`'s callers.  `client_message`
 builds one client's message on its own, taking the same `length`; it is
-the reference the rows are tested against.  The transcript keeps the
-read-only matrix and the sender ids; `RoundTranscript.messages` builds
-the `ClientMessage` tuple only when first read, each message its owner
-and a read-only view of its row.
+the reference the rows are tested against.  The round returns a
+`transcript.RoundTranscript`, which keeps the read-only matrix and the
+sender ids; the transcript module holds the format, its writer and its
+reader.
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
@@ -60,17 +60,6 @@ per dropped client, then ``{"kind": "private-phases", "clients": [...],
 "phases": ...}`` once under alg2.  The phases are (k,) scalars or (k, d)
 per-symbol streams, row r answered by the r-th listed client.
 
-`RoundTranscript.to_json_dict` defines the transcript's JSON schema,
-format `TRANSCRIPT_FORMAT`.  A message is its owner and symbols, in
-memory as on a line; the iteration, version and mask mode are the
-transcript's, written once per line, and a message's direction is its
-owner's side tag in the transcript's assignment.
-`RoundTranscript.to_json_parts` yields the same document as compact,
-key-sorted JSON byte parts, one per array, which `compact_json_parts`
-renders: integer arrays with orjson's numpy encoder, imported on first
-use, and float arrays with `json` (orjson writes 1e-05 as 0.00001).
-`read_transcript_line`, the one reader of a written line, is its inverse.
-
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
 derives nothing: `fl.run_training` hands it theta, the stacked datasets,
@@ -84,10 +73,7 @@ module.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,12 +81,7 @@ from . import fl, turns
 from .channel import ChannelMatrix, sample_round_channel
 from .codec import FecConfig, QuantizationConfig, dequantize_mean, decode_sum, modulate
 from .config import ALG1, ALG2, ScenarioConfig, check_version
-from .errors import (
-    RevealSafetyError,
-    ShapeError,
-    TranscriptFormatError,
-    UnrecoverableRoundError,
-)
+from .errors import RevealSafetyError, ShapeError, UnrecoverableRoundError
 from .masking import (
     PER_SYMBOL_MASKS,
     PLUS,
@@ -117,17 +98,8 @@ from .masking import (
     round_phases,
     sample_private_phase,
 )
-
-TRANSCRIPT_FORMAT = 2
-
-
-@dataclass(frozen=True)
-class ClientMessage:
-    """One client's uplink message: its owner and its masked symbols."""
-
-    owner: int
-    masked: MaskedSymbols
-
+# tests/test_golden.py reads the format as `protocol.TRANSCRIPT_FORMAT`.
+from .transcript import TRANSCRIPT_FORMAT, ClientMessage, RoundTranscript  # noqa: F401
 
 def client_message(i: int, digits, assignment: GroupAssignment,
                    channel: ChannelMatrix, version: str, seed: int,
@@ -317,293 +289,6 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     return correction, tuple(reveals)
 
 
-# --- transcript encoding ----------------------------------------------------
-
-def _integer_list_parts(arrays: Sequence, after: Sequence[bytes]) -> Iterator:
-    """Each integer array's JSON list text, then `after[k]`, in order.
-
-    An array's text is `json.dumps(array.tolist(), separators=(",", ":"))`,
-    written by orjson's numpy encoder.  An array that is not
-    one-dimensional or not integer raises ValueError before any part is
-    yielded; a value outside [0, 2**32) raises ValueError when its array
-    is reached, instead of being truncated.
-    """
-    arrays = [np.asarray(a) for a in arrays]
-    if any(a.ndim != 1 for a in arrays):
-        raise ValueError("each row must be a one-dimensional array")
-    kinds = {a.dtype.kind for a in arrays if a.size}
-    if not kinds <= {"i", "u"}:
-        raise ValueError(f"cannot write values of dtype kinds {sorted(kinds)} as integers")
-    import orjson
-
-    for array, tail in zip(arrays, after, strict=True):
-        # Native order and C layout: orjson reads the raw buffer as it finds
-        # it.  A negative value wraps to 2**63 or more here.
-        values = np.ascontiguousarray(array, dtype=np.uint64)
-        if values.size and values.max() >= turns.MODULUS:
-            raise ValueError(
-                f"values must lie in [0, 2**32), got range [{array.min()}, {array.max()}]"
-            )
-        yield orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-        yield tail
-
-
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
-def float_list_json(values) -> bytes:
-    """JSON text of a float vector: `json.dumps(values.tolist(), separators=(",", ":"))`.
-
-    Each distinct float64 bit pattern is rendered once, by `json` itself,
-    and the texts are gathered by index.  A decoded mean is a function of
-    an integer digit sum, so a round's vector holds few distinct values.
-    The key is the bit pattern, never the value, so 0.0 and -0.0 stay apart.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("a float list must be a one-dimensional array")
-    distinct, index = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = _COMPACT.encode(distinct.view(np.float64).tolist())
-    texts = np.array(texts[1:-1].encode().split(b","), dtype=object)
-    return b"[" + b",".join(texts[index].tolist()) + b"]"
-
-
-_SLOT = "\0"
-_SLOT_JSON = json.dumps(_SLOT).encode()
-
-
-def compact_json_parts(obj) -> Iterator:
-    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))` as ASCII byte parts.
-
-    The parts come in document order; joined, they are the dump's bytes.
-    ndarrays anywhere in `obj` are written as JSON lists of their values,
-    a two-dimensional one as a list of its rows: the dump leaves a
-    placeholder string for each one-dimensional array, in document order.
-    `float_list_json` renders each float array first, into the text between
-    two integer arrays, and `_integer_list_parts` renders each integer
-    array as one part.  Every refusal raises while the parts are iterated,
-    so a writer may already hold the earlier parts.
-    """
-    arrays = []
-
-    def slot(value):
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if value.ndim > 1:
-            return list(value)  # the dump passes each row back to this hook
-        arrays.append(value)
-        return _SLOT
-
-    parts = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                       default=slot).encode().split(_SLOT_JSON)
-    if len(parts) != len(arrays) + 1:
-        raise ValueError("a string in the document equals the array placeholder")
-    # glue[k] is the text after the k-th integer array, up to the next one.
-    integers, glue = [], [parts[0]]
-    for array, part in zip(arrays, parts[1:]):
-        if array.dtype.kind == "f":
-            glue[-1] += float_list_json(array) + part
-        else:
-            integers.append(array)
-            glue.append(part)
-    yield glue[0]
-    yield from _integer_list_parts(integers, glue[1:])
-
-
-@dataclass(frozen=True, eq=False)
-class RoundTranscript:
-    """Everything one aggregation round produced, ready to serialize.
-
-    `symbols` is the round's read-only (senders, d) uint64 matrix of masked
-    symbols, row k sent by client `senders[k]`; `aggregate` (int64) and
-    `decoded_mean` (float64) are read-only arrays.  `reveals` holds the
-    dropout correction's reveal records, one per query.  `messages` is
-    built on first access.  Instances compare by identity: their fields
-    hold arrays.
-    """
-
-    iteration: int
-    assignment: GroupAssignment
-    symbols: np.ndarray
-    senders: tuple[int, ...]
-    version: str
-    mask_mode: str
-    dropped: tuple[int, ...]
-    delayed: int | None
-    delayed_discarded: bool | None
-    reveals: tuple
-    counters: dict
-    num_contributors: int
-    aggregate: np.ndarray
-    decoded_mean: np.ndarray
-    codec_metrics: dict
-
-    @cached_property
-    def messages(self) -> tuple[ClientMessage, ...]:
-        """Every sender's `ClientMessage`, in sender order.
-
-        Each message's symbols are a read-only view of its row of `symbols`.
-        """
-        return tuple(ClientMessage(owner=i, masked=MaskedSymbols(symbols=row))
-                     for i, row in zip(self.senders, self.symbols))
-
-    def to_json_dict(self) -> dict:
-        """The transcript's JSON form, the one definition of its schema.
-
-        Every array becomes a (nested) list of Python numbers.
-        """
-        return self._json_dict(np.ndarray.tolist)
-
-    def to_json_parts(self) -> Iterator:
-        """One `transcripts.jsonl` line without its newline, as byte parts.
-
-        Joined, the parts equal `json.dumps(self.to_json_dict(),
-        sort_keys=True, separators=(",", ":"))`; the symbol rows, the
-        revealed phases, the aggregate and the decoded mean stay arrays
-        until `compact_json_parts` renders them.
-        """
-        return compact_json_parts(self._json_dict(np.asarray))
-
-    def to_json_line(self) -> bytes:
-        """`to_json_parts()` joined into one line."""
-        return b"".join(self.to_json_parts())
-
-    def _json_dict(self, array) -> dict:
-        """The schema, with every array field passed through `array`."""
-        return {
-            "transcript_format": TRANSCRIPT_FORMAT,
-            "iteration": self.iteration,
-            "version": self.version,
-            "mask_mode": self.mask_mode,
-            "assignment": self.assignment.to_json_dict(),
-            "messages": [{"owner": i, "symbols": row}
-                         for i, row in zip(self.senders, array(self.symbols))],
-            "dropped": list(self.dropped),
-            "delayed": self.delayed,
-            "delayed_discarded": self.delayed_discarded,
-            "reveals": [dict(r, phases=array(r["phases"])) for r in self.reveals],
-            "counters": dict(self.counters),
-            "num_contributors": self.num_contributors,
-            "aggregate": array(self.aggregate),
-            "decoded_mean": array(self.decoded_mean),
-            "codec_metrics": dict(self.codec_metrics),
-        }
-
-
-# A format-2 line's schema: a tuple holds the JSON types or values a value
-# may have (`_CLIENT`: a client id of the line's assignment), a dict an
-# object's fields, and a one-item list a list's items.
-_CLIENT = object()
-_LINE_SCHEMA = {
-    "transcript_format": (TRANSCRIPT_FORMAT,), "iteration": (int,),
-    "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": [(str,)],
-                   "num_groups": (int,), "subgroup_size": (int, type(None))},
-    "version": (ALG1, ALG2), "mask_mode": (SCALAR_MASKS, PER_SYMBOL_MASKS),
-    "messages": [{"owner": (_CLIENT,), "symbols": (list,)}], "dropped": [(_CLIENT,)],
-    "delayed": (_CLIENT, type(None)), "delayed_discarded": (bool, type(None)),
-    "reveals": [{"kind": ("mask-shares", "private-phases"), "phases": (list,)}],
-    "counters": dict.fromkeys(("phase_estimations", "uplink_messages", "recovery_messages",
-                               "private_phase_reveals"), (int,)),
-    "num_contributors": (int,), "aggregate": (list,), "decoded_mean": [(float,)],
-    "codec_metrics": (dict,)}
-_REVEAL_SCHEMA = {"mask-shares": {"dropped": (_CLIENT,), "revealers": [(_CLIENT,)]},
-                  "private-phases": {"clients": [(_CLIENT,)]}}
-_LEGACY_SCHEMA = {"messages": [{"version": (str,), "mask_mode": (str,)}],
-                  "correction_queries": [{"kind": ("mask-shares", "private-phase"),
-                                          "queried": [(int,)]}],
-                  "revealed_shares": [{"phase": (int, list)}]}
-
-
-def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
-    """One `transcripts.jsonl` line read back: the inverse of `RoundTranscript.to_json_parts`.
-
-    A legacy line (no `transcript_format`; each message repeats the version
-    and mask mode, and `revealed_shares` holds one entry per phase, in query
-    order) is upgraded here and nowhere else.  The arrays are read-only:
-    (senders, d) uint64 `symbols`, uint64 reveal phases, int64 `aggregate`
-    and float64 `decoded_mean`.  Any other line raises TranscriptFormatError
-    naming line `number` and the field.
-    """
-    where = "transcript line" if number is None else f"line {number}"
-    clients = 0  # the assignment's client count, once it is read
-
-    def fail(name, problem):
-        return TranscriptFormatError(f"{where}: {name!r} {problem}")
-
-    def check(value, schema, name):
-        if isinstance(schema, dict):
-            check(value, (dict,), name)
-            for key, inner in schema.items():
-                path = f"{name}.{key}" if name else key
-                if key not in value:
-                    raise fail(path, "is missing")
-                check(value[key], inner, path)
-        elif isinstance(schema, list):
-            check(value, (list,), name)
-            for k, item in enumerate(value):
-                check(item, schema[0], f"{name}[{k}]")
-        elif type(value) not in schema and value not in schema and not (
-                _CLIENT in schema and type(value) is int and 0 <= value < clients):
-            kinds = [f"a client id below {clients}" if t is _CLIENT
-                     else getattr(t, "__name__", repr(t)) for t in schema]
-            raise fail(name, f"must be {' or '.join(kinds)}, got {value!r:.40}")
-
-    def array(value, name, dtype, ndim):
-        try:
-            arr = np.array(value)
-        except ValueError:  # a ragged list
-            arr = np.array(None)
-        # The schema has checked that a float array holds floats only.
-        if arr.ndim != ndim or dtype is not np.float64 and not (arr.dtype.kind in "iu" and (
-                not arr.size or 0 <= arr.min() <= arr.max() < turns.MODULUS)):
-            raise fail(name, f"must be a {ndim}-deep rectangular list of integers in [0, 2**32)")
-        arr = arr.astype(dtype)
-        arr.setflags(write=False)
-        return arr
-
-    try:
-        row = json.loads(line)
-    except ValueError as exc:
-        raise TranscriptFormatError(f"{where} is not JSON: {exc}") from None
-    check(row, (dict,), "line")
-    if "transcript_format" not in row:  # a legacy line
-        check(row, _LEGACY_SCHEMA, "")
-        first = row["messages"][0] if row["messages"] else {}
-        row.update(transcript_format=TRANSCRIPT_FORMAT, version=first.get("version"),
-                   mask_mode=first.get("mask_mode"), reveals=[])
-        phases = iter([entry["phase"] for entry in row.pop("revealed_shares")])
-        for query in row.pop("correction_queries"):
-            asked = query["queried"]
-            record = {"kind": "private-phases", "clients": asked}
-            if query["kind"] == "mask-shares":
-                record = {"kind": "mask-shares", "dropped": query.get("dropped"),
-                          "revealers": asked}
-            row["reveals"].append(dict(record, phases=[next(phases, None) for _ in asked]))
-    check(row, {key: _LINE_SCHEMA[key] for key in ("transcript_format", "assignment")}, "")
-    fields = row["assignment"]
-    try:
-        assignment = GroupAssignment(**dict(fields, group_of=tuple(fields["group_of"]),
-                                            tag_of=tuple(fields["tag_of"])))
-    except (TypeError, ValueError) as exc:  # an unknown field, or a refused layout
-        raise fail("assignment", f"is not a group assignment: {exc}") from None
-    clients = assignment.num_clients
-    check(row, _LINE_SCHEMA, "")
-    for k, record in enumerate(row["reveals"]):
-        check(record, _REVEAL_SCHEMA[record["kind"]], f"reveals[{k}]")
-    ndim = 1 if row["mask_mode"] == SCALAR_MASKS else 2
-    reveals = tuple(dict(r, phases=array(r["phases"], f"reveals[{k}].phases", np.uint64, ndim))
-                    for k, r in enumerate(row["reveals"]))
-    return RoundTranscript(
-        iteration=row["iteration"], assignment=assignment, version=row["version"],
-        mask_mode=row["mask_mode"], senders=tuple(m["owner"] for m in row["messages"]),
-        symbols=array([m["symbols"] for m in row["messages"]], "messages[].symbols", np.uint64, 2),
-        dropped=tuple(row["dropped"]), delayed=row["delayed"],
-        delayed_discarded=row["delayed_discarded"], reveals=reveals, counters=row["counters"],
-        num_contributors=row["num_contributors"], codec_metrics=row["codec_metrics"],
-        aggregate=array(row["aggregate"], "aggregate", np.int64, 1),
-        decoded_mean=array(row["decoded_mean"], "decoded_mean", np.float64, 1))
-
-
 def run_round(digits_by_client, assignment: GroupAssignment,
               channel: ChannelMatrix, cfg: QuantizationConfig, *,
               version: str = ALG1, seed: int, dropped: Iterable[int] = (),
@@ -747,7 +432,6 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         delayed_discarded=delayed_discarded,
         reveals=reveals,
         counters=counters,
-        num_contributors=len(senders),
         aggregate=digit_sums,
         decoded_mean=mean,
         codec_metrics={

@@ -23,7 +23,8 @@ from phaseagg.masking import (
     sample_private_phase,
     two_group_from_sides,
 )
-from phaseagg.protocol import client_message, read_transcript_line, run_round
+from phaseagg.protocol import client_message, run_round
+from phaseagg.transcript import read_transcript_line
 
 
 class TestChiSquare:
@@ -170,7 +171,7 @@ class TestOverhead:
         assert report.recovery_messages_exact
 
     def test_reads_transcripts_without_rendering_symbols(self, monkeypatch):
-        from phaseagg.protocol import RoundTranscript
+        from phaseagg.transcript import RoundTranscript
 
         cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=8)
         assignment = assign_subgroups(8, 2, 2, seed=118)

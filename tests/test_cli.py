@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import analysis, cli, fl, masking, protocol, rng
+from phaseagg import analysis, cli, fl, masking, rng, transcript
 from phaseagg.cli import (
     HISTORY_HEADER,
     analyze_transcripts,
@@ -732,14 +732,17 @@ class TestMain:
         ("messages[].symbols", lambda row: first_symbol(row, 1.5)),
         ("transcript_format", lambda row: row.update(transcript_format=3)),
         ("dropped[0]", lambda row: row.update(dropped=[len(row["assignment"]["group_of"])])),
+        ("decoded_mean[0]", lambda row: row["decoded_mean"].__setitem__(0, float("nan"))),
+        ("num_contributors", lambda row: row.update(num_contributors=99)),
         ("line", None),
     ])
     def test_analyze_names_the_line_and_field_it_refuses(self, tmp_path, capsys, field,
                                                           change):
         """Line 3 of a run's transcripts, with a missing key, a ragged symbol
         matrix, a symbol out of [0, 2**32) or not an integer, an unknown
-        format, a client id equal to the client count, or a JSON value that
-        is not an object."""
+        format, a client id equal to the client count, a `NaN` mean, a
+        contributor count other than the message count, or a JSON value
+        that is not an object."""
         assert main(["run", "--config", "alg2_dropout", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
         path = tmp_path / "transcripts.jsonl"
@@ -751,7 +754,7 @@ class TestMain:
             change(row)
         lines[2] = json.dumps(row)
         with pytest.raises(TranscriptFormatError, match=rf"^line 3: '{re.escape(field)}' "):
-            protocol.read_transcript_line(lines[2], 3)
+            transcript.read_transcript_line(lines[2], 3)
         path.write_text("".join(line + "\n" for line in lines))
         capsys.readouterr()
         assert main(["analyze", "--out", str(tmp_path)]) == 2

@@ -1,7 +1,7 @@
 """The package's modules import downward only.
 
 The layers, lowest first: errors, turns, rng, channel and codec, masking,
-config, protocol, fl, analysis, cli.  A module may import a module of a
+config, transcript, protocol, fl, analysis, cli.  A module may import a module of a
 lower layer only, whether at the top level, inside a function or under
 `TYPE_CHECKING`.  The one upward import left, `protocol -> fl`, is listed
 by kind in `UPWARD`: `protocol.run_iteration` composes a training round
@@ -16,7 +16,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phaseagg"
 
 LAYERS = [("errors",), ("turns",), ("rng",), ("channel", "codec"), ("masking",),
-          ("config",), ("protocol",), ("fl",), ("analysis",), ("cli",)]
+          ("config",), ("transcript",), ("protocol",), ("fl",), ("analysis",), ("cli",)]
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 TOP, FUNCTION, TYPE_CHECKING = "top-level", "function", "TYPE_CHECKING"

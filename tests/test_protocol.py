@@ -25,6 +25,7 @@ from phaseagg.errors import (
     RevealSafetyError,
     SecurityFloorError,
     ShapeError,
+    TranscriptFormatError,
     UnrecoverableRoundError,
 )
 from phaseagg.masking import (
@@ -43,17 +44,17 @@ from phaseagg.masking import (
     two_group_from_sides,
 )
 from phaseagg.protocol import (
-    TRANSCRIPT_FORMAT,
     _audit_reveal_safety,
-    _integer_list_parts,
-    ClientMessage,
     client_message,
-    compact_json_parts,
     dropout_correction,
-    float_list_json,
     ps_aggregate_and_decode,
-    read_transcript_line,
     run_round,
+)
+from phaseagg.transcript import (
+    TRANSCRIPT_FORMAT,
+    ClientMessage,
+    float_list_json,
+    read_transcript_line,
 )
 from test_golden import legacy_reveals, run_golden, write_legacy
 
@@ -565,15 +566,29 @@ class TestTranscriptEncoding:
         assert dump(encoded) == dump(reference)
 
 
-def closed_row_texts(rows) -> list[bytes]:
-    """`_integer_list_parts` of the rows: each row's JSON list text."""
-    text = b"".join(_integer_list_parts(rows, [b"\n"] * len(rows)))
-    return text.split(b"\n")[:-1]
+def canonical_line(transcript) -> bytes:
+    return json.dumps(transcript.to_json_dict(), sort_keys=True,
+                      separators=(",", ":")).encode()
 
 
-def dump_rows(rows) -> list[bytes]:
-    return [json.dumps(np.asarray(r).tolist(), separators=(",", ":")).encode()
-            for r in rows]
+def small_round(**kwargs):
+    """An alg2 round of 8 clients and 10 symbols, client 5 dropped: one record of each kind."""
+    return run_round(np.ones((8, 10), dtype=np.int64), assign_subgroups(8, 2, 2, seed=3),
+                     sample_round_channel(8, iteration=0, seed=3),
+                     small_cfg(levels=4, clients=8), version=ALG2, seed=3, dropped=[5],
+                     **kwargs)
+
+
+def with_arrays(transcript, symbols=None, aggregate=None, shares=None, private=None):
+    """`transcript` with its symbol matrix, aggregate or reveal phases replaced."""
+    first, second = transcript.reveals
+    return dataclasses.replace(
+        transcript,
+        symbols=transcript.symbols if symbols is None else symbols,
+        senders=transcript.senders if symbols is None else tuple(range(len(symbols))),
+        aggregate=transcript.aggregate if aggregate is None else aggregate,
+        reveals=(first if shares is None else dict(first, phases=shares),
+                 second if private is None else dict(second, phases=private)))
 
 
 # 0, one below, at and one above every power of ten, the 10**4 and 10**8
@@ -592,7 +607,8 @@ def integer_arrays(draw):
     top = min(int(np.iinfo(dtype).max), 2**32 - 1)
     matrix = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
                                                      max_side=6),
-                             elements=st.integers(0, top)))
+                             elements=st.one_of(st.integers(0, top), st.sampled_from(
+                                 [v for v in EDGE_VALUES if v <= top]))))
     array = draw(st.sampled_from([
         matrix, matrix.ravel(), matrix.ravel()[::2], matrix.ravel()[::-1],
         matrix[:, ::2], matrix.T, np.asfortranarray(matrix)]))
@@ -602,134 +618,100 @@ def integer_arrays(draw):
     return array
 
 
-# Rows the encoder refuses, with the message each is refused with.
-OUT_OF_RANGE_ROWS = [
+# Arrays the writer refuses, with the message each is refused with.
+BAD_ARRAYS = [
     (np.array([0, 2**32], dtype=np.uint64), r"\[0, 2\*\*32\)"),
     (np.array([2**64 - 1], dtype=np.uint64), r"\[0, 2\*\*32\)"),
     (np.array([2**63], dtype=np.uint64), r"\[0, 2\*\*32\)"),
     (np.array([0, 0, 0, 0, -1], dtype=np.int64), r"\[0, 2\*\*32\)"),
-]
-MALFORMED_ROWS = [
+    (np.array([[0, 0], [0, 2**32]], dtype=np.int64), r"\[0, 2\*\*32\)"),
     (np.array([1.0, 2.0]), "dtype kinds"),
     (np.array([True]), "dtype kinds"),
-    (np.array(5), "one-dimensional"),
-    (np.zeros((2, 2), dtype=np.uint64), "one-dimensional"),
 ]
-
-# Edge values (every decimal length's bounds), each as likely as a uniform draw.
-uint32_values = st.one_of(st.sampled_from(EDGE_VALUES), st.integers(0, 2**32 - 1))
+BAD_IDS = ["2**32", "2**64-1", "2**63", "negative", "2-d", "float", "bool"]
 
 
-class TestIntegerListParts:
-    """The row encoder `_integer_list_parts`, and the streamed lines around it,
-    write what json.dumps writes for the same values."""
+class TestLineRendering:
+    """`RoundTranscript.to_json_parts` writes what json.dumps writes for
+    `to_json_dict()`, whatever the layout of its integer arrays."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(integer_arrays(), max_size=4))
-    def test_any_width_byte_order_and_layout_matches_json_dumps(self, arrays):
-        def doc(array):
-            return {"rows": [{"k": k, "v": array(a)} for k, a in enumerate(arrays)],
-                    "first": [array(a) for a in arrays[:1]]}
+    @given(integer_arrays(), integer_arrays(), integer_arrays(), integer_arrays())
+    def test_any_width_byte_order_and_layout_matches_json_dumps(self, symbols, aggregate,
+                                                                 shares, private):
+        transcript = with_arrays(small_round(), symbols, aggregate, shares, private)
+        assert transcript.to_json_line() == canonical_line(transcript)
 
-        assert b"".join(compact_json_parts(doc(lambda a: a))) == json.dumps(
-            doc(np.ndarray.tolist), sort_keys=True, separators=(",", ":")).encode()
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(st.sampled_from([np.uint64, np.int64]),
                       hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=40),
-                      elements=uint32_values))
-    def test_rows_match_json_dumps(self, matrix):
-        assert closed_row_texts(matrix) == dump_rows(matrix)
-        assert closed_row_texts(list(matrix)) == dump_rows(matrix)
+                      elements=st.one_of(st.sampled_from(EDGE_VALUES),
+                                         st.integers(0, 2**32 - 1))))
+    def test_symbol_matrices_match_json_dumps(self, matrix):
+        transcript = with_arrays(small_round(), symbols=matrix)
+        assert transcript.to_json_line() == canonical_line(transcript)
 
-    @pytest.mark.parametrize("value", EDGE_VALUES)
-    def test_edge_value_alone(self, value):
-        matrix = np.array([[value]], dtype=np.uint64)
-        assert closed_row_texts(matrix) == [f"[{value}]".encode()]
-
-    def test_edge_values_in_one_row(self):
+    def test_edge_values_in_every_integer_array(self):
         row = np.array(EDGE_VALUES, dtype=np.uint64)
-        assert closed_row_texts([row]) == dump_rows([row])
-        assert closed_row_texts([row[::-1], row]) == dump_rows([row[::-1], row])
+        transcript = with_arrays(small_round(), symbols=np.stack([row, row[::-1]]),
+                                 aggregate=row, shares=row[::-1],
+                                 private=np.stack([row] * 3).astype(np.int64))
+        line = transcript.to_json_line()
+        assert line == canonical_line(transcript)
+        assert b"[4294967295,1000000001,1000000000" in line
 
-    def test_signed_and_empty_rows(self):
-        rows = [np.array([], dtype=np.uint64), np.array([7, 0], dtype=np.int64),
-                np.array([], dtype=np.int64), np.array([2**32 - 1], dtype=np.uint64)]
-        assert closed_row_texts(rows) == [b"[]", b"[7,0]", b"[]", b"[4294967295]"]
-        assert closed_row_texts([]) == []
+    @pytest.mark.parametrize("shape", [(0, 10), (3, 0), (0, 0)])
+    def test_empty_arrays(self, shape):
+        empty = np.zeros(shape, dtype=np.int64)
+        transcript = with_arrays(small_round(), symbols=empty, aggregate=np.zeros(0, int),
+                                 shares=np.array([]), private=empty.T)
+        assert transcript.to_json_line() == canonical_line(transcript)
 
-    def test_one_long_row(self):
-        row = np.random.default_rng(5).integers(0, 2**32, size=2**16 + 3, dtype=np.uint64)
-        assert closed_row_texts([row]) == dump_rows([row])
+    def test_one_long_row_and_many_short_rows(self):
+        gen = np.random.default_rng(5)
+        for shape in [(1, 2**16 + 3), (2**14, 3)]:
+            transcript = with_arrays(small_round(), symbols=gen.integers(
+                0, 2**32, size=shape, dtype=np.uint64))
+            assert transcript.to_json_line() == canonical_line(transcript)
 
-    def test_many_short_rows_with_empty_rows_between(self):
-        gen = np.random.default_rng(6)
-        rows = [gen.integers(0, 2**32, size=gen.integers(0, 13), dtype=np.uint64)
-                for _ in range(2**14)]
-        rows[::7] = [np.array([], dtype=np.uint64)] * len(rows[::7])
-        assert closed_row_texts(rows) == dump_rows(rows)
+    @pytest.mark.parametrize("bad, match", BAD_ARRAYS, ids=BAD_IDS)
+    @pytest.mark.parametrize("field", ["symbols", "aggregate", "shares", "private"])
+    def test_every_bad_array_is_refused_before_the_first_part(self, field, bad, match,
+                                                              monkeypatch):
+        transcript = with_arrays(small_round(), **{field: bad})
+        import orjson
 
-    @pytest.mark.parametrize("bad, match", OUT_OF_RANGE_ROWS + MALFORMED_ROWS,
-                             ids=["2**32", "2**64-1", "2**63", "negative",
-                                  "float", "bool", "0-d", "2-d"])
-    def test_a_bad_row_after_good_ones_is_refused(self, bad, match):
-        rows = [np.arange(10, dtype=np.uint64)] * 3 + [bad]
+        monkeypatch.setattr(orjson, "dumps", None)  # no part may be made
         with pytest.raises(ValueError, match=match):
-            closed_row_texts(rows)
+            transcript.to_json_parts()
 
-    @pytest.mark.parametrize("bad, match", MALFORMED_ROWS,
-                             ids=["float", "bool", "0-d", "2-d"])
-    def test_a_malformed_row_is_refused_before_any_part(self, bad, match):
-        parts = _integer_list_parts([np.array([1], dtype=np.uint64), bad], [b"\n"] * 2)
-        with pytest.raises(ValueError, match=match):
-            next(parts)
+    def test_a_line_is_two_orjson_calls_in_at_most_four_parts(self, monkeypatch):
+        import orjson
 
-    @pytest.mark.parametrize("bad, match", OUT_OF_RANGE_ROWS,
-                             ids=["2**32", "2**64-1", "2**63", "negative"])
-    def test_an_out_of_range_row_is_refused_when_it_is_reached(self, bad, match):
-        parts = _integer_list_parts([np.array([1], dtype=np.uint64), bad], [b"\n"] * 2)
-        assert [next(parts), next(parts)] == [b"[1]", b"\n"]
-        with pytest.raises(ValueError, match=match):
-            next(parts)
-
-    def test_compact_json_places_arrays_in_document_order(self):
-        doc = {"b": [np.array([3, 10**9], dtype=np.uint64), {"z": np.array([0])}],
-               "a": np.array([], dtype=np.uint64), "c": "text",
-               "d": np.array([[1, 2], [3, 4]], dtype=np.uint64),
-               "e": np.zeros((0, 3), dtype=np.uint64), "f": np.array([[0.5], [-1.5]])}
-        plain = {"b": [[3, 10**9], {"z": [0]}], "a": [], "c": "text",
-                 "d": [[1, 2], [3, 4]], "e": [], "f": [[0.5], [-1.5]]}
-        assert b"".join(compact_json_parts(doc)) == json.dumps(
-            plain, sort_keys=True, separators=(",", ":")).encode()
+        transcript = small_round(per_symbol=True)
+        calls = []
+        dumps = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        parts = transcript.to_json_parts()
+        assert len(calls) == 2 and len(parts) <= 4
+        assert b"".join(parts) == canonical_line(transcript)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
         st.floats(allow_nan=True, allow_infinity=True),
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 0.1, 1 / 3]))))
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, 1 / 3]))))
     def test_float_lists_match_json_dumps(self, values):
         expected = json.dumps(values, separators=(",", ":")).encode()
         assert float_list_json(np.array(values, dtype=np.float64)) == expected
-        doc = {"m": np.array(values, dtype=np.float64), "s": np.array([1, 2])}
-        assert b"".join(compact_json_parts(doc)) == json.dumps(
-            {"m": values, "s": [1, 2]}, sort_keys=True, separators=(",", ":")).encode()
+        transcript = dataclasses.replace(small_round(),
+                                         decoded_mean=np.array(values, dtype=np.float64))
+        assert transcript.to_json_line() == canonical_line(transcript)
 
     def test_zero_and_negative_zero_stay_apart(self):
         values = [0.0, -0.0, 0.0, -0.0]
         assert float_list_json(np.array(values)) == b"[0.0,-0.0,0.0,-0.0]"
         with pytest.raises(ValueError, match="one-dimensional"):
             float_list_json(np.zeros((2, 2)))
-
-    def test_compact_json_refuses_the_placeholder_string(self):
-        with pytest.raises(ValueError, match="placeholder"):
-            b"".join(compact_json_parts({"a": np.array([1]), "b": "\0"}))
-        with pytest.raises(TypeError):
-            b"".join(compact_json_parts({"a": np.uint64(1)}))
-
-    def test_the_placeholder_after_several_blocks_is_refused(self):
-        doc = {"a": [np.arange(10, dtype=np.uint64)] * 3, "z": "\0"}
-        with pytest.raises(ValueError, match="placeholder"):
-            b"".join(compact_json_parts(doc))
-
 
     def test_a_refused_line_leaves_only_whole_lines(self, tmp_path):
         good = run_round(np.ones((8, 10), dtype=np.int64), assign_subgroups(8, 2, 2, seed=3),
@@ -769,7 +751,7 @@ class TestIntegerListParts:
                                     separators=(",", ":")).encode() + b"\n"
                          for t in transcripts]
 
-    def test_writing_a_wide_round_stays_within_a_few_blocks_of_memory(self, tmp_path):
+    def test_writing_a_wide_round_holds_its_line_once(self, tmp_path):
         n, d = 64, 4096
         cfg = small_cfg(levels=16, clients=n)
         digits = np.random.default_rng(66).integers(0, 16, size=(n, d))
@@ -784,9 +766,11 @@ class TestIntegerListParts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # One pass over the whole round peaked at ~12 MB; a row needs ~50 kB.
-        assert path.stat().st_size > 2_500_000
-        assert peak <= 3 * 2**20
+        # Rendering the round as Python lists peaked at ~12 MB.  orjson grows
+        # its output buffer to at most twice the line and trims it to fit.
+        size = path.stat().st_size
+        assert size > 2_500_000
+        assert peak <= 2 * size
 
 
 class TestRunRound:
@@ -1295,3 +1279,61 @@ class TestReadTranscriptLine:
             write_transcripts(transcripts, tmp_path / "again.jsonl")
             assert (tmp_path / "again.jsonl").read_bytes() == written
 
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_finite_number_is_refused(self, token):
+        line = small_round().to_json_line()
+        row = json.loads(line)
+        row["decoded_mean"][1] = float(token.lower().replace("inity", ""))
+        bad = json.dumps(row)
+        assert token in bad
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: 'decoded_mean\[1\]' must be float, got {token}$"):
+            read_transcript_line(bad, 2)
+        row = json.loads(line)
+        row["counters"]["uplink_messages"] = float("nan")
+        with pytest.raises(TranscriptFormatError, match=r"^line 2: 'counters.uplink_messages' "):
+            read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("field, value", [("iteration", 2**64), ("iteration", -2**63 - 1),
+                                              ("counters.recovery_messages", 10**30)])
+    def test_an_integer_wider_than_64_bits_is_refused(self, field, value):
+        row = json.loads(small_round().to_json_line())
+        fields = row
+        for key in field.split(".")[:-1]:
+            fields = fields[key]
+        fields[field.split(".")[-1]] = value
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: '{field}' must fit in 64 bits, got {value}$"):
+            read_transcript_line(json.dumps(row), 2)
+        fields[field.split(".")[-1]] = value // 2**40  # in range: reads and writes back
+        line = json.dumps(row, sort_keys=True, separators=(",", ":")).encode()
+        assert read_transcript_line(line).to_json_line() == line
+
+    def test_num_contributors_must_count_the_messages(self):
+        row = json.loads(small_round().to_json_line())
+        row["messages"] = row["messages"][:4]
+        row["num_contributors"] = 99
+        with pytest.raises(TranscriptFormatError,
+                           match="^line 7: 'num_contributors' must equal the line's 4 "
+                                 "messages, got 99$"):
+            read_transcript_line(json.dumps(row), 7)
+        row["num_contributors"] = 4
+        assert read_transcript_line(json.dumps(row)).senders == (0, 1, 2, 3)
+
+    def test_codec_metrics_are_the_three_bit_counts(self):
+        row = json.loads(small_round().to_json_line())
+        row["codec_metrics"]["payload_bits"] = 1.5
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^transcript line: 'codec_metrics.payload_bits' must be int"):
+            read_transcript_line(json.dumps(row))
+
+    def test_fields_outside_the_schema_are_dropped(self):
+        line = small_round().to_json_line()
+        row = json.loads(line)
+        for fields in (row, row["counters"], row["codec_metrics"], row["reveals"][0],
+                       row["reveals"][1], row["messages"][0]):
+            fields["note"] = "é 1e-05"
+        row["codec_metrics"]["rate"] = 1e-05
+        back = read_transcript_line(json.dumps(row, ensure_ascii=False))
+        assert back.to_json_line() == line == canonical_line(back)
