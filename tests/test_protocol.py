@@ -660,6 +660,17 @@ class TestLineRendering:
         assert line == canonical_line(transcript)
         assert b"[4294967295,1000000001,1000000000" in line
 
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_value_alone(self, value):
+        one = np.array([value], dtype=np.uint64)
+        transcript = with_arrays(small_round(), symbols=one[:, None], aggregate=one,
+                                 shares=one, private=one[:, None])
+        line = transcript.to_json_line()
+        assert line == canonical_line(transcript)
+        for text in [b'"aggregate":[%d]', b'"symbols":[%d]', b'"phases":[%d]',
+                     b'"phases":[[%d]]']:
+            assert text % value in line
+
     @pytest.mark.parametrize("shape", [(0, 10), (3, 0), (0, 0)])
     def test_empty_arrays(self, shape):
         empty = np.zeros(shape, dtype=np.int64)
