@@ -6,8 +6,8 @@ its sender ids, reveal records, counters and decoded sums;
 first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
 and a `transcripts.jsonl` line is that dict dumped with sorted keys and
 compact separators.  `to_json_parts` renders the same bytes from the arrays
-themselves: one range check per integer array, then one orjson call
-(imported on first use) for the keys on each side of ``"decoded_mean"``,
+themselves: one shape and range check per integer array, then one orjson
+call (imported on first use) for the keys on each side of ``"decoded_mean"``,
 whose text `float_list_json` writes with `json`, since orjson writes some
 floats differently (1e-05 as 0.00001).  Every other value is an ASCII
 string, a bool, None or an integer, which both write alike.
@@ -55,14 +55,13 @@ def float_list_json(values) -> bytes:
     return b"[" + b",".join(texts[index].tolist()) + b"]"
 
 
-def _uint32_values(array) -> np.ndarray:
-    """`array` as a native, C-ordered uint64 array for orjson's numpy encoder.
-
-    An empty array may have any dtype.  Otherwise a dtype that is not an
-    integer one, or a value outside [0, 2**32), raises ValueError.
-    """
+def _uint32_values(array, ndim: int) -> np.ndarray:
+    """`array`, `ndim`-dimensional and of an integer dtype with values in [0, 2**32),
+    as a native, C-ordered uint64 array for orjson's numpy encoder; else ValueError."""
     array = np.asarray(array)
-    if array.size and array.dtype.kind not in "iu":
+    if array.ndim != ndim:
+        raise ValueError(f"an integer array must be {ndim}-dimensional here, got {array.shape}")
+    if array.dtype.kind not in "iu":
         raise ValueError(f"cannot write values of dtype kinds {[array.dtype.kind]} as integers")
     values = np.asarray(array, dtype=np.uint64, order="C")  # a negative value wraps
     if values.size and values.max() >= turns.MODULUS:
@@ -109,15 +108,15 @@ class RoundTranscript:
 
     def to_json_dict(self) -> dict:
         """The transcript's JSON form, the one definition of its schema: arrays as lists."""
-        return dict(self._json_dict(np.ndarray.tolist), decoded_mean=self.decoded_mean.tolist())
+        return dict(self._json_dict(), decoded_mean=self.decoded_mean.tolist())
 
     def to_json_parts(self) -> tuple:
         """One `transcripts.jsonl` line without its newline, as three byte parts.
 
         Joined, they equal `json.dumps(self.to_json_dict(), sort_keys=True,
         separators=(",", ":"))`.  The symbol matrix, the aggregate and each
-        reveal's phases are range-checked in that order before any byte is
-        made; the outer parts are slices of the two orjson outputs.
+        reveal's phases are shape- and range-checked in that order before any
+        byte is made; the outer parts are slices of the two orjson outputs.
         """
         import orjson
 
@@ -132,8 +131,9 @@ class RoundTranscript:
         """`to_json_parts()` joined into one line."""
         return b"".join(self.to_json_parts())
 
-    def _json_dict(self, integers) -> dict:
-        """The schema but `decoded_mean`, with every integer array passed through `integers`."""
+    def _json_dict(self, integers=lambda array, ndim: array.tolist()) -> dict:
+        """The schema but `decoded_mean`; `integers(array, ndim)` renders each integer array."""
+        phases = 1 if self.mask_mode == SCALAR_MASKS else 2
         return {
             "transcript_format": TRANSCRIPT_FORMAT,
             "iteration": self.iteration,
@@ -141,9 +141,9 @@ class RoundTranscript:
             "mask_mode": self.mask_mode,
             "assignment": self.assignment.to_json_dict(),
             "messages": [{"owner": i, "symbols": row}
-                         for i, row in zip(self.senders, integers(self.symbols))],
-            "aggregate": integers(self.aggregate),
-            "reveals": [dict(r, phases=integers(r["phases"])) for r in self.reveals],
+                         for i, row in zip(self.senders, integers(self.symbols, 2))],
+            "aggregate": integers(self.aggregate, 1),
+            "reveals": [dict(r, phases=integers(r["phases"], phases)) for r in self.reveals],
             "dropped": list(self.dropped),
             "delayed": self.delayed,
             "delayed_discarded": self.delayed_discarded,
@@ -193,9 +193,9 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     order) is upgraded here and nowhere else.  The arrays are read-only:
     (senders, d) uint64 `symbols`, uint64 reveal phases, int64 `aggregate`
     and float64 `decoded_mean`.  Fields the schema does not name are
-    dropped.  Any other line, such as one holding `NaN`, `Infinity`, an
-    integer wider than 64 bits or a
-    `num_contributors` other than its message count, raises
+    dropped, but in `assignment`.  Any other line, such as one holding
+    `NaN`, `Infinity`, an integer wider than 64 bits, an empty integer list
+    or a `num_contributors` other than its message count, raises
     TranscriptFormatError naming line `number` and the field.
     """
     where = "transcript line" if number is None else f"line {number}"
@@ -229,13 +229,13 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
 
     def array(value, name, dtype, ndim):
         try:  # a ragged list, or values the writer would refuse, raise ValueError
-            arr = np.array(value)
-            # The schema has checked that a float array holds floats only.
-            arr = arr.astype(dtype) if dtype is np.float64 else _uint32_values(arr).astype(dtype)
+            arr = np.array(value)  # an empty list reads as floats, and is refused
+            # The schema has checked that a float list holds floats only.
+            arr = arr if dtype is np.float64 else _uint32_values(arr, ndim)
         except ValueError:
-            arr = None
-        if arr is None or arr.ndim != ndim:
-            raise fail(name, f"must be a {ndim}-deep rectangular list of integers in [0, 2**32)")
+            raise fail(name, f"must be a {ndim}-deep rectangular list of integers "
+                             "in [0, 2**32)") from None
+        arr = arr.astype(dtype)
         arr.setflags(write=False)
         return arr
 
@@ -257,12 +257,12 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
                 record = {"kind": "mask-shares", "dropped": query.get("dropped"),
                           "revealers": asked}
             row["reveals"].append(dict(record, phases=[next(phases, None) for _ in asked]))
-    fields = check(row, {key: _LINE_SCHEMA[key] for key in ("transcript_format", "assignment")},
-                   "")["assignment"]
+    check(row, {key: _LINE_SCHEMA[key] for key in ("transcript_format", "assignment")}, "")
+    fields = row["assignment"]
     try:
         assignment = GroupAssignment(**dict(fields, group_of=tuple(fields["group_of"]),
                                             tag_of=tuple(fields["tag_of"])))
-    except ValueError as exc:  # a refused layout
+    except (TypeError, ValueError) as exc:  # an unknown field, or a refused layout
         raise fail("assignment", f"is not a group assignment: {exc}") from None
     clients = assignment.num_clients
     known = check(row, _LINE_SCHEMA, "")
