@@ -32,7 +32,7 @@ from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
 from .config import ALG1, ALG2, check_version
 from .errors import UnderpoweredTestError
-from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
+from .masking import MINUS, PLUS, TWO_GROUP, GroupAssignment, apply_mask, assign_two_groups
 from .protocol import client_message, run_round
 from .transcript import RoundTranscript
 
@@ -53,8 +53,8 @@ class UniformityReport:
 
 
 def bin_turns(samples, bins: int) -> np.ndarray:
-    """Equal-arc bin index for each grid value: floor(v * bins / 2**32)."""
-    arr = turns.as_vector(np.asarray(samples).reshape(-1))
+    """Equal-arc bin index for each grid value: floor(v * bins / 2**32), in uint64."""
+    arr = turns.as_vector(np.asarray(samples).reshape(-1)).astype(np.uint64)
     return ((arr * np.uint64(bins)) >> np.uint64(turns.GRID_BITS)).astype(np.int64)
 
 
@@ -220,13 +220,11 @@ def delayed_client_attack(version: str, *,
                                delayed=delayed, naive_remedy=(version == ALG1))
         shares = next(r["phases"] for r in transcript.reveals
                       if r["kind"] == "mask-shares" and r["dropped"] == delayed)
-        rebuilt = turns.total(shares.tolist())
         late = client_message(delayed, digits[delayed], assignment, chan,
                               version, seed, cfg)
-        if assignment.tag_of[delayed] == PLUS:
-            estimate = turns.sub(late.masked.symbols, rebuilt)
-        else:
-            estimate = turns.add(late.masked.symbols, rebuilt)
+        # Undo the rebuilt mask's rotation: the opposite direction to the client's.
+        estimate = apply_mask(late.masked.symbols, turns.total(shares.tolist()),
+                              MINUS if assignment.tag_of[delayed] == PLUS else PLUS)
         recovered = demodulate_nearest(estimate, cfg)
         truth = np.asarray(digits[delayed], dtype=np.int64)
         element_hits += int(np.sum(recovered == truth))
@@ -277,16 +275,7 @@ class OverheadReport:
     failure: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "num_clients": self.num_clients,
-            "rounds": self.rounds,
-            "group_parameters": dict(self.group_parameters),
-            "measured_per_round": self.measured_per_round,
-            "formula_per_round": self.formula_per_round,
-            "exact_match": self.exact_match,
-            "recovery_messages_exact": self.recovery_messages_exact,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "failure"}
 
 
 def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
@@ -385,12 +374,10 @@ def difference_leak_probe(symbols, mask_mode: str, cfg: QuantizationConfig) -> L
                           num_differences=0, on_grid_fraction=0.0,
                           digit_differences_recovered=False,
                           recovered_sample=(), uniformity=None)
-    step = np.uint64(cfg.step)
-    on_grid = int(np.sum(flat % step == 0))
+    on_grid = int(np.sum(flat % cfg.step == 0))
     all_on_grid = on_grid == flat.size
-    sample = tuple(
-        int(d) for d in ((flat[:8] // step) % np.uint64(cfg.modulus))
-    ) if all_on_grid else ()
+    # A difference is below 2**32, so its quotient by the step is below M.
+    sample = tuple(int(d) for d in flat[:8] // cfg.step) if all_on_grid else ()
     uniformity = None
     if not all_on_grid:
         try:

@@ -46,14 +46,14 @@ class ChannelMatrix:
     seed: int
 
     def pair_phases(self, a, b) -> np.ndarray:
-        """Phases of the pairs (a[k], b[k]) as uint64 turns: the one-round `pair_phase_window`."""
+        """Phases of the pairs (a[k], b[k]) as uint32 turns: the one-round `pair_phase_window`."""
         return pair_phase_window(self.num_clients, self.seed, self.iteration, 1, a, b)[0]
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """Read-only dense (N, N) phase table, built on first use."""
+        """Read-only dense (N, N) uint32 phase table, built on first use."""
         n = self.num_clients
-        table = np.zeros((n, n), dtype=np.uint64)
+        table = np.zeros((n, n), dtype=np.uint32)
         i, j = np.triu_indices(n, k=1)
         table[i, j] = table[j, i] = self.pair_phases(i, j)
         table.setflags(write=False)
@@ -75,7 +75,7 @@ def pair_phase_window(num_clients: int, seed: int, start: int, rounds: int,
                       a, b) -> np.ndarray:
     """Phases of the pairs (a[k], b[k]) at `rounds` iterations from `start`.
 
-    A (rounds, pairs) uint64 array in one batch: entry [r, k] is
+    A (rounds, pairs) uint32 array in one batch: entry [r, k] is
     `keyed_turn(seed, CHANNEL_DOMAIN, start + r, min, max)` of pair k.
     Iterations must lie in [0, 2**32).
     """

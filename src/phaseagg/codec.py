@@ -7,8 +7,8 @@ of every client's symbols equals the plain integer digit sum - no
 wraparound - which is what lets the aggregator decode exactly.
 
 Digits and symbols are plain arrays: `quantize` returns the int64 digits,
-and `modulate` the uint64 constellation points of a vector or a whole
-(clients, d) matrix.
+and `modulate` the uint32 constellation points (turns) of a vector or a
+whole (clients, d) matrix.
 
 FEC here is structural bookkeeping: the simulated channel is noiseless,
 so the code must be a lossless inverse pair and its redundancy r only
@@ -140,7 +140,7 @@ def modulate(digits, cfg: QuantizationConfig) -> np.ndarray:
 
     `digits` may be one client's digit vector, a (clients, d) matrix of
     them, or a sequence of rows; every check covers the whole input, and the
-    symbols come back as one fresh uint64 array of the stacked shape.  A
+    symbols come back as one fresh uint32 array of the stacked shape.  A
     sequence of integer arrays is stacked straight into that array; rows of
     unequal length raise ShapeError.
     """
@@ -165,8 +165,9 @@ def modulate(digits, cfg: QuantizationConfig) -> np.ndarray:
     # level count, so one max finds a digit outside [0, levels) at either end.
     if symbols.size and symbols.max() >= cfg.levels:
         raise _range_error(np.asarray(digits), cfg)
-    symbols *= np.uint64(cfg.step)
-    return symbols
+    # A point is below levels * step <= 2**32, so uint32 holds it exactly.
+    return np.multiply(symbols, cfg.step, out=np.empty(symbols.shape, np.uint32),
+                       casting="unsafe")
 
 
 def _range_error(digits: np.ndarray, cfg: QuantizationConfig) -> InvalidDigitError:
@@ -182,24 +183,18 @@ def decode_sum(aggregate, cfg: QuantizationConfig) -> np.ndarray:
     every element; anything else means mask cancellation failed (for
     example an uncorrected dropout) and raises ResidualMaskError.
     """
-    agg = np.asarray(aggregate)
-    if agg.dtype.kind not in "iu":
-        raise TypeError(f"turn vectors must be integral, got dtype {agg.dtype}")
-    agg = agg.astype(np.uint64, copy=False)
+    agg = turns.as_vector(aggregate)
     # The step is a power of two dividing 2**32: its low bits are the
-    # offset from the grid, before or after the sum is reduced mod 2**32.
+    # offset from the grid.
     off = np.count_nonzero(agg & (cfg.step - 1))
     if off:
         raise ResidualMaskError(
             f"{off} aggregate element(s) off the constellation grid; "
             "a mask did not cancel"
         )
-    # The one reduction, after the shift and in place: every sum is below
-    # 2**32, so its uint64 bits are the same int64.
-    shift = cfg.step.bit_length() - 1
-    sums = agg >> shift
-    sums &= turns.MODULUS - 1 >> shift
-    return sums.view(np.int64)
+    sums = agg.astype(np.int64)
+    sums >>= cfg.step.bit_length() - 1
+    return sums
 
 
 def demodulate_nearest(symbols, cfg: QuantizationConfig) -> np.ndarray:
@@ -208,9 +203,8 @@ def demodulate_nearest(symbols, cfg: QuantizationConfig) -> np.ndarray:
     This is the receiver an attacker runs after de-rotating a message: it
     returns values in [0, M), not clamped to the digit range.
     """
-    arr = turns.as_vector(symbols)
-    half = np.uint64(cfg.step // 2)
-    return (((arr + half) // np.uint64(cfg.step)) % np.uint64(cfg.modulus)).astype(np.int64)
+    # A phase past the last point's half-step wraps, as uint32 does, to point 0.
+    return ((turns.as_vector(symbols) + cfg.step // 2) // cfg.step).astype(np.int64)
 
 
 # --- bit-level bookkeeping -------------------------------------------------

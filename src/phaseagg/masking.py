@@ -23,9 +23,10 @@ pairwise symbol differences - measured, not hidden: see
 `analysis.difference_leak_probe`).  The per-symbol mode expands each
 pairwise channel key into a stream of independent per-element masks.
 
-Every phase and mask is a plain value: an int turn, or a uint64 vector of
-`length` turns in per-symbol mode.  Each function takes `length=None` for
-the scalar mode and the symbol count for the per-symbol one.
+Every phase and mask is a plain value: an int turn, or a uint32 vector of
+`length` turns in per-symbol mode, whose sums wrap mod 2**32 unreduced.
+Each function takes `length=None` for the scalar mode and the symbol
+count for the per-symbol one.
 
 A round reads every keyed phase from one `RoundPhases` row: each cross
 pair's channel phase, or per symbol its stream, in the order of
@@ -109,6 +110,11 @@ class GroupAssignment:
             raise ValueError("group and tag labels must cover the same clients")
         if any(tag not in (PLUS, MINUS) for tag in self.tag_of):
             raise ValueError("tags must be '+' or '-'")
+        if self.num_groups < 1:
+            raise ValueError(f"need at least one group, got {self.num_groups}")
+        for g in self.group_of:
+            if not 0 <= g < self.num_groups:
+                raise ValueError(f"group labels must lie in range({self.num_groups}), got {g}")
         for g in range(self.num_groups):
             for tag in (PLUS, MINUS):
                 if not self.side(g, tag):
@@ -307,7 +313,7 @@ def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
 class MaskedSymbols:
     """Symbol vector after rotation; what the aggregator actually sees.
 
-    `symbols` is always a uint64 vector of turns: `protocol.client_message`
+    `symbols` is always a uint32 vector of turns: `protocol.client_message`
     builds it with `apply_mask`, and `transcript.RoundTranscript.messages`
     makes it a read-only view of one row of the round's symbol matrix.
     The round, protocol version and mask mode belong to the round's
@@ -355,17 +361,16 @@ def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
     check_pair_row(assignment, pairs)
     if pairs.ndim == 1:
         return _scatter_masks(assignment, pairs[None])[0]
-    # uint64 wraps mod 2**64, which 2**32 divides, so the masks reduce once at the end.
-    masks = np.zeros((assignment.num_clients, *pairs.shape[1:]), dtype=np.uint64)
+    masks = np.zeros((assignment.num_clients, *pairs.shape[1:]), dtype=np.uint32)
     start = 0
     for plus, minus in assignment.side_index:
         stop = start + plus.size * minus.size
         block = pairs[start:stop].reshape(plus.size, minus.size, -1)
-        masks[plus] = block.sum(axis=1, dtype=np.uint64)
-        masks[minus] = block.sum(axis=0, dtype=np.uint64)
+        masks[plus] = block.sum(axis=1, dtype=np.uint32)
+        masks[minus] = block.sum(axis=0, dtype=np.uint32)
         start = stop
     np.negative(masks, out=masks, where=assignment.minus_mask[:, None])
-    return turns.reduce_in_place(masks)
+    return masks
 
 
 def _scatter_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
@@ -379,11 +384,10 @@ def _scatter_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray
     plus, minus = assignment.cross_pair_index
     rows = np.arange(0, len(pairs) * n, n)[:, None]
     values = pairs.ravel()
-    # uint64 wraps mod 2**64, which 2**32 divides, so the masks reduce once at the end.
-    masks = np.zeros(rows.size * n, dtype=np.uint64)
+    masks = np.zeros(rows.size * n, dtype=np.uint32)
     np.add.at(masks, (rows + plus).ravel(), values)
     np.subtract.at(masks, (rows + minus).ravel(), values)
-    return turns.reduce_in_place(masks).reshape(rows.size, n)
+    return masks.reshape(rows.size, n)
 
 
 def apply_mask(symbols, mask, direction: str) -> np.ndarray:
@@ -416,7 +420,7 @@ def sample_private_phase(i: int, t: int, seed: int, *, length: int | None = None
 def private_phase_window(clients, start: int, rounds: int, seed: int) -> np.ndarray:
     """The clients' scalar private phases at `rounds` iterations from `start`.
 
-    A (rounds, k) uint64 array in one batch: entry [r, c] equals
+    A (rounds, k) uint32 array in one batch: entry [r, c] equals
     `sample_private_phase(clients[c], start + r, seed)`.  Iterations must
     lie in [0, 2**32).
     """
@@ -427,15 +431,15 @@ def private_phase_window(clients, start: int, rounds: int, seed: int) -> np.ndar
 class RoundPhases(NamedTuple):
     """One round's keyed phases, read by every mask, share and correction of it.
 
-    `pairs` holds every cross pair's channel phase in `cross_pair_index`
-    order: (P,) uint64 turns, or (P, length) uint32 streams per symbol.
-    `private` holds every client's private phase indexed by client id,
-    (N,) uint64 or (N, length) uint32, or is None when the round needs
-    none (alg1).  `masks` holds every client's signed group mask, derived
-    from `pairs` and indexed by client id: row i is
-    `signed_masks(assignment, pairs)[i]`, (N,) or (N, length) uint64.  A
-    round adds its senders' masks to their symbols; the dropout correction
-    reads the pairs, never the masks.
+    Every array is uint32 turns.  `pairs` holds every cross pair's channel
+    phase in `cross_pair_index` order: (P,) phases, or (P, length) streams
+    per symbol.  `private` holds every client's private phase indexed by
+    client id, (N,) or (N, length), or is None when the round needs none
+    (alg1).  `masks` holds every client's signed group mask, derived from
+    `pairs` and indexed by client id: row i is
+    `signed_masks(assignment, pairs)[i]`, (N,) or (N, length).  A round
+    adds its senders' masks to their symbols; the dropout correction reads
+    the pairs, never the masks.
     """
 
     iteration: int
@@ -464,7 +468,6 @@ def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int,
         return RoundPhases(t, pairs,
                            private_phase_window(clients, t, 1, seed)[0] if private else None,
                            signed_masks(assignment, pairs))
-    # uint32 holds every stream value and halves the row's memory.
     streams = np.dtype((np.uint32, length))
     pairs = np.fromiter((pair_phase_stream(channel, i, j, length)
                          for i, j in zip(plus.tolist(), minus.tolist())), streams, plus.size)

@@ -19,11 +19,12 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
 
 A round is one matrix sum.  `run_round` checks the drop set and lists
 the senders once, modulates every sender's digits in one (senders, d)
-uint64 matrix and adds each sender's offset to its row in place: its
+uint32 matrix and adds each sender's offset to its row in place: its
 private phase (alg2) plus its group mask, negated on the minus side,
 which it reads from the round's row with one `take`.  The offsets are an
 (senders, 1) column in scalar mode and an (senders, d) array per symbol,
-so broadcasting serves both.  Neither the masks nor the recovery check
+so broadcasting serves both, and uint32 wraps mod 2**32 as the turns
+do.  Neither the masks nor the recovery check
 nor the decode loops over groups: a scalar round takes a fixed number of
 array calls whatever its group count.  The aggregate is the matrix's
 column sum plus the correction.  Every phase and mask of a round comes
@@ -54,7 +55,7 @@ correction the drop set and survivors it has checked and listed.
 `run_round` counts the recovery messages and private-phase reveals from
 the records.
 The reveal log holds one record per query, each naming the clients it
-asked and holding their answers as one read-only uint64 array:
+asked and holding their answers as one read-only uint32 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
 per dropped client, then ``{"kind": "private-phases", "clients": [...],
 "phases": ...}`` once under alg2.  The phases are (k,) scalars or (k, d)
@@ -77,7 +78,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import fl, turns
+from . import fl
 from .channel import ChannelMatrix, sample_round_channel
 from .codec import FecConfig, QuantizationConfig, dequantize_mean, decode_sum, modulate
 from .config import ALG1, ALG2, ScenarioConfig, check_version
@@ -133,8 +134,8 @@ def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: i
                             cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sum received phases, apply the correction, decode: (digit sums, mean).
 
-    `symbols` is a round's (senders, d) uint64 symbol matrix, and
-    `correction` an int or uint64 array in [0, 2**32), as
+    `symbols` is a round's (senders, d) uint32 symbol matrix, and
+    `correction` an int in [0, 2**32) or a uint32 array, as
     `dropout_correction` returns it.  With every mask cancelled the
     per-element phase sum is an exact grid multiple; anything else raises
     ResidualMaskError.  The mean averages the exact integer digit sums over
@@ -142,9 +143,7 @@ def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: i
     """
     if not len(symbols):
         raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    # uint64 wraps mod 2**64, which 2**32 divides; `decode_sum` reduces the
-    # sum, once.
-    agg = symbols.sum(axis=0, dtype=np.uint64)
+    agg = symbols.sum(axis=0, dtype=np.uint32)
     agg += correction
     sums = decode_sum(agg, cfg)
     return sums, dequantize_mean(sums, num_contributors, cfg)
@@ -217,8 +216,8 @@ def _audit_reveal_safety(reveals: Sequence[Mapping],
 
 
 # A minus side's shares enter the correction's signed sum with this sign:
-# -1 mod 2**64, and so mod 2**32.
-_MINUS_ONE = 2**64 - 1
+# -1 mod 2**32.
+_MINUS_ONE = 2**32 - 1
 
 
 def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
@@ -238,7 +237,7 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     one `take` and signed and summed with one product.  The reveals are a
     tuple of records, one per query: the revealers of one dropped client's
     shares, or the survivors whose private phases are asked, with the
-    revealed phases as one read-only uint64 array.  The never-both rule is
+    revealed phases as one read-only uint32 array.  The never-both rule is
     audited on those records.
 
     Called on its own, the function range-checks `dropped` (IndexError
@@ -262,31 +261,28 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
                 positions.append(k)
         signs += [1 if assignment.tag_of[i] == PLUS else _MINUS_ONE] * len(revealers)
         reveals.append({"kind": "mask-shares", "dropped": i, "revealers": revealers})
-    # `take` copies; per-symbol streams are uint32.  Each record's phases
-    # are a view of its stretch of the gathered rows.
-    shares = pairs.take(positions, axis=0).astype(np.uint64, copy=False)
+    # `take` copies; each record's phases view their stretch of its rows.
+    shares = pairs.take(positions, axis=0)
     shares.setflags(write=False)
     start = 0
     for record in reveals:
         record["phases"] = shares[start:start + len(record["revealers"])]
         start += len(record["revealers"])
-    # uint64 products and sums wrap mod 2**64, which 2**32 divides, so the
-    # total is reduced once at the end; () makes a scalar total.
-    total = np.matmul(np.array(signs, dtype=np.uint64), shares,
-                      out=np.empty(pairs.shape[1:], dtype=np.uint64))
+    # () makes a scalar total.
+    total = np.matmul(np.array(signs, dtype=np.uint32), shares,
+                      out=np.empty(pairs.shape[1:], dtype=np.uint32))
 
     if private_phases is not None:
         if len(private_phases) != len(survivors):
             raise ValueError(f"need {len(survivors)} survivors' private phases, "
                              f"got {len(private_phases)}")
-        phases = private_phases.astype(np.uint64, copy=False).view()
+        phases = private_phases.view()
         phases.setflags(write=False)  # on the view: the caller's array stays writable
         reveals.append({"kind": "private-phases", "clients": survivors, "phases": phases})
-        total -= phases.sum(axis=0, dtype=np.uint64)
+        total -= phases.sum(axis=0, dtype=np.uint32)
 
     _audit_reveal_safety(reveals, assignment)
-    correction = turns.reduce(int(total)) if total.ndim == 0 else turns.reduce_in_place(total)
-    return correction, tuple(reveals)
+    return (int(total) if total.ndim == 0 else total), tuple(reveals)
 
 
 def run_round(digits_by_client, assignment: GroupAssignment,
@@ -381,7 +377,6 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         private = phases.private.take(index, axis=0)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
-    turns.reduce_in_place(symbols)
     symbols.setflags(write=False)
 
     # The channel is noiseless, so the FEC code only sets the reported bit

@@ -128,7 +128,7 @@ def _mix(x, y):
 
 
 def keyed_turns(prefix, *columns) -> np.ndarray:
-    """keyed_turn(*prefix, col0[k], col1[k], ...) for every row k, as uint64.
+    """keyed_turn(*prefix, col0[k], col1[k], ...) for every row k, as uint32 turns.
 
     The prefix parts may be any non-negative ints; every column value must
     lie in [0, 2**32) so that it is one entropy word.  All keys then have
@@ -174,7 +174,7 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
     state = pool[0] ^ np.uint32(_INIT_B)
     state *= np.uint32((_INIT_B * _MULT_B) & _MASK32)
     state ^= state >> np.uint32(_XSHIFT)
-    return state.astype(np.uint64)
+    return state
 
 
 def keyed_turns_window(prefix, start: int, rounds: int, *columns) -> np.ndarray:
@@ -201,9 +201,9 @@ def keyed_turns_window(prefix, start: int, rounds: int, *columns) -> np.ndarray:
 
 
 def keyed_turn_vector(length: int, *key: int) -> np.ndarray:
-    """A vector of `length` uniform grid values derived from the key."""
+    """A uint32 vector of `length` uniform grid values derived from the key."""
     ss = np.random.SeedSequence(entropy=_check_key(key))
-    return ss.generate_state(length, np.uint32).astype(np.uint64)
+    return ss.generate_state(length, np.uint32)
 
 
 def keyed_generator(*key: int) -> np.random.Generator:

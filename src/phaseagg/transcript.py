@@ -1,12 +1,13 @@
 """The transcript format: one round's server view as one JSON line.
 
-A `RoundTranscript` keeps the round's read-only (senders, d) symbol matrix,
-its sender ids, reveal records, counters and decoded sums;
+A `RoundTranscript` keeps the round's read-only (senders, d) uint32 symbol
+matrix, its sender ids, reveal records, counters and decoded sums;
 `RoundTranscript.messages` builds the `ClientMessage` views of its rows on
 first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
 and a `transcripts.jsonl` line is that dict dumped with sorted keys and
 compact separators.  `to_json_parts` renders the same bytes from the arrays
-themselves: one shape and range check per integer array, then one orjson
+themselves: one shape check per integer array, and a range check of each
+that is not uint32, then one orjson
 call (imported on first use) for the keys on each side of ``"decoded_mean"``,
 whose text `float_list_json` writes with `json`, since orjson writes some
 floats differently (1e-05 as 0.00001).  Every other value is an ASCII
@@ -57,12 +58,15 @@ def float_list_json(values) -> bytes:
 
 def _uint32_values(array, ndim: int) -> np.ndarray:
     """`array`, `ndim`-dimensional and of an integer dtype with values in [0, 2**32),
-    as a native, C-ordered uint64 array for orjson's numpy encoder; else ValueError."""
+    as a native, C-ordered array for orjson's numpy encoder; else ValueError.
+    Only an array that is not native uint32 needs its range checked, in uint64."""
     array = np.asarray(array)
     if array.ndim != ndim:
         raise ValueError(f"an integer array must be {ndim}-dimensional here, got {array.shape}")
     if array.dtype.kind not in "iu":
         raise ValueError(f"cannot write values of dtype kinds {[array.dtype.kind]} as integers")
+    if array.dtype == np.uint32:
+        return np.ascontiguousarray(array)
     values = np.asarray(array, dtype=np.uint64, order="C")  # a negative value wraps
     if values.size and values.max() >= turns.MODULUS:
         raise ValueError("values must lie in [0, 2**32), "
@@ -74,7 +78,7 @@ def _uint32_values(array, ndim: int) -> np.ndarray:
 class RoundTranscript:
     """Everything one aggregation round produced, ready to serialize.
 
-    `symbols` is the round's read-only (senders, d) uint64 matrix of masked
+    `symbols` is the round's read-only (senders, d) uint32 matrix of masked
     symbols, row k sent by client `senders[k]`; `aggregate` (int64) and
     `decoded_mean` (float64) are read-only arrays, averaged over the
     senders.  `reveals` holds the dropout correction's reveal records, one
@@ -191,11 +195,12 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     A legacy line (no `transcript_format`; each message repeats the version
     and mask mode, and `revealed_shares` holds one entry per phase, in query
     order) is upgraded here and nowhere else.  The arrays are read-only:
-    (senders, d) uint64 `symbols`, uint64 reveal phases, int64 `aggregate`
-    and float64 `decoded_mean`.  Fields the schema does not name are
-    dropped, but in `assignment`.  Any other line, such as one holding
-    `NaN`, `Infinity`, an integer wider than 64 bits, an empty integer list
-    or a `num_contributors` other than its message count, raises
+    (senders, d) uint32 `symbols`, uint32 reveal phases, and d-long int64
+    `aggregate` and float64 `decoded_mean`.  Fields the schema does not
+    name are dropped, but in `assignment`.  Any other line, such as one
+    holding `NaN`, `Infinity`, an integer wider than 64 bits, an empty
+    integer list, a negative iteration, a client listed twice, or a
+    `num_contributors` other than its message count, raises
     TranscriptFormatError naming line `number` and the field.
     """
     where = "transcript line" if number is None else f"line {number}"
@@ -239,6 +244,13 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         arr.setflags(write=False)
         return arr
 
+    def distinct(ids, path):
+        """`ids` as a tuple, refusing a client at its second listing, `path.format(k)`."""
+        if len(set(ids)) < len(ids):
+            k = next(k for k, i in enumerate(ids) if i in ids[:k])
+            raise fail(path.format(k), f"repeats client {ids[k]}")
+        return tuple(ids)
+
     try:
         row = json.loads(line, parse_constant=_Constant)
     except ValueError as exc:
@@ -267,6 +279,8 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     clients = assignment.num_clients
     known = check(row, _LINE_SCHEMA, "")
     del known["transcript_format"]
+    if known["iteration"] < 0:
+        raise fail("iteration", f"must be non-negative, got {known['iteration']}")
     contributors, messages = known.pop("num_contributors"), known.pop("messages")
     if contributors != len(messages):
         raise fail("num_contributors",
@@ -274,11 +288,14 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     ndim = 1 if known["mask_mode"] == SCALAR_MASKS else 2
     reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")
                for k, r in enumerate(row["reveals"])]
+    symbols = array([m["symbols"] for m in messages], "messages[].symbols", np.uint32, 2)
+    for name, dtype in (("aggregate", np.int64), ("decoded_mean", np.float64)):
+        known[name] = array(known[name], name, dtype, 1)
+        if len(known[name]) != symbols.shape[1]:
+            raise fail(name, f"must hold {symbols.shape[1]} values, got {len(known[name])}")
     return RoundTranscript(**dict(
-        known, assignment=assignment, senders=tuple(m["owner"] for m in messages),
-        symbols=array([m["symbols"] for m in messages], "messages[].symbols", np.uint64, 2),
-        dropped=tuple(known["dropped"]),
-        reveals=tuple(dict(r, phases=array(r["phases"], f"reveals[{k}].phases", np.uint64, ndim))
-                      for k, r in enumerate(reveals)),
-        aggregate=array(known["aggregate"], "aggregate", np.int64, 1),
-        decoded_mean=array(known["decoded_mean"], "decoded_mean", np.float64, 1)))
+        known, assignment=assignment, symbols=symbols,
+        senders=distinct([m["owner"] for m in messages], "messages[{}].owner"),
+        dropped=distinct(known["dropped"], "dropped[{}]"),
+        reveals=tuple(dict(r, phases=array(r["phases"], f"reveals[{k}].phases", np.uint32, ndim))
+                      for k, r in enumerate(reveals))))

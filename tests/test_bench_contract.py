@@ -5,7 +5,7 @@ any of them makes the benchmark print no result at all:
 
 * `protocol.run_round`, timed in `wide_vector`, and `protocol.run_iteration`,
   timed inside `phaseagg run` in `small_training`;
-* `ClientMessage.masked.symbols`, the uint64 symbols of each message;
+* `ClientMessage.masked.symbols`, the uint32 symbols of each message;
 * `cli.write_transcripts`, which writes each `wide_vector` round;
 * `cli.main` and `cli.load_config`, which run and load `small_training`;
 * `messages[].symbols` in `transcripts.jsonl`, read back as integer lists.

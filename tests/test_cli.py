@@ -734,6 +734,7 @@ class TestMain:
         ("dropped[0]", lambda row: row.update(dropped=[len(row["assignment"]["group_of"])])),
         ("decoded_mean[0]", lambda row: row["decoded_mean"].__setitem__(0, float("nan"))),
         ("num_contributors", lambda row: row.update(num_contributors=99)),
+        ("assignment", lambda row: row["assignment"]["group_of"].__setitem__(15, 99)),
         ("line", None),
     ])
     def test_analyze_names_the_line_and_field_it_refuses(self, tmp_path, capsys, field,
@@ -741,8 +742,8 @@ class TestMain:
         """Line 3 of a run's transcripts, with a missing key, a ragged symbol
         matrix, a symbol out of [0, 2**32) or not an integer, an unknown
         format, a client id equal to the client count, a `NaN` mean, a
-        contributor count other than the message count, or a JSON value
-        that is not an object."""
+        contributor count other than the message count, a group label
+        outside the group count, or a JSON value that is not an object."""
         assert main(["run", "--config", "alg2_dropout", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
         path = tmp_path / "transcripts.jsonl"

@@ -154,7 +154,7 @@ class TestModulateDecode:
         digits = np.random.default_rng(4).integers(0, 5, size=(6, 7))
         symbols = modulate(digits, cfg)
         assert symbols.shape == (6, 7)
-        assert symbols.dtype == np.uint64
+        assert symbols.dtype == np.uint32
         for row, d in zip(symbols, digits):
             assert np.array_equal(row, modulate(d, cfg))
         before = symbols.copy()
@@ -167,7 +167,7 @@ class TestModulateDecode:
         rows = list(digits)
         rows[2] = rows[2].astype(np.uint8)
         symbols = modulate(rows, cfg)
-        assert symbols.dtype == np.uint64 and symbols.shape == (6, 7)
+        assert symbols.dtype == np.uint32 and symbols.shape == (6, 7)
         assert np.array_equal(symbols, modulate(digits, cfg))
         assert np.array_equal(modulate(tuple(rows), cfg), symbols)
         assert not any(np.shares_memory(symbols, row) for row in rows)
@@ -212,7 +212,7 @@ class TestModulateDecode:
             assert str(err.value) == str(exc)
             return
         symbols = modulate(rows, cfg)
-        assert symbols.dtype == np.uint64
+        assert symbols.dtype == np.uint32
         assert np.array_equal(symbols, expected)
 
     def test_accepts_whole_float_digits(self):

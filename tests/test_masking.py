@@ -9,6 +9,7 @@ from phaseagg.errors import DegenerateGroupError, ShapeError, UnrecoverableRound
 from phaseagg.masking import (
     MINUS,
     PLUS,
+    GroupAssignment,
     apply_mask,
     assign_subgroups,
     compute_group_mask,
@@ -62,6 +63,21 @@ def test_subgroup_mask_stays_inside_own_group():
         comp = assignment.complementary_set(i)
         assert all(assignment.group_of[j] == assignment.group_of[i] for j in comp)
         assert mask == turns.total(get_phase(chan, i, j) for j in comp)
+
+
+@pytest.mark.parametrize("change, problem", [
+    (dict(group_of=(0, 0, 0, 99, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got 99"),
+    (dict(group_of=(0, 0, 0, -1, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got -1"),
+    (dict(num_groups=0), "need at least one group, got 0"),
+])
+def test_a_group_label_outside_the_group_count_is_refused(change, problem):
+    assignment = assign_subgroups(8, 2, 2, seed=3)
+    assert sorted(assignment.group_of) == [0, 0, 0, 0, 1, 1, 1, 1]
+    fields = dict(assignment.to_json_dict(), group_of=assignment.group_of,
+                  tag_of=assignment.tag_of)
+    assert GroupAssignment(**fields) == assignment
+    with pytest.raises(ValueError, match=f"^{problem}$"):
+        GroupAssignment(**dict(fields, **change))
 
 
 def test_degenerate_complementary_set():

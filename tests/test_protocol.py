@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
-from phaseagg.channel import pair_phase_window, sample_round_channel
+from phaseagg.channel import get_phase, pair_phase_stream, pair_phase_window, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
 from phaseagg.cli import write_transcripts
 from phaseagg.config import ALG1, ALG2, check_version
@@ -464,7 +464,7 @@ class TestRoundEngine:
         chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
         length = case["dimension"] if case["per_symbol"] else None
         masks = signed_masks(assignment, channel_pairs(assignment, chan, length))
-        assert masks.dtype == np.uint64
+        assert masks.dtype == np.uint32
         assert masks.shape == ((n, length) if case["per_symbol"] else (n,))
         for i in range(n):
             ref = compute_group_mask(i, assignment, chan, length=length)
@@ -496,7 +496,7 @@ class TestRoundEngine:
         chan = sample_round_channel(8, iteration=9, seed=1)
         batch = round_phases(assignment, chan, 2**40, private=True, length=length).private
         assert batch.shape == ((8, 4) if per_symbol else (8,))
-        assert batch.dtype == (np.uint32 if per_symbol else np.uint64)
+        assert batch.dtype == np.uint32
         for i, phase in enumerate(batch):
             assert np.array_equal(phase, sample_private_phase(i, 9, seed=2**40, length=length))
         assert round_phases(assignment, chan, 1, private=False, length=length).private is None
@@ -1030,6 +1030,67 @@ class TestRevealAuditProperty:
                 _audit_reveal_safety(records, assignment)
 
 
+class TestTurnArrayProperty:
+    """Every turn array a round derives, stores or reads back is uint32, value for value."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(round_cases(), st.data())
+    def test_every_turn_array_is_uint32(self, case, data):
+        assignment = case["assignment"]
+        n, d, seed, t = (assignment.num_clients, case["dimension"], case["seed"],
+                         case["iteration"])
+        length = d if case["per_symbol"] else None
+        chan = sample_round_channel(n, iteration=t, seed=seed)
+        row = round_phases(assignment, chan, seed, private=case["version"] == ALG2,
+                           length=length)
+        # Each value as its per-client definition gives it, as Python ints.
+        plus, minus = assignment.cross_pair_index
+        pairs = [np.asarray(get_phase(chan, a, b) if length is None
+                            else pair_phase_stream(chan, a, b, length)).tolist()
+                 for a, b in zip(plus.tolist(), minus.tolist())]
+        masks = []
+        for i, tag in enumerate(assignment.tag_of):
+            mask = compute_group_mask(i, assignment, chan, length=length)
+            masks.append(np.asarray(turns.sub(0, mask) if tag == MINUS else mask).tolist())
+        private = [np.asarray(sample_private_phase(i, t, seed, length=length)).tolist()
+                   for i in range(n)]
+        assert row.pairs.dtype == np.uint32 and row.pairs.tolist() == pairs
+        assert row.masks.dtype == np.uint32 and row.masks.tolist() == masks
+        if case["version"] == ALG2:
+            assert row.private.dtype == np.uint32 and row.private.tolist() == private
+
+        absent = case["dropped"] + ([case["delayed"]] if case["delayed"] is not None else [])
+        if not _recoverable(assignment, absent):
+            return
+        cfg = small_cfg(levels=4, clients=n)
+        digits = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3)))
+        transcript = run_round(digits, assignment, chan, cfg, version=case["version"],
+                               seed=seed, dropped=case["dropped"], delayed=case["delayed"],
+                               per_symbol=case["per_symbol"],
+                               naive_remedy=case["version"] == ALG1, phases=row)
+        senders = [i for i in range(n) if i not in absent]
+
+        def at(value, k):
+            return value[k] if isinstance(value, list) else value
+
+        extra = private if case["version"] == ALG2 else [0] * n
+        symbols = [[(digit * cfg.step + at(masks[i], k) + at(extra[i], k)) % turns.MODULUS
+                    for k, digit in enumerate(digits[i].tolist())] for i in senders]
+        reveals = [[np.asarray(p).tolist()
+                    for _, p in mask_shares(r["dropped"], senders, assignment, chan,
+                                            length=length)]
+                   if r["kind"] == "mask-shares" else [private[i] for i in r["clients"]]
+                   for r in transcript.reveals]
+        assert [r["kind"] for r in transcript.reveals].count("private-phases") == (
+            case["version"] == ALG2)
+        back = read_transcript_line(transcript.to_json_line())
+        for kept in (transcript, back):
+            assert kept.symbols.dtype == np.uint32 and kept.symbols.tolist() == symbols
+            for record, phases in zip(kept.reveals, reveals, strict=True):
+                assert record["phases"].dtype == np.uint32
+                assert record["phases"].tolist() == phases
+
+
 class TestMatrixRoundProperty:
     """The (senders, d) matrix round equals the per-client definitions."""
 
@@ -1063,7 +1124,7 @@ class TestMatrixRoundProperty:
         back = read_transcript_line(line)
         assert back.to_json_line() == line
         assert back.senders == transcript.senders
-        for name, dtype in (("symbols", np.uint64), ("aggregate", np.int64),
+        for name, dtype in (("symbols", np.uint32), ("aggregate", np.int64),
                             ("decoded_mean", np.float64)):
             array, kept = getattr(back, name), getattr(transcript, name)
             assert array.dtype == dtype and not array.flags.writeable
@@ -1072,7 +1133,7 @@ class TestMatrixRoundProperty:
         assert len(back.reveals) == len(transcript.reveals)
         for record, kept in zip(back.reveals, transcript.reveals):
             assert dict(record, phases=None) == dict(kept, phases=None)
-            assert record["phases"].dtype == np.uint64 and not record["phases"].flags.writeable
+            assert record["phases"].dtype == np.uint32 and not record["phases"].flags.writeable
             assert np.array_equal(record["phases"], kept["phases"])
 
         senders = [i for i in range(n) if i not in absent]
@@ -1098,7 +1159,7 @@ class TestMatrixRoundProperty:
         shares = [r for r in transcript.reveals if r["kind"] == "mask-shares"]
         assert [r["dropped"] for r in shares] == sorted(absent)
         for record in transcript.reveals:
-            assert record["phases"].dtype == np.uint64
+            assert record["phases"].dtype == np.uint32
             assert not record["phases"].flags.writeable
             if record["kind"] == "mask-shares":
                 ref = mask_shares(record["dropped"], senders, assignment, chan,
@@ -1335,7 +1396,7 @@ class TestReadTranscriptLine:
         with pytest.raises(TranscriptFormatError,
                            match=rf"^line 2: '{field}' must fit in 64 bits, got {value}$"):
             read_transcript_line(json.dumps(row), 2)
-        fields[field.split(".")[-1]] = value // 2**40  # in range: reads and writes back
+        fields[field.split(".")[-1]] = abs(value) // 2**40  # in range: reads and writes back
         line = json.dumps(row, sort_keys=True, separators=(",", ":")).encode()
         assert read_transcript_line(line).to_json_line() == line
 
@@ -1362,6 +1423,48 @@ class TestReadTranscriptLine:
         row["assignment"]["ring"] = 1
         with pytest.raises(TranscriptFormatError,
                            match=r"^line 2: 'assignment' is not a group assignment: .*'ring'"):
+            read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("group_of", [0, 0, 0, 99, 1, 1, 1, 1], r"group labels must lie in range\(2\), got 99"),
+        ("group_of", [0, 0, 0, -1, 1, 1, 1, 1], r"group labels must lie in range\(2\), got -1"),
+        ("num_groups", 0, "need at least one group, got 0")])
+    def test_an_assignment_with_a_group_outside_its_count_is_refused(self, field, value,
+                                                                      problem):
+        row = json.loads(small_round().to_json_line())
+        assert sorted(row["assignment"]["group_of"]) == [0, 0, 0, 0, 1, 1, 1, 1]
+        row["assignment"][field] = value
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: 'assignment' is not a group assignment: {problem}$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_a_negative_iteration_is_refused(self):
+        row = json.loads(small_round().to_json_line())
+        row["iteration"] = -1
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'iteration' must be non-negative, got -1$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_two_messages_of_one_owner_are_refused(self):
+        row = json.loads(small_round().to_json_line())
+        row["messages"][3]["owner"] = row["messages"][2]["owner"]
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'messages\[3\].owner' repeats client 2$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_a_client_dropped_twice_is_refused(self):
+        row = json.loads(small_round().to_json_line())
+        row["dropped"] = [5, 5]
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'dropped\[1\]' repeats client 5$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("field", ["aggregate", "decoded_mean"])
+    def test_a_vector_shorter_than_the_symbol_rows_is_refused(self, field):
+        row = json.loads(small_round().to_json_line())
+        row[field].pop()
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: '{field}' must hold 10 values, got 9$"):
             read_transcript_line(json.dumps(row), 2)
 
     @pytest.mark.parametrize("field, empty", [

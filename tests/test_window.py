@@ -81,7 +81,7 @@ class TestWindowValues:
             t = start + r
             assert (row.iteration, row.length) == (t, length)
             if length is None:
-                assert row.pairs.dtype == np.uint64
+                assert row.pairs.dtype == np.uint32
                 assert row.pairs.tolist() == [
                     rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
                     for a, b in pairs]
@@ -93,7 +93,7 @@ class TestWindowValues:
             if not private:
                 assert row.private is None
                 continue
-            assert row.private.dtype == (np.uint64 if length is None else np.uint32)
+            assert row.private.dtype == np.uint32
             assert row.private.tolist() == [
                 np.asarray(sample_private_phase(i, t, seed, length=length)).tolist()
                 for i in range(assignment.num_clients)]
@@ -107,7 +107,7 @@ class TestWindowValues:
                             private=case["version"] == ALG2, length=length)
         for row in rows:
             expected = signed_masks(assignment, row.pairs)
-            assert row.masks.dtype == expected.dtype == np.uint64
+            assert row.masks.dtype == expected.dtype == np.uint32
             assert np.array_equal(row.masks, expected)
         chan = sample_round_channel(assignment.num_clients, case["iteration"], case["seed"])
         own = round_phases(assignment, chan, case["seed"], private=case["version"] == ALG2,
@@ -128,7 +128,7 @@ class TestWindowValues:
         cfg = small_cfg(levels=4, clients=8)
         run_round(digits, assignment, chan, cfg, phases=row, **kwargs)
         masks = row.masks.copy()
-        masks[5] = (masks[5] + 1) % 2**32
+        masks[5] += 1  # uint32 wraps mod 2**32
         with pytest.raises(ResidualMaskError):
             run_round(digits, assignment, chan, cfg, phases=row._replace(masks=masks), **kwargs)
 
