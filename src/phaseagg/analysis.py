@@ -32,7 +32,7 @@ from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
 from .config import ALG1, ALG2, check_version
 from .errors import UnderpoweredTestError
-from .masking import MINUS, PLUS, TWO_GROUP, GroupAssignment, apply_mask, assign_two_groups
+from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
 from .protocol import client_message, run_round
 from .transcript import RoundTranscript
 
@@ -220,11 +220,13 @@ def delayed_client_attack(version: str, *,
                                delayed=delayed, naive_remedy=(version == ALG1))
         shares = next(r["phases"] for r in transcript.reveals
                       if r["kind"] == "mask-shares" and r["dropped"] == delayed)
+        rebuilt = turns.total(shares.tolist())
         late = client_message(delayed, digits[delayed], assignment, chan,
                               version, seed, cfg)
-        # Undo the rebuilt mask's rotation: the opposite direction to the client's.
-        estimate = apply_mask(late.masked.symbols, turns.total(shares.tolist()),
-                              MINUS if assignment.tag_of[delayed] == PLUS else PLUS)
+        if assignment.tag_of[delayed] == PLUS:
+            estimate = turns.sub(late.masked.symbols, rebuilt)
+        else:
+            estimate = turns.add(late.masked.symbols, rebuilt)
         recovered = demodulate_nearest(estimate, cfg)
         truth = np.asarray(digits[delayed], dtype=np.int64)
         element_hits += int(np.sum(recovered == truth))
@@ -275,7 +277,16 @@ class OverheadReport:
     failure: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "failure"}
+        return {
+            "mode": self.mode,
+            "num_clients": self.num_clients,
+            "rounds": self.rounds,
+            "group_parameters": dict(self.group_parameters),
+            "measured_per_round": self.measured_per_round,
+            "formula_per_round": self.formula_per_round,
+            "exact_match": self.exact_match,
+            "recovery_messages_exact": self.recovery_messages_exact,
+        }
 
 
 def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:

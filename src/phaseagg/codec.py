@@ -165,9 +165,10 @@ def modulate(digits, cfg: QuantizationConfig) -> np.ndarray:
     # level count, so one max finds a digit outside [0, levels) at either end.
     if symbols.size and symbols.max() >= cfg.levels:
         raise _range_error(np.asarray(digits), cfg)
-    # A point is below levels * step <= 2**32, so uint32 holds it exactly.
-    return np.multiply(symbols, cfg.step, out=np.empty(symbols.shape, np.uint32),
-                       casting="unsafe")
+    # A checked digit's point is below levels * step <= 2**32: uint32 holds both.
+    points = symbols.astype(np.uint32)
+    points *= np.uint32(cfg.step)
+    return points
 
 
 def _range_error(digits: np.ndarray, cfg: QuantizationConfig) -> InvalidDigitError:

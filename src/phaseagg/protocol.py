@@ -23,8 +23,7 @@ uint32 matrix and adds each sender's offset to its row in place: its
 private phase (alg2) plus its group mask, negated on the minus side,
 which it reads from the round's row with one `take`.  The offsets are an
 (senders, 1) column in scalar mode and an (senders, d) array per symbol,
-so broadcasting serves both, and uint32 wraps mod 2**32 as the turns
-do.  Neither the masks nor the recovery check
+so broadcasting serves both.  Neither the masks nor the recovery check
 nor the decode loops over groups: a scalar round takes a fixed number of
 array calls whatever its group count.  The aggregate is the matrix's
 column sum plus the correction.  Every phase and mask of a round comes

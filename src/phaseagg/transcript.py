@@ -6,12 +6,12 @@ matrix, its sender ids, reveal records, counters and decoded sums;
 first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
 and a `transcripts.jsonl` line is that dict dumped with sorted keys and
 compact separators.  `to_json_parts` renders the same bytes from the arrays
-themselves: one shape check per integer array, and a range check of each
-that is not uint32, then one orjson
-call (imported on first use) for the keys on each side of ``"decoded_mean"``,
-whose text `float_list_json` writes with `json`, since orjson writes some
-floats differently (1e-05 as 0.00001).  Every other value is an ASCII
-string, a bool, None or an integer, which both write alike.
+themselves: one shape check per integer array and a range check of any
+not uint32, then one orjson call (imported on first use) for the keys on
+each side of ``"decoded_mean"``, whose text `float_list_json` writes with
+`json`, since orjson writes some floats differently (1e-05 as 0.00001).
+Every other value is an ASCII string, a bool, None or an integer, which
+both write alike.
 `read_transcript_line`, the one reader of a line, is the writer's inverse.
 """
 

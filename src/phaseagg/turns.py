@@ -52,7 +52,10 @@ def sub(a, b):
 
 def total(values) -> int:
     """Mod-2**32 sum of an iterable of scalar turns."""
-    return sum(int(v) for v in values) & _MASK
+    acc = 0
+    for v in values:
+        acc += int(v)
+    return acc & _MASK
 
 
 def vector_total(vectors) -> np.ndarray:
