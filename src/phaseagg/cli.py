@@ -25,8 +25,8 @@ artifacts.
 
 Each line of transcripts.jsonl holds one round in transcript format
 `transcript.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
-which `write_transcripts` passes to the file (tests/test_golden.py pins
-the bytes).  `analyze` reads each line back through
+which `write_transcripts` passes to the file as they are rendered, a block
+of symbol rows at a time (tests/test_golden.py pins the bytes).  `analyze` reads each line back through
 `transcript.read_transcript_line`, the inverse of `to_json_parts`, which
 also upgrades legacy lines.
 
@@ -240,9 +240,10 @@ def write_transcripts(transcripts, path: Path) -> None:
     """Write one compact, key-sorted JSON line per `RoundTranscript`.
 
     A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
-    separators=(",", ":"))`, passed to the file as the three parts of
-    `RoundTranscript.to_json_parts`.  A transcript it refuses raises
-    before any byte of its line is made, and a line whose write fails
+    separators=(",", ":"))`, passed to the file part by part as
+    `RoundTranscript.to_json_parts` renders them, so no more than one block
+    of symbol rows is held.  A transcript it refuses raises before any
+    byte of its line is made, and a line whose rendering or write fails
     partway is cut off again, so the file holds only whole lines.
     """
     with _create(path, "wb") as handle:

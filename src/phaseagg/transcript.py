@@ -7,17 +7,20 @@ first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
 and a `transcripts.jsonl` line is that dict dumped with sorted keys and
 compact separators.  `to_json_parts` renders the same bytes from the arrays
 themselves: one shape check per integer array and a range check of any
-not uint32, then one orjson call (imported on first use) for the keys on
-each side of ``"decoded_mean"``, whose text `float_list_json` writes with
-`json`, since orjson writes some floats differently (1e-05 as 0.00001).
-Every other value is an ASCII string, a bool, None or an integer, which
-both write alike.
+not uint32, all made by the call, then lazily one orjson call (imported on
+first use) for each block of `_BLOCK` integers of whole symbol rows and
+one for the other keys before ``"decoded_mean"``, between it and
+``"messages"``, and after ``"messages"``.  The mean's text
+`float_list_json` writes with `json`, since orjson writes some floats
+differently (1e-05 as 0.00001).  Every other value is an ASCII string, a
+bool, None or an integer, which both write alike.
 `read_transcript_line`, the one reader of a line, is the writer's inverse.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +32,9 @@ from .errors import TranscriptFormatError
 from .masking import PER_SYMBOL_MASKS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
 TRANSCRIPT_FORMAT = 2
+
+# The integers of symbol rows one orjson call renders: whole rows, at least one.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -114,22 +120,42 @@ class RoundTranscript:
         """The transcript's JSON form, the one definition of its schema: arrays as lists."""
         return dict(self._json_dict(), decoded_mean=self.decoded_mean.tolist())
 
-    def to_json_parts(self) -> tuple:
-        """One `transcripts.jsonl` line without its newline, as three byte parts.
+    def to_json_parts(self) -> Iterator:
+        """One `transcripts.jsonl` line without its newline, as an iterator of byte parts.
 
         Joined, they equal `json.dumps(self.to_json_dict(), sort_keys=True,
         separators=(",", ":"))`.  The symbol matrix, the aggregate and each
-        reveal's phases are shape- and range-checked in that order before any
-        byte is made; the outer parts are slices of the two orjson outputs.
+        reveal's phases are shape- and range-checked in that order by this
+        call, before any part is made; the parts are rendered as they are
+        taken.  The `"messages"` list is rendered `_BLOCK` integers of whole
+        rows at a time, at least one row, one orjson call per block; the
+        plain keys before `"decoded_mean"`, between it and `"messages"`, and
+        after `"messages"` take one orjson call each.
         """
         import orjson
 
         doc = self._json_dict(_uint32_values)
         mean = float_list_json(self.decoded_mean)
+        messages = doc.pop("messages")
+        rows = max(1, _BLOCK // max(1, np.shape(self.symbols)[1]))
         option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
-        head = orjson.dumps({k: v for k, v in doc.items() if k < "decoded_mean"}, option=option)
-        tail = orjson.dumps({k: v for k, v in doc.items() if k > "decoded_mean"}, option=option)
-        return memoryview(head)[:-1], b',"decoded_mean":' + mean + b",", memoryview(tail)[1:]
+
+        def dump(value):
+            return memoryview(orjson.dumps(value, option=option))
+
+        def parts():
+            yield dump({k: v for k, v in doc.items() if k < "decoded_mean"})[:-1]
+            yield b',"decoded_mean":' + mean + b","
+            yield dump({k: v for k, v in doc.items() if "decoded_mean" < k < "messages"})[1:-1]
+            yield b',"messages":['
+            for start in range(0, len(messages), rows):
+                if start:
+                    yield b","
+                yield dump(messages[start:start + rows])[1:-1]
+            yield b"],"
+            yield dump({k: v for k, v in doc.items() if k > "messages"})[1:]
+
+        return parts()
 
     def to_json_line(self) -> bytes:
         """`to_json_parts()` joined into one line."""
@@ -199,9 +225,13 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     `aggregate` and float64 `decoded_mean`.  Fields the schema does not
     name are dropped, but in `assignment`.  Any other line, such as one
     holding `NaN`, `Infinity`, an integer wider than 64 bits, an empty
-    integer list, a negative iteration, a client listed twice, or a
-    `num_contributors` other than its message count, raises
-    TranscriptFormatError naming line `number` and the field.
+    integer list, a negative iteration, a client listed twice, a
+    `num_contributors` other than its message count, a dropped client that
+    sent a message, or a reveal record that does not fit the line's
+    clients, raises TranscriptFormatError naming line `number` and the
+    field.  A record fits when each revealer or private-phases client is a
+    sender, a mask-shares record's dropped client is dropped or delayed,
+    and its phases hold one row per listed client.
     """
     where = "transcript line" if number is None else f"line {number}"
     clients = 0  # the assignment's client count, once it is read
@@ -293,9 +323,25 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         known[name] = array(known[name], name, dtype, 1)
         if len(known[name]) != symbols.shape[1]:
             raise fail(name, f"must hold {symbols.shape[1]} values, got {len(known[name])}")
-    return RoundTranscript(**dict(
-        known, assignment=assignment, symbols=symbols,
-        senders=distinct([m["owner"] for m in messages], "messages[{}].owner"),
-        dropped=distinct(known["dropped"], "dropped[{}]"),
-        reveals=tuple(dict(r, phases=array(r["phases"], f"reveals[{k}].phases", np.uint32, ndim))
-                      for k, r in enumerate(reveals))))
+    senders = distinct([m["owner"] for m in messages], "messages[{}].owner")
+    dropped = distinct(known["dropped"], "dropped[{}]")
+    sent = set(senders)
+    for k, i in enumerate(dropped):
+        if i in sent:
+            raise fail(f"dropped[{k}]", f"names client {i}, who sent a message")
+    records = []
+    for k, r in enumerate(reveals):
+        listed = "revealers" if r["kind"] == "mask-shares" else "clients"
+        for j, i in enumerate(r[listed]):
+            if i not in sent:
+                raise fail(f"reveals[{k}].{listed}[{j}]", f"names client {i}, who sent no message")
+        if listed == "revealers" and r["dropped"] not in dropped + (known["delayed"],):
+            raise fail(f"reveals[{k}].dropped",
+                       f"must be a dropped or the delayed client, got {r['dropped']}")
+        phases = array(r["phases"], f"reveals[{k}].phases", np.uint32, ndim)
+        if len(phases) != len(r[listed]):
+            raise fail(f"reveals[{k}].phases", f"must hold one row per listed {listed[:-1]} "
+                                               f"({len(r[listed])}), got {len(phases)}")
+        records.append(dict(r, phases=phases))
+    return RoundTranscript(**dict(known, assignment=assignment, symbols=symbols,
+                                  senders=senders, dropped=dropped, reveals=tuple(records)))

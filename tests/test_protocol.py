@@ -57,7 +57,7 @@ from phaseagg.transcript import (
     float_list_json,
     read_transcript_line,
 )
-from test_golden import legacy_reveals, run_golden, write_legacy
+from test_golden import legacy_reveals, legacy_row, run_golden, write_legacy
 
 
 def pair_partners(assignment, i) -> tuple:
@@ -714,16 +714,36 @@ class TestLineRendering:
         with pytest.raises(ValueError, match=match):
             transcript.to_json_parts()
 
-    def test_a_line_is_two_orjson_calls_in_at_most_four_parts(self, monkeypatch):
+    # 19 senders of 5,000 symbols, 6 whole rows a block; 7 short rows fit one block.
+    @pytest.mark.parametrize("clients, width, blocks", [(20, 5000, [6, 6, 6, 1]), (8, 10, [7])],
+                             ids=["four-blocks", "one-block"])
+    def test_a_line_is_one_orjson_call_per_block_of_rows(self, monkeypatch, clients, width,
+                                                         blocks):
         import orjson
 
-        transcript = small_round(per_symbol=True)
+        transcript = run_round(np.random.default_rng(67).integers(0, 4, size=(clients, width)),
+                               assign_two_groups(clients, seed=4),
+                               sample_round_channel(clients, iteration=0, seed=4),
+                               small_cfg(levels=4, clients=clients), version=ALG2, seed=4,
+                               dropped=[3])
         calls = []
         dumps = orjson.dumps
-        monkeypatch.setattr(orjson, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k))
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda value, **k: calls.append((value, dumps(value, **k)))
+                            or calls[-1][1])
         parts = transcript.to_json_parts()
-        assert len(calls) == 2 and len(parts) <= 4
+        assert calls == []  # checked now, rendered as the parts are taken
+        parts = [bytes(part) for part in parts]
         assert b"".join(parts) == canonical_line(transcript)
+        rows = [(value, text) for value, text in calls if isinstance(value, list)]
+        assert [len(value) for value, _ in rows] == blocks
+        assert [m["owner"] for value, _ in rows for m in value] == list(transcript.senders)
+        assert [sorted(value) for value, _ in calls if isinstance(value, dict)] == [
+            ["aggregate", "assignment", "codec_metrics", "counters"],
+            ["delayed", "delayed_discarded", "dropped", "iteration", "mask_mode"],
+            ["num_contributors", "reveals", "transcript_format", "version"]]
+        assert len(calls) == len(blocks) + 3
+        assert max(map(len, parts)) <= max(len(text) - 2 for _, text in rows)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
@@ -757,8 +777,9 @@ class TestLineRendering:
             write_transcripts([good, bad], path)
         assert path.read_bytes() == good.to_json_line() + b"\n"
 
-    # Short rows, and rows of 2**15 symbols each.
-    @pytest.mark.parametrize("width", [7, 2**15])
+    # Short rows; rows of 3,000 and 5,000 symbols, 10 and 6 to a block, so
+    # that 12 or 9 senders leave a short last block; and rows longer than a block.
+    @pytest.mark.parametrize("width", [7, 3000, 5000, 2**15 + 5])
     @pytest.mark.parametrize("per_symbol", [False, True])
     @pytest.mark.parametrize("version", [ALG1, ALG2])
     def test_written_file_equals_the_joined_lines(self, tmp_path, width, per_symbol,
@@ -780,8 +801,40 @@ class TestLineRendering:
                                     separators=(",", ":")).encode() + b"\n"
                          for t in transcripts]
 
-    def test_writing_a_wide_round_holds_its_line_once(self, tmp_path):
-        n, d = 64, 4096
+    def test_a_failed_block_leaves_only_the_lines_before_it(self, tmp_path, monkeypatch):
+        import orjson
+
+        transcripts = [run_round(np.random.default_rng(68).integers(0, 4, size=(12, 5000)),
+                                 assign_subgroups(12, 2, 3, seed=8),
+                                 sample_round_channel(12, iteration=t, seed=8),
+                                 small_cfg(levels=4, clients=12), version=ALG2, seed=8)
+                       for t in range(2)]
+        first = transcripts[0].to_json_line() + b"\n"
+        path = tmp_path / "transcripts.jsonl"
+        path.write_bytes(first * 3)  # an older, longer file leaves no trace
+        # Each line is five orjson calls: two key groups, blocks of 6 and 6
+        # rows, then the keys after "messages".  Call 9 is the second line's
+        # second block.
+        calls, sizes = [], []
+        dumps = orjson.dumps
+
+        def failing(value, **kwargs):
+            calls.append(value)
+            if len(calls) == 9:
+                sizes.append(path.stat().st_size)
+                raise MemoryError("no room for this block")
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(orjson, "dumps", failing)
+        with pytest.raises(MemoryError):
+            write_transcripts(transcripts, path)
+        assert [len(block) for block in calls[7:9]] == [6, 6]
+        assert sizes[0] > len(first)  # the second line's first block was written
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("d, limit", [(4096, 3 * 2**19), (16384, 3 * 2**20)])
+    def test_writing_a_wide_round_holds_one_block_at_a_time(self, tmp_path, d, limit):
+        n = 64
         cfg = small_cfg(levels=16, clients=n)
         digits = np.random.default_rng(66).integers(0, 16, size=(n, d))
         transcript = run_round(digits, assign_two_groups(n, seed=9),
@@ -795,12 +848,11 @@ class TestLineRendering:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Rendering the round as Python lists peaked at ~12 MB.  The line is
-        # held once, in orjson's output (2.9 MB), which peaked at ~4.6 MB
-        # while its buffer grew.
-        size = path.stat().st_size
-        assert size > 2_500_000
-        assert peak <= size + 2 * 2**20
+        # Lines of 2.9 and 11.7 MB.  Held whole in orjson's output, they
+        # peaked at 4.55 and 18.2 MB traced; a block of rows at a time, at
+        # 0.66 and 2.06 MB.
+        assert path.stat().st_size > 700 * d
+        assert peak <= limit
 
 
 class TestRunRound:
@@ -1349,6 +1401,7 @@ class TestReadTranscriptLine:
                                  "messages, got 99$"):
             read_transcript_line(json.dumps(row), 7)
         row["num_contributors"] = 4
+        row["reveals"] = []  # the records name senders that are cut
         assert read_transcript_line(json.dumps(row)).senders == (0, 1, 2, 3)
 
     def test_codec_metrics_are_the_three_bit_counts(self):
@@ -1398,6 +1451,66 @@ class TestReadTranscriptLine:
         with pytest.raises(TranscriptFormatError,
                            match=r"^line 2: 'dropped\[1\]' repeats client 5$"):
             read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("edit, field, problem", [
+        (lambda row: row["reveals"][0]["phases"].pop(), "reveals[0].phases",
+         "must hold one row per listed revealer (2), got 1"),
+        (lambda row: row["reveals"][1]["phases"].append(3), "reveals[1].phases",
+         "must hold one row per listed client (7), got 8"),
+        (lambda row: row["reveals"][0]["revealers"].pop(), "reveals[0].phases",
+         "must hold one row per listed revealer (1), got 2")],
+        ids=["row-cut", "row-added", "revealer-cut"])
+    def test_a_reveal_record_holds_one_phase_row_per_listed_client(self, edit, field, problem):
+        row = json.loads(small_round().to_json_line())
+        assert [len(r["phases"]) for r in row["reveals"]] == [2, 7]
+        edit(row)
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: '{re.escape(field)}' {re.escape(problem)}$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("kind, field", [(0, "revealers"), (1, "clients")])
+    def test_a_revealer_or_private_phases_client_must_be_a_sender(self, kind, field):
+        row = json.loads(small_round().to_json_line())
+        row["reveals"][kind][field][1] = 5
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: 'reveals\[{kind}\].{field}\[1\]' names client 5, "
+                                 "who sent no message$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_a_mask_shares_record_is_for_a_dropped_or_delayed_client(self):
+        row = json.loads(small_round().to_json_line())
+        row["reveals"][0]["dropped"] = 2
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'reveals\[0\].dropped' must be a dropped or the "
+                                 "delayed client, got 2$"):
+            read_transcript_line(json.dumps(row), 2)
+        row.update(dropped=[], delayed=5, delayed_discarded=True)  # 2 is still a sender
+        with pytest.raises(TranscriptFormatError, match=r"'reveals\[0\].dropped'"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_dropped_holds_no_sender(self):
+        row = json.loads(small_round().to_json_line())
+        row["dropped"] = [0, 5]
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'dropped\[0\]' names client 0, who sent a message$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("version, naive_remedy", [(ALG1, True), (ALG2, False)])
+    def test_every_line_run_round_writes_reads_back(self, version, naive_remedy, per_symbol):
+        # A dropped and a delayed client, each with a mask-shares record.
+        transcript = run_round(np.ones((8, 10), dtype=np.int64),
+                               assign_subgroups(8, 2, 2, seed=3),
+                               sample_round_channel(8, iteration=0, seed=3),
+                               small_cfg(levels=4, clients=8), version=version, seed=3,
+                               dropped=[5], delayed=2, naive_remedy=naive_remedy,
+                               per_symbol=per_symbol)
+        assert [(r["kind"], r.get("dropped")) for r in transcript.reveals][:2] == [
+            ("mask-shares", 2), ("mask-shares", 5)]
+        line = transcript.to_json_line()
+        legacy = json.dumps(legacy_row(json.loads(line)))
+        for text in (line, legacy):
+            assert read_transcript_line(text).to_json_line() == line
 
     @pytest.mark.parametrize("field", ["aggregate", "decoded_mean"])
     def test_a_vector_shorter_than_the_symbol_rows_is_refused(self, field):
