@@ -10,15 +10,18 @@ Subcommands:
 * ``analyze`` - re-run the overhead analysis on existing transcripts;
                 writes analysis.json and leaves the run's report.json alone
 
-Configs are strict JSON, and every violated constraint is reported at
-once (exit 1), because a silently ignored typo in a security parameter is
-worse than a loud failure.  `parse_config` checks only the JSON's shape
-and builds a `config.ScenarioConfig`; each value rule has one owner
-(`ScenarioConfig`, `masking.check_layout`, `QuantizationConfig`,
-`FecConfig`, `config.check_version`), and the config collects what they
-refuse.  `run --jobs` below 1 exits 1 before any work; above 1, every
-seed runs, each failed one prints one ``error: seed <s> (<dir>): ...``
-line in seed order, and any failure exits 2.  An explicit `--out` picks
+Configs are strict JSON, and a refused config exits 1 listing every
+violation, because a silently ignored typo in a security parameter is
+worse than a loud failure.  `parse_config` checks only the JSON's shape,
+with `config.walk`, the walker the transcript reader uses too; only a
+config whose shape holds is built into a `config.ScenarioConfig`.  Each
+value rule has one owner (`ScenarioConfig`, `masking.check_layout`,
+`QuantizationConfig`, `FecConfig`, `config.check_version`), and the
+config collects what they refuse.  So a config's shape violations are
+listed first, and its value violations only once its shape holds.
+`run --jobs` below 1 exits 1 before any work; above 1, every seed runs,
+each failed one prints one ``error: seed <s> (<dir>): ...`` line in seed
+order, and any failure exits 2.  An explicit `--out` picks
 the output directory; without one, the config's `output_dir` does, else
 ``out``.  Identical config and seed always produce byte-identical
 artifacts.
@@ -51,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fl
-from .config import ALG1, ScenarioConfig
+from .config import ALG1, ScenarioConfig, walk
 from .errors import CheckFailedError, ConfigValidationError, PhaseAggError, TranscriptFormatError
 from .masking import SUBGROUP, TWO_GROUP
 from .transcript import read_transcript_line
@@ -59,135 +62,82 @@ from .transcript import read_transcript_line
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
                   "recoveries"]
 
-_TOP_KEYS = {
-    "name", "clients", "dimension", "samples_per_client", "grouping",
-    "protocol_version", "quantization", "modulation", "fec", "dropout",
-    "delayed_client", "rounds", "learning_rate", "seed", "per_symbol_masks",
-    "loss_threshold", "compare_baseline", "output_dir",
+# A config's JSON types, as `config.walk` reads them.  `grouping`'s counts
+# are read only in subgroup mode and `fec.repeat` only under the 'repetition'
+# scheme; `dropout.fixed`, which maps each round index to a list of client
+# ids, is read after the walk.
+_SCHEMA = {
+    "name": (str,), "clients": (int,), "dimension": (int,), "samples_per_client": (int,),
+    "grouping": {"mode": (str,), "groups": (int,), "subgroup_size": (int,)},
+    "protocol_version": (str,), "quantization": {"clip": (int, float), "levels": (int,)},
+    "modulation": ("auto", int), "fec": {"scheme": (str,), "repeat": (int,)},
+    "dropout": {"probability": (int, float), "fixed": (dict,)},
+    "delayed_client": (int, type(None)), "rounds": (int,), "learning_rate": (int, float),
+    "seed": (int,), "per_symbol_masks": (bool,), "loss_threshold": (int, float, type(None)),
+    "compare_baseline": (bool,), "output_dir": (str, type(None)),
 }
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_KINDS = {
-    "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
-    "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
+# The defaults of the keys and section fields a config may leave out.
+_OPTIONAL = {
+    "name": "scenario", "grouping": {"mode": TWO_GROUP}, "protocol_version": ALG1,
+    "quantization": {"clip": 1.0, "levels": 16}, "modulation": "auto",
+    "fec": {"scheme": "none", "repeat": 3}, "dropout": {"probability": 0.0, "fixed": {}},
+    "delayed_client": None, "per_symbol_masks": False, "loss_threshold": None,
+    "compare_baseline": False, "output_dir": None,
 }
-_SECTION_KEYS = {
-    "grouping": {"mode", "groups", "subgroup_size"},
-    "quantization": {"clip", "levels"},
-    "fec": {"scheme", "repeat"},
-    "dropout": {"probability", "fixed"},
-}
-_REQUIRED = object()
 
 
 def parse_config(data: dict) -> ScenarioConfig:
     """Read a config's JSON into a ScenarioConfig, reporting every violation at once.
 
     The parser checks only the JSON's shape: a root object, no unknown key
-    at any level, each value's type, the defaults, and `fec.repeat` only
-    under the 'repetition' scheme.  Every value rule is checked where it
-    lives, by `ScenarioConfig` and the objects it builds; a mistyped value
-    gets a placeholder so those rules still run, and their violations join
-    the parser's in one ConfigValidationError.
+    at any level, each value's type as `config.walk` reads `_SCHEMA`, the
+    defaults of `_OPTIONAL`, `fec.repeat` only under the 'repetition'
+    scheme, and, once the rest holds, the `dropout.fixed` map, in which
+    "1" and "01" name one round.  A config whose shape holds is
+    built into a ScenarioConfig, which checks every value rule where it
+    lives.  So a config is refused with every shape violation, or else
+    with every value violation, in one ConfigValidationError.
     """
     if not isinstance(data, dict):
         raise ConfigValidationError(["config root must be a JSON object"])
-    bad = [f"unknown key {key!r}" for key in sorted(set(data) - _TOP_KEYS)]
-
-    def section(key):
-        value = data.get(key, {})
-        if not isinstance(value, dict):
-            bad.append(f"{key!r} must be an object")
-            return {}
-        bad.extend(f"unknown {key} key {k!r}" for k in sorted(set(value) - _SECTION_KEYS[key]))
-        return value
-
-    def read(where, label, kind, default=_REQUIRED, placeholder=None):
-        """`where`'s value for `label`'s last part, or a placeholder if misshapen.
-
-        The placeholder is the default, if any.  A default of None allows null.
-        """
-        value = where.get(label.rpartition(".")[2], default)
-        if value is _REQUIRED:
-            bad.append(f"{label!r} is required")
-        elif value is None and default is None:
-            return None
-        elif not _KINDS[kind](value):
-            bad.append(f"{label!r} must be {kind}, got {value!r}")
-        elif kind != "a number":
-            return value
-        else:
-            try:
-                return float(value)
-            except OverflowError:
-                bad.append(f"{label!r} is too large for a float")
-        return default if placeholder is None else placeholder
-
-    grouping, quant, fec, dropout = (section(key) for key in _SECTION_KEYS)
-    mode = read(grouping, "grouping.mode", "a string", TWO_GROUP)
-    groups = subgroup_size = None
-    if mode == SUBGROUP:
-        groups = read(grouping, "grouping.groups", "an integer", placeholder=1)
-        subgroup_size = read(grouping, "grouping.subgroup_size", "an integer", placeholder=2)
-    modulation = data.get("modulation", "auto")
-    if modulation != "auto" and not _is_int(modulation):
-        bad.append(f"'modulation' must be 'auto' or an integer, got {modulation!r}")
-        modulation = "auto"
-    fec_scheme = read(fec, "fec.scheme", "a string", "none")
-    fec_repeat = 1
-    if fec_scheme == "repetition":
-        fec_repeat = read(fec, "fec.repeat", "an integer", 3)
-    elif "repeat" in fec:
-        bad.append("'fec.repeat' is allowed only under the 'repetition' scheme")
+    bad = [f"unknown key {key!r}" for key in sorted(set(data) - set(_SCHEMA))]
+    grouping, fec = (value if isinstance(value := data.get(key), dict) else {}
+                     for key in ("grouping", "fec"))
+    data, schema = {**_OPTIONAL, **data}, dict(_SCHEMA)
+    if grouping.get("mode") != SUBGROUP:
+        schema["grouping"] = {"mode": (str,)}
+    if fec.get("scheme") != "repetition":
+        schema["fec"] = {"scheme": (str,)}
+        if "repeat" in fec:
+            bad.append("'fec.repeat' is allowed only under the 'repetition' scheme")
+    for key, fields in _SCHEMA.items():
+        if isinstance(fields, dict) and isinstance(data[key], dict):
+            bad.extend(f"unknown {key} key {k!r}" for k in sorted(set(data[key]) - set(fields)))
+            data[key] = {**_OPTIONAL[key], **data[key]}
+    known = walk(data, schema, "", bad)
     fixed = []
-    fixed_raw = dropout.get("fixed", {})
-    if not isinstance(fixed_raw, dict):
-        bad.append("'dropout.fixed' must map round index to client ids")
-        fixed_raw = {}
-    for round_key, ids in sorted(fixed_raw.items()):
+    for round_key, ids in [] if bad else sorted(known["dropout"]["fixed"].items()):
         try:
             round_index = int(round_key)
         except (TypeError, ValueError):
             bad.append(f"dropout round key {round_key!r} is not an integer")
             continue
-        if not isinstance(ids, list) or not all(_is_int(i) for i in ids):
+        if type(ids) is not list or any(type(i) is not int for i in ids):
             bad.append(f"dropout ids for round {round_index} must be a list of ints")
             continue
         fixed.append((round_index, tuple(sorted(set(ids)))))
-
-    try:
-        config = ScenarioConfig(
-            name=read(data, "name", "a string", "scenario"),
-            clients=read(data, "clients", "an integer", placeholder=4),
-            dimension=read(data, "dimension", "an integer", placeholder=1),
-            samples_per_client=read(data, "samples_per_client", "an integer", placeholder=1),
-            grouping_mode=mode, groups=groups, subgroup_size=subgroup_size,
-            protocol_version=read(data, "protocol_version", "a string", ALG1),
-            clip=read(quant, "quantization.clip", "a number", 1.0),
-            levels=read(quant, "quantization.levels", "an integer", 16),
-            modulation=modulation, fec_scheme=fec_scheme, fec_repeat=fec_repeat,
-            dropout_probability=read(dropout, "dropout.probability", "a number", 0.0),
-            dropout_fixed=tuple(fixed),
-            delayed_client=read(data, "delayed_client", "an integer", None),
-            rounds=read(data, "rounds", "an integer", placeholder=1),
-            learning_rate=read(data, "learning_rate", "a number", placeholder=1.0),
-            seed=read(data, "seed", "an integer", placeholder=0),
-            per_symbol_masks=read(data, "per_symbol_masks", "a boolean", False),
-            loss_threshold=read(data, "loss_threshold", "a number", None),
-            compare_baseline=read(data, "compare_baseline", "a boolean", False),
-            output_dir=read(data, "output_dir", "a string", None),
-        )
-    except ConfigValidationError as exc:
-        bad.extend(exc.violations)
     if bad:
         raise ConfigValidationError(bad)
-    return config
+    grouping, quant, fec, dropout = (known.pop(key) for key in
+                                     ("grouping", "quantization", "fec", "dropout"))
+    rate, threshold = known.pop("learning_rate"), known.pop("loss_threshold")
+    return ScenarioConfig(
+        **known, learning_rate=float(rate),
+        loss_threshold=None if threshold is None else float(threshold),
+        grouping_mode=grouping["mode"], groups=grouping.get("groups"),
+        subgroup_size=grouping.get("subgroup_size"), clip=float(quant["clip"]),
+        levels=quant["levels"], fec_scheme=fec["scheme"], fec_repeat=fec.get("repeat", 1),
+        dropout_probability=float(dropout["probability"]), dropout_fixed=tuple(fixed))
 
 
 def load_config(spec: str, seed_override: int | None = None) -> ScenarioConfig:

@@ -1,16 +1,19 @@
-"""A scenario's parameters, checked once: `ScenarioConfig`.
+"""A scenario's parameters, checked once: `ScenarioConfig`, and `walk`, the JSON shape check.
 
 A config is valid by construction.  `ScenarioConfig` checks the rules no
 domain object holds and collects every other refusal from the rule's
 owner: `masking.check_layout` for the grouping, `QuantizationConfig` and
 `FecConfig` for the codec, and `check_version` here for the protocol
 version, whose names (`ALG1`, `ALG2`) live here too.  `cli.parse_config`
-reads a config's JSON into one; `protocol.run_iteration` and
-`fl.run_training` read it.
+reads a config's JSON into one, once `walk` finds its shape sound;
+`protocol.run_iteration` and `fl.run_training` read it.  `walk` is the one
+schema walker of the package's JSON inputs: `transcript.read_transcript_line`
+reads a transcript line with it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,39 @@ ALG1 = "alg1"
 ALG2 = "alg2"
 
 
+def walk(value, schema, name: str, bad: list):
+    """`value` as `schema` admits it, each object holding only the fields named.
+
+    A tuple lists the types a value may have, matched exactly (a bool is not
+    an int), and the values it may be, each matching only a value of its own
+    type; a dict names an object's fields, each required; a one-item list
+    gives a list's items.  An integer must fit in 64 bits.  Each violation
+    is appended to `bad` as its path, `name` and the keys and indices below
+    it, and the problem: ``'a.b[2]' must be int, got 'x'`` or ``'a.c' is
+    missing``.  A value that violates its schema is returned as it is.
+    """
+    kinds = {dict: (dict,), list: (list,)}.get(type(schema), schema)
+    if type(value) is int and not -2**63 <= value < 2**64:  # orjson writes no wider one
+        bad.append(f"{name!r} must fit in 64 bits, got {value!r:.40}")
+        return value
+    if type(value) not in kinds and not any(type(k) is type(value) and k == value for k in kinds):
+        kinds = " or ".join(getattr(k, "__name__", repr(k)) for k in kinds)
+        bad.append(f"{name!r} must be {kinds}, got {value!r:.40}")
+        return value
+    if isinstance(schema, list):
+        return [walk(item, schema[0], f"{name}[{k}]", bad) for k, item in enumerate(value)]
+    if not isinstance(schema, dict):
+        return value
+    fields = {}
+    for key, inner in schema.items():
+        path = f"{name}.{key}" if name else key
+        if key in value:
+            fields[key] = walk(value[key], inner, path, bad)
+        else:
+            bad.append(f"{path!r} is missing")
+    return fields
+
+
 def check_version(version: str) -> None:
     if version not in (ALG1, ALG2):
         raise ValueError(f"unknown protocol version {version!r}")
@@ -42,9 +78,10 @@ class ScenarioConfig:
     Construction, `dataclasses.replace` included, raises one
     ConfigValidationError listing every violation.  The rules no domain
     object holds are checked here: `dimension`, `samples_per_client` and
-    `rounds` >= 1, `seed` >= 0, `learning_rate` > 0, a dropout probability
-    in [0, 1], fixed dropout rounds and ids in range, `delayed_client` in
-    range, and dropouts only under alg2.  Every other rule is collected from
+    `rounds` >= 1, `seed` >= 0, `learning_rate` positive and finite,
+    `loss_threshold` finite or None, a dropout probability in [0, 1],
+    fixed dropout rounds and ids in range, `delayed_client` in range, and
+    dropouts only under alg2.  Every other rule is collected from
     its owner: `masking.check_layout` (grouping), `QuantizationConfig`
     (clip, levels, PSK order), `FecConfig` and `check_version`.  The codec
     configs are built once, here, and `quantization()` and `fec_config()`
@@ -85,8 +122,10 @@ class ScenarioConfig:
                for key, low in (("dimension", 1), ("samples_per_client", 1),
                                 ("rounds", 1), ("seed", 0))
                if getattr(self, key) < low]
-        if not self.learning_rate > 0:
-            bad.append(f"'learning_rate' must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            bad.append(f"'learning_rate' must be positive and finite, got {self.learning_rate}")
+        if self.loss_threshold is not None and not math.isfinite(self.loss_threshold):
+            bad.append(f"'loss_threshold' must be finite or null, got {self.loss_threshold}")
         if not 0 <= self.dropout_probability <= 1:
             bad.append(f"dropout probability must be in [0, 1], got {self.dropout_probability}")
         by_round: dict[int, set[int]] = {}

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import turns
-from .config import ALG1, ALG2
+from .config import ALG1, ALG2, walk
 from .errors import TranscriptFormatError
 from .masking import PER_SYMBOL_MASKS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
@@ -183,17 +183,16 @@ class RoundTranscript:
         }
 
 
-# A format-2 line's schema: a tuple holds the JSON types or values a value
-# may have (`_CLIENT`: a client id of the line's assignment), a dict an
-# object's fields, and a one-item list a list's items.
-_CLIENT = object()
+# A format-2 line's schema, as `config.walk` reads one: a tuple holds the
+# JSON types or values a value may have, a dict an object's fields, and a
+# one-item list a list's items.
 _LINE_SCHEMA = {
     "transcript_format": (TRANSCRIPT_FORMAT,), "iteration": (int,),
     "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": [(str,)],
                    "num_groups": (int,), "subgroup_size": (int, type(None))},
     "version": (ALG1, ALG2), "mask_mode": (SCALAR_MASKS, PER_SYMBOL_MASKS),
-    "messages": [{"owner": (_CLIENT,), "symbols": (list,)}], "dropped": [(_CLIENT,)],
-    "delayed": (_CLIENT, type(None)), "delayed_discarded": (bool, type(None)),
+    "messages": [{"owner": (int,), "symbols": (list,)}], "dropped": [(int,)],
+    "delayed": (int, type(None)), "delayed_discarded": (bool, type(None)),
     "reveals": [{"kind": ("mask-shares", "private-phases")}],
     "counters": dict.fromkeys(("phase_estimations", "uplink_messages", "recovery_messages",
                                "private_phase_reveals"), (int,)),
@@ -201,8 +200,8 @@ _LINE_SCHEMA = {
     "codec_metrics": dict.fromkeys(("payload_bits", "redundancy_bits", "symbols_per_message"),
                                    (int,))}
 _REVEAL_SCHEMA = {kind: dict(fields, kind=(kind,), phases=(list,)) for kind, fields in {
-    "mask-shares": {"dropped": (_CLIENT,), "revealers": [(_CLIENT,)]},
-    "private-phases": {"clients": [(_CLIENT,)]}}.items()}
+    "mask-shares": {"dropped": (int,), "revealers": [(int,)]},
+    "private-phases": {"clients": [(int,)]}}.items()}
 _LEGACY_SCHEMA = {"messages": [{"version": (str,), "mask_mode": (str,)}],
                   "correction_queries": [{"kind": ("mask-shares", "private-phase"),
                                           "queried": [(int,)]}],
@@ -224,43 +223,30 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     (senders, d) uint32 `symbols`, uint32 reveal phases, and d-long int64
     `aggregate` and float64 `decoded_mean`.  Fields the schema does not
     name are dropped, but in `assignment`.  Any other line, such as one
-    holding `NaN`, `Infinity`, an integer wider than 64 bits, an empty
-    integer list, a negative iteration, a client listed twice, a
+    holding `NaN`, `Infinity` or a number that reads as infinite (1e999),
+    an integer wider than 64 bits, an empty integer list, a negative
+    iteration, a client id outside the assignment, a client listed twice, a
     `num_contributors` other than its message count, a dropped client that
     sent a message, or a reveal record that does not fit the line's
     clients, raises TranscriptFormatError naming line `number` and the
-    field.  A record fits when each revealer or private-phases client is a
-    sender, a mask-shares record's dropped client is dropped or delayed,
-    and its phases hold one row per listed client.
+    field: the first violation `config.walk` finds, else the first of the
+    checks that follow the walk.  A record fits when each revealer or
+    private-phases client is a sender, a mask-shares record's dropped
+    client is dropped or delayed, and its phases hold one row per listed
+    client.
     """
     where = "transcript line" if number is None else f"line {number}"
-    clients = 0  # the assignment's client count, once it is read
 
     def fail(name, problem):
         return TranscriptFormatError(f"{where}: {name!r} {problem}")
 
-    def check(value, schema, name):
-        """`value` as `schema` admits it, its objects holding only the fields named."""
-        if isinstance(schema, dict):
-            check(value, (dict,), name)
-            fields = {}
-            for key, inner in schema.items():
-                path = f"{name}.{key}" if name else key
-                if key not in value:
-                    raise fail(path, "is missing")
-                fields[key] = check(value[key], inner, path)
-            return fields
-        if isinstance(schema, list):
-            check(value, (list,), name)
-            return [check(item, schema[0], f"{name}[{k}]") for k, item in enumerate(value)]
-        if type(value) is int and not -2**63 <= value < 2**64:  # orjson writes no wider one
-            raise fail(name, f"must fit in 64 bits, got {value!r:.40}")
-        if type(value) not in schema and value not in schema and not (
-                _CLIENT in schema and type(value) is int and 0 <= value < clients):
-            kinds = [f"a client id below {clients}" if t is _CLIENT
-                     else getattr(t, "__name__", repr(t)) for t in schema]
-            raise fail(name, f"must be {' or '.join(kinds)}, got {value!r:.40}")
-        return value
+    def check(value, schema, name=""):
+        """`value` as `walk` reads it with `schema`, or the first violation raised."""
+        bad = []
+        known = walk(value, schema, name, bad)
+        if bad:
+            raise TranscriptFormatError(f"{where}: {bad[0]}")
+        return known
 
     def array(value, name, dtype, ndim):
         try:  # a ragged list, or values the writer would refuse, raise ValueError
@@ -287,7 +273,7 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         raise TranscriptFormatError(f"{where} is not JSON: {exc}") from None
     check(row, (dict,), "line")
     if "transcript_format" not in row:  # a legacy line
-        check(row, _LEGACY_SCHEMA, "")
+        check(row, _LEGACY_SCHEMA)
         first = row["messages"][0] if row["messages"] else {}
         row.update(transcript_format=TRANSCRIPT_FORMAT, version=first.get("version"),
                    mask_mode=first.get("mask_mode"), reveals=[])
@@ -299,30 +285,40 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
                 record = {"kind": "mask-shares", "dropped": query.get("dropped"),
                           "revealers": asked}
             row["reveals"].append(dict(record, phases=[next(phases, None) for _ in asked]))
-    check(row, {key: _LINE_SCHEMA[key] for key in ("transcript_format", "assignment")}, "")
+    known = check(row, _LINE_SCHEMA)
+    del known["transcript_format"]
     fields = row["assignment"]
     try:
         assignment = GroupAssignment(**dict(fields, group_of=tuple(fields["group_of"]),
                                             tag_of=tuple(fields["tag_of"])))
     except (TypeError, ValueError) as exc:  # an unknown field, or a refused layout
         raise fail("assignment", f"is not a group assignment: {exc}") from None
-    clients = assignment.num_clients
-    known = check(row, _LINE_SCHEMA, "")
-    del known["transcript_format"]
+    contributors, messages = known.pop("num_contributors"), known.pop("messages")
+    reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")
+               for k, r in enumerate(row["reveals"])]
+    ids = [(f"messages[{k}].owner", m["owner"]) for k, m in enumerate(messages)]
+    ids += [(f"dropped[{k}]", i) for k, i in enumerate(known["dropped"])]
+    ids += [("delayed", known["delayed"])] * (known["delayed"] is not None)
+    ids += [(f"reveals[{k}].dropped", r["dropped"]) for k, r in enumerate(reveals)
+            if r["kind"] == "mask-shares"]
+    for name, i in ids:
+        if not 0 <= i < assignment.num_clients:
+            raise fail(name, f"must be a client id below {assignment.num_clients}, got {i}")
     if known["iteration"] < 0:
         raise fail("iteration", f"must be non-negative, got {known['iteration']}")
-    contributors, messages = known.pop("num_contributors"), known.pop("messages")
     if contributors != len(messages):
         raise fail("num_contributors",
                    f"must equal the line's {len(messages)} messages, got {contributors}")
     ndim = 1 if known["mask_mode"] == SCALAR_MASKS else 2
-    reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")
-               for k, r in enumerate(row["reveals"])]
     symbols = array([m["symbols"] for m in messages], "messages[].symbols", np.uint32, 2)
     for name, dtype in (("aggregate", np.int64), ("decoded_mean", np.float64)):
         known[name] = array(known[name], name, dtype, 1)
         if len(known[name]) != symbols.shape[1]:
             raise fail(name, f"must hold {symbols.shape[1]} values, got {len(known[name])}")
+    finite = np.isfinite(known["decoded_mean"])
+    if not finite.all():  # JSON's 1e999 reads as inf, which the writer would not write back
+        k = int(np.argmin(finite))
+        raise fail(f"decoded_mean[{k}]", f"must be finite, got {known['decoded_mean'][k]}")
     senders = distinct([m["owner"] for m in messages], "messages[{}].owner")
     dropped = distinct(known["dropped"], "dropped[{}]")
     sent = set(senders)

@@ -20,7 +20,7 @@ from phaseagg.cli import (
     run_scenario,
 )
 from phaseagg.codec import QuantizationConfig
-from phaseagg.config import ScenarioConfig
+from phaseagg.config import ScenarioConfig, walk
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 from test_golden import PER_SYMBOL_ROUND
 
@@ -104,6 +104,20 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             parse_config(data)
 
+    def test_a_misshapen_config_is_not_checked_for_values(self):
+        # No stand-in count replaces the misshapen clients, so neither the
+        # dropout id 7 nor the delayed client 6 is called out of range.
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(valid_data(clients="8", protocol_version="alg2", delayed_client=6,
+                                    dropout={"fixed": {"0": [7]}}))
+        assert err.value.violations == ["'clients' must be int, got '8'"]
+
+    def test_shape_violations_are_listed_before_any_value_rule(self):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(valid_data(name=5, seed="1", rounds=0))
+        assert err.value.violations == ["'name' must be str, got 5",
+                                        "'seed' must be int, got '1'"]
+
     def test_bundled_configs_load(self):
         for name in ["alg1_baseline", "alg2_dropout", "attack_naive",
                      "attack_private_phase"]:
@@ -113,6 +127,24 @@ class TestValidation:
     def test_missing_config(self):
         with pytest.raises(ConfigValidationError):
             load_config("no_such_scenario")
+
+
+class TestWalk:
+    def test_every_violation_is_listed_by_its_path(self):
+        schema = {"n": (int,), "mode": ("a", 2), "xs": [(float,)], "sub": {"flag": (bool,)}}
+        bad = []
+        walk({"n": True, "mode": 2.0, "xs": [1.5, 1], "sub": {}}, schema, "", bad)
+        assert bad == ["'n' must be int, got True", "'mode' must be 'a' or 2, got 2.0",
+                       "'xs[1]' must be float, got 1", "'sub.flag' is missing"]
+
+    def test_an_object_is_projected_onto_its_named_fields(self):
+        bad = []
+        value = {"n": 2**64 - 1, "mode": "a", "note": 1}
+        assert walk(value, {"n": (int,), "mode": ("a", 2)}, "top", bad) == {
+            "n": 2**64 - 1, "mode": "a"}
+        assert bad == []
+        walk({"n": 2**64}, {"n": (int, float)}, "top", bad)
+        assert bad == [f"'top.n' must fit in 64 bits, got {2**64}"]
 
 
 MISSING = object()
@@ -148,8 +180,8 @@ INFINITE_CLIP = [
     ("clip-Infinity", config_text(("quantization.clip", math.inf), ("delayed_client", 0)),
      "clip"),
 ]
-# One row per rule the parser used to check itself, plus the two non-finite
-# clips it let through: (id, config file text, a word the message must hold).
+# One row per rule the parser used to check itself, plus the non-finite
+# numbers it let through: (id, config file text, a word the message must hold).
 INVALID_CONFIGS = [
     ("root-not-an-object", "[1, 2]", "JSON object"),
     ("not-json", "{", "not JSON"),
@@ -161,6 +193,8 @@ INVALID_CONFIGS = [
     ("rounds-zero", config_text(("rounds", 0)), "rounds"),
     ("seed-negative", config_text(("seed", -1)), "seed"),
     ("learning-rate-zero", config_text(("learning_rate", 0)), "learning_rate"),
+    ("learning-rate-1e999", config_text(("learning_rate", 1e999)).replace("Infinity", "1e999"),
+     "learning_rate"),
     ("name-not-a-string", config_text(("name", 5)), "name"),
     ("grouping-not-an-object", config_text(("grouping", [])), "grouping"),
     ("grouping-unknown-key", config_text(("grouping.ring", 1)), "ring"),
@@ -200,6 +234,9 @@ INVALID_CONFIGS = [
     ("per-symbol-not-a-bool", config_text(("per_symbol_masks", 1)), "per_symbol_masks"),
     ("compare-baseline-not-a-bool", config_text(("compare_baseline", "yes")), "compare_baseline"),
     ("loss-threshold-not-a-number", config_text(("loss_threshold", "low")), "loss_threshold"),
+    ("loss-threshold-NaN", config_text(("loss_threshold", math.nan)), "loss_threshold"),
+    ("loss-threshold-1e999",
+     config_text(("loss_threshold", 1e999)).replace("Infinity", "1e999"), "loss_threshold"),
     ("output-dir-not-a-string", config_text(("output_dir", 1)), "output_dir"),
 ] + INFINITE_CLIP
 
@@ -291,6 +328,8 @@ class TestParsedConfigsBuild:
         config = parse_config(valid_data())
         with pytest.raises(ConfigValidationError, match="clip"):
             dataclasses.replace(config, clip=float("inf"))
+        with pytest.raises(ConfigValidationError, match="learning_rate"):
+            dataclasses.replace(config, learning_rate=float("inf"))
         with pytest.raises(ConfigValidationError, match="security floor"):
             dataclasses.replace(config, clients=8, grouping_mode="subgroup", groups=2,
                                 subgroup_size=1)

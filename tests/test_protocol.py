@@ -1377,6 +1377,36 @@ class TestReadTranscriptLine:
         with pytest.raises(TranscriptFormatError, match=r"^line 2: 'counters.uplink_messages' "):
             read_transcript_line(json.dumps(row), 2)
 
+    @pytest.mark.parametrize("text", ["1e999", "-1e999"])
+    def test_a_number_that_reads_as_infinite_is_refused(self, text):
+        row = json.loads(small_round().to_json_line())
+        row["decoded_mean"][1] = float(text)
+        bad = json.dumps(row).replace("Infinity", "1e999")
+        assert text in bad and "Infinity" not in bad
+        with pytest.raises(TranscriptFormatError, match=rf"^line 2: 'decoded_mean\[1\]' "
+                                                        rf"must be finite, got {float(text)}$"):
+            read_transcript_line(bad, 2)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda row: row["messages"][2].update(owner=8), "messages[2].owner"),
+        (lambda row: row.update(dropped=[5, -1]), "dropped[1]"),
+        (lambda row: row.update(delayed=8, delayed_discarded=True), "delayed"),
+        (lambda row: row["reveals"][0].update(dropped=-1), "reveals[0].dropped")])
+    def test_a_client_id_outside_the_assignment_is_refused(self, edit, field):
+        row = json.loads(small_round().to_json_line())
+        edit(row)
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: '{re.escape(field)}' must be a client id below 8, "
+                                 r"got -?\d+$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_a_listed_value_matches_only_a_value_of_its_type(self):
+        row = json.loads(small_round().to_json_line())
+        row["transcript_format"] = 2.0
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'transcript_format' must be 2, got 2.0$"):
+            read_transcript_line(json.dumps(row), 2)
+
     @pytest.mark.parametrize("field, value", [("iteration", 2**64), ("iteration", -2**63 - 1),
                                               ("counters.recovery_messages", 10**30)])
     def test_an_integer_wider_than_64_bits_is_refused(self, field, value):
