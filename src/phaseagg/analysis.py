@@ -23,7 +23,7 @@ functions, so `import phaseagg` and a `phaseagg run` never load it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -289,7 +289,19 @@ class OverheadReport:
         }
 
 
-def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
+def _phase_estimation_formula(assignment: GroupAssignment) -> tuple[int, dict]:
+    """The phase estimations one round of `assignment` must measure, and its parameters."""
+    n = assignment.num_clients
+    if assignment.mode == TWO_GROUP:
+        l = assignment.plus_size()
+        return l * (n - l), {"l": l}
+    k = assignment.num_groups
+    sub = assignment.subgroup_size
+    last = n - 2 * (k - 1) * sub
+    return (k - 1) * sub * sub + (last // 2) * ((last + 1) // 2), {"K": k, "L": sub}
+
+
+def verify_overhead(transcripts: Iterable[RoundTranscript]) -> OverheadReport:
     """Check the phase-estimation and recovery counts of transcripts as exact integers.
 
     Each is a `RoundTranscript`, from `run_round` or read back from its line
@@ -302,27 +314,17 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
     read the first transcript's assignment.  Each dropped client must cost
     exactly one recovery message per surviving member of its complementary
     subgroup in its own round.  `failure` names the first round that
-    misses either count.
+    misses either count.  `transcripts` is folded over once, one at a time,
+    so a stream such as `transcript.read_transcripts` is never held whole.
     """
-    if not transcripts:
-        raise ValueError("no transcripts to verify")
-    assignment = transcripts[0].assignment
-    n = assignment.num_clients
-    if assignment.mode == TWO_GROUP:
-        l = assignment.plus_size()
-        formula = l * (n - l)
-        params = {"l": l}
-    else:
-        k = assignment.num_groups
-        sub = assignment.subgroup_size
-        last = n - 2 * (k - 1) * sub
-        formula = (k - 1) * sub * sub + (last // 2) * ((last + 1) // 2)
-        params = {"K": k, "L": sub}
-
     exact = True
     recovery_exact = True
     failures = []
-    for t in transcripts:
+    rounds = 0
+    for rounds, t in enumerate(transcripts, start=1):
+        if rounds == 1:
+            assignment, first_measured = t.assignment, t.counters["phase_estimations"]
+            formula, params = _phase_estimation_formula(assignment)
         measured = t.counters["phase_estimations"]
         if measured != formula:
             exact = False
@@ -340,13 +342,13 @@ def verify_overhead(transcripts: Sequence[RoundTranscript]) -> OverheadReport:
                 recovery_exact = False
                 failures.append(f"recovery check failed: round {t.iteration} revealed {shares} "
                                 f"mask shares of client {i}, {expected} expected")
+    if not rounds:
+        raise ValueError("no transcripts to verify")
 
     return OverheadReport(
-        mode=assignment.mode, num_clients=n, rounds=len(transcripts),
-        group_parameters=params,
-        measured_per_round=transcripts[0].counters["phase_estimations"],
-        formula_per_round=formula, exact_match=exact,
-        recovery_messages_exact=recovery_exact,
+        mode=assignment.mode, num_clients=assignment.num_clients, rounds=rounds,
+        group_parameters=params, measured_per_round=first_measured,
+        formula_per_round=formula, exact_match=exact, recovery_messages_exact=recovery_exact,
         failure=failures[0] if failures else None,
     )
 

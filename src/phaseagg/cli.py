@@ -10,34 +10,29 @@ Subcommands:
 * ``analyze`` - re-run the overhead analysis on existing transcripts;
                 writes analysis.json and leaves the run's report.json alone
 
-Configs are strict JSON, and a refused config exits 1 listing every
-violation, because a silently ignored typo in a security parameter is
-worse than a loud failure.  `parse_config` checks only the JSON's shape,
-with `config.walk`, the walker the transcript reader uses too; only a
-config whose shape holds is built into a `config.ScenarioConfig`.  Each
-value rule has one owner (`ScenarioConfig`, `masking.check_layout`,
-`QuantizationConfig`, `FecConfig`, `config.check_version`), and the
-config collects what they refuse.  So a config's shape violations are
-listed first, and its value violations only once its shape holds.
+This module keeps the command line; each file format has its own owner.
+`load_config` finds `--config` as a path or a bundled name, applies
+`--seed`, and hands the JSON to `config.parse_config`, which owns the
+config file's shape and defaults.  A refused config exits 1 listing
+every violation, because a silently ignored typo in a security parameter
+is worse than a loud failure.  `run` and `round` write
+transcripts.jsonl with `transcript.write_transcripts`, and `analyze` reads
+it back one line at a time with `transcript.read_transcripts`, so its
+memory does not grow with the run; `analysis.json` is written only once
+the last line has been read and checked.
+
 `run --jobs` below 1 exits 1 before any work; above 1, every seed runs,
 each failed one prints one ``error: seed <s> (<dir>): ...`` line in seed
-order, and any failure exits 2.  An explicit `--out` picks
-the output directory; without one, the config's `output_dir` does, else
-``out``.  Identical config and seed always produce byte-identical
-artifacts.
+order, and any failure exits 2.  An explicit `--out` picks the output
+directory; without one, the config's `output_dir` does, else ``out``.
+Identical config and seed always produce byte-identical artifacts, each
+written to a new file (`transcript.new_file`).
 
-Each line of transcripts.jsonl holds one round in transcript format
-`transcript.TRANSCRIPT_FORMAT`: the parts of `RoundTranscript.to_json_parts`,
-which `write_transcripts` passes to the file as they are rendered, a block
-of symbol rows at a time (tests/test_golden.py pins the bytes).  `analyze` reads each line back through
-`transcript.read_transcript_line`, the inverse of `to_json_parts`, which
-also upgrades legacy lines.
-
-Every artifact is written to a new file: `_create` removes what the path
-held before.  A command whose artifacts fail a check (`_check`: the
-overhead or recovery counts, or the plaintext baseline) raises
-`CheckFailedError` after writing them, and `main` prints its one
-``error:`` line and exits 2, as for every other runtime error.
+A command whose artifacts fail a check (`_check`: the overhead or
+recovery counts, or the plaintext baseline) raises `CheckFailedError`
+after writing them, and `main` prints its one ``error:`` line and exits
+2, as for every other runtime error and for an `OSError`, such as an
+`--out` that names a regular file.
 """
 
 from __future__ import annotations
@@ -54,90 +49,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fl
-from .config import ALG1, ScenarioConfig, walk
-from .errors import CheckFailedError, ConfigValidationError, PhaseAggError, TranscriptFormatError
-from .masking import SUBGROUP, TWO_GROUP
-from .transcript import read_transcript_line
+from .config import ScenarioConfig, parse_config
+from .errors import CheckFailedError, ConfigValidationError, PhaseAggError
+from .transcript import new_file, read_transcripts, write_transcripts
 
 HISTORY_HEADER = ["round", "loss", "theta_norm", "phase_estimations", "uplink",
                   "recoveries"]
-
-# A config's JSON types, as `config.walk` reads them.  `grouping`'s counts
-# are read only in subgroup mode and `fec.repeat` only under the 'repetition'
-# scheme; `dropout.fixed`, which maps each round index to a list of client
-# ids, is read after the walk.
-_SCHEMA = {
-    "name": (str,), "clients": (int,), "dimension": (int,), "samples_per_client": (int,),
-    "grouping": {"mode": (str,), "groups": (int,), "subgroup_size": (int,)},
-    "protocol_version": (str,), "quantization": {"clip": (int, float), "levels": (int,)},
-    "modulation": ("auto", int), "fec": {"scheme": (str,), "repeat": (int,)},
-    "dropout": {"probability": (int, float), "fixed": (dict,)},
-    "delayed_client": (int, type(None)), "rounds": (int,), "learning_rate": (int, float),
-    "seed": (int,), "per_symbol_masks": (bool,), "loss_threshold": (int, float, type(None)),
-    "compare_baseline": (bool,), "output_dir": (str, type(None)),
-}
-# The defaults of the keys and section fields a config may leave out.
-_OPTIONAL = {
-    "name": "scenario", "grouping": {"mode": TWO_GROUP}, "protocol_version": ALG1,
-    "quantization": {"clip": 1.0, "levels": 16}, "modulation": "auto",
-    "fec": {"scheme": "none", "repeat": 3}, "dropout": {"probability": 0.0, "fixed": {}},
-    "delayed_client": None, "per_symbol_masks": False, "loss_threshold": None,
-    "compare_baseline": False, "output_dir": None,
-}
-
-
-def parse_config(data: dict) -> ScenarioConfig:
-    """Read a config's JSON into a ScenarioConfig, reporting every violation at once.
-
-    The parser checks only the JSON's shape: a root object, no unknown key
-    at any level, each value's type as `config.walk` reads `_SCHEMA`, the
-    defaults of `_OPTIONAL`, `fec.repeat` only under the 'repetition'
-    scheme, and, once the rest holds, the `dropout.fixed` map, in which
-    "1" and "01" name one round.  A config whose shape holds is
-    built into a ScenarioConfig, which checks every value rule where it
-    lives.  So a config is refused with every shape violation, or else
-    with every value violation, in one ConfigValidationError.
-    """
-    if not isinstance(data, dict):
-        raise ConfigValidationError(["config root must be a JSON object"])
-    bad = [f"unknown key {key!r}" for key in sorted(set(data) - set(_SCHEMA))]
-    grouping, fec = (value if isinstance(value := data.get(key), dict) else {}
-                     for key in ("grouping", "fec"))
-    data, schema = {**_OPTIONAL, **data}, dict(_SCHEMA)
-    if grouping.get("mode") != SUBGROUP:
-        schema["grouping"] = {"mode": (str,)}
-    if fec.get("scheme") != "repetition":
-        schema["fec"] = {"scheme": (str,)}
-        if "repeat" in fec:
-            bad.append("'fec.repeat' is allowed only under the 'repetition' scheme")
-    for key, fields in _SCHEMA.items():
-        if isinstance(fields, dict) and isinstance(data[key], dict):
-            bad.extend(f"unknown {key} key {k!r}" for k in sorted(set(data[key]) - set(fields)))
-            data[key] = {**_OPTIONAL[key], **data[key]}
-    known = walk(data, schema, "", bad)
-    fixed = []
-    for round_key, ids in [] if bad else sorted(known["dropout"]["fixed"].items()):
-        try:
-            round_index = int(round_key)
-        except (TypeError, ValueError):
-            bad.append(f"dropout round key {round_key!r} is not an integer")
-            continue
-        if type(ids) is not list or any(type(i) is not int for i in ids):
-            bad.append(f"dropout ids for round {round_index} must be a list of ints")
-            continue
-        fixed.append((round_index, tuple(sorted(set(ids)))))
-    if bad:
-        raise ConfigValidationError(bad)
-    grouping, quant, fec, dropout = (known.pop(key) for key in
-                                     ("grouping", "quantization", "fec", "dropout"))
-    rate, threshold = known.pop("learning_rate"), known.pop("loss_threshold")
-    return ScenarioConfig(
-        **known, learning_rate=float(rate),
-        loss_threshold=None if threshold is None else float(threshold),
-        grouping_mode=grouping["mode"], groups=grouping.get("groups"),
-        subgroup_size=grouping.get("subgroup_size"), clip=float(quant["clip"]),
-        levels=quant["levels"], fec_scheme=fec["scheme"], fec_repeat=fec.get("repeat", 1),
-        dropout_probability=float(dropout["probability"]), dropout_fixed=tuple(fixed))
 
 
 def load_config(spec: str, seed_override: int | None = None) -> ScenarioConfig:
@@ -163,20 +80,8 @@ def _float_text(value: float) -> str:
     return repr(float(value))
 
 
-def _create(path: Path, mode: str, **kwargs):
-    """Open `path` for writing as a new file, removing any file there first.
-
-    Truncating a large file and writing it again can stall the writes on
-    file systems that flush a truncated file's data before reusing its
-    blocks (ext4's replace-via-truncate heuristic); a new file has no old
-    blocks to flush.
-    """
-    path.unlink(missing_ok=True)
-    return path.open(mode, **kwargs)
-
-
 def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
-    with _create(path, "w", newline="") as handle:
+    with new_file(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(HISTORY_HEADER)
         for row in history.rows:
@@ -186,29 +91,8 @@ def write_history_csv(history: fl.TrainingHistory, path: Path) -> None:
             ])
 
 
-def write_transcripts(transcripts, path: Path) -> None:
-    """Write one compact, key-sorted JSON line per `RoundTranscript`.
-
-    A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
-    separators=(",", ":"))`, passed to the file part by part as
-    `RoundTranscript.to_json_parts` renders them, so no more than one block
-    of symbol rows is held.  A transcript it refuses raises before any
-    byte of its line is made, and a line whose rendering or write fails
-    partway is cut off again, so the file holds only whole lines.
-    """
-    with _create(path, "wb") as handle:
-        for t in transcripts:
-            start = handle.tell()
-            try:
-                handle.writelines(t.to_json_parts())
-            except BaseException:
-                handle.truncate(start)
-                raise
-            handle.write(b"\n")
-
-
 def write_report(report: dict, path: Path) -> None:
-    with _create(path, "w") as handle:
+    with new_file(path, "w") as handle:
         handle.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
@@ -322,15 +206,10 @@ def analyze_transcripts(out_dir: Path) -> dict:
     path = out_dir / "transcripts.jsonl"
     if not path.is_file():
         raise ConfigValidationError([f"no transcripts found at {path}"])
-    with path.open("rb") as lines:
-        rows = [read_transcript_line(line, number)
-                for number, line in enumerate(lines, start=1) if line.strip()]
-    if not rows:
-        raise TranscriptFormatError(f"{path} holds no round transcripts")
-    overhead = analysis.verify_overhead(rows)
+    overhead = analysis.verify_overhead(read_transcripts(path))
     report = {
         "command": "analyze",
-        "rounds": len(rows),
+        "rounds": overhead.rounds,
         "overhead": overhead.to_json_dict(),
     }
     write_report(report, out_dir / "analysis.json")
@@ -342,7 +221,7 @@ def _run_job(config_spec: str, seed: int, out_dir: str) -> str | None:
     """Run one seed of `run --jobs`: None when it passes, else its error message."""
     try:
         run_scenario(load_config(config_spec, seed_override=seed), Path(out_dir), "run")
-    except PhaseAggError as exc:
+    except (PhaseAggError, OSError) as exc:
         return str(exc)
     return None
 
@@ -401,7 +280,7 @@ def main(argv=None) -> int:
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except PhaseAggError as exc:
+    except (PhaseAggError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,16 +4,19 @@ A config is valid by construction.  `ScenarioConfig` checks the rules no
 domain object holds and collects every other refusal from the rule's
 owner: `masking.check_layout` for the grouping, `QuantizationConfig` and
 `FecConfig` for the codec, and `check_version` here for the protocol
-version, whose names (`ALG1`, `ALG2`) live here too.  `cli.parse_config`
-reads a config's JSON into one, once `walk` finds its shape sound;
-`protocol.run_iteration` and `fl.run_training` read it.  `walk` is the one
-schema walker of the package's JSON inputs: `transcript.read_transcript_line`
-reads a transcript line with it too.
+version, whose names (`ALG1`, `ALG2`) live here too.  `parse_config`
+owns the config file's JSON: its shape (`_SCHEMA`), its defaults
+(`_OPTIONAL`) and its section names; it builds a `ScenarioConfig` once
+`walk` finds the shape sound.  `cli.load_config` finds the file and hands
+its JSON here; `protocol.run_iteration` and `fl.run_training` read the
+config.  `walk` is the one schema walker of the package's JSON inputs:
+`transcript.read_transcript_line` reads a transcript line with it too.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,7 @@ from . import rng
 from .codec import FecConfig, QuantizationConfig
 from .errors import ConfigValidationError, PhaseAggError
 from .masking import (
+    SUBGROUP,
     TWO_GROUP,
     GroupAssignment,
     assign_subgroups,
@@ -71,6 +75,87 @@ def check_version(version: str) -> None:
         raise ValueError(f"unknown protocol version {version!r}")
 
 
+# A config's JSON types, as `walk` reads them.  `grouping`'s counts
+# are read only in subgroup mode and `fec.repeat` only under the 'repetition'
+# scheme; `dropout.fixed`, which maps each round index to a list of client
+# ids, is read after the walk.
+_SCHEMA = {
+    "name": (str,), "clients": (int,), "dimension": (int,), "samples_per_client": (int,),
+    "grouping": {"mode": (str,), "groups": (int,), "subgroup_size": (int,)},
+    "protocol_version": (str,), "quantization": {"clip": (int, float), "levels": (int,)},
+    "modulation": ("auto", int), "fec": {"scheme": (str,), "repeat": (int,)},
+    "dropout": {"probability": (int, float), "fixed": (dict,)},
+    "delayed_client": (int, type(None)), "rounds": (int,), "learning_rate": (int, float),
+    "seed": (int,), "per_symbol_masks": (bool,), "loss_threshold": (int, float, type(None)),
+    "compare_baseline": (bool,), "output_dir": (str, type(None)),
+}
+# The defaults of the keys and section fields a config may leave out.
+_OPTIONAL = {
+    "name": "scenario", "grouping": {"mode": TWO_GROUP}, "protocol_version": ALG1,
+    "quantization": {"clip": 1.0, "levels": 16}, "modulation": "auto",
+    "fec": {"scheme": "none", "repeat": 3}, "dropout": {"probability": 0.0, "fixed": {}},
+    "delayed_client": None, "per_symbol_masks": False, "loss_threshold": None,
+    "compare_baseline": False, "output_dir": None,
+}
+# A `dropout.fixed` round key: decimal ASCII digits, a minus sign allowed
+# first, so that `int` reads no '_', space, '+' or other script's digit.
+_ROUND_KEY = re.compile(r"-?[0-9]+")
+
+
+def parse_config(data: dict) -> ScenarioConfig:
+    """Read a config's JSON into a ScenarioConfig, reporting every violation at once.
+
+    The parser checks only the JSON's shape: a root object, no unknown key
+    at any level, each value's type as `walk` reads `_SCHEMA`, the
+    defaults of `_OPTIONAL`, `fec.repeat` only under the 'repetition'
+    scheme, and, once the rest holds, the `dropout.fixed` map, whose round
+    keys are `_ROUND_KEY`'s decimal digits, so "1" and "01" name one round.
+    A config whose shape holds is built into a ScenarioConfig, which checks
+    every value rule where it lives.  So a config is refused with every
+    shape violation, or else with every value violation, in one
+    ConfigValidationError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigValidationError(["config root must be a JSON object"])
+    bad = [f"unknown key {key!r}" for key in sorted(set(data) - set(_SCHEMA))]
+    grouping, fec = (value if isinstance(value := data.get(key), dict) else {}
+                     for key in ("grouping", "fec"))
+    data, schema = {**_OPTIONAL, **data}, dict(_SCHEMA)
+    if grouping.get("mode") != SUBGROUP:
+        schema["grouping"] = {"mode": (str,)}
+    if fec.get("scheme") != "repetition":
+        schema["fec"] = {"scheme": (str,)}
+        if "repeat" in fec:
+            bad.append("'fec.repeat' is allowed only under the 'repetition' scheme")
+    for key, fields in _SCHEMA.items():
+        if isinstance(fields, dict) and isinstance(data[key], dict):
+            bad.extend(f"unknown {key} key {k!r}" for k in sorted(set(data[key]) - set(fields)))
+            data[key] = {**_OPTIONAL[key], **data[key]}
+    known = walk(data, schema, "", bad)
+    fixed = []
+    for round_key, ids in [] if bad else sorted(known["dropout"]["fixed"].items()):
+        if not _ROUND_KEY.fullmatch(str(round_key)):
+            bad.append(f"dropout round key {round_key!r} is not an integer")
+            continue
+        round_index = int(round_key)
+        if type(ids) is not list or any(type(i) is not int for i in ids):
+            bad.append(f"dropout ids for round {round_index} must be a list of ints")
+            continue
+        fixed.append((round_index, tuple(sorted(set(ids)))))
+    if bad:
+        raise ConfigValidationError(bad)
+    grouping, quant, fec, dropout = (known.pop(key) for key in
+                                     ("grouping", "quantization", "fec", "dropout"))
+    rate, threshold = known.pop("learning_rate"), known.pop("loss_threshold")
+    return ScenarioConfig(
+        **known, learning_rate=float(rate),
+        loss_threshold=None if threshold is None else float(threshold),
+        grouping_mode=grouping["mode"], groups=grouping.get("groups"),
+        subgroup_size=grouping.get("subgroup_size"), clip=float(quant["clip"]),
+        levels=quant["levels"], fec_scheme=fec["scheme"], fec_repeat=fec.get("repeat", 1),
+        dropout_probability=float(dropout["probability"]), dropout_fixed=tuple(fixed))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully-resolved scenario parameters, valid by construction.
@@ -78,7 +163,7 @@ class ScenarioConfig:
     Construction, `dataclasses.replace` included, raises one
     ConfigValidationError listing every violation.  The rules no domain
     object holds are checked here: `dimension`, `samples_per_client` and
-    `rounds` >= 1, `seed` >= 0, `learning_rate` positive and finite,
+    `rounds` >= 1, `seed` in [0, 2**32), `learning_rate` positive and finite,
     `loss_threshold` finite or None, a dropout probability in [0, 1],
     fixed dropout rounds and ids in range, `delayed_client` in range, and
     dropouts only under alg2.  Every other rule is collected from
@@ -122,6 +207,8 @@ class ScenarioConfig:
                for key, low in (("dimension", 1), ("samples_per_client", 1),
                                 ("rounds", 1), ("seed", 0))
                if getattr(self, key) < low]
+        if self.seed >= 2**32:  # two key words in `rng`, whose keys can equal another seed's
+            bad.append(f"'seed' must be below 2**32, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
             bad.append(f"'learning_rate' must be positive and finite, got {self.learning_rate}")
         if self.loss_threshold is not None and not math.isfinite(self.loss_threshold):

@@ -36,8 +36,9 @@ phase, mask, symbol row and correction is an int or an integer array;
 builds one client's message on its own, taking the same `length`; it is
 the reference the rows are tested against.  The round returns a
 `transcript.RoundTranscript`, which keeps the read-only matrix and the
-sender ids; the transcript module holds the format, its writer and its
-reader.
+sender ids; the transcript module holds the format and the
+transcripts.jsonl file: its line writer and reader, and the file's writer
+(`write_transcripts`) and streaming reader (`read_transcripts`).
 
 The dropout correction implemented here is
 ``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)

@@ -15,14 +15,17 @@ one for the other keys before ``"decoded_mean"``, between it and
 differently (1e-05 as 0.00001).  Every other value is an ASCII string, a
 bool, None or an integer, which both write alike.
 `read_transcript_line`, the one reader of a line, is the writer's inverse.
+`write_transcripts` writes a transcripts.jsonl file, whole lines only, and
+`read_transcripts` streams it back one line at a time.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -183,6 +186,39 @@ class RoundTranscript:
         }
 
 
+def new_file(path: Path, mode: str, **kwargs):
+    """Open `path` for writing as a new file, removing any file there first.
+
+    Truncating a large file and writing it again can stall the writes on
+    file systems that flush a truncated file's data before reusing its
+    blocks (ext4's replace-via-truncate heuristic); a new file has no old
+    blocks to flush.
+    """
+    path.unlink(missing_ok=True)
+    return path.open(mode, **kwargs)
+
+
+def write_transcripts(transcripts: Iterable[RoundTranscript], path: Path) -> None:
+    """Write one compact, key-sorted JSON line per `RoundTranscript` to a new file.
+
+    A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
+    separators=(",", ":"))`, passed to the file part by part as
+    `RoundTranscript.to_json_parts` renders them, so no more than one block
+    of symbol rows is held.  A transcript it refuses raises before any
+    byte of its line is made, and a line whose rendering or write fails
+    partway is cut off again, so the file holds only whole lines.
+    """
+    with new_file(path, "wb") as handle:
+        for t in transcripts:
+            start = handle.tell()
+            try:
+                handle.writelines(t.to_json_parts())
+            except BaseException:
+                handle.truncate(start)
+                raise
+            handle.write(b"\n")
+
+
 # A format-2 line's schema, as `config.walk` reads one: a tuple holds the
 # JSON types or values a value may have, a dict an object's fields, and a
 # one-item list a list's items.
@@ -341,3 +377,20 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         records.append(dict(r, phases=phases))
     return RoundTranscript(**dict(known, assignment=assignment, symbols=symbols,
                                   senders=senders, dropped=dropped, reveals=tuple(records)))
+
+
+def read_transcripts(path: Path) -> Iterator[RoundTranscript]:
+    """The `RoundTranscript` of each non-blank line of `path`, read one line at a time.
+
+    Lines are numbered from 1, as `read_transcript_line` names them in its
+    refusals.  A file with no such line raises TranscriptFormatError once
+    it is read to its end.
+    """
+    rounds = 0
+    with path.open("rb") as lines:
+        for number, line in enumerate(lines, start=1):
+            if line.strip():
+                rounds += 1
+                yield read_transcript_line(line, number)
+    if not rounds:
+        raise TranscriptFormatError(f"{path} holds no round transcripts")

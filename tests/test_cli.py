@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from phaseagg.cli import (
     analyze_transcripts,
     load_config,
     main,
-    parse_config,
     run_scenario,
 )
 from phaseagg.codec import QuantizationConfig
-from phaseagg.config import ScenarioConfig, walk
+from phaseagg.config import ScenarioConfig, parse_config, walk
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 from test_golden import PER_SYMBOL_ROUND
 
@@ -192,6 +192,7 @@ INVALID_CONFIGS = [
     ("samples-zero", config_text(("samples_per_client", 0)), "samples_per_client"),
     ("rounds-zero", config_text(("rounds", 0)), "rounds"),
     ("seed-negative", config_text(("seed", -1)), "seed"),
+    ("seed-2**32", config_text(("seed", 2**32)), "seed"),
     ("learning-rate-zero", config_text(("learning_rate", 0)), "learning_rate"),
     ("learning-rate-1e999", config_text(("learning_rate", 1e999)).replace("Infinity", "1e999"),
      "learning_rate"),
@@ -226,6 +227,11 @@ INVALID_CONFIGS = [
     ("dropout-fixed-not-a-map", config_text(ALG2, ("dropout.fixed", [1])), "fixed"),
     ("dropout-round-not-an-int", config_text(ALG2, ("dropout.fixed", {"a": [1]})), "round"),
     ("dropout-round-negative", config_text(ALG2, ("dropout.fixed", {"-1": [1]})), "negative"),
+    ("dropout-round-underscore", config_text(ALG2, ("dropout.fixed", {"1_0": [1]})), "round"),
+    ("dropout-round-spaces-and-plus", config_text(ALG2, ("dropout.fixed", {" +3 ": [2]})),
+     "round"),
+    ("dropout-round-arabic-indic-digit", config_text(ALG2, ("dropout.fixed", {"\u0663": [1]})),
+     "round"),
     ("dropout-ids-not-ints", config_text(ALG2, ("dropout.fixed", {"0": ["1"]})), "ids"),
     ("dropout-ids-out-of-range", config_text(ALG2, ("dropout.fixed", {"0": [4]})), "range"),
     ("dropouts-under-alg1", config_text(("dropout.probability", 0.2)), "alg2"),
@@ -634,6 +640,36 @@ class TestMain:
         assert analysis["command"] == "analyze"
         assert analysis["overhead"]["exact_match"] is True
 
+    def test_seeds_below_2_to_the_32_load_and_the_next_one_exits_one(self, tmp_path, capsys):
+        assert load_config("alg1_baseline", seed_override=2**32 - 1).seed == 2**32 - 1
+        out = tmp_path / "o"
+        code = main(["run", "--config", "alg1_baseline", "--seed", str(2**32), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'seed' must be below 2**32, got 4294967296" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [("run", "alg1_baseline"),
+                                                 ("round", "alg1_baseline"),
+                                                 ("attack", "attack_naive")])
+    def test_an_out_that_names_a_regular_file_exits_two_with_one_line(self, command, config,
+                                                                      tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_bytes(b"a regular file\n")
+        code = main([command, "--config", config, "--out", str(target)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(target) in err and "Traceback" not in err
+        assert target.read_bytes() == b"a regular file\n"
+
+    def test_a_job_reports_its_os_error_as_its_message(self, tmp_path):
+        target = tmp_path / "F"
+        target.write_bytes(b"")
+        error = cli._run_job("alg1_baseline", 1, str(target / "seed-1"))
+        assert str(target / "seed-1") in error
+        assert target.read_bytes() == b""
+
     def test_jobs_fan_out(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(valid_data(rounds=3)))
@@ -800,6 +836,31 @@ class TestMain:
         assert main(["analyze", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 3: '{field}' ") and len(err.splitlines()) == 1
+
+    def test_analyze_holds_at_most_two_rounds_at_once(self, tmp_path, monkeypatch, capsys):
+        run_scenario(parse_config(valid_data(rounds=20)), tmp_path, "run")
+        read, reads, alive, peak = transcript.read_transcript_line, [], set(), [0]
+
+        def counted(line, number=None):
+            t = read(line, number)
+            reads.append(number)
+            alive.add(number)
+            weakref.finalize(t, alive.discard, number)
+            peak[0] = max(peak[0], len(alive))
+            return t
+
+        monkeypatch.setattr(transcript, "read_transcript_line", counted)
+        assert main(["analyze", "--out", str(tmp_path)]) == 0
+        assert reads == list(range(1, 21))
+        assert peak[0] <= 2
+        assert json.loads((tmp_path / "analysis.json").read_text())["rounds"] == 20
+        # analysis.json is written only once the last line is read and checked.
+        (tmp_path / "analysis.json").unlink()
+        with (tmp_path / "transcripts.jsonl").open("a") as handle:
+            handle.write("{}\n")
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 21: ")
+        assert not (tmp_path / "analysis.json").exists()
 
     def test_analyze_an_empty_file_exits_two(self, tmp_path, capsys):
         (tmp_path / "transcripts.jsonl").write_text("\n")

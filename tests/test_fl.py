@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from phaseagg import fl, rng
 from phaseagg.codec import QuantizationConfig
-from phaseagg.cli import parse_config
+from phaseagg.config import parse_config
 from phaseagg.errors import DivergenceError, ShapeError
 
 

@@ -15,7 +15,6 @@ from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import pair_phase_window, sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
-from phaseagg.cli import write_transcripts
 from phaseagg.config import ALG1, ALG2, check_version
 from phaseagg.errors import (
     InfeasibleGroupingError,
@@ -56,6 +55,7 @@ from phaseagg.transcript import (
     ClientMessage,
     float_list_json,
     read_transcript_line,
+    write_transcripts,
 )
 from test_golden import legacy_reveals, legacy_row, run_golden, write_legacy
 
