@@ -71,6 +71,15 @@ def _ordered_pairs(num_clients: int, a, b) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _ordered_pair(num_clients: int, i: int, j: int) -> tuple[int, int]:
+    """The pair (i, j) as (min, max), refusing a self pair and out-of-range ids."""
+    if i == j:
+        raise NoSelfChannelError(f"client {i} has no channel to itself")
+    if not (0 <= i < num_clients and 0 <= j < num_clients):
+        raise IndexError(f"client ids ({i}, {j}) out of range for {num_clients} clients")
+    return (i, j) if i < j else (j, i)
+
+
 def pair_phase_window(num_clients: int, seed: int, start: int, rounds: int,
                       a, b) -> np.ndarray:
     """Phases of the pairs (a[k], b[k]) at `rounds` iterations from `start`.
@@ -102,12 +111,7 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
 
 def get_phase(channel: ChannelMatrix, i: int, j: int) -> int:
     """Phase of the link between i and j; reciprocal by construction."""
-    if i == j:
-        raise NoSelfChannelError(f"client {i} has no channel to itself")
-    s = channel.num_clients
-    if not (0 <= i < s and 0 <= j < s):
-        raise IndexError(f"client ids ({i}, {j}) out of range for {s} clients")
-    return int(channel.phases[i, j])
+    return int(channel.phases[_ordered_pair(channel.num_clients, i, j)])
 
 
 def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np.ndarray:
@@ -116,12 +120,7 @@ def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np
     Used by the per-symbol masking mode: both endpoints expand the pairwise
     randomness into `length` independent grid values.
     """
-    if i == j:
-        raise NoSelfChannelError(f"client {i} has no channel to itself")
-    s = channel.num_clients
-    if not (0 <= i < s and 0 <= j < s):
-        raise IndexError(f"client ids ({i}, {j}) out of range for {s} clients")
-    lo, hi = (i, j) if i < j else (j, i)
+    lo, hi = _ordered_pair(channel.num_clients, i, j)
     return rng.keyed_turn_vector(
         length, channel.seed, rng.CHANNEL_STREAM_DOMAIN, channel.iteration, lo, hi
     )

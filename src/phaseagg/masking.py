@@ -92,9 +92,11 @@ class GroupAssignment:
     """Per-client (group id, side tag) labels.
 
     Two-group mode is a single exchange group whose plus side and minus
-    side are the two client groups; subgroup mode has `num_groups` groups
-    whose sides are the two subgroups of size `subgroup_size` (the last
-    group absorbs any remainder, split as evenly as possible).
+    side are the two client groups, and has no `subgroup_size`; subgroup
+    mode has `num_groups` groups whose sides are the two subgroups of int
+    size `subgroup_size` (the last group absorbs any remainder, split as
+    evenly as possible).  A layout that breaks its mode's rule, labels a
+    client outside the group count or leaves a side empty is refused.
     """
 
     mode: str
@@ -106,6 +108,12 @@ class GroupAssignment:
     def __post_init__(self):
         if self.mode not in (TWO_GROUP, SUBGROUP):
             raise ValueError(f"unknown assignment mode {self.mode!r}")
+        if self.mode == SUBGROUP and not isinstance(self.subgroup_size, int):
+            raise ValueError("subgroup mode needs an int subgroup_size, "
+                             f"got {self.subgroup_size!r}")
+        if self.mode == TWO_GROUP and (self.num_groups, self.subgroup_size) != (1, None):
+            raise ValueError(f"two-group mode needs one group and no subgroup_size, got "
+                             f"{self.num_groups} groups and subgroup_size {self.subgroup_size!r}")
         if len(self.group_of) != len(self.tag_of):
             raise ValueError("group and tag labels must cover the same clients")
         if any(tag not in (PLUS, MINUS) for tag in self.tag_of):

@@ -99,8 +99,7 @@ from .masking import (
     round_phases,
     sample_private_phase,
 )
-# tests/test_golden.py reads the format as `protocol.TRANSCRIPT_FORMAT`.
-from .transcript import TRANSCRIPT_FORMAT, ClientMessage, RoundTranscript  # noqa: F401
+from .transcript import ClientMessage, RoundTranscript
 
 def client_message(i: int, digits, assignment: GroupAssignment,
                    channel: ChannelMatrix, version: str, seed: int,

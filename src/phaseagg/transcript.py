@@ -14,9 +14,10 @@ one for the other keys before ``"decoded_mean"``, between it and
 `float_list_json` writes with `json`, since orjson writes some floats
 differently (1e-05 as 0.00001).  Every other value is an ASCII string, a
 bool, None or an integer, which both write alike.
-`read_transcript_line`, the one reader of a line, is the writer's inverse.
-`write_transcripts` writes a transcripts.jsonl file, whole lines only, and
-`read_transcripts` streams it back one line at a time.
+`read_transcript_line`, the one reader of a line, is the writer's inverse
+and reads this format only.  `write_transcripts` writes a transcripts.jsonl
+file, whole lines only, and `read_transcripts`, its one reader, streams it
+back one line at a time.
 """
 
 from __future__ import annotations
@@ -238,10 +239,6 @@ _LINE_SCHEMA = {
 _REVEAL_SCHEMA = {kind: dict(fields, kind=(kind,), phases=(list,)) for kind, fields in {
     "mask-shares": {"dropped": (int,), "revealers": [(int,)]},
     "private-phases": {"clients": [(int,)]}}.items()}
-_LEGACY_SCHEMA = {"messages": [{"version": (str,), "mask_mode": (str,)}],
-                  "correction_queries": [{"kind": ("mask-shares", "private-phase"),
-                                          "queried": [(int,)]}],
-                  "revealed_shares": [{"phase": (int, list)}]}
 
 
 class _Constant(str):
@@ -253,23 +250,21 @@ class _Constant(str):
 def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     """One `transcripts.jsonl` line read back: the inverse of `RoundTranscript.to_json_parts`.
 
-    A legacy line (no `transcript_format`; each message repeats the version
-    and mask mode, and `revealed_shares` holds one entry per phase, in query
-    order) is upgraded here and nowhere else.  The arrays are read-only:
+    Only format `TRANSCRIPT_FORMAT` is read.  The arrays are read-only:
     (senders, d) uint32 `symbols`, uint32 reveal phases, and d-long int64
     `aggregate` and float64 `decoded_mean`.  Fields the schema does not
     name are dropped, but in `assignment`.  Any other line, such as one
-    holding `NaN`, `Infinity` or a number that reads as infinite (1e999),
-    an integer wider than 64 bits, an empty integer list, a negative
-    iteration, a client id outside the assignment, a client listed twice, a
-    `num_contributors` other than its message count, a dropped client that
-    sent a message, or a reveal record that does not fit the line's
-    clients, raises TranscriptFormatError naming line `number` and the
-    field: the first violation `config.walk` finds, else the first of the
-    checks that follow the walk.  A record fits when each revealer or
-    private-phases client is a sender, a mask-shares record's dropped
-    client is dropped or delayed, and its phases hold one row per listed
-    client.
+    without `transcript_format`, one holding `NaN`, `Infinity`, a number
+    that reads as infinite (1e999) or an integer wider than 64 bits, an
+    empty integer list, a negative iteration, an assignment that
+    `GroupAssignment` refuses, a client id outside it, a client listed
+    twice, a wrong `num_contributors`, a dropped or the delayed client
+    that sent a message, or a reveal record that does not fit its clients,
+    raises TranscriptFormatError naming line `number` and the field: the
+    first violation `config.walk` finds, else the first check after it.
+    A record fits when each revealer or private-phases client is a
+    sender, a mask-shares record's dropped client is dropped or delayed,
+    and its phases hold one row per listed client.
     """
     where = "transcript line" if number is None else f"line {number}"
 
@@ -308,19 +303,6 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     except ValueError as exc:
         raise TranscriptFormatError(f"{where} is not JSON: {exc}") from None
     check(row, (dict,), "line")
-    if "transcript_format" not in row:  # a legacy line
-        check(row, _LEGACY_SCHEMA)
-        first = row["messages"][0] if row["messages"] else {}
-        row.update(transcript_format=TRANSCRIPT_FORMAT, version=first.get("version"),
-                   mask_mode=first.get("mask_mode"), reveals=[])
-        phases = iter([entry["phase"] for entry in row.pop("revealed_shares")])
-        for query in row.pop("correction_queries"):
-            asked = query["queried"]
-            record = {"kind": "private-phases", "clients": asked}
-            if query["kind"] == "mask-shares":
-                record = {"kind": "mask-shares", "dropped": query.get("dropped"),
-                          "revealers": asked}
-            row["reveals"].append(dict(record, phases=[next(phases, None) for _ in asked]))
     known = check(row, _LINE_SCHEMA)
     del known["transcript_format"]
     fields = row["assignment"]
@@ -358,9 +340,10 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     senders = distinct([m["owner"] for m in messages], "messages[{}].owner")
     dropped = distinct(known["dropped"], "dropped[{}]")
     sent = set(senders)
-    for k, i in enumerate(dropped):
+    absent = [(f"dropped[{k}]", i) for k, i in enumerate(dropped)]
+    for name, i in absent + [("delayed", known["delayed"])]:
         if i in sent:
-            raise fail(f"dropped[{k}]", f"names client {i}, who sent a message")
+            raise fail(name, f"names client {i}, who sent a message")
     records = []
     for k, r in enumerate(reveals):
         listed = "revealers" if r["kind"] == "mask-shares" else "clients"
@@ -383,8 +366,8 @@ def read_transcripts(path: Path) -> Iterator[RoundTranscript]:
     """The `RoundTranscript` of each non-blank line of `path`, read one line at a time.
 
     Lines are numbered from 1, as `read_transcript_line` names them in its
-    refusals.  A file with no such line raises TranscriptFormatError once
-    it is read to its end.
+    refusals.  A missing file raises FileNotFoundError when first read, and
+    a file with no such line TranscriptFormatError once read to its end.
     """
     rounds = 0
     with path.open("rb") as lines:

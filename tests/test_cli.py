@@ -781,10 +781,17 @@ class TestMain:
         assert len(err.strip().splitlines()) == 1
 
     def test_analyze_rows_that_are_not_transcripts(self, tmp_path):
-        # No `transcript_format`, so the line is read as a legacy line.
         (tmp_path / "transcripts.jsonl").write_text('{"iteration": 0}\n')
-        with pytest.raises(TranscriptFormatError, match="^line 1: 'messages' is missing$"):
+        with pytest.raises(TranscriptFormatError,
+                           match="^line 1: 'transcript_format' is missing$"):
             analyze_transcripts(tmp_path)
+
+    def test_analyze_without_transcripts_exits_two_naming_the_path(self, tmp_path, capsys):
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(tmp_path / "transcripts.jsonl") in err
+        assert not (tmp_path / "analysis.json").exists()
 
     @pytest.mark.parametrize("fmt", [1, 3, "2"])
     def test_analyze_refuses_an_unknown_transcript_format(self, tmp_path, capsys, fmt):
@@ -810,6 +817,11 @@ class TestMain:
         ("decoded_mean[0]", lambda row: row["decoded_mean"].__setitem__(0, float("nan"))),
         ("num_contributors", lambda row: row.update(num_contributors=99)),
         ("assignment", lambda row: row["assignment"]["group_of"].__setitem__(15, 99)),
+        pytest.param("assignment", lambda row: row["assignment"].update(subgroup_size=None),
+                     id="assignment-null-subgroup-size"),
+        pytest.param("assignment",
+                     lambda row: row["assignment"].update(mode="two-group", num_groups=4),
+                     id="assignment-two-group-of-four-groups"),
         ("line", None),
     ])
     def test_analyze_names_the_line_and_field_it_refuses(self, tmp_path, capsys, field,
@@ -818,7 +830,9 @@ class TestMain:
         matrix, a symbol out of [0, 2**32) or not an integer, an unknown
         format, a client id equal to the client count, a `NaN` mean, a
         contributor count other than the message count, a group label
-        outside the group count, or a JSON value that is not an object."""
+        outside the group count, a subgroup layout without a subgroup size,
+        a two-group layout of four groups, or a JSON value that is not an
+        object."""
         assert main(["run", "--config", "alg2_dropout", "--seed", "3",
                      "--out", str(tmp_path)]) == 0
         path = tmp_path / "transcripts.jsonl"

@@ -4,12 +4,6 @@ The digests were computed with the per-client round engine (each channel
 pair and private phase hashed by its own `keyed_turn` call) and must not
 change while the random streams stay the same.  A change to the streams
 or to the transcript format is made on purpose and updates them here.
-
-`LEGACY_TRANSCRIPTS` holds the `transcripts.jsonl` digests of the legacy
-format (no `transcript_format` field): per-message iteration, direction,
-mask mode and version, one reveal entry per share, and the
-`correction_queries` list.  `legacy_row` rebuilds that form from a
-format-2 line, so those digests show that format 2 lost no information.
 """
 
 import hashlib
@@ -18,7 +12,6 @@ import json
 import pytest
 
 from phaseagg.cli import main
-from phaseagg.protocol import TRANSCRIPT_FORMAT
 
 ARTIFACTS = ("transcripts.jsonl", "history.csv", "report.json")
 
@@ -55,55 +48,6 @@ GOLDEN = {
     },
 }
 
-LEGACY_TRANSCRIPTS = {
-    "alg1_baseline": "27799d0c2c0962ed13df52ec6ae9192d351e0874ad7ae32865dc4f12e9e9e7ed",
-    "alg2_dropout": "585ba2bac0ab68c94c4401d88a732b1787f5434e871fa73379bae06f8d9cb115",
-    "per_symbol_round": "673fcae950c07da3f8509fa1e08a3c396e4669f3d8d9912aa60e3d2f88cc5a9d",
-}
-
-
-def legacy_reveals(records) -> list:
-    """The legacy per-share reveal log of a format-2 `reveals` list."""
-    log = []
-    for r in records:
-        if r["kind"] == "mask-shares":
-            log += [{"kind": "mask-share", "dropped": r["dropped"], "revealer": j,
-                     "phase": phase} for j, phase in zip(r["revealers"], r["phases"])]
-        else:
-            log += [{"kind": "private-phase", "client": j, "phase": phase}
-                    for j, phase in zip(r["clients"], r["phases"])]
-    return log
-
-
-def legacy_row(row: dict) -> dict:
-    """A format-2 `transcripts.jsonl` row in the legacy schema."""
-    assert row["transcript_format"] == TRANSCRIPT_FORMAT
-    legacy = {k: v for k, v in row.items()
-              if k not in ("transcript_format", "version", "mask_mode", "reveals")}
-    tags = row["assignment"]["tag_of"]
-    legacy["messages"] = [
-        {"owner": m["owner"], "iteration": row["iteration"], "direction": tags[m["owner"]],
-         "mask_mode": row["mask_mode"], "version": row["version"], "symbols": m["symbols"]}
-        for m in row["messages"]]
-    legacy["correction_queries"] = [
-        {"kind": "mask-shares", "dropped": r["dropped"], "queried": r["revealers"]}
-        if r["kind"] == "mask-shares" else {"kind": "private-phase", "queried": r["clients"]}
-        for r in row["reveals"]]
-    legacy["revealed_shares"] = legacy_reveals(row["reveals"])
-    return legacy
-
-
-def write_legacy(src, dst) -> bytes:
-    """Rewrite the format-2 `transcripts.jsonl` in `src` legacy-style into `dst`."""
-    lines = [json.dumps(legacy_row(json.loads(line)), sort_keys=True,
-                        separators=(",", ":")) + "\n"
-             for line in (src / "transcripts.jsonl").read_text().splitlines()]
-    dst.mkdir(exist_ok=True)
-    data = "".join(lines).encode()
-    (dst / "transcripts.jsonl").write_bytes(data)
-    return data
-
-
 def digests(out_dir) -> dict:
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in ARTIFACTS if (out_dir / name).exists()}
@@ -135,15 +79,3 @@ def test_per_symbol_round_digests(tmp_path):
 def test_attack_naive_report_digest(tmp_path):
     assert main(["attack", "--config", "attack_naive", "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == GOLDEN["attack_naive"]
-
-
-@pytest.mark.parametrize("config", sorted(LEGACY_TRANSCRIPTS))
-def test_legacy_expansion_reproduces_the_legacy_bytes(config, tmp_path):
-    out = run_golden(config, tmp_path)
-    legacy = write_legacy(out, tmp_path / "legacy")
-    assert hashlib.sha256(legacy).hexdigest() == LEGACY_TRANSCRIPTS[config]
-    # `analyze` reads both forms and writes the same analysis.
-    for directory in (out, tmp_path / "legacy"):
-        assert main(["analyze", "--out", str(directory)]) == 0
-    assert ((out / "analysis.json").read_bytes()
-            == (tmp_path / "legacy" / "analysis.json").read_bytes())

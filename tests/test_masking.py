@@ -69,6 +69,9 @@ def test_subgroup_mask_stays_inside_own_group():
     (dict(group_of=(0, 0, 0, 99, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got 99"),
     (dict(group_of=(0, 0, 0, -1, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got -1"),
     (dict(num_groups=0), "need at least one group, got 0"),
+    (dict(subgroup_size=None), "subgroup mode needs an int subgroup_size, got None"),
+    (dict(mode="two-group"),
+     "two-group mode needs one group and no subgroup_size, got 2 groups and subgroup_size 2"),
 ])
 def test_a_group_label_outside_the_group_count_is_refused(change, problem):
     assignment = assign_subgroups(8, 2, 2, seed=3)

@@ -57,7 +57,7 @@ from phaseagg.transcript import (
     read_transcript_line,
     write_transcripts,
 )
-from test_golden import legacy_reveals, legacy_row, run_golden, write_legacy
+from test_golden import run_golden
 
 
 def pair_partners(assignment, i) -> tuple:
@@ -1023,6 +1023,19 @@ def first_lost_side(assignment, absent) -> str:
     return f"the {tag!r} side of group {g} lost all its clients"
 
 
+def legacy_reveals(records) -> list:
+    """The per-share reveal log of a `reveals` list, one entry per revealed phase."""
+    log = []
+    for r in records:
+        if r["kind"] == "mask-shares":
+            log += [{"kind": "mask-share", "dropped": r["dropped"], "revealer": j,
+                     "phase": phase} for j, phase in zip(r["revealers"], r["phases"])]
+        else:
+            log += [{"kind": "private-phase", "client": j, "phase": phase}
+                    for j, phase in zip(r["clients"], r["phases"])]
+    return log
+
+
 def per_share_audit(log, assignment) -> int | None:
     """The reveal audit as it ran on the legacy per-share log.
 
@@ -1348,19 +1361,17 @@ class TestLayoutArrays:
 
 
 class TestReadTranscriptLine:
-    """`read_transcript_line` is the inverse of the writer, for both formats."""
+    """`read_transcript_line` is the inverse of the writer."""
 
     @pytest.mark.parametrize("config", ["alg1_baseline", "alg2_dropout", "per_symbol_round"])
     def test_golden_lines_write_back_byte_for_byte(self, tmp_path, config):
         out = run_golden(config, tmp_path)
         written = (out / "transcripts.jsonl").read_bytes()
-        write_legacy(out, tmp_path / "legacy")
-        for directory in (out, tmp_path / "legacy"):
-            with (directory / "transcripts.jsonl").open("rb") as lines:
-                transcripts = [read_transcript_line(line, number)
-                               for number, line in enumerate(lines, start=1)]
-            write_transcripts(transcripts, tmp_path / "again.jsonl")
-            assert (tmp_path / "again.jsonl").read_bytes() == written
+        with (out / "transcripts.jsonl").open("rb") as lines:
+            transcripts = [read_transcript_line(line, number)
+                           for number, line in enumerate(lines, start=1)]
+        write_transcripts(transcripts, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_bytes() == written
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_a_non_finite_number_is_refused(self, token):
@@ -1525,6 +1536,16 @@ class TestReadTranscriptLine:
                            match=r"^line 2: 'dropped\[0\]' names client 0, who sent a message$"):
             read_transcript_line(json.dumps(row), 2)
 
+    def test_the_delayed_client_is_no_sender(self):
+        row = json.loads(small_round(delayed=2).to_json_line())
+        assert row["delayed"] == 2 and ("mask-shares", 2) in [
+            (r["kind"], r.get("dropped")) for r in row["reveals"]]
+        row["messages"].append(dict(row["messages"][0], owner=2))
+        row["num_contributors"] += 1
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'delayed' names client 2, who sent a message$"):
+            read_transcript_line(json.dumps(row), 2)
+
     @pytest.mark.parametrize("per_symbol", [False, True])
     @pytest.mark.parametrize("version, naive_remedy", [(ALG1, True), (ALG2, False)])
     def test_every_line_run_round_writes_reads_back(self, version, naive_remedy, per_symbol):
@@ -1538,9 +1559,7 @@ class TestReadTranscriptLine:
         assert [(r["kind"], r.get("dropped")) for r in transcript.reveals][:2] == [
             ("mask-shares", 2), ("mask-shares", 5)]
         line = transcript.to_json_line()
-        legacy = json.dumps(legacy_row(json.loads(line)))
-        for text in (line, legacy):
-            assert read_transcript_line(text).to_json_line() == line
+        assert read_transcript_line(line).to_json_line() == line
 
     @pytest.mark.parametrize("field", ["aggregate", "decoded_mean"])
     def test_a_vector_shorter_than_the_symbol_rows_is_refused(self, field):
