@@ -82,8 +82,7 @@ def _plugin_mi_bits(x_codes: np.ndarray, y_codes: np.ndarray) -> float:
     n = x_codes.size
     nx = int(x_codes.max()) + 1
     ny = int(y_codes.max()) + 1
-    joint = np.zeros((nx, ny), dtype=np.int64)
-    np.add.at(joint, (x_codes, y_codes), 1)
+    joint = np.bincount(x_codes * ny + y_codes, minlength=nx * ny).reshape(nx, ny)
     pxy = joint / n
     px = pxy.sum(axis=1, keepdims=True)
     py = pxy.sum(axis=0, keepdims=True)

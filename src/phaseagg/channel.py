@@ -6,24 +6,21 @@ see.  Phases are i.i.d. uniform on the 2**32 grid, constant within an
 iteration and freshly sampled across iterations.  Path loss, noise and
 geometry are out of scope: independence between pairs is modeled directly.
 
-A channel is keyed by (seed, iteration) and stores no phases.
-`pair_phase_window` derives the phases of exactly the pairs it is asked
-for over a window of consecutive iterations, in one batch: a training run
-derives its cross pairs' phases for many rounds at once, and
-`ChannelMatrix.pair_phases` is the one-round case, so a round on its own
-hashes only the cross pairs its layout uses.
-Per symbol, `pair_phase_stream` expands one pair's key into its stream;
-a round's row (`masking.RoundPhases`) expands each cross pair's once.
-When a phase is derived does not change it: each is the same keyed
-function of (seed, iteration, pair).  The dense N x N table
-`ChannelMatrix.phases` is built on first use, for `get_phase`, tests and
-demos; the round path never builds it.
+A channel is keyed by (seed, iteration) and stores no phases.  A pair's
+phase is `keyed_turn(seed, CHANNEL_DOMAIN, iteration, min, max)`, and
+`get_phase` derives exactly that, one pair at a time.  `pair_phase_window`
+derives the phases of the pairs it is asked for over a window of
+consecutive iterations, in one batch: a training run derives its cross
+pairs' phases for many rounds at once, and a round on its own is the
+one-round window.  Per symbol, `pair_phase_stream` expands one pair's key
+into its stream; a round's row (`masking.RoundPhases`) expands each cross
+pair's once.  When a phase is derived does not change it: each is the
+same keyed function of (seed, iteration, pair).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,31 +30,17 @@ from .errors import InvalidTopologyError, NoSelfChannelError
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Symmetric per-iteration pairwise channel phases.
+    """The key of one iteration's symmetric pairwise channel phases.
 
     The channel derives any pair's phase from (seed, iteration, pair) on
-    demand, so dropout recovery needs nothing stored.  The diagonal is
-    unused: a client has no channel to itself.  Instances are immutable
-    and safe to share across concurrent simulations.
+    demand, so dropout recovery needs nothing stored.  A client has no
+    channel to itself.  Instances are immutable and safe to share across
+    concurrent simulations.
     """
 
     num_clients: int
     iteration: int
     seed: int
-
-    def pair_phases(self, a, b) -> np.ndarray:
-        """Phases of the pairs (a[k], b[k]) as uint32 turns: the one-round `pair_phase_window`."""
-        return pair_phase_window(self.num_clients, self.seed, self.iteration, 1, a, b)[0]
-
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """Read-only dense (N, N) uint32 phase table, built on first use."""
-        n = self.num_clients
-        table = np.zeros((n, n), dtype=np.uint32)
-        i, j = np.triu_indices(n, k=1)
-        table[i, j] = table[j, i] = self.pair_phases(i, j)
-        table.setflags(write=False)
-        return table
 
 
 def _ordered_pairs(num_clients: int, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +80,8 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
 
     Each unordered pair {i, j} gets one independent uniform grid value,
     `keyed_turn(seed, CHANNEL_DOMAIN, iteration, min, max)`.  Nothing is
-    hashed here: `ChannelMatrix.pair_phases` derives the pairs a round
-    uses.  Deterministic: identical arguments give identical phases.
+    hashed here: `get_phase` and `pair_phase_window` derive the pairs they
+    are asked for.  Deterministic: identical arguments give identical phases.
     """
     if num_clients < 2:
         raise InvalidTopologyError(
@@ -110,8 +93,9 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
 
 
 def get_phase(channel: ChannelMatrix, i: int, j: int) -> int:
-    """Phase of the link between i and j; reciprocal by construction."""
-    return int(channel.phases[_ordered_pair(channel.num_clients, i, j)])
+    """Phase of the link between i and j, the pair's definition; reciprocal by construction."""
+    lo, hi = _ordered_pair(channel.num_clients, i, j)
+    return rng.keyed_turn(channel.seed, rng.CHANNEL_DOMAIN, channel.iteration, lo, hi)
 
 
 def pair_phase_stream(channel: ChannelMatrix, i: int, j: int, length: int) -> np.ndarray:

@@ -34,22 +34,22 @@ pair's channel phase, or per symbol its stream, in the order of
 by client id, and every client's signed group mask, derived from the
 pairs.  `phase_window` derives the rows of a window of rounds: scalar
 phases hashed in one batch per domain and every round's masks in one
-pair of scatters, streams expanded once each by `pair_phase_stream` and
-`sample_private_phase`.  `round_phases` derives one round's row from its
-channel, as a direct `protocol.run_round` call does.  When a phase is
+`signed_masks` call, streams expanded once each by `pair_phase_stream`
+and `sample_private_phase`.  `round_phases` derives one round's row from
+its channel, as a direct `protocol.run_round` call does.  When a phase is
 derived is a simulation detail: every value is the same keyed function
 of (seed, round, ids).
 
 `signed_masks` gives every client its group mask, negated on the minus
-side, from a row's pairs in a fixed number of array calls: two
-scatter-adds over `cross_pair_index` for scalar phases, one sum per side
-of each group's (|plus|, |minus|, length) block for streams.  A window
-scatters all its rounds' scalar phases at once, over the flattened
-(rounds, N) grid.  The dropout correction reads a dropped client's
-shares from the row's pairs, never its masks, at the positions
-`GroupAssignment.pair_positions` caches.  `compute_group_mask`,
-`sample_private_phase`, `mask_shares` and `apply_mask` are the per-client
-definitions those arrays are tested against.
+side, by one sum per side of each group's (|plus|, |minus|, *width)
+block of pairs, whatever the width: () for a round's scalar phases,
+(length,) for its streams, (rounds,) for a window's scalar phases.  The
+dropout correction reads a dropped client's shares from the row's pairs,
+never its masks, at the positions `GroupAssignment.pair_positions`
+caches.  `compute_group_mask`, `sample_private_phase`, `mask_shares` and
+`apply_mask` are the per-client definitions those arrays are tested
+against: they read each phase from its definition, `get_phase` or
+`pair_phase_stream`, not from a batch.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class GroupAssignment:
     mode has `num_groups` groups whose sides are the two subgroups of int
     size `subgroup_size` (the last group absorbs any remainder, split as
     evenly as possible).  A layout that breaks its mode's rule, labels a
-    client outside the group count or leaves a side empty is refused.
+    client outside the group count, leaves a side empty or, in subgroup
+    mode, has sides other than `assign_subgroups` builds is refused.
     """
 
     mode: str
@@ -127,6 +128,15 @@ class GroupAssignment:
             for tag in (PLUS, MINUS):
                 if not self.side(g, tag):
                     raise ValueError(f"group {g} has an empty {tag!r} side")
+        if self.mode == TWO_GROUP:
+            return
+        n, size, groups = self.num_clients, self.subgroup_size, self.num_groups
+        if size < 1 or groups != n // (2 * size):
+            raise ValueError(f"subgroup_size {size} cannot split {n} clients into {groups} groups")
+        want = _subgroup_sides(n, groups, size)
+        got = [(len(self.side(g, PLUS)), len(self.side(g, MINUS))) for g in range(groups)]
+        if got != want:
+            raise ValueError(f"subgroup_size {size} needs (plus, minus) sides {want}, got {got}")
 
     @property
     def num_clients(self) -> int:
@@ -166,13 +176,6 @@ class GroupAssignment:
                 arr.setflags(write=False)
             index.append(sides)
         return tuple(index)
-
-    @cached_property
-    def minus_mask(self) -> np.ndarray:
-        """Read-only (N,) bool array, True for every minus-side client."""
-        mask = np.array([tag == MINUS for tag in self.tag_of], dtype=bool)
-        mask.setflags(write=False)
-        return mask
 
     @cached_property
     def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +291,12 @@ def two_group_from_sides(plus_side: Iterable[int],
                            tag_of=tuple(tags), num_groups=1, subgroup_size=None)
 
 
+def _subgroup_sides(num_clients: int, num_groups: int, size: int) -> list[tuple[int, int]]:
+    """Each group's (plus, minus) side sizes as `assign_subgroups` builds them."""
+    last = num_clients - 2 * size * (num_groups - 1)
+    return [(size, size)] * (num_groups - 1) + [((last + 1) // 2, last // 2)]
+
+
 def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
                      seed: int) -> GroupAssignment:
     """Random split into `num_groups` groups of two subgroups of `subgroup_size`.
@@ -297,17 +306,14 @@ def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
     its sides (both stay >= subgroup_size).
     """
     check_layout(SUBGROUP, num_clients, num_groups, subgroup_size)
-    per_group = 2 * subgroup_size
-    remainder = num_clients - num_groups * per_group
     order = rng.keyed_generator(seed, rng.GROUPING_DOMAIN).permutation(num_clients)
     group_of = [0] * num_clients
     tag_of = [PLUS] * num_clients
     start = 0
-    for g in range(num_groups):
-        size = per_group + (remainder if g == num_groups - 1 else 0)
-        chunk = order[start:start + size]
-        start += size
-        plus_count = (size + 1) // 2
+    for g, (plus_count, minus_count) in enumerate(
+            _subgroup_sides(num_clients, num_groups, subgroup_size)):
+        chunk = order[start:start + plus_count + minus_count]
+        start += chunk.size
         for pos, client in enumerate(chunk):
             group_of[int(client)] = g
             tag_of[int(client)] = PLUS if pos < plus_count else MINUS
@@ -354,48 +360,28 @@ def check_pair_row(assignment: GroupAssignment, pairs: np.ndarray) -> None:
 
 
 def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
-    """Every client's group mask signed by its side: (N,) turns, or (N, length) per symbol.
+    """Every client's group mask signed by its side: an (N, *width) uint32 array.
 
-    `pairs` is a row's cross-pair values (`RoundPhases.pairs`).  Row i is
-    `compute_group_mask(i, ...)` for a plus-side client and its negation mod
-    2**32 for a minus-side one: the offset client i adds to its symbols.
-    Scalar phases are scattered onto both endpoints of every pair, plus
-    added and minus subtracted (`_scatter_masks`, one round of it).
-    Streams are summed per group instead, a plus-side client over its row
-    of the group's (|plus|, |minus|, length) block and a minus-side client
-    over its column, because a scatter of whole streams is many times
-    slower than those sums.
+    `pairs` is a (P, *width) array of cross-pair values in
+    `cross_pair_index` order: a row's scalar phases (width ()) or streams
+    (width (length,)), or a window's (rounds, P) scalar phases transposed
+    (width (rounds,)).  Row i is `compute_group_mask(i, ...)` for a
+    plus-side client and its negation mod 2**32 for a minus-side one: the
+    offset client i adds to its symbols.  Each group's pairs, reshaped to
+    its (|plus|, |minus|, *width) block, are summed over the minus side
+    for a plus-side client and over the plus side for a minus-side one.
     """
     check_pair_row(assignment, pairs)
-    if pairs.ndim == 1:
-        return _scatter_masks(assignment, pairs[None])[0]
-    masks = np.zeros((assignment.num_clients, *pairs.shape[1:]), dtype=np.uint32)
+    width = pairs.shape[1:]
+    masks = np.zeros((assignment.num_clients, *width), dtype=np.uint32)
     start = 0
     for plus, minus in assignment.side_index:
         stop = start + plus.size * minus.size
-        block = pairs[start:stop].reshape(plus.size, minus.size, -1)
+        block = pairs[start:stop].reshape(plus.size, minus.size, *width)
         masks[plus] = block.sum(axis=1, dtype=np.uint32)
-        masks[minus] = block.sum(axis=0, dtype=np.uint32)
+        masks[minus] = -block.sum(axis=0, dtype=np.uint32)
         start = stop
-    np.negative(masks, out=masks, where=assignment.minus_mask[:, None])
     return masks
-
-
-def _scatter_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
-    """Signed scalar masks of a (rounds, P) block of rows: (rounds, N) turns.
-
-    Row r is `signed_masks(assignment, pairs[r])`.  Client i of round r is
-    entry r * N + i of the flattened (rounds, N) grid, so every round's
-    pairs scatter onto it with one add and one subtract.
-    """
-    n = assignment.num_clients
-    plus, minus = assignment.cross_pair_index
-    rows = np.arange(0, len(pairs) * n, n)[:, None]
-    values = pairs.ravel()
-    masks = np.zeros(rows.size * n, dtype=np.uint32)
-    np.add.at(masks, (rows + plus).ravel(), values)
-    np.subtract.at(masks, (rows + minus).ravel(), values)
-    return masks.reshape(rows.size, n)
 
 
 def apply_mask(symbols, mask, direction: str) -> np.ndarray:
@@ -472,7 +458,7 @@ def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int,
     t, clients = channel.iteration, range(assignment.num_clients)
     plus, minus = assignment.cross_pair_index
     if length is None:
-        pairs = channel.pair_phases(plus, minus)
+        pairs = pair_phase_window(channel.num_clients, channel.seed, t, 1, plus, minus)[0]
         return RoundPhases(t, pairs,
                            private_phase_window(clients, t, 1, seed)[0] if private else None,
                            signed_masks(assignment, pairs))
@@ -489,11 +475,11 @@ def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int
     """The rows of `rounds` consecutive rounds from `start`, row r that of round start + r.
 
     Scalar phases take one batch for every cross pair's channel phase in
-    the window, one pair of scatters for every round's masks
-    (`_scatter_masks` over the flattened (rounds, N) grid) and, with
-    `private`, one more batch for every client's private phase.  Streams
-    are expanded round by round, as `round_phases` does on the round's
-    seeded channel, and so are their masks.
+    the window, one `signed_masks` call for every round's masks (over the
+    window's pairs transposed, width (rounds,)) and, with `private`, one
+    more batch for every client's private phase.  Streams are expanded
+    round by round, as `round_phases` does on the round's seeded channel,
+    and so are their masks.
     """
     n = assignment.num_clients
     if length is not None:
@@ -504,7 +490,7 @@ def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int
     pairs = pair_phase_window(n, seed, start, rounds, plus, minus)
     privates = (private_phase_window(range(n), start, rounds, seed)
                 if private else (None,) * rounds)
-    masks = _scatter_masks(assignment, pairs)
+    masks = signed_masks(assignment, pairs.T).T
     return [RoundPhases(start + r, p, q, m)
             for r, (p, q, m) in enumerate(zip(pairs, privates, masks))]
 

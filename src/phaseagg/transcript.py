@@ -259,9 +259,10 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     empty integer list, a negative iteration, an assignment that
     `GroupAssignment` refuses, a client id outside it, a client listed
     twice, a wrong `num_contributors`, a dropped or the delayed client
-    that sent a message, or a reveal record that does not fit its clients,
-    raises TranscriptFormatError naming line `number` and the field: the
-    first violation `config.walk` finds, else the first check after it.
+    that sent a message, a delayed client that is also dropped, or a
+    reveal record that does not fit its clients, raises
+    TranscriptFormatError naming line `number` and the field: the first
+    violation `config.walk` finds, else the first check after it.
     A record fits when each revealer or private-phases client is a
     sender, a mask-shares record's dropped client is dropped or delayed,
     and its phases hold one row per listed client.
@@ -344,6 +345,8 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     for name, i in absent + [("delayed", known["delayed"])]:
         if i in sent:
             raise fail(name, f"names client {i}, who sent a message")
+    if known["delayed"] in dropped:
+        raise fail("delayed", f"names client {known['delayed']}, who is also dropped")
     records = []
     for k, r in enumerate(reveals):
         listed = "revealers" if r["kind"] == "mask-shares" else "clients"

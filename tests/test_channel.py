@@ -13,10 +13,15 @@ from phaseagg.channel import (
 from phaseagg.errors import InvalidTopologyError, NoSelfChannelError
 
 
+def every_pair(chan):
+    """`get_phase` of every unordered pair of `chan`, in (i, j) order with i < j."""
+    n = chan.num_clients
+    return [get_phase(chan, i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_two_clients_single_mirrored_value():
     chan = sample_round_channel(2, iteration=0, seed=7)
-    assert chan.phases[0, 1] == chan.phases[1, 0]
-    # the one off-diagonal value comes straight from the keyed generator
+    # the one pair's value comes straight from the keyed generator
     expected = rng.keyed_turn(7, rng.CHANNEL_DOMAIN, 0, 0, 1)
     assert get_phase(chan, 0, 1) == expected
     assert get_phase(chan, 1, 0) == expected
@@ -41,15 +46,17 @@ def test_reciprocity_exact():
 
 
 def test_matrices_differ_across_iterations():
-    a = sample_round_channel(8, iteration=0, seed=42)
-    b = sample_round_channel(8, iteration=1, seed=42)
-    assert not np.array_equal(a.phases, b.phases)
+    a = every_pair(sample_round_channel(8, iteration=0, seed=42))
+    assert a != every_pair(sample_round_channel(8, iteration=1, seed=42))
+    assert a != every_pair(sample_round_channel(8, iteration=0, seed=43))
 
 
 def test_determinism_bit_identical():
     a = sample_round_channel(6, iteration=5, seed=13)
     b = sample_round_channel(6, iteration=5, seed=13)
-    assert np.array_equal(a.phases, b.phases)
+    assert every_pair(a) == every_pair(b)
+    i, j = np.triu_indices(6, k=1)
+    assert pair_phase_window(6, 13, 5, 1, i, j)[0].tolist() == every_pair(a)
 
 
 def test_too_few_clients():
@@ -71,46 +78,32 @@ def test_out_of_range_ids():
         get_phase(chan, -1, 1)
 
 
-def test_matrix_is_immutable():
-    chan = sample_round_channel(3, iteration=0, seed=0)
-    with pytest.raises(ValueError):
-        chan.phases[0, 1] = 0
-
-
-def test_lazy_table_equals_keyed_turn_per_pair():
+def test_every_pair_equals_keyed_turn_in_either_order():
     chan = sample_round_channel(7, iteration=4, seed=2**33 + 5)
-    assert "phases" not in chan.__dict__
-    table = chan.phases
-    assert chan.phases is table
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[2, 5] = 0
-    for i in range(7):
-        assert table[i, i] == 0
-        for j in range(i + 1, 7):
-            expected = rng.keyed_turn(2**33 + 5, rng.CHANNEL_DOMAIN, 4, i, j)
-            assert table[i, j] == table[j, i] == expected
+    i, j = np.triu_indices(7, k=1)
+    window = pair_phase_window(7, 2**33 + 5, 4, 1, i, j)[0]
+    expected = [rng.keyed_turn(2**33 + 5, rng.CHANNEL_DOMAIN, 4, a, b)
+                for a, b in zip(i.tolist(), j.tolist())]
+    assert window.tolist() == expected
+    assert [get_phase(chan, b, a) for a, b in zip(i, j)] == every_pair(chan) == expected
 
 
-def test_pair_phases_in_either_order():
+def test_pair_phase_window_in_either_order():
     chan = sample_round_channel(6, iteration=1, seed=3)
     a, b = np.array([0, 5, 2]), np.array([4, 1, 3])
-    got = chan.pair_phases(a, b)
+    got = pair_phase_window(6, 3, 1, 1, a, b)[0]
     assert got.dtype == np.uint32
     assert got.tolist() == [get_phase(chan, i, j) for i, j in zip(a, b)]
-    assert np.array_equal(chan.pair_phases(b, a), got)
-    assert chan.pair_phases(np.array([], dtype=np.int64),
-                            np.array([], dtype=np.int64)).shape == (0,)
+    assert np.array_equal(pair_phase_window(6, 3, 1, 1, b, a)[0], got)
+    assert pair_phase_window(6, 3, 1, 1, np.array([], dtype=np.int64),
+                             np.array([], dtype=np.int64)).shape == (1, 0)
 
 
-def test_pair_phases_refuses_bad_pairs():
-    chan = sample_round_channel(4, iteration=0, seed=1)
-    with pytest.raises(NoSelfChannelError):
-        chan.pair_phases(np.array([0, 2]), np.array([1, 2]))
-    with pytest.raises(IndexError):
-        chan.pair_phases(np.array([0]), np.array([4]))
-    with pytest.raises(IndexError):
-        chan.pair_phases(np.array([-1]), np.array([2]))
+def test_pair_phase_window_refuses_bad_pairs():
+    for a, b, error in [([0, 2], [1, 2], NoSelfChannelError), ([0], [4], IndexError),
+                        ([-1], [2], IndexError)]:
+        with pytest.raises(error):
+            pair_phase_window(4, 1, 0, 1, np.array(a), np.array(b))
 
 
 def test_channel_refuses_a_negative_seed():
@@ -122,7 +115,7 @@ def test_channel_needs_a_seed():
     # A channel's phases come from its seed alone: no table can stand in.
     with pytest.raises(TypeError):
         ChannelMatrix(3, 0)
-    assert ChannelMatrix(3, 0, 5).phases.tolist() == sample_round_channel(3, 0, 5).phases.tolist()
+    assert every_pair(ChannelMatrix(3, 0, 5)) == every_pair(sample_round_channel(3, 0, 5))
 
 
 def window_samples(seed, pairs, rounds=10_000):

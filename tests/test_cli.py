@@ -851,6 +851,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line 3: '{field}' ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("change, problem", [
+        (dict(delayed=7), "'delayed' names client 7, who is also dropped"),
+        (dict(subgroup_size=0), "'assignment' is not a group assignment: "
+                                "subgroup_size 0 cannot split 16 clients into 4 groups"),
+        (dict(subgroup_size=3), "'assignment' is not a group assignment: "
+                                "subgroup_size 3 cannot split 16 clients into 4 groups"),
+    ], ids=["delayed-and-dropped", "subgroup-size-0", "subgroup-size-3"])
+    def test_analyze_refuses_a_second_line_run_round_would_refuse(self, tmp_path, capsys,
+                                                                 change, problem):
+        """Line 2 of a run's transcripts, which drops client 7, with client 7
+        also delayed, or with a subgroup size its sides do not have."""
+        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "transcripts.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[1])
+        assert (row["dropped"], row["assignment"]["subgroup_size"]) == ([7], 2)
+        if "delayed" in change:
+            row.update(change)
+        else:
+            row["assignment"].update(change)
+        lines[1] = json.dumps(row)
+        path.write_text("".join(line + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["analyze", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {problem}\n"
+
     def test_analyze_holds_at_most_two_rounds_at_once(self, tmp_path, monkeypatch, capsys):
         run_scenario(parse_config(valid_data(rounds=20)), tmp_path, "run")
         read, reads, alive, peak = transcript.read_transcript_line, [], set(), [0]

@@ -72,6 +72,11 @@ def test_subgroup_mask_stays_inside_own_group():
     (dict(subgroup_size=None), "subgroup mode needs an int subgroup_size, got None"),
     (dict(mode="two-group"),
      "two-group mode needs one group and no subgroup_size, got 2 groups and subgroup_size 2"),
+    (dict(subgroup_size=0), "subgroup_size 0 cannot split 8 clients into 2 groups"),
+    (dict(subgroup_size=3), "subgroup_size 3 cannot split 8 clients into 2 groups"),
+    (dict(tag_of=("-", "+", "-", "+", "+", "-", "+", "-")),
+     r"subgroup_size 2 needs \(plus, minus\) sides \[\(2, 2\), \(2, 2\)\], "
+     r"got \[\(3, 1\), \(1, 3\)\]"),
 ])
 def test_a_group_label_outside_the_group_count_is_refused(change, problem):
     assignment = assign_subgroups(8, 2, 2, seed=3)

@@ -3,7 +3,8 @@
 `masking.phase_window` derives many rounds' rows: scalar cross-pair and
 private phases in one batch each, per-symbol streams once each.  Every
 value must equal its per-key definition (`rng.keyed_turn` of the pair's
-key, `pair_phase_stream`, `sample_private_phase`), and a run's artifacts
+key, `pair_phase_stream`, `sample_private_phase`), every signed mask its
+per-client one (`compute_group_mask`), and a run's artifacts
 must not depend on the window size: the reference run below makes every
 round derive its own row, as a direct `run_round` call does.
 """
@@ -26,8 +27,10 @@ from phaseagg.channel import (
 from phaseagg.config import ALG1, ALG2
 from phaseagg.errors import ResidualMaskError
 from phaseagg.masking import (
+    MINUS,
     assign_subgroups,
     assign_two_groups,
+    compute_group_mask,
     phase_window,
     private_phase_window,
     round_phases,
@@ -48,7 +51,7 @@ def layouts(draw):
     if draw(st.booleans()):
         return assign_two_groups(draw(st.integers(4, 10)), seed=seed)
     size = draw(st.integers(2, 3))
-    groups = draw(st.integers(1, 2))
+    groups = draw(st.integers(1, 4))
     clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
     return assign_subgroups(clients, groups, size, seed=seed)
 
@@ -77,19 +80,24 @@ class TestWindowValues:
         assert len(rows) == rounds
         plus, minus = assignment.cross_pair_index
         pairs = list(zip(plus.tolist(), minus.tolist()))
+        minus_side = [i for i, tag in enumerate(assignment.tag_of) if tag == MINUS]
         for r, row in enumerate(rows):
             t = start + r
             assert (row.iteration, row.length) == (t, length)
+            chan = sample_round_channel(assignment.num_clients, t, seed)
             if length is None:
                 assert row.pairs.dtype == np.uint32
                 assert row.pairs.tolist() == [
                     rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
                     for a, b in pairs]
             else:
-                chan = sample_round_channel(assignment.num_clients, t, seed)
                 assert row.pairs.dtype == np.uint32
                 assert row.pairs.tolist() == [pair_phase_stream(chan, a, b, length).tolist()
                                               for a, b in pairs]
+            masks = np.array([compute_group_mask(i, assignment, chan, length=length)
+                              for i in range(assignment.num_clients)], dtype=np.uint32)
+            masks[minus_side] = -masks[minus_side]
+            assert row.masks.dtype == np.uint32 and np.array_equal(row.masks, masks)
             if not private:
                 assert row.private is None
                 continue
@@ -152,8 +160,8 @@ class TestWindowValues:
 
     def test_one_round_calls_refuse_what_the_window_refuses(self):
         chan = sample_round_channel(6, iteration=2**32, seed=3)
-        with pytest.raises(ValueError):
-            chan.pair_phases(np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            round_phases(assign_two_groups(6, seed=3), chan, 3, private=False)
         with pytest.raises(ValueError, match="at least one round"):
             private_phase_window([0], 5, 0, seed=3)
 
