@@ -87,8 +87,8 @@ def sample_round_channel(num_clients: int, iteration: int, seed: int) -> Channel
         raise InvalidTopologyError(
             f"need at least 2 clients to form a channel, got {num_clients}"
         )
-    if seed < 0 or iteration < 0:
-        raise ValueError(f"seed and iteration must be non-negative, got {seed}, {iteration}")
+    if seed < 0 or not 0 <= iteration < 2**32:
+        raise ValueError(f"need seed >= 0 and iteration in [0, 2**32), got {seed}, {iteration}")
     return ChannelMatrix(num_clients=num_clients, iteration=iteration, seed=seed)
 
 

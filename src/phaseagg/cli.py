@@ -29,7 +29,8 @@ Identical config and seed always produce byte-identical artifacts, each
 written to a new file (`transcript.new_file`).
 
 A command whose artifacts fail a check (`_check`: the overhead or
-recovery counts, or the plaintext baseline) raises `CheckFailedError`
+recovery counts, or the plaintext baseline, which `run`'s one training
+pass checks round by round) raises `CheckFailedError`
 after writing them, and `main` prints its one ``error:`` line and exits
 2, as for every other runtime error and for an `OSError`, such as an
 `--out` that names a regular file, or an `analyze --out` directory
@@ -46,8 +47,6 @@ import os
 import sys
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, fl
 from .config import ScenarioConfig, parse_config
@@ -113,7 +112,7 @@ def _check(overhead: analysis.OverheadReport, diverged: int | None = None) -> No
     """Raise CheckFailedError naming the first failed check of written artifacts.
 
     `diverged` is the first round whose updated parameters differ from the
-    plaintext baseline's, if one does.
+    plaintext baseline's step, if one does (`fl.TrainingHistory.diverged`).
     """
     if overhead.failure is not None:
         raise CheckFailedError(overhead.failure)
@@ -123,14 +122,7 @@ def _check(overhead: analysis.OverheadReport, diverged: int | None = None) -> No
 
 
 def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
-    history = fl.run_training(config, "secure")
-    baseline_match = diverged = None
-    if config.compare_baseline:
-        # Equal parameters give equal losses, so both runs stop after the same round.
-        plain = fl.run_training(config, "plaintext").thetas
-        diverged = next((t for t, (a, b) in enumerate(zip(history.thetas, plain))
-                         if not np.array_equal(a, b)), None)
-        baseline_match = diverged is None
+    history = fl.run_training(config)
     write_history_csv(history, out_dir / "history.csv")
     write_transcripts(history.transcripts, out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead(history.transcripts)
@@ -151,15 +143,16 @@ def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
         "overhead": overhead.to_json_dict(),
         "codec": history.transcripts[0].codec_metrics,
         "counters_total": counters_total,
-        "baseline_match": baseline_match,
+        "baseline_match": history.diverged is None if config.compare_baseline else None,
     }
     write_report(report, out_dir / "report.json")
-    _check(overhead, diverged)
+    _check(overhead, history.diverged)
     return report
 
 
 def _command_round(config: ScenarioConfig, out_dir: Path) -> dict:
-    (transcript,) = fl.run_training(dataclasses.replace(config, rounds=1)).transcripts
+    one = dataclasses.replace(config, rounds=1, compare_baseline=False)
+    (transcript,) = fl.run_training(one).transcripts
     write_transcripts([transcript], out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead([transcript])
     leak = analysis.difference_leak_probe(transcript.symbols, transcript.mask_mode,

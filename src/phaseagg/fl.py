@@ -14,15 +14,15 @@ every client's digits (`client_digits`).  `compute_gradient` and
 `quantized_digits` stay the per-client definitions the batch is tested
 against, bit for bit.
 
-`run_training` drives the full loop in two modes: "secure" routes every
-round through the masked aggregation protocol (`protocol.run_iteration`);
-"plaintext" sums the same quantized digits directly.  Both take their
-digits from `client_digits`, and masking is information-lossless, so the
-two trajectories are bit-identical - that equivalence is itself a test
-target.  The loop's only state is the parameter vector theta: the round
-is the loop counter and the learning rate the config's.
+`run_training` drives the loop through the masked aggregation protocol
+(`protocol.run_iteration`).  With `compare_baseline`, each round also
+takes the insecure baseline's step (`baseline_step`) from the same theta
+and residual, summing the same digits in the clear.  Masking is
+information-lossless, so the two updates are bit-identical; the history
+records the first round whose updates differ.  The loop's only state is
+theta: the round is the loop counter and the learning rate the config's.
 
-A secure run derives its rounds' keyed phases a window at a time
+A run derives its rounds' keyed phases a window at a time
 (`masking.phase_window`): every cross pair's phase, every client's
 signed group mask and, under alg2, every client's private phase, scalar
 or per symbol, for as many rounds as fit in `WINDOW_WORDS` words, at
@@ -224,8 +224,9 @@ class HistoryRow:
 @dataclass
 class TrainingHistory:
     rows: list[HistoryRow] = field(default_factory=list)
-    thetas: list[np.ndarray] = field(default_factory=list)
     transcripts: list = field(default_factory=list)
+    # With compare_baseline, the first round whose update differs from the baseline's.
+    diverged: int | None = None
 
     @property
     def initial_loss(self) -> float:
@@ -236,17 +237,32 @@ class TrainingHistory:
         return self.rows[-1].loss
 
 
-def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistory:
+def baseline_step(theta: np.ndarray, config: ScenarioConfig, datasets: ClientDatasets,
+                  residual: np.ndarray, t: int) -> np.ndarray:
+    """The plaintext baseline's update of round t at `theta`: digits summed in the clear.
+
+    The senders are listed from the config's drop set and delayed client,
+    not read from the round, so the check covers `run_round`'s senders too.
+    """
+    absent = {*config.dropouts_for_round(t), config.delayed_client}
+    senders = [i for i in range(config.clients) if i not in absent]
+    cfg = config.quantization()
+    digits = client_digits(theta, datasets, cfg, residual=residual)[senders]
+    mean = dequantize_mean(np.sum(digits, axis=0, dtype=np.int64), len(senders), cfg)
+    return sgd_update(theta, mean, config.learning_rate)
+
+
+def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHistory:
     """Run the full DSGD loop and record per-round metrics.
 
-    mode "secure" uses the masked aggregation protocol; "plaintext" is the
-    insecure baseline summing quantized digits directly.  Both start at
-    theta = 0, the loop's only state.  Each round computes its residual
-    once (`client_residuals`) and hands it to `sample_loss` and to the
-    digits, in either mode.  Stops after config.rounds, or earlier once
-    loss falls below config.loss_threshold.
+    Starts at theta = 0, the loop's only state.  Each round computes its
+    residual once (`client_residuals`) and hands it to `sample_loss`, to
+    `protocol.run_iteration` and, with `compare_baseline` and until a
+    round differs, to `baseline_step` at the same theta.  Stops after
+    config.rounds, or earlier once loss falls below config.loss_threshold.
+    `mode` is only "secure", still accepted from callers that name it.
     """
-    if mode not in ("secure", "plaintext"):
+    if mode != "secure":
         raise ValueError(f"unknown training mode {mode!r}")
     from . import protocol  # imported here: protocol composes on top of fl
 
@@ -254,7 +270,6 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
         config.clients, config.dimension, config.samples_per_client, config.seed
     )
     assignment = config.build_assignment()
-    cfg = config.quantization()
     theta = np.zeros(config.dimension)
     history = TrainingHistory()
     private = config.protocol_version == ALG2
@@ -267,34 +282,23 @@ def run_training(config: ScenarioConfig, mode: str = "secure") -> TrainingHistor
     for t in range(config.rounds):
         residual = client_residuals(theta, datasets)
         loss = sample_loss(theta, datasets, residual=residual)
-        if mode == "secure":
-            if t % window == 0:
-                rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
-                                    private=private, length=length)
-            transcript, new_theta = protocol.run_iteration(
-                theta, config, datasets, assignment, rows[t % window], residual
-            )
-            history.transcripts.append(transcript)
-            counters = transcript.counters
-            row = HistoryRow(
-                round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
-                phase_estimations=counters["phase_estimations"],
-                uplink=counters["uplink_messages"],
-                recoveries=counters["recovery_messages"],
-            )
-        else:
-            dropped = set(config.dropouts_for_round(t))
-            if config.delayed_client is not None:
-                dropped.add(config.delayed_client)
-            senders = [i for i in range(config.clients) if i not in dropped]
-            digits = client_digits(theta, datasets, cfg, residual=residual)
-            digit_sum = np.sum(digits[senders], axis=0, dtype=np.int64)
-            mean = dequantize_mean(digit_sum, len(senders), cfg)
-            new_theta = sgd_update(theta, mean, config.learning_rate)
-            row = HistoryRow(round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
-                             phase_estimations=0, uplink=len(senders), recoveries=0)
-        history.rows.append(row)
-        history.thetas.append(new_theta)
+        if t % window == 0:
+            rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
+                                private=private, length=length)
+        transcript, new_theta = protocol.run_iteration(
+            theta, config, datasets, assignment, rows[t % window], residual
+        )
+        if config.compare_baseline and history.diverged is None:
+            baseline = baseline_step(theta, config, datasets, residual, t)
+            history.diverged = None if np.array_equal(baseline, new_theta) else t
+        history.transcripts.append(transcript)
+        counters = transcript.counters
+        history.rows.append(HistoryRow(
+            round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
+            phase_estimations=counters["phase_estimations"],
+            uplink=counters["uplink_messages"],
+            recoveries=counters["recovery_messages"],
+        ))
         theta = new_theta
         if config.loss_threshold is not None and loss < config.loss_threshold:
             break

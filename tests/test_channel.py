@@ -111,6 +111,22 @@ def test_channel_refuses_a_negative_seed():
         sample_round_channel(3, iteration=0, seed=-1)
 
 
+@pytest.mark.parametrize("iteration", [-1, 2**32, 2**40])
+def test_channel_refuses_an_iteration_the_window_refuses(iteration):
+    # One range for every path: a per-pair phase and a window alike.
+    refusal = rf"^need seed >= 0 and iteration in \[0, 2\*\*32\), got 3, {iteration}$"
+    with pytest.raises(ValueError, match=refusal):
+        sample_round_channel(6, iteration=iteration, seed=3)
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+        pair_phase_window(6, 3, iteration, 1, np.array([0]), np.array([1]))
+
+
+def test_the_last_iteration_of_the_range_is_served():
+    chan = sample_round_channel(6, iteration=2**32 - 1, seed=3)
+    assert pair_phase_window(6, 3, 2**32 - 1, 1, np.array([0]), np.array([1]))[0, 0] \
+        == get_phase(chan, 0, 1)
+
+
 def test_channel_needs_a_seed():
     # A channel's phases come from its seed alone: no table can stand in.
     with pytest.raises(TypeError):

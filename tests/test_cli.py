@@ -1,17 +1,21 @@
 import concurrent.futures
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import analysis, cli, fl, masking, rng, transcript
+from phaseagg import analysis, cli, fl, masking, protocol, rng, transcript
 from phaseagg.cli import (
     HISTORY_HEADER,
     analyze_transcripts,
@@ -589,15 +593,12 @@ class TestFailedChecksExitTwo:
 
     def test_a_baseline_divergence_names_the_first_round(self, tmp_path, capsys,
                                                          monkeypatch):
-        training = fl.run_training
+        step = fl.baseline_step
 
-        def drift(config, mode="secure"):
-            history = training(config, mode)
-            if mode == "plaintext":
-                history.thetas[1] = history.thetas[1] + 1.0
-            return history
+        def drift(theta, config, datasets, residual, t):
+            return step(theta, config, datasets, residual, t) + (1.0 if t == 1 else 0.0)
 
-        monkeypatch.setattr(fl, "run_training", drift)
+        monkeypatch.setattr(fl, "baseline_step", drift)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(valid_data(rounds=3, compare_baseline=True)))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -606,6 +607,98 @@ class TestFailedChecksExitTwo:
         assert err.startswith("error: baseline check failed: ") and "after round 1" in err
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["baseline_match"] is False
+
+    def test_a_run_with_the_baseline_trains_once(self, tmp_path, monkeypatch):
+        counts = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(fl, "make_synthetic_task")
+        count(protocol, "run_iteration")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(valid_data(rounds=5, compare_baseline=True)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["baseline_match"]
+        assert counts == {"make_synthetic_task": 1, "run_iteration": 5}
+
+
+@st.composite
+def baseline_runs(draw):
+    """A small alg2 config with the baseline on and fixed drops that leave every side a sender.
+
+    Up to 16 clients, 8 dimensions, 6 rounds and 30 samples per client, a
+    delayed client or none, and a loss threshold or none.
+    """
+    if draw(st.booleans()):
+        clients, grouping = draw(st.integers(4, 16)), {"mode": "two-group"}
+    else:
+        size = draw(st.integers(2, 3))
+        groups = draw(st.integers(1, 16 // (2 * size)))
+        clients = draw(st.integers(2 * size * groups, min(16, 2 * size * (groups + 1) - 1)))
+        grouping = {"mode": "subgroup", "groups": groups, "subgroup_size": size}
+    rounds = draw(st.integers(1, 6))
+    data = valid_data(
+        clients=clients, dimension=draw(st.integers(1, 8)),
+        samples_per_client=draw(st.integers(1, 30)), grouping=grouping,
+        protocol_version="alg2", rounds=rounds, seed=draw(st.integers(0, 2**32 - 1)),
+        quantization={"clip": 1.0, "levels": draw(st.sampled_from([4, 16, 256]))},
+        delayed_client=draw(st.none() | st.integers(0, clients - 1)),
+        loss_threshold=draw(st.none() | st.floats(0.01, 5.0)), compare_baseline=True)
+    assignment = parse_config(data).build_assignment()
+    sides = [set(side.tolist()) for sides in assignment.side_index for side in sides]
+    fixed = {}
+    for t in range(rounds):
+        dropped = set(draw(st.lists(st.integers(0, clients - 1), unique=True)))
+        dropped.discard(data["delayed_client"])
+        absent = dropped | {data["delayed_client"]}
+        for side in sides:
+            if side <= absent:  # every side keeps a sender: give one back
+                dropped.discard(min(side & dropped))
+        if dropped:
+            fixed[str(t)] = sorted(dropped)
+    data["dropout"] = {"probability": 0.0, "fixed": fixed}
+    return data
+
+
+class TestInLoopBaselineProperty:
+    """`run` checks every round against the plaintext step and names the first that differs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(baseline_runs(), st.data())
+    def test_a_drift_from_round_r_on_is_named_as_round_r(self, data, draws):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(data))
+            assert main(["run", "--config", str(path), "--out", str(Path(tmp) / "a")]) == 0
+            report = json.loads((Path(tmp) / "a" / "report.json").read_text())
+            assert report["baseline_match"] is True
+            r = draws.draw(st.integers(0, report["rounds_completed"] - 1), label="r")
+            step = fl.baseline_step
+
+            def drift(theta, config, datasets, residual, t):
+                return step(theta, config, datasets, residual, t) + (1.0 if t >= r else 0.0)
+
+            with pytest.MonkeyPatch.context() as patch, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                patch.setattr(fl, "baseline_step", drift)
+                code = main(["run", "--config", str(path), "--out", str(Path(tmp) / "b")])
+            assert code == 2
+            assert err.getvalue() == ("error: baseline check failed: the secure parameters "
+                                      "differ from the plaintext baseline's after round "
+                                      f"{r}\n")
+            drifted = json.loads((Path(tmp) / "b" / "report.json").read_text())
+            assert drifted["baseline_match"] is False
+            # The baseline never moves the run: every artifact but the report is equal.
+            for name in ("history.csv", "transcripts.jsonl"):
+                assert (Path(tmp) / "a" / name).read_bytes() \
+                    == (Path(tmp) / "b" / name).read_bytes()
 
 
 class TestMain:

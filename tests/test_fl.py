@@ -1,12 +1,16 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseagg import fl, rng
+from phaseagg import fl, protocol, rng
 from phaseagg.codec import QuantizationConfig
 from phaseagg.config import parse_config
 from phaseagg.errors import DivergenceError, ShapeError
+from reference import plaintext_training, secure_training
 
 
 def scenario(**overrides):
@@ -173,7 +177,7 @@ class TestSgdUpdate:
 class TestTraining:
     def test_baseline_loss_decreases_to_under_one_percent(self):
         config = scenario(rounds=200)
-        history = fl.run_training(config, "plaintext")
+        history = plaintext_training(config)
         losses = [row.loss for row in history.rows]
         # monotone until the loss first drops below 1% of the start; after
         # that the trajectory sits at the quantization floor and may jitter
@@ -188,27 +192,30 @@ class TestTraining:
         assert final < 0.01 * losses[0]
 
     def test_secure_equals_plaintext_bitwise(self):
-        config = scenario(rounds=40)
-        secure = fl.run_training(config, "secure")
-        plain = fl.run_training(config, "plaintext")
-        assert len(secure.thetas) == len(plain.thetas)
-        for a, b in zip(secure.thetas, plain.thetas):
+        config = scenario(rounds=40, compare_baseline=True)
+        secure, thetas = secure_training(config)
+        plain = plaintext_training(config)
+        assert len(thetas) == len(plain.thetas) == 40
+        for a, b in zip(thetas, plain.thetas):
             assert np.array_equal(a, b)
+        assert secure.diverged is None
 
     def test_secure_equals_plaintext_under_alg2_and_dropouts(self):
         config = scenario(
             clients=8, protocol_version="alg2", rounds=12,
             dropout={"fixed": {"3": [1], "7": [5]}},
-            quantization={"clip": 1.0, "levels": 256},
+            quantization={"clip": 1.0, "levels": 256}, compare_baseline=True,
         )
-        secure = fl.run_training(config, "secure")
-        plain = fl.run_training(config, "plaintext")
-        for a, b in zip(secure.thetas, plain.thetas):
+        secure, thetas = secure_training(config)
+        plain = plaintext_training(config)
+        assert len(thetas) == len(plain.thetas) == 12
+        for a, b in zip(thetas, plain.thetas):
             assert np.array_equal(a, b)
+        assert secure.diverged is None
 
-    @pytest.mark.parametrize("mode", ["secure", "plaintext"])
-    def test_each_round_computes_one_residual_at_its_parameters(self, mode, monkeypatch):
-        config = scenario(protocol_version="alg2", rounds=5, dropout={"fixed": {"2": [1]}})
+    def test_each_round_computes_one_residual_at_its_parameters(self, monkeypatch):
+        config = scenario(protocol_version="alg2", rounds=5, dropout={"fixed": {"2": [1]}},
+                          compare_baseline=True)
         seen = []
         original = fl.client_residuals
 
@@ -217,12 +224,51 @@ class TestTraining:
             return original(theta, datasets)
 
         monkeypatch.setattr(fl, "client_residuals", recorded)
-        history = fl.run_training(config, mode)
-        # The loss and the digits share the round's residual: one per round,
-        # at the parameters the round starts from.
+        history, thetas = secure_training(config)
+        # The loss, the digits and the baseline step share the round's
+        # residual: one per round, at the parameters the round starts from.
+        assert history.diverged is None
         assert len(seen) == len(history.rows) == 5
-        for theta, start in zip(seen, [np.zeros(8)] + history.thetas):
+        for theta, start in zip(seen, [np.zeros(8)] + thetas):
             assert np.array_equal(theta, start)
+
+    def test_the_baseline_lists_its_own_senders(self, monkeypatch):
+        # A round that drops a client the config does not name is caught:
+        # the baseline takes its senders from the config, not the round.
+        config = scenario(protocol_version="alg2", rounds=4, compare_baseline=True)
+        original = protocol.run_round
+
+        def drops_client_0_in_round_2(*args, dropped=(), **kwargs):
+            if args[2].iteration == 2:
+                dropped = (0, *dropped)
+            return original(*args, dropped=dropped, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_round", drops_client_0_in_round_2)
+        history = fl.run_training(config)
+        assert history.transcripts[2].dropped == (0,)
+        assert history.diverged == 2
+
+    def test_the_first_divergence_is_kept(self, monkeypatch):
+        config = scenario(rounds=6, compare_baseline=True)
+        step = fl.baseline_step
+
+        def drifts_from_round_2(theta, config, datasets, residual, t):
+            return step(theta, config, datasets, residual, t) + (1.0 if t >= 2 else 0.0)
+
+        monkeypatch.setattr(fl, "baseline_step", drifts_from_round_2)
+        history, thetas = secure_training(config)
+        assert history.diverged == 2
+        # The baseline never moves the secure trajectory.
+        for a, b in zip(thetas, plaintext_training(config).thetas):
+            assert np.array_equal(a, b)
+
+    def test_without_compare_baseline_no_step_is_taken(self, monkeypatch):
+        monkeypatch.setattr(fl, "baseline_step", None)
+        assert fl.run_training(scenario(rounds=3)).diverged is None
+
+    def test_only_the_secure_mode_is_named(self):
+        with pytest.raises(ValueError, match="unknown training mode 'plaintext'"):
+            fl.run_training(scenario(rounds=1), "plaintext")
 
     def test_quantized_mean_close_to_unquantized_at_high_levels(self):
         config = scenario(rounds=1)
@@ -240,15 +286,41 @@ class TestTraining:
         assert np.all(np.abs(quantized_mean - exact_mean) <= cfg.clip / (cfg.levels - 1))
 
     def test_loss_threshold_stops_early(self):
-        config = scenario(rounds=200, loss_threshold=0.5)
-        history = fl.run_training(config, "plaintext")
-        assert len(history.rows) < 200
+        config = scenario(rounds=200, loss_threshold=0.5, compare_baseline=True)
+        plain = plaintext_training(config)
+        assert len(plain.rows) < 200
+        secure = fl.run_training(config)
+        assert len(secure.rows) == len(plain.rows)
+        assert secure.diverged is None
 
     def test_history_rows_carry_counters(self):
         config = scenario(rounds=3)
-        history = fl.run_training(config, "secure")
+        history = fl.run_training(config)
         assignment = config.build_assignment()
         l = assignment.plus_size()
         for row in history.rows:
             assert row.phase_estimations == l * (8 - l)
             assert row.uplink == 8
+
+
+class TestEndToEndDemo:
+    """Demo 06 prints the in-loop check's verdict and exits 1 when a round differs."""
+
+    @pytest.mark.parametrize("drift_from", [None, 7])
+    def test_exit_status_follows_the_check(self, drift_from, monkeypatch, capsys):
+        step = fl.baseline_step
+
+        def drift(theta, config, datasets, residual, t):
+            moved = drift_from is not None and t >= drift_from
+            return step(theta, config, datasets, residual, t) + (1.0 if moved else 0.0)
+
+        monkeypatch.setattr(fl, "baseline_step", drift)
+        demo = Path(__file__).parents[1] / "demos" / "06_end_to_end_training.py"
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_path(str(demo), run_name="__main__")
+        out = capsys.readouterr().out
+        assert exited.value.code == (0 if drift_from is None else 1)
+        verdict = f"secure trajectory bit-identical to plaintext baseline: {drift_from is None}"
+        assert verdict in out.splitlines()
+        if drift_from is not None:
+            assert f"  first round that differs: {drift_from}" in out.splitlines()

@@ -1482,6 +1482,16 @@ class TestReadTranscriptLine:
                            match=r"^line 2: 'iteration' must be non-negative, got -1$"):
             read_transcript_line(json.dumps(row), 2)
 
+    @pytest.mark.parametrize("iteration", [2**32, 2**63 - 1])
+    def test_an_iteration_past_one_word_is_refused(self, iteration):
+        row = json.loads(small_round().to_json_line())
+        row["iteration"] = iteration
+        with pytest.raises(TranscriptFormatError,
+                           match=rf"^line 2: 'iteration' must be below 2\*\*32, got {iteration}$"):
+            read_transcript_line(json.dumps(row), 2)
+        row["iteration"] = 2**32 - 1
+        assert read_transcript_line(json.dumps(row), 2).iteration == 2**32 - 1
+
     def test_two_messages_of_one_owner_are_refused(self):
         row = json.loads(small_round().to_json_line())
         row["messages"][3]["owner"] = row["messages"][2]["owner"]
