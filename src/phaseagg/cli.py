@@ -21,10 +21,13 @@ it back one line at a time with `transcript.read_transcripts`, so its
 memory does not grow with the run; `analysis.json` is written only once
 the last line has been read and checked.
 
-`run --jobs` below 1 exits 1 before any work; above 1, every seed runs,
-each failed one prints one ``error: seed <s> (<dir>): ...`` line in seed
-order, and any failure exits 2.  An explicit `--out` picks the output
-directory; without one, the config's `output_dir` does, else ``out``.
+`run --jobs` below 1, or whose last seed would pass 2**32 - 1, exits 1
+before any work; otherwise every seed runs, each failed one prints one
+``error: seed <s> (<dir>): ...`` line in seed order, and any failure
+exits 2.  `attack` refuses a config without a delayed client, with
+per-symbol masks or with a dropout model (exit 1).  An explicit `--out`
+picks the output directory; without one, the config's `output_dir`
+does, else ``out``.
 Identical config and seed always produce byte-identical artifacts, each
 written to a new file (`transcript.new_file`).
 
@@ -181,6 +184,10 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
         raise ConfigValidationError(
             ["the attack models scalar masks only; set 'per_symbol_masks' to false"]
         )
+    if config.has_dropouts:
+        raise ConfigValidationError(
+            ["the attack models rounds without drops; remove the 'dropout' model"]
+        )
     outcome = analysis.delayed_client_attack(
         config.protocol_version,
         dimension=config.dimension,
@@ -255,6 +262,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out if args.out is not None else config.output_dir or "out")
         if args.command == "run" and args.jobs > 1:
+            # The last seed must make a valid config too, before any seed runs.
+            dataclasses.replace(config, seed=config.seed + args.jobs - 1)
             import concurrent.futures  # only here: it loads logging too
 
             seeds = [config.seed + k for k in range(args.jobs)]

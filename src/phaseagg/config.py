@@ -226,8 +226,7 @@ class ScenarioConfig:
         if self.delayed_client is not None and not 0 <= self.delayed_client < self.clients:
             bad.append(f"delayed_client {self.delayed_client} out of range for "
                        f"{self.clients} clients")
-        has_dropouts = self.dropout_probability > 0 or any(ids for _, ids in self.dropout_fixed)
-        if has_dropouts and self.protocol_version == ALG1:
+        if self.has_dropouts and self.protocol_version == ALG1:
             bad.append("a dropout model requires protocol_version 'alg2'; the group-mask-only "
                        "protocol cannot recover dropped clients without exposing masks")
 
@@ -247,6 +246,11 @@ class ScenarioConfig:
         if bad:
             raise ConfigValidationError(bad)
         keep("_fixed_by_round", by_round)
+
+    @property
+    def has_dropouts(self) -> bool:
+        """Whether some round can drop a client: a positive probability or a fixed drop."""
+        return self.dropout_probability > 0 or any(ids for _, ids in self.dropout_fixed)
 
     def _build_quantization(self) -> QuantizationConfig:
         if self.modulation == "auto":

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_cases
 from phaseagg import analysis, cli, fl, masking, protocol, rng, transcript
 from phaseagg.cli import (
     HISTORY_HEADER,
@@ -27,11 +28,6 @@ from phaseagg.codec import QuantizationConfig
 from phaseagg.config import ScenarioConfig, parse_config, walk
 from phaseagg.errors import ConfigValidationError, TranscriptFormatError
 from test_golden import PER_SYMBOL_ROUND
-
-
-def first_symbol(row, value):
-    """Set the first symbol of a transcript row's first message to `value`."""
-    row["messages"][0]["symbols"][0] = value
 
 
 def valid_data(**overrides):
@@ -198,8 +194,6 @@ INVALID_CONFIGS = [
     ("seed-negative", config_text(("seed", -1)), "seed"),
     ("seed-2**32", config_text(("seed", 2**32)), "seed"),
     ("learning-rate-zero", config_text(("learning_rate", 0)), "learning_rate"),
-    ("learning-rate-1e999", config_text(("learning_rate", 1e999)).replace("Infinity", "1e999"),
-     "learning_rate"),
     ("name-not-a-string", config_text(("name", 5)), "name"),
     ("grouping-not-an-object", config_text(("grouping", [])), "grouping"),
     ("grouping-unknown-key", config_text(("grouping.ring", 1)), "ring"),
@@ -519,12 +513,6 @@ class TestRunScenario:
         assert report["overhead"]["exact_match"]
 
 
-# Four groups of two subgroups of 2 and a remainder of one client, which
-# joins the last group: 3 * 2**2 + 3 * 2 = 18 phase estimations per round.
-REMAINDER = valid_data(clients=17, protocol_version="alg2", rounds=3,
-                       grouping={"mode": "subgroup", "groups": 4, "subgroup_size": 2})
-
-
 class TestRoundIsRoundZeroOfRun:
     @pytest.mark.parametrize("config, seed", [(name, seed)
                                               for name in ("alg1_baseline", "alg2_dropout")
@@ -541,38 +529,7 @@ class TestRoundIsRoundZeroOfRun:
         assert (tmp_path / "round" / "transcripts.jsonl").read_bytes() == first
 
 
-class TestRemainderLayout:
-    @pytest.mark.parametrize("command", ["run", "round"])
-    def test_a_remainder_client_costs_what_the_formula_says(self, command, tmp_path, capsys):
-        path = tmp_path / "remainder.json"
-        path.write_text(json.dumps(REMAINDER))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert capsys.readouterr().err == ""
-        overhead = json.loads((tmp_path / "out" / "report.json").read_text())["overhead"]
-        assert overhead["group_parameters"] == {"K": 4, "L": 2}
-        assert overhead["measured_per_round"] == overhead["formula_per_round"] == 18
-        assert overhead["exact_match"] and overhead["recovery_messages_exact"]
-
-
 class TestFailedChecksExitTwo:
-    def test_analyze_names_the_round_whose_count_was_altered(self, tmp_path, capsys):
-        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        path = tmp_path / "transcripts.jsonl"
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[4])
-        row["counters"]["phase_estimations"] += 1
-        lines[4] = json.dumps(row)
-        path.write_text("".join(line + "\n" for line in lines))
-        capsys.readouterr()
-        assert main(["analyze", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: overhead check failed: round {row['iteration']} ")
-        assert "measured 17 phase estimations, the formula gives 16" in err
-        # The analysis is written before the verdict, as on success.
-        assert not json.loads((tmp_path / "analysis.json").read_text())["overhead"]["exact_match"]
-
     @pytest.mark.parametrize("command", ["run", "round"])
     def test_an_overhead_mismatch_prints_one_line(self, command, tmp_path, capsys,
                                                   monkeypatch):
@@ -722,17 +679,6 @@ class TestMain:
         line = json.loads((tmp_path / "transcripts.jsonl").read_text())
         assert line["iteration"] == 0
 
-    def test_analyze_subcommand(self, tmp_path):
-        assert main(["run", "--config", "alg2_dropout", "--out", str(tmp_path)]) == 0
-        before = (tmp_path / "report.json").read_bytes()
-        code = main(["analyze", "--out", str(tmp_path)])
-        assert code == 0
-        # The analysis goes beside the run's report, never over it.
-        assert (tmp_path / "report.json").read_bytes() == before
-        analysis = json.loads((tmp_path / "analysis.json").read_text())
-        assert analysis["command"] == "analyze"
-        assert analysis["overhead"]["exact_match"] is True
-
     def test_seeds_below_2_to_the_32_load_and_the_next_one_exits_one(self, tmp_path, capsys):
         assert load_config("alg1_baseline", seed_override=2**32 - 1).seed == 2**32 - 1
         out = tmp_path / "o"
@@ -741,20 +687,6 @@ class TestMain:
         assert code == 1
         assert "'seed' must be below 2**32, got 4294967296" in err and "Traceback" not in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("command, config", [("run", "alg1_baseline"),
-                                                 ("round", "alg1_baseline"),
-                                                 ("attack", "attack_naive")])
-    def test_an_out_that_names_a_regular_file_exits_two_with_one_line(self, command, config,
-                                                                      tmp_path, capsys):
-        target = tmp_path / "F"
-        target.write_bytes(b"a regular file\n")
-        code = main([command, "--config", config, "--out", str(target)])
-        err = capsys.readouterr().err
-        assert code == 2, err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert str(target) in err and "Traceback" not in err
-        assert target.read_bytes() == b"a regular file\n"
 
     def test_a_job_reports_its_os_error_as_its_message(self, tmp_path):
         target = tmp_path / "F"
@@ -771,22 +703,6 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "fan" / "seed-1" / "history.csv").is_file()
         assert (tmp_path / "fan" / "seed-2" / "history.csv").is_file()
-
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_refused(self, tmp_path, monkeypatch, capsys, jobs):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(valid_data()))
-        out = tmp_path / "fan"
-        code = main(["run", "--config", str(cfg_path), "--jobs", jobs, "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "--jobs" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
     def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
         # A stand-in executor records the pool size and runs nothing, so
@@ -879,98 +795,6 @@ class TestMain:
                            match="^line 1: 'transcript_format' is missing$"):
             analyze_transcripts(tmp_path)
 
-    def test_analyze_without_transcripts_exits_two_naming_the_path(self, tmp_path, capsys):
-        assert main(["analyze", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert str(tmp_path / "transcripts.jsonl") in err
-        assert not (tmp_path / "analysis.json").exists()
-
-    @pytest.mark.parametrize("fmt", [1, 3, "2"])
-    def test_analyze_refuses_an_unknown_transcript_format(self, tmp_path, capsys, fmt):
-        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        path = tmp_path / "transcripts.jsonl"
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        rows[-1]["transcript_format"] = fmt
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        with pytest.raises(TranscriptFormatError, match="transcript_format"):
-            analyze_transcripts(tmp_path)
-        assert main(["analyze", "--out", str(tmp_path)]) == 2
-        assert "transcript_format" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field, change", [
-        ("counters", lambda row: row.pop("counters")),
-        ("messages[].symbols", lambda row: row["messages"][1]["symbols"].pop()),
-        ("messages[].symbols", lambda row: first_symbol(row, 2**32)),
-        ("messages[].symbols", lambda row: first_symbol(row, -1)),
-        ("messages[].symbols", lambda row: first_symbol(row, 1.5)),
-        ("transcript_format", lambda row: row.update(transcript_format=3)),
-        ("dropped[0]", lambda row: row.update(dropped=[len(row["assignment"]["group_of"])])),
-        ("decoded_mean[0]", lambda row: row["decoded_mean"].__setitem__(0, float("nan"))),
-        ("num_contributors", lambda row: row.update(num_contributors=99)),
-        ("assignment", lambda row: row["assignment"]["group_of"].__setitem__(15, 99)),
-        pytest.param("assignment", lambda row: row["assignment"].update(subgroup_size=None),
-                     id="assignment-null-subgroup-size"),
-        pytest.param("assignment",
-                     lambda row: row["assignment"].update(mode="two-group", num_groups=4),
-                     id="assignment-two-group-of-four-groups"),
-        ("line", None),
-    ])
-    def test_analyze_names_the_line_and_field_it_refuses(self, tmp_path, capsys, field,
-                                                          change):
-        """Line 3 of a run's transcripts, with a missing key, a ragged symbol
-        matrix, a symbol out of [0, 2**32) or not an integer, an unknown
-        format, a client id equal to the client count, a `NaN` mean, a
-        contributor count other than the message count, a group label
-        outside the group count, a subgroup layout without a subgroup size,
-        a two-group layout of four groups, or a JSON value that is not an
-        object."""
-        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        path = tmp_path / "transcripts.jsonl"
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[2])
-        if change is None:
-            row = list(row)
-        else:
-            change(row)
-        lines[2] = json.dumps(row)
-        with pytest.raises(TranscriptFormatError, match=rf"^line 3: '{re.escape(field)}' "):
-            transcript.read_transcript_line(lines[2], 3)
-        path.write_text("".join(line + "\n" for line in lines))
-        capsys.readouterr()
-        assert main(["analyze", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: line 3: '{field}' ") and len(err.splitlines()) == 1
-
-    @pytest.mark.parametrize("change, problem", [
-        (dict(delayed=7), "'delayed' names client 7, who is also dropped"),
-        (dict(subgroup_size=0), "'assignment' is not a group assignment: "
-                                "subgroup_size 0 cannot split 16 clients into 4 groups"),
-        (dict(subgroup_size=3), "'assignment' is not a group assignment: "
-                                "subgroup_size 3 cannot split 16 clients into 4 groups"),
-    ], ids=["delayed-and-dropped", "subgroup-size-0", "subgroup-size-3"])
-    def test_analyze_refuses_a_second_line_run_round_would_refuse(self, tmp_path, capsys,
-                                                                 change, problem):
-        """Line 2 of a run's transcripts, which drops client 7, with client 7
-        also delayed, or with a subgroup size its sides do not have."""
-        assert main(["run", "--config", "alg2_dropout", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        path = tmp_path / "transcripts.jsonl"
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[1])
-        assert (row["dropped"], row["assignment"]["subgroup_size"]) == ([7], 2)
-        if "delayed" in change:
-            row.update(change)
-        else:
-            row["assignment"].update(change)
-        lines[1] = json.dumps(row)
-        path.write_text("".join(line + "\n" for line in lines))
-        capsys.readouterr()
-        assert main(["analyze", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: line 2: {problem}\n"
-
     def test_analyze_holds_at_most_two_rounds_at_once(self, tmp_path, monkeypatch, capsys):
         run_scenario(parse_config(valid_data(rounds=20)), tmp_path, "run")
         read, reads, alive, peak = transcript.read_transcript_line, [], set(), [0]
@@ -1007,3 +831,27 @@ class TestMain:
         code = main(["run", "--config", "alg2_dropout", "--seed", "6",
                      "--out", str(tmp_path)])
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def case_runner(tmp_path_factory):
+    """The in-process runner of `cli_cases`, whose base runs the module's rows share."""
+    return cli_cases.Runner(cli_cases.in_process, tmp_path_factory.mktemp("cases"))
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.id)
+def test_cli_case(case, case_runner):
+    case_runner.run(case)
+
+
+LINE_REFUSALS = [case for case in cli_cases.CASES
+                 if case.edit is not None and case.stderr.startswith(r"\Aerror: line ")]
+
+
+@pytest.mark.parametrize("case", LINE_REFUSALS, ids=lambda case: case.id)
+def test_the_reader_refuses_the_edited_line_as_analyze_does(case, case_runner):
+    index, edit = case.edit
+    line = (case_runner.base(case) / "transcripts.jsonl").read_text().splitlines()[index]
+    with pytest.raises(TranscriptFormatError) as err:
+        transcript.read_transcript_line(edit(line), index + 1)
+    assert re.search(case.stderr, f"error: {err.value}\n")
