@@ -300,6 +300,63 @@ def _phase_estimation_formula(assignment: GroupAssignment) -> tuple[int, dict]:
     return (k - 1) * sub * sub + (last // 2) * ((last + 1) // 2), {"K": k, "L": sub}
 
 
+class OverheadAudit:
+    """`verify_overhead`'s checks, fed one transcript at a time.
+
+    `add` checks one round and returns its transcript, so a stream can be
+    checked as it passes (`map(audit.add, stream)`) while another consumer,
+    such as `transcript.write_transcripts`, takes it; `report` gives the
+    verdict once the stream ends.  The audit keeps the first round's
+    formula and the first failure, never the transcripts.
+    """
+
+    def __init__(self):
+        self.rounds = 0
+        self.exact = self.recovery_exact = True
+        self.failure: str | None = None
+
+    def add(self, t: RoundTranscript) -> RoundTranscript:
+        """Check round `t`'s phase-estimation and recovery counts; return `t`."""
+        self.rounds += 1
+        if self.rounds == 1:
+            self.assignment, self.first_measured = t.assignment, t.counters["phase_estimations"]
+            self.formula, self.params = _phase_estimation_formula(t.assignment)
+        measured = t.counters["phase_estimations"]
+        if measured != self.formula:
+            self.exact = False
+            self._fail(f"overhead check failed: round {t.iteration} measured {measured} "
+                       f"phase estimations, the formula gives {self.formula}")
+        dropped = set(t.dropped)
+        if t.delayed is not None:
+            dropped.add(t.delayed)
+        survivors = set(range(t.assignment.num_clients)) - dropped
+        for i in sorted(dropped):
+            expected = len(survivors.intersection(t.assignment.complementary_set(i)))
+            shares = sum(len(r["revealers"]) for r in t.reveals
+                         if r["kind"] == "mask-shares" and r["dropped"] == i)
+            if shares != expected:
+                self.recovery_exact = False
+                self._fail(f"recovery check failed: round {t.iteration} revealed {shares} "
+                           f"mask shares of client {i}, {expected} expected")
+        return t
+
+    def _fail(self, message: str) -> None:
+        if self.failure is None:
+            self.failure = message
+
+    def report(self) -> OverheadReport:
+        """The verdict on every round added; ValueError if none was."""
+        if not self.rounds:
+            raise ValueError("no transcripts to verify")
+        return OverheadReport(
+            mode=self.assignment.mode, num_clients=self.assignment.num_clients,
+            rounds=self.rounds, group_parameters=self.params,
+            measured_per_round=self.first_measured, formula_per_round=self.formula,
+            exact_match=self.exact, recovery_messages_exact=self.recovery_exact,
+            failure=self.failure,
+        )
+
+
 def verify_overhead(transcripts: Iterable[RoundTranscript]) -> OverheadReport:
     """Check the phase-estimation and recovery counts of transcripts as exact integers.
 
@@ -314,42 +371,13 @@ def verify_overhead(transcripts: Iterable[RoundTranscript]) -> OverheadReport:
     exactly one recovery message per surviving member of its complementary
     subgroup in its own round.  `failure` names the first round that
     misses either count.  `transcripts` is folded over once, one at a time,
-    so a stream such as `transcript.read_transcripts` is never held whole.
+    through an `OverheadAudit`, so a stream such as
+    `transcript.read_transcripts` is never held whole.
     """
-    exact = True
-    recovery_exact = True
-    failures = []
-    rounds = 0
-    for rounds, t in enumerate(transcripts, start=1):
-        if rounds == 1:
-            assignment, first_measured = t.assignment, t.counters["phase_estimations"]
-            formula, params = _phase_estimation_formula(assignment)
-        measured = t.counters["phase_estimations"]
-        if measured != formula:
-            exact = False
-            failures.append(f"overhead check failed: round {t.iteration} measured {measured} "
-                            f"phase estimations, the formula gives {formula}")
-        dropped = set(t.dropped)
-        if t.delayed is not None:
-            dropped.add(t.delayed)
-        survivors = set(range(t.assignment.num_clients)) - dropped
-        for i in sorted(dropped):
-            expected = len(survivors.intersection(t.assignment.complementary_set(i)))
-            shares = sum(len(r["revealers"]) for r in t.reveals
-                         if r["kind"] == "mask-shares" and r["dropped"] == i)
-            if shares != expected:
-                recovery_exact = False
-                failures.append(f"recovery check failed: round {t.iteration} revealed {shares} "
-                                f"mask shares of client {i}, {expected} expected")
-    if not rounds:
-        raise ValueError("no transcripts to verify")
-
-    return OverheadReport(
-        mode=assignment.mode, num_clients=assignment.num_clients, rounds=rounds,
-        group_parameters=params, measured_per_round=first_measured,
-        formula_per_round=formula, exact_match=exact, recovery_messages_exact=recovery_exact,
-        failure=failures[0] if failures else None,
-    )
+    audit = OverheadAudit()
+    for t in transcripts:
+        audit.add(t)
+    return audit.report()
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run``     - full training loop; writes history.csv, transcripts.jsonl,
                 report.json
-* ``round``   - round 0 of ``run``: `fl.run_training` for one round;
+* ``round``   - round 0 of ``run``: `fl.training_rounds` for one round;
                 writes transcripts.jsonl and report.json
 * ``attack``  - delayed-client attack scenarios; writes report.json
 * ``analyze`` - re-run the overhead analysis on existing transcripts;
@@ -16,16 +16,25 @@ This module keeps the command line; each file format has its own owner.
 config file's shape and defaults.  A refused config exits 1 listing
 every violation, because a silently ignored typo in a security parameter
 is worse than a loud failure.  `run` and `round` write
-transcripts.jsonl with `transcript.write_transcripts`, and `analyze` reads
-it back one line at a time with `transcript.read_transcripts`, so its
-memory does not grow with the run; `analysis.json` is written only once
-the last line has been read and checked.
+transcripts.jsonl with `transcript.write_transcripts`.  `run` hands it
+the stream of `fl.training_rounds`, each round checked as it passes by an
+`analysis.OverheadAudit`, so each round's line is written as the round
+finishes and the run holds one round, never all of them; history.csv and
+report.json follow once the last round is written.  A refused round, or
+any other error while the rounds run, ends the run with the lines of the
+rounds before it in the file, whole, and neither history.csv nor
+report.json.
+`analyze` reads transcripts.jsonl back one line at a time with
+`transcript.read_transcripts`, so its memory does not grow with the run
+either; `analysis.json` is written only once the last line has been read
+and checked.
 
 `run --jobs` below 1, or whose last seed would pass 2**32 - 1, exits 1
 before any work; otherwise every seed runs, each failed one prints one
 ``error: seed <s> (<dir>): ...`` line in seed order, and any failure
 exits 2.  `attack` refuses a config without a delayed client, with
-per-symbol masks or with a dropout model (exit 1).  An explicit `--out`
+per-symbol masks or with a dropout model (exit 1) before it makes the
+output directory.  An explicit `--out`
 picks the output directory; without one, the config's `output_dir`
 does, else ``out``.
 Identical config and seed always produce byte-identical artifacts, each
@@ -52,6 +61,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import analysis, fl
+from .codec import codec_metrics
 from .config import ScenarioConfig, parse_config
 from .errors import CheckFailedError, ConfigValidationError, PhaseAggError
 from .transcript import new_file, read_transcripts, write_transcripts
@@ -100,7 +110,12 @@ def write_report(report: dict, path: Path) -> None:
 
 
 def run_scenario(config: ScenarioConfig, out_dir: Path, command: str = "run") -> dict:
-    """Execute one scenario, write its artifacts and return its report."""
+    """Execute one scenario, write its artifacts and return its report.
+
+    A config the command refuses raises before `out_dir` is made.
+    """
+    if command == "attack":
+        _check_attack_config(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     if command == "run":
         return _command_run(config, out_dir)
@@ -125,10 +140,13 @@ def _check(overhead: analysis.OverheadReport, diverged: int | None = None) -> No
 
 
 def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
-    history = fl.run_training(config)
+    history, audit = fl.TrainingHistory(), analysis.OverheadAudit()
+    # Each round's line is written as the round finishes and checked as it
+    # passes, so the run holds one round's transcript, never every round's.
+    write_transcripts(map(audit.add, fl.training_rounds(config, history)),
+                      out_dir / "transcripts.jsonl")
+    overhead = audit.report()
     write_history_csv(history, out_dir / "history.csv")
-    write_transcripts(history.transcripts, out_dir / "transcripts.jsonl")
-    overhead = analysis.verify_overhead(history.transcripts)
     counters_total = {
         "phase_estimations": sum(r.phase_estimations for r in history.rows),
         "uplink_messages": sum(r.uplink for r in history.rows),
@@ -144,7 +162,7 @@ def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
         "loss_ratio": history.final_loss / history.initial_loss
         if history.initial_loss else None,
         "overhead": overhead.to_json_dict(),
-        "codec": history.transcripts[0].codec_metrics,
+        "codec": codec_metrics(config.quantization(), config.fec_config(), config.dimension),
         "counters_total": counters_total,
         "baseline_match": history.diverged is None if config.compare_baseline else None,
     }
@@ -155,7 +173,7 @@ def _command_run(config: ScenarioConfig, out_dir: Path) -> dict:
 
 def _command_round(config: ScenarioConfig, out_dir: Path) -> dict:
     one = dataclasses.replace(config, rounds=1, compare_baseline=False)
-    (transcript,) = fl.run_training(one).transcripts
+    (transcript,) = fl.training_rounds(one, fl.TrainingHistory())
     write_transcripts([transcript], out_dir / "transcripts.jsonl")
     overhead = analysis.verify_overhead([transcript])
     leak = analysis.difference_leak_probe(transcript.symbols, transcript.mask_mode,
@@ -175,7 +193,8 @@ def _command_round(config: ScenarioConfig, out_dir: Path) -> dict:
     return report
 
 
-def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
+def _check_attack_config(config: ScenarioConfig) -> None:
+    """Refuse a config the attack does not model."""
     if config.delayed_client is None:
         raise ConfigValidationError(
             ["attack scenarios need 'delayed_client' set in the config"]
@@ -188,6 +207,9 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
         raise ConfigValidationError(
             ["the attack models rounds without drops; remove the 'dropout' model"]
         )
+
+
+def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
     outcome = analysis.delayed_client_attack(
         config.protocol_version,
         dimension=config.dimension,

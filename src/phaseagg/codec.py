@@ -232,6 +232,13 @@ class FecConfig:
         return payload_bits * (self.repeat - 1)
 
 
+def codec_metrics(cfg: QuantizationConfig, fec: FecConfig, dimension: int) -> dict:
+    """One message's bit counts: payload L, redundancy r, and its symbol count."""
+    payload = cfg.payload_bits(dimension)
+    return {"payload_bits": payload, "redundancy_bits": fec.redundancy_bits(payload),
+            "symbols_per_message": dimension}
+
+
 def digits_to_bits(digits, cfg: QuantizationConfig) -> np.ndarray:
     """Big-endian fixed-width bit expansion of a digit vector."""
     d = np.asarray(digits, dtype=np.int64)

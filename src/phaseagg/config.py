@@ -8,7 +8,7 @@ version, whose names (`ALG1`, `ALG2`) live here too.  `parse_config`
 owns the config file's JSON: its shape (`_SCHEMA`), its defaults
 (`_OPTIONAL`) and its section names; it builds a `ScenarioConfig` once
 `walk` finds the shape sound.  `cli.load_config` finds the file and hands
-its JSON here; `protocol.run_iteration` and `fl.run_training` read the
+its JSON here; `protocol.run_iteration` and `fl.training_rounds` read the
 config.  `walk` is the one schema walker of the package's JSON inputs:
 `transcript.read_transcript_line` reads a transcript line with it too.
 """

@@ -14,13 +14,18 @@ every client's digits (`client_digits`).  `compute_gradient` and
 `quantized_digits` stay the per-client definitions the batch is tested
 against, bit for bit.
 
-`run_training` drives the loop through the masked aggregation protocol
-(`protocol.run_iteration`).  With `compare_baseline`, each round also
-takes the insecure baseline's step (`baseline_step`) from the same theta
-and residual, summing the same digits in the clear.  Masking is
-information-lossless, so the two updates are bit-identical; the history
-records the first round whose updates differ.  The loop's only state is
-theta: the round is the loop counter and the learning rate the config's.
+`training_rounds` is the one training loop, through the masked
+aggregation protocol (`protocol.run_iteration`).  It is a generator: it
+yields each round's transcript as the round finishes and keeps none,
+while it fills a `TrainingHistory` with the round's metrics row, so a
+caller can write each round's line before the next round runs.
+`run_training` drains it and returns the history.  With
+`compare_baseline`, each round also takes the insecure baseline's step
+(`baseline_step`) from the same theta and residual, summing the same
+digits in the clear.  Masking is information-lossless, so the two
+updates are bit-identical; the history records the first round whose
+updates differ.  The loop's only state is theta: the round is the loop
+counter and the learning rate the config's.
 
 A run derives its rounds' keyed phases a window at a time
 (`masking.phase_window`): every cross pair's phase, every client's
@@ -34,7 +39,7 @@ order is a simulation detail: every phase is the same keyed function of
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +50,7 @@ from .codec import QuantizationConfig, dequantize_mean, quantize
 from .config import ALG2, ScenarioConfig
 from .errors import DivergenceError, ShapeError
 from .masking import phase_window
+from .transcript import RoundTranscript
 
 # Words one window of rounds derives at once; a round with more words
 # than this is a window on its own.
@@ -223,8 +229,9 @@ class HistoryRow:
 
 @dataclass
 class TrainingHistory:
+    """What a run keeps of its rounds: one metrics row each, never their transcripts."""
+
     rows: list[HistoryRow] = field(default_factory=list)
-    transcripts: list = field(default_factory=list)
     # With compare_baseline, the first round whose update differs from the baseline's.
     diverged: int | None = None
 
@@ -252,18 +259,20 @@ def baseline_step(theta: np.ndarray, config: ScenarioConfig, datasets: ClientDat
     return sgd_update(theta, mean, config.learning_rate)
 
 
-def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHistory:
-    """Run the full DSGD loop and record per-round metrics.
+def training_rounds(config: ScenarioConfig,
+                    history: TrainingHistory) -> Iterator[RoundTranscript]:
+    """Run the DSGD loop, yielding each round's `RoundTranscript` as the round finishes.
 
     Starts at theta = 0, the loop's only state.  Each round computes its
     residual once (`client_residuals`) and hands it to `sample_loss`, to
     `protocol.run_iteration` and, with `compare_baseline` and until a
-    round differs, to `baseline_step` at the same theta.  Stops after
-    config.rounds, or earlier once loss falls below config.loss_threshold.
-    `mode` is only "secure", still accepted from callers that name it.
+    round differs, to `baseline_step` at the same theta.  The round's
+    metrics row is appended to `history.rows`, and the first differing
+    round set as `history.diverged`, before its transcript is yielded; the
+    loop keeps no transcript.  Stops after config.rounds, or earlier once
+    loss falls below config.loss_threshold.  A round that raises ends the
+    stream, with every round before it already yielded.
     """
-    if mode != "secure":
-        raise ValueError(f"unknown training mode {mode!r}")
     from . import protocol  # imported here: protocol composes on top of fl
 
     datasets, _ = make_synthetic_task(
@@ -271,7 +280,6 @@ def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHis
     )
     assignment = config.build_assignment()
     theta = np.zeros(config.dimension)
-    history = TrainingHistory()
     private = config.protocol_version == ALG2
     length = config.phase_length
     # A row holds its cross pairs, every client's mask and, under alg2,
@@ -291,7 +299,6 @@ def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHis
         if config.compare_baseline and history.diverged is None:
             baseline = baseline_step(theta, config, datasets, residual, t)
             history.diverged = None if np.array_equal(baseline, new_theta) else t
-        history.transcripts.append(transcript)
         counters = transcript.counters
         history.rows.append(HistoryRow(
             round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
@@ -299,7 +306,20 @@ def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHis
             uplink=counters["uplink_messages"],
             recoveries=counters["recovery_messages"],
         ))
+        yield transcript
         theta = new_theta
         if config.loss_threshold is not None and loss < config.loss_threshold:
             break
+
+
+def run_training(config: ScenarioConfig, mode: str = "secure", /) -> TrainingHistory:
+    """Run the full DSGD loop (`training_rounds`) and return its history.
+
+    `mode` is only "secure", still accepted from callers that name it.
+    """
+    if mode != "secure":
+        raise ValueError(f"unknown training mode {mode!r}")
+    history = TrainingHistory()
+    for _ in training_rounds(config, history):
+        pass
     return history

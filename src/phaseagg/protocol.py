@@ -63,7 +63,7 @@ per-symbol streams, row r answered by the r-th listed client.
 
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
-derives nothing: `fl.run_training`, its one caller, hands it theta, the
+derives nothing: `fl.training_rounds`, its one caller, hands it theta, the
 stacked datasets, the layout, the round's phase row and the round's
 residual, which the loss has read too, and it reads the round from that
 row and the learning rate and codec from the config, which builds its
@@ -80,7 +80,14 @@ import numpy as np
 
 from . import fl
 from .channel import ChannelMatrix, sample_round_channel
-from .codec import FecConfig, QuantizationConfig, dequantize_mean, decode_sum, modulate
+from .codec import (
+    FecConfig,
+    QuantizationConfig,
+    codec_metrics,
+    decode_sum,
+    dequantize_mean,
+    modulate,
+)
 from .config import ALG1, ALG2, ScenarioConfig, check_version
 from .errors import RevealSafetyError, ShapeError, UnrecoverableRoundError
 from .masking import (
@@ -378,11 +385,6 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     symbols += offsets
     symbols.setflags(write=False)
 
-    # The channel is noiseless, so the FEC code only sets the reported bit
-    # counts; tests/test_codec.py checks that it is a lossless inverse pair.
-    payload_bits = cfg.payload_bits(dimension)
-    redundancy = (fec or FecConfig(scheme="none")).redundancy_bits(payload_bits)
-
     delayed_discarded: bool | None = None
     correction, reveals = 0, ()
     if version == ALG2:
@@ -428,11 +430,9 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         counters=counters,
         aggregate=digit_sums,
         decoded_mean=mean,
-        codec_metrics={
-            "payload_bits": payload_bits,
-            "redundancy_bits": redundancy,
-            "symbols_per_message": dimension,
-        },
+        # The channel is noiseless, so the FEC code only sets the reported bit
+        # counts; tests/test_codec.py checks that it is a lossless inverse pair.
+        codec_metrics=codec_metrics(cfg, fec or FecConfig(scheme="none"), dimension),
     )
 
 

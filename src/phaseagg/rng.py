@@ -88,10 +88,16 @@ def _words(part: int) -> list[int]:
 
 
 def _column(values, name: str) -> np.ndarray:
-    """A key column as uint32, refusing anything that would need truncation."""
+    """A key column as uint32, refusing anything that would need truncation.
+
+    A uint32 column is returned as it is, not copied: the hash never
+    writes to its columns.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         raise ValueError(f"keyed_turns column {name} must be a 1-D integer array")
+    if arr.dtype == np.uint32:
+        return arr
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) > _MASK32):
         raise ValueError(
             f"keyed_turns column {name} holds values outside [0, 2**32); "
@@ -195,7 +201,8 @@ def keyed_turns_window(prefix, start: int, rounds: int, *columns) -> np.ndarray:
         raise ValueError("keyed_turns_window needs at least one key column")
     cols = [_column(c, str(k + 1)) for k, c in enumerate(columns)]
     rows = cols[0].shape[0]
-    iterations = np.repeat(np.arange(start, start + rounds, dtype=np.int64), rows)
+    # Built as uint32 once, so `keyed_turns` takes every column without a copy.
+    iterations = np.repeat(np.arange(rounds, dtype=np.uint32) + np.uint32(start), rows)
     flat = keyed_turns(prefix, iterations, *(np.tile(c, rounds) for c in cols))
     return flat.reshape(rounds, rows)
 

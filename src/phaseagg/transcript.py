@@ -16,8 +16,11 @@ differently (1e-05 as 0.00001).  Every other value is an ASCII string, a
 bool, None or an integer, which both write alike.
 `read_transcript_line`, the one reader of a line, is the writer's inverse
 and reads this format only.  `write_transcripts` writes a transcripts.jsonl
-file, whole lines only, and `read_transcripts`, its one reader, streams it
-back one line at a time.
+file, whole lines only, from any iterable of transcripts, each line as its
+transcript arrives: `phaseagg run` hands it the training loop's stream
+(`fl.training_rounds`), so a run holds one round, and a run that stops
+keeps the lines of the rounds before it.  `read_transcripts`, its one
+reader, streams the file back one line at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ TRANSCRIPT_FORMAT = 2
 
 # The integers of symbol rows one orjson call renders: whole rows, at least one.
 _BLOCK = 2**15
+# The shortest float vector `float_list_json` dedupes before rendering;
+# below it, one `json.dumps` of the whole vector is faster (crossover near
+# 100 values at numpy 2.4).
+_DEDUPE_FLOATS = 128
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,18 @@ class ClientMessage:
 def float_list_json(values) -> bytes:
     """JSON text of a float vector: `json.dumps(values.tolist(), separators=(",", ":"))`.
 
-    Each distinct float64 bit pattern is rendered once, by `json` itself,
-    and the texts are gathered by index.  A decoded mean is a function of
-    an integer digit sum, so a round's vector holds few distinct values.
-    The key is the bit pattern, never the value, so 0.0 and -0.0 stay apart.
+    A vector of at least `_DEDUPE_FLOATS` values renders each distinct
+    float64 bit pattern once, by `json` itself, and gathers the texts by
+    index.  A decoded mean is a function of an integer digit sum, so a
+    round's vector holds few distinct values.  The key is the bit pattern,
+    never the value, so 0.0 and -0.0 stay apart.  A shorter vector goes to
+    `json` whole: below that length the dedupe costs more than it saves.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("a float list must be a one-dimensional array")
+    if len(values) < _DEDUPE_FLOATS:
+        return json.dumps(values.tolist(), separators=(",", ":")).encode()
     distinct, index = np.unique(values.view(np.uint64), return_inverse=True)
     texts = json.dumps(distinct.view(np.float64).tolist(), separators=(",", ":"))
     texts = np.array(texts[1:-1].encode().split(b","), dtype=object)

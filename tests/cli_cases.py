@@ -84,12 +84,6 @@ def unchanged(out: Path, before) -> None:
     assert snapshot(out) == before, f"{out} changed"
 
 
-def no_file_written(out: Path, before) -> None:
-    def files(state):
-        return {name: data for name, data in (state or {}).items() if data is not None}
-    assert files(snapshot(out)) == files(before), f"a file was written under {out}"
-
-
 def kept(name: str):
     def check(out: Path, before) -> None:
         assert (out / name).read_bytes() == before[name], f"{name} changed"
@@ -119,6 +113,20 @@ def every_line(**want):
             row = json.loads(line)
             got = {key: row[key] for key in want}
             assert got == want, f"line {number} holds {got}"
+    return check
+
+
+def finished_rounds(count: int):
+    """The refused run left only transcripts.jsonl, whole lines that read back as
+    rounds 0 to `count` - 1."""
+    def check(out: Path, before) -> None:
+        from phaseagg.transcript import read_transcripts
+
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["transcripts.jsonl"], f"{out} holds {names}"
+        assert (out / "transcripts.jsonl").read_bytes().endswith(b"\n"), "a line is cut off"
+        rounds = [t.iteration for t in read_transcripts(out / "transcripts.jsonl")]
+        assert rounds == list(range(count)), f"transcripts.jsonl holds rounds {rounds}"
     return check
 
 
@@ -212,9 +220,9 @@ def refused_config(id: str, argv, config, problem: str, seed=None, **rest) -> Ca
     return Case(id, argv, config, seed, code=1, stderr=INVALID + problem, **rest)
 
 
-def side_lost(id: str, config, seed, group: int) -> Case:
+def side_lost(id: str, config, seed, group: int, **rest) -> Case:
     return Case(id, ("run",), config, seed, code=2, errors=1,
-                stderr=rf"\Aerror: the '\+' side of group {group} lost all its clients")
+                stderr=rf"\Aerror: the '\+' side of group {group} lost all its clients", **rest)
 
 
 def out_is_a_file(command: str, config: str) -> Case:
@@ -245,6 +253,9 @@ CASES = [
     side_lost("sixteen-groups-lost-side", LOST_SIDE, None, 1),
     side_lost("delayed-lost-side", bundled("alg2_dropout", delayed_client=5,
                                            compare_baseline=True), 3, 0),
+    # Round 4 is refused; the four rounds before it keep their lines.
+    side_lost("refused-run-keeps-its-finished-lines", "alg2_dropout", 1, 0,
+              checks=(finished_rounds(4),)),
     Case("jobs-every-seed-fails", ("run", "--jobs", "2"), "alg2_dropout", 1, code=2, errors=2,
          stderr=r"\Aerror: seed 1 .*\nerror: seed 2 "),
     # Refused configs and options.
@@ -265,11 +276,10 @@ CASES = [
     refused_config("jobs-seeds-past-the-seed-range", ("run", "--jobs", "2"), "alg1_baseline",
                    r"  - 'seed' must be below 2\*\*32, got 4294967296\n\Z", seed=2**32 - 1,
                    pool=False),
-    # run_scenario makes the --out directory before `attack` reads the config.
     refused_config("attack-refuses-a-dropout-model", ("attack",),
                    bundled("attack_private_phase",
                            dropout={"probability": 0.5, "fixed": {"0": [1, 2, 3]}}),
-                   r"  - .*'dropout'", checks=(no_file_written,)),
+                   r"  - .*'dropout'"),
     # Operating system errors.
     out_is_a_file("run", "alg1_baseline"),
     out_is_a_file("round", "alg1_baseline"),

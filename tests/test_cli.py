@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -387,7 +388,8 @@ class TestRoundVectors:
             return update(theta, mean_gradient, eta)
 
         monkeypatch.setattr(fl, "sgd_update", spy)
-        (transcript,) = fl.run_training(dataclasses.replace(config, rounds=1)).transcripts
+        (transcript,) = fl.training_rounds(dataclasses.replace(config, rounds=1),
+                                           fl.TrainingHistory())
         assert len(seen) == 1 and seen[0] is transcript.decoded_mean
         for vector, dtype in ((transcript.aggregate, np.int64),
                               (transcript.decoded_mean, np.float64)):
@@ -455,7 +457,8 @@ class TestRunScenario:
     def test_attack_command_requires_delayed_client(self, tmp_path):
         config = parse_config(valid_data(rounds=5))
         with pytest.raises(ConfigValidationError):
-            run_scenario(config, tmp_path, "attack")
+            run_scenario(config, tmp_path / "out", "attack")
+        assert not (tmp_path / "out").exists()
 
     def test_attack_command(self, tmp_path):
         config = parse_config(valid_data(rounds=5, delayed_client=0))
@@ -492,6 +495,7 @@ class TestRunScenario:
         err = capsys.readouterr().err
         assert code == 1
         assert "scalar masks only" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_rewriting_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
         config = parse_config(valid_data(rounds=3))
@@ -533,13 +537,14 @@ class TestFailedChecksExitTwo:
     @pytest.mark.parametrize("command", ["run", "round"])
     def test_an_overhead_mismatch_prints_one_line(self, command, tmp_path, capsys,
                                                   monkeypatch):
-        formula = analysis.verify_overhead
+        verdict = analysis.OverheadAudit.report
 
-        def miscount(transcripts):
-            return dataclasses.replace(formula(transcripts), exact_match=False,
+        def miscount(audit):
+            return dataclasses.replace(verdict(audit), exact_match=False,
                                        failure="overhead check failed: round 0 miscounted")
 
-        monkeypatch.setattr(analysis, "verify_overhead", miscount)
+        # `run` folds the audit over its stream; `round` through `verify_overhead`.
+        monkeypatch.setattr(analysis.OverheadAudit, "report", miscount)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(valid_data()))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -819,6 +824,32 @@ class TestMain:
         assert main(["analyze", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: line 21: ")
         assert not (tmp_path / "analysis.json").exists()
+
+    def test_run_memory_does_not_grow_with_the_round_count(self, tmp_path, monkeypatch):
+        # Each round's transcript (symbols alone are 8 * 1024 words) is written
+        # and let go as the round finishes; a run that kept them would hold
+        # over 40 KB a round.  What a run keeps by design is one history row
+        # a round (about 0.2 KB, for history.csv) and its window of keyed
+        # phases, bounded by fl.WINDOW_WORDS; the window is held to one round
+        # here, so that bound does not count.
+        data = valid_data(clients=8, dimension=1024, protocol_version="alg2")
+        monkeypatch.setattr(fl, "WINDOW_WORDS", 1)
+
+        def run(rounds: int) -> None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(dict(data, rounds=rounds)))
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+        def traced_peak(rounds: int) -> int:
+            run(2)  # warm the imports and caches outside the trace
+            tracemalloc.start()
+            try:
+                run(rounds)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(400) <= 1.25 * traced_peak(40)
 
     def test_analyze_an_empty_file_exits_two(self, tmp_path, capsys):
         (tmp_path / "transcripts.jsonl").write_text("\n")

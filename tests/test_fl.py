@@ -244,8 +244,9 @@ class TestTraining:
             return original(*args, dropped=dropped, **kwargs)
 
         monkeypatch.setattr(protocol, "run_round", drops_client_0_in_round_2)
-        history = fl.run_training(config)
-        assert history.transcripts[2].dropped == (0,)
+        history = fl.TrainingHistory()
+        transcripts = list(fl.training_rounds(config, history))
+        assert transcripts[2].dropped == (0,)
         assert history.diverged == 2
 
     def test_the_first_divergence_is_kept(self, monkeypatch):

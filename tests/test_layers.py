@@ -5,7 +5,7 @@ config, transcript, protocol, fl, analysis, cli.  A module may import a module o
 lower layer only, whether at the top level, inside a function or under
 `TYPE_CHECKING`.  The one upward import left, `protocol -> fl`, is listed
 by kind in `UPWARD`: `protocol.run_iteration` composes a training round
-from `fl`'s steps, and `fl.run_training` calls it.  A new upward import
+from `fl`'s steps, and `fl.training_rounds` calls it.  A new upward import
 fails here, and so does the listed one once it is gone.
 The package's `__init__` imports every module and is not a layer.
 """

@@ -51,6 +51,7 @@ from phaseagg.protocol import (
     run_round,
 )
 from phaseagg.transcript import (
+    _DEDUPE_FLOATS,
     TRANSCRIPT_FORMAT,
     ClientMessage,
     float_list_json,
@@ -750,8 +751,10 @@ class TestLineRendering:
         st.floats(allow_nan=True, allow_infinity=True),
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-05, 0.1, 1 / 3]))))
     def test_float_lists_match_json_dumps(self, values):
-        expected = json.dumps(values, separators=(",", ":")).encode()
-        assert float_list_json(np.array(values, dtype=np.float64)) == expected
+        # Repeated past `_DEDUPE_FLOATS`, the values take the dedupe path too.
+        for vector in (values, values * (_DEDUPE_FLOATS // max(1, len(values)) + 1)):
+            expected = json.dumps(vector, separators=(",", ":")).encode()
+            assert float_list_json(np.array(vector, dtype=np.float64)) == expected
         transcript = dataclasses.replace(small_round(),
                                          decoded_mean=np.array(values, dtype=np.float64))
         assert transcript.to_json_line() == canonical_line(transcript)
@@ -759,6 +762,8 @@ class TestLineRendering:
     def test_zero_and_negative_zero_stay_apart(self):
         values = [0.0, -0.0, 0.0, -0.0]
         assert float_list_json(np.array(values)) == b"[0.0,-0.0,0.0,-0.0]"
+        assert float_list_json(np.array(values * _DEDUPE_FLOATS)) \
+            == b"[" + b",".join([b"0.0,-0.0,0.0,-0.0"] * _DEDUPE_FLOATS) + b"]"
         with pytest.raises(ValueError, match="one-dimensional"):
             float_list_json(np.zeros((2, 2)))
 

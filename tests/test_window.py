@@ -206,10 +206,11 @@ class TestWindowValues:
                       small_cfg(levels=4, clients=6), version=ALG2, seed=2, phases=row)
 
 
-def artifacts(history) -> tuple:
+def artifacts(config) -> tuple:
     """A run's history rows and transcript lines, as bytes."""
-    return ([dataclasses.astuple(r) for r in history.rows],
-            [t.to_json_line() for t in history.transcripts])
+    history = fl.TrainingHistory()
+    lines = [t.to_json_line() for t in fl.training_rounds(config, history)]
+    return [dataclasses.astuple(r) for r in history.rows], lines
 
 
 def words_per_round(config) -> int:
@@ -255,7 +256,7 @@ class TestRunArtifactsDoNotDependOnTheWindow:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(protocol, "run_iteration", per_round)
-            reference = artifacts(fl.run_training(config))
+            reference = artifacts(config)
         return config, reference
 
     @pytest.mark.parametrize("window", ["one round", "three rounds", "default"])
@@ -265,7 +266,7 @@ class TestRunArtifactsDoNotDependOnTheWindow:
             monkeypatch.setattr(fl, "WINDOW_WORDS", 1)
         elif window == "three rounds":
             monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
-        assert artifacts(fl.run_training(config)) == reference
+        assert artifacts(config) == reference
 
     def test_cases_cover_what_they_name(self, case):
         config, (rows, lines) = case
