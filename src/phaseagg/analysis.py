@@ -329,9 +329,9 @@ class OverheadAudit:
         dropped = set(t.dropped)
         if t.delayed is not None:
             dropped.add(t.delayed)
-        survivors = set(range(t.assignment.num_clients)) - dropped
         for i in sorted(dropped):
-            expected = len(survivors.intersection(t.assignment.complementary_set(i)))
+            others = t.assignment.complementary_set(i)
+            expected = len(others) - len(dropped.intersection(others))
             shares = sum(len(r["revealers"]) for r in t.reveals
                          if r["kind"] == "mask-shares" and r["dropped"] == i)
             if shares != expected:

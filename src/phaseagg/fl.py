@@ -31,10 +31,10 @@ A run derives its rounds' keyed phases a window at a time
 (`masking.phase_window`): every cross pair's phase, every client's
 signed group mask and, under alg2, every client's private phase, scalar
 or per symbol, for as many rounds as fit in `WINDOW_WORDS` words, at
-least one.  A round holds its pairs, masks and private phases times the
-phase length in words.  Each round then takes its row.  The derivation
-order is a simulation detail: every phase is the same keyed function of
-(seed, round, ids), so the artifacts do not depend on the window.
+least one.  The window is one array per kind with a leading rounds
+axis, so its words bound its memory; each round takes views of its row
+when it runs.  Every phase is the same keyed function of (seed, round,
+ids), so the artifacts do not depend on the window.
 """
 
 from __future__ import annotations

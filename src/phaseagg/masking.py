@@ -4,49 +4,34 @@ A `GroupAssignment` labels each client with a group and a side, `PLUS` or
 `MINUS`.  `assign_two_groups` and `assign_subgroups` draw a layout from a
 seed, `two_group_from_sides` states one, and `check_layout` refuses a
 grouping neither can build (a scenario config asks it without building
-one).  The assignment derives its sides, its cross pairs and its
-minus-side flags once, as read-only arrays.
+one).  The assignment derives one form of its layout, once: its `runs`
+of consecutive groups of equal (|plus|, |minus|) shape, each holding its
+sides as read-only (groups, |side|) arrays of client ids.  Its sides,
+cross pairs and every client's pair positions are read from them.
 
-A client's group mask is the mod-2**32 sum of its channel phases to every
-client in the complementary set (the other group, or the other subgroup of
-its own group).  Because each cross pair contributes the same phase to one
-client on the plus side and one on the minus side, the masks cancel
-exactly when the aggregator adds plus-side messages and subtracts nothing:
-each client bakes the sign into its own rotation direction.
+A client's group mask is the mod-2**32 sum of its channel phases to its
+complementary set (the other side of its group).  Each cross pair adds
+the same phase to one plus-side and one minus-side mask, and each client
+bakes its side's sign into its rotation, so the masks cancel in the sum.
+A grid-uniform phase makes the rotated symbol uniform whatever the
+plaintext (evidence in `analysis`).  One scalar mask per message leaks
+pairwise symbol differences (`analysis.difference_leak_probe`); the
+per-symbol mode expands each pair's key into a stream instead.
 
-Rotating a constellation point by a phase that is uniform on the grid
-makes the result uniform regardless of the plaintext, which is the entire
-privacy argument; the statistical evidence lives in `analysis`.
+Every phase and mask is an int turn, or a uint32 vector of `length`
+turns, summed mod 2**32; `length=None` is the scalar mode.  A round reads
+every keyed phase from one `RoundPhases` row: the cross pairs' phases in
+`cross_pair_index` order, every client's private phase (alg2) and signed
+group mask.  `phase_window` derives a `PhaseWindow`, each kind one array
+with a leading rounds axis, and `round_phases` the one-round window on a
+round's channel.  Every phase is the same keyed function of (seed,
+round, ids) whenever it is derived.
 
-By default one scalar mask rotates every symbol of a message (which leaks
-pairwise symbol differences - measured, not hidden: see
-`analysis.difference_leak_probe`).  The per-symbol mode expands each
-pairwise channel key into a stream of independent per-element masks.
-
-Every phase and mask is a plain value: an int turn, or a uint32 vector of
-`length` turns in per-symbol mode, whose sums wrap mod 2**32 unreduced.
-Each function takes `length=None` for the scalar mode and the symbol
-count for the per-symbol one.
-
-A round reads every keyed phase from one `RoundPhases` row: each cross
-pair's channel phase, or per symbol its stream, in the order of
-`GroupAssignment.cross_pair_index`, every client's private phase (alg2)
-by client id, and every client's signed group mask, derived from the
-pairs.  `phase_window` derives the rows of a window of rounds: scalar
-phases hashed in one batch per domain and every round's masks in one
-`signed_masks` call, streams expanded once each by `pair_phase_stream`
-and `sample_private_phase`.  `round_phases` derives one round's row from
-its channel, as a direct `protocol.run_round` call does.  When a phase is
-derived is a simulation detail: every value is the same keyed function
-of (seed, round, ids).
-
-`signed_masks` gives every client its group mask, negated on the minus
-side, by one sum per side of each group's (|plus|, |minus|, *width)
-block of pairs, whatever the width: () for a round's scalar phases,
-(length,) for its streams, (rounds,) for a window's scalar phases.  The
-dropout correction reads a dropped client's shares from the row's pairs,
-never its masks, at the positions `GroupAssignment.pair_positions`
-caches.  `compute_group_mask`, `sample_private_phase`, `mask_shares` and
+`signed_masks` takes one sum per side of each run's (groups, |plus|,
+|minus|, *width) block of pairs, whatever the width.  The dropout
+correction reads a dropped client's shares from the row's pairs, never
+its masks, at the positions `GroupAssignment.pairs_of` computes.
+`compute_group_mask`, `sample_private_phase`, `mask_shares` and
 `apply_mask` are the per-client definitions those arrays are tested
 against: they read each phase from its definition, `get_phase` or
 `pair_phase_stream`, not from a batch.
@@ -54,7 +39,7 @@ against: they read each phase from its definition, `get_phase` or
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -87,6 +72,20 @@ TWO_GROUP = "two-group"
 SUBGROUP = "subgroup"
 
 
+class Run(NamedTuple):
+    """Groups of one shape in a row: read-only (groups, |plus|) and (groups, |minus|) client ids.
+
+    Row k holds group `first_group + k`'s sides, each in increasing client
+    order; `plus[k, a]` meets `minus[k, b]` at `cross_pair_index` position
+    first_pair + (k * |plus| + a) * |minus| + b.
+    """
+
+    first_group: int
+    first_pair: int
+    plus: np.ndarray
+    minus: np.ndarray
+
+
 @dataclass(frozen=True)
 class GroupAssignment:
     """Per-client (group id, side tag) labels.
@@ -115,108 +114,124 @@ class GroupAssignment:
         if self.mode == TWO_GROUP and (self.num_groups, self.subgroup_size) != (1, None):
             raise ValueError(f"two-group mode needs one group and no subgroup_size, got "
                              f"{self.num_groups} groups and subgroup_size {self.subgroup_size!r}")
-        if len(self.group_of) != len(self.tag_of):
+        n = len(self.group_of)
+        if len(self.tag_of) != n:
             raise ValueError("group and tag labels must cover the same clients")
-        if any(tag not in (PLUS, MINUS) for tag in self.tag_of):
+        if self.tag_of.count(PLUS) + self.tag_of.count(MINUS) != n:
             raise ValueError("tags must be '+' or '-'")
         if self.num_groups < 1:
             raise ValueError(f"need at least one group, got {self.num_groups}")
-        for g in self.group_of:
-            if not 0 <= g < self.num_groups:
-                raise ValueError(f"group labels must lie in range({self.num_groups}), got {g}")
-        for g in range(self.num_groups):
-            for tag in (PLUS, MINUS):
-                if not self.side(g, tag):
-                    raise ValueError(f"group {g} has an empty {tag!r} side")
+        if n and not (min(self.group_of) >= 0 and max(self.group_of) < self.num_groups):
+            bad = next(g for g in self.group_of if not 0 <= g < self.num_groups)
+            raise ValueError(f"group labels must lie in range({self.num_groups}), got {bad}")
+        # With more groups than clients, a side below group n + 1 is empty.
+        _, sizes = self._side_keys(min(self.num_groups, n + 1))
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            g, minus = divmod(int(empty[0]), 2)
+            raise ValueError(f"group {g} has an empty {(PLUS, MINUS)[minus]!r} side")
         if self.mode == TWO_GROUP:
             return
-        n, size, groups = self.num_clients, self.subgroup_size, self.num_groups
+        size, groups = self.subgroup_size, self.num_groups
         if size < 1 or groups != n // (2 * size):
             raise ValueError(f"subgroup_size {size} cannot split {n} clients into {groups} groups")
         want = _subgroup_sides(n, groups, size)
-        got = [(len(self.side(g, PLUS)), len(self.side(g, MINUS))) for g in range(groups)]
-        if got != want:
-            raise ValueError(f"subgroup_size {size} needs (plus, minus) sides {want}, got {got}")
+        if not np.array_equal(sizes, want):
+            raise ValueError(f"subgroup_size {size} needs (plus, minus) sides "
+                             f"{list(map(tuple, want.tolist()))}, "
+                             f"got {list(map(tuple, sizes.tolist()))}")
 
     @property
     def num_clients(self) -> int:
         return len(self.group_of)
 
+    def _side_keys(self, groups: int) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, sizes): keys[i] is client i's side, 2 * group (+ 1 on the minus side), a group
+        at or past `groups` read as `groups`; sizes[g] is (|plus|, |minus|) for g < `groups`."""
+        # Capped before the cast, so a label too wide for int64 casts too.
+        labels = np.minimum(np.array(self.group_of), groups).astype(np.int64)
+        # Every tag is one character, '+' or '-'.
+        minus = np.frombuffer("".join(self.tag_of).encode(), dtype=np.uint8) == ord(MINUS)
+        keys = 2 * labels + minus
+        return keys, np.bincount(keys, minlength=2 * groups + 2)[:2 * groups].reshape(groups, 2)
+
     @cached_property
-    def _sides(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """Every (group, tag) side's clients in increasing order, derived once."""
-        sides: dict[tuple[int, str], list[int]] = {}
-        for i, key in enumerate(zip(self.group_of, self.tag_of)):
-            sides.setdefault(key, []).append(i)
-        return {key: tuple(clients) for key, clients in sides.items()}
+    def runs(self) -> tuple[Run, ...]:
+        """The runs of equal (|plus|, |minus|) shape in group order; `assign_*` make 1 or 2."""
+        keys, sizes = self._side_keys(self.num_groups)
+        # A stable sort lists the sides in (group, tag) order, each in client order.
+        order = np.argsort(keys, kind="stable")
+        order.setflags(write=False)
+        changes = np.flatnonzero(np.any(sizes[1:] != sizes[:-1], axis=1)) + 1
+        bounds = [0, *changes.tolist(), self.num_groups]
+        runs, client, pair = [], 0, 0
+        for first, stop in zip(bounds, bounds[1:]):
+            p, m = sizes[first].tolist()
+            ids = order[client:client + (stop - first) * (p + m)].reshape(stop - first, p + m)
+            runs.append(Run(first, pair, ids[:, :p], ids[:, p:]))
+            client += ids.size
+            pair += (stop - first) * p * m
+        return tuple(runs)
+
+    def _run_of(self, group: int) -> tuple[Run, int]:
+        """The run holding `group`, and the group's row in it."""
+        for run in self.runs:
+            row = group - run.first_group
+            if 0 <= row < len(run.plus):
+                return run, row
+        raise IndexError(f"group {group} is not in the layout")
 
     def side(self, group: int, tag: str) -> tuple[int, ...]:
-        return self._sides.get((group, tag), ())
+        """The group's `tag` side, in increasing client order."""
+        run, row = self._run_of(group)
+        return tuple((run.plus if tag == PLUS else run.minus)[row].tolist())
 
-    @cached_property
-    def _complements(self) -> tuple[tuple[int, ...], ...]:
-        """Every client's complementary set, in client order."""
-        return tuple(self.side(g, MINUS if t == PLUS else PLUS)
-                     for g, t in zip(self.group_of, self.tag_of))
+    def side_size(self, group: int, tag: str) -> int:
+        """len(side(group, tag)), read from its run's shape."""
+        run, _ = self._run_of(group)
+        return (run.plus if tag == PLUS else run.minus).shape[1]
 
     def complementary_set(self, i: int) -> tuple[int, ...]:
-        """Clients whose channel phases form i's group mask, derived once per layout."""
-        return self._complements[i]
+        """Clients whose channel phases form i's group mask: the other side of its group."""
+        return self.side(self.group_of[i], MINUS if self.tag_of[i] == PLUS else PLUS)
 
-    @cached_property
-    def side_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per group, its plus and its minus side as read-only int64 client arrays.
+    def pairs_of(self, i: int) -> tuple[list[int], list[int], range]:
+        """(i's side, its complementary set, i's pair positions in `cross_pair_index`).
 
-        Each side is in increasing client order, as `side` gives it.
+        Entry k of the positions is i's pair with the set's k-th client: a row
+        of its group's (|plus|, |minus|) block on the plus side, a column on
+        the minus side.
         """
-        index = []
-        for g in range(self.num_groups):
-            sides = tuple(np.array(self.side(g, tag), dtype=np.int64) for tag in (PLUS, MINUS))
-            for arr in sides:
-                arr.setflags(write=False)
-            index.append(sides)
-        return tuple(index)
+        run, row = self._run_of(self.group_of[i])
+        plus, minus = run.plus[row].tolist(), run.minus[row].tolist()
+        m = len(minus)
+        block = run.first_pair + row * len(plus) * m
+        if self.tag_of[i] == PLUS:
+            start = block + plus.index(i) * m
+            return plus, minus, range(start, start + m)
+        return minus, plus, range(block + minus.index(i), block + len(plus) * m, m)
 
     @cached_property
     def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every cross pair as read-only (P,) arrays of its plus and minus client.
 
-        Pairs run group by group, each group plus-major with both sides in
-        increasing client order, so group g's stretch, reshaped to
-        (|plus|, |minus|), is its block of pairs.
+        Pairs run group by group, each plus-major, so a run's stretch is its
+        (groups, |plus|, |minus|) block of pairs.
         """
-        index = (np.concatenate([np.repeat(p, m.size) for p, m in self.side_index]),
-                 np.concatenate([np.tile(m, p.size) for p, m in self.side_index]))
+        index = (np.concatenate([np.repeat(r.plus, r.minus.shape[1], axis=1).ravel()
+                                 for r in self.runs]),
+                 np.concatenate([np.tile(r.minus, r.plus.shape[1]).ravel() for r in self.runs]))
         for arr in index:
             arr.setflags(write=False)
         return index
 
-    @cached_property
-    def pair_positions(self) -> tuple[np.ndarray, ...]:
-        """Per client, the read-only int64 positions of its pairs in `cross_pair_index`.
-
-        Entry k of client i's array is its pair with `complementary_set(i)[k]`:
-        a row of its group's (|plus|, |minus|) grid of positions on the plus
-        side, a column on the minus side.
-        """
-        positions: list = [None] * self.num_clients
-        start = 0
-        for plus, minus in self.side_index:
-            grid = np.arange(start, start + plus.size * minus.size).reshape(plus.size, minus.size)
-            grid.setflags(write=False)
-            for i, row in zip(plus.tolist(), grid):
-                positions[i] = row
-            for j, column in zip(minus.tolist(), grid.T):
-                positions[j] = column
-            start += grid.size
-        return tuple(positions)
-
     def cross_pair_count(self) -> int:
         """Unordered pairs that must estimate a phase: sum over groups of |plus|*|minus|."""
-        return self.cross_pair_index[0].size
+        last = self.runs[-1]
+        return last.first_pair + last.plus.size * last.minus.shape[1]
 
     def plus_size(self) -> int:
-        return sum(1 for t in self.tag_of if t == PLUS)
+        return self.tag_of.count(PLUS)
 
     def to_json_dict(self) -> dict:
         return {
@@ -267,34 +282,31 @@ def assign_two_groups(num_clients: int, seed: int) -> GroupAssignment:
     check_layout(TWO_GROUP, num_clients)
     gen = rng.keyed_generator(seed, rng.GROUPING_DOMAIN)
     while True:
-        sides = gen.integers(0, 2, size=num_clients)
-        plus = int(np.sum(sides == 0))
-        if 2 <= plus <= num_clients - 2:
-            break
-    tags = tuple(PLUS if s == 0 else MINUS for s in sides)
-    return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * num_clients,
-                           tag_of=tags, num_groups=1, subgroup_size=None)
+        minus = gen.integers(0, 2, size=num_clients)
+        if 2 <= num_clients - int(minus.sum()) <= num_clients - 2:
+            return two_group_from_sides(np.flatnonzero(minus == 0).tolist(),
+                                        np.flatnonzero(minus).tolist())
 
 
 def two_group_from_sides(plus_side: Iterable[int],
                          minus_side: Iterable[int]) -> GroupAssignment:
     """Explicit two-group layout (tests and demos)."""
-    plus = tuple(plus_side)
-    minus = tuple(minus_side)
+    plus, minus = tuple(plus_side), tuple(minus_side)
     size = len(plus) + len(minus)
     if sorted(plus + minus) != list(range(size)):
         raise ValueError("sides must partition clients 0..S-1")
-    tags = [MINUS] * size
-    for i in plus:
-        tags[i] = PLUS
+    tags = np.full(size, MINUS)
+    tags[list(plus)] = PLUS
     return GroupAssignment(mode=TWO_GROUP, group_of=(0,) * size,
-                           tag_of=tuple(tags), num_groups=1, subgroup_size=None)
+                           tag_of=tuple(tags.tolist()), num_groups=1, subgroup_size=None)
 
 
-def _subgroup_sides(num_clients: int, num_groups: int, size: int) -> list[tuple[int, int]]:
-    """Each group's (plus, minus) side sizes as `assign_subgroups` builds them."""
+def _subgroup_sides(num_clients: int, num_groups: int, size: int) -> np.ndarray:
+    """Each group's (plus, minus) side sizes as `assign_subgroups` builds them, (groups, 2)."""
     last = num_clients - 2 * size * (num_groups - 1)
-    return [(size, size)] * (num_groups - 1) + [((last + 1) // 2, last // 2)]
+    sides = np.full((num_groups, 2), size)
+    sides[-1] = (last + 1) // 2, last // 2
+    return sides
 
 
 def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
@@ -307,20 +319,14 @@ def assign_subgroups(num_clients: int, num_groups: int, subgroup_size: int,
     """
     check_layout(SUBGROUP, num_clients, num_groups, subgroup_size)
     order = rng.keyed_generator(seed, rng.GROUPING_DOMAIN).permutation(num_clients)
-    group_of = [0] * num_clients
-    tag_of = [PLUS] * num_clients
-    start = 0
-    for g, (plus_count, minus_count) in enumerate(
-            _subgroup_sides(num_clients, num_groups, subgroup_size)):
-        chunk = order[start:start + plus_count + minus_count]
-        start += chunk.size
-        for pos, client in enumerate(chunk):
-            group_of[int(client)] = g
-            tag_of[int(client)] = PLUS if pos < plus_count else MINUS
-    return GroupAssignment(mode=SUBGROUP, group_of=tuple(group_of),
-                           tag_of=tuple(tag_of), num_groups=num_groups,
-                           subgroup_size=subgroup_size)
-
+    # The permutation fills the sides in turn, group by group, plus side first;
+    # a side's key is 2 * group plus 1 on the minus side.
+    keys = np.empty(num_clients, dtype=np.int64)
+    keys[order] = np.repeat(np.arange(2 * num_groups),
+                            _subgroup_sides(num_clients, num_groups, subgroup_size).ravel())
+    return GroupAssignment(mode=SUBGROUP, group_of=tuple((keys // 2).tolist()),
+                           tag_of=tuple(np.array([PLUS, MINUS])[keys % 2].tolist()),
+                           num_groups=num_groups, subgroup_size=subgroup_size)
 
 
 @dataclass(frozen=True)
@@ -364,23 +370,23 @@ def signed_masks(assignment: GroupAssignment, pairs: np.ndarray) -> np.ndarray:
 
     `pairs` is a (P, *width) array of cross-pair values in
     `cross_pair_index` order: a row's scalar phases (width ()) or streams
-    (width (length,)), or a window's (rounds, P) scalar phases transposed
-    (width (rounds,)).  Row i is `compute_group_mask(i, ...)` for a
-    plus-side client and its negation mod 2**32 for a minus-side one: the
-    offset client i adds to its symbols.  Each group's pairs, reshaped to
-    its (|plus|, |minus|, *width) block, are summed over the minus side
-    for a plus-side client and over the plus side for a minus-side one.
+    (width (length,)), or a window's phases with the rounds axis moved
+    after the pairs (width (rounds,) or (rounds, length)).  Row i is
+    `compute_group_mask(i, ...)` for a plus-side client and its negation
+    mod 2**32 for a minus-side one: the offset client i adds to its
+    symbols.  Each run's pairs, reshaped to its (groups, |plus|, |minus|,
+    *width) block, are summed over the minus side for its plus-side
+    clients and over the plus side for its minus-side ones.
     """
     check_pair_row(assignment, pairs)
     width = pairs.shape[1:]
     masks = np.zeros((assignment.num_clients, *width), dtype=np.uint32)
-    start = 0
-    for plus, minus in assignment.side_index:
-        stop = start + plus.size * minus.size
-        block = pairs[start:stop].reshape(plus.size, minus.size, *width)
-        masks[plus] = block.sum(axis=1, dtype=np.uint32)
-        masks[minus] = -block.sum(axis=0, dtype=np.uint32)
-        start = stop
+    for run in assignment.runs:
+        (groups, p), m = run.plus.shape, run.minus.shape[1]
+        block = pairs[run.first_pair:run.first_pair + groups * p * m].reshape(
+            groups, p, m, *width)
+        masks[run.plus] = block.sum(axis=2, dtype=np.uint32)
+        masks[run.minus] = -block.sum(axis=1, dtype=np.uint32)
     return masks
 
 
@@ -447,52 +453,67 @@ class RoundPhases(NamedTuple):
         return self.pairs.shape[1] if self.pairs.ndim == 2 else None
 
 
-def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int, *,
-                 private: bool, length: int | None = None) -> RoundPhases:
-    """One round's row: its channel's cross-pair values, their masks and, with `private`, `seed`'s.
+@dataclass(frozen=True, eq=False)
+class PhaseWindow(Sequence):
+    """The rows of consecutive rounds from `start`, each kind one array with a leading rounds axis.
 
-    Scalar phases are the one-round case of the window functions; with
-    `length` each stream is expanded once, by `pair_phase_stream` and
-    `sample_private_phase`.  The masks are `signed_masks` of the pairs.
+    `pairs` is (rounds, P, *width), `masks` and `private` (or None) are
+    (rounds, N, *width).  Item r is round start + r's `RoundPhases` of views.
     """
-    t, clients = channel.iteration, range(assignment.num_clients)
+
+    start: int
+    pairs: np.ndarray
+    private: np.ndarray | None
+    masks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, r: int) -> RoundPhases:
+        r = range(len(self))[r]  # IndexError past the window ends iteration
+        return RoundPhases(self.start + r, self.pairs[r],
+                           None if self.private is None else self.private[r], self.masks[r])
+
+
+def _phases(assignment: GroupAssignment, first: ChannelMatrix, rounds: int, seed: int, *,
+            private: bool, length: int | None) -> PhaseWindow:
+    """The window of `rounds` rounds from `first`'s, on channels keyed as `first` is: one batch
+    per domain or one expansion per stream, and one `signed_masks` call for every round."""
+    t, clients = first.iteration, range(assignment.num_clients)
     plus, minus = assignment.cross_pair_index
     if length is None:
-        pairs = pair_phase_window(channel.num_clients, channel.seed, t, 1, plus, minus)[0]
-        return RoundPhases(t, pairs,
-                           private_phase_window(clients, t, 1, seed)[0] if private else None,
-                           signed_masks(assignment, pairs))
-    streams = np.dtype((np.uint32, length))
-    pairs = np.fromiter((pair_phase_stream(channel, i, j, length)
-                         for i, j in zip(plus.tolist(), minus.tolist())), streams, plus.size)
-    phases = (np.fromiter((sample_private_phase(i, t, seed, length=length) for i in clients),
-                          streams, len(clients)) if private else None)
-    return RoundPhases(t, pairs, phases, signed_masks(assignment, pairs))
+        pairs = pair_phase_window(first.num_clients, first.seed, t, rounds, plus, minus)
+        privates = private_phase_window(clients, t, rounds, seed) if private else None
+    else:
+        channels = [first, *(sample_round_channel(first.num_clients, u, first.seed)
+                             for u in range(t + 1, t + rounds))]
+        ends = list(zip(plus.tolist(), minus.tolist()))
+        streams = np.dtype((np.uint32, length))
+        pairs = np.fromiter((pair_phase_stream(c, i, j, length) for c in channels
+                             for i, j in ends), streams, rounds * len(ends))
+        pairs = pairs.reshape(rounds, -1, length)
+        privates = (np.fromiter((sample_private_phase(i, c.iteration, seed, length=length)
+                                 for c in channels for i in clients), streams,
+                                rounds * len(clients)).reshape(rounds, -1, length)
+                    if private else None)
+    masks = np.moveaxis(signed_masks(assignment, np.moveaxis(pairs, 0, 1)), 1, 0)
+    return PhaseWindow(t, pairs, privates, masks)
+
+
+def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int, *,
+                 private: bool, length: int | None = None) -> RoundPhases:
+    """One round's row, the one-round window on `channel`; private phases keyed by `seed`."""
+    return _phases(assignment, channel, 1, seed, private=private, length=length)[0]
 
 
 def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int, *,
-                 private: bool, length: int | None = None) -> list[RoundPhases]:
-    """The rows of `rounds` consecutive rounds from `start`, row r that of round start + r.
+                 private: bool, length: int | None = None) -> PhaseWindow:
+    """The rows of `rounds` consecutive rounds from `start`, on `seed`'s channels.
 
-    Scalar phases take one batch for every cross pair's channel phase in
-    the window, one `signed_masks` call for every round's masks (over the
-    window's pairs transposed, width (rounds,)) and, with `private`, one
-    more batch for every client's private phase.  Streams are expanded
-    round by round, as `round_phases` does on the round's seeded channel,
-    and so are their masks.
+    The window holds three arrays whatever its length, so its memory is its words.
     """
-    n = assignment.num_clients
-    if length is not None:
-        return [round_phases(assignment, sample_round_channel(n, t, seed), seed,
-                             private=private, length=length)
-                for t in range(start, start + rounds)]
-    plus, minus = assignment.cross_pair_index
-    pairs = pair_phase_window(n, seed, start, rounds, plus, minus)
-    privates = (private_phase_window(range(n), start, rounds, seed)
-                if private else (None,) * rounds)
-    masks = signed_masks(assignment, pairs.T).T
-    return [RoundPhases(start + r, p, q, m)
-            for r, (p, q, m) in enumerate(zip(pairs, privates, masks))]
+    return _phases(assignment, sample_round_channel(assignment.num_clients, start, seed),
+                   rounds, seed, private=private, length=length)
 
 
 def mask_shares(dropped: int, survivors, assignment: GroupAssignment,

@@ -20,56 +20,41 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
 A round is one matrix sum.  `run_round` checks the drop set and lists
 the senders once, modulates every sender's digits in one (senders, d)
 uint32 matrix and adds each sender's offset to its row in place: its
-private phase (alg2) plus its group mask, negated on the minus side,
-which it reads from the round's row with one `take`.  The offsets are an
-(senders, 1) column in scalar mode and an (senders, d) array per symbol,
-so broadcasting serves both.  Neither the masks nor the recovery check
-nor the decode loops over groups: a scalar round takes a fixed number of
-array calls whatever its group count.  The aggregate is the matrix's
-column sum plus the correction.  Every phase and mask of a round comes
-from one `masking.RoundPhases` row: a training run hands each round its
-row of a `masking.phase_window`, and a direct call derives its own
-(`masking.round_phases`).  Below `run_round`, the mask mode is only the
-`length` of the row's phases (None for a scalar, d per symbol), and every
-phase, mask, symbol row and correction is an int or an integer array;
-`per_symbol` is set only by `run_round`'s callers.  `client_message`
-builds one client's message on its own, taking the same `length`; it is
-the reference the rows are tested against.  The round returns a
-`transcript.RoundTranscript`, which keeps the read-only matrix and the
-sender ids; the transcript module holds the format and the
-transcripts.jsonl file: its line writer and reader, and the file's writer
-(`write_transcripts`) and streaming reader (`read_transcripts`).
+private phase (alg2) plus its signed group mask, both read by client id
+from the round's `masking.RoundPhases` row with one `take` each.  The
+offsets are a (senders, 1) column in scalar mode and a (senders, d)
+array per symbol, so broadcasting serves both.  A training run hands
+each round its row of a `masking.phase_window`; a direct call derives
+its own (`masking.round_phases`).  Below `run_round` the mask mode is
+only the row's phase `length` (None for a scalar, d per symbol);
+`per_symbol` is set only by its callers.  `client_message` builds one
+client's message alone: the reference the rows are tested against.  The
+round returns a `transcript.RoundTranscript`, which keeps the read-only
+matrix and the sender ids; the `transcript` module holds the
+transcripts.jsonl format, its writer and its streaming reader.
 
-The dropout correction implemented here is
-``+ sum(masks of dropped plus-side) - sum(masks of dropped minus-side)
-- sum(private phases of survivors)`` with dropped-to-dropped channel terms
-excluded; they cancel pairwise by reciprocity, which the test suite checks
-exhaustively.  Every dropped client's shares are read from the round's
-row of cross-pair values, never from its masks, at the positions its
-layout caches (`GroupAssignment.pair_positions`): one `take` for all of
-them, signed and summed by one product.  The recovery check looks only
-at the sides that hold a dropped client.  `run_round` hands the
-correction the drop set and survivors it has checked and listed.
-`dropout_correction` returns the correction and its reveal records, and
-`ps_aggregate_and_decode` the decoded digit sums and their mean;
-`run_round` counts the recovery messages and private-phase reveals from
-the records.
-The reveal log holds one record per query, each naming the clients it
-asked and holding their answers as one read-only uint32 array:
+The dropout correction is ``+ sum(masks of dropped plus-side) -
+sum(masks of dropped minus-side) - sum(private phases of survivors)``
+with dropped-to-dropped channel terms excluded; they cancel pairwise by
+reciprocity, which the test suite checks exhaustively.  A dropped
+client's shares are read from the row's pairs, never its masks, at the
+positions `GroupAssignment.pairs_of` computes from the layout's
+runs: one `take` for all of them, signed and summed by one product.  The
+recovery check looks only at the sides that hold a dropped client.  The
+reveal log holds one record per query, each naming the clients it asked
+and holding their answers as one read-only uint32 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
 per dropped client, then ``{"kind": "private-phases", "clients": [...],
-"phases": ...}`` once under alg2.  The phases are (k,) scalars or (k, d)
-per-symbol streams, row r answered by the r-th listed client.
+"phases": ...}`` once under alg2, row r answered by the r-th listed
+client; `run_round` counts the recovery messages and private-phase
+reveals from them.
 
 `run_iteration` composes one training round from `fl`'s steps around
-`run_round`: `fl.client_digits` before it and `fl.sgd_update` after.  It
-derives nothing: `fl.training_rounds`, its one caller, hands it theta, the
-stacked datasets, the layout, the round's phase row and the round's
-residual, which the loss has read too, and it reads the round from that
-row and the learning rate and codec from the config, which builds its
-`QuantizationConfig` and `FecConfig` once.  `fl.baseline_step` runs in
-the training loop once it returns.  `run_iteration` is the one import
-of a higher layer, and `fl` calls it through this module.
+`run_round`: `fl.client_digits` before it and `fl.sgd_update` after.
+`fl.training_rounds`, its one caller, hands it theta, the stacked
+datasets, the layout, the round's phase row and the round's residual.
+It is the one import of a higher layer, and `fl` calls it through this
+module.
 """
 
 from __future__ import annotations
@@ -164,57 +149,36 @@ def _drop_set(ids: Iterable[int], assignment: GroupAssignment) -> frozenset[int]
     return ids
 
 
-def _check_recovery_feasible(dropped: frozenset[int], survivors: Sequence[int],
-                             assignment: GroupAssignment) -> None:
-    """Raise UnrecoverableRoundError when recovery cannot proceed.
-
-    Every side of every group must keep at least one survivor: a dropped
-    client with a fully-dropped complementary side has nobody left to
-    reveal its mask shares, and a surviving client with a fully-dropped
-    complementary side would have its whole mask exposed by those same
-    reveals on top of its private phase.
-    """
-    if not survivors:
-        raise UnrecoverableRoundError("every client dropped out")
-    # Only a side holding a dropped client can have lost them all.  The
-    # error names the first such side in (group, tag) order, '+' < '-'.
-    for g, tag in sorted({(assignment.group_of[i], assignment.tag_of[i]) for i in dropped}):
-        if dropped.issuperset(assignment.side(g, tag)):
-            raise UnrecoverableRoundError(
-                f"the {tag!r} side of group {g} lost all its clients; "
-                "masks touching it can be neither reconstructed nor kept private"
-            )
-
-
 def _audit_reveal_safety(reveals: Sequence[Mapping],
                          assignment: GroupAssignment) -> None:
     """Check no client has both its private phase and its full mask revealed.
 
-    `reveals` holds the round's reveal records, one per query.  The share
+    `reveals` holds the round's reveal records, one per query, each
+    revealer a counterpart of its record's dropped client.  The share
     phi(dropped, revealer) is a component of both clients' masks.  A
     client dropped in no record is touched by at most one share per
     record, so only one whose mask has no more shares than there are
     records is checked share by share, beside every record's dropped client.
     """
-    private: set[int] = set()
-    shares = []
+    shares = [r for r in reveals if r["kind"] == "mask-shares"]
+    suspects = {r["dropped"] for r in shares}
+    for r in shares:
+        # A revealer's mask shares are the dropped client's own side.
+        i = r["dropped"]
+        if assignment.side_size(assignment.group_of[i], assignment.tag_of[i]) <= len(shares):
+            suspects.update(r["revealers"])
+    private = set()
     for r in reveals:
         if r["kind"] == "private-phases":
-            private.update(r["clients"])
-        else:
-            shares.append(r)
-    suspects = {r["dropped"] for r in shares}
-    suspects.update(j for r in shares for j in r["revealers"]
-                    if len(assignment.complementary_set(j)) <= len(shares))
-    for client in sorted(private.intersection(suspects)):
+            private |= suspects.intersection(r["clients"])
+    for client in sorted(private):
         exposed = set()
         for r in shares:
             if r["dropped"] == client:
                 exposed.update(r["revealers"])
             elif client in r["revealers"]:
                 exposed.add(r["dropped"])
-        comp = assignment.complementary_set(client)
-        if comp and exposed.issuperset(comp):
+        if exposed.issuperset(assignment.complementary_set(client)):
             raise RevealSafetyError(
                 f"reveal-safety audit failed: client {client}'s private phase "
                 "and every share of its mask were both revealed"
@@ -232,19 +196,15 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     """(correction, reveals): what the aggregator adds so survivors' sums decode exactly.
 
     Reconstructed masks of dropped plus-side clients are added and
-    minus-side ones subtracted; with `private_phases` given (alg2) the
-    survivors' private phases are subtracted as well.  `private_phases` is
-    an array of their phases, one row per survivor in increasing client
-    order.  `pairs` is the round's row of cross-pair values
-    (`RoundPhases.pairs`); a dropped client's shares are read from it at the
-    positions `GroupAssignment.pair_positions` caches, and its phase width
-    sets the correction's: an int for scalar phases, a (length,) array for
-    per-symbol streams.  Every dropped client's shares are gathered with
-    one `take` and signed and summed with one product.  The reveals are a
-    tuple of records, one per query: the revealers of one dropped client's
-    shares, or the survivors whose private phases are asked, with the
-    revealed phases as one read-only uint32 array.  The never-both rule is
-    audited on those records.
+    minus-side ones subtracted; with `private_phases` (alg2), one row per
+    survivor in increasing client order, the survivors' private phases
+    are subtracted as well.  `pairs` is the round's `RoundPhases.pairs`:
+    every dropped client's shares are gathered from it with one `take`,
+    at the positions `GroupAssignment.pairs_of` gives, and signed and
+    summed with one product; its phase width sets the correction's, an
+    int or a (length,) array.  The reveals are a tuple of records, one
+    per query (see the module docstring), on which the never-both rule is
+    audited.
 
     Called on its own, the function range-checks `dropped` (IndexError
     for an id outside the assignment), checks the row and lists the
@@ -256,17 +216,31 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
         dropped = _drop_set(dropped, assignment)
         check_pair_row(assignment, pairs)
         survivors = [i for i in range(assignment.num_clients) if i not in dropped]
-    _check_recovery_feasible(dropped, survivors, assignment)
+    if not survivors:
+        raise UnrecoverableRoundError("every client dropped out")
 
-    reveals, positions, signs = [], [], []
+    reveals, positions, signs, lost = [], [], [], []
     for i in sorted(dropped):
+        side, others, places = assignment.pairs_of(i)
+        if dropped.issuperset(side):
+            lost.append((assignment.group_of[i], assignment.tag_of[i]))
         revealers = []
-        for j, k in zip(assignment.complementary_set(i), assignment.pair_positions[i].tolist()):
+        for j, k in zip(others, places):
             if j not in dropped:
                 revealers.append(j)
                 positions.append(k)
         signs += [1 if assignment.tag_of[i] == PLUS else _MINUS_ONE] * len(revealers)
         reveals.append({"kind": "mask-shares", "dropped": i, "revealers": revealers})
+    # Every side must keep a survivor: a dropped client whose complementary
+    # side is lost has nobody to reveal its shares, and a survivor's would
+    # expose its whole mask beside its private phase.  The refusal names
+    # the first lost side in (group, tag) order, '+' < '-'.
+    if lost:
+        g, tag = min(lost)
+        raise UnrecoverableRoundError(
+            f"the {tag!r} side of group {g} lost all its clients; "
+            "masks touching it can be neither reconstructed nor kept private"
+        )
     # `take` copies; each record's phases view their stretch of its rows.
     shares = pairs.take(positions, axis=0)
     shares.setflags(write=False)
@@ -409,7 +383,7 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
     # One message per revealed phase: a revealer's mask share or a survivor's private phase.
     counters = {
-        "phase_estimations": assignment.cross_pair_count(),
+        "phase_estimations": len(phases.pairs),
         "uplink_messages": len(senders),
         "recovery_messages": sum(len(r["phases"]) for r in reveals
                                  if r["kind"] == "mask-shares"),

@@ -116,6 +116,16 @@ def every_line(**want):
     return check
 
 
+def drops_in_groups(*groups: int):
+    """Every line's dropped clients lie in exactly these groups."""
+    def check(out: Path, before) -> None:
+        for number, line in enumerate((out / "transcripts.jsonl").read_text().splitlines(), 1):
+            row = json.loads(line)
+            got = {row["assignment"]["group_of"][i] for i in row["dropped"]}
+            assert got == set(groups), f"line {number} drops clients of groups {sorted(got)}"
+    return check
+
+
 def finished_rounds(count: int):
     """The refused run left only transcripts.jsonl, whole lines that read back as
     rounds 0 to `count` - 1."""
@@ -202,6 +212,16 @@ MANY_GROUPS = {"clients": 64, "dimension": 3, "samples_per_client": 4, "rounds":
                "compare_baseline": True}
 LOST_SIDE = dict(MANY_GROUPS, dropout={"fixed": dict(MANY_GROUPS["dropout"]["fixed"],
                                                      **{"2": [42, 63]})})
+# 4,097 clients in subgroups of 2: 1,023 groups of (2, 2) and a last of
+# (3, 2), so the layout has two runs.  Seed 11 puts clients 31, 3123, 3170
+# and 3319 in the last group, 656 and 1741 in group 0, 818 and 3700 in 500.
+MANY_CLIENTS = {"clients": 4097, "dimension": 2, "samples_per_client": 2, "rounds": 2,
+                "learning_rate": 0.1, "seed": 11, "protocol_version": "alg2",
+                "quantization": {"clip": 1.0, "levels": 4},
+                "grouping": {"mode": "subgroup", "groups": 1024, "subgroup_size": 2},
+                "dropout": {"fixed": {"0": [31, 656, 3170, 3700],
+                                      "1": [818, 1741, 3123, 3319]}},
+                "compare_baseline": True}
 BASELINE_MATCH = field("report.json", "baseline_match", True)
 INVALID = r"\Ainvalid scenario configuration:\n"
 LAST_LINE = 7  # alg2_dropout runs 8 rounds
@@ -241,6 +261,9 @@ CASES = [
     Case("remainder-round", ("round",), REMAINDER, checks=EXACT_REMAINDER),
     Case("sixteen-groups-baseline-then-analyze", ("analyze",), MANY_GROUPS,
          checks=(BASELINE_MATCH, overhead_agrees,
+                 field("analysis.json", "overhead.exact_match", True))),
+    Case("many-clients-two-runs-baseline-then-analyze", ("analyze",), MANY_CLIENTS,
+         checks=(BASELINE_MATCH, overhead_agrees, drops_in_groups(0, 500, 1023),
                  field("analysis.json", "overhead.exact_match", True))),
     Case("per-symbol-baseline-then-analyze", ("analyze",),
          bundled("alg2_dropout", per_symbol_masks=True, compare_baseline=True), 3,

@@ -614,7 +614,7 @@ def baseline_runs(draw):
         delayed_client=draw(st.none() | st.integers(0, clients - 1)),
         loss_threshold=draw(st.none() | st.floats(0.01, 5.0)), compare_baseline=True)
     assignment = parse_config(data).build_assignment()
-    sides = [set(side.tolist()) for sides in assignment.side_index for side in sides]
+    sides = [set(side) for run in assignment.runs for side in (*run.plus, *run.minus)]
     fixed = {}
     for t in range(rounds):
         dropped = set(draw(st.lists(st.integers(0, clients - 1), unique=True)))

@@ -69,6 +69,11 @@ def test_subgroup_mask_stays_inside_own_group():
     (dict(group_of=(0, 0, 0, 99, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got 99"),
     (dict(group_of=(0, 0, 0, -1, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got -1"),
     (dict(num_groups=0), "need at least one group, got 0"),
+    # More groups than clients, one label past int64: the first empty side is named.
+    (dict(num_groups=2**64 - 1, group_of=(0, 0, 0, 2**63, 1, 1, 1, 1)),
+     r"group 2 has an empty '\+' side"),
+    (dict(num_groups=2**70, group_of=(0, 0, 0, 2**69, 1, 1, 1, 1)),
+     r"group 2 has an empty '\+' side"),
     (dict(subgroup_size=None), "subgroup mode needs an int subgroup_size, got None"),
     (dict(mode="two-group"),
      "two-group mode needs one group and no subgroup_size, got 2 groups and subgroup_size 2"),

@@ -1225,14 +1225,15 @@ class TestMatrixRoundProperty:
         assert a.cross_pair_count() == len(a.cross_pair_index[0])
         # Client i's k-th pair position joins it to its k-th counterpart.
         plus, minus = a.cross_pair_index
+        positions = []
         for i in range(a.num_clients):
-            positions = a.pair_positions[i]
-            assert positions.dtype == np.int64 and not positions.flags.writeable
-            ends = [(int(plus[k]), int(minus[k])) for k in positions]
-            assert ends == [(i, j) if a.tag_of[i] == PLUS else (j, i)
-                            for j in a.complementary_set(i)]
-        assert sorted(np.concatenate(a.pair_positions).tolist()) == sorted(
-            2 * list(range(a.cross_pair_count())))
+            side, others, places = a.pairs_of(i)
+            assert (tuple(side), tuple(others)) == (a.side(a.group_of[i], a.tag_of[i]),
+                                                    a.complementary_set(i))
+            ends = [(int(plus[k]), int(minus[k])) for k in places]
+            assert ends == [(i, j) if a.tag_of[i] == PLUS else (j, i) for j in others]
+            positions += places
+        assert sorted(positions) == sorted(2 * list(range(a.cross_pair_count())))
 
     def test_each_cross_pair_stream_is_expanded_once(self, monkeypatch):
         from phaseagg import masking
@@ -1336,36 +1337,94 @@ class TestMatrixRoundProperty:
             dropout_correction(dropped, assignment, pairs, array[:-1])
 
 
-def layouts():
-    """Two-group and subgroup layouts, the last group with any remainder."""
-    return round_cases().map(lambda case: case["assignment"])
+@st.composite
+def layouts(draw):
+    """Subgroup layouts with and without a remainder group, and two-group layouts of any sides."""
+    if draw(st.booleans()):
+        size = draw(st.integers(2, 4))
+        groups = draw(st.integers(1, 5))
+        extra = draw(st.one_of(st.just(0), st.integers(1, 2 * size - 1)))
+        return assign_subgroups(groups * 2 * size + extra, groups, size,
+                                seed=draw(st.integers(0, 2**16)))
+    clients = draw(st.permutations(range(draw(st.integers(2, 12)))))
+    split = draw(st.integers(1, len(clients) - 1))
+    return two_group_from_sides(clients[:split], clients[split:])
 
 
-class TestLayoutArrays:
-    """GroupAssignment's arrays are derived once and read-only."""
+def reference_layout(a):
+    """A layout's sides and cross pairs built client by client from its labels.
 
-    @settings(max_examples=60, deadline=None)
+    (sides, pairs): sides[g, tag] lists the side's clients in increasing
+    order, and pairs lists (plus, minus) group by group, plus-major.
+    """
+    sides = {(g, tag): [i for i in range(a.num_clients)
+                        if (a.group_of[i], a.tag_of[i]) == (g, tag)]
+             for g in range(a.num_groups) for tag in (PLUS, MINUS)}
+    pairs = [(i, j) for g in range(a.num_groups)
+             for i in sides[g, PLUS] for j in sides[g, MINUS]]
+    return sides, pairs
+
+
+class TestLayoutRuns:
+    """GroupAssignment's runs are its one derived form, read-only, and agree with its labels."""
+
+    @settings(max_examples=80, deadline=None)
     @given(layouts())
-    def test_arrays_agree_with_the_labels(self, a):
-        assert len(a.side_index) == a.num_groups
-        for g, sides in enumerate(a.side_index):
-            for tag, side in zip((PLUS, MINUS), sides):
-                assert side.dtype == np.int64
-                assert side.tolist() == list(a.side(g, tag))
-        assert a.cross_pair_count() == sum(
-            len(a.side(g, PLUS)) * len(a.side(g, MINUS)) for g in range(a.num_groups))
-        arrays = [side for sides in a.side_index for side in sides]
+    def test_runs_agree_with_a_per_client_reference(self, a):
+        sides, pairs = reference_layout(a)
+        for (g, tag), clients in sides.items():
+            assert a.side(g, tag) == tuple(clients)
+        plus, minus = a.cross_pair_index
+        assert list(zip(plus.tolist(), minus.tolist())) == pairs
+        assert a.cross_pair_count() == len(pairs)
+        for i in range(a.num_clients):
+            g, tag = a.group_of[i], a.tag_of[i]
+            others = tuple(sides[g, MINUS if tag == PLUS else PLUS])
+            assert a.complementary_set(i) == others
+            # Entry k of i's positions is its pair with its k-th counterpart.
+            ends = [(i, j) if tag == PLUS else (j, i) for j in others]
+            side, counterparts, positions = a.pairs_of(i)
+            assert (tuple(side), tuple(counterparts)) == (tuple(sides[g, tag]), others)
+            assert list(positions) == [pairs.index(end) for end in ends]
+        # The runs are the maximal stretches of groups of equal shape.
+        shapes = [(len(sides[g, PLUS]), len(sides[g, MINUS])) for g in range(a.num_groups)]
+        group, pair = 0, 0
+        for k, run in enumerate(a.runs):
+            assert (run.first_group, run.first_pair) == (group, pair)
+            for row, ids in enumerate(zip(run.plus.tolist(), run.minus.tolist())):
+                assert ids == (sides[group + row, PLUS], sides[group + row, MINUS])
+            count = len(run.plus)
+            assert count and set(shapes[group:group + count]) == {shapes[group]}
+            if k:
+                assert shapes[group - 1] != shapes[group]
+            group += count
+            pair += count * shapes[group - 1][0] * shapes[group - 1][1]
+        assert group == a.num_groups and pair == len(pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layouts())
+    def test_arrays_are_read_only_and_derived_once(self, a):
+        arrays = [*a.cross_pair_index, *(side for run in a.runs for side in (run.plus, run.minus))]
         for arr in arrays:
-            assert not arr.flags.writeable
+            assert arr.dtype == np.int64 and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-        assert a.side_index is a.side_index
+        assert a.runs is a.runs and a.cross_pair_index is a.cross_pair_index
 
-    def test_remainder_joins_the_last_group(self):
-        a = assign_subgroups(11, 2, 2, seed=5)
-        sizes = [(plus.size, minus.size) for plus, minus in a.side_index]
-        assert sizes == [(2, 2), (4, 3)]
-        assert a.cross_pair_count() == 2 * 2 + 4 * 3
+    @pytest.mark.parametrize("clients, groups, size, shapes", [
+        (11, 2, 2, [(1, 2, 2), (1, 4, 3)]),
+        (8, 2, 2, [(2, 2, 2)]),
+        (4097, 1024, 2, [(1023, 2, 2), (1, 3, 2)]),
+    ])
+    def test_remainder_joins_the_last_group(self, clients, groups, size, shapes):
+        a = assign_subgroups(clients, groups, size, seed=5)
+        assert [(*run.plus.shape, run.minus.shape[1]) for run in a.runs] == shapes
+        assert a.cross_pair_count() == sum(g * p * m for g, p, m in shapes)
+
+    def test_two_groups_are_one_run(self):
+        a = assign_two_groups(9, seed=4)
+        (run,) = a.runs
+        assert run.plus.shape == (1, a.plus_size())
 
 
 class TestReadTranscriptLine:

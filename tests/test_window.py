@@ -15,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaseagg import cli, fl, protocol, rng
@@ -52,8 +52,9 @@ def layouts(draw):
         return assign_two_groups(draw(st.integers(4, 10)), seed=seed)
     size = draw(st.integers(2, 3))
     groups = draw(st.integers(1, 4))
-    clients = groups * 2 * size + draw(st.integers(0, 2 * size - 1))
-    return assign_subgroups(clients, groups, size, seed=seed)
+    # A remainder with two groups or more makes a second run of one group.
+    extra = draw(st.one_of(st.just(0), st.integers(1, 2 * size - 1)))
+    return assign_subgroups(groups * 2 * size + extra, groups, size, seed=seed)
 
 
 # Seeds of two words make the prefix two words long.
@@ -69,15 +70,23 @@ def windows(draw):
     return min(start, 2**32 - rounds), rounds
 
 
+# Two runs, (2, 2) groups then one of (3, 2), at both widths.
+TWO_RUNS = assign_subgroups(13, 3, 2, seed=7)
+
+
 class TestWindowValues:
     @settings(max_examples=40, deadline=None)
     @given(assignment=layouts(), seed=seeds, window=windows(), private=st.booleans(),
            length=st.one_of(st.none(), st.integers(1, 5)))
+    @example(assignment=TWO_RUNS, seed=3, window=(5, 3), private=True, length=None)
+    @example(assignment=TWO_RUNS, seed=3, window=(5, 3), private=True, length=4)
     def test_every_value_equals_its_per_round_definition(self, assignment, seed, window,
                                                          private, length):
         start, rounds = window
         rows = phase_window(assignment, seed, start, rounds, private=private, length=length)
         assert len(rows) == rounds
+        if assignment is TWO_RUNS:
+            assert [len(run.plus) for run in assignment.runs] == [2, 1]
         plus, minus = assignment.cross_pair_index
         pairs = list(zip(plus.tolist(), minus.tolist()))
         minus_side = [i for i, tag in enumerate(assignment.tag_of) if tag == MINUS]
@@ -204,6 +213,22 @@ class TestWindowValues:
         with pytest.raises(ValueError, match="length 3 cannot serve round 1, length None"):
             run_round(np.ones((6, 3), dtype=np.int64), assignment, chan,
                       small_cfg(levels=4, clients=6), version=ALG2, seed=2, phases=row)
+
+
+def test_a_window_holds_its_words_and_little_more():
+    # 2,048 rounds of an 8-client alg2 layout with 16 cross pairs, 32 words a
+    # round (16 pairs, 8 masks, 8 private phases): 65,536 words, 256 KB.
+    assignment = assign_two_groups(8, seed=1)
+    assert assignment.cross_pair_count() == 16
+    phase_window(assignment, 1, 0, 1, private=True)  # derive the layout's arrays untraced
+    tracemalloc.start()
+    try:
+        window = phase_window(assignment, 1, 0, 2048, private=True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(window) == 2048 and window[2047].iteration == 2047
+    assert held <= 1.25 * 2**16 * 4
 
 
 def artifacts(config) -> tuple:
