@@ -20,7 +20,7 @@ print("A digit is carried as one of M=16 constellation points:")
 for digit in range(4):
     point = modulate([digit], cfg)[0]
     print(f"  digit {digit} -> grid value {int(point):>10d} "
-          f"({turns.to_radians(point):.4f} rad)")
+          f"({2 * np.pi * int(point) / turns.MODULUS:.4f} rad)")
 
 print("\nMask the SAME digit (3) with a fresh uniform phase 16000 times:")
 symbol = modulate([3], cfg)[0]

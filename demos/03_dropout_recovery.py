@@ -30,7 +30,7 @@ transcript = run_round(digits, assignment, channel, cfg, version=ALG2,
 
 print("Naive attempt: sum the five arriving messages with no correction:")
 try:
-    ps_aggregate_and_decode(transcript.symbols, 0, 5, cfg)
+    ps_aggregate_and_decode(transcript.symbols, 0, cfg)
 except ResidualMaskError as err:
     print(f"  ResidualMaskError: {err}")
 

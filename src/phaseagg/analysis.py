@@ -32,9 +32,9 @@ from .channel import sample_round_channel
 from .codec import QuantizationConfig, demodulate_nearest
 from .config import ALG1, ALG2, check_version
 from .errors import UnderpoweredTestError
-from .masking import PLUS, TWO_GROUP, GroupAssignment, assign_two_groups
+from .masking import TWO_GROUP, GroupAssignment, assign_two_groups
 from .protocol import client_message, run_round
-from .transcript import RoundTranscript
+from .transcript import RoundTranscript, dropout_correction
 
 ALPHA = 0.01
 MIN_SAMPLES_PER_CELL = 100
@@ -179,8 +179,9 @@ def delayed_client_attack(version: str, *,
 
     The aggregator presumes the delayed client dropped, runs the normal
     recovery (revealing the survivor shares of that client's group mask),
-    then receives the late message and de-rotates it by the mask it
-    rebuilds from the round's own `mask-shares` record.  Under the naive
+    then receives the late message and de-rotates it by
+    `transcript.dropout_correction` of the round's own `mask-shares`
+    record for that client: its mask, signed by its side.  Under the naive
     group-mask-only recovery the digits come back exactly; under the
     private-phase protocol a uniform residual remains and recovery
     collapses to 1-in-M guessing.  Masks are scalar.
@@ -217,15 +218,11 @@ def delayed_client_attack(version: str, *,
         # triggers the recovery queries (and their reveal log).
         transcript = run_round(digits, assignment, chan, cfg, version=version, seed=seed,
                                delayed=delayed, naive_remedy=(version == ALG1))
-        shares = next(r["phases"] for r in transcript.reveals
+        record = next(r for r in transcript.reveals
                       if r["kind"] == "mask-shares" and r["dropped"] == delayed)
-        rebuilt = turns.total(shares.tolist())
         late = client_message(delayed, digits[delayed], assignment, chan,
                               version, seed, cfg)
-        if assignment.tag_of[delayed] == PLUS:
-            estimate = turns.sub(late.masked.symbols, rebuilt)
-        else:
-            estimate = turns.add(late.masked.symbols, rebuilt)
+        estimate = turns.sub(late.masked.symbols, dropout_correction((record,), assignment))
         recovered = demodulate_nearest(estimate, cfg)
         truth = np.asarray(digits[delayed], dtype=np.int64)
         element_hits += int(np.sum(recovered == truth))

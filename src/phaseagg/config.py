@@ -207,7 +207,7 @@ class ScenarioConfig:
                for key, low in (("dimension", 1), ("samples_per_client", 1),
                                 ("rounds", 1), ("seed", 0))
                if getattr(self, key) < low]
-        if self.seed >= 2**32:  # two key words in `rng`, whose keys can equal another seed's
+        if self.seed >= 2**32:  # `rng` keys take one 32-bit word per part
             bad.append(f"'seed' must be below 2**32, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
             bad.append(f"'learning_rate' must be positive and finite, got {self.learning_rate}")

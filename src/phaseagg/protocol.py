@@ -17,7 +17,9 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
   clients and private phases for survivors, never both for one client, so
   late messages stay protected.
 
-A round is one matrix sum.  `run_round` checks the drop set and lists
+A round is one matrix sum, split at the wire.  `run_round` is the client
+half, then hands what crosses the wire to the server half,
+`transcript.aggregate`.  The client half checks the drop set and lists
 the senders once, modulates every sender's digits in one (senders, d)
 uint32 matrix and adds each sender's offset to its row in place: its
 private phase (alg2) plus its signed group mask, both read by client id
@@ -28,26 +30,26 @@ each round its row of a `masking.phase_window`; a direct call derives
 its own (`masking.round_phases`).  Below `run_round` the mask mode is
 only the row's phase `length` (None for a scalar, d per symbol);
 `per_symbol` is set only by its callers.  `client_message` builds one
-client's message alone: the reference the rows are tested against.  The
-round returns a `transcript.RoundTranscript`, which keeps the read-only
-matrix and the sender ids; the `transcript` module holds the
-transcripts.jsonl format, its writer and its streaming reader.
+client's message alone: the reference the rows are tested against.
 
-The dropout correction is ``+ sum(masks of dropped plus-side) -
-sum(masks of dropped minus-side) - sum(private phases of survivors)``
-with dropped-to-dropped channel terms excluded; they cancel pairwise by
-reciprocity, which the test suite checks exhaustively.  A dropped
-client's shares are read from the row's pairs, never its masks, at the
-positions `GroupAssignment.pairs_of` computes from the layout's
-runs: one `take` for all of them, signed and summed by one product.  The
-recovery check looks only at the sides that hold a dropped client.  The
-reveal log holds one record per query, each naming the clients it asked
-and holding their answers as one read-only uint32 array:
+The clients then answer the server's recovery queries, one reveal record
+per query, each naming the clients it asked and holding their answers as
+one read-only uint32 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
-per dropped client, then ``{"kind": "private-phases", "clients": [...],
-"phases": ...}`` once under alg2, row r answered by the r-th listed
-client; `run_round` counts the recovery messages and private-phase
-reveals from them.
+per dropped or delayed client, then ``{"kind": "private-phases",
+"clients": [...], "phases": ...}`` once under alg2, row r answered by
+the r-th listed client.  A dropped client's shares are read from the
+row's pairs, never its masks, at the positions `GroupAssignment.pairs_of`
+computes: one `take` for all of them.
+
+The server half reads only the `transcript.RoundTranscript` view: the
+layout, the senders, the drop set, the delayed client, the symbols and
+the records.  Its correction, `dropout_correction`, is ``+ sum(masks of
+dropped plus-side) - sum(masks of dropped minus-side) - sum(private
+phases of survivors)``, each mask the sum of its record's shares, with
+dropped-to-dropped channel terms excluded; they cancel pairwise by
+reciprocity, which the test suite checks exhaustively.
+`ps_aggregate_and_decode` sums, corrects and decodes.
 
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.
@@ -59,22 +61,15 @@ module.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import fl
 from .channel import ChannelMatrix, sample_round_channel
-from .codec import (
-    FecConfig,
-    QuantizationConfig,
-    codec_metrics,
-    decode_sum,
-    dequantize_mean,
-    modulate,
-)
+from .codec import FecConfig, QuantizationConfig, codec_metrics, modulate
 from .config import ALG1, ALG2, ScenarioConfig, check_version
-from .errors import RevealSafetyError, ShapeError, UnrecoverableRoundError
+from .errors import ShapeError, UnrecoverableRoundError
 from .masking import (
     PER_SYMBOL_MASKS,
     PLUS,
@@ -91,7 +86,10 @@ from .masking import (
     round_phases,
     sample_private_phase,
 )
-from .transcript import ClientMessage, RoundTranscript
+# perfbench traces the server half's correction and decode as `protocol.*`.
+from .transcript import (ClientMessage, RoundTranscript, aggregate,  # noqa: F401
+                         dropout_correction, ps_aggregate_and_decode)
+
 
 def client_message(i: int, digits, assignment: GroupAssignment,
                    channel: ChannelMatrix, version: str, seed: int,
@@ -121,126 +119,24 @@ def client_message(i: int, digits, assignment: GroupAssignment,
         symbols=apply_mask(symbols, mask, assignment.tag_of[i])))
 
 
-def ps_aggregate_and_decode(symbols: np.ndarray, correction, num_contributors: int,
-                            cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sum received phases, apply the correction, decode: (digit sums, mean).
+def _answers(absent: frozenset[int], senders: list[int], assignment: GroupAssignment,
+             pairs: np.ndarray, private: np.ndarray | None) -> tuple:
+    """The clients' answers to the server's recovery queries, as reveal records.
 
-    `symbols` is a round's (senders, d) uint32 symbol matrix, and
-    `correction` an int in [0, 2**32) or a uint32 array, as
-    `dropout_correction` returns it.  With every mask cancelled the
-    per-element phase sum is an exact grid multiple; anything else raises
-    ResidualMaskError.  The mean averages the exact integer digit sums over
-    `num_contributors`.
+    One `mask-shares` record per absent client, in increasing order, holds
+    its surviving counterparts' shares, each record's phases a view of one
+    `take` of the round's `pairs`.  Under alg2 a `private-phases` record
+    of the `senders`' private phases follows.  Nothing is signed or summed.
     """
-    if not len(symbols):
-        raise UnrecoverableRoundError("no messages arrived; nothing to decode")
-    agg = symbols.sum(axis=0, dtype=np.uint32)
-    agg += correction
-    sums = decode_sum(agg, cfg)
-    return sums, dequantize_mean(sums, num_contributors, cfg)
-
-
-def _drop_set(ids: Iterable[int], assignment: GroupAssignment) -> frozenset[int]:
-    """`ids` as a frozenset of ints, or IndexError naming the first not in `assignment`."""
-    ids = frozenset(map(int, ids))
-    if ids and (min(ids) < 0 or max(ids) >= assignment.num_clients):
-        bad = min(i for i in ids if not 0 <= i < assignment.num_clients)
-        raise IndexError(f"dropped client {bad} is not in the assignment")
-    return ids
-
-
-def _audit_reveal_safety(reveals: Sequence[Mapping],
-                         assignment: GroupAssignment) -> None:
-    """Check no client has both its private phase and its full mask revealed.
-
-    `reveals` holds the round's reveal records, one per query, each
-    revealer a counterpart of its record's dropped client.  The share
-    phi(dropped, revealer) is a component of both clients' masks.  A
-    client dropped in no record is touched by at most one share per
-    record, so only one whose mask has no more shares than there are
-    records is checked share by share, beside every record's dropped client.
-    """
-    shares = [r for r in reveals if r["kind"] == "mask-shares"]
-    suspects = {r["dropped"] for r in shares}
-    for r in shares:
-        # A revealer's mask shares are the dropped client's own side.
-        i = r["dropped"]
-        if assignment.side_size(assignment.group_of[i], assignment.tag_of[i]) <= len(shares):
-            suspects.update(r["revealers"])
-    private = set()
-    for r in reveals:
-        if r["kind"] == "private-phases":
-            private |= suspects.intersection(r["clients"])
-    for client in sorted(private):
-        exposed = set()
-        for r in shares:
-            if r["dropped"] == client:
-                exposed.update(r["revealers"])
-            elif client in r["revealers"]:
-                exposed.add(r["dropped"])
-        if exposed.issuperset(assignment.complementary_set(client)):
-            raise RevealSafetyError(
-                f"reveal-safety audit failed: client {client}'s private phase "
-                "and every share of its mask were both revealed"
-            )
-
-
-# A minus side's shares enter the correction's signed sum with this sign:
-# -1 mod 2**32.
-_MINUS_ONE = 2**32 - 1
-
-
-def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
-                       pairs: np.ndarray, private_phases: np.ndarray | None, *,
-                       survivors: Sequence[int] | None = None) -> tuple[int | np.ndarray, tuple]:
-    """(correction, reveals): what the aggregator adds so survivors' sums decode exactly.
-
-    Reconstructed masks of dropped plus-side clients are added and
-    minus-side ones subtracted; with `private_phases` (alg2), one row per
-    survivor in increasing client order, the survivors' private phases
-    are subtracted as well.  `pairs` is the round's `RoundPhases.pairs`:
-    every dropped client's shares are gathered from it with one `take`,
-    at the positions `GroupAssignment.pairs_of` gives, and signed and
-    summed with one product; its phase width sets the correction's, an
-    int or a (length,) array.  The reveals are a tuple of records, one
-    per query (see the module docstring), on which the never-both rule is
-    audited.
-
-    Called on its own, the function range-checks `dropped` (IndexError
-    for an id outside the assignment), checks the row and lists the
-    survivors.  `run_round` has done all three and passes its `survivors`,
-    the clients not in `dropped` in increasing order, with `dropped` as
-    the frozenset it checked; neither is derived again.
-    """
-    if survivors is None:
-        dropped = _drop_set(dropped, assignment)
-        check_pair_row(assignment, pairs)
-        survivors = [i for i in range(assignment.num_clients) if i not in dropped]
-    if not survivors:
-        raise UnrecoverableRoundError("every client dropped out")
-
-    reveals, positions, signs, lost = [], [], [], []
-    for i in sorted(dropped):
-        side, others, places = assignment.pairs_of(i)
-        if dropped.issuperset(side):
-            lost.append((assignment.group_of[i], assignment.tag_of[i]))
+    reveals, positions = [], []
+    for i in sorted(absent):
+        _, others, places = assignment.pairs_of(i)
         revealers = []
         for j, k in zip(others, places):
-            if j not in dropped:
+            if j not in absent:
                 revealers.append(j)
                 positions.append(k)
-        signs += [1 if assignment.tag_of[i] == PLUS else _MINUS_ONE] * len(revealers)
         reveals.append({"kind": "mask-shares", "dropped": i, "revealers": revealers})
-    # Every side must keep a survivor: a dropped client whose complementary
-    # side is lost has nobody to reveal its shares, and a survivor's would
-    # expose its whole mask beside its private phase.  The refusal names
-    # the first lost side in (group, tag) order, '+' < '-'.
-    if lost:
-        g, tag = min(lost)
-        raise UnrecoverableRoundError(
-            f"the {tag!r} side of group {g} lost all its clients; "
-            "masks touching it can be neither reconstructed nor kept private"
-        )
     # `take` copies; each record's phases view their stretch of its rows.
     shares = pairs.take(positions, axis=0)
     shares.setflags(write=False)
@@ -248,21 +144,10 @@ def dropout_correction(dropped: Iterable[int], assignment: GroupAssignment,
     for record in reveals:
         record["phases"] = shares[start:start + len(record["revealers"])]
         start += len(record["revealers"])
-    # () makes a scalar total.
-    total = np.matmul(np.array(signs, dtype=np.uint32), shares,
-                      out=np.empty(pairs.shape[1:], dtype=np.uint32))
-
-    if private_phases is not None:
-        if len(private_phases) != len(survivors):
-            raise ValueError(f"need {len(survivors)} survivors' private phases, "
-                             f"got {len(private_phases)}")
-        phases = private_phases.view()
-        phases.setflags(write=False)  # on the view: the caller's array stays writable
-        reveals.append({"kind": "private-phases", "clients": survivors, "phases": phases})
-        total -= phases.sum(axis=0, dtype=np.uint32)
-
-    _audit_reveal_safety(reveals, assignment)
-    return (int(total) if total.ndim == 0 else total), tuple(reveals)
+    if private is not None:
+        private.setflags(write=False)
+        reveals.append({"kind": "private-phases", "clients": senders, "phases": private})
+    return tuple(reveals)
 
 
 def run_round(digits_by_client, assignment: GroupAssignment,
@@ -289,15 +174,18 @@ def run_round(digits_by_client, assignment: GroupAssignment,
 
     Every phase comes from `phases`, this round's `masking.RoundPhases`
     row: the senders' masks and private phases are read from it by client
-    id, each with one `take`, and the dropout correction reads its pairs.
-    Without a row the round derives its own (`masking.round_phases`): the
-    pairs from `channel` and the private phases from `seed`.  A row from
-    another round, of the other mask mode or of another layout is refused
-    with ValueError.
+    id, each with one `take`, and the clients' answers to the server's
+    recovery queries from its pairs and those private phases.  Without a
+    row the round derives its own (`masking.round_phases`): the pairs from
+    `channel` and the private phases from `seed`.  A row from another
+    round, of the other mask mode or of another layout is refused with
+    ValueError.
 
     The drop set is range-checked first, under every version: an id
     outside the assignment raises IndexError.  The senders are listed
-    once, and the dropout correction reads the checked set and that list.
+    once.  That is the client half.  The symbols and the answers then go
+    to the server half, `transcript.aggregate`, which reads nothing else
+    and completes the transcript.
     """
     s = assignment.num_clients
     if len(digits_by_client) != s:
@@ -314,7 +202,10 @@ def run_round(digits_by_client, assignment: GroupAssignment,
             raise ShapeError(f"clients disagree on dimension: {sorted(dims)}")
         (dimension,) = dims
 
-    dropped = _drop_set(dropped, assignment)
+    dropped = frozenset(map(int, dropped))
+    if dropped and (min(dropped) < 0 or max(dropped) >= s):
+        bad = min(i for i in dropped if not 0 <= i < s)
+        raise IndexError(f"dropped client {bad} is not in the assignment")
     if delayed is not None:
         if delayed in dropped:
             raise ValueError(f"client {delayed} cannot be both dropped and delayed")
@@ -358,39 +249,15 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     symbols.setflags(write=False)
+    if absent and version == ALG1 and not naive_remedy:
+        raise UnrecoverableRoundError(
+            "dropouts under the group-mask-only protocol cannot be "
+            "recovered without exposing masks; use version 'alg2'"
+        )
 
-    delayed_discarded: bool | None = None
-    correction, reveals = 0, ()
-    if version == ALG2:
-        correction, reveals = dropout_correction(absent, assignment, phases.pairs, private,
-                                                 survivors=senders)
-        if delayed is not None:
-            delayed_discarded = True
-    elif absent:
-        if not naive_remedy:
-            raise UnrecoverableRoundError(
-                "dropouts under the group-mask-only protocol cannot be "
-                "recovered without exposing masks; use version 'alg2'"
-            )
-        correction, reveals = dropout_correction(absent, assignment, phases.pairs, None,
-                                                 survivors=senders)
-        if delayed is not None:
-            delayed_discarded = False
-
-    digit_sums, mean = ps_aggregate_and_decode(symbols, correction, len(senders), cfg)
-    for vector in (digit_sums, mean):
-        vector.setflags(write=False)
-
-    # One message per revealed phase: a revealer's mask share or a survivor's private phase.
-    counters = {
-        "phase_estimations": len(phases.pairs),
-        "uplink_messages": len(senders),
-        "recovery_messages": sum(len(r["phases"]) for r in reveals
-                                 if r["kind"] == "mask-shares"),
-        "private_phase_reveals": sum(len(r["phases"]) for r in reveals
-                                     if r["kind"] == "private-phases"),
-    }
-    return RoundTranscript(
+    # What crosses the wire: the symbols, and the answers to the server's
+    # queries.  The server half reads nothing else.
+    view = RoundTranscript(
         iteration=t,
         assignment=assignment,
         symbols=symbols,
@@ -399,15 +266,16 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
-        delayed_discarded=delayed_discarded,
-        reveals=reveals,
-        counters=counters,
-        aggregate=digit_sums,
-        decoded_mean=mean,
+        # Under alg2 a late message is discarded; the naive remedy leaves it
+        # to the caller.
+        delayed_discarded=None if delayed is None else version == ALG2,
+        reveals=_answers(absent, senders, assignment, phases.pairs, private),
         # The channel is noiseless, so the FEC code only sets the reported bit
         # counts; tests/test_codec.py checks that it is a lossless inverse pair.
         codec_metrics=codec_metrics(cfg, fec or FecConfig(scheme="none"), dimension),
     )
+    view.aggregate, view.decoded_mean, view.counters = aggregate(view, cfg)
+    return view
 
 
 def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.ClientDatasets,

@@ -62,11 +62,18 @@ def _hash_consts(steps: int) -> tuple[int, ...]:
 
 
 def _check_key(key: tuple) -> list[int]:
+    """The key's parts as ints, each one 32-bit entropy word; else ValueError.
+
+    SeedSequence splits a wider part into words and pads the key with
+    zeros, so a key with one could equal another key of another domain.
+    """
     parts = []
     for part in key:
         part = int(part)
         if part < 0:
             raise ValueError(f"key parts must be non-negative, got {part} in {key}")
+        if part > _MASK32:
+            raise ValueError(f"key parts must be below 2**32, got {part} in {key}")
         parts.append(part)
     return parts
 
@@ -75,16 +82,6 @@ def keyed_turn(*key: int) -> int:
     """One uniform value on the 2**32 grid, derived from the key."""
     ss = np.random.SeedSequence(entropy=_check_key(key))
     return int(ss.generate_state(1, np.uint32)[0])
-
-
-def _words(part: int) -> list[int]:
-    """SeedSequence's coercion of one key part: little-endian 32-bit words."""
-    words = [part & _MASK32]
-    part >>= 32
-    while part:
-        words.append(part & _MASK32)
-        part >>= 32
-    return words
 
 
 def _column(values, name: str) -> np.ndarray:
@@ -99,10 +96,7 @@ def _column(values, name: str) -> np.ndarray:
     if arr.dtype == np.uint32:
         return arr
     if arr.size and (int(arr.min()) < 0 or int(arr.max()) > _MASK32):
-        raise ValueError(
-            f"keyed_turns column {name} holds values outside [0, 2**32); "
-            "use keyed_turn for multi-word key parts"
-        )
+        raise ValueError(f"keyed_turns column {name} holds values outside [0, 2**32)")
     return arr.astype(np.uint32)
 
 
@@ -136,8 +130,8 @@ def _mix(x, y):
 def keyed_turns(prefix, *columns) -> np.ndarray:
     """keyed_turn(*prefix, col0[k], col1[k], ...) for every row k, as uint32 turns.
 
-    The prefix parts may be any non-negative ints; every column value must
-    lie in [0, 2**32) so that it is one entropy word.  All keys then have
+    Every prefix part and column value must lie in [0, 2**32), one
+    entropy word each.  All keys then have
     the same word count, and SeedSequence's hash constants depend only on
     that count, so its entropy mix and first output word run as a fixed
     sequence of elementwise operations over the whole batch.
@@ -156,7 +150,7 @@ def keyed_turns(prefix, *columns) -> np.ndarray:
     rows = cols[0].shape[0]
     if any(c.shape[0] != rows for c in cols):
         raise ValueError("keyed_turns columns must have equal lengths")
-    entropy = [w for part in _check_key(tuple(prefix)) for w in _words(part)] + cols
+    entropy = _check_key(tuple(prefix)) + cols
     steps = _POOL_SIZE * max(len(entropy), _POOL_SIZE)
     consts = _hash_consts(steps)
 

@@ -1,4 +1,4 @@
-"""The transcript format: one round's server view as one JSON line.
+"""One round's server view: its format as one JSON line, and the server half.
 
 A `RoundTranscript` keeps the round's read-only (senders, d) uint32 symbol
 matrix, its sender ids, reveal records, counters and decoded sums;
@@ -21,12 +21,18 @@ transcript arrives: `phaseagg run` hands it the training loop's stream
 (`fl.training_rounds`), so a run holds one round, and a run that stops
 keeps the lines of the rounds before it.  `read_transcripts`, its one
 reader, streams the file back one line at a time.
+
+The server half of a round lives here too, as it reads only this view:
+`aggregate` refuses a lost side, audits the reveal records, and decodes
+the symbol sum plus the records' `dropout_correction`.  It runs
+unchanged on `protocol.run_round`'s view and on a line read back.  This
+module derives no phase: it imports neither `channel` nor `rng`.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,9 +40,10 @@ from pathlib import Path
 import numpy as np
 
 from . import turns
+from .codec import QuantizationConfig, decode_sum, dequantize_mean
 from .config import ALG1, ALG2, walk
-from .errors import TranscriptFormatError
-from .masking import PER_SYMBOL_MASKS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
+from .errors import RevealSafetyError, TranscriptFormatError, UnrecoverableRoundError
+from .masking import PER_SYMBOL_MASKS, PLUS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
 TRANSCRIPT_FORMAT = 2
 
@@ -95,16 +102,19 @@ def _uint32_values(array, ndim: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RoundTranscript:
     """Everything one aggregation round produced, ready to serialize.
 
     `symbols` is the round's read-only (senders, d) uint32 matrix of masked
-    symbols, row k sent by client `senders[k]`; `aggregate` (int64) and
-    `decoded_mean` (float64) are read-only arrays, averaged over the
-    senders.  `reveals` holds the dropout correction's reveal records, one
-    per query.  `messages` is built on first access.  Instances compare by
-    identity: their fields hold arrays.
+    symbols, row k sent by client `senders[k]`.  `reveals` holds the
+    clients' answers to the server's recovery queries, one record per
+    query.  `aggregate` (int64), `decoded_mean` (float64, averaged over
+    the senders) and `counters` are what the server half, `aggregate`,
+    computes from the rest; the arrays are read-only.  They are None in a
+    view the server has not aggregated yet, and `run_round` sets them
+    once, on the view it built.  `messages` is built on first access.
+    Instances compare by identity: their fields hold arrays.
     """
 
     iteration: int
@@ -117,10 +127,10 @@ class RoundTranscript:
     delayed: int | None
     delayed_discarded: bool | None
     reveals: tuple
-    counters: dict
-    aggregate: np.ndarray
-    decoded_mean: np.ndarray
     codec_metrics: dict
+    counters: dict | None = None
+    aggregate: np.ndarray | None = None
+    decoded_mean: np.ndarray | None = None
 
     @cached_property
     def messages(self) -> tuple[ClientMessage, ...]:
@@ -196,6 +206,136 @@ class RoundTranscript:
             "num_contributors": len(self.senders),
             "codec_metrics": dict(self.codec_metrics),
         }
+
+
+def _audit_reveal_safety(reveals: Sequence[Mapping],
+                         assignment: GroupAssignment) -> None:
+    """Check no client has both its private phase and its full mask revealed.
+
+    `reveals` holds the round's reveal records, one per query, each
+    revealer a counterpart of its record's dropped client.  The share
+    phi(dropped, revealer) is a component of both clients' masks.  A
+    client dropped in no record is touched by at most one share per
+    record, so only one whose mask has no more shares than there are
+    records is checked share by share, beside every record's dropped client.
+    """
+    shares = [r for r in reveals if r["kind"] == "mask-shares"]
+    suspects = {r["dropped"] for r in shares}
+    for r in shares:
+        # A revealer's mask shares are the dropped client's own side.
+        i = r["dropped"]
+        if assignment.side_size(assignment.group_of[i], assignment.tag_of[i]) <= len(shares):
+            suspects.update(r["revealers"])
+    private = set()
+    for r in reveals:
+        if r["kind"] == "private-phases":
+            private |= suspects.intersection(r["clients"])
+    for client in sorted(private):
+        exposed = set()
+        for r in shares:
+            if r["dropped"] == client:
+                exposed.update(r["revealers"])
+            elif client in r["revealers"]:
+                exposed.add(r["dropped"])
+        if exposed.issuperset(assignment.complementary_set(client)):
+            raise RevealSafetyError(
+                f"reveal-safety audit failed: client {client}'s private phase "
+                "and every share of its mask were both revealed"
+            )
+
+
+# A minus side's shares and every private phase enter the correction's
+# signed sum with this sign: -1 mod 2**32.
+_MINUS_ONE = 2**32 - 1
+
+
+def dropout_correction(reveals: Sequence[Mapping],
+                       assignment: GroupAssignment) -> int | np.ndarray:
+    """What the server adds to the symbol sum for the reveal records `reveals`.
+
+    A `mask-shares` record's phases sum to its dropped client's group
+    mask: added for a plus-side client, subtracted for a minus-side one.
+    A `private-phases` record's phases are subtracted.  One product signs
+    and sums every row: an int for (k,) scalar phases, a uint32 array for
+    (k, d) ones, and 0 for no records.
+    """
+    if not reveals:
+        return 0
+    phases = np.concatenate([r["phases"] for r in reveals])
+    signs = np.full(len(phases), _MINUS_ONE, dtype=np.uint32)
+    start = 0
+    for r in reveals:
+        end = start + len(r["phases"])
+        if r["kind"] == "mask-shares" and assignment.tag_of[r["dropped"]] == PLUS:
+            signs[start:end] = 1
+        start = end
+    # () makes a scalar total.
+    total = np.matmul(signs, phases, out=np.empty(phases.shape[1:], dtype=np.uint32))
+    return int(total) if total.ndim == 0 else total
+
+
+def ps_aggregate_and_decode(symbols: np.ndarray, correction,
+                            cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sum received phases, apply the correction, decode: (digit sums, mean).
+
+    `symbols` is a round's (senders, d) uint32 symbol matrix, and
+    `correction` an int in [0, 2**32) or a uint32 array, as
+    `dropout_correction` returns it.  With every mask cancelled the
+    per-element phase sum is an exact grid multiple; anything else raises
+    ResidualMaskError.  The mean averages the exact integer digit sums over
+    the senders, one per row.
+    """
+    if not len(symbols):
+        raise UnrecoverableRoundError("no messages arrived; nothing to decode")
+    agg = symbols.sum(axis=0, dtype=np.uint32)
+    agg += correction
+    sums = decode_sum(agg, cfg)
+    return sums, dequantize_mean(sums, len(symbols), cfg)
+
+
+def aggregate(view: RoundTranscript,
+              cfg: QuantizationConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The server half of a round: (digit sums, mean, counters), the arrays read-only.
+
+    It reads only the view's layout, senders, drop set, delayed client,
+    symbol matrix and reveal records.  It refuses a round with no sender,
+    then one that lost a side, naming the first in (group, '+' before '-')
+    order; it audits the records, and decodes the symbol sum plus their
+    `dropout_correction`.  The counters count the layout's cross pairs,
+    the senders and the revealed phases.
+    """
+    assignment = view.assignment
+    if not view.senders:
+        raise UnrecoverableRoundError("every client dropped out")
+    # Every side must keep a survivor: a dropped client whose complementary
+    # side is lost has nobody to reveal its shares, and a survivor's would
+    # expose its whole mask beside its private phase.
+    held = {}
+    for i in view.dropped if view.delayed is None else (*view.dropped, view.delayed):
+        side = assignment.group_of[i], assignment.tag_of[i]
+        held[side] = held.get(side, 0) + 1
+    lost = [side for side, count in held.items() if count == assignment.side_size(*side)]
+    if lost:
+        g, tag = min(lost)
+        raise UnrecoverableRoundError(
+            f"the {tag!r} side of group {g} lost all its clients; "
+            "masks touching it can be neither reconstructed nor kept private"
+        )
+    _audit_reveal_safety(view.reveals, assignment)
+    sums, mean = ps_aggregate_and_decode(
+        view.symbols, dropout_correction(view.reveals, assignment), cfg)
+    for vector in (sums, mean):
+        vector.setflags(write=False)
+    # One message per revealed phase: a revealer's mask share or a survivor's private phase.
+    revealed = {"mask-shares": 0, "private-phases": 0}
+    for r in view.reveals:
+        revealed[r["kind"]] += len(r["phases"])
+    return sums, mean, {
+        "phase_estimations": assignment.cross_pair_count(),
+        "uplink_messages": len(view.senders),
+        "recovery_messages": revealed["mask-shares"],
+        "private_phase_reveals": revealed["private-phases"],
+    }
 
 
 def new_file(path: Path, mode: str, **kwargs):

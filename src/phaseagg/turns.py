@@ -20,13 +20,6 @@ MODULUS = 1 << GRID_BITS
 _MASK = MODULUS - 1
 
 
-def reduce(value):
-    """Map an int or integer array into the canonical range [0, 2**32)."""
-    if isinstance(value, np.ndarray):
-        return as_vector(value)
-    return int(value) & _MASK
-
-
 def as_vector(values) -> np.ndarray:
     """Canonical uint32 vector of turns: integer values reduced mod 2**32."""
     arr = np.asarray(values)
@@ -61,10 +54,3 @@ def total(values) -> int:
 def vector_total(vectors) -> np.ndarray:
     """Elementwise mod-2**32 sum of a sequence of turn vectors."""
     return np.stack([as_vector(v) for v in vectors]).sum(axis=0, dtype=np.uint32)
-
-
-def to_radians(value):
-    """Angle in radians, in [0, 2*pi)."""
-    if isinstance(value, np.ndarray):
-        return value.astype(np.float64) * (2.0 * np.pi / MODULUS)
-    return (int(value) & _MASK) * (2.0 * np.pi / MODULUS)

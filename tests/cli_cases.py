@@ -195,6 +195,16 @@ def drop_revealed_phase(row: dict) -> None:
     record["phases"].pop()
 
 
+def withhold_a_revealer(row: dict) -> None:
+    """Line 5 of `alg2_dropout --seed 3` (round 4) without one revealer of client 2's
+    record, and without that revealer's phase row."""
+    record = row["reveals"][0]
+    assert (row["dropped"], record["dropped"], len(record["revealers"])) == ([2, 11], 2, 2), \
+        f"unexpected round: dropped {row['dropped']}, first record {record}"
+    record["revealers"].pop()
+    record["phases"].pop()
+
+
 REMAINDER = {"clients": 17, "dimension": 2, "samples_per_client": 4, "rounds": 3,
              "learning_rate": 0.1, "seed": 1, "protocol_version": "alg2",
              "quantization": {"clip": 1.0, "levels": 4},
@@ -315,6 +325,11 @@ CASES = [
          stderr=r"\Aerror: overhead check failed: round 4 "
                 r".*measured 17 phase estimations, the formula gives 16",
          checks=(field("analysis.json", "overhead.exact_match", False),)),
+    Case("revealer-withheld", ("analyze",), "alg2_dropout", 3,
+         (4, on_row(withhold_a_revealer)), code=2, errors=1,
+         stderr=r"\Aerror: recovery check failed: round 4 "
+                r"revealed 1 mask shares of client 2, 2 expected\n\Z",
+         checks=(field("analysis.json", "overhead.recovery_messages_exact", False),)),
     refused_line("counters-missing", 2, on_row(lambda row: row.pop("counters")),
                  "'counters' is missing"),
     refused_line("symbols-ragged", 2, on_row(lambda row: row["messages"][1]["symbols"].pop()),

@@ -119,7 +119,7 @@ def test_criterion_3_masking_uniformity():
     masks = pair_phase_window(4, 3003, 0, 16_000, [0] * len(others), others).sum(axis=1)
     for name, draw in distributions.items():
         digits = np.array([[draw()] for _ in range(16_000)])
-        samples = turns.reduce(modulate(digits, cfg)[:, 0] + masks)
+        samples = (modulate(digits, cfg)[:, 0] + masks) % turns.MODULUS
         for t in range(500):
             chan = sample_round_channel(4, iteration=t, seed=3003)
             msg = client_message(0, digits[t], assignment, chan, ALG1, seed=3003, cfg=cfg)

@@ -20,6 +20,7 @@ from phaseagg.masking import (
     MINUS,
     PLUS,
     assign_subgroups,
+    assign_two_groups,
     sample_private_phase,
     two_group_from_sides,
 )
@@ -131,9 +132,22 @@ class TestDelayedClientAttack:
         assert outcome.mutual_information_bits is not None
         assert outcome.mutual_information_bits < 0.01
 
+    @pytest.mark.parametrize("tag", [PLUS, MINUS])
+    def test_naive_remedy_unmasks_a_late_client_of_either_side(self, tag):
+        assignment = assign_two_groups(5, seed=112)
+        delayed = assignment.side(0, tag)[0]
+        outcome = delayed_client_attack(ALG1, assignment=assignment, trials=20, seed=112,
+                                        delayed=delayed)
+        assert outcome.full_recovery_rate == 1.0
+
     def test_unknown_version(self):
         with pytest.raises(ValueError):
             delayed_client_attack("alg3")
+
+    @pytest.mark.parametrize("delayed", [-1, 4])
+    def test_a_delayed_client_outside_the_layout_is_refused(self, delayed):
+        with pytest.raises(IndexError, match=f"^delayed client {delayed} out of range$"):
+            delayed_client_attack(ALG1, trials=1, delayed=delayed)
 
 
 class TestOverhead:

@@ -79,10 +79,10 @@ def test_out_of_range_ids():
 
 
 def test_every_pair_equals_keyed_turn_in_either_order():
-    chan = sample_round_channel(7, iteration=4, seed=2**33 + 5)
+    chan = sample_round_channel(7, iteration=4, seed=2**32 - 5)
     i, j = np.triu_indices(7, k=1)
-    window = pair_phase_window(7, 2**33 + 5, 4, 1, i, j)[0]
-    expected = [rng.keyed_turn(2**33 + 5, rng.CHANNEL_DOMAIN, 4, a, b)
+    window = pair_phase_window(7, 2**32 - 5, 4, 1, i, j)[0]
+    expected = [rng.keyed_turn(2**32 - 5, rng.CHANNEL_DOMAIN, 4, a, b)
                 for a, b in zip(i.tolist(), j.tolist())]
     assert window.tolist() == expected
     assert [get_phase(chan, b, a) for a, b in zip(i, j)] == every_pair(chan) == expected

@@ -101,6 +101,17 @@ def test_moved_names_stay_where_the_benchmark_reaches_them():
         assert getattr(cli, name).__module__ == "phaseagg.cli"
     assert cli.parse_config is config.parse_config
     assert cli.write_transcripts is transcript.write_transcripts
+    # The server half's correction and decode are traced as `protocol.*`.
+    assert protocol.dropout_correction is transcript.dropout_correction
+    assert protocol.ps_aggregate_and_decode is transcript.ps_aggregate_and_decode
+    assert protocol.aggregate is transcript.aggregate
+
+
+def test_the_server_half_derives_no_phase():
+    # `transcript.aggregate` reads only what the server holds; no phase
+    # source is at hand in its module.
+    found = {target for target, _ in imports((PACKAGE / "transcript.py").read_text())}
+    assert found.isdisjoint({"channel", "rng"})
 
 
 def test_the_walker_sees_every_kind_of_import():

@@ -17,9 +17,8 @@ from phaseagg.masking import (
     sample_private_phase,
     two_group_from_sides,
 )
-from phaseagg.protocol import dropout_correction
-
-from test_protocol import channel_pairs
+from phaseagg.config import ALG1
+from phaseagg.protocol import run_round
 
 
 def test_single_counterpart_mask_is_that_phase():
@@ -217,7 +216,9 @@ class TestReconstruction:
         chan = sample_round_channel(4, iteration=0, seed=23)
         assert mask_shares(1, [0], assignment, chan) == []
         with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([1, 2, 3], assignment, channel_pairs(assignment, chan), None)
+            run_round(np.zeros((4, 2), dtype=np.int64), assignment, chan,
+                      QuantizationConfig.with_auto_modulus(1.0, 4, max_clients=4),
+                      version=ALG1, seed=23, dropped=[1, 2, 3], naive_remedy=True)
 
     def test_dropped_cannot_survive(self):
         assignment = two_group_from_sides([0, 1], [2, 3])

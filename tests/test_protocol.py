@@ -37,14 +37,12 @@ from phaseagg.masking import (
     check_layout,
     compute_group_mask,
     mask_shares,
-    private_phase_window,
     round_phases,
     sample_private_phase,
     signed_masks,
     two_group_from_sides,
 )
 from phaseagg.protocol import (
-    _audit_reveal_safety,
     client_message,
     dropout_correction,
     ps_aggregate_and_decode,
@@ -54,6 +52,8 @@ from phaseagg.transcript import (
     _DEDUPE_FLOATS,
     TRANSCRIPT_FORMAT,
     ClientMessage,
+    _audit_reveal_safety,
+    aggregate,
     float_list_json,
     read_transcript_line,
     write_transcripts,
@@ -302,7 +302,7 @@ class TestAggregateAndDecode:
                 for i in range(4)
             ]
             symbols = np.stack([m.masked.symbols for m in messages])
-            digit_sums, mean = ps_aggregate_and_decode(symbols, 0, 4, cfg)
+            digit_sums, mean = ps_aggregate_and_decode(symbols, 0, cfg)
             oracle_sums = np.sum(digits, axis=0)
             assert np.array_equal(digit_sums, oracle_sums)
             oracle_mean = (np.array(digits) * (2 / 4) - 1).mean(axis=0)
@@ -318,7 +318,7 @@ class TestAggregateAndDecode:
             for i in range(4)
         ]
         symbols = np.stack([m.masked.symbols for m in messages])
-        digit_sums, mean = ps_aggregate_and_decode(symbols, 0, 4, cfg)
+        digit_sums, mean = ps_aggregate_and_decode(symbols, 0, cfg)
         assert np.array_equal(digit_sums, np.zeros(3, dtype=np.int64))
         assert np.all(mean == -1.0)
 
@@ -331,26 +331,25 @@ class TestAggregateAndDecode:
             for i in range(3)  # client 3 omitted, no correction
         ]
         with pytest.raises(ResidualMaskError):
-            ps_aggregate_and_decode(np.stack([m.masked.symbols for m in messages]), 0, 3, cfg)
+            ps_aggregate_and_decode(np.stack([m.masked.symbols for m in messages]), 0, cfg)
 
     def test_empty_round_unrecoverable(self):
         with pytest.raises(UnrecoverableRoundError):
-            ps_aggregate_and_decode(np.empty((0, 3), dtype=np.uint64), 0, 1, small_cfg())
+            ps_aggregate_and_decode(np.empty((0, 3), dtype=np.uint64), 0, small_cfg())
 
 
 class TestDropoutCorrection:
     def test_no_dropouts_correction_is_private_phase_sum(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=2, seed=37)
-        private = private_phase_window(range(4), 2, 1, seed=37)[0]
-        correction, reveals = dropout_correction((), assignment,
-                                                 channel_pairs(assignment, chan), private)
-        expected = turns.sub(0, turns.total(sample_private_phase(i, 2, seed=37)
-                                            for i in range(4)))
-        assert correction == expected
-        assert [(r["kind"], r["clients"]) for r in reveals] == [("private-phases", [0, 1, 2, 3])]
         transcript = run_round(np.zeros((4, 2), dtype=np.int64), assignment, chan,
                                small_cfg(clients=4), version=ALG2, seed=37)
+        reveals = transcript.reveals
+        expected = turns.sub(0, turns.total(sample_private_phase(i, 2, seed=37)
+                                            for i in range(4)))
+        assert dropout_correction(reveals, assignment) == expected
+        assert dropout_correction((), assignment) == 0
+        assert [(r["kind"], r["clients"]) for r in reveals] == [("private-phases", [0, 1, 2, 3])]
         assert transcript.counters["recovery_messages"] == 0
         assert transcript.counters["private_phase_reveals"] == 4
 
@@ -382,16 +381,16 @@ class TestDropoutCorrection:
     def test_fully_dropped_side_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
-        private = private_phase_window((0, 1), 0, 1, seed=43)[0]
-        with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([2, 3], assignment, channel_pairs(assignment, chan), private)
+        with pytest.raises(UnrecoverableRoundError, match="the '-' side of group 0 lost"):
+            run_round(np.zeros((4, 2), dtype=np.int64), assignment, chan,
+                      small_cfg(clients=4), version=ALG2, seed=43, dropped=[2, 3])
 
     def test_all_dropped_is_unrecoverable(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
         chan = sample_round_channel(4, iteration=0, seed=43)
-        with pytest.raises(UnrecoverableRoundError):
-            dropout_correction([0, 1, 2, 3], assignment, channel_pairs(assignment, chan),
-                               np.empty(0, np.uint64))
+        with pytest.raises(UnrecoverableRoundError, match="every client dropped out"):
+            run_round(np.zeros((4, 2), dtype=np.int64), assignment, chan,
+                      small_cfg(clients=4), version=ALG2, seed=43, dropped=[0, 1, 2, 3])
 
     @pytest.mark.parametrize("version, naive_remedy",
                              [(ALG1, False), (ALG2, False), (ALG1, True)])
@@ -406,9 +405,6 @@ class TestDropoutCorrection:
             run_round(np.ones((8, 3), dtype=np.int64), assignment, chan,
                       small_cfg(levels=4, clients=8), version=version, seed=1,
                       dropped=dropped, naive_remedy=naive_remedy)
-        private = None if version == ALG1 else private_phase_window(range(7), 0, 1, seed=1)[0]
-        with pytest.raises(IndexError, match=f"dropped client {named} is not in"):
-            dropout_correction(dropped, assignment, channel_pairs(assignment, chan), private)
 
     def test_reveal_log_never_pairs_mask_and_private_phase(self):
         assignment = assign_subgroups(8, 2, 2, seed=45)
@@ -479,8 +475,6 @@ class TestRoundEngine:
         pairs = channel_pairs(assignment, sample_round_channel(8, 0, 3), length)
         with pytest.raises(ValueError, match="need 8 cross-pair phases"):
             signed_masks(assignment, pairs[:-1])
-        with pytest.raises(ValueError, match="need 8 cross-pair phases"):
-            dropout_correction([0], assignment, pairs[:-1], None)
 
     def test_cross_pair_index_matches_complementary_sets(self):
         assignment = assign_subgroups(13, 2, 3, seed=4)
@@ -495,11 +489,12 @@ class TestRoundEngine:
         length = 4 if per_symbol else None
         assignment = assign_two_groups(8, seed=1)
         chan = sample_round_channel(8, iteration=9, seed=1)
-        batch = round_phases(assignment, chan, 2**40, private=True, length=length).private
+        batch = round_phases(assignment, chan, 2**32 - 1, private=True, length=length).private
         assert batch.shape == ((8, 4) if per_symbol else (8,))
         assert batch.dtype == np.uint32
         for i, phase in enumerate(batch):
-            assert np.array_equal(phase, sample_private_phase(i, 9, seed=2**40, length=length))
+            assert np.array_equal(phase, sample_private_phase(i, 9, seed=2**32 - 1,
+                                                              length=length))
         assert round_phases(assignment, chan, 1, private=False, length=length).private is None
 
     @pytest.mark.parametrize("per_symbol", [False, True])
@@ -943,6 +938,12 @@ class TestRunRound:
             )
             assert np.array_equal(masked_sum, unmasked_sum)
 
+    def test_digits_for_the_wrong_number_of_clients(self):
+        with pytest.raises(ShapeError, match="^need digits for all 4 clients, got 3$"):
+            run_round(np.zeros((3, 2), dtype=np.int64), two_group_from_sides([0, 1], [2, 3]),
+                      sample_round_channel(4, iteration=0, seed=59), small_cfg(clients=4),
+                      version=ALG1, seed=59)
+
     def test_dimension_mismatch(self):
         cfg = small_cfg(levels=5, clients=4)
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -1320,21 +1321,82 @@ class TestMatrixRoundProperty:
         chan = sample_round_channel(8, iteration=1, seed=9)
         dropped = [assignment.side(1, MINUS)[0]]
         survivors = [i for i in range(8) if i not in dropped]
-        pairs = channel_pairs(assignment, chan)
-        array = private_phase_window(survivors, 1, 1, seed=9)[0]
-        correction, reveals = dropout_correction(dropped, assignment, pairs, array)
-        masks_only, _ = dropout_correction(dropped, assignment, pairs, None)
+        reveals = run_round(np.zeros((8, 2), dtype=np.int64), assignment, chan,
+                            small_cfg(clients=8), version=ALG2, seed=9, dropped=dropped).reveals
+        correction = dropout_correction(reveals, assignment)
+        masks_only = dropout_correction(reveals[:-1], assignment)
         phases = [sample_private_phase(i, 1, seed=9) for i in survivors]
         assert correction == turns.sub(masks_only, turns.total(phases))
+        # A minus-side client's rebuilt mask is subtracted.
+        assert masks_only == turns.sub(0, compute_group_mask(dropped[0], assignment, chan))
         assert legacy_reveals(reveals)[-len(survivors):] == [
             {"kind": "private-phase", "client": i, "phase": p}
             for i, p in zip(survivors, phases)]
         assert type(correction) is int
-        # The records hold read-only views; the caller's array stays writable.
-        assert not reveals[-1]["phases"].flags.writeable
-        assert array.flags.writeable
-        with pytest.raises(ValueError):
-            dropout_correction(dropped, assignment, pairs, array[:-1])
+        assert all(not r["phases"].flags.writeable for r in reveals)
+
+
+class TestServerHalf:
+    """The server half reads only the view, so a written line reaggregates as written."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(round_cases(), st.data())
+    def test_a_read_back_line_reaggregates_bit_for_bit(self, case, data):
+        assignment = case["assignment"]
+        n, d = assignment.num_clients, case["dimension"]
+        cfg = small_cfg(levels=4, clients=n)
+        digits = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3)))
+        # Keep one client of every side, so that every round decodes.
+        dropped, delayed = set(case["dropped"]), case["delayed"]
+        for g in range(assignment.num_groups):
+            for tag in (PLUS, MINUS):
+                side = assignment.side(g, tag)
+                if dropped.union([delayed]).issuperset(side):
+                    dropped.discard(side[0])
+                    delayed = None if delayed == side[0] else delayed
+        written = run_round(digits, assignment,
+                            sample_round_channel(n, iteration=case["iteration"],
+                                                 seed=case["seed"]), cfg,
+                            version=case["version"], seed=case["seed"], dropped=dropped,
+                            delayed=delayed, per_symbol=case["per_symbol"],
+                            naive_remedy=case["version"] == ALG1)
+        # The written sums are the senders' plaintext sums, so a server half
+        # that signs or drops a record wrongly fails here, not only below.
+        senders = [i for i in range(n) if i not in dropped and i != delayed]
+        sums = digits[senders].sum(axis=0)
+        assert written.aggregate.tolist() == sums.tolist()
+        assert written.decoded_mean.tobytes() == dequantize_mean(sums, len(senders),
+                                                                 cfg).tobytes()
+        back = read_transcript_line(written.to_json_line())
+        digit_sums, mean, counters = aggregate(back, cfg)
+        assert digit_sums.dtype == np.int64 and not digit_sums.flags.writeable
+        assert digit_sums.tobytes() == back.aggregate.tobytes()
+        assert mean.dtype == np.float64 and not mean.flags.writeable
+        assert mean.tobytes() == back.decoded_mean.tobytes()
+        assert counters == back.counters == written.counters
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_a_line_gives_away_every_complete_groups_digit_sum(self, per_symbol):
+        # Groups share no pairs, so each group's masks cancel inside it, and
+        # alg2 reveals the survivors' private phases one by one: from the
+        # line alone, a group without a drop decodes to its own digit sum.
+        assignment = assign_subgroups(16, 4, 2, seed=3)
+        cfg = small_cfg(levels=4, clients=16)
+        digits = np.random.default_rng(3).integers(0, 4, size=(16, 5))
+        line = run_round(digits, assignment, sample_round_channel(16, iteration=0, seed=3),
+                         cfg, version=ALG2, seed=3, dropped=[5],
+                         per_symbol=per_symbol).to_json_line()
+        view = read_transcript_line(line)
+        (private,) = [r for r in view.reveals if r["kind"] == "private-phases"]
+        unmasked = dict(zip(view.senders, view.symbols - private["phases"].reshape(
+            len(view.senders), -1)))
+        complete = [g for g in range(4) if g != view.assignment.group_of[5]]
+        assert len(complete) == 3
+        for g in complete:
+            members = [i for i in range(16) if view.assignment.group_of[i] == g]
+            total = np.sum([unmasked[i] for i in members], axis=0, dtype=np.uint32)
+            assert not (total % cfg.step).any()
+            assert (total // cfg.step).tolist() == digits[members].sum(axis=0).tolist()
 
 
 @st.composite

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaseagg import rng
+from phaseagg.channel import sample_round_channel
 
 WORDS = st.integers(0, 2**32 - 1)
-# Key parts of zero, of one 32-bit word and of several words.
-PARTS = st.one_of(st.just(0), WORDS, st.integers(2**32, 2**100))
+# Key parts of zero and of one 32-bit word: a key part is never wider.
+PARTS = st.one_of(st.just(0), WORDS)
 
 
 def seed_sequence_turn(key) -> int:
@@ -37,9 +38,28 @@ def test_keyed_turns_equals_seed_sequence(batch):
 @pytest.mark.parametrize("iteration", [0, 2**32 - 1, 2**32, 2**70 + 3])
 def test_channel_keys_at_word_boundaries(seed, iteration):
     i, j = np.triu_indices(6, k=1)
+    if max(seed, iteration) >= 2**32:
+        # A part of two words would make keys of different domains collide.
+        for derive in (lambda: rng.keyed_turns((seed, rng.CHANNEL_DOMAIN, iteration), i, j),
+                       lambda: rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, iteration, 0, 1)):
+            with pytest.raises(ValueError, match="below 2"):
+                derive()
+        return
     got = rng.keyed_turns((seed, rng.CHANNEL_DOMAIN, iteration), i, j)
     want = [rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, iteration, a, b) for a, b in zip(i, j)]
     assert got.tolist() == want
+
+
+def test_a_key_that_would_collide_across_domains_is_refused():
+    # SeedSequence would read 2**32 + 1 as the words (1, 1) and pad the key
+    # with zeros: the private phase key below would equal the channel key
+    # (1, CHANNEL_DOMAIN, 2, 5, 9).
+    for derive in (lambda: rng.keyed_turn(2**32 + 1, rng.PRIVATE_PHASE_DOMAIN, 5, 9),
+                   lambda: rng.keyed_turn_vector(3, 2**32 + 1, rng.PRIVATE_STREAM_DOMAIN, 5),
+                   lambda: rng.keyed_generator(2**32 + 1, rng.DATA_DOMAIN),
+                   lambda: sample_round_channel(4, 0, 2**32 + 1)):
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            derive()
 
 
 @pytest.mark.parametrize("prefix", [(), (5,), (5, 6), (5, 6, 7), (5, 6, 7, 8), (1,) * 9,
@@ -117,7 +137,7 @@ def test_keyed_turns_window_refusals(start, rounds, columns, match):
 KNOWN_TURNS = [
     ((0,), 2968811710),
     ((7, rng.CHANNEL_DOMAIN, 3, 1, 2), 164147919),
-    ((2**40 + 5, rng.PRIVATE_PHASE_DOMAIN, 9, 31), 2364834083),
+    ((2**32 - 1, rng.PRIVATE_PHASE_DOMAIN, 9, 31), 2973760496),
 ]
 
 

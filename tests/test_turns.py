@@ -4,13 +4,6 @@ import pytest
 from phaseagg import turns
 
 
-def test_reduce_wraps_into_range():
-    assert turns.reduce(0) == 0
-    assert turns.reduce(turns.MODULUS) == 0
-    assert turns.reduce(turns.MODULUS + 5) == 5
-    assert turns.reduce(-1) == turns.MODULUS - 1
-
-
 def test_add_sub_are_exact_group_ops():
     a, b = 2**31 + 123, 2**31 + 456
     assert turns.add(a, b) == (a + b) % turns.MODULUS
@@ -49,10 +42,6 @@ def test_vector_total():
             np.array([2, turns.MODULUS - 1], dtype=np.uint64)]
     out = turns.vector_total(vecs)
     assert list(out) == [1, 0]
-
-
-def test_quarter_turn_is_half_pi():
-    assert turns.to_radians(2**30) == pytest.approx(np.pi / 2)
 
 
 def test_as_vector_rejects_floats():

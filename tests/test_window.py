@@ -57,8 +57,8 @@ def layouts(draw):
     return assign_subgroups(groups * 2 * size + extra, groups, size, seed=seed)
 
 
-# Seeds of two words make the prefix two words long.
-seeds = st.one_of(st.integers(0, MAX_ITERATION), st.integers(2**32, 2**70))
+# A seed is one key word: `rng` refuses a wider key part.
+seeds = st.one_of(st.integers(0, 40), st.integers(0, MAX_ITERATION), st.just(MAX_ITERATION))
 
 
 @st.composite
