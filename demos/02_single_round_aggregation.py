@@ -26,11 +26,12 @@ cfg = QuantizationConfig.with_auto_modulus(clip=1.0, levels=16, max_clients=4)
 assignment = two_group_from_sides([0, 1], [2, 3])
 channel = sample_round_channel(4, iteration=0, seed=42)
 
-print("Reciprocal channel phases (same value seen from both ends):")
-for i in range(4):
-    for j in range(i + 1, 4):
-        print(f"  phase({i},{j}) = {get_phase(channel, i, j):>10d} "
-              f"= phase({j},{i}) = {get_phase(channel, j, i):>10d}")
+print("Reciprocal channel phases of the cross pairs (same value seen from both ends):")
+for i in assignment.side(0, "+"):
+    for j in assignment.side(0, "-"):
+        print(f"  phase({i},{j}) = {get_phase(channel, assignment, i, j):>10d} "
+              f"= phase({j},{i}) = {get_phase(channel, assignment, j, i):>10d}")
+print("  (a pair on one side, such as (0,1), shares no phase: it masks nothing)")
 
 digits = [quantize(g, cfg) for g in gradients]
 print("\nQuantized digits per client:")

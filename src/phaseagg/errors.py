@@ -17,6 +17,10 @@ class NoSelfChannelError(PhaseAggError):
     """A client has no channel to itself; the matrix diagonal is undefined."""
 
 
+class NoPairPhaseError(PhaseAggError):
+    """Two clients on one side, or in two groups, share no phase in the layout."""
+
+
 class InvalidGradientError(PhaseAggError):
     """Gradient vector contains non-finite entries."""
 

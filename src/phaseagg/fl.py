@@ -32,9 +32,10 @@ A run derives its rounds' keyed phases a window at a time
 signed group mask and, under alg2, every client's private phase, scalar
 or per symbol, for as many rounds as fit in `WINDOW_WORDS` words, at
 least one.  The window is one array per kind with a leading rounds
-axis, so its words bound its memory; each round takes views of its row
-when it runs.  Every phase is the same keyed function of (seed, round,
-ids), so the artifacts do not depend on the window.
+axis, so its words bound its memory, and the last window goes before
+the next is derived; each round takes views of its row when it runs.
+Every phase is the same keyed function of (seed, round, its place), so
+the artifacts do not depend on the window.
 """
 
 from __future__ import annotations
@@ -291,6 +292,7 @@ def training_rounds(config: ScenarioConfig,
         residual = client_residuals(theta, datasets)
         loss = sample_loss(theta, datasets, residual=residual)
         if t % window == 0:
+            rows = None  # the last window goes before the next is derived
             rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
                                 private=private, length=length)
         transcript, new_theta = protocol.run_iteration(

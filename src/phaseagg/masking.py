@@ -22,10 +22,14 @@ Every phase and mask is an int turn, or a uint32 vector of `length`
 turns, summed mod 2**32; `length=None` is the scalar mode.  A round reads
 every keyed phase from one `RoundPhases` row: the cross pairs' phases in
 `cross_pair_index` order, every client's private phase (alg2) and signed
-group mask.  `phase_window` derives a `PhaseWindow`, each kind one array
-with a leading rounds axis, and `round_phases` the one-round window on a
-round's channel.  Every phase is the same keyed function of (seed,
-round, ids) whenever it is derived.
+group mask.  Each kind of phase is one keyed stream per round, read by
+place: `channel.pair_phases` reads the pairs' stream, and
+`private_phases` the clients' stream in client-id order, one word or
+`length` words per row.  `phase_window` derives a `PhaseWindow` round by
+round, each kind one array with a leading rounds axis, and
+`round_phases` the one-round window on a round's channel.  Every phase
+is the same keyed function of (seed, round, its place) whenever it is
+derived.
 
 `signed_masks` takes one sum per side of each run's (groups, |plus|,
 |minus|, *width) block of pairs, whatever the width.  The dropout
@@ -33,8 +37,8 @@ correction reads a dropped client's shares from the row's pairs, never
 its masks, at the positions `GroupAssignment.pairs_of` computes.
 `compute_group_mask`, `sample_private_phase`, `mask_shares` and
 `apply_mask` are the per-client definitions those arrays are tested
-against: they read each phase from its definition, `get_phase` or
-`pair_phase_stream`, not from a batch.
+against: they read each phase from its definition, `get_phase`,
+`pair_phase_stream` or `sample_private_phase`, not from a window.
 """
 
 from __future__ import annotations
@@ -49,9 +53,10 @@ import numpy as np
 from . import rng, turns
 from .channel import (
     ChannelMatrix,
+    check_clients,
     get_phase,
     pair_phase_stream,
-    pair_phase_window,
+    pair_phases,
     sample_round_channel,
 )
 from .errors import (
@@ -354,8 +359,9 @@ def compute_group_mask(i: int, assignment: GroupAssignment,
     if not others:
         raise DegenerateGroupError(f"client {i} has an empty complementary set")
     if length is None:
-        return turns.total(get_phase(channel, i, j) for j in others)
-    return turns.vector_total([pair_phase_stream(channel, i, j, length) for j in others])
+        return turns.total(get_phase(channel, assignment, i, j) for j in others)
+    return turns.vector_total([pair_phase_stream(channel, assignment, i, j, length)
+                               for j in others])
 
 
 def check_pair_row(assignment: GroupAssignment, pairs: np.ndarray) -> None:
@@ -406,26 +412,26 @@ def apply_mask(symbols, mask, direction: str) -> np.ndarray:
     return turns.add(base, mask) if direction == PLUS else turns.sub(base, mask)
 
 
+def private_phases(clients: int, t: int, seed: int, length: int | None = None) -> np.ndarray:
+    """The private phases of clients 0..clients-1 at iteration t, in client-id order.
+
+    A (clients,) uint32 array, or (clients, length) streams per symbol:
+    the first rows of one keyed stream per round, on a domain separate
+    from every channel stream, so independent of all pairwise phases.
+    """
+    domain = rng.PRIVATE_PHASE_DOMAIN if length is None else rng.PRIVATE_STREAM_DOMAIN
+    return rng.keyed_rows(clients, length, seed, domain, t)
+
+
 def sample_private_phase(i: int, t: int, seed: int, *, length: int | None = None):
     """Uniform private phase for client i at iteration t: an int, or (length,) turns.
 
-    Keyed on a domain separate from every channel stream, so it is
-    independent of all pairwise phases.
+    Row i of the round's private stream, the per-client definition.
     """
-    if length is None:
-        return rng.keyed_turn(seed, rng.PRIVATE_PHASE_DOMAIN, t, i)
-    return rng.keyed_turn_vector(length, seed, rng.PRIVATE_STREAM_DOMAIN, t, i)
-
-
-def private_phase_window(clients, start: int, rounds: int, seed: int) -> np.ndarray:
-    """The clients' scalar private phases at `rounds` iterations from `start`.
-
-    A (rounds, k) uint32 array in one batch: entry [r, c] equals
-    `sample_private_phase(clients[c], start + r, seed)`.  Iterations must
-    lie in [0, 2**32).
-    """
-    return rng.keyed_turns_window((seed, rng.PRIVATE_PHASE_DOMAIN), start, rounds,
-                                  np.array([int(i) for i in clients], dtype=np.int64))
+    if i < 0:
+        raise IndexError(f"client ids are non-negative, got {i}")
+    phase = private_phases(i + 1, t, seed, length)[i]
+    return int(phase) if length is None else phase
 
 
 class RoundPhases(NamedTuple):
@@ -477,25 +483,20 @@ class PhaseWindow(Sequence):
 
 def _phases(assignment: GroupAssignment, first: ChannelMatrix, rounds: int, seed: int, *,
             private: bool, length: int | None) -> PhaseWindow:
-    """The window of `rounds` rounds from `first`'s, on channels keyed as `first` is: one batch
-    per domain or one expansion per stream, and one `signed_masks` call for every round."""
-    t, clients = first.iteration, range(assignment.num_clients)
-    plus, minus = assignment.cross_pair_index
-    if length is None:
-        pairs = pair_phase_window(first.num_clients, first.seed, t, rounds, plus, minus)
-        privates = private_phase_window(clients, t, rounds, seed) if private else None
-    else:
-        channels = [first, *(sample_round_channel(first.num_clients, u, first.seed)
-                             for u in range(t + 1, t + rounds))]
-        ends = list(zip(plus.tolist(), minus.tolist()))
-        streams = np.dtype((np.uint32, length))
-        pairs = np.fromiter((pair_phase_stream(c, i, j, length) for c in channels
-                             for i, j in ends), streams, rounds * len(ends))
-        pairs = pairs.reshape(rounds, -1, length)
-        privates = (np.fromiter((sample_private_phase(i, c.iteration, seed, length=length)
-                                 for c in channels for i in clients), streams,
-                                rounds * len(clients)).reshape(rounds, -1, length)
-                    if private else None)
+    """The window of `rounds` rounds from `first`'s, on channels keyed as `first` is: each
+    round's pairs and private phases read from one stream per domain, then one
+    `signed_masks` call for every round."""
+    if rounds < 1:
+        raise ValueError(f"a window needs at least one round, got {rounds}")
+    check_clients(first, assignment.num_clients)
+    t, n, p = first.iteration, assignment.num_clients, assignment.cross_pair_count()
+    width = () if length is None else (length,)
+    pairs = np.empty((rounds, p, *width), dtype=np.uint32)
+    privates = np.empty((rounds, n, *width), dtype=np.uint32) if private else None
+    for r in range(rounds):
+        pairs[r] = pair_phases(first.seed, t + r, p, length)
+        if private:
+            privates[r] = private_phases(n, t + r, seed, length)
     masks = np.moveaxis(signed_masks(assignment, np.moveaxis(pairs, 0, 1)), 1, 0)
     return PhaseWindow(t, pairs, privates, masks)
 
@@ -527,6 +528,6 @@ def mask_shares(dropped: int, survivors, assignment: GroupAssignment,
     alive = set(survivors)
     if dropped in alive:
         raise ValueError(f"client {dropped} cannot be both dropped and surviving")
-    return [(j, get_phase(channel, dropped, j) if length is None
-             else pair_phase_stream(channel, dropped, j, length))
+    return [(j, get_phase(channel, assignment, dropped, j) if length is None
+             else pair_phase_stream(channel, assignment, dropped, j, length))
             for j in assignment.complementary_set(dropped) if j in alive]

@@ -23,7 +23,7 @@ from phaseagg.analysis import (
     mutual_information_estimate,
     verify_overhead,
 )
-from phaseagg.channel import pair_phase_window, sample_round_channel
+from phaseagg.channel import sample_round_channel
 from phaseagg.cli import load_config, run_scenario
 from phaseagg.codec import QuantizationConfig, modulate
 from phaseagg.config import ALG1, ALG2
@@ -33,6 +33,7 @@ from phaseagg.masking import (
     PLUS,
     assign_subgroups,
     assign_two_groups,
+    phase_window,
     two_group_from_sides,
 )
 from phaseagg.protocol import client_message, run_round
@@ -115,8 +116,8 @@ def test_criterion_3_masking_uniformity():
     }
     # Client 0 is on the plus side: its symbol is its digit's point plus the
     # sum of its channel phases to the minus side, at every round at once.
-    others = list(assignment.complementary_set(0))
-    masks = pair_phase_window(4, 3003, 0, 16_000, [0] * len(others), others).sum(axis=1)
+    window = phase_window(assignment, 3003, 0, 16_000, private=False)
+    masks = window.masks[:, 0].astype(np.uint64)
     for name, draw in distributions.items():
         digits = np.array([[draw()] for _ in range(16_000)])
         samples = (modulate(digits, cfg)[:, 0] + masks) % turns.MODULUS

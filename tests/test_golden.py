@@ -1,9 +1,13 @@
 """Golden digests: fixed config and seed give these exact artifact bytes.
 
-The digests were computed with the per-client round engine (each channel
-pair and private phase hashed by its own `keyed_turn` call) and must not
-change while the random streams stay the same.  A change to the streams
-or to the transcript format is made on purpose and updates them here.
+The transcript digests pin the keyed phase streams: each round's channel
+and private phases are read from one SHAKE256 stream per domain
+(`rng.keyed_turn_vector`), at each pair's place in the layout and each
+client's row.  They must not change while the streams stay the same.
+`history.csv` and the reports do not depend on the phases, because the
+masks cancel exactly: a change to the streams moves the transcripts
+alone.  A change to the streams or to the transcript format is made on
+purpose and updates them here.
 """
 
 import hashlib
@@ -29,17 +33,17 @@ PER_SYMBOL_ROUND = {
 
 GOLDEN = {
     "alg1_baseline": {
-        "transcripts.jsonl": "91c9d02108e1223e1d74f38bbcb23c6bb81724298ef887761f521b97e0b66e60",
+        "transcripts.jsonl": "c6e9a3f07e0d6a942a1dd2143ad708d8450762f4ac2f3618ecb793a064fa1c49",
         "history.csv": "0ac4f33860bcfa424f25c452fb397b721d68211e7d362969002995a35c377aae",
         "report.json": "a012224dbf91e9beb2f47f96a32b22b73e96bbf4339e12e2b7240f52e665e82e",
     },
     "alg2_dropout": {
-        "transcripts.jsonl": "21a5eeb3ae4b5fdc740095e81ef2089d4030eb34c36b3ba7bce0e4d888455da0",
+        "transcripts.jsonl": "db0e14d9709bafadcc11817099b68fa25aebf0eb212b09b2e5c98d789e3a1cf9",
         "history.csv": "a6b3340d282d365f77da494cdcebd61673d4dec09b5ef282f8a707f18df02933",
         "report.json": "49f09152e69773524165ce9bc07784c7bd158faca233fa0949d80c5add943b13",
     },
     "per_symbol_round": {
-        "transcripts.jsonl": "b2b0d67eb4b6418182c4aaad8f56a40cdf971736f7962c5b599b20eb3f287fa5",
+        "transcripts.jsonl": "b8f560da25ebe7f1cf46ff4f8dd129b919dbc0b411bb579d21bad06317448487",
         "report.json": "97a8e2b5f0c8ead42587bbffe443a67b29ce89e1fa6b9ce93f2d08f49e6d5321",
     },
     # alg1, so the report holds no scipy p-value.

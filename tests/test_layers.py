@@ -8,6 +8,8 @@ by kind in `UPWARD`: `protocol.run_iteration` composes a training round
 from `fl`'s steps, and `fl.training_rounds` calls it.  A new upward import
 fails here, and so does the listed one once it is gone.
 The package's `__init__` imports every module and is not a layer.
+Keyed values have one source too: only `rng` imports `hashlib` or names
+numpy's `SeedSequence`.
 """
 
 import ast
@@ -143,3 +145,53 @@ class C:
         ("errors", TOP), ("cli", TYPE_CHECKING), ("fl", TOP), ("analysis", TYPE_CHECKING),
         ("protocol", FUNCTION), ("cli", FUNCTION),
     }
+
+
+KEYED = {"hashlib", "SeedSequence", "generate_state"}
+
+
+def keyed_names(source: str) -> set[tuple[str, str | None]]:
+    """(name, enclosing top-level function or None) for every import of `hashlib`
+    and every use of `SeedSequence` or `generate_state` in `source`."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, ast.Import):
+            found.update((alias.name.split(".")[0], function) for alias in node.names
+                         if alias.name.split(".")[0] in KEYED)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").split(".")[0] in KEYED:
+                found.add((node.module.split(".")[0], function))
+            found.update((alias.name, function) for alias in node.names
+                         if alias.name in KEYED)
+        elif isinstance(node, ast.Name) and node.id in KEYED:
+            found.add((node.id, function))
+        elif isinstance(node, ast.Attribute) and node.attr in KEYED:
+            found.add((node.attr, function))
+        if function is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_rng_derives_a_keyed_value():
+    # One keyed function: `rng.keyed_turn_vector` alone hashes a key, and
+    # SeedSequence seeds only the Generator of `keyed_generator`.
+    found = {path.stem: keyed_names(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {module for module, names in found.items() if names} == {"rng"}
+    assert found["rng"] == {("hashlib", None), ("hashlib", "keyed_turn_vector"),
+                            ("SeedSequence", "keyed_generator")}
+
+
+def test_the_keyed_name_scan_sees_each_kind_of_use():
+    source = """
+import hashlib
+from numpy.random import SeedSequence
+def f(ss):
+    return np.random.SeedSequence(1).generate_state(4), ss.generate_state
+"""
+    assert keyed_names(source) == {("hashlib", None), ("SeedSequence", None),
+                                   ("SeedSequence", "f"), ("generate_state", "f")}

@@ -24,14 +24,14 @@ from phaseagg.protocol import run_round
 def test_single_counterpart_mask_is_that_phase():
     assignment = two_group_from_sides([0], [1])
     chan = sample_round_channel(2, iteration=0, seed=1)
-    assert compute_group_mask(0, assignment, chan) == get_phase(chan, 0, 1)
+    assert compute_group_mask(0, assignment, chan) == get_phase(chan, assignment, 0, 1)
 
 
 def test_two_counterpart_mask_is_modular_sum():
     assignment = two_group_from_sides([0], [1, 2])
     chan = sample_round_channel(3, iteration=0, seed=2)
     mask = compute_group_mask(0, assignment, chan)
-    a, b = get_phase(chan, 0, 1), get_phase(chan, 0, 2)
+    a, b = get_phase(chan, assignment, 0, 1), get_phase(chan, assignment, 0, 2)
     assert mask == (a + b) % turns.MODULUS
 
 
@@ -49,7 +49,7 @@ def test_mask_pair_cancellation_identity():
             compute_group_mask(i, assignment, chan) for i in [4, 5, 6, 7]
         )
         brute = turns.total(
-            get_phase(chan, i, j) for i in [0, 1, 2, 3] for j in [4, 5, 6, 7]
+            get_phase(chan, assignment, i, j) for i in [0, 1, 2, 3] for j in [4, 5, 6, 7]
         )
         assert plus == minus == brute
 
@@ -61,7 +61,7 @@ def test_subgroup_mask_stays_inside_own_group():
         mask = compute_group_mask(i, assignment, chan)
         comp = assignment.complementary_set(i)
         assert all(assignment.group_of[j] == assignment.group_of[i] for j in comp)
-        assert mask == turns.total(get_phase(chan, i, j) for j in comp)
+        assert mask == turns.total(get_phase(chan, assignment, i, j) for j in comp)
 
 
 @pytest.mark.parametrize("change, problem", [
@@ -209,7 +209,7 @@ class TestReconstruction:
         chan = sample_round_channel(4, iteration=0, seed=23)
         true_mask = compute_group_mask(1, assignment, chan)
         rebuilt = turns.total(p for _, p in mask_shares(1, [0, 3], assignment, chan))
-        assert rebuilt == turns.sub(true_mask, get_phase(chan, 1, 2))
+        assert rebuilt == turns.sub(true_mask, get_phase(chan, assignment, 1, 2))
 
     def test_no_survivor_counterparts(self):
         assignment = two_group_from_sides([0, 1], [2, 3])
@@ -231,4 +231,4 @@ class TestReconstruction:
         chan = sample_round_channel(4, iteration=0, seed=23)
         shares = mask_shares(0, [1, 2, 3], assignment, chan)
         assert [j for j, _ in shares] == [2, 3]
-        assert all(phase == get_phase(chan, 0, j) for j, phase in shares)
+        assert all(phase == get_phase(chan, assignment, 0, j) for j, phase in shares)

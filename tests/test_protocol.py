@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
-from phaseagg.channel import pair_phase_window, sample_round_channel
+from phaseagg.channel import sample_round_channel
 from phaseagg.codec import QuantizationConfig, dequantize_mean, modulate
 from phaseagg.config import ALG1, ALG2, check_version
 from phaseagg.errors import (
@@ -37,6 +37,7 @@ from phaseagg.masking import (
     check_layout,
     compute_group_mask,
     mask_shares,
+    phase_window,
     round_phases,
     sample_private_phase,
     signed_masks,
@@ -273,9 +274,10 @@ class TestClientMessage:
         assignment = two_group_from_sides([0, 1], [2, 3])
         cfg = small_cfg(clients=4)
         digits = np.array([3])  # constant plaintext
-        # Client 0's mask sums its pairs (0, 2) and (0, 3); one window holds every round.
-        pairs = pair_phase_window(4, 29, 0, 10_000, np.array([0, 0]), np.array([2, 3]))
-        samples = turns.add(modulate(digits, cfg), pairs.sum(axis=1, dtype=np.uint64))
+        # Client 0 is on the plus side, so its signed mask is its mask; one
+        # window holds every round.
+        masks = phase_window(assignment, 29, 0, 10_000, private=False).masks[:, 0]
+        samples = turns.add(modulate(digits, cfg), masks)
         per_round = [client_message(0, digits, assignment,
                                     sample_round_channel(4, iteration=t, seed=29), ALG1,
                                     seed=29, cfg=cfg).masked.symbols[0] for t in range(500)]
@@ -1237,24 +1239,27 @@ class TestMatrixRoundProperty:
         assert sorted(positions) == sorted(2 * list(range(a.cross_pair_count())))
 
     def test_each_cross_pair_stream_is_expanded_once(self, monkeypatch):
-        from phaseagg import masking
+        # A per-symbol round reads one stream per domain: every cross pair's
+        # row and every client's private row, each expanded once.
+        from phaseagg import rng
 
         assignment = assign_subgroups(14, 2, 3, seed=5)
         chan = sample_round_channel(14, iteration=2, seed=5)
         cfg = small_cfg(levels=4, clients=14)
         calls = []
-        original = masking.pair_phase_stream
+        original = rng.keyed_turn_vector
 
-        def counted(channel, i, j, length):
-            calls.append((min(i, j), max(i, j)))
-            return original(channel, i, j, length)
+        def counted(length, *key):
+            calls.append((key[1], length))
+            return original(length, *key)
 
-        monkeypatch.setattr(masking, "pair_phase_stream", counted)
+        monkeypatch.setattr(rng, "keyed_turn_vector", counted)
         digits = np.ones((14, 3), dtype=np.int64)
         transcript = run_round(digits, assignment, chan, cfg, version=ALG2, seed=5,
                                dropped=[assignment.side(0, PLUS)[0]],
                                delayed=assignment.side(1, MINUS)[0], per_symbol=True)
-        assert len(calls) == len(set(calls)) == assignment.cross_pair_count()
+        assert calls == [(rng.CHANNEL_STREAM_DOMAIN, 3 * assignment.cross_pair_count()),
+                         (rng.PRIVATE_STREAM_DOMAIN, 3 * 14)]
         assert transcript.counters["recovery_messages"] > 0
 
     @pytest.mark.parametrize("bad", [1.5, np.nan, -1, 4])
@@ -1281,8 +1286,8 @@ class TestMatrixRoundProperty:
     @pytest.mark.parametrize("per_symbol", [False, True])
     def test_round_never_derives_a_scalar_phase_one_key_at_a_time(self, per_symbol,
                                                                   monkeypatch):
-        # `rng.keyed_turn` is the one-key definition behind `get_phase`: the
-        # round reads its row, whose scalar phases are hashed in batches.
+        # `rng.keyed_turn` is one stream's first word: the round reads each
+        # domain's stream whole, never a phase one key at a time.
         from phaseagg import rng
 
         assignment = assign_subgroups(14, 2, 3, seed=5)
@@ -1300,14 +1305,13 @@ class TestMatrixRoundProperty:
         assignment = assign_subgroups(20, 2, 4, seed=6)
         chan = sample_round_channel(20, iteration=3, seed=6)
         calls = []
-        original = rng.keyed_turns
+        original = rng.keyed_turn_vector
 
-        def counted(prefix, *columns):
-            result = original(prefix, *columns)
-            calls.append((prefix[1], len(result)))
-            return result
+        def counted(length, *key):
+            calls.append((key[1], length))
+            return original(length, *key)
 
-        monkeypatch.setattr(rng, "keyed_turns", counted)
+        monkeypatch.setattr(rng, "keyed_turn_vector", counted)
         dropped = [assignment.side(0, MINUS)[0], assignment.side(1, PLUS)[1]]
         run_round(np.ones((20, 4), dtype=np.int64), assignment, chan,
                   small_cfg(levels=4, clients=20), version=ALG2, seed=6, dropped=dropped)

@@ -1,9 +1,9 @@
 """A training run's keyed phases, derived a window of rounds at a time.
 
-`masking.phase_window` derives many rounds' rows: scalar cross-pair and
-private phases in one batch each, per-symbol streams once each.  Every
-value must equal its per-key definition (`rng.keyed_turn` of the pair's
-key, `pair_phase_stream`, `sample_private_phase`), every signed mask its
+`masking.phase_window` derives many rounds' rows, each round's cross-pair
+and private phases read from one keyed stream per domain, scalar or per
+symbol.  Every value must equal its per-pair definition (`get_phase`,
+`pair_phase_stream`, `sample_private_phase`), every signed mask its
 per-client one (`compute_group_mask`), and a run's artifacts
 must not depend on the window size: the reference run below makes every
 round derive its own row, as a direct `run_round` call does.
@@ -19,11 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phaseagg import cli, fl, protocol, rng
-from phaseagg.channel import (
-    pair_phase_stream,
-    pair_phase_window,
-    sample_round_channel,
-)
+from phaseagg.channel import get_phase, pair_phase_stream, sample_round_channel
 from phaseagg.config import ALG1, ALG2
 from phaseagg.errors import ResidualMaskError
 from phaseagg.masking import (
@@ -32,7 +28,6 @@ from phaseagg.masking import (
     assign_two_groups,
     compute_group_mask,
     phase_window,
-    private_phase_window,
     round_phases,
     sample_private_phase,
     signed_masks,
@@ -94,15 +89,16 @@ class TestWindowValues:
             t = start + r
             assert (row.iteration, row.length) == (t, length)
             chan = sample_round_channel(assignment.num_clients, t, seed)
+            assert row.pairs.dtype == np.uint32
             if length is None:
-                assert row.pairs.dtype == np.uint32
-                assert row.pairs.tolist() == [
-                    rng.keyed_turn(seed, rng.CHANNEL_DOMAIN, t, min(a, b), max(a, b))
-                    for a, b in pairs]
-            else:
-                assert row.pairs.dtype == np.uint32
-                assert row.pairs.tolist() == [pair_phase_stream(chan, a, b, length).tolist()
+                assert row.pairs.tolist() == [get_phase(chan, assignment, a, b)
                                               for a, b in pairs]
+                assert row.pairs.tolist() == [get_phase(chan, assignment, b, a)
+                                              for a, b in pairs]
+            else:
+                assert row.pairs.tolist() == [
+                    pair_phase_stream(chan, assignment, a, b, length).tolist()
+                    for a, b in pairs]
             masks = np.array([compute_group_mask(i, assignment, chan, length=length)
                               for i in range(assignment.num_clients)], dtype=np.uint32)
             masks[minus_side] = -masks[minus_side]
@@ -155,14 +151,10 @@ class TestWindowValues:
     def test_an_iteration_past_one_word_is_refused(self, assignment, seed, rounds, start):
         # The window's last iteration lies at or past 2**32.
         start = max(start, 2**32 - rounds + 1)
-        plus, minus = assignment.cross_pair_index
-        clients = range(assignment.num_clients)
         for derive in (
             lambda: phase_window(assignment, seed, start, rounds, private=False),
             lambda: phase_window(assignment, seed, start, rounds, private=True),
-            lambda: pair_phase_window(assignment.num_clients, seed, start, rounds,
-                                      plus, minus),
-            lambda: private_phase_window(clients, start, rounds, seed),
+            lambda: phase_window(assignment, seed, start, rounds, private=True, length=2),
         ):
             with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
                 derive()
@@ -172,7 +164,7 @@ class TestWindowValues:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
             sample_round_channel(6, iteration=2**32, seed=3)
         with pytest.raises(ValueError, match="at least one round"):
-            private_phase_window([0], 5, 0, seed=3)
+            phase_window(assign_two_groups(6, seed=3), 3, 5, 0, private=True)
 
 
     def test_round_refuses_a_row_it_cannot_use(self):
@@ -311,42 +303,43 @@ class TestRunArtifactsDoNotDependOnTheWindow:
     ("alg2_dropout", ALG2, [rng.CHANNEL_DOMAIN, rng.PRIVATE_PHASE_DOMAIN]),
     ("alg1_baseline", ALG1, [rng.CHANNEL_DOMAIN]),
 ])
-def test_each_window_is_one_batch_per_domain(name, version, domains, monkeypatch):
+def test_each_round_reads_one_stream_per_domain(name, version, domains, monkeypatch):
     config = replaced(name, rounds=8)
     assert config.protocol_version == version
     monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
     calls = []
-    original = rng.keyed_turns
+    original = rng.keyed_turn_vector
 
-    def recorded(prefix, *columns):
-        calls.append((prefix[1], len(columns[0])))
-        return original(prefix, *columns)
+    def recorded(length, *key):
+        calls.append((key[1], key[2], length))
+        return original(length, *key)
 
-    monkeypatch.setattr(rng, "keyed_turns", recorded)
+    monkeypatch.setattr(rng, "keyed_turn_vector", recorded)
     fl.run_training(config)
     pairs = config.build_assignment().cross_pair_count()
     sizes = {rng.CHANNEL_DOMAIN: pairs, rng.PRIVATE_PHASE_DOMAIN: config.clients}
-    # Windows of 3, 3 and 2 rounds; the rounds derive nothing themselves.
-    assert calls == [(domain, rounds * sizes[domain])
-                     for rounds in (3, 3, 2) for domain in domains]
+    # Windows of 3, 3 and 2 rounds read each round's streams; the rounds
+    # derive nothing themselves.
+    assert calls == [(domain, t, sizes[domain]) for t in range(8) for domain in domains]
 
 
 @pytest.mark.parametrize("window", [1, 3])
 def test_a_per_symbol_run_expands_each_stream_once_per_round(window, monkeypatch):
     config = replaced("alg2_dropout", per_symbol_masks=True, rounds=4)
     monkeypatch.setattr(fl, "WINDOW_WORDS", window * words_per_round(config))
-    keys = []
+    calls = []
     original = rng.keyed_turn_vector
 
     def recorded(length, *key):
-        assert length == config.dimension
-        keys.append(key)
+        calls.append((key[1], key[2], length))
         return original(length, *key)
 
     monkeypatch.setattr(rng, "keyed_turn_vector", recorded)
     fl.run_training(config)
     pairs = config.build_assignment().cross_pair_count()
-    assert len(keys) == len(set(keys)) == config.rounds * (pairs + config.clients)
+    assert calls == [call for t in range(config.rounds) for call in (
+        (rng.CHANNEL_STREAM_DOMAIN, t, pairs * config.dimension),
+        (rng.PRIVATE_STREAM_DOMAIN, t, config.clients * config.dimension))]
 
 
 def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
@@ -360,13 +353,13 @@ def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
     })
     assert words_per_round(config) == 257 * 257 + 514 > fl.WINDOW_WORDS
     rows = []
-    original = rng.keyed_turns
+    original = rng.keyed_turn_vector
 
-    def recorded(prefix, *columns):
-        rows.append(len(columns[0]))
-        return original(prefix, *columns)
+    def recorded(length, *key):
+        rows.append(length)
+        return original(length, *key)
 
-    monkeypatch.setattr(rng, "keyed_turns", recorded)
+    monkeypatch.setattr(rng, "keyed_turn_vector", recorded)
 
     def traced_peak(rounds: int) -> int:
         fl.run_training(config)  # warm the caches outside the trace
@@ -383,3 +376,9 @@ def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
     assert rows == [257 * 257] * 4
     # A window of three rounds would hold three rounds' keys (~3x the peak).
     assert three < 1.3 * one
+
+
+def test_a_round_refuses_a_channel_of_another_client_count():
+    assignment = assign_two_groups(6, seed=2)
+    with pytest.raises(ValueError, match="^a layout of 6 clients cannot read a channel of 8$"):
+        round_phases(assignment, sample_round_channel(8, iteration=1, seed=2), 2, private=True)
