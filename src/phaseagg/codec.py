@@ -18,6 +18,7 @@ reports `FecConfig.redundancy_bits`, and the tests check the inverse pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,9 @@ class QuantizationConfig:
             raise ValueError(
                 f"modulus {m} cannot carry digits up to {self.levels - 1}"
             )
+        if not math.isfinite(2 * float(self.clip) * (self.levels - 1)):
+            raise ValueError(f"clip {self.clip} at {self.levels} levels overflows the quantizer: "
+                             "2 * clip * (levels - 1) must be finite")
 
     @property
     def step(self) -> int:

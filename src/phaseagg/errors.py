@@ -41,10 +41,6 @@ class FramingError(PhaseAggError):
     """FEC bit stream length is not a multiple of the code block size."""
 
 
-class DegenerateGroupError(PhaseAggError):
-    """A client's complementary set is empty; no mask can be formed."""
-
-
 class UnrecoverableRoundError(PhaseAggError):
     """Dropouts left the round undecodable (or reveal-unsafe to recover)."""
 

@@ -27,19 +27,17 @@ updates are bit-identical; the history records the first round whose
 updates differ.  The loop's only state is theta: the round is the loop
 counter and the learning rate the config's.
 
-A run derives its rounds' keyed phases a window at a time
-(`masking.phase_window`): every cross pair's phase, every client's
-signed group mask and, under alg2, every client's private phase, scalar
-or per symbol, for as many rounds as fit in `WINDOW_WORDS` words, at
-least one.  The window is one array per kind with a leading rounds
-axis, so its words bound its memory, and the last window goes before
-the next is derived; each round takes views of its row when it runs.
-Every phase is the same keyed function of (seed, round, its place), so
-the artifacts do not depend on the window.
+Each round hands its row of keyed phases, `next` of `masking.phase_rows`,
+straight to `protocol.run_iteration`, so the loop holds no phases
+between rounds.  A round whose loss or theta norm is not finite is
+refused with `DivergenceError`.  The arithmetic checked for finiteness
+runs under `np.errstate`, so an overflow is the refusal alone, with no
+warning before it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,12 +48,8 @@ from . import rng
 from .codec import QuantizationConfig, dequantize_mean, quantize
 from .config import ALG2, ScenarioConfig
 from .errors import DivergenceError, ShapeError
-from .masking import phase_window
+from .masking import phase_rows
 from .transcript import RoundTranscript
-
-# Words one window of rounds derives at once; a round with more words
-# than this is a window on its own.
-WINDOW_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -197,6 +191,7 @@ def sample_loss(theta: np.ndarray, datasets: ClientDatasets, *,
     return total / residual.size
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,
                eta: float) -> np.ndarray:
     """theta minus eta times the averaged gradient."""
@@ -260,19 +255,34 @@ def baseline_step(theta: np.ndarray, config: ScenarioConfig, datasets: ClientDat
     return sgd_update(theta, mean, config.learning_rate)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _round_start(t: int, theta: np.ndarray, datasets: ClientDatasets):
+    """Round t's residual, loss and theta norm; DivergenceError unless both are finite."""
+    residual = client_residuals(theta, datasets)
+    loss = sample_loss(theta, datasets, residual=residual)
+    norm = math.sqrt(theta.dot(theta))  # np.linalg.norm's arithmetic, bit for bit
+    if not (math.isfinite(loss) and math.isfinite(norm)):
+        raise DivergenceError(f"round {t} diverged: its loss is {loss} and its theta "
+                              f"norm {norm}; both must be finite")
+    return residual, loss, norm
+
+
 def training_rounds(config: ScenarioConfig,
                     history: TrainingHistory) -> Iterator[RoundTranscript]:
     """Run the DSGD loop, yielding each round's `RoundTranscript` as the round finishes.
 
-    Starts at theta = 0, the loop's only state.  Each round computes its
-    residual once (`client_residuals`) and hands it to `sample_loss`, to
-    `protocol.run_iteration` and, with `compare_baseline` and until a
-    round differs, to `baseline_step` at the same theta.  The round's
-    metrics row is appended to `history.rows`, and the first differing
-    round set as `history.diverged`, before its transcript is yielded; the
-    loop keeps no transcript.  Stops after config.rounds, or earlier once
-    loss falls below config.loss_threshold.  A round that raises ends the
-    stream, with every round before it already yielded.
+    Starts at theta = 0, the loop's only state besides its stream of
+    phase rows (`masking.phase_rows`), one taken a round.  Each round
+    computes its residual once (`client_residuals`) and hands it to
+    `sample_loss`, to `protocol.run_iteration` and, with
+    `compare_baseline` and until a round differs, to `baseline_step` at
+    the same theta.  The round's metrics row is appended to
+    `history.rows`, and the first differing round set as
+    `history.diverged`, before its transcript is yielded; the loop keeps
+    no transcript.  Stops after config.rounds, or earlier once loss falls
+    below config.loss_threshold.  A round whose loss or theta norm is not
+    finite raises DivergenceError before it runs.  A round that raises
+    ends the stream, with every round before it already yielded.
     """
     from . import protocol  # imported here: protocol composes on top of fl
 
@@ -281,29 +291,21 @@ def training_rounds(config: ScenarioConfig,
     )
     assignment = config.build_assignment()
     theta = np.zeros(config.dimension)
-    private = config.protocol_version == ALG2
-    length = config.phase_length
-    # A row holds its cross pairs, every client's mask and, under alg2,
-    # every client's private phase.
-    keys = assignment.cross_pair_count() + config.clients * (2 if private else 1)
-    window = max(1, WINDOW_WORDS // (keys * (length or 1)))
+    rows = phase_rows(assignment, config.seed, 0, config.rounds,
+                      private=config.protocol_version == ALG2, length=config.phase_length)
 
     for t in range(config.rounds):
-        residual = client_residuals(theta, datasets)
-        loss = sample_loss(theta, datasets, residual=residual)
-        if t % window == 0:
-            rows = None  # the last window goes before the next is derived
-            rows = phase_window(assignment, config.seed, t, min(window, config.rounds - t),
-                                private=private, length=length)
+        residual, loss, norm = _round_start(t, theta, datasets)
+        # The row goes straight into the round, so no name here holds it after.
         transcript, new_theta = protocol.run_iteration(
-            theta, config, datasets, assignment, rows[t % window], residual
+            theta, config, datasets, assignment, next(rows), residual
         )
         if config.compare_baseline and history.diverged is None:
             baseline = baseline_step(theta, config, datasets, residual, t)
             history.diverged = None if np.array_equal(baseline, new_theta) else t
         counters = transcript.counters
         history.rows.append(HistoryRow(
-            round=t, loss=loss, theta_norm=float(np.linalg.norm(theta)),
+            round=t, loss=loss, theta_norm=norm,
             phase_estimations=counters["phase_estimations"],
             uplink=counters["uplink_messages"],
             recoveries=counters["recovery_messages"],

@@ -25,11 +25,11 @@ every keyed phase from one `RoundPhases` row: the cross pairs' phases in
 group mask.  Each kind of phase is one keyed stream per round, read by
 place: `channel.pair_phases` reads the pairs' stream, and
 `private_phases` the clients' stream in client-id order, one word or
-`length` words per row.  `phase_window` derives a `PhaseWindow` round by
-round, each kind one array with a leading rounds axis, and
-`round_phases` the one-round window on a round's channel.  Every phase
-is the same keyed function of (seed, round, its place) whenever it is
-derived.
+`length` words per row.  `round_phases` derives one round's row;
+`phase_rows` yields a run's rows, derived a window of rounds at a time
+(one `signed_masks` call a window) and each window let go before the
+next.  Every phase is the same keyed function of (seed, round, its
+place) whenever it is derived, so no artifact depends on the window.
 
 `signed_masks` takes one sum per side of each run's (groups, |plus|,
 |minus|, *width) block of pairs, whatever the width.  The dropout
@@ -43,7 +43,7 @@ against: they read each phase from its definition, `get_phase`,
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,7 +60,6 @@ from .channel import (
     sample_round_channel,
 )
 from .errors import (
-    DegenerateGroupError,
     InfeasibleGroupingError,
     InsufficientClientsError,
     SecurityFloorError,
@@ -101,7 +100,8 @@ class GroupAssignment:
     size `subgroup_size` (the last group absorbs any remainder, split as
     evenly as possible).  A layout that breaks its mode's rule, labels a
     client outside the group count, leaves a side empty or, in subgroup
-    mode, has sides other than `assign_subgroups` builds is refused.
+    mode, has sides other than `assign_subgroups` builds is refused; a
+    subgroup size or group count that `check_layout` refuses raises its error.
     """
 
     mode: str
@@ -138,8 +138,7 @@ class GroupAssignment:
         if self.mode == TWO_GROUP:
             return
         size, groups = self.subgroup_size, self.num_groups
-        if size < 1 or groups != n // (2 * size):
-            raise ValueError(f"subgroup_size {size} cannot split {n} clients into {groups} groups")
+        check_layout(SUBGROUP, n, groups, size)
         want = _subgroup_sides(n, groups, size)
         if not np.array_equal(sizes, want):
             raise ValueError(f"subgroup_size {size} needs (plus, minus) sides "
@@ -356,8 +355,6 @@ def compute_group_mask(i: int, assignment: GroupAssignment,
     An int turn, or with `length` the (length,) sum of the pairs' streams.
     """
     others = assignment.complementary_set(i)
-    if not others:
-        raise DegenerateGroupError(f"client {i} has an empty complementary set")
     if length is None:
         return turns.total(get_phase(channel, assignment, i, j) for j in others)
     return turns.vector_total([pair_phase_stream(channel, assignment, i, j, length)
@@ -459,35 +456,21 @@ class RoundPhases(NamedTuple):
         return self.pairs.shape[1] if self.pairs.ndim == 2 else None
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseWindow(Sequence):
-    """The rows of consecutive rounds from `start`, each kind one array with a leading rounds axis.
+def _row_words(assignment: GroupAssignment, *, private: bool, length: int | None) -> int:
+    """The words of one round's row: its pairs, masks and, with `private`, private phases."""
+    keys = assignment.cross_pair_count() + assignment.num_clients * (2 if private else 1)
+    return keys * (length or 1)
 
-    `pairs` is (rounds, P, *width), `masks` and `private` (or None) are
-    (rounds, N, *width).  Item r is round start + r's `RoundPhases` of views.
-    """
 
-    start: int
-    pairs: np.ndarray
-    private: np.ndarray | None
-    masks: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, r: int) -> RoundPhases:
-        r = range(len(self))[r]  # IndexError past the window ends iteration
-        return RoundPhases(self.start + r, self.pairs[r],
-                           None if self.private is None else self.private[r], self.masks[r])
+_WINDOW_WORDS = 2**16  # words `phase_rows` derives at once, at least one row
 
 
 def _phases(assignment: GroupAssignment, first: ChannelMatrix, rounds: int, seed: int, *,
-            private: bool, length: int | None) -> PhaseWindow:
-    """The window of `rounds` rounds from `first`'s, on channels keyed as `first` is: each
-    round's pairs and private phases read from one stream per domain, then one
-    `signed_masks` call for every round."""
-    if rounds < 1:
-        raise ValueError(f"a window needs at least one round, got {rounds}")
+            private: bool, length: int | None) -> Iterator[RoundPhases]:
+    """The rows of `rounds` rounds from `first`'s, on channels keyed as `first` is: one
+    window, each kind one array with a leading rounds axis, each round's pairs and private
+    phases read from one stream per domain, then one `signed_masks` call for every round.
+    The arrays are this generator's own, so they go when it finishes."""
     check_clients(first, assignment.num_clients)
     t, n, p = first.iteration, assignment.num_clients, assignment.cross_pair_count()
     width = () if length is None else (length,)
@@ -498,23 +481,30 @@ def _phases(assignment: GroupAssignment, first: ChannelMatrix, rounds: int, seed
         if private:
             privates[r] = private_phases(n, t + r, seed, length)
     masks = np.moveaxis(signed_masks(assignment, np.moveaxis(pairs, 0, 1)), 1, 0)
-    return PhaseWindow(t, pairs, privates, masks)
+    for r in range(rounds):
+        yield RoundPhases(t + r, pairs[r], None if privates is None else privates[r], masks[r])
 
 
 def round_phases(assignment: GroupAssignment, channel: ChannelMatrix, seed: int, *,
                  private: bool, length: int | None = None) -> RoundPhases:
-    """One round's row, the one-round window on `channel`; private phases keyed by `seed`."""
-    return _phases(assignment, channel, 1, seed, private=private, length=length)[0]
+    """One round's row on `channel`; private phases keyed by `seed`."""
+    return next(_phases(assignment, channel, 1, seed, private=private, length=length))
 
 
-def phase_window(assignment: GroupAssignment, seed: int, start: int, rounds: int, *,
-                 private: bool, length: int | None = None) -> PhaseWindow:
-    """The rows of `rounds` consecutive rounds from `start`, on `seed`'s channels.
+def phase_rows(assignment: GroupAssignment, seed: int, start: int, rounds: int, *,
+               private: bool, length: int | None = None) -> Iterator[RoundPhases]:
+    """The rows of `rounds` consecutive rounds from `start`, on `seed`'s channels, in order.
 
-    The window holds three arrays whatever its length, so its memory is its words.
+    They are derived a window at a time, as many rounds as fit in
+    `_WINDOW_WORDS` words, each window's rows views of its arrays.  A
+    window's generator finishes before the next is derived, so the rows
+    hold one window once the caller lets go of the rows it was given.
     """
-    return _phases(assignment, sample_round_channel(assignment.num_clients, start, seed),
-                   rounds, seed, private=private, length=length)
+    window = max(1, _WINDOW_WORDS // _row_words(assignment, private=private, length=length))
+    for first in range(start, start + rounds, window):
+        yield from _phases(assignment, sample_round_channel(assignment.num_clients, first, seed),
+                           min(window, start + rounds - first), seed, private=private,
+                           length=length)
 
 
 def mask_shares(dropped: int, survivors, assignment: GroupAssignment,

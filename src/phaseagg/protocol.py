@@ -26,8 +26,8 @@ private phase (alg2) plus its signed group mask, both read by client id
 from the round's `masking.RoundPhases` row with one `take` each.  The
 offsets are a (senders, 1) column in scalar mode and a (senders, d)
 array per symbol, so broadcasting serves both.  A training run hands
-each round its row of a `masking.phase_window`; a direct call derives
-its own (`masking.round_phases`).  Below `run_round` the mask mode is
+each round its row from `masking.phase_rows`; a direct call derives its
+own (`masking.round_phases`).  Below `run_round` the mask mode is
 only the row's phase `length` (None for a scalar, d per symbol);
 `per_symbol` is set only by its callers.  `client_message` builds one
 client's message alone: the reference the rows are tested against.
@@ -282,8 +282,8 @@ def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.Client
                   assignment: GroupAssignment, phases: RoundPhases, residual: np.ndarray):
     """One federated round at parameters `theta`: gradients, masked aggregation, SGD step.
 
-    The round is `phases.iteration`, and `phases` is its row of a
-    `masking.phase_window`.  Every client's digits come from one batched
+    The round is `phases.iteration`, and `phases` is its row from
+    `masking.phase_rows`.  Every client's digits come from one batched
     gradient over `datasets`, as `fl.make_synthetic_task` stacks them, at
     `residual`, the round's `fl.client_residuals(theta, datasets)` that
     the loss has read too.  The decoded mean takes one step at the

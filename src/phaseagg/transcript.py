@@ -42,7 +42,8 @@ import numpy as np
 from . import turns
 from .codec import QuantizationConfig, decode_sum, dequantize_mean
 from .config import ALG1, ALG2, walk
-from .errors import RevealSafetyError, TranscriptFormatError, UnrecoverableRoundError
+from .errors import (PhaseAggError, RevealSafetyError, TranscriptFormatError,
+                     UnrecoverableRoundError)
 from .masking import PER_SYMBOL_MASKS, PLUS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
 TRANSCRIPT_FORMAT = 2
@@ -461,7 +462,7 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     try:
         assignment = GroupAssignment(**dict(fields, group_of=tuple(fields["group_of"]),
                                             tag_of=tuple(fields["tag_of"])))
-    except (TypeError, ValueError) as exc:  # an unknown field, or a refused layout
+    except (TypeError, ValueError, PhaseAggError) as exc:  # an unknown field, a refused layout
         raise fail("assignment", f"is not a group assignment: {exc}") from None
     contributors, messages = known.pop("num_contributors"), known.pop("messages")
     reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")

@@ -188,6 +188,18 @@ def with_second_line_drops(change: Callable[[dict], None]) -> Callable[[str], st
     return on_row(checked)
 
 
+def subgroups_of_one(row: dict) -> None:
+    """The line's layout split into groups of one plus-side and one minus-side client:
+    sides of the shape subgroups of 1 have, below the security floor."""
+    layout = row["assignment"]
+    group_of = layout["group_of"]
+    for side in ("+", "-"):
+        members = [i for i, tag in enumerate(layout["tag_of"]) if tag == side]
+        for group, i in enumerate(members):
+            group_of[i] = group
+    layout.update(num_groups=len(group_of) // 2, subgroup_size=1)
+
+
 def drop_revealed_phase(row: dict) -> None:
     record = row["reveals"][0]
     assert (record["kind"], record["dropped"], len(record["revealers"])) \
@@ -225,6 +237,9 @@ LOST_SIDE = dict(MANY_GROUPS, dropout={"fixed": dict(MANY_GROUPS["dropout"]["fix
 # 4,097 clients in subgroups of 2: 1,023 groups of (2, 2) and a last of
 # (3, 2), so the layout has two runs.  Seed 11 puts clients 31, 3123, 3170
 # and 3319 in the last group, 656 and 1741 in group 0, 818 and 3700 in 500.
+DIVERGING = {"clients": 6, "dimension": 2, "samples_per_client": 4, "rounds": 5,
+             "learning_rate": 1e200, "seed": 1, "protocol_version": "alg2",
+             "quantization": {"clip": 1.0, "levels": 4}}
 MANY_CLIENTS = {"clients": 4097, "dimension": 2, "samples_per_client": 2, "rounds": 2,
                 "learning_rate": 0.1, "seed": 11, "protocol_version": "alg2",
                 "quantization": {"clip": 1.0, "levels": 4},
@@ -289,6 +304,10 @@ CASES = [
     # Round 4 is refused; the four rounds before it keep their lines.
     side_lost("refused-run-keeps-its-finished-lines", "alg2_dropout", 1, 0,
               checks=(finished_rounds(4),)),
+    # Round 0's step leaves theta finite but its loss at round 1 overflows.
+    Case("diverging-run-keeps-its-finished-lines", ("run",), DIVERGING, code=2, errors=1,
+         stderr=r"\Aerror: round 1 diverged: its loss is inf and its theta norm ",
+         checks=(finished_rounds(1),)),
     Case("jobs-every-seed-fails", ("run", "--jobs", "2"), "alg2_dropout", 1, code=2, errors=2,
          stderr=r"\Aerror: seed 1 .*\nerror: seed 2 "),
     # Refused configs and options.
@@ -297,6 +316,10 @@ CASES = [
                     "learning_rate": 0.1, "seed": 1, "quantization": {"clip": math.inf},
                     "grouping": {"mode": "subgroup", "groups": 2, "subgroup_size": 1}},
                    r"(?s:.*)security floor(?s:.*)clip must be positive and finite"),
+    refused_config("clip-past-the-float-range", ("run",),
+                   dict(DIVERGING, learning_rate=0.1, quantization={"clip": 1.7e308}),
+                   r"  - clip 1\.7e\+308 at 16 levels overflows the quantizer: "
+                   r"2 \* clip \* \(levels - 1\) must be finite\n\Z"),
     refused_config("learning-rate-1e999", ("run",),
                    {"clients": 8, "dimension": 2, "samples_per_client": 4, "rounds": 2,
                     "learning_rate": math.inf, "seed": 1}, r"(?s:.*)learning_rate"),
@@ -367,11 +390,14 @@ CASES = [
     refused_line("subgroup-size-0", 1,
                  with_second_line_drops(lambda row: row["assignment"].update(subgroup_size=0)),
                  "'assignment' is not a group assignment: "
-                 r"subgroup_size 0 cannot split 16 clients into 4 groups\n\Z"),
+                 r"subgroup size must be at least 2, got 0: .*\(the security floor\)\n\Z"),
     refused_line("subgroup-size-3", 1,
                  with_second_line_drops(lambda row: row["assignment"].update(subgroup_size=3)),
                  "'assignment' is not a group assignment: "
-                 r"subgroup_size 3 cannot split 16 clients into 4 groups\n\Z"),
+                 r"16 clients at subgroup size 3 need 2 groups, not 4\n\Z"),
+    refused_line("subgroups-of-one", 1, with_second_line_drops(subgroups_of_one),
+                 "'assignment' is not a group assignment: "
+                 r"subgroup size must be at least 2, got 1: .*\(the security floor\)\n\Z"),
     refused_line("revealed-phase-lost", 1, on_row(drop_revealed_phase),
                  r"'reveals\[0\]\.phases' "),
 ]
@@ -470,6 +496,18 @@ class Runner:
         assert re.search(pattern, err), f"stderr does not match {pattern!r}: {shown}"
         for check in case.checks:
             check(out, before)
+        for path in sorted(out.rglob("*.json")) if out.is_dir() else ():
+            strict_json(path)
+
+
+def strict_json(path: Path) -> None:
+    """`path` parses as strict JSON: NaN and Infinity are not JSON numbers."""
+    def refuse(name: str):
+        raise AssertionError(f"{path.name} holds {name}, which strict JSON has no number for")
+    try:
+        json.loads(path.read_text(), parse_constant=refuse)
+    except ValueError as exc:
+        raise AssertionError(f"{path.name} is not JSON: {exc}") from None
 
 
 def main() -> int:

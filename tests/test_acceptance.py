@@ -33,7 +33,7 @@ from phaseagg.masking import (
     PLUS,
     assign_subgroups,
     assign_two_groups,
-    phase_window,
+    phase_rows,
     two_group_from_sides,
 )
 from phaseagg.protocol import client_message, run_round
@@ -116,8 +116,8 @@ def test_criterion_3_masking_uniformity():
     }
     # Client 0 is on the plus side: its symbol is its digit's point plus the
     # sum of its channel phases to the minus side, at every round at once.
-    window = phase_window(assignment, 3003, 0, 16_000, private=False)
-    masks = window.masks[:, 0].astype(np.uint64)
+    masks = np.array([row.masks[0] for row in phase_rows(assignment, 3003, 0, 16_000,
+                                                         private=False)], dtype=np.uint64)
     for name, draw in distributions.items():
         digits = np.array([[draw()] for _ in range(16_000)])
         samples = (modulate(digits, cfg)[:, 0] + masks) % turns.MODULUS

@@ -11,7 +11,7 @@ from phaseagg.channel import (
     sample_round_channel,
 )
 from phaseagg.errors import InvalidTopologyError, NoPairPhaseError, NoSelfChannelError
-from phaseagg.masking import assign_subgroups, phase_window, two_group_from_sides
+from phaseagg.masking import assign_subgroups, phase_rows, two_group_from_sides
 
 # Clients 0-3 on the plus side, 4-7 on the minus side: 16 cross pairs.
 HALVES = two_group_from_sides([0, 1, 2, 3], [4, 5, 6, 7])
@@ -159,7 +159,8 @@ def window_samples(seed, places, rounds=10_000):
     Its first 500 rows must equal the per-round path, `get_phase` on each
     iteration's channel.
     """
-    samples = phase_window(SQUARE, seed, 0, rounds, private=False).pairs[:, places]
+    samples = np.array([row.pairs[places]
+                        for row in phase_rows(SQUARE, seed, 0, rounds, private=False)])
     plus, minus = SQUARE.cross_pair_index
     per_round = [[get_phase(sample_round_channel(4, iteration=t, seed=seed), SQUARE,
                             int(plus[k]), int(minus[k])) for k in places] for t in range(500)]

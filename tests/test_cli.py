@@ -830,10 +830,10 @@ class TestMain:
         # and let go as the round finishes; a run that kept them would hold
         # over 40 KB a round.  What a run keeps by design is one history row
         # a round (about 0.2 KB, for history.csv) and its window of keyed
-        # phases, bounded by fl.WINDOW_WORDS; the window is held to one round
-        # here, so that bound does not count.
+        # phases, bounded by masking._WINDOW_WORDS; the window is held to one
+        # round here, so that bound does not count.
         data = valid_data(clients=8, dimension=1024, protocol_version="alg2")
-        monkeypatch.setattr(fl, "WINDOW_WORDS", 1)
+        monkeypatch.setattr(masking, "_WINDOW_WORDS", 1)
 
         def run(rounds: int) -> None:
             path = tmp_path / "config.json"

@@ -165,9 +165,11 @@ class TestSgdUpdate:
         theta = np.array([3.0, -2.0])
         assert np.array_equal(fl.sgd_update(theta, np.zeros(2), 0.1), theta)
 
-    def test_divergence_detected(self):
+    @pytest.mark.parametrize("gradient, eta", [(np.inf, 0.1), (1e300, 1e10)])
+    def test_divergence_detected(self, gradient, eta):
+        # An update that overflows is refused, with no RuntimeWarning before it.
         with pytest.raises(DivergenceError):
-            fl.sgd_update(np.array([1.0]), np.array([np.inf]), 0.1)
+            fl.sgd_update(np.array([1.0]), np.array([gradient]), eta)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

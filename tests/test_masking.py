@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from phaseagg import turns
 from phaseagg.analysis import chi_square_uniformity
 from phaseagg.channel import get_phase, sample_round_channel
 from phaseagg.codec import QuantizationConfig, modulate
-from phaseagg.errors import DegenerateGroupError, ShapeError, UnrecoverableRoundError
+from phaseagg.errors import (InfeasibleGroupingError, SecurityFloorError, ShapeError,
+                             TranscriptFormatError, UnrecoverableRoundError)
 from phaseagg.masking import (
     MINUS,
     PLUS,
@@ -19,6 +22,7 @@ from phaseagg.masking import (
 )
 from phaseagg.config import ALG1
 from phaseagg.protocol import run_round
+from phaseagg.transcript import read_transcript_line
 
 
 def test_single_counterpart_mask_is_that_phase():
@@ -64,47 +68,60 @@ def test_subgroup_mask_stays_inside_own_group():
         assert mask == turns.total(get_phase(chan, assignment, i, j) for j in comp)
 
 
-@pytest.mark.parametrize("change, problem", [
-    (dict(group_of=(0, 0, 0, 99, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got 99"),
-    (dict(group_of=(0, 0, 0, -1, 1, 1, 1, 1)), r"group labels must lie in range\(2\), got -1"),
-    (dict(num_groups=0), "need at least one group, got 0"),
+@pytest.mark.parametrize("change, error, problem", [
+    (dict(group_of=(0, 0, 0, 99, 1, 1, 1, 1)), ValueError,
+     r"group labels must lie in range\(2\), got 99"),
+    (dict(group_of=(0, 0, 0, -1, 1, 1, 1, 1)), ValueError,
+     r"group labels must lie in range\(2\), got -1"),
+    (dict(num_groups=0), ValueError, "need at least one group, got 0"),
     # More groups than clients, one label past int64: the first empty side is named.
-    (dict(num_groups=2**64 - 1, group_of=(0, 0, 0, 2**63, 1, 1, 1, 1)),
+    (dict(num_groups=2**64 - 1, group_of=(0, 0, 0, 2**63, 1, 1, 1, 1)), ValueError,
      r"group 2 has an empty '\+' side"),
-    (dict(num_groups=2**70, group_of=(0, 0, 0, 2**69, 1, 1, 1, 1)),
+    (dict(num_groups=2**70, group_of=(0, 0, 0, 2**69, 1, 1, 1, 1)), ValueError,
      r"group 2 has an empty '\+' side"),
-    (dict(subgroup_size=None), "subgroup mode needs an int subgroup_size, got None"),
-    (dict(mode="two-group"),
+    (dict(subgroup_size=None), ValueError,
+     "subgroup mode needs an int subgroup_size, got None"),
+    (dict(mode="two-group"), ValueError,
      "two-group mode needs one group and no subgroup_size, got 2 groups and subgroup_size 2"),
-    (dict(subgroup_size=0), "subgroup_size 0 cannot split 8 clients into 2 groups"),
-    (dict(subgroup_size=3), "subgroup_size 3 cannot split 8 clients into 2 groups"),
-    (dict(tag_of=("-", "+", "-", "+", "+", "-", "+", "-")),
+    (dict(subgroup_size=0), SecurityFloorError,
+     r"subgroup size must be at least 2, got 0: .* \(the security floor\)"),
+    (dict(subgroup_size=3), InfeasibleGroupingError,
+     "8 clients at subgroup size 3 need 1 groups, not 2"),
+    (dict(tag_of=("-", "+", "-", "+", "+", "-", "+", "-")), ValueError,
      r"subgroup_size 2 needs \(plus, minus\) sides \[\(2, 2\), \(2, 2\)\], "
      r"got \[\(3, 1\), \(1, 3\)\]"),
 ])
-def test_a_group_label_outside_the_group_count_is_refused(change, problem):
+def test_a_group_label_outside_the_group_count_is_refused(change, error, problem):
     assignment = assign_subgroups(8, 2, 2, seed=3)
     assert sorted(assignment.group_of) == [0, 0, 0, 0, 1, 1, 1, 1]
     fields = dict(assignment.to_json_dict(), group_of=assignment.group_of,
                   tag_of=assignment.tag_of)
     assert GroupAssignment(**fields) == assignment
-    with pytest.raises(ValueError, match=f"^{problem}$"):
+    with pytest.raises(error, match=f"^{problem}$"):
         GroupAssignment(**dict(fields, **change))
 
 
-def test_degenerate_complementary_set():
-    # GroupAssignment's constructor rejects empty sides, so a degenerate
-    # layout can only come from a hand-rolled assignment object.
-    class Lopsided:
-        group_of = (0, 0)
-        tag_of = (PLUS, PLUS)
-
-        def complementary_set(self, i):
-            return ()
-
-    chan = sample_round_channel(2, iteration=0, seed=1)
-    with pytest.raises(DegenerateGroupError):
-        compute_group_mask(0, Lopsided(), chan)
+def test_subgroups_of_one_client_are_refused_as_assign_subgroups_refuses_them():
+    # Four groups whose sides are one client each: every side has the shape
+    # `assign_subgroups(8, 4, 1, ...)` would build, but a lone counterpart's
+    # one revealed share is its whole mask.
+    with pytest.raises(SecurityFloorError, match="security floor"):
+        assign_subgroups(8, 4, 1, seed=3)
+    fields = dict(mode="subgroup", group_of=(0, 0, 1, 1, 2, 2, 3, 3),
+                  tag_of=(PLUS, MINUS) * 4, num_groups=4, subgroup_size=1)
+    with pytest.raises(SecurityFloorError, match="security floor"):
+        GroupAssignment(**fields)
+    # A transcript line of that layout is refused, naming its assignment.
+    line = run_round(np.zeros((8, 2), dtype=np.int64), assign_subgroups(8, 2, 2, seed=3),
+                     sample_round_channel(8, 0, 3), QuantizationConfig(1.0, 2, 16),
+                     seed=3).to_json_line()
+    row = json.loads(line)
+    row["assignment"] = dict(fields, group_of=list(fields["group_of"]),
+                             tag_of=list(fields["tag_of"]))
+    with pytest.raises(TranscriptFormatError,
+                       match="^transcript line: 'assignment' is not a group assignment: "
+                             "subgroup size must be at least 2, got 1: .*security floor"):
+        read_transcript_line(json.dumps(row))
 
 
 class TestApplyMask:

@@ -37,7 +37,7 @@ from phaseagg.masking import (
     check_layout,
     compute_group_mask,
     mask_shares,
-    phase_window,
+    phase_rows,
     round_phases,
     sample_private_phase,
     signed_masks,
@@ -274,9 +274,9 @@ class TestClientMessage:
         assignment = two_group_from_sides([0, 1], [2, 3])
         cfg = small_cfg(clients=4)
         digits = np.array([3])  # constant plaintext
-        # Client 0 is on the plus side, so its signed mask is its mask; one
-        # window holds every round.
-        masks = phase_window(assignment, 29, 0, 10_000, private=False).masks[:, 0]
+        # Client 0 is on the plus side, so its signed mask is its mask.
+        masks = np.array([row.masks[0]
+                          for row in phase_rows(assignment, 29, 0, 10_000, private=False)])
         samples = turns.add(modulate(digits, cfg), masks)
         per_round = [client_message(0, digits, assignment,
                                     sample_round_channel(4, iteration=t, seed=29), ALG1,

@@ -1,12 +1,13 @@
 """A training run's keyed phases, derived a window of rounds at a time.
 
-`masking.phase_window` derives many rounds' rows, each round's cross-pair
-and private phases read from one keyed stream per domain, scalar or per
-symbol.  Every value must equal its per-pair definition (`get_phase`,
-`pair_phase_stream`, `sample_private_phase`), every signed mask its
-per-client one (`compute_group_mask`), and a run's artifacts
-must not depend on the window size: the reference run below makes every
-round derive its own row, as a direct `run_round` call does.
+`masking.phase_rows` yields many rounds' rows, derived a window at a
+time, each round's cross-pair and private phases read from one keyed
+stream per domain, scalar or per symbol.  Every value must equal its
+per-pair definition (`get_phase`, `pair_phase_stream`,
+`sample_private_phase`), every signed mask its per-client one
+(`compute_group_mask`), and a run's artifacts must not depend on the
+window size: the reference run below makes every round derive its own
+row, as a direct `run_round` call does.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phaseagg import cli, fl, protocol, rng
+from phaseagg import cli, fl, masking, protocol, rng
 from phaseagg.channel import get_phase, pair_phase_stream, sample_round_channel
 from phaseagg.config import ALG1, ALG2
 from phaseagg.errors import ResidualMaskError
@@ -27,7 +28,7 @@ from phaseagg.masking import (
     assign_subgroups,
     assign_two_groups,
     compute_group_mask,
-    phase_window,
+    phase_rows,
     round_phases,
     sample_private_phase,
     signed_masks,
@@ -78,7 +79,8 @@ class TestWindowValues:
     def test_every_value_equals_its_per_round_definition(self, assignment, seed, window,
                                                          private, length):
         start, rounds = window
-        rows = phase_window(assignment, seed, start, rounds, private=private, length=length)
+        rows = list(phase_rows(assignment, seed, start, rounds, private=private,
+                               length=length))
         assert len(rows) == rounds
         if assignment is TWO_RUNS:
             assert [len(run.plus) for run in assignment.runs] == [2, 1]
@@ -116,8 +118,8 @@ class TestWindowValues:
     def test_every_rows_masks_are_the_signed_masks_of_its_pairs(self, case, rounds):
         assignment = case["assignment"]
         length = case["dimension"] if case["per_symbol"] else None
-        rows = phase_window(assignment, case["seed"], case["iteration"], rounds,
-                            private=case["version"] == ALG2, length=length)
+        rows = list(phase_rows(assignment, case["seed"], case["iteration"], rounds,
+                               private=case["version"] == ALG2, length=length))
         for row in rows:
             expected = signed_masks(assignment, row.pairs)
             assert row.masks.dtype == expected.dtype == np.uint32
@@ -135,8 +137,8 @@ class TestWindowValues:
         assignment = assign_subgroups(8, 2, 2, seed=2)
         chan = sample_round_channel(8, iteration=1, seed=2)
         kwargs = dict(version=version, seed=2, dropped=dropped, per_symbol=per_symbol)
-        (row,) = phase_window(assignment, 2, 1, 1, private=version == ALG2,
-                              length=3 if per_symbol else None)
+        (row,) = phase_rows(assignment, 2, 1, 1, private=version == ALG2,
+                            length=3 if per_symbol else None)
         digits = np.ones((8, 3), dtype=np.int64)
         cfg = small_cfg(levels=4, clients=8)
         run_round(digits, assignment, chan, cfg, phases=row, **kwargs)
@@ -152,9 +154,9 @@ class TestWindowValues:
         # The window's last iteration lies at or past 2**32.
         start = max(start, 2**32 - rounds + 1)
         for derive in (
-            lambda: phase_window(assignment, seed, start, rounds, private=False),
-            lambda: phase_window(assignment, seed, start, rounds, private=True),
-            lambda: phase_window(assignment, seed, start, rounds, private=True, length=2),
+            lambda: list(phase_rows(assignment, seed, start, rounds, private=False)),
+            lambda: list(phase_rows(assignment, seed, start, rounds, private=True)),
+            lambda: list(phase_rows(assignment, seed, start, rounds, private=True, length=2)),
         ):
             with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
                 derive()
@@ -163,14 +165,12 @@ class TestWindowValues:
         # The round's channel refuses the iteration before any phase is derived.
         with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
             sample_round_channel(6, iteration=2**32, seed=3)
-        with pytest.raises(ValueError, match="at least one round"):
-            phase_window(assign_two_groups(6, seed=3), 3, 5, 0, private=True)
-
+        assert list(phase_rows(assign_two_groups(6, seed=3), 3, 5, 0, private=True)) == []
 
     def test_round_refuses_a_row_it_cannot_use(self):
         assignment = assign_two_groups(6, seed=2)
         chan = sample_round_channel(6, iteration=1, seed=2)
-        (row,) = phase_window(assignment, 2, 1, 1, private=False)
+        (row,) = phase_rows(assignment, 2, 1, 1, private=False)
         digits = np.ones((6, 3), dtype=np.int64)
         cfg = small_cfg(levels=4, clients=6)
         with pytest.raises(ValueError, match="private phases"):
@@ -189,8 +189,8 @@ class TestWindowValues:
         assignment = assign_two_groups(6, seed=2)
         chan = sample_round_channel(6, iteration=1, seed=2)
         kwargs = dict(version=ALG2, seed=2, per_symbol=per_symbol)
-        this, after = phase_window(assignment, 2, 1, 2, private=True,
-                                   length=3 if per_symbol else None)
+        this, after = phase_rows(assignment, 2, 1, 2, private=True,
+                                 length=3 if per_symbol else None)
         digits = np.ones((6, 3), dtype=np.int64)
         cfg = small_cfg(levels=4, clients=6)
         assert run_round(digits, assignment, chan, cfg, phases=this, **kwargs).to_json_line() \
@@ -201,26 +201,63 @@ class TestWindowValues:
     def test_round_refuses_a_stream_row_under_scalar_masks(self):
         assignment = assign_two_groups(6, seed=2)
         chan = sample_round_channel(6, iteration=1, seed=2)
-        (row,) = phase_window(assignment, 2, 1, 1, private=True, length=3)
+        (row,) = phase_rows(assignment, 2, 1, 1, private=True, length=3)
         with pytest.raises(ValueError, match="length 3 cannot serve round 1, length None"):
             run_round(np.ones((6, 3), dtype=np.int64), assignment, chan,
                       small_cfg(levels=4, clients=6), version=ALG2, seed=2, phases=row)
 
 
 def test_a_window_holds_its_words_and_little_more():
-    # 2,048 rounds of an 8-client alg2 layout with 16 cross pairs, 32 words a
-    # round (16 pairs, 8 masks, 8 private phases): 65,536 words, 256 KB.
+    # 4,096 rounds of an 8-client alg2 layout with 16 cross pairs, 32 words a
+    # round (16 pairs, 8 masks, 8 private phases): two windows of 2,048
+    # rounds, each 65,536 words, 256 KB.
     assignment = assign_two_groups(8, seed=1)
     assert assignment.cross_pair_count() == 16
-    phase_window(assignment, 1, 0, 1, private=True)  # derive the layout's arrays untraced
+    assert masking._row_words(assignment, private=True, length=None) == 32
+    next(phase_rows(assignment, 1, 0, 1, private=True))  # derive the layout's arrays untraced
+    rows = phase_rows(assignment, 1, 0, 4096, private=True)
+    held = []
     tracemalloc.start()
     try:
-        window = phase_window(assignment, 1, 0, 2048, private=True)
-        held = tracemalloc.get_traced_memory()[0]
+        for t in range(4096):
+            # The loop names no row, as `fl.training_rounds` names none.
+            assert next(rows).iteration == t
+            if t in (0, 2048):
+                held.append(tracemalloc.get_traced_memory()[0])
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(window) == 2048 and window[2047].iteration == 2047
-    assert held <= 1.25 * 2**16 * 4
+    assert max(held) <= 1.25 * 2**16 * 4
+    # The first window goes before the second is derived: two at once would
+    # hold 512 KB.
+    assert peak <= 1.5 * 2**16 * 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=round_cases())
+def test_a_rows_words_are_the_words_of_its_arrays(case):
+    assignment = case["assignment"]
+    private, length = case["version"] == ALG2, case["dimension"] if case["per_symbol"] else None
+    chan = sample_round_channel(assignment.num_clients, case["iteration"], case["seed"])
+    row = round_phases(assignment, chan, case["seed"], private=private, length=length)
+    words = row.pairs.size + row.masks.size + (0 if row.private is None else row.private.size)
+    assert masking._row_words(assignment, private=private, length=length) == words
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, None])
+def test_rows_do_not_depend_on_the_window(window, monkeypatch):
+    # Five rounds of a per-symbol alg2 layout, in windows of `window` rounds
+    # (None: the default, one window).
+    assignment = assign_subgroups(13, 3, 2, seed=7)
+    words = masking._row_words(assignment, private=True, length=2)
+    if window is not None:
+        monkeypatch.setattr(masking, "_WINDOW_WORDS", window * words)
+    rows = list(phase_rows(assignment, 4, 2**32 - 5, 5, private=True, length=2))
+    assert [row.iteration for row in rows] == list(range(2**32 - 5, 2**32))
+    for row in rows:
+        own = round_phases(assignment, sample_round_channel(13, row.iteration, 4), 4,
+                           private=True, length=2)
+        assert all(np.array_equal(a, b) for a, b in zip(row, own))
 
 
 def artifacts(config) -> tuple:
@@ -230,11 +267,11 @@ def artifacts(config) -> tuple:
     return [dataclasses.astuple(r) for r in history.rows], lines
 
 
-def words_per_round(config) -> int:
-    """The words of one round's row: its pairs, masks and private phases times the phase length."""
-    keys = (config.build_assignment().cross_pair_count() + config.clients
-            + (config.clients if config.protocol_version == ALG2 else 0))
-    return keys * (config.dimension if config.per_symbol_masks else 1)
+def window_words(config, rounds: int) -> int:
+    """The words of `rounds` of `config`'s rows: a `_WINDOW_WORDS` of windows that long."""
+    return rounds * masking._row_words(config.build_assignment(),
+                                       private=config.protocol_version == ALG2,
+                                       length=config.phase_length)
 
 
 def replaced(name: str, **changes):
@@ -280,9 +317,9 @@ class TestRunArtifactsDoNotDependOnTheWindow:
     def test_equal_to_per_round_derivation(self, case, window, monkeypatch):
         config, reference = case
         if window == "one round":
-            monkeypatch.setattr(fl, "WINDOW_WORDS", 1)
+            monkeypatch.setattr(masking, "_WINDOW_WORDS", 1)
         elif window == "three rounds":
-            monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
+            monkeypatch.setattr(masking, "_WINDOW_WORDS", window_words(config, 3))
         assert artifacts(config) == reference
 
     def test_cases_cover_what_they_name(self, case):
@@ -306,7 +343,7 @@ class TestRunArtifactsDoNotDependOnTheWindow:
 def test_each_round_reads_one_stream_per_domain(name, version, domains, monkeypatch):
     config = replaced(name, rounds=8)
     assert config.protocol_version == version
-    monkeypatch.setattr(fl, "WINDOW_WORDS", 3 * words_per_round(config))
+    monkeypatch.setattr(masking, "_WINDOW_WORDS", window_words(config, 3))
     calls = []
     original = rng.keyed_turn_vector
 
@@ -326,7 +363,7 @@ def test_each_round_reads_one_stream_per_domain(name, version, domains, monkeypa
 @pytest.mark.parametrize("window", [1, 3])
 def test_a_per_symbol_run_expands_each_stream_once_per_round(window, monkeypatch):
     config = replaced("alg2_dropout", per_symbol_masks=True, rounds=4)
-    monkeypatch.setattr(fl, "WINDOW_WORDS", window * words_per_round(config))
+    monkeypatch.setattr(masking, "_WINDOW_WORDS", window_words(config, window))
     calls = []
     original = rng.keyed_turn_vector
 
@@ -351,7 +388,7 @@ def test_a_layout_past_the_window_holds_one_round_of_keys(monkeypatch):
         "protocol_version": "alg1", "quantization": {"clip": 1.0, "levels": 4},
         "rounds": 1, "learning_rate": 0.1, "seed": 3,
     })
-    assert words_per_round(config) == 257 * 257 + 514 > fl.WINDOW_WORDS
+    assert window_words(config, 1) == 257 * 257 + 514 > masking._WINDOW_WORDS
     rows = []
     original = rng.keyed_turn_vector
 
