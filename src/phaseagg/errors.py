@@ -66,7 +66,7 @@ class ShapeError(PhaseAggError):
 
 
 class DivergenceError(PhaseAggError):
-    """Model update produced non-finite parameters."""
+    """A training round's loss, theta norm or update is not finite."""
 
 
 class UnderpoweredTestError(PhaseAggError):

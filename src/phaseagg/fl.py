@@ -8,11 +8,12 @@ known generating parameter so convergence can be asserted exactly.
 
 Every client's data is stacked once, as a `ClientDatasets` of features
 (S, n, d) and targets (S, n).  Each round computes one batched residual
-(`client_residuals`), which gives both the round's loss (`sample_loss`)
-and, through one batched least-squares gradient and one `quantize` call,
-every client's digits (`client_digits`).  `compute_gradient` and
-`quantized_digits` stay the per-client definitions the batch is tested
-against, bit for bit.
+(`client_residuals`, which checks theta's shape), and the round's other
+batched steps take it as their input: the loss (`sample_loss`) and,
+through one batched least-squares gradient (`client_gradients`) and one
+`quantize` call, every client's digits (`client_digits`).
+`compute_gradient` and `quantized_digits` stay the per-client definitions
+the batch is tested against, bit for bit.
 
 `training_rounds` is the one training loop, through the masked
 aggregation protocol (`protocol.run_iteration`).  It is a generator: it
@@ -21,18 +22,18 @@ while it fills a `TrainingHistory` with the round's metrics row, so a
 caller can write each round's line before the next round runs.
 `run_training` drains it and returns the history.  With
 `compare_baseline`, each round also takes the insecure baseline's step
-(`baseline_step`) from the same theta and residual, summing the same
-digits in the clear.  Masking is information-lossless, so the two
-updates are bit-identical; the history records the first round whose
-updates differ.  The loop's only state is theta: the round is the loop
-counter and the learning rate the config's.
+(`baseline_step`) from the same theta, summing in the clear the digits
+`run_iteration` sent; no gradient is computed twice.  Masking is
+information-lossless, so the two updates are bit-identical; the history
+records the first round whose updates differ.  The loop's only state is
+theta: the round is the loop counter and the learning rate the config's.
 
 Each round hands its row of keyed phases, `next` of `masking.phase_rows`,
 straight to `protocol.run_iteration`, so the loop holds no phases
-between rounds.  A round whose loss or theta norm is not finite is
-refused with `DivergenceError`.  The arithmetic checked for finiteness
-runs under `np.errstate`, so an overflow is the refusal alone, with no
-warning before it.
+between rounds.  A round whose loss or theta norm is not finite, or whose
+update is not, is refused with `DivergenceError` naming the round.  The
+arithmetic checked for finiteness runs under `np.errstate`, so an
+overflow is the refusal alone, with no warning before it.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def client_residuals(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
     """Every client's residuals x.theta - y at once, (S, n).
 
     The one residual a round computes: `sample_loss` and `client_digits`
-    both take it.
+    both take it.  A theta of another dimension raises ShapeError.
     """
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (datasets.features.shape[2],):
@@ -135,28 +136,21 @@ def client_residuals(theta: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
     return datasets.features @ theta - datasets.targets
 
 
-def client_gradients(theta: np.ndarray, datasets: ClientDatasets, *,
-                     residual: np.ndarray | None = None) -> np.ndarray:
-    """Every client's mean least-squares gradient at once, (S, d).
+def client_gradients(residual: np.ndarray, datasets: ClientDatasets) -> np.ndarray:
+    """Every client's mean least-squares gradient at `residual`, (S, d).
 
-    Row i equals `compute_gradient(theta, datasets[i])` bit for bit: each
-    client's products run through the same matrix-vector kernel.
-    `residual`, when given, is `client_residuals(theta, datasets)`.
+    `residual` is `client_residuals(theta, datasets)`.  Row i equals
+    `compute_gradient(theta, datasets[i])` bit for bit: each client's
+    products run through the same matrix-vector kernel.
     """
-    if residual is None:
-        residual = client_residuals(theta, datasets)
     x = datasets.features
     return (x.transpose(0, 2, 1) @ residual[..., None])[..., 0] / x.shape[1]
 
 
-def client_digits(theta: np.ndarray, datasets: ClientDatasets,
-                  cfg: QuantizationConfig, *,
-                  residual: np.ndarray | None = None) -> np.ndarray:
-    """Every client's digit vector at the current parameters, (S, d).
-
-    `residual`, when given, is `client_residuals(theta, datasets)`.
-    """
-    return quantize(client_gradients(theta, datasets, residual=residual), cfg)
+def client_digits(residual: np.ndarray, datasets: ClientDatasets,
+                  cfg: QuantizationConfig) -> np.ndarray:
+    """Every client's digit vector at `residual`, (S, d): its gradient quantized."""
+    return quantize(client_gradients(residual, datasets), cfg)
 
 
 def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
@@ -170,20 +164,16 @@ def compute_gradient(theta: np.ndarray, dataset: ClientDataset) -> np.ndarray:
     return dataset.features.T @ residual / dataset.num_samples
 
 
-def sample_loss(theta: np.ndarray, datasets: ClientDatasets, *,
-                residual: np.ndarray | None = None) -> float:
+def sample_loss(residual: np.ndarray) -> float:
     """Mean of (x.theta - y)^2 / 2 over every sample of every client.
 
-    One batched residual over the stacked data, or `residual` when given
-    (`client_residuals(theta, datasets)`); each client's squared residual
-    norm runs through the dot kernel of `residual @ residual`, and the
-    halves are added strictly left to right in client order, so the
-    result equals a per-client loop bit for bit.  (Built-in `sum` of
-    floats is compensated from Python 3.12 on, which could move the last
-    bit.)
+    `residual` is the round's `client_residuals(theta, datasets)`.  Each
+    client's squared residual norm runs through the dot kernel of
+    `residual @ residual`, and the halves are added strictly left to right
+    in client order, so the result equals a per-client loop bit for bit.
+    (Built-in `sum` of floats is compensated from Python 3.12 on, which
+    could move the last bit.)
     """
-    if residual is None:
-        residual = client_residuals(theta, datasets)
     halves = (residual[:, None, :] @ residual[:, :, None]).ravel() / 2.0
     total = 0.0
     for half in halves.tolist():
@@ -193,15 +183,19 @@ def sample_loss(theta: np.ndarray, datasets: ClientDatasets, *,
 
 @np.errstate(over="ignore", invalid="ignore")
 def sgd_update(theta: np.ndarray, mean_gradient: np.ndarray,
-               eta: float) -> np.ndarray:
-    """theta minus eta times the averaged gradient."""
+               eta: float, t: int) -> np.ndarray:
+    """Round t's update: theta minus eta times the averaged gradient.
+
+    DivergenceError, naming round t, unless every parameter is finite.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     g = np.asarray(mean_gradient, dtype=np.float64)
     if theta.shape != g.shape:
         raise ShapeError(f"theta {theta.shape} and gradient {g.shape} disagree")
     updated = theta - eta * g
     if np.count_nonzero(np.isfinite(updated)) < updated.size:
-        raise DivergenceError("model update produced non-finite parameters")
+        raise DivergenceError(f"round {t} diverged: its update produced non-finite "
+                              "parameters")
     return updated
 
 
@@ -240,26 +234,27 @@ class TrainingHistory:
         return self.rows[-1].loss
 
 
-def baseline_step(theta: np.ndarray, config: ScenarioConfig, datasets: ClientDatasets,
-                  residual: np.ndarray, t: int) -> np.ndarray:
+def baseline_step(theta: np.ndarray, config: ScenarioConfig, digits: np.ndarray,
+                  t: int) -> np.ndarray:
     """The plaintext baseline's update of round t at `theta`: digits summed in the clear.
 
-    The senders are listed from the config's drop set and delayed client,
-    not read from the round, so the check covers `run_round`'s senders too.
+    `digits` are every client's digits that round, as `protocol.run_iteration`
+    returns them.  The senders are listed from the config's drop set and
+    delayed client, not read from the round, so the check covers
+    `run_round`'s senders too.
     """
     absent = {*config.dropouts_for_round(t), config.delayed_client}
     senders = [i for i in range(config.clients) if i not in absent]
     cfg = config.quantization()
-    digits = client_digits(theta, datasets, cfg, residual=residual)[senders]
-    mean = dequantize_mean(np.sum(digits, axis=0, dtype=np.int64), len(senders), cfg)
-    return sgd_update(theta, mean, config.learning_rate)
+    mean = dequantize_mean(np.sum(digits[senders], axis=0, dtype=np.int64), len(senders), cfg)
+    return sgd_update(theta, mean, config.learning_rate, t)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _round_start(t: int, theta: np.ndarray, datasets: ClientDatasets):
     """Round t's residual, loss and theta norm; DivergenceError unless both are finite."""
     residual = client_residuals(theta, datasets)
-    loss = sample_loss(theta, datasets, residual=residual)
+    loss = sample_loss(residual)
     norm = math.sqrt(theta.dot(theta))  # np.linalg.norm's arithmetic, bit for bit
     if not (math.isfinite(loss) and math.isfinite(norm)):
         raise DivergenceError(f"round {t} diverged: its loss is {loss} and its theta "
@@ -274,12 +269,12 @@ def training_rounds(config: ScenarioConfig,
     Starts at theta = 0, the loop's only state besides its stream of
     phase rows (`masking.phase_rows`), one taken a round.  Each round
     computes its residual once (`client_residuals`) and hands it to
-    `sample_loss`, to `protocol.run_iteration` and, with
-    `compare_baseline` and until a round differs, to `baseline_step` at
-    the same theta.  The round's metrics row is appended to
-    `history.rows`, and the first differing round set as
-    `history.diverged`, before its transcript is yielded; the loop keeps
-    no transcript.  Stops after config.rounds, or earlier once loss falls
+    `sample_loss` and to `protocol.run_iteration`, which returns the
+    digits it sent; with `compare_baseline` and until a round differs,
+    `baseline_step` sums those digits at the same theta.  The round's
+    metrics row is appended to `history.rows`, and the first differing
+    round set as `history.diverged`, before its transcript is yielded;
+    the loop keeps no transcript.  Stops after config.rounds, or earlier once loss falls
     below config.loss_threshold.  A round whose loss or theta norm is not
     finite raises DivergenceError before it runs.  A round that raises
     ends the stream, with every round before it already yielded.
@@ -297,11 +292,11 @@ def training_rounds(config: ScenarioConfig,
     for t in range(config.rounds):
         residual, loss, norm = _round_start(t, theta, datasets)
         # The row goes straight into the round, so no name here holds it after.
-        transcript, new_theta = protocol.run_iteration(
+        transcript, new_theta, digits = protocol.run_iteration(
             theta, config, datasets, assignment, next(rows), residual
         )
         if config.compare_baseline and history.diverged is None:
-            baseline = baseline_step(theta, config, datasets, residual, t)
+            baseline = baseline_step(theta, config, digits, t)
             history.diverged = None if np.array_equal(baseline, new_theta) else t
         counters = transcript.counters
         history.rows.append(HistoryRow(

@@ -54,9 +54,10 @@ reciprocity, which the test suite checks exhaustively.
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.
 `fl.training_rounds`, its one caller, hands it theta, the stacked
-datasets, the layout, the round's phase row and the round's residual.
-It is the one import of a higher layer, and `fl` calls it through this
-module.
+datasets, the layout, the round's phase row and the round's residual,
+and gets back the transcript, the new theta and the digits it sent,
+which the plaintext baseline sums.  It is the one import of a higher
+layer, and `fl` calls it through this module.
 """
 
 from __future__ import annotations
@@ -287,13 +288,15 @@ def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.Client
     gradient over `datasets`, as `fl.make_synthetic_task` stacks them, at
     `residual`, the round's `fl.client_residuals(theta, datasets)` that
     the loss has read too.  The decoded mean takes one step at the
-    config's learning rate.  Returns (transcript, updated theta).
+    config's learning rate.  Returns (transcript, updated theta, digits):
+    the (clients, d) digits are every client's, the dropped too, for the
+    plaintext baseline (`fl.baseline_step`) to sum in the clear.
     """
     cfg = config.quantization()
     t = phases.iteration
+    digits = fl.client_digits(residual, datasets, cfg)
     transcript = run_round(
-        fl.client_digits(theta, datasets, cfg, residual=residual), assignment,
-        sample_round_channel(config.clients, t, config.seed), cfg,
+        digits, assignment, sample_round_channel(config.clients, t, config.seed), cfg,
         version=config.protocol_version,
         seed=config.seed,
         dropped=config.dropouts_for_round(t),
@@ -302,4 +305,5 @@ def run_iteration(theta: np.ndarray, config: ScenarioConfig, datasets: fl.Client
         fec=config.fec_config(),
         phases=phases,
     )
-    return transcript, fl.sgd_update(theta, transcript.decoded_mean, config.learning_rate)
+    new_theta = fl.sgd_update(theta, transcript.decoded_mean, config.learning_rate, t)
+    return transcript, new_theta, digits

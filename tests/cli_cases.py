@@ -126,6 +126,11 @@ def drops_in_groups(*groups: int):
     return check
 
 
+def no_round_finished(out: Path, before) -> None:
+    """The refused run left only an empty transcripts.jsonl."""
+    assert snapshot(out) == {"transcripts.jsonl": b""}, f"{out} holds {snapshot(out)}"
+
+
 def finished_rounds(count: int):
     """The refused run left only transcripts.jsonl, whole lines that read back as
     rounds 0 to `count` - 1."""
@@ -308,6 +313,12 @@ CASES = [
     Case("diverging-run-keeps-its-finished-lines", ("run",), DIVERGING, code=2, errors=1,
          stderr=r"\Aerror: round 1 diverged: its loss is inf and its theta norm ",
          checks=(finished_rounds(1),)),
+    # Round 0's update overflows: the refusal names the round.
+    Case("overflowing-update-names-its-round", ("run",),
+         dict(DIVERGING, rounds=3, learning_rate=1e10,
+              quantization={"clip": 1e300, "levels": 4}), code=2, errors=1,
+         stderr=r"\Aerror: round 0 diverged: its update produced non-finite parameters\n\Z",
+         checks=(no_round_finished,)),
     Case("jobs-every-seed-fails", ("run", "--jobs", "2"), "alg2_dropout", 1, code=2, errors=2,
          stderr=r"\Aerror: seed 1 .*\nerror: seed 2 "),
     # Refused configs and options.

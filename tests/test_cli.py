@@ -383,9 +383,9 @@ class TestRoundVectors:
         config = parse_config(valid_data(dimension=5))
         seen, update = [], fl.sgd_update
 
-        def spy(theta, mean_gradient, eta):
+        def spy(theta, mean_gradient, eta, t):
             seen.append(mean_gradient)
-            return update(theta, mean_gradient, eta)
+            return update(theta, mean_gradient, eta, t)
 
         monkeypatch.setattr(fl, "sgd_update", spy)
         (transcript,) = fl.training_rounds(dataclasses.replace(config, rounds=1),
@@ -557,8 +557,8 @@ class TestFailedChecksExitTwo:
                                                          monkeypatch):
         step = fl.baseline_step
 
-        def drift(theta, config, datasets, residual, t):
-            return step(theta, config, datasets, residual, t) + (1.0 if t == 1 else 0.0)
+        def drift(theta, config, digits, t):
+            return step(theta, config, digits, t) + (1.0 if t == 1 else 0.0)
 
         monkeypatch.setattr(fl, "baseline_step", drift)
         path = tmp_path / "cfg.json"
@@ -583,12 +583,15 @@ class TestFailedChecksExitTwo:
             monkeypatch.setattr(module, name, counted)
 
         count(fl, "make_synthetic_task")
+        count(fl, "client_gradients")
         count(protocol, "run_iteration")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(valid_data(rounds=5, compare_baseline=True)))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert json.loads((tmp_path / "o" / "report.json").read_text())["baseline_match"]
-        assert counts == {"make_synthetic_task": 1, "run_iteration": 5}
+        # The baseline sums the digits the round sent: one gradient a round.
+        assert counts == {"make_synthetic_task": 1, "client_gradients": 5,
+                          "run_iteration": 5}
 
 
 @st.composite
@@ -644,8 +647,8 @@ class TestInLoopBaselineProperty:
             r = draws.draw(st.integers(0, report["rounds_completed"] - 1), label="r")
             step = fl.baseline_step
 
-            def drift(theta, config, datasets, residual, t):
-                return step(theta, config, datasets, residual, t) + (1.0 if t >= r else 0.0)
+            def drift(theta, config, digits, t):
+                return step(theta, config, digits, t) + (1.0 if t >= r else 0.0)
 
             with pytest.MonkeyPatch.context() as patch, \
                     contextlib.redirect_stderr(io.StringIO()) as err:

@@ -95,10 +95,11 @@ class TestBatchedGradients:
         # The per-client oracle reads its own copies, allocated apart from the stack.
         copies = [fl.ClientDataset(features=ds.features.copy(), targets=ds.targets.copy(),
                                    owner=ds.owner) for ds in datasets]
-        grads = fl.client_gradients(theta, datasets)
+        residual = fl.client_residuals(theta, datasets)
+        grads = fl.client_gradients(residual, datasets)
         assert np.array_equal(grads, np.stack([fl.compute_gradient(theta, ds)
                                                for ds in copies]))
-        digits = fl.client_digits(theta, datasets, cfg)
+        digits = fl.client_digits(residual, datasets, cfg)
         expected = np.stack([fl.quantized_digits(theta, ds, cfg) for ds in copies])
         assert digits.dtype == expected.dtype
         assert np.array_equal(digits, expected)
@@ -113,11 +114,18 @@ class TestBatchedGradients:
         datasets, _ = fl.make_synthetic_task(clients, dimension, samples, seed, noise)
         theta = scale * np.random.default_rng(seed).standard_normal(dimension)
         cfg = QuantizationConfig.with_auto_modulus(1.0, levels, max_clients=clients)
+        # The loss and the digits read one residual; each equals its
+        # per-client definition, computed from copies apart from the stack.
         residual = fl.client_residuals(theta, datasets)
-        loss = fl.sample_loss(theta, datasets, residual=residual)
-        assert loss.hex() == fl.sample_loss(theta, datasets).hex()
-        digits = fl.client_digits(theta, datasets, cfg, residual=residual)
-        expected = fl.client_digits(theta, datasets, cfg)
+        total = 0.0
+        for ds in datasets:
+            own = ds.features.copy() @ theta - ds.targets.copy()
+            total += float(own @ own) / 2.0
+        assert fl.sample_loss(residual).hex() == (total / (clients * samples)).hex()
+        digits = fl.client_digits(residual, datasets, cfg)
+        copies = [fl.ClientDataset(features=ds.features.copy(), targets=ds.targets.copy(),
+                                   owner=ds.owner) for ds in datasets]
+        expected = np.stack([fl.quantized_digits(theta, ds, cfg) for ds in copies])
         assert digits.dtype == expected.dtype
         assert np.array_equal(digits, expected)
 
@@ -135,7 +143,7 @@ class TestBatchedGradients:
             total += float(residual @ residual) / 2.0
         expected = total / (clients * samples)
         # Bit for bit: the losses reach history.csv and its golden digest.
-        assert fl.sample_loss(theta, datasets) == expected
+        assert fl.sample_loss(fl.client_residuals(theta, datasets)) == expected
 
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     def test_stacked_task_keeps_the_per_client_stream(self, noise):
@@ -151,29 +159,32 @@ class TestBatchedGradients:
             assert np.array_equal(ds.targets, y)
 
     def test_client_gradients_refuse_a_theta_of_another_dimension(self):
+        # The gradients take their theta through the residual, which checks it.
         datasets, _ = fl.make_synthetic_task(3, 4, 5, seed=1)
-        with pytest.raises(ShapeError):
-            fl.client_gradients(np.zeros(3), datasets)
+        with pytest.raises(ShapeError, match=r"theta has shape \(3,\), features need \(4,\)"):
+            fl.client_gradients(fl.client_residuals(np.zeros(3), datasets), datasets)
 
 
 class TestSgdUpdate:
     def test_hand_arithmetic(self):
-        out = fl.sgd_update(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.1)
+        out = fl.sgd_update(np.array([1.0, 1.0]), np.array([0.5, 0.5]), 0.1, 0)
         assert np.allclose(out, [0.95, 0.95])
 
     def test_zero_gradient_fixed_point(self):
         theta = np.array([3.0, -2.0])
-        assert np.array_equal(fl.sgd_update(theta, np.zeros(2), 0.1), theta)
+        assert np.array_equal(fl.sgd_update(theta, np.zeros(2), 0.1, 0), theta)
 
     @pytest.mark.parametrize("gradient, eta", [(np.inf, 0.1), (1e300, 1e10)])
     def test_divergence_detected(self, gradient, eta):
-        # An update that overflows is refused, with no RuntimeWarning before it.
-        with pytest.raises(DivergenceError):
-            fl.sgd_update(np.array([1.0]), np.array([gradient]), eta)
+        # An update that overflows is refused, naming its round, with no
+        # RuntimeWarning before it.
+        with pytest.raises(DivergenceError, match=r"\Around 7 diverged: its update "
+                                                  r"produced non-finite parameters\Z"):
+            fl.sgd_update(np.array([1.0]), np.array([gradient]), eta, 7)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            fl.sgd_update(np.zeros(2), np.zeros(3), 0.1)
+            fl.sgd_update(np.zeros(2), np.zeros(3), 0.1, 0)
 
 
 class TestTraining:
@@ -187,10 +198,10 @@ class TestTraining:
         crossing = next(i for i, l in enumerate(losses) if l < target)
         assert all(b < a for a, b in zip(losses[:crossing + 1], losses[1:crossing + 1]))
         assert all(l < target for l in losses[crossing:])
-        final = fl.sample_loss(
+        final = fl.sample_loss(fl.client_residuals(
             history.thetas[-1],
             fl.make_synthetic_task(8, 8, 32, seed=3)[0],
-        )
+        ))
         assert final < 0.01 * losses[0]
 
     def test_secure_equals_plaintext_bitwise(self):
@@ -255,8 +266,8 @@ class TestTraining:
         config = scenario(rounds=6, compare_baseline=True)
         step = fl.baseline_step
 
-        def drifts_from_round_2(theta, config, datasets, residual, t):
-            return step(theta, config, datasets, residual, t) + (1.0 if t >= 2 else 0.0)
+        def drifts_from_round_2(theta, config, digits, t):
+            return step(theta, config, digits, t) + (1.0 if t >= 2 else 0.0)
 
         monkeypatch.setattr(fl, "baseline_step", drifts_from_round_2)
         history, thetas = secure_training(config)
@@ -313,9 +324,9 @@ class TestEndToEndDemo:
     def test_exit_status_follows_the_check(self, drift_from, monkeypatch, capsys):
         step = fl.baseline_step
 
-        def drift(theta, config, datasets, residual, t):
+        def drift(theta, config, digits, t):
             moved = drift_from is not None and t >= drift_from
-            return step(theta, config, datasets, residual, t) + (1.0 if moved else 0.0)
+            return step(theta, config, digits, t) + (1.0 if moved else 0.0)
 
         monkeypatch.setattr(fl, "baseline_step", drift)
         demo = Path(__file__).parents[1] / "demos" / "06_end_to_end_training.py"
