@@ -5,9 +5,10 @@ on the phase grid and carries no information about the plaintext digits.
 This module measures that promise (chi-square uniformity, plug-in mutual
 information, an exhaustive small-grid exactness check), demonstrates the
 delayed-client attack against the naive recovery and its failure against
-the private-phase protocol, verifies the communication-count formulas as
-exact integers, and quantifies the one leak the scalar-mask design has:
-pairwise differences between a message's own symbols.
+the private-phase protocol from each round's view alone, verifies the
+communication-count formulas as exact integers, and quantifies the one
+leak the scalar-mask design has: pairwise differences between a
+message's own symbols.
 
 Every test here is seeded and deterministic.  Thresholds are fixed at
 significance 0.01 and sample-size floors (100 samples per histogram cell)
@@ -29,12 +30,12 @@ import numpy as np
 
 from . import rng, turns
 from .channel import sample_round_channel
-from .codec import QuantizationConfig, demodulate_nearest
-from .config import ALG1, ALG2, check_version
+from .codec import QuantizationConfig
+from .config import ALG1, ALG2
 from .errors import UnderpoweredTestError
 from .masking import TWO_GROUP, GroupAssignment, assign_two_groups
-from .protocol import client_message, run_round
-from .transcript import RoundTranscript, dropout_correction
+from .protocol import run_round
+from .transcript import RoundTranscript, delayed_message_estimate
 
 ALPHA = 0.01
 MIN_SAMPLES_PER_CELL = 100
@@ -174,86 +175,61 @@ def delayed_client_attack(version: str, *,
                           assignment: GroupAssignment | None = None,
                           cfg: QuantizationConfig | None = None,
                           dimension: int = 8, trials: int = 400,
-                          seed: int = 2024, delayed: int = 0) -> AttackOutcome:
-    """Replay the delayed-message attack through the real decoding path.
+                          seed: int = 2024, delayed: int = 0,
+                          per_symbol: bool = False) -> AttackOutcome:
+    """Replay the delayed-message attack: per trial, one round, its estimate and the score.
 
-    The aggregator presumes the delayed client dropped, runs the normal
-    recovery (revealing the survivor shares of that client's group mask),
-    then receives the late message and de-rotates it by
-    `transcript.dropout_correction` of the round's own `mask-shares`
-    record for that client: its mask, signed by its side.  Under the naive
-    group-mask-only recovery the digits come back exactly; under the
-    private-phase protocol a uniform residual remains and recovery
-    collapses to 1-in-M guessing.  Masks are scalar.
+    Each trial's `run_round` presumes `delayed` dropped, reveals the
+    survivor shares of its group mask, and holds its late message in the
+    view, which `transcript.delayed_message_estimate` reads alone; only
+    the score sees the digits.  Under the naive group-mask-only recovery
+    the digits come back exactly; under the private-phase protocol a
+    uniform residual remains and recovery collapses to 1-in-M guessing.
+    Masks are scalar, or with `per_symbol` one per symbol.  `run_round`
+    refuses an unknown version or delayed client in the first trial.
 
     `version` picks the protocol: `ALG1` with the naive recovery (the
     outcome's scenario is "alg1_naive_remedy") or `ALG2` (scenario "alg2").
-
     `assignment` defaults to `assign_two_groups(4, seed)`, and `cfg` to
     the auto modulus for 4 levels and clip 1.0 at the assignment's client
     count.
     """
-    check_version(version)
     if assignment is None:
         assignment = assign_two_groups(4, seed)
     num_clients = assignment.num_clients
-    if not (0 <= delayed < num_clients):
-        raise IndexError(f"delayed client {delayed} out of range")
-
     if cfg is None:
         cfg = QuantizationConfig.with_auto_modulus(clip=1.0, levels=4,
                                                    max_clients=num_clients)
     levels = cfg.levels
     digit_gen = rng.keyed_generator(seed, rng.DATA_DOMAIN)
-
-    full = 0
-    element_hits = 0
-    true_pool = []
-    recovered_pool = []
+    truths, estimates = [], []
     for t in range(trials):
-        chan = sample_round_channel(num_clients, t, seed)
         digits = [digit_gen.integers(0, levels, size=dimension)
                   for _ in range(num_clients)]
-        # The aggregator's normal round without the delayed client, which
-        # triggers the recovery queries (and their reveal log).
-        transcript = run_round(digits, assignment, chan, cfg, version=version, seed=seed,
-                               delayed=delayed, naive_remedy=(version == ALG1))
-        record = next(r for r in transcript.reveals
-                      if r["kind"] == "mask-shares" and r["dropped"] == delayed)
-        late = client_message(delayed, digits[delayed], assignment, chan,
-                              version, seed, cfg)
-        estimate = turns.sub(late.masked.symbols, dropout_correction((record,), assignment))
-        recovered = demodulate_nearest(estimate, cfg)
-        truth = np.asarray(digits[delayed], dtype=np.int64)
-        element_hits += int(np.sum(recovered == truth))
-        full += int(np.array_equal(recovered, truth))
-        true_pool.append(truth)
-        recovered_pool.append(recovered)
-
-    elements = trials * dimension
+        view = run_round(digits, assignment, sample_round_channel(num_clients, t, seed), cfg,
+                         version=version, seed=seed, delayed=delayed,
+                         per_symbol=per_symbol, naive_remedy=(version == ALG1))
+        truths.append(digits[delayed])
+        estimates.append(delayed_message_estimate(view, cfg))
+    x, y = (np.array(v, dtype=np.int64).reshape(trials, dimension) for v in (truths, estimates))
+    hits = x == y
+    full, accuracy = int(hits.all(axis=1).sum()), int(hits.sum()) / hits.size
     outcome = AttackOutcome(
         scenario="alg1_naive_remedy" if version == ALG1 else ALG2, trials=trials,
         modulus=cfg.modulus, guessing_baseline=1.0 / cfg.modulus,
-        full_recoveries=full, full_recovery_rate=full / trials,
-        element_accuracy=element_hits / elements,
-        element_mismatch_rate=1.0 - element_hits / elements,
-        succeeded=(full == trials),
-    )
+        full_recoveries=full, full_recovery_rate=full / trials, element_accuracy=accuracy,
+        element_mismatch_rate=1.0 - accuracy, succeeded=(full == trials))
     if version == ALG2:
-        # One Bernoulli trial per round: the scalar residual shifts every
-        # element of a message by the same offset, so element hits within a
-        # round are perfectly correlated and only rounds count.
+        # One Bernoulli trial per independent residual.  A scalar residual
+        # shifts every element of a message by the same offset, so element
+        # hits within a round are perfectly correlated and only rounds
+        # count; per symbol each element's residual is its own stream word.
         import scipy.stats
 
-        outcome.binomial_p_value = float(
-            scipy.stats.binomtest(full, trials, 1.0 / cfg.modulus).pvalue
-        )
-        x = np.concatenate(true_pool)
-        y = np.concatenate(recovered_pool)
+        k, n = (int(hits.sum()), hits.size) if per_symbol else (full, trials)
+        outcome.binomial_p_value = float(scipy.stats.binomtest(k, n, 1.0 / cfg.modulus).pvalue)
         if x.size >= MIN_SAMPLES_PER_CELL * cfg.modulus * levels:
-            outcome.mutual_information_bits = _plugin_mi_bits(
-                x.astype(np.int64), y.astype(np.int64)
-            )
+            outcome.mutual_information_bits = _plugin_mi_bits(x.ravel(), y.ravel())
     return outcome
 
 

@@ -32,11 +32,10 @@ and checked.
 `run --jobs` below 1, or whose last seed would pass 2**32 - 1, exits 1
 before any work; otherwise every seed runs, each failed one prints one
 ``error: seed <s> (<dir>): ...`` line in seed order, and any failure
-exits 2.  `attack` refuses a config without a delayed client, with
-per-symbol masks or with a dropout model (exit 1) before it makes the
-output directory.  An explicit `--out`
-picks the output directory; without one, the config's `output_dir`
-does, else ``out``.
+exits 2.  `attack` refuses a config without a delayed client or with a
+dropout model (exit 1) before it makes the output directory.  An
+explicit `--out` picks the output directory; without one, the config's
+`output_dir` does, else ``out``.
 Identical config and seed always produce byte-identical artifacts, each
 written to a new file (`transcript.new_file`).
 
@@ -199,10 +198,6 @@ def _check_attack_config(config: ScenarioConfig) -> None:
         raise ConfigValidationError(
             ["attack scenarios need 'delayed_client' set in the config"]
         )
-    if config.per_symbol_masks:
-        raise ConfigValidationError(
-            ["the attack models scalar masks only; set 'per_symbol_masks' to false"]
-        )
     if config.has_dropouts:
         raise ConfigValidationError(
             ["the attack models rounds without drops; remove the 'dropout' model"]
@@ -216,6 +211,7 @@ def _command_attack(config: ScenarioConfig, out_dir: Path) -> dict:
         trials=config.rounds,
         seed=config.seed,
         delayed=config.delayed_client,
+        per_symbol=config.per_symbol_masks,
         assignment=config.build_assignment(),
         cfg=config.quantization(),
     )

@@ -29,8 +29,9 @@ array per symbol, so broadcasting serves both.  A training run hands
 each round its row from `masking.phase_rows`; a direct call derives its
 own (`masking.round_phases`).  Below `run_round` the mask mode is
 only the row's phase `length` (None for a scalar, d per symbol);
-`per_symbol` is set only by its callers.  `client_message` builds one
-client's message alone: the reference the rows are tested against.
+`per_symbol` is set only by its callers.  A delayed client's row is the
+view's `late`.  `client_message` builds one client's message alone:
+the reference the rows are tested against.
 
 The clients then answer the server's recovery queries, one reveal record
 per query, each naming the clients it asked and holding their answers as
@@ -169,9 +170,10 @@ def run_round(digits_by_client, assignment: GroupAssignment,
     of the rows, built when first read.
 
     Dropped clients estimate phases but never transmit.  A delayed client
-    is treated as dropped at aggregation time; under alg2 its late message
-    is logged and discarded, while `naive_remedy` (the deliberately unsafe
-    alg1 recovery used by the attack oracle) leaves it for the caller.
+    is treated as dropped at aggregation time; its row, made with the
+    senders', is the view's read-only `late` message.  Under alg1 only
+    `naive_remedy` (the deliberately unsafe recovery the attack oracle
+    runs) decodes a round that lost a client.
 
     Every phase comes from `phases`, this round's `masking.RoundPhases`
     row: the senders' masks and private phases are read from it by client
@@ -234,22 +236,27 @@ def run_round(digits_by_client, assignment: GroupAssignment,
             raise ValueError(f"need {s} clients' masks, got shape {phases.masks.shape}")
 
     senders = [i for i in range(s) if i not in absent]
+    rows = senders if delayed is None else senders + [delayed]
     # `take` copies, so the row's masks stay as they are.  It is several
     # times faster than fancy indexing, and faster still given the ids as
     # one array, made once.
-    index = np.array(senders, dtype=np.intp)
+    index = np.array(rows, dtype=np.intp)
     offsets = phases.masks.reshape(s, -1).take(index, axis=0)
     if absent:
         digits = (digits.take(index, axis=0) if isinstance(digits, np.ndarray)
-                  else [digits[i] for i in senders])
-    # With no sender left, modulate gets an empty sequence and returns shape (0,).
-    symbols = modulate(digits, cfg).reshape(len(senders), dimension)
+                  else [digits[i] for i in rows])
+    # With no row left, modulate gets an empty sequence and returns shape (0,).
+    symbols = modulate(digits, cfg).reshape(len(rows), dimension)
     private = None
     if version == ALG2:
         private = phases.private.take(index, axis=0)
         offsets += private.reshape(offsets.shape)
     symbols += offsets
     symbols.setflags(write=False)
+    late = None
+    if delayed is not None:  # the senders' record must not hold the late private phase
+        symbols, late = symbols[:-1], symbols[-1]
+        private = None if private is None else private[:-1].copy()
     if absent and version == ALG1 and not naive_remedy:
         raise UnrecoverableRoundError(
             "dropouts under the group-mask-only protocol cannot be "
@@ -267,13 +274,13 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
-        # Under alg2 a late message is discarded; the naive remedy leaves it
-        # to the caller.
+        # Under alg2 `late` is discarded; the naive remedy leaves it to the caller.
         delayed_discarded=None if delayed is None else version == ALG2,
         reveals=_answers(absent, senders, assignment, phases.pairs, private),
         # The channel is noiseless, so the FEC code only sets the reported bit
         # counts; tests/test_codec.py checks that it is a lossless inverse pair.
         codec_metrics=codec_metrics(cfg, fec or FecConfig(scheme="none"), dimension),
+        late=late,
     )
     view.aggregate, view.decoded_mean, view.counters = aggregate(view, cfg)
     return view

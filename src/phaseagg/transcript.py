@@ -25,8 +25,10 @@ reader, streams the file back one line at a time.
 The server half of a round lives here too, as it reads only this view:
 `aggregate` refuses a lost side, audits the reveal records, and decodes
 the symbol sum plus the records' `dropout_correction`.  It runs
-unchanged on `protocol.run_round`'s view and on a line read back.  This
-module derives no phase: it imports neither `channel` nor `rng`.
+unchanged on `protocol.run_round`'s view and on a line read back.
+`delayed_message_estimate`, a curious server's reading of the late
+message, reads the view alone too.  This module derives no phase: it
+imports neither `channel` nor `rng`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import turns
-from .codec import QuantizationConfig, decode_sum, dequantize_mean
+from .codec import QuantizationConfig, decode_sum, demodulate_nearest, dequantize_mean
 from .config import ALG1, ALG2, walk
 from .errors import (PhaseAggError, RevealSafetyError, TranscriptFormatError,
                      UnrecoverableRoundError)
@@ -114,8 +116,10 @@ class RoundTranscript:
     the senders) and `counters` are what the server half, `aggregate`,
     computes from the rest; the arrays are read-only.  They are None in a
     view the server has not aggregated yet, and `run_round` sets them
-    once, on the view it built.  `messages` is built on first access.
-    Instances compare by identity: their fields hold arrays.
+    once, on the view it built.  `late`, the delayed client's read-only (d,)
+    uint32 message, is set by `run_round` only, and never written.
+    `messages` is built on first access.  Instances compare by identity:
+    their fields hold arrays.
     """
 
     iteration: int
@@ -132,6 +136,7 @@ class RoundTranscript:
     counters: dict | None = None
     aggregate: np.ndarray | None = None
     decoded_mean: np.ndarray | None = None
+    late: np.ndarray | None = None
 
     @cached_property
     def messages(self) -> tuple[ClientMessage, ...]:
@@ -337,6 +342,22 @@ def aggregate(view: RoundTranscript,
         "recovery_messages": revealed["mask-shares"],
         "private_phase_reveals": revealed["private-phases"],
     }
+
+
+def delayed_message_estimate(view: RoundTranscript, cfg: QuantizationConfig) -> np.ndarray:
+    """The digits a curious server reads off the view's late message, in [0, M).
+
+    The late message less the `dropout_correction` of the view's own
+    `mask-shares` record for the delayed client, demodulated to the
+    nearest points.  A view without `late`, such as a line read back,
+    raises ValueError.
+    """
+    if view.late is None:
+        raise ValueError(f"round {view.iteration}'s view holds no late message to estimate")
+    record = next(r for r in view.reveals
+                  if r["kind"] == "mask-shares" and r["dropped"] == view.delayed)
+    return demodulate_nearest(
+        turns.sub(view.late, dropout_correction((record,), view.assignment)), cfg)
 
 
 def new_file(path: Path, mode: str, **kwargs):

@@ -302,6 +302,10 @@ CASES = [
          bundled("alg2_dropout", delayed_client=5, compare_baseline=True), 5,
          checks=(BASELINE_MATCH, overhead_agrees,
                  every_line(delayed=5, delayed_discarded=True))),
+    Case("attack-per-symbol", ("attack",),
+         bundled("attack_private_phase", per_symbol_masks=True, rounds=50),
+         checks=tuple(field("report.json", f"attack.{key}", value) for key, value in (
+             ("status", "completed"), ("trials", 50), ("full_recoveries", 0)))),
     # Rounds that lose a side.
     side_lost("sixteen-groups-lost-side", LOST_SIDE, None, 1),
     side_lost("delayed-lost-side", bundled("alg2_dropout", delayed_client=5,

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from phaseagg.masking import (
     two_group_from_sides,
 )
 from phaseagg.protocol import client_message, run_round
-from phaseagg.transcript import read_transcript_line
+from phaseagg.transcript import delayed_message_estimate, read_transcript_line
 
 
 class TestChiSquare:
@@ -139,6 +141,41 @@ class TestDelayedClientAttack:
         outcome = delayed_client_attack(ALG1, assignment=assignment, trials=20, seed=112,
                                         delayed=delayed)
         assert outcome.full_recovery_rate == 1.0
+
+    def test_naive_remedy_recovers_every_digit_per_symbol(self):
+        outcome = delayed_client_attack(ALG1, trials=20, seed=114, per_symbol=True)
+        assert outcome.full_recovery_rate == outcome.element_accuracy == 1.0
+
+    def test_per_symbol_private_phases_leave_one_in_m_guessing(self):
+        # Each element is its own trial: its residual is its own stream word.
+        outcome = delayed_client_attack(ALG2, trials=200, seed=114, per_symbol=True)
+        assert outcome.full_recoveries == 0
+        assert outcome.binomial_p_value >= 0.01
+
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("version", [ALG1, ALG2])
+    def test_the_attack_runs_no_per_client_definition(self, monkeypatch, version, per_symbol):
+        expected = delayed_client_attack(version, trials=5, seed=116, per_symbol=per_symbol)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the attack ran a per-client definition")
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "phaseagg"]:
+            for name in ("client_message", "compute_group_mask", "sample_private_phase",
+                         "get_phase"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert delayed_client_attack(version, trials=5, seed=116,
+                                     per_symbol=per_symbol) == expected
+
+    def test_a_view_read_back_holds_no_late_message_to_estimate(self):
+        cfg = QuantizationConfig.with_auto_modulus(1.0, 4, max_clients=4)
+        view = run_round([np.arange(3) % 4] * 4, two_group_from_sides([0, 1], [2, 3]),
+                         sample_round_channel(4, iteration=0, seed=116), cfg, version=ALG2,
+                         seed=116, delayed=1)
+        assert delayed_message_estimate(view, cfg).shape == (3,)
+        with pytest.raises(ValueError, match="holds no late message"):
+            delayed_message_estimate(read_transcript_line(view.to_json_line()), cfg)
 
     def test_unknown_version(self):
         with pytest.raises(ValueError):

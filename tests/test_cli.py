@@ -488,14 +488,16 @@ class TestRunScenario:
         assert two_groups.modulus == 32
         assert two_groups.element_accuracy != direct.element_accuracy
 
-    def test_attack_refuses_per_symbol_masks(self, tmp_path, capsys):
+    def test_attack_runs_per_symbol_masks(self, tmp_path, capsys):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(valid_data(delayed_client=0, per_symbol_masks=True)))
+        path.write_text(json.dumps(valid_data(protocol_version="alg2", delayed_client=0,
+                                              dimension=8, per_symbol_masks=True, rounds=20)))
         code = main(["attack", "--config", str(path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "scalar masks only" in err and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert code == 0 and capsys.readouterr().err == ""
+        attack = json.loads((tmp_path / "out" / "report.json").read_text())["attack"]
+        assert (attack["scenario"], attack["trials"], attack["status"]) == ("alg2", 20,
+                                                                            "completed")
+        assert attack["full_recoveries"] == 0 and attack["binomial_p_value"] is not None
 
     def test_rewriting_longer_files_leaves_exactly_the_new_bytes(self, tmp_path):
         config = parse_config(valid_data(rounds=3))

@@ -515,6 +515,35 @@ class TestRoundEngine:
             assert message_fields(msg) == message_fields(ref)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases(), st.data())
+    def test_the_late_row_is_the_delayed_client_message(self, case, data):
+        assignment = case["assignment"]
+        n, d, delayed = assignment.num_clients, case["dimension"], case["delayed"]
+        if delayed is None:
+            delayed = data.draw(st.sampled_from(
+                [i for i in range(n) if i not in case["dropped"]] + [None]), label="delayed")
+        absent = case["dropped"] + ([delayed] if delayed is not None else [])
+        if not _recoverable(assignment, absent):
+            return
+        cfg = small_cfg(levels=4, clients=n)
+        digits = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3)))
+        chan = sample_round_channel(n, iteration=case["iteration"], seed=case["seed"])
+        view = run_round(digits, assignment, chan, cfg, version=case["version"],
+                         seed=case["seed"], dropped=case["dropped"], delayed=delayed,
+                         per_symbol=case["per_symbol"], naive_remedy=case["version"] == ALG1)
+        assert read_transcript_line(view.to_json_line()).late is None
+        if delayed is None:
+            assert view.late is None
+            return
+        ref = client_message(delayed, digits[delayed], assignment, chan, case["version"],
+                             case["seed"], cfg, length=d if case["per_symbol"] else None)
+        assert view.late.dtype == np.uint32 and view.late.shape == (d,)
+        assert not view.late.flags.writeable
+        assert np.array_equal(view.late, ref.masked.symbols)
+        assert view.symbols.shape == (n - len(absent), d)
+
+
 class TestTranscriptEncoding:
     """The JSON form holds plain Python numbers, byte for byte as before."""
 
@@ -864,6 +893,7 @@ class TestRunRound:
         chan = sample_round_channel(8, iteration=0, seed=47)
         digits = [np.zeros(2, dtype=np.int64)] * 8
         transcript = run_round(digits, assignment, chan, cfg, version=ALG1, seed=47)
+        assert transcript.late is None
         l = assignment.plus_size()
         assert transcript.counters["phase_estimations"] == l * (8 - l)
         assert transcript.counters["uplink_messages"] == 8
@@ -939,6 +969,19 @@ class TestRunRound:
                 [modulate(d, cfg) for d in digits]
             )
             assert np.array_equal(masked_sum, unmasked_sum)
+
+    def test_a_delayed_client_that_is_also_dropped_is_refused(self):
+        with pytest.raises(ValueError, match="^client 1 cannot be both dropped and delayed$"):
+            run_round(np.zeros((4, 2), dtype=np.int64), two_group_from_sides([0, 1], [2, 3]),
+                      sample_round_channel(4, iteration=0, seed=59), small_cfg(clients=4),
+                      version=ALG2, seed=59, dropped=[1], delayed=1)
+
+    @pytest.mark.parametrize("delayed", [-1, 4])
+    def test_a_delayed_client_outside_the_assignment_is_refused(self, delayed):
+        with pytest.raises(IndexError, match=f"^delayed client {delayed} out of range$"):
+            run_round(np.zeros((4, 2), dtype=np.int64), two_group_from_sides([0, 1], [2, 3]),
+                      sample_round_channel(4, iteration=0, seed=59), small_cfg(clients=4),
+                      version=ALG2, seed=59, delayed=delayed)
 
     def test_digits_for_the_wrong_number_of_clients(self):
         with pytest.raises(ShapeError, match="^need digits for all 4 clients, got 3$"):
