@@ -185,8 +185,8 @@ def delayed_client_attack(version: str, *,
     the score sees the digits.  Under the naive group-mask-only recovery
     the digits come back exactly; under the private-phase protocol a
     uniform residual remains and recovery collapses to 1-in-M guessing.
-    Masks are scalar, or with `per_symbol` one per symbol.  `run_round`
-    refuses an unknown version or delayed client in the first trial.
+    Masks are scalar, or with `per_symbol` one per symbol.  No trial is a ValueError;
+    `run_round` refuses an unknown version or delayed client in the first trial.
 
     `version` picks the protocol: `ALG1` with the naive recovery (the
     outcome's scenario is "alg1_naive_remedy") or `ALG2` (scenario "alg2").
@@ -194,6 +194,8 @@ def delayed_client_attack(version: str, *,
     the auto modulus for 4 levels and clip 1.0 at the assignment's client
     count.
     """
+    if trials < 1:
+        raise ValueError(f"the attack needs at least one trial, got {trials}")
     if assignment is None:
         assignment = assign_two_groups(4, seed)
     num_clients = assignment.num_clients

@@ -241,7 +241,7 @@ class GroupAssignment:
         return {
             "mode": self.mode,
             "group_of": list(self.group_of),
-            "tag_of": list(self.tag_of),
+            "tag_of": "".join(self.tag_of),
             "num_groups": self.num_groups,
             "subgroup_size": self.subgroup_size,
         }

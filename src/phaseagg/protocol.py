@@ -20,45 +20,31 @@ Two protocol versions exist on the wire, named in `config` (`ALG1`,
 A round is one matrix sum, split at the wire.  `run_round` is the client
 half, then hands what crosses the wire to the server half,
 `transcript.aggregate`.  The client half checks the drop set and lists
-the senders once, modulates every sender's digits in one (senders, d)
-uint32 matrix and adds each sender's offset to its row in place: its
-private phase (alg2) plus its signed group mask, both read by client id
-from the round's `masking.RoundPhases` row with one `take` each.  The
-offsets are a (senders, 1) column in scalar mode and a (senders, d)
-array per symbol, so broadcasting serves both.  A training run hands
-each round its row from `masking.phase_rows`; a direct call derives its
-own (`masking.round_phases`).  Below `run_round` the mask mode is
-only the row's phase `length` (None for a scalar, d per symbol);
-`per_symbol` is set only by its callers.  A delayed client's row is the
-view's `late`.  `client_message` builds one client's message alone:
-the reference the rows are tested against.
+the senders once, then builds every sender's message as one row of a
+(senders, d) uint32 matrix, each offset read by client id from the
+round's `masking.RoundPhases` row, as `run_round` sets out.  Below
+`run_round` the mask mode is only the row's phase `length` (None for a
+scalar, d per symbol); `per_symbol` is set only by its callers.  A
+delayed client's row is the view's `late`.  `client_message` builds one
+client's message alone: the reference the rows are tested against.
 
 The clients then answer the server's recovery queries, one reveal record
 per query, each naming the clients it asked and holding their answers as
 one read-only uint32 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
 per dropped or delayed client, then ``{"kind": "private-phases",
-"clients": [...], "phases": ...}`` once under alg2, row r answered by
-the r-th listed client.  A dropped client's shares are read from the
-row's pairs, never its masks, at the positions `GroupAssignment.pairs_of`
-computes: one `take` for all of them.
-
-The server half reads only the `transcript.RoundTranscript` view: the
-layout, the senders, the drop set, the delayed client, the symbols and
-the records.  Its correction, `dropout_correction`, is ``+ sum(masks of
-dropped plus-side) - sum(masks of dropped minus-side) - sum(private
-phases of survivors)``, each mask the sum of its record's shares, with
-dropped-to-dropped channel terms excluded; they cancel pairwise by
-reciprocity, which the test suite checks exhaustively.
-`ps_aggregate_and_decode` sums, corrects and decodes.
+"clients": [...], "phases": ...}`` once under alg2, its clients the
+senders in order (the transcript line leaves them out), row r answered
+by the r-th.  A dropped client's shares are read from the row's pairs,
+never its masks, at the positions `GroupAssignment.pairs_of` computes:
+one `take` for all of them.  The server half's `dropout_correction`
+leaves out dropped-to-dropped channel terms, which cancel pairwise by
+reciprocity, as the test suite checks exhaustively.
 
 `run_iteration` composes one training round from `fl`'s steps around
 `run_round`: `fl.client_digits` before it and `fl.sgd_update` after.
-`fl.training_rounds`, its one caller, hands it theta, the stacked
-datasets, the layout, the round's phase row and the round's residual,
-and gets back the transcript, the new theta and the digits it sent,
-which the plaintext baseline sums.  It is the one import of a higher
-layer, and `fl` calls it through this module.
+It is the one import of a higher layer, and `fl.training_rounds`, its
+one caller, calls it through this module.
 """
 
 from __future__ import annotations
@@ -274,8 +260,6 @@ def run_round(digits_by_client, assignment: GroupAssignment,
         mask_mode=PER_SYMBOL_MASKS if per_symbol else SCALAR_MASKS,
         dropped=tuple(sorted(dropped)),
         delayed=delayed,
-        # Under alg2 `late` is discarded; the naive remedy leaves it to the caller.
-        delayed_discarded=None if delayed is None else version == ALG2,
         reveals=_answers(absent, senders, assignment, phases.pairs, private),
         # The channel is noiseless, so the FEC code only sets the reported bit
         # counts; tests/test_codec.py checks that it is a lossless inverse pair.

@@ -4,23 +4,21 @@ A `RoundTranscript` keeps the round's read-only (senders, d) uint32 symbol
 matrix, its sender ids, reveal records, counters and decoded sums;
 `RoundTranscript.messages` builds the `ClientMessage` views of its rows on
 first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
-and a `transcripts.jsonl` line is that dict dumped with sorted keys and
-compact separators.  `to_json_parts` renders the same bytes from the arrays
-themselves: one shape check per integer array and a range check of any
-not uint32, all made by the call, then lazily one orjson call (imported on
-first use) for each block of `_BLOCK` integers of whole symbol rows and
-one for the other keys before ``"decoded_mean"``, between it and
-``"messages"``, and after ``"messages"``.  The mean's text
-`float_list_json` writes with `json`, since orjson writes some floats
-differently (1e-05 as 0.00001).  Every other value is an ASCII string, a
-bool, None or an integer, which both write alike.
-`read_transcript_line`, the one reader of a line, is the writer's inverse
-and reads this format only.  `write_transcripts` writes a transcripts.jsonl
-file, whole lines only, from any iterable of transcripts, each line as its
-transcript arrives: `phaseagg run` hands it the training loop's stream
-(`fl.training_rounds`), so a run holds one round, and a run that stops
-keeps the lines of the rounds before it.  `read_transcripts`, its one
-reader, streams the file back one line at a time.
+which states each fact once, and a `transcripts.jsonl` line is that dict
+dumped with sorted keys and compact separators.  `to_json_parts` renders
+the same bytes from the arrays themselves, with orjson (imported on first
+use) a block of rows at a time; the mean's text `float_list_json` writes
+with `json`, since orjson writes some floats differently (1e-05 as
+0.00001).  Every other value is an ASCII string, a bool, None or an
+integer, which both write alike.
+`read_transcript_line`, the one reader of a line, is the writer's inverse:
+it reads this format only, and puts back what the writer leaves out.
+`write_transcripts` writes a transcripts.jsonl file, whole lines only,
+from any iterable of transcripts, each line as its transcript arrives:
+`phaseagg run` hands it the training loop's stream (`fl.training_rounds`),
+so a run holds one round, and a run that stops keeps the lines of the
+rounds before it.  `read_transcripts`, its one reader, streams the file
+back one line at a time.
 
 The server half of a round lives here too, as it reads only this view:
 `aggregate` refuses a lost side, audits the reveal records, and decodes
@@ -48,9 +46,9 @@ from .errors import (PhaseAggError, RevealSafetyError, TranscriptFormatError,
                      UnrecoverableRoundError)
 from .masking import PER_SYMBOL_MASKS, PLUS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
-TRANSCRIPT_FORMAT = 2
+TRANSCRIPT_FORMAT = 3
 
-# The integers of symbol rows one orjson call renders: whole rows, at least one.
+# The integers of symbol or phase rows one orjson call renders: whole rows, at least one.
 _BLOCK = 2**15
 # The shortest float vector `float_list_json` dedupes before rendering;
 # below it, one `json.dumps` of the whole vector is faster (crossover near
@@ -117,9 +115,9 @@ class RoundTranscript:
     computes from the rest; the arrays are read-only.  They are None in a
     view the server has not aggregated yet, and `run_round` sets them
     once, on the view it built.  `late`, the delayed client's read-only (d,)
-    uint32 message, is set by `run_round` only, and never written.
-    `messages` is built on first access.  Instances compare by identity:
-    their fields hold arrays.
+    uint32 message, is set by `run_round` only, and never written; the
+    line leaves out what the rest fixes, such as `delayed_discarded`.
+    Instances compare by identity: their fields hold arrays.
     """
 
     iteration: int
@@ -130,13 +128,17 @@ class RoundTranscript:
     mask_mode: str
     dropped: tuple[int, ...]
     delayed: int | None
-    delayed_discarded: bool | None
     reveals: tuple
     codec_metrics: dict
     counters: dict | None = None
     aggregate: np.ndarray | None = None
     decoded_mean: np.ndarray | None = None
     late: np.ndarray | None = None
+
+    @property
+    def delayed_discarded(self) -> bool | None:
+        """Whether the late message is discarded: under alg2.  None without a delayed client."""
+        return None if self.delayed is None else self.version == ALG2
 
     @cached_property
     def messages(self) -> tuple[ClientMessage, ...]:
@@ -158,33 +160,45 @@ class RoundTranscript:
         separators=(",", ":"))`.  The symbol matrix, the aggregate and each
         reveal's phases are shape- and range-checked in that order by this
         call, before any part is made; the parts are rendered as they are
-        taken.  The `"messages"` list is rendered `_BLOCK` integers of whole
-        rows at a time, at least one row, one orjson call per block; the
-        plain keys before `"decoded_mean"`, between it and `"messages"`, and
-        after `"messages"` take one orjson call each.
+        taken.  The `"messages"` list and each reveal's `"phases"` take one
+        orjson call per `_BLOCK` integers of whole rows, at least one row (a
+        scalar record's phases are rows of one); each run of other keys, in
+        the line or in a record, takes one call.
         """
         import orjson
 
         doc = self._json_dict(_uint32_values)
         mean = float_list_json(self.decoded_mean)
-        messages = doc.pop("messages")
-        rows = max(1, _BLOCK // max(1, np.shape(self.symbols)[1]))
+        messages, reveals = doc.pop("messages"), doc.pop("reveals")
         option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 
         def dump(value):
             return memoryview(orjson.dumps(value, option=option))
 
+        def rows(prefix, items, width=1):
+            """`prefix`, then the JSON list of `items` of `width` integers, a call a block."""
+            step = max(1, _BLOCK // max(1, width))
+            yield prefix + b"["
+            for start in range(0, len(items), step):
+                if start:
+                    yield b","
+                yield dump(items[start:start + step])[1:-1]
+            yield b"]"
+
         def parts():
             yield dump({k: v for k, v in doc.items() if k < "decoded_mean"})[:-1]
             yield b',"decoded_mean":' + mean + b","
             yield dump({k: v for k, v in doc.items() if "decoded_mean" < k < "messages"})[1:-1]
-            yield b',"messages":['
-            for start in range(0, len(messages), rows):
-                if start:
-                    yield b","
-                yield dump(messages[start:start + rows])[1:-1]
+            yield from rows(b',"messages":', messages, np.shape(self.symbols)[1])
+            yield b',"reveals":['
+            for n, record in enumerate(reveals):
+                head = dump({k: v for k, v in record.items() if k < "phases"})[:-1]
+                head = (b"," if n else b"") + head + b',"phases":'
+                yield from rows(head, record["phases"], *record["phases"].shape[1:])
+                tail = {k: v for k, v in record.items() if k > "phases"}
+                yield b"," + dump(tail)[1:] if tail else b"}"
             yield b"],"
-            yield dump({k: v for k, v in doc.items() if k > "messages"})[1:]
+            yield dump({k: v for k, v in doc.items() if k > "reveals"})[1:]
 
         return parts()
 
@@ -204,13 +218,14 @@ class RoundTranscript:
             "messages": [{"owner": i, "symbols": row}
                          for i, row in zip(self.senders, integers(self.symbols, 2))],
             "aggregate": integers(self.aggregate, 1),
-            "reveals": [dict(r, phases=integers(r["phases"], phases)) for r in self.reveals],
+            # Left out, as the rest fixes them: private-phases clients, symbols per message.
+            "reveals": [dict({k: v for k, v in r.items() if k != "clients"},
+                             phases=integers(r["phases"], phases)) for r in self.reveals],
             "dropped": list(self.dropped),
             "delayed": self.delayed,
-            "delayed_discarded": self.delayed_discarded,
             "counters": dict(self.counters),
-            "num_contributors": len(self.senders),
-            "codec_metrics": dict(self.codec_metrics),
+            "codec_metrics": {k: v for k, v in self.codec_metrics.items()
+                              if k != "symbols_per_message"},
         }
 
 
@@ -375,12 +390,10 @@ def new_file(path: Path, mode: str, **kwargs):
 def write_transcripts(transcripts: Iterable[RoundTranscript], path: Path) -> None:
     """Write one compact, key-sorted JSON line per `RoundTranscript` to a new file.
 
-    A line is the bytes of `json.dumps(t.to_json_dict(), sort_keys=True,
-    separators=(",", ":"))`, passed to the file part by part as
-    `RoundTranscript.to_json_parts` renders them, so no more than one block
-    of symbol rows is held.  A transcript it refuses raises before any
-    byte of its line is made, and a line whose rendering or write fails
-    partway is cut off again, so the file holds only whole lines.
+    A line is `t.to_json_parts()`, written part by part as rendered, so at
+    most one block of symbol or phase rows is held.  A refused transcript
+    raises before any byte of its line is made, and a line whose rendering
+    or write fails partway is cut off again: the file holds whole lines.
     """
     with new_file(path, "wb") as handle:
         for t in transcripts:
@@ -393,25 +406,24 @@ def write_transcripts(transcripts: Iterable[RoundTranscript], path: Path) -> Non
             handle.write(b"\n")
 
 
-# A format-2 line's schema, as `config.walk` reads one: a tuple holds the
+# A format-3 line's schema, as `config.walk` reads one: a tuple holds the
 # JSON types or values a value may have, a dict an object's fields, and a
 # one-item list a list's items.
 _LINE_SCHEMA = {
     "transcript_format": (TRANSCRIPT_FORMAT,), "iteration": (int,),
-    "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": [(str,)],
+    "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": (str,),
                    "num_groups": (int,), "subgroup_size": (int, type(None))},
     "version": (ALG1, ALG2), "mask_mode": (SCALAR_MASKS, PER_SYMBOL_MASKS),
     "messages": [{"owner": (int,), "symbols": (list,)}], "dropped": [(int,)],
-    "delayed": (int, type(None)), "delayed_discarded": (bool, type(None)),
+    "delayed": (int, type(None)),
     "reveals": [{"kind": ("mask-shares", "private-phases")}],
     "counters": dict.fromkeys(("phase_estimations", "uplink_messages", "recovery_messages",
                                "private_phase_reveals"), (int,)),
-    "num_contributors": (int,), "aggregate": (list,), "decoded_mean": [(float,)],
-    "codec_metrics": dict.fromkeys(("payload_bits", "redundancy_bits", "symbols_per_message"),
-                                   (int,))}
+    "aggregate": (list,), "decoded_mean": [(float,)],
+    "codec_metrics": dict.fromkeys(("payload_bits", "redundancy_bits"), (int,))}
 _REVEAL_SCHEMA = {kind: dict(fields, kind=(kind,), phases=(list,)) for kind, fields in {
     "mask-shares": {"dropped": (int,), "revealers": [(int,)]},
-    "private-phases": {"clients": [(int,)]}}.items()}
+    "private-phases": {}}.items()}
 
 
 class _Constant(str):
@@ -425,20 +437,20 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
 
     Only format `TRANSCRIPT_FORMAT` is read.  The arrays are read-only:
     (senders, d) uint32 `symbols`, uint32 reveal phases, and d-long int64
-    `aggregate` and float64 `decoded_mean`.  Fields the schema does not
-    name are dropped, but in `assignment`.  Any other line, such as one
-    without `transcript_format`, one holding `NaN`, `Infinity`, a number
-    that reads as infinite (1e999) or an integer wider than 64 bits, an
-    empty integer list, an iteration outside [0, 2**32), an assignment that
+    `aggregate` and float64 `decoded_mean`; a private-phases record's
+    clients are the senders.  Fields the schema does not name are dropped,
+    but in `assignment`.  Any other line, such as one without
+    `transcript_format`, one holding `NaN`, `Infinity`, a number that reads
+    as infinite (1e999) or an integer wider than 64 bits, an empty integer
+    list, an iteration outside [0, 2**32), an assignment that
     `GroupAssignment` refuses, a client id outside it, a client listed
-    twice, a wrong `num_contributors`, a dropped or the delayed client
-    that sent a message, a delayed client that is also dropped, or a
-    reveal record that does not fit its clients, raises
-    TranscriptFormatError naming line `number` and the field: the first
-    violation `config.walk` finds, else the first check after it.
-    A record fits when each revealer or private-phases client is a
-    sender, a mask-shares record's dropped client is dropped or delayed,
-    and its phases hold one row per listed client.
+    twice, a dropped or the delayed client that sent a message, a delayed
+    client that is also dropped, or a reveal record that does not fit its
+    clients, raises TranscriptFormatError naming line `number` and the
+    field: the first violation `config.walk` finds, else the first check
+    after it.  A record fits when each revealer is a sender, a mask-shares
+    record's dropped client is dropped or delayed, and its phases hold one
+    row per revealer, or per sender in a private-phases record.
     """
     where = "transcript line" if number is None else f"line {number}"
 
@@ -485,7 +497,7 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
                                             tag_of=tuple(fields["tag_of"])))
     except (TypeError, ValueError, PhaseAggError) as exc:  # an unknown field, a refused layout
         raise fail("assignment", f"is not a group assignment: {exc}") from None
-    contributors, messages = known.pop("num_contributors"), known.pop("messages")
+    messages = known.pop("messages")
     reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")
                for k, r in enumerate(row["reveals"])]
     ids = [(f"messages[{k}].owner", m["owner"]) for k, m in enumerate(messages)]
@@ -500,15 +512,13 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         raise fail("iteration", f"must be non-negative, got {known['iteration']}")
     if known["iteration"] >= 2**32:
         raise fail("iteration", f"must be below 2**32, got {known['iteration']}")
-    if contributors != len(messages):
-        raise fail("num_contributors",
-                   f"must equal the line's {len(messages)} messages, got {contributors}")
     ndim = 1 if known["mask_mode"] == SCALAR_MASKS else 2
     symbols = array([m["symbols"] for m in messages], "messages[].symbols", np.uint32, 2)
     for name, dtype in (("aggregate", np.int64), ("decoded_mean", np.float64)):
         known[name] = array(known[name], name, dtype, 1)
         if len(known[name]) != symbols.shape[1]:
             raise fail(name, f"must hold {symbols.shape[1]} values, got {len(known[name])}")
+    known["codec_metrics"]["symbols_per_message"] = symbols.shape[1]
     finite = np.isfinite(known["decoded_mean"])
     if not finite.all():  # JSON's 1e999 reads as inf, which the writer would not write back
         k = int(np.argmin(finite))
@@ -524,17 +534,21 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         raise fail("delayed", f"names client {known['delayed']}, who is also dropped")
     records = []
     for k, r in enumerate(reveals):
-        listed = "revealers" if r["kind"] == "mask-shares" else "clients"
-        for j, i in enumerate(r[listed]):
-            if i not in sent:
-                raise fail(f"reveals[{k}].{listed}[{j}]", f"names client {i}, who sent no message")
-        if listed == "revealers" and r["dropped"] not in dropped + (known["delayed"],):
-            raise fail(f"reveals[{k}].dropped",
-                       f"must be a dropped or the delayed client, got {r['dropped']}")
+        if r["kind"] == "private-phases":  # every sender answers, in sender order
+            r, answered, each = dict(r, clients=list(senders)), senders, "sender"
+        else:
+            answered, each = r["revealers"], "listed revealer"
+            for j, i in enumerate(answered):
+                if i not in sent:
+                    raise fail(f"reveals[{k}].revealers[{j}]",
+                               f"names client {i}, who sent no message")
+            if r["dropped"] not in dropped + (known["delayed"],):
+                raise fail(f"reveals[{k}].dropped",
+                           f"must be a dropped or the delayed client, got {r['dropped']}")
         phases = array(r["phases"], f"reveals[{k}].phases", np.uint32, ndim)
-        if len(phases) != len(r[listed]):
-            raise fail(f"reveals[{k}].phases", f"must hold one row per listed {listed[:-1]} "
-                                               f"({len(r[listed])}), got {len(phases)}")
+        if len(phases) != len(answered):
+            raise fail(f"reveals[{k}].phases", f"must hold one row per {each} "
+                                               f"({len(answered)}), got {len(phases)}")
         records.append(dict(r, phases=phases))
     return RoundTranscript(**dict(known, assignment=assignment, symbols=symbols,
                                   senders=senders, dropped=dropped, reveals=tuple(records)))

@@ -116,6 +116,17 @@ def every_line(**want):
     return check
 
 
+def every_view(**want):
+    """Every transcript line, read back, holds these attribute values."""
+    def check(out: Path, before) -> None:
+        from phaseagg.transcript import read_transcripts
+
+        for view in read_transcripts(out / "transcripts.jsonl"):
+            got = {key: getattr(view, key) for key in want}
+            assert got == want, f"round {view.iteration} reads back as {got}"
+    return check
+
+
 def drops_in_groups(*groups: int):
     """Every line's dropped clients lie in exactly these groups."""
     def check(out: Path, before) -> None:
@@ -212,6 +223,13 @@ def drop_revealed_phase(row: dict) -> None:
     record["phases"].pop()
 
 
+def cut_a_private_phase(row: dict) -> None:
+    record = row["reveals"][1]
+    assert (record["kind"], len(record["phases"])) == ("private-phases", 15), \
+        f"unexpected second record: {record}"
+    record["phases"].pop()
+
+
 def withhold_a_revealer(row: dict) -> None:
     """Line 5 of `alg2_dropout --seed 3` (round 4) without one revealer of client 2's
     record, and without that revealer's phase row."""
@@ -301,7 +319,7 @@ CASES = [
     Case("delayed-baseline-then-analyze", ("analyze",),
          bundled("alg2_dropout", delayed_client=5, compare_baseline=True), 5,
          checks=(BASELINE_MATCH, overhead_agrees,
-                 every_line(delayed=5, delayed_discarded=True))),
+                 every_line(delayed=5), every_view(delayed_discarded=True))),
     Case("attack-per-symbol", ("attack",),
          bundled("attack_private_phase", per_symbol_masks=True, rounds=50),
          checks=tuple(field("report.json", f"attack.{key}", value) for key, value in (
@@ -375,10 +393,10 @@ CASES = [
     refused_line("symbol-too-large", 2, first_symbol(2**32), r"'messages\[\]\.symbols' "),
     refused_line("symbol-negative", 2, first_symbol(-1), r"'messages\[\]\.symbols' "),
     refused_line("symbol-not-an-integer", 2, first_symbol(1.5), r"'messages\[\]\.symbols' "),
-    refused_line("format-3", 2, set_format(3), "'transcript_format' "),
+    refused_line("format-4", 2, set_format(4), "'transcript_format' "),
     refused_line("last-line-format-1", LAST_LINE, set_format(1), "'transcript_format' "),
-    refused_line("last-line-format-3", LAST_LINE, set_format(3), "'transcript_format' "),
-    refused_line("last-line-format-string", LAST_LINE, set_format("2"), "'transcript_format' "),
+    refused_line("last-line-format-2", LAST_LINE, set_format(2), "'transcript_format' "),
+    refused_line("last-line-format-string", LAST_LINE, set_format("3"), "'transcript_format' "),
     refused_line("format-missing", 0, on_row(lambda row: row.pop("transcript_format")),
                  "'transcript_format' is missing"),
     refused_line("dropped-client-out-of-range", 2,
@@ -387,8 +405,8 @@ CASES = [
     refused_line("mean-NaN", 1, on_row(lambda row: row["decoded_mean"].__setitem__(0, math.nan)),
                  r"'decoded_mean\[0\]' must be float, got NaN"),
     refused_line("mean-1e999", 1, first_mean_1e999, r"'decoded_mean\[0\]' "),
-    refused_line("contributors-miscounted", 2,
-                 on_row(lambda row: row.update(num_contributors=99)), "'num_contributors' "),
+    refused_line("private-phase-cut", 1, with_second_line_drops(cut_a_private_phase),
+                 r"'reveals\[1\]\.phases' must hold one row per sender \(15\), got 14\n\Z"),
     refused_line("group-99", 1,
                  on_row(lambda row: row["assignment"]["group_of"].__setitem__(15, 99)),
                  "'assignment' "),

@@ -181,6 +181,15 @@ class TestDelayedClientAttack:
         with pytest.raises(ValueError):
             delayed_client_attack("alg3")
 
+    @pytest.mark.parametrize("version", [ALG2, "alg3"])
+    def test_no_trial_is_refused_before_any_round(self, monkeypatch, version):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr("phaseagg.analysis.run_round", refuse)
+        with pytest.raises(ValueError, match="^the attack needs at least one trial, got 0$"):
+            delayed_client_attack(version, trials=0)
+
     @pytest.mark.parametrize("delayed", [-1, 4])
     def test_a_delayed_client_outside_the_layout_is_refused(self, delayed):
         with pytest.raises(IndexError, match=f"^delayed client {delayed} out of range$"):

@@ -117,7 +117,7 @@ def test_subgroups_of_one_client_are_refused_as_assign_subgroups_refuses_them():
                      seed=3).to_json_line()
     row = json.loads(line)
     row["assignment"] = dict(fields, group_of=list(fields["group_of"]),
-                             tag_of=list(fields["tag_of"]))
+                             tag_of="".join(fields["tag_of"]))
     with pytest.raises(TranscriptFormatError,
                        match="^transcript line: 'assignment' is not a group assignment: "
                              "subgroup size must be at least 2, got 1: .*security floor"):

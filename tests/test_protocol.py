@@ -543,6 +543,39 @@ class TestRoundEngine:
         assert np.array_equal(view.late, ref.masked.symbols)
         assert view.symbols.shape == (n - len(absent), d)
 
+    @settings(max_examples=60, deadline=None)
+    @given(round_cases(), st.data())
+    def test_a_line_reads_back_as_the_view_it_was_written_from(self, case, data):
+        assignment = case["assignment"]
+        n, d = assignment.num_clients, case["dimension"]
+        absent = case["dropped"] + ([case["delayed"]] if case["delayed"] is not None else [])
+        assume(_recoverable(assignment, absent))
+        cfg = small_cfg(levels=4, clients=n)
+        digits = data.draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3)))
+        view = run_round(digits, assignment,
+                         sample_round_channel(n, iteration=case["iteration"], seed=case["seed"]),
+                         cfg, version=case["version"], seed=case["seed"],
+                         dropped=case["dropped"], delayed=case["delayed"],
+                         per_symbol=case["per_symbol"], naive_remedy=case["version"] == ALG1)
+        back = read_transcript_line(view.to_json_line())
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return a.dtype == b.dtype and np.array_equal(a, b)
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+            if isinstance(a, (list, tuple)):
+                return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+            return type(a) is type(b) and a == b
+
+        for name in [f.name for f in dataclasses.fields(view) if f.name != "late"]:
+            assert same(getattr(view, name), getattr(back, name)), name
+        assert back.delayed_discarded == (
+            None if case["delayed"] is None else case["version"] == ALG2)
+        assert back.codec_metrics["symbols_per_message"] == d
+        assert [r["clients"] for r in back.reveals if r["kind"] == "private-phases"] == (
+            [list(view.senders)] if case["version"] == ALG2 else [])
+
 
 class TestTranscriptEncoding:
     """The JSON form holds plain Python numbers, byte for byte as before."""
@@ -569,8 +602,9 @@ class TestTranscriptEncoding:
         assert all(type(x) is float for x in encoded["decoded_mean"])
         shares, private = encoded["reveals"]
         assert (shares["kind"], shares["dropped"]) == ("mask-shares", 2)
-        assert (private["kind"], private["clients"]) == (
-            "private-phases", [i for i in range(12) if i != 2])
+        # Every sender answers the private-phases query; the line leaves the list out.
+        assert (private["kind"], sorted(private)) == ("private-phases", ["kind", "phases"])
+        assert transcript.reveals[1]["clients"] == [i for i in range(12) if i != 2]
         for record, kept in zip(encoded["reveals"], transcript.reveals):
             assert np.array(record["phases"]).shape == kept["phases"].shape
             assert all(type(x) is int for x in np.ravel(record["phases"]).tolist())
@@ -582,8 +616,8 @@ class TestTranscriptEncoding:
             messages=[dict(row, symbols=[int(s) for s in msg.masked.symbols])
                       for row, msg in zip(encoded["messages"], transcript.messages)],
             reveals=[dict(r, phases=[[int(x) for x in p] if per_symbol else int(p)
-                                     for p in r["phases"]])
-                     for r in transcript.reveals],
+                                     for p in kept["phases"]])
+                     for r, kept in zip(encoded["reveals"], transcript.reveals)],
             aggregate=[int(x) for x in sums],
             decoded_mean=[float(x) for x in dequantize_mean(sums, 11, cfg)],
         )
@@ -767,9 +801,14 @@ class TestLineRendering:
         assert [m["owner"] for value, _ in rows for m in value] == list(transcript.senders)
         assert [sorted(value) for value, _ in calls if isinstance(value, dict)] == [
             ["aggregate", "assignment", "codec_metrics", "counters"],
-            ["delayed", "delayed_discarded", "dropped", "iteration", "mask_mode"],
-            ["num_contributors", "reveals", "transcript_format", "version"]]
-        assert len(calls) == len(blocks) + 3
+            ["delayed", "dropped", "iteration", "mask_mode"],
+            ["dropped", "kind"], ["revealers"], ["kind"],
+            ["transcript_format", "version"]]
+        # Each record's scalar phases are one block.
+        phases = [value for value, _ in calls if isinstance(value, np.ndarray)]
+        assert [p.tolist() for p in phases] == [r["phases"].tolist()
+                                                 for r in transcript.reveals]
+        assert len(calls) == len(blocks) + 8
         assert max(map(len, parts)) <= max(len(text) - 2 for _, text in rows)
 
     @settings(max_examples=200, deadline=None)
@@ -843,15 +882,15 @@ class TestLineRendering:
         first = transcripts[0].to_json_line() + b"\n"
         path = tmp_path / "transcripts.jsonl"
         path.write_bytes(first * 3)  # an older, longer file leaves no trace
-        # Each line is five orjson calls: two key groups, blocks of 6 and 6
-        # rows, then the keys after "messages".  Call 9 is the second line's
-        # second block.
+        # Each line is seven orjson calls: two key groups, blocks of 6 and 6
+        # rows, the private-phases record's kind and its phases, then the
+        # keys after "reveals".  Call 11 is the second line's second block.
         calls, sizes = [], []
         dumps = orjson.dumps
 
         def failing(value, **kwargs):
             calls.append(value)
-            if len(calls) == 9:
+            if len(calls) == 11:
                 sizes.append(path.stat().st_size)
                 raise MemoryError("no room for this block")
             return dumps(value, **kwargs)
@@ -859,7 +898,7 @@ class TestLineRendering:
         monkeypatch.setattr(orjson, "dumps", failing)
         with pytest.raises(MemoryError):
             write_transcripts(transcripts, path)
-        assert [len(block) for block in calls[7:9]] == [6, 6]
+        assert [len(block) for block in calls[9:11]] == [6, 6]
         assert sizes[0] > len(first)  # the second line's first block was written
         assert path.read_bytes() == first
 
@@ -884,6 +923,28 @@ class TestLineRendering:
         # 0.66 and 2.06 MB.
         assert path.stat().st_size > 700 * d
         assert peak <= limit
+
+    def test_writing_a_per_symbol_round_holds_one_block_of_phases_at_a_time(self, tmp_path):
+        n, d = 32, 4096
+        transcript = run_round(np.random.default_rng(69).integers(0, 16, size=(n, d)),
+                               assign_two_groups(n, seed=9),
+                               sample_round_channel(n, iteration=0, seed=9),
+                               small_cfg(levels=16, clients=n), version=ALG2, seed=9,
+                               dropped=[3], per_symbol=True)
+        assert [r["phases"].shape for r in transcript.reveals] == [(20, d), (n - 1, d)]
+        assert transcript.to_json_line() == canonical_line(transcript)
+        path = tmp_path / "transcripts.jsonl"
+        write_transcripts([transcript], path)  # imports orjson once
+        tracemalloc.start()
+        try:
+            write_transcripts([transcript], path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A 3.71 MB line.  With each record's phase matrix rendered whole it
+        # peaked at 4.12 MiB traced; a block of rows at a time, at 0.63 MiB.
+        assert path.stat().st_size > 900 * d
+        assert peak <= 2**20
 
 
 class TestRunRound:
@@ -1577,7 +1638,7 @@ class TestReadTranscriptLine:
     @pytest.mark.parametrize("edit, field", [
         (lambda row: row["messages"][2].update(owner=8), "messages[2].owner"),
         (lambda row: row.update(dropped=[5, -1]), "dropped[1]"),
-        (lambda row: row.update(delayed=8, delayed_discarded=True), "delayed"),
+        (lambda row: row.update(delayed=8), "delayed"),
         (lambda row: row["reveals"][0].update(dropped=-1), "reveals[0].dropped")])
     def test_a_client_id_outside_the_assignment_is_refused(self, edit, field):
         row = json.loads(small_round().to_json_line())
@@ -1589,9 +1650,30 @@ class TestReadTranscriptLine:
 
     def test_a_listed_value_matches_only_a_value_of_its_type(self):
         row = json.loads(small_round().to_json_line())
-        row["transcript_format"] = 2.0
+        row["transcript_format"] = 3.0
         with pytest.raises(TranscriptFormatError,
-                           match=r"^line 2: 'transcript_format' must be 2, got 2.0$"):
+                           match=r"^line 2: 'transcript_format' must be 3, got 3.0$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_a_format_2_line_is_refused(self):
+        row = json.loads(small_round().to_json_line())
+        row["transcript_format"] = 2
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'transcript_format' must be 3, got 2$"):
+            read_transcript_line(json.dumps(row), 2)
+
+    def test_tag_of_is_one_string_of_plus_and_minus(self):
+        row = json.loads(small_round().to_json_line())
+        tags = row["assignment"]["tag_of"]
+        assert sorted(tags) == list("++++----")
+        row["assignment"]["tag_of"] = "x" + tags[1:]
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'assignment' is not a group assignment: "
+                                 r"tags must be '\+' or '-'$"):
+            read_transcript_line(json.dumps(row), 2)
+        row["assignment"]["tag_of"] = list(tags)
+        with pytest.raises(TranscriptFormatError,
+                           match=r"^line 2: 'assignment.tag_of' must be str, got \["):
             read_transcript_line(json.dumps(row), 2)
 
     @pytest.mark.parametrize("field, value", [("iteration", 2**64), ("iteration", -2**63 - 1),
@@ -1609,16 +1691,17 @@ class TestReadTranscriptLine:
         line = json.dumps(row, sort_keys=True, separators=(",", ":")).encode()
         assert read_transcript_line(line).to_json_line() == line
 
-    def test_num_contributors_must_count_the_messages(self):
+    def test_the_messages_are_the_senders(self):
         row = json.loads(small_round().to_json_line())
+        assert "num_contributors" not in row
         row["messages"] = row["messages"][:4]
-        row["num_contributors"] = 99
+        # The private-phases record still answers the seven senders cut from.
+        row["reveals"] = row["reveals"][1:]
         with pytest.raises(TranscriptFormatError,
-                           match="^line 7: 'num_contributors' must equal the line's 4 "
-                                 "messages, got 99$"):
+                           match=r"^line 7: 'reveals\[0\].phases' must hold one row per "
+                                 r"sender \(4\), got 7$"):
             read_transcript_line(json.dumps(row), 7)
-        row["num_contributors"] = 4
-        row["reveals"] = []  # the records name senders that are cut
+        row["reveals"] = []
         assert read_transcript_line(json.dumps(row)).senders == (0, 1, 2, 3)
 
     def test_codec_metrics_are_the_three_bit_counts(self):
@@ -1683,10 +1766,12 @@ class TestReadTranscriptLine:
         (lambda row: row["reveals"][0]["phases"].pop(), "reveals[0].phases",
          "must hold one row per listed revealer (2), got 1"),
         (lambda row: row["reveals"][1]["phases"].append(3), "reveals[1].phases",
-         "must hold one row per listed client (7), got 8"),
+         "must hold one row per sender (7), got 8"),
+        (lambda row: row["reveals"][1]["phases"].pop(), "reveals[1].phases",
+         "must hold one row per sender (7), got 6"),
         (lambda row: row["reveals"][0]["revealers"].pop(), "reveals[0].phases",
          "must hold one row per listed revealer (1), got 2")],
-        ids=["row-cut", "row-added", "revealer-cut"])
+        ids=["row-cut", "row-added", "private-row-cut", "revealer-cut"])
     def test_a_reveal_record_holds_one_phase_row_per_listed_client(self, edit, field, problem):
         row = json.loads(small_round().to_json_line())
         assert [len(r["phases"]) for r in row["reveals"]] == [2, 7]
@@ -1695,12 +1780,11 @@ class TestReadTranscriptLine:
                            match=rf"^line 2: '{re.escape(field)}' {re.escape(problem)}$"):
             read_transcript_line(json.dumps(row), 2)
 
-    @pytest.mark.parametrize("kind, field", [(0, "revealers"), (1, "clients")])
-    def test_a_revealer_or_private_phases_client_must_be_a_sender(self, kind, field):
+    def test_a_revealer_must_be_a_sender(self):
         row = json.loads(small_round().to_json_line())
-        row["reveals"][kind][field][1] = 5
+        row["reveals"][0]["revealers"][1] = 5
         with pytest.raises(TranscriptFormatError,
-                           match=rf"^line 2: 'reveals\[{kind}\].{field}\[1\]' names client 5, "
+                           match=r"^line 2: 'reveals\[0\].revealers\[1\]' names client 5, "
                                  "who sent no message$"):
             read_transcript_line(json.dumps(row), 2)
 
@@ -1711,7 +1795,7 @@ class TestReadTranscriptLine:
                            match=r"^line 2: 'reveals\[0\].dropped' must be a dropped or the "
                                  "delayed client, got 2$"):
             read_transcript_line(json.dumps(row), 2)
-        row.update(dropped=[], delayed=5, delayed_discarded=True)  # 2 is still a sender
+        row.update(dropped=[], delayed=5)  # 2 is still a sender
         with pytest.raises(TranscriptFormatError, match=r"'reveals\[0\].dropped'"):
             read_transcript_line(json.dumps(row), 2)
 
@@ -1727,7 +1811,6 @@ class TestReadTranscriptLine:
         assert row["delayed"] == 2 and ("mask-shares", 2) in [
             (r["kind"], r.get("dropped")) for r in row["reveals"]]
         row["messages"].append(dict(row["messages"][0], owner=2))
-        row["num_contributors"] += 1
         with pytest.raises(TranscriptFormatError,
                            match=r"^line 2: 'delayed' names client 2, who sent a message$"):
             read_transcript_line(json.dumps(row), 2)
@@ -1757,7 +1840,7 @@ class TestReadTranscriptLine:
 
     @pytest.mark.parametrize("field, empty", [
         ("messages[].symbols", lambda row: [m.update(symbols=[]) for m in row["messages"]]),
-        ("messages[].symbols", lambda row: row.update(messages=[], num_contributors=0)),
+        ("messages[].symbols", lambda row: row.update(messages=[])),
         ("aggregate", lambda row: row.update(aggregate=[])),
         ("reveals[1].phases", lambda row: row["reveals"][1].update(phases=[]))])
     def test_an_empty_integer_list_is_refused(self, field, empty):
