@@ -301,12 +301,11 @@ class OverheadAudit:
             self.exact = False
             self._fail(f"overhead check failed: round {t.iteration} measured {measured} "
                        f"phase estimations, the formula gives {self.formula}")
-        dropped = set(t.dropped)
+        absent = set(t.dropped)
         if t.delayed is not None:
-            dropped.add(t.delayed)
-        for i in sorted(dropped):
-            others = t.assignment.complementary_set(i)
-            expected = len(others) - len(dropped.intersection(others))
+            absent.add(t.delayed)
+        for i in sorted(absent):
+            expected = len(t.assignment.answerers(i, absent)[0])
             shares = sum(len(r["revealers"]) for r in t.reveals
                          if r["kind"] == "mask-shares" and r["dropped"] == i)
             if shares != expected:

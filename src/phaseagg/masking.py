@@ -34,7 +34,7 @@ place) whenever it is derived, so no artifact depends on the window.
 `signed_masks` takes one sum per side of each run's (groups, |plus|,
 |minus|, *width) block of pairs, whatever the width.  The dropout
 correction reads a dropped client's shares from the row's pairs, never
-its masks, at the positions `GroupAssignment.pairs_of` computes.
+its masks, at the positions `GroupAssignment.answerers` computes.
 `compute_group_mask`, `sample_private_phase`, `mask_shares` and
 `apply_mask` are the per-client definitions those arrays are tested
 against: they read each phase from its definition, `get_phase`,
@@ -214,6 +214,21 @@ class GroupAssignment:
             start = block + plus.index(i) * m
             return plus, minus, range(start, start + m)
         return minus, plus, range(block + minus.index(i), block + len(plus) * m, m)
+
+    def answerers(self, i: int, absent) -> tuple[list[int], list[int]]:
+        """Who answers the server's query for absent client i: (revealers, positions).
+
+        The revealers are i's complementary set less the `absent` clients,
+        in increasing order; positions[k] is i's pair with revealers[k] in
+        `cross_pair_index`.
+        """
+        _, others, places = self.pairs_of(i)
+        revealers, positions = [], []
+        for j, k in zip(others, places):
+            if j not in absent:
+                revealers.append(j)
+                positions.append(k)
+        return revealers, positions
 
     @cached_property
     def cross_pair_index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -34,9 +34,10 @@ one read-only uint32 array:
 ``{"kind": "mask-shares", "dropped": i, "revealers": [...], "phases": ...}``
 per dropped or delayed client, then ``{"kind": "private-phases",
 "clients": [...], "phases": ...}`` once under alg2, its clients the
-senders in order (the transcript line leaves them out), row r answered
-by the r-th.  A dropped client's shares are read from the row's pairs,
-never its masks, at the positions `GroupAssignment.pairs_of` computes:
+senders in order, row r answered by the r-th.  The transcript line keeps
+only each record's phases: the drop set, the version and the layout fix
+the rest.  A dropped client's shares are read from the row's pairs,
+never its masks, at the positions `GroupAssignment.answerers` computes:
 one `take` for all of them.  The server half's `dropout_correction`
 leaves out dropped-to-dropped channel terms, which cancel pairwise by
 reciprocity, as the test suite checks exhaustively.
@@ -112,18 +113,15 @@ def _answers(absent: frozenset[int], senders: list[int], assignment: GroupAssign
     """The clients' answers to the server's recovery queries, as reveal records.
 
     One `mask-shares` record per absent client, in increasing order, holds
-    its surviving counterparts' shares, each record's phases a view of one
-    `take` of the round's `pairs`.  Under alg2 a `private-phases` record
-    of the `senders`' private phases follows.  Nothing is signed or summed.
+    the shares of its `GroupAssignment.answerers`, each record's phases a
+    view of one `take` of the round's `pairs`.  Under alg2 a
+    `private-phases` record of the `senders`' private phases follows.
+    Nothing is signed or summed.
     """
     reveals, positions = [], []
     for i in sorted(absent):
-        _, others, places = assignment.pairs_of(i)
-        revealers = []
-        for j, k in zip(others, places):
-            if j not in absent:
-                revealers.append(j)
-                positions.append(k)
+        revealers, places = assignment.answerers(i, absent)
+        positions += places
         reveals.append({"kind": "mask-shares", "dropped": i, "revealers": revealers})
     # `take` copies; each record's phases view their stretch of its rows.
     shares = pairs.take(positions, axis=0)

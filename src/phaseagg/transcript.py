@@ -5,12 +5,14 @@ matrix, its sender ids, reveal records, counters and decoded sums;
 `RoundTranscript.messages` builds the `ClientMessage` views of its rows on
 first access.  `to_json_dict` defines the schema, format `TRANSCRIPT_FORMAT`,
 which states each fact once, and a `transcripts.jsonl` line is that dict
-dumped with sorted keys and compact separators.  `to_json_parts` renders
-the same bytes from the arrays themselves, with orjson (imported on first
-use) a block of rows at a time; the mean's text `float_list_json` writes
-with `json`, since orjson writes some floats differently (1e-05 as
-0.00001).  Every other value is an ASCII string, a bool, None or an
-integer, which both write alike.
+dumped with sorted keys and compact separators.  The drop set, the
+version and the layout fix who sent and who was asked what, so a message
+is written as `{"symbols": row}` and `reveals` as each record's phases,
+in query order.  `to_json_parts` renders the same bytes from the arrays
+themselves, with orjson (imported on first use) a block of rows at a
+time; the mean's text `float_list_json` writes with `json`, since orjson
+writes some floats differently (1e-05 as 0.00001).  Every other value is
+an ASCII string, a bool, None or an integer, which both write alike.
 `read_transcript_line`, the one reader of a line, is the writer's inverse:
 it reads this format only, and puts back what the writer leaves out.
 `write_transcripts` writes a transcripts.jsonl file, whole lines only,
@@ -46,7 +48,7 @@ from .errors import (PhaseAggError, RevealSafetyError, TranscriptFormatError,
                      UnrecoverableRoundError)
 from .masking import PER_SYMBOL_MASKS, PLUS, SCALAR_MASKS, GroupAssignment, MaskedSymbols
 
-TRANSCRIPT_FORMAT = 3
+TRANSCRIPT_FORMAT = 4
 
 # The integers of symbol or phase rows one orjson call renders: whole rows, at least one.
 _BLOCK = 2**15
@@ -160,10 +162,10 @@ class RoundTranscript:
         separators=(",", ":"))`.  The symbol matrix, the aggregate and each
         reveal's phases are shape- and range-checked in that order by this
         call, before any part is made; the parts are rendered as they are
-        taken.  The `"messages"` list and each reveal's `"phases"` take one
+        taken.  The `"messages"` list and each reveal's phases take one
         orjson call per `_BLOCK` integers of whole rows, at least one row (a
-        scalar record's phases are rows of one); each run of other keys, in
-        the line or in a record, takes one call.
+        scalar record's phases are rows of one); each run of other keys
+        takes one call.
         """
         import orjson
 
@@ -191,12 +193,8 @@ class RoundTranscript:
             yield dump({k: v for k, v in doc.items() if "decoded_mean" < k < "messages"})[1:-1]
             yield from rows(b',"messages":', messages, np.shape(self.symbols)[1])
             yield b',"reveals":['
-            for n, record in enumerate(reveals):
-                head = dump({k: v for k, v in record.items() if k < "phases"})[:-1]
-                head = (b"," if n else b"") + head + b',"phases":'
-                yield from rows(head, record["phases"], *record["phases"].shape[1:])
-                tail = {k: v for k, v in record.items() if k > "phases"}
-                yield b"," + dump(tail)[1:] if tail else b"}"
+            for n, phases in enumerate(reveals):
+                yield from rows(b"," if n else b"", phases, *phases.shape[1:])
             yield b"],"
             yield dump({k: v for k, v in doc.items() if k > "reveals"})[1:]
 
@@ -215,12 +213,12 @@ class RoundTranscript:
             "version": self.version,
             "mask_mode": self.mask_mode,
             "assignment": self.assignment.to_json_dict(),
-            "messages": [{"owner": i, "symbols": row}
-                         for i, row in zip(self.senders, integers(self.symbols, 2))],
+            # Left out, as the drop set, the version and the layout fix them: the
+            # senders, each record's kind and the clients it names, and the
+            # symbols per message.
+            "messages": [{"symbols": row} for row in integers(self.symbols, 2)],
             "aggregate": integers(self.aggregate, 1),
-            # Left out, as the rest fixes them: private-phases clients, symbols per message.
-            "reveals": [dict({k: v for k, v in r.items() if k != "clients"},
-                             phases=integers(r["phases"], phases)) for r in self.reveals],
+            "reveals": [integers(r["phases"], phases) for r in self.reveals],
             "dropped": list(self.dropped),
             "delayed": self.delayed,
             "counters": dict(self.counters),
@@ -406,7 +404,7 @@ def write_transcripts(transcripts: Iterable[RoundTranscript], path: Path) -> Non
             handle.write(b"\n")
 
 
-# A format-3 line's schema, as `config.walk` reads one: a tuple holds the
+# A format-4 line's schema, as `config.walk` reads one: a tuple holds the
 # JSON types or values a value may have, a dict an object's fields, and a
 # one-item list a list's items.
 _LINE_SCHEMA = {
@@ -414,16 +412,12 @@ _LINE_SCHEMA = {
     "assignment": {"mode": (str,), "group_of": [(int,)], "tag_of": (str,),
                    "num_groups": (int,), "subgroup_size": (int, type(None))},
     "version": (ALG1, ALG2), "mask_mode": (SCALAR_MASKS, PER_SYMBOL_MASKS),
-    "messages": [{"owner": (int,), "symbols": (list,)}], "dropped": [(int,)],
-    "delayed": (int, type(None)),
-    "reveals": [{"kind": ("mask-shares", "private-phases")}],
+    "messages": [{"symbols": (list,)}], "dropped": [(int,)],
+    "delayed": (int, type(None)), "reveals": [(list,)],
     "counters": dict.fromkeys(("phase_estimations", "uplink_messages", "recovery_messages",
                                "private_phase_reveals"), (int,)),
     "aggregate": (list,), "decoded_mean": [(float,)],
     "codec_metrics": dict.fromkeys(("payload_bits", "redundancy_bits"), (int,))}
-_REVEAL_SCHEMA = {kind: dict(fields, kind=(kind,), phases=(list,)) for kind, fields in {
-    "mask-shares": {"dropped": (int,), "revealers": [(int,)]},
-    "private-phases": {}}.items()}
 
 
 class _Constant(str):
@@ -437,20 +431,22 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
 
     Only format `TRANSCRIPT_FORMAT` is read.  The arrays are read-only:
     (senders, d) uint32 `symbols`, uint32 reveal phases, and d-long int64
-    `aggregate` and float64 `decoded_mean`; a private-phases record's
-    clients are the senders.  Fields the schema does not name are dropped,
-    but in `assignment`.  Any other line, such as one without
+    `aggregate` and float64 `decoded_mean`.  The reader puts back what the
+    drop set, the version and the layout fix: the senders, every client
+    not dropped or delayed, in order; one mask-shares record per such
+    absent client, in increasing order, its revealers its
+    `GroupAssignment.answerers`; and under alg2 a private-phases record,
+    its clients the senders.  Fields the schema does not name are
+    dropped, but in `assignment`.  Any other line, such as one without
     `transcript_format`, one holding `NaN`, `Infinity`, a number that reads
     as infinite (1e999) or an integer wider than 64 bits, an empty integer
     list, an iteration outside [0, 2**32), an assignment that
-    `GroupAssignment` refuses, a client id outside it, a client listed
-    twice, a dropped or the delayed client that sent a message, a delayed
-    client that is also dropped, or a reveal record that does not fit its
-    clients, raises TranscriptFormatError naming line `number` and the
-    field: the first violation `config.walk` finds, else the first check
-    after it.  A record fits when each revealer is a sender, a mask-shares
-    record's dropped client is dropped or delayed, and its phases hold one
-    row per revealer, or per sender in a private-phases record.
+    `GroupAssignment` refuses, a drop set or delayed client outside it, a
+    client dropped twice, a delayed client that is also dropped, other
+    than one message per sender, other than one reveal record per query,
+    or a record without one phase row per client it asked, raises
+    TranscriptFormatError naming line `number` and the field: the first
+    violation `config.walk` finds, else the first check after it.
     """
     where = "transcript line" if number is None else f"line {number}"
 
@@ -477,13 +473,6 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
         arr.setflags(write=False)
         return arr
 
-    def distinct(ids, path):
-        """`ids` as a tuple, refusing a client at its second listing, `path.format(k)`."""
-        if len(set(ids)) < len(ids):
-            k = next(k for k, i in enumerate(ids) if i in ids[:k])
-            raise fail(path.format(k), f"repeats client {ids[k]}")
-        return tuple(ids)
-
     try:
         row = json.loads(line, parse_constant=_Constant)
     except ValueError as exc:
@@ -497,23 +486,28 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
                                             tag_of=tuple(fields["tag_of"])))
     except (TypeError, ValueError, PhaseAggError) as exc:  # an unknown field, a refused layout
         raise fail("assignment", f"is not a group assignment: {exc}") from None
-    messages = known.pop("messages")
-    reveals = [check(r, _REVEAL_SCHEMA[r["kind"]], f"reveals[{k}]")
-               for k, r in enumerate(row["reveals"])]
-    ids = [(f"messages[{k}].owner", m["owner"]) for k, m in enumerate(messages)]
-    ids += [(f"dropped[{k}]", i) for k, i in enumerate(known["dropped"])]
-    ids += [("delayed", known["delayed"])] * (known["delayed"] is not None)
-    ids += [(f"reveals[{k}].dropped", r["dropped"]) for k, r in enumerate(reveals)
-            if r["kind"] == "mask-shares"]
-    for name, i in ids:
+    dropped, delayed = tuple(known["dropped"]), known["delayed"]
+    ids = [(f"dropped[{k}]", i) for k, i in enumerate(dropped)]
+    for name, i in ids + [("delayed", delayed)] * (delayed is not None):
         if not 0 <= i < assignment.num_clients:
             raise fail(name, f"must be a client id below {assignment.num_clients}, got {i}")
     if known["iteration"] < 0:
         raise fail("iteration", f"must be non-negative, got {known['iteration']}")
     if known["iteration"] >= 2**32:
         raise fail("iteration", f"must be below 2**32, got {known['iteration']}")
+    if len(set(dropped)) < len(dropped):
+        k = next(k for k, i in enumerate(dropped) if i in dropped[:k])
+        raise fail(f"dropped[{k}]", f"repeats client {dropped[k]}")
+    if delayed in dropped:
+        raise fail("delayed", f"names client {delayed}, who is also dropped")
+    absent = set(dropped) if delayed is None else {*dropped, delayed}
+    senders = tuple(i for i in range(assignment.num_clients) if i not in absent)
     ndim = 1 if known["mask_mode"] == SCALAR_MASKS else 2
-    symbols = array([m["symbols"] for m in messages], "messages[].symbols", np.uint32, 2)
+    symbols = array([m["symbols"] for m in known.pop("messages")], "messages[].symbols",
+                    np.uint32, 2)
+    if len(symbols) != len(senders):
+        raise fail("messages", f"must hold one message per sender ({len(senders)}), "
+                               f"got {len(symbols)}")
     for name, dtype in (("aggregate", np.int64), ("decoded_mean", np.float64)):
         known[name] = array(known[name], name, dtype, 1)
         if len(known[name]) != symbols.shape[1]:
@@ -523,33 +517,21 @@ def read_transcript_line(line, number: int | None = None) -> RoundTranscript:
     if not finite.all():  # JSON's 1e999 reads as inf, which the writer would not write back
         k = int(np.argmin(finite))
         raise fail(f"decoded_mean[{k}]", f"must be finite, got {known['decoded_mean'][k]}")
-    senders = distinct([m["owner"] for m in messages], "messages[{}].owner")
-    dropped = distinct(known["dropped"], "dropped[{}]")
-    sent = set(senders)
-    absent = [(f"dropped[{k}]", i) for k, i in enumerate(dropped)]
-    for name, i in absent + [("delayed", known["delayed"])]:
-        if i in sent:
-            raise fail(name, f"names client {i}, who sent a message")
-    if known["delayed"] in dropped:
-        raise fail("delayed", f"names client {known['delayed']}, who is also dropped")
-    records = []
-    for k, r in enumerate(reveals):
-        if r["kind"] == "private-phases":  # every sender answers, in sender order
-            r, answered, each = dict(r, clients=list(senders)), senders, "sender"
-        else:
-            answered, each = r["revealers"], "listed revealer"
-            for j, i in enumerate(answered):
-                if i not in sent:
-                    raise fail(f"reveals[{k}].revealers[{j}]",
-                               f"names client {i}, who sent no message")
-            if r["dropped"] not in dropped + (known["delayed"],):
-                raise fail(f"reveals[{k}].dropped",
-                           f"must be a dropped or the delayed client, got {r['dropped']}")
-        phases = array(r["phases"], f"reveals[{k}].phases", np.uint32, ndim)
-        if len(phases) != len(answered):
-            raise fail(f"reveals[{k}].phases", f"must hold one row per {each} "
-                                               f"({len(answered)}), got {len(phases)}")
-        records.append(dict(r, phases=phases))
+    # The server's queries, in order, each record naming the clients it asked.
+    records = [{"kind": "mask-shares", "dropped": i,
+                "revealers": assignment.answerers(i, absent)[0]} for i in sorted(absent)]
+    if known["version"] == ALG2:  # every sender answers, in sender order
+        records.append({"kind": "private-phases", "clients": list(senders)})
+    if len(known["reveals"]) != len(records):
+        raise fail("reveals", f"must hold one record per query ({len(records)}), "
+                              f"got {len(known['reveals'])}")
+    for k, (record, phases) in enumerate(zip(records, known["reveals"])):
+        asked, each = ((record["revealers"], "revealer") if "revealers" in record
+                       else (senders, "sender"))
+        record["phases"] = array(phases, f"reveals[{k}]", np.uint32, ndim)
+        if len(record["phases"]) != len(asked):
+            raise fail(f"reveals[{k}]", f"must hold one row per {each} ({len(asked)}), "
+                                        f"got {len(record['phases'])}")
     return RoundTranscript(**dict(known, assignment=assignment, symbols=symbols,
                                   senders=senders, dropped=dropped, reveals=tuple(records)))
 

@@ -217,27 +217,22 @@ def subgroups_of_one(row: dict) -> None:
 
 
 def drop_revealed_phase(row: dict) -> None:
-    record = row["reveals"][0]
-    assert (record["kind"], record["dropped"], len(record["revealers"])) \
-        == ("mask-shares", 7, 2), f"unexpected first record: {record}"
-    record["phases"].pop()
+    """Line 2's mask-shares record for client 7 without one of its two phase rows."""
+    assert len(row["reveals"][0]) == 2, f"unexpected first record: {row['reveals'][0]}"
+    row["reveals"][0].pop()
 
 
 def cut_a_private_phase(row: dict) -> None:
-    record = row["reveals"][1]
-    assert (record["kind"], len(record["phases"])) == ("private-phases", 15), \
-        f"unexpected second record: {record}"
-    record["phases"].pop()
+    assert len(row["reveals"][1]) == 15, f"unexpected second record: {row['reveals'][1]}"
+    row["reveals"][1].pop()
 
 
 def withhold_a_revealer(row: dict) -> None:
-    """Line 5 of `alg2_dropout --seed 3` (round 4) without one revealer of client 2's
-    record, and without that revealer's phase row."""
-    record = row["reveals"][0]
-    assert (row["dropped"], record["dropped"], len(record["revealers"])) == ([2, 11], 2, 2), \
-        f"unexpected round: dropped {row['dropped']}, first record {record}"
-    record["revealers"].pop()
-    record["phases"].pop()
+    """Line 5 of `alg2_dropout --seed 3` (round 4) without the phase row of one of the
+    two revealers of client 2's record."""
+    assert (row["dropped"], len(row["reveals"][0])) == ([2, 11], 2), \
+        f"unexpected round: dropped {row['dropped']}, first record {row['reveals'][0]}"
+    row["reveals"][0].pop()
 
 
 REMAINDER = {"clients": 17, "dimension": 2, "samples_per_client": 4, "rounds": 3,
@@ -381,11 +376,8 @@ CASES = [
          stderr=r"\Aerror: overhead check failed: round 4 "
                 r".*measured 17 phase estimations, the formula gives 16",
          checks=(field("analysis.json", "overhead.exact_match", False),)),
-    Case("revealer-withheld", ("analyze",), "alg2_dropout", 3,
-         (4, on_row(withhold_a_revealer)), code=2, errors=1,
-         stderr=r"\Aerror: recovery check failed: round 4 "
-                r"revealed 1 mask shares of client 2, 2 expected\n\Z",
-         checks=(field("analysis.json", "overhead.recovery_messages_exact", False),)),
+    refused_line("revealer-withheld", 4, on_row(withhold_a_revealer),
+                 r"'reveals\[0\]' must hold one row per revealer \(2\), got 1\n\Z"),
     refused_line("counters-missing", 2, on_row(lambda row: row.pop("counters")),
                  "'counters' is missing"),
     refused_line("symbols-ragged", 2, on_row(lambda row: row["messages"][1]["symbols"].pop()),
@@ -393,10 +385,10 @@ CASES = [
     refused_line("symbol-too-large", 2, first_symbol(2**32), r"'messages\[\]\.symbols' "),
     refused_line("symbol-negative", 2, first_symbol(-1), r"'messages\[\]\.symbols' "),
     refused_line("symbol-not-an-integer", 2, first_symbol(1.5), r"'messages\[\]\.symbols' "),
-    refused_line("format-4", 2, set_format(4), "'transcript_format' "),
+    refused_line("format-5", 2, set_format(5), "'transcript_format' "),
     refused_line("last-line-format-1", LAST_LINE, set_format(1), "'transcript_format' "),
-    refused_line("last-line-format-2", LAST_LINE, set_format(2), "'transcript_format' "),
-    refused_line("last-line-format-string", LAST_LINE, set_format("3"), "'transcript_format' "),
+    refused_line("last-line-format-3", LAST_LINE, set_format(3), "'transcript_format' "),
+    refused_line("last-line-format-string", LAST_LINE, set_format("4"), "'transcript_format' "),
     refused_line("format-missing", 0, on_row(lambda row: row.pop("transcript_format")),
                  "'transcript_format' is missing"),
     refused_line("dropped-client-out-of-range", 2,
@@ -406,7 +398,10 @@ CASES = [
                  r"'decoded_mean\[0\]' must be float, got NaN"),
     refused_line("mean-1e999", 1, first_mean_1e999, r"'decoded_mean\[0\]' "),
     refused_line("private-phase-cut", 1, with_second_line_drops(cut_a_private_phase),
-                 r"'reveals\[1\]\.phases' must hold one row per sender \(15\), got 14\n\Z"),
+                 r"'reveals\[1\]' must hold one row per sender \(15\), got 14\n\Z"),
+    refused_line("private-phases-missing", 1,
+                 with_second_line_drops(lambda row: row["reveals"].pop()),
+                 r"'reveals' must hold one record per query \(2\), got 1\n\Z"),
     refused_line("group-99", 1,
                  on_row(lambda row: row["assignment"]["group_of"].__setitem__(15, 99)),
                  "'assignment' "),
@@ -431,8 +426,8 @@ CASES = [
     refused_line("subgroups-of-one", 1, with_second_line_drops(subgroups_of_one),
                  "'assignment' is not a group assignment: "
                  r"subgroup size must be at least 2, got 1: .*\(the security floor\)\n\Z"),
-    refused_line("revealed-phase-lost", 1, on_row(drop_revealed_phase),
-                 r"'reveals\[0\]\.phases' "),
+    refused_line("revealed-phase-lost", 1, with_second_line_drops(drop_revealed_phase),
+                 r"'reveals\[0\]' must hold one row per revealer \(2\), got 1\n\Z"),
 ]
 
 

@@ -230,6 +230,22 @@ class TestOverhead:
         report = verify_overhead([t])
         assert report.recovery_messages_exact
 
+    def test_a_withheld_revealer_fails_the_recovery_check(self):
+        # A line cannot say this since its reader derives the revealers; a view can.
+        cfg = QuantizationConfig.with_auto_modulus(1.0, 3, max_clients=8)
+        assignment = assign_subgroups(8, 2, 2, seed=117)
+        dropped = assignment.side(1, "+")[0]
+        t = run_round([np.zeros(2, dtype=np.int64)] * 8, assignment,
+                      sample_round_channel(8, iteration=0, seed=117), cfg, version=ALG2,
+                      seed=117, dropped=[dropped])
+        shares, private = t.reveals
+        t.reveals = (dict(shares, revealers=shares["revealers"][1:],
+                          phases=shares["phases"][1:]), private)
+        report = verify_overhead([t])
+        assert report.exact_match and not report.recovery_messages_exact
+        assert report.failure == (f"recovery check failed: round 0 revealed 1 mask shares "
+                                  f"of client {dropped}, 2 expected")
+
     def test_reads_transcripts_without_rendering_symbols(self, monkeypatch):
         from phaseagg.transcript import RoundTranscript
 

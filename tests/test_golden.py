@@ -33,17 +33,17 @@ PER_SYMBOL_ROUND = {
 
 GOLDEN = {
     "alg1_baseline": {
-        "transcripts.jsonl": "a19af9335b0c9d1b4c7a3ad0a690e01d6f292a68803ba2961f7397313f35d660",
+        "transcripts.jsonl": "b202519b5051f2a494a36d5b16a811531f2aba953ad05450a7a589c76ed2ac7b",
         "history.csv": "0ac4f33860bcfa424f25c452fb397b721d68211e7d362969002995a35c377aae",
         "report.json": "a012224dbf91e9beb2f47f96a32b22b73e96bbf4339e12e2b7240f52e665e82e",
     },
     "alg2_dropout": {
-        "transcripts.jsonl": "7902747ff6f17961222725e98bcb466067268337bc4e1a814d7943d13ba980c9",
+        "transcripts.jsonl": "4311d43875e2c432d1f343fad0719e2ad6496297f8600592dd6cf6b3455e8980",
         "history.csv": "a6b3340d282d365f77da494cdcebd61673d4dec09b5ef282f8a707f18df02933",
         "report.json": "49f09152e69773524165ce9bc07784c7bd158faca233fa0949d80c5add943b13",
     },
     "per_symbol_round": {
-        "transcripts.jsonl": "7af7430152143d5581f54c0b81b8649d4e4f0161b64c33a4a4ab99d0ce5267a9",
+        "transcripts.jsonl": "ef916084118916bbd8994ae98f6ef3fa54cda7ac9ffa732dd366087fec2b1060",
         "report.json": "97a8e2b5f0c8ead42587bbffe443a67b29ce89e1fa6b9ce93f2d08f49e6d5321",
     },
     # alg1, so the report holds no scipy p-value.
